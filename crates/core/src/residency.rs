@@ -1,66 +1,77 @@
-//! The residency hierarchy: CTPS/alias cache → decoded-RAM pool →
+//! The residency hierarchy: CTPS/alias cache → decoded-run pool →
 //! mmap/disk.
 //!
-//! The out-of-memory scheduler already moves partitions between two
-//! levels (host CSR ↔ device memory) with workload-aware eviction; this
-//! module promotes that idea into a generic third level below the host:
-//! a [`ResidencyHierarchy`] holds a **byte-budgeted pool of decoded
-//! partitions** over an mmap-backed [`DiskStore`], evicting with a clock
-//! (second-chance) sweep — the same policy family the
-//! [`crate::ctps_cache::CtpsCache`] uses for per-vertex tables one tier
-//! up. From top to bottom:
+//! The out-of-memory scheduler moves partitions between host CSR and
+//! device memory; this module is the level below the host. A
+//! [`ResidencyHierarchy`] holds a **byte-budgeted pool of decoded vertex
+//! runs** over an mmap-backed [`DiskStore`]:
 //!
 //! ```text
 //! tier 1  CTPS / alias cache      per-vertex sampling tables (device)
-//! tier 2  decoded-RAM pool        whole partitions, clock-evicted (host)
+//! tier 2  decoded-run pool        one vertex's neighbor run a slot (host)
 //! tier 3  mmap'd segment files    delta/varint CSR, decoded on demand
 //! ```
 //!
-//! **Epoch composition.** Evicting a decoded partition bumps that
-//! partition's residency epoch, and [`DiskAccess::entry_epoch`] tags
-//! every vertex with `partition_epoch << 32` — the same composition
-//! [`crate::step::DeltaPartitionAccess`] uses (`residency_epoch << 32 |
-//! entry_version`), so the existing CTPS/alias invalidation machinery
-//! retires tier-1 entries whose tier-2 backing was recycled, unchanged.
-//! Re-decoded content is bit-identical, so epoch churn only affects the
-//! cost model, never the sample.
+//! **The unit of residency is one vertex's run**
+//! ([`DiskStore::decode_vertex`], O(degree)), never a partition. On a
+//! power-law graph a walk visits `v` in proportion to `d(v)` and `v`'s
+//! run costs `d(v)` bytes, so the hit *count* a resident byte buys is
+//! flat across vertices; but a miss on `v` costs `d(v)` decode work, so
+//! the decode *time* a resident byte saves grows with `d(v)`. Pooling
+//! runs lets the budget go to the hubs; pooling partitions spent it on
+//! whatever shared their id range. A lookup is one load of the dense
+//! per-vertex slot index and one of the run slab; zero-degree vertices
+//! never decode or allocate.
 //!
-//! **Admission filter.** On a power-law graph, a vertex's visit
-//! frequency and its partition's decode cost both scale with degree, so
-//! unconditionally decoding the whole partition on every miss makes
-//! cold vertices pay for bytes they never read (and at heavy
-//! over-subscription that dominates the run). A miss on a non-resident
-//! partition is therefore first served by decoding *just the touched
-//! vertex's run* ([`DiskStore::decode_vertex`], O(degree)) into a small
-//! scratch ring; only once [`ADMIT_TOUCHES`] misses have proven the
-//! partition hot is the full decode performed and admitted to the
-//! pool. Eviction re-arms the filter, which also throttles thrash when
-//! the hot set exceeds the budget.
+//! **Admission is a frequency gate** (TinyLFU-shaped). Every lookup bumps
+//! its vertex's saturating `u8` counter, and all counters halve every
+//! `num_vertices` lookups, so an old hot set fades. A missed run enters
+//! the pool when a clock (second-chance) sweep can make room for it —
+//! but the sweep *stops and rejects the run* at the first unreferenced
+//! victim touched more often than it. A rejected run is decoded into a
+//! recycled buffer and served until the next exclusive entry. Without
+//! the gate every miss evicts, and one-off vertices push out any hub
+//! whose referenced bit has lapsed; a gate that scans on past hotter
+//! victims costs O(slab) a miss.
+//!
+//! **The budget is strict.** A resident run is charged `4·d` (+`4·d` of
+//! weights) + 8 bytes, its share of [`DiskStore::total_decoded_bytes`] —
+//! still the budget at which nothing is ever evicted. A run larger than
+//! the whole budget is served transiently and never admitted, so
+//! resident bytes never exceed the budget
+//! ([`DiskPoolSnapshot::is_conserved`]).
+//!
+//! **Epoch composition.** Evicting `v`'s run bumps `v`'s residency
+//! epoch, and [`DiskAccess::entry_epoch`] tags `v` with `epoch << 32` —
+//! the composition [`crate::step::DeltaPartitionAccess`] uses — so the
+//! CTPS/alias invalidation machinery retires exactly the tier-1 entries
+//! whose tier-2 backing was recycled. Re-decoded content is
+//! bit-identical: epoch churn affects the cost model, never the sample.
 //!
 //! **Soundness of the pool.** `neighbors()` is called through a shared
-//! borrow (the [`GraphView`] hooks), yet a miss must decode and a full
-//! pool must evict. The pool therefore lives in an `UnsafeCell` (the
-//! hierarchy is deliberately `!Sync`; each worker thread owns one) and
-//! follows two rules: decoded partitions and scratch runs are reached
-//! only through raw pointers (`Box::into_raw`), so taking `&mut Pool`
-//! never asserts unique access over their heap data; and eviction (or
-//! ring displacement) during the shared phase only *moves* the raw
-//! pointer into a graveyard — actual deallocation happens in
-//! [`DiskAccess::gather`]'s `&mut self` prologue, when no slices can be
-//! outstanding. Transient overshoot is bounded by one step's working
-//! set.
+//! borrow (the [`GraphView`] hooks probe other vertices mid-step), yet a
+//! miss must decode and a full pool must evict. The pool lives in an
+//! `UnsafeCell` (the hierarchy is deliberately `!Sync`; each worker
+//! thread owns one) and keeps one invariant: **a run's buffers are not
+//! written, recycled or freed while a slice into them may be live.**
+//! Slices are made from the buffers' raw pointers, so the `&mut Pool` of
+//! the next lookup asserts nothing about them; a buffer is written only
+//! by the decode that precedes its first slice; eviction and rejection
+//! only *move* its `Vec` header (to the graveyard, the transient list);
+//! and buffers are cleared or dropped only in
+//! [`ResidencyHierarchy::maintain`], which [`DiskAccess::fetch`] runs
+//! under `&mut self`. The overshoot is one step's working set.
 //!
-//! **Determinism.** The pool never changes what bytes a vertex resolves
-//! to — decode is bit-exact — so sampling output is identical at every
-//! budget, including the fully-resident and the thrashing extremes. The
-//! tier counters (hits/misses/evictions) do depend on how instances were
-//! interleaved over worker threads, exactly like the shared CTPS cache's
-//! counters; the conservation identities checked by
-//! [`DiskPoolSnapshot::is_conserved`] hold regardless.
+//! **Determinism.** Decode is bit-exact, so sampling output is identical
+//! at every budget. The tier counters depend on how instances were
+//! interleaved over worker threads, like the shared CTPS cache's; the
+//! identities in [`DiskPoolSnapshot::is_conserved`] hold regardless.
+//! `evictions` counts runs — far more of them than the partitions it
+//! once counted, for several times fewer `decode_bytes`.
 
 use crate::step::{gather_bytes, Gathered, NeighborAccess};
 use csaw_gpu::stats::SimStats;
-use csaw_graph::store::{DecodedPartition, DiskStore};
+use csaw_graph::store::DiskStore;
 use csaw_graph::{GraphView, PagedAdjacency, VertexId, Weight};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -74,16 +85,18 @@ pub const DECODE_BUCKETS_US: [u64; 7] = [50, 100, 250, 500, 1000, 5000, 25000];
 /// Number of decode-histogram buckets (bounds plus the open-ended one).
 pub const NUM_DECODE_BUCKETS: usize = DECODE_BUCKETS_US.len() + 1;
 
-/// Misses a non-resident partition must accumulate before its full
-/// decode is admitted to the pool; colder misses are served by the
-/// O(degree) single-vertex path. Higher values throttle admission (and
-/// thus eviction churn) under over-subscription at the price of more
-/// single-vertex decodes for warming partitions.
-pub const ADMIT_TOUCHES: u8 = 8;
+/// "No run" in the per-vertex slot index.
+const NO_SLOT: u32 = u32::MAX;
+/// Set on a slot-index entry that points into the transient list, not
+/// the slab.
+const TRANSIENT: u32 = 1 << 31;
 
-/// Entries in the single-vertex scratch ring (bounded RAM outside the
-/// pool budget: at most this many recently decoded runs).
-const SCRATCH_RING: usize = 8;
+/// Pool bytes charged for a resident run of `edges` neighbors: the
+/// vertex's share of `PartitionMeta::decoded_bytes` (its `col` and
+/// weight entries plus one row-pointer word).
+fn run_bytes(weighted: bool, edges: usize) -> usize {
+    edges * (4 + 4 * weighted as usize) + std::mem::size_of::<usize>()
+}
 
 /// Shared (cross-worker) disk-tier observability: lock-free totals the
 /// service publishes as gauges. Worker pools add their deltas here; the
@@ -92,16 +105,16 @@ const SCRATCH_RING: usize = 8;
 pub struct DiskTierStats {
     /// Pool lookups across all workers.
     pub lookups: AtomicU64,
-    /// Lookups served by a resident decoded partition.
+    /// Lookups served by a resident (or this step's transient) run.
     pub hits: AtomicU64,
-    /// Lookups that decoded a partition.
+    /// Lookups that decoded a run.
     pub misses: AtomicU64,
-    /// Partitions evicted by the clock sweep.
+    /// Runs evicted by the clock sweep.
     pub evictions: AtomicU64,
-    /// Bytes currently held by decoded partitions across all pools
-    /// (gauge; includes graveyard bytes awaiting reclaim).
+    /// Bytes currently held by decoded runs across all pools (gauge;
+    /// includes graveyard bytes awaiting reclaim).
     pub pool_bytes: AtomicU64,
-    /// Simulated 4 KiB page faults charged for streaming mapped segments.
+    /// Simulated 4 KiB page faults charged for reading mapped segments.
     pub mmap_faults: AtomicU64,
     /// RAM bytes produced by decodes.
     pub decode_bytes: AtomicU64,
@@ -139,9 +152,8 @@ impl DiskTierStats {
 pub struct DiskRunConfig {
     /// The opened store (read-only mappings; shared across workers).
     pub store: Arc<DiskStore>,
-    /// RAM budget in bytes for each worker's decoded-partition pool.
-    /// The pool always holds at least the most recently touched
-    /// partition, even when it alone exceeds the budget.
+    /// RAM budget in bytes for each worker's decoded-run pool, never
+    /// exceeded; [`DiskStore::total_decoded_bytes`] holds the whole graph.
     pub pool_budget: usize,
     /// Optional shared observability sink (service/serve gauges).
     pub shared: Option<Arc<DiskTierStats>>,
@@ -157,28 +169,44 @@ impl std::fmt::Debug for DiskRunConfig {
     }
 }
 
-/// One slot of the decoded-partition pool. `part` is null when the
-/// partition is not resident; otherwise it owns (via `Box::into_raw`) a
-/// heap `DecodedPartition` whose address is stable until reclaim.
-struct PoolSlot {
-    part: *mut DecodedPartition,
+/// One vertex's decoded neighbor run: a slab slot when resident (an
+/// empty `col` marks a free slot — resident runs have degree > 0), an
+/// entry of the transient list or the graveyard, or the spare buffers
+/// otherwise. `ws` stays empty on unweighted stores.
+#[derive(Default)]
+struct Run {
+    v: VertexId,
     referenced: bool,
-    bytes: usize,
+    col: Vec<VertexId>,
+    ws: Vec<Weight>,
 }
 
-/// One vertex's decoded neighbor run, held by the scratch ring for
-/// misses the admission filter keeps out of the pool.
-struct VertexRun {
-    neighbors: Vec<VertexId>,
-    weights: Option<Vec<Weight>>,
+impl Run {
+    /// The run's slices with a caller-chosen lifetime.
+    ///
+    /// # Safety
+    /// The caller must not write, clear or drop the run's buffers while
+    /// the returned slices live (the pool invariant in the module docs).
+    unsafe fn slices<'a>(&self, weighted: bool) -> (&'a [VertexId], Option<&'a [Weight]>) {
+        // SAFETY: ptr/len describe the Vec's live initialized buffer,
+        // which moving the Vec header does not move; the caller keeps
+        // the buffer unwritten and alive for 'a.
+        unsafe {
+            (
+                std::slice::from_raw_parts(self.col.as_ptr(), self.col.len()),
+                weighted.then(|| std::slice::from_raw_parts(self.ws.as_ptr(), self.ws.len())),
+            )
+        }
+    }
 }
 
-/// Counters accumulated between flushes into a [`SimStats`].
+/// Lifetime tier counters of one pool.
 #[derive(Debug, Default, Clone, Copy)]
-struct PendingStats {
+struct Totals {
     lookups: u64,
     hits: u64,
     misses: u64,
+    admissions: u64,
     evictions: u64,
     decode_bytes: u64,
     mmap_faults: u64,
@@ -193,7 +221,9 @@ pub struct DiskPoolSnapshot {
     pub hits: u64,
     /// Lookups that decoded.
     pub misses: u64,
-    /// Clock evictions.
+    /// Runs the frequency gate admitted to the pool.
+    pub admissions: u64,
+    /// Runs evicted by the clock sweep.
     pub evictions: u64,
     /// Bytes currently resident (live slots, excluding graveyard).
     pub bytes: u64,
@@ -205,105 +235,140 @@ pub struct DiskPoolSnapshot {
 
 impl DiskPoolSnapshot {
     /// The pool's conservation identities: every lookup is a hit or a
-    /// miss, nothing is evicted that was never decoded, and live bytes
-    /// only exceed the budget by the single-partition admission
-    /// guarantee.
+    /// miss, only a missed run is admitted, only an admitted run is
+    /// evicted, and resident bytes never exceed the budget.
     pub fn is_conserved(&self) -> bool {
         self.lookups == self.hits + self.misses
-            && self.evictions <= self.misses
-            && (self.bytes <= self.budget || self.hits + self.misses <= self.misses.max(1))
+            && self.admissions <= self.misses
+            && self.evictions <= self.admissions
+            && self.bytes <= self.budget
     }
 }
 
-/// The pool behind the `UnsafeCell`: slot table, clock hand, residency
-/// epochs, graveyard, counters.
+/// The pool behind the `UnsafeCell`.
+#[derive(Default)]
 struct Pool {
     budget: usize,
     bytes: usize,
-    slots: Vec<PoolSlot>,
-    hand: usize,
-    /// Per-partition residency epoch, bumped on eviction; composed into
-    /// `entry_epoch` tags.
-    epochs: Vec<u64>,
-    /// Monotonic count of eviction events (the access-wide epoch).
+    /// Per vertex: its slab slot, `TRANSIENT |` its position in the
+    /// transient list, or `NO_SLOT`.
+    index: Vec<u32>,
+    /// Per vertex: saturating touch counter, halved every
+    /// `num_vertices` lookups (`age_in` counts down to the next halving).
+    freq: Vec<u8>,
+    age_in: usize,
+    /// Per vertex: residency epoch, bumped when its run is evicted;
+    /// composed into `entry_epoch` tags.
+    epochs: Vec<u32>,
+    /// Monotonic count of evictions (the access-wide epoch).
     global_epoch: u64,
-    /// Misses per partition since its last admission (the admission
-    /// filter's evidence of heat); reset when the full decode lands.
-    touches: Vec<u8>,
-    /// Admission filter bypass: true when the budget fits the *whole*
-    /// decoded graph, in which case nothing can ever be evicted and
-    /// making partitions prove themselves hot only defers the inevitable
-    /// decode behind `ADMIT_TOUCHES` single-vertex scratch decodes each.
-    /// Without this, a full-budget pool paradoxically ran *slower* than a
-    /// half-budget one (`BENCH_disk.json` showed budget_frac=1.0 with
-    /// 1314 mmap faults and zero evictions): every partition paid the
-    /// filter tax despite eviction being impossible.
-    admit_all: bool,
-    /// Scratch ring of single-vertex runs (FIFO, at most
-    /// `SCRATCH_RING`); displaced entries go to `run_graveyard`.
-    runs: Vec<(VertexId, *mut VertexRun)>,
-    graveyard: Vec<*mut DecodedPartition>,
-    run_graveyard: Vec<*mut VertexRun>,
+    slab: Vec<Run>,
+    free: Vec<u32>,
+    hand: usize,
+    /// Runs the gate rejected, served until the next reclaim.
+    transient: Vec<Run>,
+    /// Cleared buffers for the next rejected run: a walk rejects at most
+    /// one a step and decodes it here, allocating nothing. A step whose
+    /// hooks probe many cold runs allocates the rest and frees them with
+    /// the step, so idle scratch memory stays one buffer pair.
+    spare: Option<Run>,
+    /// Evicted runs awaiting reclaim.
+    graveyard: Vec<Run>,
     graveyard_bytes: usize,
-    pend: PendingStats,
-    totals: PendingStats,
+    totals: Totals,
+    /// `totals` as of the last [`ResidencyHierarchy::flush_stats`].
+    flushed: Totals,
 }
 
 impl Pool {
-    /// Clock (second-chance) sweep: evict unreferenced resident
-    /// partitions until `need` more bytes fit, scanning at most two
-    /// revolutions. Evicted pointers go to the graveyard — their heap
-    /// data must outlive any slice handed out this shared phase.
-    fn evict_until(&mut self, need: usize, shared: Option<&DiskTierStats>) {
-        let k = self.slots.len();
-        let mut scanned = 0usize;
-        while self.bytes + need > self.budget && scanned < 2 * k {
-            let p = self.hand;
-            self.hand = (self.hand + 1) % k;
-            scanned += 1;
-            let slot = &mut self.slots[p];
-            if slot.part.is_null() {
+    /// Counts one lookup of `v` into its touch counter, halving every
+    /// counter once per `num_vertices` lookups.
+    fn touch(&mut self, v: VertexId) {
+        let f = &mut self.freq[v as usize];
+        *f = f.saturating_add(1);
+        self.age_in -= 1;
+        if self.age_in == 0 {
+            self.age_in = self.freq.len();
+            self.freq.iter_mut().for_each(|f| *f >>= 1);
+        }
+    }
+
+    /// The frequency-gated clock sweep: evicts unreferenced resident
+    /// runs until `need` more bytes fit, and returns whether `v`'s run
+    /// may be admitted. It may not when `need` exceeds the whole budget
+    /// or the sweep meets an unreferenced victim touched more often
+    /// than `v`. Evicted runs go to the graveyard — their buffers must
+    /// outlive any slice handed out this shared phase.
+    fn make_room(
+        &mut self,
+        v: VertexId,
+        need: usize,
+        weighted: bool,
+        shared: Option<&DiskTierStats>,
+    ) -> bool {
+        if need > self.budget {
+            return false;
+        }
+        // Terminates: resident bytes are positive here, so the slab is
+        // not empty, and a revolution that evicts nothing and rejects
+        // nothing clears every referenced bit for the next one.
+        while self.bytes + need > self.budget {
+            let s = self.hand;
+            self.hand = (s + 1) % self.slab.len();
+            let run = &mut self.slab[s];
+            if run.col.is_empty() || std::mem::take(&mut run.referenced) {
                 continue;
             }
-            if slot.referenced {
-                slot.referenced = false;
-                continue;
+            if self.freq[run.v as usize] > self.freq[v as usize] {
+                return false;
             }
-            let b = slot.bytes;
-            self.graveyard.push(std::mem::replace(&mut slot.part, std::ptr::null_mut()));
-            self.graveyard_bytes += b;
-            slot.bytes = 0;
-            self.bytes -= b;
-            self.epochs[p] += 1;
+            let run = std::mem::take(run);
+            let bytes = run_bytes(weighted, run.col.len());
+            self.index[run.v as usize] = NO_SLOT;
+            self.epochs[run.v as usize] = self.epochs[run.v as usize].wrapping_add(1);
             self.global_epoch += 1;
-            self.pend.evictions += 1;
+            self.bytes -= bytes;
+            self.graveyard_bytes += bytes;
+            self.graveyard.push(run);
+            self.free.push(s as u32);
             self.totals.evictions += 1;
             if let Some(sh) = shared {
                 sh.evictions.fetch_add(1, Relaxed);
             }
         }
+        true
     }
 
-    /// Drops every graveyard entry. Only sound when no decoded-partition
-    /// (or scratch-run) borrows are outstanding — called from `&mut
-    /// self` entry points.
+    /// Installs an admitted run in a free slab slot and returns the slot.
+    fn admit(&mut self, run: Run, bytes: usize) -> usize {
+        let slot = self.free.pop().map_or(self.slab.len(), |s| s as usize);
+        if slot == self.slab.len() {
+            assert!(slot < TRANSIENT as usize, "slab slots must leave the TRANSIENT bit clear");
+            self.slab.push(Run::default());
+        }
+        self.index[run.v as usize] = slot as u32;
+        self.slab[slot] = run;
+        self.bytes += bytes;
+        self.totals.admissions += 1;
+        slot
+    }
+
+    /// Frees the graveyard and the transient runs, keeping one cleared
+    /// buffer pair as the spare. Only sound when no slices into them
+    /// are outstanding — called from `&mut self` entry points.
     fn reclaim(&mut self, shared: Option<&DiskTierStats>) {
-        for ptr in self.run_graveyard.drain(..) {
-            // SAFETY: ptr came from Box::into_raw when the run entered
-            // the ring and was removed from it on displacement; dropped
-            // exactly once, no borrows survive the &mut receiver.
-            drop(unsafe { Box::from_raw(ptr) });
+        for mut run in self.transient.drain(..) {
+            self.index[run.v as usize] = NO_SLOT;
+            if self.spare.is_none() {
+                run.col.clear();
+                run.ws.clear();
+                self.spare = Some(run);
+            }
         }
         if self.graveyard.is_empty() {
             return;
         }
-        for ptr in self.graveyard.drain(..) {
-            // SAFETY: ptr came from Box::into_raw in admit() and was
-            // removed from its slot when moved to the graveyard; it is
-            // dropped exactly once, and the &mut receiver guarantees no
-            // borrows into its data survive.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
+        self.graveyard.clear();
         if let Some(sh) = shared {
             sh.adjust_pool_bytes(-(self.graveyard_bytes as i64));
         }
@@ -311,33 +376,9 @@ impl Pool {
     }
 }
 
-impl Drop for Pool {
-    fn drop(&mut self) {
-        for slot in &mut self.slots {
-            if !slot.part.is_null() {
-                // SAFETY: slot pointers come from Box::into_raw and are
-                // nulled when moved out; each is dropped exactly once.
-                drop(unsafe { Box::from_raw(slot.part) });
-            }
-        }
-        for ptr in self.graveyard.drain(..) {
-            // SAFETY: as above.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
-        for (_, ptr) in self.runs.drain(..) {
-            // SAFETY: as above.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
-        for ptr in self.run_graveyard.drain(..) {
-            // SAFETY: as above.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
-    }
-}
-
-/// Tier 2 + 3 of the hierarchy: a byte-budgeted pool of decoded
-/// partitions over an mmap-backed store. `!Sync` by construction — each
-/// worker thread owns its own hierarchy over a shared `Arc<DiskStore>`,
+/// Tier 2 + 3 of the hierarchy: a byte-budgeted pool of decoded vertex
+/// runs over an mmap-backed store. `!Sync` by construction — each worker
+/// thread owns its own hierarchy over a shared `Arc<DiskStore>`,
 /// mirroring per-SM working sets over shared device memory.
 pub struct ResidencyHierarchy {
     store: Arc<DiskStore>,
@@ -362,24 +403,14 @@ impl ResidencyHierarchy {
         pool_budget: usize,
         shared: Option<Arc<DiskTierStats>>,
     ) -> Self {
-        let k = store.num_partitions();
+        let n = store.num_vertices();
         let pool = Pool {
             budget: pool_budget,
-            bytes: 0,
-            slots: (0..k)
-                .map(|_| PoolSlot { part: std::ptr::null_mut(), referenced: false, bytes: 0 })
-                .collect(),
-            hand: 0,
-            epochs: vec![0; k],
-            global_epoch: 0,
-            touches: vec![0; k],
-            admit_all: pool_budget >= store.total_decoded_bytes(),
-            runs: Vec::with_capacity(SCRATCH_RING),
-            graveyard: Vec::new(),
-            run_graveyard: Vec::new(),
-            graveyard_bytes: 0,
-            pend: PendingStats::default(),
-            totals: PendingStats::default(),
+            index: vec![NO_SLOT; n],
+            freq: vec![0; n],
+            age_in: n.max(1),
+            epochs: vec![0; n],
+            ..Pool::default()
         };
         ResidencyHierarchy { store, shared, pool: UnsafeCell::new(pool) }
     }
@@ -392,13 +423,14 @@ impl ResidencyHierarchy {
     /// Lifetime totals of this pool.
     pub fn snapshot(&self) -> DiskPoolSnapshot {
         // SAFETY: read-only access through the same single-threaded
-        // discipline as lookup(); no overlapping &mut exists during a
-        // call on this thread.
+        // discipline as resolve_run(); no overlapping &mut exists during
+        // a call on this thread.
         let pool = unsafe { &*self.pool.get() };
         DiskPoolSnapshot {
             lookups: pool.totals.lookups,
             hits: pool.totals.hits,
             misses: pool.totals.misses,
+            admissions: pool.totals.admissions,
             evictions: pool.totals.evictions,
             bytes: pool.bytes as u64,
             graveyard_bytes: pool.graveyard_bytes as u64,
@@ -406,12 +438,11 @@ impl ResidencyHierarchy {
         }
     }
 
-    /// Residency epoch of the partition owning `v` (bumped when its
-    /// decoded copy is evicted).
+    /// Residency epoch of `v`'s run (bumped when its decoded copy is
+    /// evicted). Named for the partition-granular pool it once tagged.
     pub fn partition_epoch(&self, v: VertexId) -> u64 {
-        let p = self.store.partition_of(v);
         // SAFETY: as in snapshot().
-        unsafe { (&(*self.pool.get()).epochs)[p] }
+        unsafe { (&(*self.pool.get()).epochs)[v as usize] as u64 }
     }
 
     /// Access-wide eviction count (the coarse epoch).
@@ -426,12 +457,7 @@ impl ResidencyHierarchy {
     /// thread-local pool reused under a new config keeps its decodes but
     /// reports to the config's current sink.
     pub fn rebind_shared(&mut self, shared: Option<Arc<DiskTierStats>>) {
-        let same = match (&self.shared, &shared) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        if same {
+        if self.shared.as_ref().map(Arc::as_ptr) == shared.as_ref().map(Arc::as_ptr) {
             return;
         }
         let pool = self.pool.get_mut();
@@ -445,126 +471,100 @@ impl ResidencyHierarchy {
         self.shared = shared;
     }
 
-    /// Reclaims deferred evictions. Sound because `&mut self` proves no
-    /// decoded-partition borrows are outstanding.
+    /// Reclaims evicted and transient runs. Sound because `&mut self`
+    /// proves no slices into them are outstanding.
     pub fn maintain(&mut self) {
-        let shared = self.shared.clone();
-        self.pool.get_mut().reclaim(shared.as_deref());
+        self.pool.get_mut().reclaim(self.shared.as_deref());
     }
 
-    /// Drains the pending tier counters into `stats`.
+    /// Drains the tier counters accumulated since the last flush into
+    /// `stats`.
     pub fn flush_stats(&mut self, stats: &mut SimStats) {
         let pool = self.pool.get_mut();
-        let p = std::mem::take(&mut pool.pend);
-        stats.disk_pool_lookups += p.lookups;
-        stats.disk_pool_hits += p.hits;
-        stats.disk_pool_misses += p.misses;
-        stats.disk_pool_evictions += p.evictions;
-        stats.disk_decode_bytes += p.decode_bytes;
-        stats.disk_mmap_faults += p.mmap_faults;
+        let (now, was) = (pool.totals, std::mem::replace(&mut pool.flushed, pool.totals));
+        stats.disk_pool_lookups += now.lookups - was.lookups;
+        stats.disk_pool_hits += now.hits - was.hits;
+        stats.disk_pool_misses += now.misses - was.misses;
+        stats.disk_pool_evictions += now.evictions - was.evictions;
+        stats.disk_decode_bytes += now.decode_bytes - was.decode_bytes;
+        stats.disk_mmap_faults += now.mmap_faults - was.mmap_faults;
     }
 
-    /// Resolves `v`'s neighbor run, decoding on a miss and evicting to
-    /// fit. A miss takes the cheap path first: the admission filter
-    /// decodes only `v`'s run into the scratch ring until the partition
-    /// has proven hot ([`ADMIT_TOUCHES`] misses), then decodes and
-    /// admits the whole partition. Returns slices whose heap data stays
-    /// valid for the whole `&self` phase (deferred reclaim).
+    /// Resolves `v`'s neighbor run: from its slab slot, from this
+    /// phase's transient list, or by decoding it — into the pool when
+    /// the frequency gate admits it, into a recycled transient buffer
+    /// otherwise. Returns slices whose buffers stay untouched for the
+    /// whole `&self` phase (deferred reclaim).
     fn resolve_run(&self, v: VertexId) -> (&[VertexId], Option<&[Weight]>) {
-        let p = self.store.partition_of(v);
+        let weighted = self.store.is_weighted();
+        let shared = self.shared.as_deref();
         // SAFETY: the hierarchy is !Sync, so calls are serialized on one
         // thread; this &mut Pool window is confined to resolve_run() and
-        // never overlaps another (store decodes do not reenter).
-        // Returned references point into heap data reached via raw
-        // pointers, never through this &mut, and are only freed in
-        // maintain()/drop under &mut self.
+        // never overlaps another (store decodes do not reenter). Slices
+        // returned earlier point into run buffers, which this window
+        // never writes, clears or drops (the pool invariant).
         let pool = unsafe { &mut *self.pool.get() };
-        pool.pend.lookups += 1;
+        pool.touch(v);
         pool.totals.lookups += 1;
-        if let Some(sh) = &self.shared {
+        if let Some(sh) = shared {
             sh.lookups.fetch_add(1, Relaxed);
         }
-        if !pool.slots[p].part.is_null() {
-            pool.pend.hits += 1;
+        let slot = pool.index[v as usize];
+        let resident = if slot == NO_SLOT {
+            None
+        } else if slot & TRANSIENT != 0 {
+            Some(&pool.transient[(slot ^ TRANSIENT) as usize])
+        } else {
+            let run = &mut pool.slab[slot as usize];
+            run.referenced = true;
+            Some(&*run)
+        };
+        let deg = if resident.is_some() { 0 } else { self.store.degree(v) };
+        if resident.is_some() || deg == 0 {
             pool.totals.hits += 1;
-            pool.slots[p].referenced = true;
-            if let Some(sh) = &self.shared {
+            if let Some(sh) = shared {
                 sh.hits.fetch_add(1, Relaxed);
             }
-            // SAFETY: resident slot; heap data with a stable address,
-            // freed only under &mut self.
-            let part = unsafe { &*pool.slots[p].part };
-            return (part.neighbors(v), part.neighbor_weights(v));
+            // SAFETY: the pool invariant — a resident or transient run's
+            // buffers are only moved until maintain() runs under &mut self.
+            return resident
+                .map_or((&[], weighted.then_some(&[][..])), |run| unsafe { run.slices(weighted) });
         }
-        if let Some(&(_, ptr)) = pool.runs.iter().find(|(rv, _)| *rv == v) {
-            pool.pend.hits += 1;
-            pool.totals.hits += 1;
-            if let Some(sh) = &self.shared {
-                sh.hits.fetch_add(1, Relaxed);
-            }
-            // SAFETY: live ring entry (displacement only moves pointers
-            // to the graveyard); freed only under &mut self.
-            let run = unsafe { &*ptr };
-            return (run.neighbors.as_slice(), run.weights.as_deref());
-        }
-        pool.pend.misses += 1;
-        pool.totals.misses += 1;
-        pool.touches[p] = pool.touches[p].saturating_add(1);
-        if pool.admit_all || pool.touches[p] >= ADMIT_TOUCHES {
-            // The partition proved hot (or the budget fits the whole
-            // graph, making the filter pure overhead): decode it whole
-            // and admit.
-            pool.touches[p] = 0;
-            let t0 = Instant::now();
-            let dec = self.store.decode_partition(p).unwrap_or_else(|e| {
+        let bytes = run_bytes(weighted, deg);
+        let admit = pool.make_room(v, bytes, weighted, shared);
+        // An admitted run gets fresh buffers, which the decode reserves
+        // at exactly its size (the budget charges real memory); a
+        // rejected one borrows the spare pair when it is free.
+        let spare = if admit { None } else { pool.spare.take() };
+        let mut run = Run { v, ..spare.unwrap_or_default() };
+        let clock = shared.map(|_| Instant::now());
+        let pages = self
+            .store
+            .decode_vertex(v, &mut run.col, weighted.then_some(&mut run.ws))
+            .unwrap_or_else(|e| {
                 panic!("disk store {} failed mid-run: {e}", self.store.dir().display())
             });
-            let micros = t0.elapsed().as_micros() as u64;
-            let bytes = dec.size_bytes();
-            let pages = self.store.segment_pages(p);
-            pool.pend.decode_bytes += bytes as u64;
-            pool.pend.mmap_faults += pages;
-            pool.totals.decode_bytes += bytes as u64;
-            pool.totals.mmap_faults += pages;
-            if let Some(sh) = &self.shared {
-                sh.record_decode(micros, bytes as u64, pages);
+        let decoded = ((run.col.len() + run.ws.len()) * 4) as u64;
+        pool.totals.misses += 1;
+        pool.totals.decode_bytes += decoded;
+        pool.totals.mmap_faults += pages;
+        if let (Some(sh), Some(t0)) = (shared, clock) {
+            sh.record_decode(t0.elapsed().as_micros() as u64, decoded, pages);
+            if admit {
                 sh.adjust_pool_bytes(bytes as i64);
             }
-            pool.evict_until(bytes, self.shared.as_deref());
-            pool.bytes += bytes;
-            pool.slots[p] =
-                PoolSlot { part: Box::into_raw(Box::new(dec)), referenced: true, bytes };
-            // SAFETY: the slot was just populated; as above.
-            let part = unsafe { &*pool.slots[p].part };
-            return (part.neighbors(v), part.neighbor_weights(v));
         }
-        // Cold miss: decode just this vertex's run into the scratch ring.
-        let t0 = Instant::now();
-        let mut col = Vec::new();
-        let mut ws = if self.store.is_weighted() { Some(Vec::new()) } else { None };
-        let pages = self.store.decode_vertex(v, &mut col, ws.as_mut()).unwrap_or_else(|e| {
-            panic!("disk store {} failed mid-run: {e}", self.store.dir().display())
-        });
-        let micros = t0.elapsed().as_micros() as u64;
-        let bytes = col.len() * std::mem::size_of::<VertexId>()
-            + ws.as_ref().map_or(0, |w| w.len() * std::mem::size_of::<Weight>());
-        pool.pend.decode_bytes += bytes as u64;
-        pool.pend.mmap_faults += pages;
-        pool.totals.decode_bytes += bytes as u64;
-        pool.totals.mmap_faults += pages;
-        if let Some(sh) = &self.shared {
-            sh.record_decode(micros, bytes as u64, pages);
-        }
-        if pool.runs.len() == SCRATCH_RING {
-            let (_, old) = pool.runs.remove(0);
-            pool.run_graveyard.push(old);
-        }
-        let run = Box::into_raw(Box::new(VertexRun { neighbors: col, weights: ws }));
-        pool.runs.push((v, run));
-        // SAFETY: just boxed; stable heap address, freed only under
-        // &mut self (ring drop or graveyard reclaim).
-        let run = unsafe { &*run };
-        (run.neighbors.as_slice(), run.weights.as_deref())
+        let run = if admit {
+            let slot = pool.admit(run, bytes);
+            &pool.slab[slot]
+        } else {
+            pool.index[v as usize] = TRANSIENT | pool.transient.len() as u32;
+            pool.transient.push(run);
+            pool.transient.last().expect("just pushed")
+        };
+        // SAFETY: the buffers were written before this first slice and,
+        // by the pool invariant, are only moved until maintain().
+        unsafe { run.slices(weighted) }
     }
 }
 
@@ -598,7 +598,7 @@ impl PagedAdjacency for ResidencyHierarchy {
 
 /// [`NeighborAccess`] over the disk tier: drop-in for [`StepKernel`]
 /// (the PR-3 trait seam), serving `fetch()` through memory-mapped
-/// segments with on-demand decode into the byte-budgeted pool. Charges
+/// segments with on-demand decode into the byte-budgeted run pool. Charges
 /// the same [`gather_bytes`] as [`crate::step::CsrAccess`], so a
 /// disk-backed run counts identical simulated-GPU traffic — the disk
 /// tier's own work lands in the `disk_*` counters instead.
@@ -636,7 +636,7 @@ impl DiskAccess {
         &self.hier
     }
 
-    /// Reclaims deferred evictions (safe: exclusive receiver).
+    /// Reclaims evicted and transient runs (safe: exclusive receiver).
     pub fn maintain(&mut self) {
         self.hier.maintain();
     }
@@ -660,14 +660,14 @@ impl NeighborAccess for DiskAccess {
     }
 
     fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
-        // Exclusive prologue: no slices are outstanding, so deferred
-        // evictions can be freed before this step's working set forms.
-        self.hier.maintain();
         stats.read_gmem(gather_bytes(self.hier.is_weighted(), self.hier.store().degree(v)));
         self.fetch(v)
     }
 
     fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
+        // Exclusive prologue: no slices are outstanding, so evicted and
+        // transient runs can go before this step's working set forms.
+        self.hier.maintain();
         let hier = &self.hier;
         let (neighbors, weights) = hier.resolve_run(v);
         Gathered { graph: GraphView::paged(hier), neighbors, weights }
@@ -678,18 +678,18 @@ impl NeighborAccess for DiskAccess {
     }
 
     fn entry_epoch(&self, v: VertexId) -> u64 {
-        // Composed exactly like DeltaPartitionAccess: residency epoch in
-        // the high half, per-vertex mutation version in the low half
-        // (zero — the disk tier serves immutable epochs).
+        // Composed exactly like DeltaPartitionAccess: the run's residency
+        // epoch in the high half, per-vertex mutation version in the low
+        // half (zero — the disk tier serves immutable epochs).
         self.hier.partition_epoch(v) << 32
     }
 }
 
 /// Disk access wrapped for the out-of-memory scheduler: composes the
 /// stream's device-residency epoch (high half) with the disk pool's
-/// per-partition epoch (low half), so a cached CTPS entry dies when
-/// *either* its device partition was swapped or its host decoded copy
-/// was evicted — the full three-tier invalidation chain.
+/// per-run epoch (low half), so a cached CTPS entry dies when *either*
+/// its device partition was swapped or its host decoded run was evicted
+/// — the full three-tier invalidation chain.
 pub struct TieredDiskAccess<'a> {
     /// The worker's disk access.
     pub inner: &'a mut DiskAccess,
@@ -723,7 +723,7 @@ thread_local! {
     /// One warm disk pool per worker thread, keyed by (store identity,
     /// budget). Engine launches run many instances per thread; reusing
     /// the pool across them is what amortizes decodes (a per-instance
-    /// pool would re-decode every partition a short walk touches).
+    /// pool would re-decode every hub a short walk touches).
     static THREAD_DISK: std::cell::RefCell<Option<(usize, usize, DiskAccess)>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -743,22 +743,22 @@ pub fn with_thread_disk_access<R>(cfg: &DiskRunConfig, f: impl FnOnce(&mut DiskA
             *slot = Some((key.0, key.1, DiskAccess::new(cfg)));
         }
         let (_, _, access) = slot.as_mut().expect("just installed");
-        // A reused pool keeps its decoded partitions but must report to
+        // A reused pool keeps its decoded runs but must report to
         // the *current* config's sink (a fresh service over the same
         // store would otherwise see stale-bound counters go elsewhere).
         access.rebind_shared(cfg.shared.clone());
         f(access)
     })
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use csaw_graph::generators::{rmat, toy_graph, RmatParams};
     use csaw_graph::store::write_store;
+    use csaw_graph::{Csr, CsrBuilder};
     use std::path::PathBuf;
 
-    fn open_store(name: &str, g: &csaw_graph::Csr, k: usize) -> (Arc<DiskStore>, PathBuf) {
+    fn open_store(name: &str, g: &Csr, k: usize) -> (Arc<DiskStore>, PathBuf) {
         let base = std::env::var_os("CSAW_DISK_TMPDIR")
             .map(PathBuf::from)
             .unwrap_or_else(std::env::temp_dir);
@@ -772,18 +772,22 @@ mod tests {
         DiskRunConfig { store: Arc::clone(store), pool_budget: budget, shared: None }
     }
 
+    /// `n` vertices, vertex `v` pointing at the `degree(v)` vertices
+    /// after it (mod `n`).
+    fn ring_graph(n: u32, degree: impl Fn(u32) -> u32) -> Csr {
+        let edges = (0..n).flat_map(|v| (1..=degree(v)).map(move |i| (v, (v + i) % n)));
+        CsrBuilder::new().with_num_vertices(n as usize).extend_edges(edges).build()
+    }
+
     #[test]
     fn serves_exact_adjacency_at_tiny_budget() {
         let g = rmat(8, 6, RmatParams::GRAPH500, 21).with_unit_weights();
         let (store, dir) = open_store("exact", &g, 8);
-        // Budget fits roughly one partition: constant thrash, same bytes.
-        let budget = store.decoded_bytes(0).max(1);
-        let mut access = DiskAccess::new(&cfg(&store, budget));
+        // A thirtieth of the graph: constant eviction, same bytes served.
+        let mut access = DiskAccess::new(&cfg(&store, store.total_decoded_bytes() / 30));
         let mut stats = SimStats::new();
-        // Enough sweeps for every partition to clear the admission
-        // filter — admissions then force evictions at this budget.
-        for _ in 0..(2 * ADMIT_TOUCHES as usize + 2) {
-            for v in (0..g.num_vertices() as VertexId).step_by(17) {
+        for _ in 0..4 {
+            for v in (0..g.num_vertices() as VertexId).step_by(3) {
                 let gat = access.gather(v, &mut stats);
                 assert_eq!(gat.neighbors, g.neighbors(v), "neighbors of {v}");
                 assert_eq!(gat.weights, g.neighbor_weights(v));
@@ -796,107 +800,157 @@ mod tests {
         assert!(snap.evictions > 0, "tiny budget must evict: {snap:?}");
         assert_eq!(stats.disk_pool_lookups, snap.lookups);
         assert_eq!(stats.disk_pool_hits + stats.disk_pool_misses, stats.disk_pool_lookups);
+        assert_eq!(stats.disk_pool_evictions, snap.evictions);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn full_budget_admits_on_first_touch() {
-        // The BENCH_disk.json regression: at budget_frac=1.0 eviction is
-        // impossible, so the admission filter's ADMIT_TOUCHES deferral is
-        // pure overhead — 1314 faults and zero evictions made the full
-        // budget *slower* than half. A full-budget pool must admit every
-        // partition on its first miss.
+    fn full_budget_decodes_each_run_once_and_never_evicts() {
         let g = rmat(8, 6, RmatParams::GRAPH500, 21).with_unit_weights();
-        let k = 8;
-        let (store, dir) = open_store("fullbudget", &g, k);
+        let (store, dir) = open_store("fullbudget", &g, 8);
         let mut access = DiskAccess::new(&cfg(&store, store.total_decoded_bytes()));
         let mut stats = SimStats::new();
-        for v in 0..g.num_vertices() as VertexId {
-            let gat = access.gather(v, &mut stats);
-            assert_eq!(gat.neighbors, g.neighbors(v));
+        let n = g.num_vertices() as VertexId;
+        let with_edges = (0..n).filter(|&v| g.degree(v) > 0).count() as u64;
+        for v in 0..n {
+            assert_eq!(access.gather(v, &mut stats).neighbors, g.neighbors(v));
         }
-        access.flush_stats(&mut stats);
+        let first = access.snapshot();
+        assert!(first.is_conserved(), "{first:?}");
+        assert_eq!(first.misses, with_edges, "one decode per vertex that has a run");
+        assert_eq!(first.admissions, with_edges);
+        // Second sweep over the now-fully-resident pool: pure hits.
+        for v in 0..n {
+            assert_eq!(access.gather(v, &mut stats).neighbors, g.neighbors(v));
+        }
+        let snap = access.snapshot();
+        assert_eq!(snap.misses, with_edges);
+        assert_eq!(snap.hits - first.hits, n as u64);
+        assert_eq!(snap.evictions, 0, "nothing can evict at full budget");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hub_stays_resident_among_one_off_vertices() {
+        // Vertex 0 is a hub touched every 2000th lookup; every other
+        // vertex is touched once. The 10% pool holds some 1200 runs, so
+        // between two touches the clock passes the hub at least twice
+        // and its referenced bit cannot save it: only the gate does,
+        // because the warm-up left its counter above a one-off's.
+        let n = 12000u32;
+        let g = ring_graph(n, |v| if v == 0 { 64 } else { 4 });
+        let (store, dir) = open_store("hub", &g, 4);
+        let mut access = DiskAccess::new(&cfg(&store, store.total_decoded_bytes() / 10));
+        let mut stats = SimStats::new();
+        let mut hub_lookups = 0u64;
+        for v in [0, 0, 0].into_iter().chain(1..n) {
+            if v % 2000 == 1999 {
+                assert_eq!(access.gather(0, &mut stats).neighbors, g.neighbors(0));
+                hub_lookups += 1;
+            }
+            assert_eq!(access.gather(v, &mut stats).neighbors, g.neighbors(v));
+        }
         let snap = access.snapshot();
         assert!(snap.is_conserved(), "{snap:?}");
-        assert_eq!(snap.evictions, 0, "nothing can evict at full budget");
-        assert_eq!(
-            snap.misses,
-            store.num_partitions() as u64,
-            "exactly one miss (the admitting decode) per partition: {snap:?}"
-        );
-        // Second sweep over the now-fully-resident pool: pure hits.
-        let before = access.snapshot().lookups;
-        for v in 0..g.num_vertices() as VertexId {
-            let _ = access.gather(v, &mut stats);
-        }
-        let snap = access.snapshot();
-        assert_eq!(snap.misses, store.num_partitions() as u64);
-        assert_eq!(snap.hits - (before - snap.misses), g.num_vertices() as u64);
+        assert!(snap.evictions > 10_000, "the one-off runs must churn: {snap:?}");
+        assert_eq!(snap.misses, (n as u64 - 1) + 1, "the hub missed exactly once: {snap:?}");
+        assert_eq!(snap.hits, 2 + hub_lookups);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn warm_pool_serves_hits_without_evictions() {
-        let g = toy_graph();
-        let (store, dir) = open_store("warm", &g, 3);
-        let mut access = DiskAccess::new(&cfg(&store, store.total_decoded_bytes()));
+    fn a_new_hot_set_displaces_the_old_one() {
+        // 16 hot vertices fit the pool with room to spare; 32 do not.
+        // After the walk moves from set A to set B, A's touch counters
+        // shield it only until the periodic halving has worn them down:
+        // B takes over within 100 rounds, long before its own counters
+        // could climb past what A's would be had they never decayed.
+        let n = 256u32;
+        let g = ring_graph(n, |_| 8);
+        let (store, dir) = open_store("shift", &g, 4);
+        let mut access = DiskAccess::new(&cfg(&store, 25 * run_bytes(false, 8)));
         let mut stats = SimStats::new();
-        // Warm-up: enough rounds for every partition to either clear the
-        // admission filter or settle its vertices in the scratch ring.
-        for round in 0..(2 * ADMIT_TOUCHES as usize + 2) {
-            for v in 0..g.num_vertices() as VertexId {
-                let gat = access.gather(v, &mut stats);
-                assert_eq!(gat.neighbors, g.neighbors(v), "round {round}");
+        let (a, b) = (0..16u32, 100..116u32);
+        for _ in 0..300 {
+            for v in a.clone() {
+                let _ = access.gather(v, &mut stats);
             }
         }
-        let warmed = access.snapshot();
-        // One more full round over the warm pool: pure hits, no decodes.
-        for v in 0..g.num_vertices() as VertexId {
-            let _ = access.gather(v, &mut stats);
+        let warm = access.snapshot();
+        assert_eq!(warm.misses, 16, "set A is resident after one round: {warm:?}");
+        for _ in 0..100 {
+            for v in b.clone() {
+                let _ = access.gather(v, &mut stats);
+            }
+        }
+        let shifted = access.snapshot();
+        assert!(shifted.evictions > 0, "set A must have been evicted: {shifted:?}");
+        for v in b {
+            assert_eq!(access.gather(v, &mut stats).neighbors, g.neighbors(v));
         }
         let snap = access.snapshot();
-        assert!(snap.is_conserved());
-        assert_eq!(snap.misses, warmed.misses, "warm round must not decode");
-        assert_eq!(snap.evictions, 0);
-        assert_eq!(snap.lookups - warmed.lookups, g.num_vertices() as u64);
+        assert_eq!(snap.misses, shifted.misses, "set B is resident: {snap:?}");
+        assert!(snap.is_conserved(), "{snap:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn budget_is_strict_even_for_a_run_larger_than_the_pool() {
+        let n = 300u32;
+        let g = ring_graph(n, |v| if v == 7 { 200 } else { 1 + v % 5 }).with_unit_weights();
+        let (store, dir) = open_store("strict", &g, 3);
+        let budget = run_bytes(true, 200) - 1;
+        let mut access = DiskAccess::new(&cfg(&store, budget));
+        let mut stats = SimStats::new();
+        for round in 0..3 {
+            for v in (0..n).chain([7, 7]) {
+                let gat = access.gather(v, &mut stats);
+                assert_eq!(gat.neighbors, g.neighbors(v), "round {round}, vertex {v}");
+                assert_eq!(gat.weights, g.neighbor_weights(v));
+                let snap = access.snapshot();
+                assert!(snap.bytes <= budget as u64, "after vertex {v}: {snap:?}");
+                assert!(snap.is_conserved(), "{snap:?}");
+            }
+        }
+        assert_eq!(access.hierarchy().partition_epoch(7), 0, "the oversized run never entered");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn eviction_bumps_partition_epoch_tags() {
-        let g = rmat(7, 6, RmatParams::MILD, 4);
+        let g = ring_graph(64, |_| 4);
         let (store, dir) = open_store("epochs", &g, 4);
-        let budget = store.decoded_bytes(0).max(1); // ~one partition fits
-        let mut access = DiskAccess::new(&cfg(&store, budget));
+        let mut access = DiskAccess::new(&cfg(&store, 4 * run_bytes(false, 4)));
         let mut stats = SimStats::new();
         let probe: VertexId = 0;
         let before = access.entry_epoch(probe);
-        let n = g.num_vertices() as VertexId;
-        // Touch every partition repeatedly (enough sweeps to clear the
-        // admission filter everywhere) so partition 0 gets evicted.
-        for _ in 0..(2 * ADMIT_TOUCHES as usize + 2) {
-            for v in (0..n).step_by(7) {
-                let _ = access.gather(v, &mut stats);
-            }
+        // One touch each: equal counters, so the clock evicts in order
+        // and vertex 0's run is gone long before the sweep ends.
+        for v in 0..64 {
+            let _ = access.gather(v, &mut stats);
         }
-        let _ = access.gather(n - 1, &mut stats);
         let after = access.entry_epoch(probe);
-        assert!(access.snapshot().evictions > 0);
+        assert_eq!(access.snapshot().evictions, 60);
+        assert_eq!(access.epoch(), 60, "the coarse epoch counts evictions");
         assert!(after > before, "eviction must advance the entry tag: {before} -> {after}");
         assert_eq!(after & 0xffff_ffff, 0, "low half reserved for mutation versions");
+        assert_eq!(access.entry_epoch(63), 0, "a still-resident run keeps its tag");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn tiered_access_composes_device_and_disk_epochs() {
-        let g = toy_graph();
+        let g = ring_graph(8, |_| 2);
         let (store, dir) = open_store("tiered", &g, 2);
-        let mut access = DiskAccess::new(&cfg(&store, store.total_decoded_bytes()));
+        let mut access = DiskAccess::new(&cfg(&store, run_bytes(false, 2)));
         let mut stats = SimStats::new();
-        let _ = access.gather(0, &mut stats);
+        for v in [0, 1, 0, 1] {
+            let _ = access.gather(v, &mut stats);
+        }
         let disk_epoch = access.hierarchy().partition_epoch(0);
+        assert!(disk_epoch > 0);
         let tiered = TieredDiskAccess { inner: &mut access, residency_epoch: 5 };
-        assert_eq!(tiered.entry_epoch(0), (5u64 << 32) | (disk_epoch & 0xffff_ffff));
+        assert_eq!(tiered.entry_epoch(0), (5u64 << 32) | disk_epoch);
         assert_eq!(tiered.epoch() >> 32, 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -906,24 +960,34 @@ mod tests {
         let g = rmat(7, 4, RmatParams::MILD, 8);
         let (store, dir) = open_store("shared", &g, 4);
         let shared = Arc::new(DiskTierStats::default());
-        let mut c = cfg(&store, store.decoded_bytes(0).max(1));
+        let mut c = cfg(&store, store.total_decoded_bytes() / 8);
         c.shared = Some(Arc::clone(&shared));
         let mut access = DiskAccess::new(&c);
         let mut stats = SimStats::new();
-        for v in (0..g.num_vertices() as VertexId).step_by(5) {
+        for v in (0..g.num_vertices() as VertexId).step_by(2) {
             let _ = access.gather(v, &mut stats);
         }
+        // Probes through the shared view evict without reclaiming: the
+        // gauge holds the graveyard until the next exclusive entry.
+        for v in (1..g.num_vertices() as VertexId).step_by(2) {
+            let _ = access.graph().neighbors(v);
+        }
+        let snap = access.snapshot();
+        assert!(snap.evictions > 0 && snap.graveyard_bytes > 0, "{snap:?}");
+        assert_eq!(shared.pool_bytes.load(Relaxed), snap.bytes + snap.graveyard_bytes);
         access.maintain();
         let lookups = shared.lookups.load(Relaxed);
         let hits = shared.hits.load(Relaxed);
         let misses = shared.misses.load(Relaxed);
         assert_eq!(lookups, hits + misses);
+        assert_eq!((lookups, hits, misses), (snap.lookups, snap.hits, snap.misses));
+        assert_eq!(shared.evictions.load(Relaxed), snap.evictions);
         assert_eq!(shared.decode_count.load(Relaxed), misses);
         assert!(shared.decode_bytes.load(Relaxed) > 0);
         assert!(shared.mmap_faults.load(Relaxed) > 0);
-        let resident = shared.pool_bytes.load(Relaxed);
         let snap = access.snapshot();
-        assert_eq!(resident, snap.bytes + snap.graveyard_bytes, "gauge tracks held bytes");
+        assert_eq!(snap.graveyard_bytes, 0);
+        assert_eq!(shared.pool_bytes.load(Relaxed), snap.bytes, "gauge tracks held bytes");
         let hist: u64 = shared.decode_hist.iter().map(|b| b.load(Relaxed)).sum();
         assert_eq!(hist, misses, "every decode lands in one histogram bucket");
         drop(access);
@@ -959,6 +1023,29 @@ mod tests {
         assert_eq!(access.snapshot().lookups, 0, "degree probes must not touch the pool");
         assert_eq!(view.num_vertices(), g.num_vertices());
         assert_eq!(view.num_edges(), g.num_edges());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hooks_probe_other_vertices_while_a_gathered_run_is_live() {
+        // node2vec's shape: the step holds v's slices and probes its
+        // neighbours' runs through the shared view. Every probe misses
+        // (budget 0), so each lands on the transient list and none may
+        // disturb the slices handed out before it.
+        let g = rmat(7, 6, RmatParams::GRAPH500, 5).with_unit_weights();
+        let (store, dir) = open_store("probe", &g, 4);
+        let mut access = DiskAccess::new(&cfg(&store, 0));
+        let mut stats = SimStats::new();
+        for v in 0..g.num_vertices() as VertexId {
+            let gat = access.gather(v, &mut stats);
+            for &u in gat.neighbors.iter().take(12) {
+                assert_eq!(gat.graph.neighbors(u), g.neighbors(u));
+            }
+            assert_eq!(gat.neighbors, g.neighbors(v));
+            assert_eq!(gat.weights, g.neighbor_weights(v));
+        }
+        let snap = access.snapshot();
+        assert!(snap.is_conserved() && snap.admissions == 0, "{snap:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -66,18 +66,18 @@ pub struct SimStats {
     /// (accepted + rejected); trials / accepts is the live skew signal the
     /// chooser feeds back on.
     pub rejection_trials: u64,
-    /// Decoded-RAM pool lookups by the disk tier (one per adjacency read
+    /// Decoded-run pool lookups by the disk tier (one per adjacency read
     /// through a `DiskAccess`; zero unless a run is disk-backed).
     pub disk_pool_lookups: u64,
-    /// Disk-tier lookups served by an already-decoded resident partition.
+    /// Disk-tier lookups served by an already-decoded resident vertex run.
     pub disk_pool_hits: u64,
-    /// Disk-tier lookups that decoded a partition out of its mapped
+    /// Disk-tier lookups that decoded a vertex run out of its mapped
     /// segment (`disk_pool_lookups == disk_pool_hits + disk_pool_misses`).
     pub disk_pool_misses: u64,
-    /// Decoded partitions evicted from the pool by the clock sweep.
+    /// Decoded vertex runs evicted from the pool by the clock sweep.
     pub disk_pool_evictions: u64,
     /// RAM bytes produced by disk-tier decodes (each miss decodes one
-    /// whole partition).
+    /// vertex's run).
     pub disk_decode_bytes: u64,
     /// Simulated 4 KiB page faults charged for streaming mapped segments
     /// during decodes.

@@ -347,10 +347,10 @@ impl PartitionMeta {
         (self.end - self.start) as usize
     }
 
-    /// RAM bytes a decoded copy of this partition occupies — the unit
-    /// the residency pool budgets (same accounting as
-    /// [`crate::partition::Partition::size_bytes`], plus weights when
-    /// present).
+    /// RAM bytes a decoded copy of this partition occupies (same
+    /// accounting as [`crate::partition::Partition::size_bytes`], plus
+    /// weights when present). The residency pool charges each vertex
+    /// run its share of this: its entries plus one row-pointer word.
     pub fn decoded_bytes(&self, weighted: bool) -> usize {
         (self.num_vertices() + 1) * std::mem::size_of::<usize>()
             + self.edges as usize * std::mem::size_of::<VertexId>()
@@ -523,8 +523,7 @@ struct Segment {
 
 /// An opened on-disk partitioned CSR store. `Sync`: the mappings are
 /// read-only, so one `Arc<DiskStore>` serves every worker thread; each
-/// worker keeps its *own* decoded-partition pool (see
-/// `csaw_core::residency`).
+/// worker keeps its *own* decoded-run pool (see `csaw_core::residency`).
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
@@ -820,9 +819,8 @@ impl DiskStore {
         self.verify_segment(p)?;
         let m = &self.metas[p];
         let seg = &self.segments[p];
-        let name = segment_name(p);
         let bytes = seg.map.bytes();
-        let corrupt = |detail: String| StoreError::Corrupt { file: name.clone(), detail };
+        let corrupt = |detail: String| StoreError::Corrupt { file: segment_name(p), detail };
         let nv = m.num_vertices();
         let payload = &bytes[seg.payload_off..seg.payload_off + seg.payload_len];
         let mut local_row_ptr = Vec::with_capacity(nv + 1);
@@ -872,9 +870,9 @@ impl DiskStore {
     /// appending neighbors (and, when the store is weighted, weights) to
     /// the caller's buffers — O(degree(v)): the fixed-width offset index
     /// locates the record without touching the rest of the payload. This
-    /// is the cheap cold-miss path of the residency hierarchy's
-    /// admission filter; full-partition decode is reserved for
-    /// partitions that prove hot. Returns the simulated 4 KiB page
+    /// is the residency hierarchy's miss path (its pool holds vertex
+    /// runs), so it allocates nothing when the buffers already have
+    /// room for `degree(v)` entries. Returns the simulated 4 KiB page
     /// faults charged (one for the index/degree reads plus the record's
     /// span). The first decode touching a segment verifies its trailing
     /// checksum, exactly like [`DiskStore::decode_partition`].
@@ -888,9 +886,10 @@ impl DiskStore {
         self.verify_segment(p)?;
         let m = &self.metas[p];
         let seg = &self.segments[p];
-        let name = segment_name(p);
         let bytes = seg.map.bytes();
-        let corrupt = |detail: String| StoreError::Corrupt { file: name.clone(), detail };
+        // The segment's name is built only when an error needs it: this
+        // runs once per pool miss and must not allocate on success.
+        let corrupt = |detail: String| StoreError::Corrupt { file: segment_name(p), detail };
         let i = (v - m.start) as usize;
         let deg = read_u32(bytes, seg.degree_off + i * 4).expect("validated at open") as usize;
         let off = read_u64(bytes, seg.index_off + i * 8).expect("validated at open") as usize;
@@ -901,6 +900,9 @@ impl DiskStore {
             .ok_or_else(|| corrupt(format!("record {i} out of payload bounds")))?;
         let mut pos = 0usize;
         let mut prev: i64 = 0;
+        // Open checked `deg` against the record's size, so this is
+        // bounded by the segment; it makes the loop's pushes growth-free.
+        col.reserve(deg);
         for _ in 0..deg {
             let raw = read_varint(rec, &mut pos)
                 .ok_or_else(|| corrupt(format!("varint overrun in record {i}")))?;
@@ -917,6 +919,7 @@ impl DiskStore {
                 .get(pos..pos + need)
                 .ok_or_else(|| corrupt(format!("weight block overrun in record {i}")))?;
             if let Some(ws) = weights {
+                ws.reserve(deg);
                 for c in wrec.chunks_exact(4) {
                     ws.push(f32::from_le_bytes(c.try_into().expect("chunk of 4")));
                 }

@@ -44,7 +44,7 @@ struct ResidentAccess<'g, 'd> {
     snapshot: Option<&'g GraphSnapshot>,
     /// Disk tier, when the run's host side is an on-disk store: the
     /// device fault-in simulation runs unchanged, but the adjacency
-    /// bytes themselves come from the worker's decoded-partition pool
+    /// bytes themselves come from the worker's decoded-run pool
     /// instead of the resident CSR slices.
     disk: Option<&'d mut DiskAccess>,
     memory: DeviceMemory,

@@ -176,25 +176,25 @@ pub fn render(
     counter(
         &mut out,
         "csaw_disk_hits_total",
-        "Disk-tier lookups served by a resident decoded partition",
+        "Disk-tier lookups served by a resident decoded vertex run",
         snap.disk_hits,
     );
     counter(
         &mut out,
         "csaw_disk_misses_total",
-        "Disk-tier lookups that decoded a partition from its segment",
+        "Disk-tier lookups that decoded a vertex run from its segment",
         snap.disk_misses,
     );
     counter(
         &mut out,
         "csaw_disk_evictions_total",
-        "Decoded partitions evicted by the clock sweep",
+        "Decoded vertex runs evicted by the clock sweep",
         snap.disk_evictions,
     );
     gauge(
         &mut out,
         "csaw_disk_pool_bytes",
-        "Bytes held by decoded partitions across all pools",
+        "Bytes held by decoded vertex runs across all pools",
         snap.disk_pool_bytes,
     );
     counter(

@@ -145,16 +145,16 @@ pub struct ServiceStats {
     /// Disk-tier pool lookups across all worker pools (gauge, refreshed
     /// after every batch of a disk-backed service; zero otherwise).
     pub disk_lookups: AtomicU64,
-    /// Disk-tier lookups served by a resident decoded partition (gauge,
+    /// Disk-tier lookups served by a resident decoded vertex run (gauge,
     /// `disk_lookups == disk_hits + disk_misses`).
     pub disk_hits: AtomicU64,
-    /// Disk-tier lookups that decoded a partition from its mapped
+    /// Disk-tier lookups that decoded a vertex run from its mapped
     /// segment (gauge).
     pub disk_misses: AtomicU64,
-    /// Decoded partitions evicted by the pools' clock sweeps (gauge,
+    /// Decoded vertex runs evicted by the pools' clock sweeps (gauge,
     /// `disk_evictions <= disk_misses`).
     pub disk_evictions: AtomicU64,
-    /// Bytes currently held by decoded partitions across all pools
+    /// Bytes currently held by decoded vertex runs across all pools
     /// (gauge).
     pub disk_pool_bytes: AtomicU64,
     /// Simulated 4 KiB page faults charged for streaming mapped

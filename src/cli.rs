@@ -136,7 +136,7 @@ options:
   --disk-store <dir> serve adjacency from a partitioned on-disk store in
                      <dir> (written from --graph first when missing);
                      output is bit-identical to the in-memory run
-  --disk-pool <n>    decoded-partition RAM budget in bytes when using
+  --disk-pool <n>    decoded-run pool RAM budget in bytes when using
                      --disk-store (default 4194304)
   --disk-parts <n>   partitions when writing a new store (default 8)
 ";

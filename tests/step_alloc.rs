@@ -15,7 +15,7 @@ use csaw::core::algorithms::registry::{AlgoSpec, AlgorithmId};
 use csaw::core::api::FrontierMode;
 use csaw::core::batch::{run_chunk, BatchArena, ChunkInstance};
 use csaw::core::ctps_cache::CtpsCache;
-use csaw::core::residency::{DiskAccess, DiskRunConfig, ADMIT_TOUCHES};
+use csaw::core::residency::{DiskAccess, DiskRunConfig};
 use csaw::core::select::SelectConfig;
 use csaw::core::step::{
     CsrAccess, EmitSink, NeighborAccess, PoolSink, PoolSlot, StepEntry, StepKernel, StepScratch,
@@ -158,12 +158,22 @@ fn run_rep(
 }
 
 /// Every Table-I algorithm through `access`: two warm-up repetitions,
-/// then one measured repetition that must allocate nothing.
+/// then one measured repetition that must allocate no more than
+/// `entitled` grew by — a running count of the allocations the access
+/// tier may make for that algorithm (none for a resident CSR or a warm
+/// full-budget disk pool). The step kernel itself is entitled to
+/// nothing. `cached` rides a CTPS cache along.
 ///
 /// Two warm-ups, not one: the pool/frontier double buffer swaps roles
 /// when a repetition performs an odd number of depth steps, so the
 /// second pass warms the other parity's capacities.
-fn gate_all(g: &Csr, access: &mut impl NeighborAccess, tag: &str) {
+fn gate_all<A: NeighborAccess>(
+    g: &Csr,
+    access: &mut A,
+    tag: &str,
+    cached: bool,
+    entitled: impl Fn(AlgorithmId, &A) -> u64,
+) {
     let n = g.num_vertices() as VertexId;
 
     for id in AlgorithmId::ALL {
@@ -189,24 +199,24 @@ fn gate_all(g: &Csr, access: &mut impl NeighborAccess, tag: &str) {
         let cache = CtpsCache::new(64 << 20);
         let kernel = StepKernel::new(&*algo, 0x5eed)
             .with_select(SelectConfig::paper_best())
-            .with_ctps_cache(Some(&cache));
+            .with_ctps_cache(cached.then_some(&cache));
         let mut bufs = DriverBufs::default();
 
         let warm1 = run_rep(&kernel, access, &chunks, &mut bufs);
         let warm2 = run_rep(&kernel, access, &chunks, &mut bufs);
         assert_eq!(warm1, warm2, "{}/{tag}: repetitions must perform identical work", id.name());
 
-        let before = ALLOC.snapshot();
+        let (before, entitled_before) = (ALLOC.snapshot(), entitled(id, access));
         let steps = run_rep(&kernel, access, &chunks, &mut bufs);
         let delta = ALLOC.snapshot().since(&before);
+        let allowed = entitled(id, access) - entitled_before;
 
         assert_eq!(steps, warm1, "{}/{tag}: repetitions must perform identical work", id.name());
         assert!(steps > 0, "{}/{tag}: workload must actually step", id.name());
-        assert_eq!(
-            delta.allocations,
-            0,
-            "{}/{tag}: steady-state repetition allocated {} times ({} bytes) over {} steps — \
-             the zero-allocation hot path has regressed",
+        assert!(
+            delta.allocations <= allowed,
+            "{}/{tag}: steady-state repetition allocated {} times ({} bytes) over {} steps, \
+             {allowed} allowed — the zero-allocation hot path has regressed",
             id.name(),
             delta.allocations,
             delta.bytes,
@@ -296,13 +306,13 @@ fn steady_state_step_allocates_nothing() {
     // Power-law graph large enough to exercise long adjacency gathers
     // and without-replacement retries, small enough for a test.
     let g = rmat(9, 8, RmatParams::MILD, 42);
-    gate_all(&g, &mut CsrAccess { graph: &g }, "csr");
+    gate_all(&g, &mut CsrAccess { graph: &g }, "csr", true, |_, _| 0);
     gate_batched(&g, &mut CsrAccess { graph: &g });
 
-    // The same gate through the disk tier: with every partition
-    // admitted to a warm full-budget pool, stepping through
-    // [`DiskAccess`] — resolve hits, ring scans, graveyard upkeep — must
-    // be exactly as allocation-free as the in-memory CSR path.
+    // The same gate through the disk tier: with every run admitted to a
+    // warm full-budget pool, stepping through [`DiskAccess`] — slot
+    // lookups, counter upkeep, the reclaim prologue — must be exactly as
+    // allocation-free as the in-memory CSR path.
     let base = std::env::var_os("CSAW_DISK_TMPDIR")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(std::env::temp_dir);
@@ -310,27 +320,50 @@ fn steady_state_step_allocates_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
     write_store(&dir, &g, 8, 0).expect("write store");
     let store = Arc::new(DiskStore::open(&dir).expect("open store"));
-    let cfg = DiskRunConfig {
-        store: Arc::clone(&store),
-        pool_budget: store.total_decoded_bytes(),
-        shared: None,
+    let pool = |pool_budget: usize| {
+        DiskAccess::new(&DiskRunConfig { store: Arc::clone(&store), pool_budget, shared: None })
     };
-    let mut access = DiskAccess::new(&cfg);
+    let mut access = pool(store.total_decoded_bytes());
     let mut warm_stats = SimStats::new();
-    for _ in 0..(2 * ADMIT_TOUCHES as usize + 2) {
-        for v in 0..g.num_vertices() as VertexId {
-            let _ = access.gather(v, &mut warm_stats);
-        }
+    for v in 0..g.num_vertices() as VertexId {
+        let _ = access.gather(v, &mut warm_stats);
     }
-    let snap = access.snapshot();
-    assert_eq!(
-        snap.bytes,
-        store.total_decoded_bytes() as u64,
-        "warm-up must leave every partition resident: {snap:?}"
-    );
-    gate_all(&g, &mut access, "disk");
+    gate_all(&g, &mut access, "disk", true, |_, _| 0);
     let snap = access.snapshot();
     assert!(snap.is_conserved(), "{snap:?}");
     assert_eq!(snap.evictions, 0, "full budget must never evict");
+
+    // A starved pool (10% of the graph) pays for residency and nothing
+    // else: a hit and a miss the frequency gate rejects (decoded into
+    // the recycled spare buffer) allocate nothing, an admitted run
+    // allocates its exact-size buffer. node2vec is the exception: its
+    // hook probes deg(v) other runs within one step, and the rejected
+    // ones past the first are allocated and freed with the step, so it
+    // is held to one allocation a decode. No CTPS cache: evictions
+    // retire its entries, and re-admitting those is the cache's
+    // allocation, not the pool's.
+    let mut starved = pool(store.total_decoded_bytes() / 10);
+    for v in 0..g.num_vertices() as VertexId {
+        let _ = starved.gather(v, &mut warm_stats);
+    }
+    let warmed = starved.snapshot();
+    gate_all(&g, &mut starved, "disk-starved", false, |id, a| match id {
+        AlgorithmId::Node2Vec => a.snapshot().misses,
+        _ => a.snapshot().admissions,
+    });
+    let snap = starved.snapshot();
+    assert!(snap.is_conserved(), "{snap:?}");
+    assert!(snap.evictions > warmed.evictions, "a starved pool must evict: {snap:?}");
+    assert!(snap.misses - warmed.misses > snap.admissions - warmed.admissions, "{snap:?}");
+
+    // The store's side of that: decoding a run into buffers that already
+    // have room allocates nothing (no name string built for an error
+    // that did not happen, no growth).
+    let hub = (0..g.num_vertices() as VertexId).max_by_key(|&v| g.degree(v)).expect("vertices");
+    let mut col = Vec::with_capacity(g.degree(hub));
+    let before = ALLOC.snapshot();
+    let pages = store.decode_vertex(hub, &mut col, None).expect("decode");
+    assert_eq!(ALLOC.snapshot().since(&before).allocations, 0, "decode_vertex allocated");
+    assert!(pages >= 1 && col == g.neighbors(hub));
     let _ = std::fs::remove_dir_all(&dir);
 }
