@@ -209,10 +209,17 @@ pub fn run_chunk<N: NeighborAccess>(
 
         // Trial ordinals in flat order, *before* sorting — the flat
         // frontier is instance-contiguous, so this visits each instance's
-        // entries in exactly the order its per-instance pool would.
-        arena.trials.reset();
+        // entries in exactly the order its per-instance pool would. The
+        // key holds the instance, so starting over at each instance's run
+        // assigns the same ordinals and keeps a one-entry run (a walk) in
+        // the counter's inline slot.
         arena.tasks.clear();
+        let mut run_instance = u32::MAX;
         for slot in arena.cur.iter_mut() {
+            if slot.instance != run_instance {
+                run_instance = slot.instance;
+                arena.trials.reset();
+            }
             slot.trial =
                 arena.trials.next(instances[slot.instance as usize].global_id, slot.vertex);
             arena.tasks.push(task_key(

@@ -9,8 +9,11 @@
 //! and the normalization is distributed across lanes, exactly as in §IV-A.
 
 use csaw_gpu::stats::SimStats;
+#[cfg(any(test, debug_assertions))]
+use csaw_gpu::warp::binary_search_region_by;
 use csaw_gpu::warp::{
-    binary_search_region, binary_search_region_by, inclusive_scan, scan_cost, WARP_SIZE,
+    binary_search_region, inclusive_scan, region_search_probes, scan_cost, SEARCH_PROBE_CYCLES,
+    WARP_SIZE,
 };
 use csaw_gpu::Philox;
 
@@ -155,12 +158,59 @@ pub fn uniform_rebuild_cost(n: usize, stats: &mut SimStats) {
     stats.warp_cycles += n.div_ceil(WARP_SIZE) as u64;
 }
 
+/// The insertion point of `r` in the implicit uniform CTPS: the smallest
+/// `i` with `r < uniform_bound(n, i)`, or `n` when `r` is past every bound
+/// — where [`binary_search_region_by`] over [`uniform_bound`] ends up.
+///
+/// Bound `i` is the correctly rounded `(i + 1) / n`, so the point is
+/// `floor(r · n)` give or take one: both the product and each quotient
+/// carry a relative error of at most 2⁻⁵³. When the product's fractional
+/// part is further than `n · 2⁻⁵⁰` from an integer no rounding can move
+/// it across one and the floor is the answer; otherwise (`r` on or
+/// next to a bound, `r <= 0`, `r >= 1`) it is corrected by comparing `r`
+/// against the real neighbouring bounds.
+#[inline]
+fn uniform_insertion_point(n: usize, r: f64) -> usize {
+    /// 8 × 2⁻⁵³: with numerators at most `n`, the two roundings shift
+    /// `r · n` against a bound's numerator by less than 3 × 2⁻⁵³ · n.
+    const GUARD: f64 = 1.0 / (1u64 << 50) as f64;
+    let x = r * n as f64;
+    let mut p = (x as usize).min(n);
+    let frac = x - p as f64;
+    let eps = n as f64 * GUARD;
+    if !(frac > eps && frac < 1.0 - eps) {
+        while p > 0 && r < uniform_bound(n, p - 1) {
+            p -= 1;
+        }
+        while p < n && r >= uniform_bound(n, p) {
+            p += 1;
+        }
+    }
+    p
+}
+
 /// [`Ctps::search`] over the implicit uniform CTPS of `n` candidates:
-/// identical index, identical probe charges (the probe count depends on
-/// `r`, so the loop arithmetic is replicated rather than formula-charged).
+/// identical index, identical probe charges, in O(1). The index comes
+/// from `uniform_insertion_point`, the probe count the materialized
+/// binary search would have charged from
+/// [`csaw_gpu::warp::region_search_probes`]; debug builds replay the
+/// search loop over [`uniform_bound`] and assert both.
 #[inline]
 pub fn uniform_search(n: usize, r: f64, stats: &mut SimStats) -> usize {
-    let k = binary_search_region_by(n, r, |i| uniform_bound(n, i), stats);
+    debug_assert!(n > 0);
+    let p = uniform_insertion_point(n, r);
+    let probes = region_search_probes(n, p);
+    // As the reference does, clamp the result, not the search: `r >= 1.0`
+    // inserts at `n` and is charged the all-right probe path.
+    let k = p.min(n - 1);
+    #[cfg(debug_assertions)]
+    {
+        let mut oracle = SimStats::new();
+        let k_ref = binary_search_region_by(n, r, |i| uniform_bound(n, i), &mut oracle);
+        debug_assert_eq!((k, probes), (k_ref, oracle.search_steps), "n={n} r={r}");
+    }
+    stats.search_steps += probes;
+    stats.warp_cycles += probes * SEARCH_PROBE_CYCLES;
     // Uniform regions all have width 1/n > 0 for any realistic n, so the
     // zero-width skip in Ctps::search never fires on this path.
     debug_assert!(uniform_bound(n, k) > if k == 0 { 0.0 } else { uniform_bound(n, k - 1) });
@@ -343,6 +393,55 @@ mod tests {
                 let mut s_cf = SimStats::new();
                 assert_eq!(c.search(r, &mut s_mat), uniform_search(n, r, &mut s_cf));
                 assert_eq!(s_mat, s_cf, "search charges n={n} r={r}");
+            }
+        }
+    }
+
+    /// `uniform_search` against the search loop it replaces, at one `r`:
+    /// same index, same `search_steps`/`warp_cycles`, nothing else charged.
+    fn assert_search_matches(n: usize, r: f64, reference: &dyn Fn(f64, &mut SimStats) -> usize) {
+        let mut s_ref = SimStats::new();
+        let mut s_cf = SimStats::new();
+        let k_ref = reference(r, &mut s_ref);
+        assert_eq!(uniform_search(n, r, &mut s_cf), k_ref, "index n={n} r={r:e}");
+        assert_eq!(s_cf, s_ref, "charges n={n} r={r:e}");
+    }
+
+    /// The draws where a rounding could matter — every listed bound, its
+    /// two neighbours, both ends of the unit interval — plus a seeded sweep.
+    fn adversarial_draws(n: usize, bound_indices: impl Iterator<Item = usize>) -> Vec<f64> {
+        let mut rs = vec![0.0, 1.0 - 1.0 / (1u64 << 53) as f64, 1.0];
+        for k in bound_indices {
+            let b = uniform_bound(n, k);
+            rs.extend([b.next_down(), b, b.next_up()]);
+        }
+        let mut rng = Philox::new(0xC5A3 ^ n as u64);
+        rs.extend((0..200).map(|_| rng.uniform()));
+        rs
+    }
+
+    #[test]
+    fn uniform_search_equals_the_materialized_search_at_every_bound() {
+        // Holds in release builds too, where no debug_assert shadows the
+        // closed forms with their loops.
+        for n in 1..=130 {
+            let c = Ctps::build(&vec![1.0; n], &mut SimStats::new()).unwrap();
+            for r in adversarial_draws(n, 0..n) {
+                assert_search_matches(n, r, &|r, s| c.search(r, s));
+            }
+        }
+        for n in [255usize, 256, 257, 1000, 4095, 4096, 65_537, (1 << 20) + 1, (1 << 31) - 1] {
+            // Too large to build: the search loop over the implicit bounds,
+            // at the bounds around every midpoint the loop can probe first
+            // and around a seeded scatter of the rest.
+            let mut rng = Philox::new(n as u64);
+            let ks = [0, 1, n / 4, n / 2 - 1, n / 2, n / 2 + 1, n - 3, n - 2, n - 1]
+                .into_iter()
+                .chain((0..300).map(|_| rng.below(n as u64) as usize));
+            for r in adversarial_draws(n, ks) {
+                assert_search_matches(n, r, &|r, s| {
+                    binary_search_region_by(n, r, |i| uniform_bound(n, i), s)
+                });
             }
         }
     }

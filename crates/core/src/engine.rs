@@ -22,7 +22,7 @@
 //! [`csaw_gpu::rng::task_key`], so outputs are bit-identical regardless of
 //! host thread count, chunking, or which runtime executes the instance.
 
-use crate::api::{AlgoConfig, Algorithm, FrontierMode};
+use crate::api::{AlgoConfig, Algorithm, FrontierMode, NeighborSize};
 use crate::batch::ChunkInstance;
 use crate::output::SampleOutput;
 use crate::select::SelectConfig;
@@ -438,10 +438,19 @@ fn run_instance(
     }
 }
 
+/// Most edges [`drive_instance`] reserves output room for up front. The
+/// depth of a served request is a wire-supplied `u32` and a walk may end
+/// at its first dead end, so the reservation is bounded (512 KiB); a
+/// longer walk grows its vector from here as any `Vec` does.
+const MAX_OUT_RESERVE: usize = 1 << 16;
+
 /// The per-instance depth loop, generic over how adjacency is gathered
 /// (bare CSR or epoch snapshot) — the loop itself is identical, which is
 /// what makes the two paths bit-identical on identical adjacency.
-fn drive_instance<N: NeighborAccess>(
+/// `instance` is local to the launch; `opts.instance_base` is added here.
+/// Public so the allocation gate (`tests/step_alloc.rs`) can hold a whole
+/// instance, not only its steps, to an exact allocation count.
+pub fn drive_instance<N: NeighborAccess>(
     access: &mut N,
     algo: &dyn Algorithm,
     opts: &RunOptions,
@@ -456,7 +465,15 @@ fn drive_instance<N: NeighborAccess>(
         .with_method_policy(opts.method_policy);
     let instance = opts.instance_base + instance;
     let mut stats = SimStats::new();
-    let mut out: Vec<(VertexId, VertexId)> = Vec::new();
+    // One pick per entry (every walk) means at most one emit and one push
+    // per entry: the frontier never outgrows the seeds and the output is
+    // at most `depth × seeds` edges. Sized once, it is never regrown.
+    let mut out: Vec<(VertexId, VertexId)> = match (cfg.frontier, cfg.neighbor_size) {
+        (FrontierMode::IndependentPerVertex, NeighborSize::Constant(1)) => {
+            Vec::with_capacity(cfg.depth.saturating_mul(seeds.len()).min(MAX_OUT_RESERVE))
+        }
+        _ => Vec::new(),
+    };
 
     let mut pool: Vec<PoolSlot> = seeds.iter().map(|&v| PoolSlot::seed(v)).collect();
     let mut visited: HashSet<VertexId> =

@@ -484,8 +484,19 @@ impl FrontierSink for EmitSink<'_> {
 /// ordinal is "occurrence index within this instance's frontier at this
 /// depth" — well-defined because a single instance's frontier is always
 /// processed sequentially, in insertion order, by every runtime.
+///
+/// The first key after a reset is counted inline; only a second distinct
+/// key reaches the map. A walk's frontier is one entry, so its every step
+/// is served without hashing. The map keeps std's keyed SipHash: frontier
+/// vertices derive from wire-supplied seeds, and a fixed hasher would let
+/// a client craft collisions.
 #[derive(Debug, Default)]
-pub struct TrialCounter(HashMap<(u32, VertexId), u32>);
+pub struct TrialCounter {
+    /// The first key since the last reset and its occurrences so far.
+    first: Option<((u32, VertexId), u32)>,
+    /// Occurrences of every other key.
+    rest: HashMap<(u32, VertexId), u32>,
+}
 
 impl TrialCounter {
     /// An empty counter.
@@ -494,16 +505,26 @@ impl TrialCounter {
     }
 
     /// Next trial ordinal for `(instance, vertex)`.
+    #[inline]
     pub fn next(&mut self, instance: u32, vertex: VertexId) -> u32 {
-        let n = self.0.entry((instance, vertex)).or_insert(0);
+        let key = (instance, vertex);
+        let n = match &mut self.first {
+            None => &mut self.first.insert((key, 0)).1,
+            Some((first, n)) if *first == key => n,
+            Some(_) => self.rest.entry(key).or_insert(0),
+        };
         let t = *n;
         *n += 1;
         t
     }
 
     /// Clears the counter (call at each depth-step boundary).
+    #[inline]
     pub fn reset(&mut self) {
-        self.0.clear();
+        self.first = None;
+        if !self.rest.is_empty() {
+            self.rest.clear();
+        }
     }
 }
 
@@ -568,6 +589,11 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut StepScratch) -> R) -> R {
 pub struct StepKernel<'a> {
     algo: &'a dyn Algorithm,
     cfg: AlgoConfig,
+    /// [`Algorithm::edge_bias_is_uniform`], read once: the step consults
+    /// it several times and the algorithm is a trait object.
+    bias_uniform: bool,
+    /// [`Algorithm::edge_bias_is_static`], read once likewise.
+    bias_static: bool,
     select: SelectConfig,
     use_simt_select: bool,
     seed: u64,
@@ -582,6 +608,8 @@ impl<'a> StepKernel<'a> {
         StepKernel {
             algo,
             cfg: algo.config(),
+            bias_uniform: algo.edge_bias_is_uniform(),
+            bias_static: algo.edge_bias_is_static(),
             select: SelectConfig::paper_best(),
             use_simt_select: false,
             seed,
@@ -648,8 +676,8 @@ impl<'a> StepKernel<'a> {
     /// The cache, if this kernel's algorithm/SELECT combination may use it.
     fn effective_cache(&self) -> Option<&'a CtpsCache> {
         if self.force_rebuild
-            || self.algo.edge_bias_is_uniform()
-            || !self.algo.edge_bias_is_static()
+            || self.bias_uniform
+            || !self.bias_static
             || !self.select_reuses_ctps()
         {
             return None;
@@ -661,7 +689,7 @@ impl<'a> StepKernel<'a> {
     /// lane, no materialized CTPS) — charge-identical and bit-identical
     /// to the materialized path.
     fn uniform_closed_form(&self) -> bool {
-        self.algo.edge_bias_is_uniform() && !self.force_rebuild && self.select_reuses_ctps()
+        self.bias_uniform && !self.force_rebuild && self.select_reuses_ctps()
     }
 
     /// The algorithm's structural configuration.
@@ -730,7 +758,7 @@ impl<'a> StepKernel<'a> {
         if self.method_policy == MethodPolicy::Adaptive
             && !self.force_rebuild
             && !self.cfg.without_replacement
-            && !self.algo.edge_bias_is_uniform()
+            && !self.bias_uniform
         {
             self.expand_adaptive(access, entry, home, &mut rng, sink, scratch, stats);
             return;
@@ -829,7 +857,7 @@ impl<'a> StepKernel<'a> {
     /// mating (static-bias kernels whose SELECT ends up not consulting the
     /// cache) costs one harmless prefetch, never correctness.
     pub fn prefetch_cache(&self) -> Option<&'a CtpsCache> {
-        if self.algo.edge_bias_is_static() {
+        if self.bias_static {
             self.cache
         } else {
             None
@@ -849,8 +877,8 @@ impl<'a> StepKernel<'a> {
     /// [`Self::expand_rng`].
     pub fn group_shareable(&self) -> bool {
         !self.force_rebuild
-            && self.algo.edge_bias_is_static()
-            && !self.algo.edge_bias_is_uniform()
+            && self.bias_static
+            && !self.bias_uniform
             && self.select_reuses_ctps()
             && self.effective_cache().is_none()
             && (self.method_policy != MethodPolicy::Adaptive || self.cfg.without_replacement)
@@ -1061,7 +1089,7 @@ impl<'a> StepKernel<'a> {
         stats: &mut SimStats,
     ) {
         let v = entry.vertex;
-        let static_bias = self.algo.edge_bias_is_static();
+        let static_bias = self.bias_static;
         let cache = if static_bias { self.cache } else { None };
         // As in `expand`: the 1-hop tag is cache-keying cost only.
         let epoch = if cache.is_some() { access.entry_epoch(v) } else { 0 };
@@ -1417,7 +1445,7 @@ impl<'a> StepKernel<'a> {
         stats: &mut SimStats,
     ) {
         biases.clear();
-        if self.algo.edge_bias_is_uniform() {
+        if self.bias_uniform {
             biases.resize(gat.neighbors.len(), 1.0);
             #[cfg(debug_assertions)]
             for i in 0..gat.neighbors.len() {
@@ -1446,7 +1474,7 @@ impl<'a> StepKernel<'a> {
         stats: &mut SimStats,
     ) {
         biases.clear();
-        if self.algo.edge_bias_is_uniform() {
+        if self.bias_uniform {
             biases.resize(cands.len(), 1.0);
             debug_assert!(
                 cands.iter().all(|c| self.algo.edge_bias(g, c) == 1.0),
@@ -1597,6 +1625,38 @@ mod tests {
         assert_eq!(t.next(0, 6), 0, "vertices are independent");
         t.reset();
         assert_eq!(t.next(0, 5), 0, "reset forgets prior steps");
+    }
+
+    proptest::proptest! {
+        /// Any depth-by-depth, instance-contiguous feed — duplicates
+        /// within a run, vertices shared across runs — numbers the same
+        /// as one plain map cleared per depth, whether the counter is
+        /// reset per depth (the per-instance drivers) or at every
+        /// instance run (`batch::run_chunk`).
+        #[test]
+        fn trial_counter_equals_a_plain_map(
+            depths in proptest::collection::vec(
+                proptest::collection::vec(proptest::collection::vec(0u32..6, 0..8), 0..5),
+                1..6,
+            ),
+        ) {
+            let mut per_depth = TrialCounter::new();
+            let mut per_run = TrialCounter::new();
+            for runs in &depths {
+                let mut reference: HashMap<(u32, VertexId), u32> = HashMap::new();
+                per_depth.reset();
+                for (instance, run) in runs.iter().enumerate() {
+                    let instance = instance as u32 * 7;
+                    per_run.reset();
+                    for &v in run {
+                        let n = reference.entry((instance, v)).or_insert(0);
+                        proptest::prop_assert_eq!(per_depth.next(instance, v), *n);
+                        proptest::prop_assert_eq!(per_run.next(instance, v), *n);
+                        *n += 1;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,7 +71,33 @@ pub fn inclusive_scan(vals: &mut [f64], stats: &mut SimStats) {
 /// an `n`-element scan, without touching any data. Used by closed-form
 /// paths (uniform bias) that skip materializing the CTPS but must keep the
 /// cost model bit-identical to the scanning path.
+///
+/// O(1): a tile of `t` lanes costs `ceil(log2 t)` Kogge-Stone rounds, one
+/// predicated step when `t == 1`, and one carry broadcast; `n` elements
+/// are `n / 32` full tiles (5 + 1 steps each) and at most one partial
+/// tile. Debug builds check the sum against [`scan_cost_by_tiles`].
 pub fn scan_cost(n: usize, stats: &mut SimStats) {
+    let mut steps = (n / WARP_SIZE) as u64 * (LOG_WARP_SIZE as u64 + 1);
+    let t = n % WARP_SIZE;
+    if t > 0 {
+        // ceil(log2 t): bit length of t - 1.
+        let rounds = (usize::BITS - (t - 1).leading_zeros()) as u64;
+        steps += rounds + (t == 1) as u64 + 1;
+    }
+    #[cfg(debug_assertions)]
+    {
+        let mut oracle = SimStats::new();
+        scan_cost_by_tiles(n, &mut oracle);
+        debug_assert_eq!((steps, steps), (oracle.scan_steps, oracle.warp_cycles), "n={n}");
+    }
+    stats.scan_steps += steps;
+    stats.warp_cycles += steps;
+}
+
+/// The reference for [`scan_cost`]: walks the tiles and charges step by
+/// step, the way [`inclusive_scan`] does. O(n) — an oracle for tests and
+/// `debug_assert`s, never a path.
+pub fn scan_cost_by_tiles(n: usize, stats: &mut SimStats) {
     let mut remaining = n;
     while remaining > 0 {
         let tile_len = remaining.min(WARP_SIZE);
@@ -166,6 +192,29 @@ pub fn binary_search_region_by(
     lo.min(n - 1)
 }
 
+/// The number of probes [`binary_search_region_by`] makes over `n` regions
+/// when the insertion point — the smallest `i` with `r < bound(i)`, or `n`
+/// — is `p`. With monotone bounds `r < bound(mid)` ⇔ `mid >= p`, so the
+/// count is a function of `(n, p)` alone and needs no bound evaluated.
+///
+/// The search splits `n + 1` insertion points into `ceil`/`floor` halves,
+/// so every one is reached after `h = floor(log2(n + 1))` or `h + 1`
+/// probes: `h` compare-and-select rounds on integers, then one more probe
+/// iff the interval is still open.
+#[inline]
+pub fn region_search_probes(n: usize, p: usize) -> u64 {
+    debug_assert!(n > 0 && p <= n);
+    let h = (n + 1).ilog2();
+    let (mut lo, mut hi) = (0usize, n);
+    for _ in 0..h {
+        let mid = (lo + hi) / 2;
+        let left = mid >= p;
+        hi = if left { mid } else { hi };
+        lo = if left { lo } else { mid + 1 };
+    }
+    h as u64 + (lo < hi) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,15 +301,50 @@ mod tests {
         assert!(s.search_steps >= 5);
     }
 
+    /// Sizes past the exhaustive small range: tile and power-of-two edges
+    /// up to the largest degree a `u32` vertex id space can hold.
+    const LARGE_N: [usize; 9] =
+        [255, 256, 257, 1000, 4095, 4096, 65_537, (1 << 20) + 1, (1 << 31) - 1];
+
     #[test]
     fn scan_cost_matches_inclusive_scan_charges() {
-        for n in [0usize, 1, 2, 5, 31, 32, 33, 64, 100, 257] {
-            let mut v = vec![1.0; n];
-            let mut scanned = SimStats::new();
-            inclusive_scan(&mut v, &mut scanned);
+        for n in (0..=200).chain(LARGE_N) {
+            let mut expect = SimStats::new();
+            if n <= (1 << 20) + 1 {
+                inclusive_scan(&mut vec![1.0; n], &mut expect);
+            } else {
+                // Too large to materialize: the tile-walking reference.
+                scan_cost_by_tiles(n, &mut expect);
+            }
             let mut charged = SimStats::new();
             scan_cost(n, &mut charged);
-            assert_eq!(charged, scanned, "n={n}");
+            assert_eq!(charged, expect, "n={n}");
+        }
+    }
+
+    #[test]
+    fn probe_count_matches_the_search_loop() {
+        // Every insertion point of every small n, and the edges plus a
+        // stride of the large ones, against the loop it replaces.
+        let check = |n: usize, p: usize| {
+            let mut s = SimStats::new();
+            let k = binary_search_region_by(n, 0.0, |i| if i >= p { 1.0 } else { -1.0 }, &mut s);
+            assert_eq!(k, p.min(n - 1), "n={n} p={p}");
+            assert_eq!(region_search_probes(n, p), s.search_steps, "n={n} p={p}");
+            assert_eq!(s.warp_cycles, s.search_steps * SEARCH_PROBE_CYCLES);
+        };
+        for n in 1..=300 {
+            for p in 0..=n {
+                check(n, p);
+            }
+        }
+        for n in LARGE_N {
+            for p in [0, 1, 2, n / 3, n / 2 - 1, n / 2, n / 2 + 1, n - 2, n - 1, n] {
+                check(n, p);
+            }
+            for i in 0..1000 {
+                check(n, (i * 2_654_435_761) % (n + 1));
+            }
         }
     }
 

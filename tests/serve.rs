@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Wire codec: round-trip and hostile-input properties
@@ -255,12 +255,66 @@ fn test_graph() -> Arc<Csr> {
     Arc::new(erdos_renyi(64, 256, 7))
 }
 
-/// End-to-end fairness over the wire: a tenant offering 10x the load
-/// (10 connections) does not starve a light tenant — the light tenant's
-/// batch completes in well under the heavy tenant's makespan.
+/// Delegates to the engine one permit at a time: `execute` blocks until
+/// the test releases it, so the test decides when each dispatched request
+/// may run (the [`PanicOnSeed`] wrapper pattern).
+#[derive(Default)]
+struct Gate {
+    permits: Mutex<usize>,
+    released: Condvar,
+}
+
+impl Gate {
+    fn release_one(&self) {
+        *self.permits.lock().expect("gate lock") += 1;
+        self.released.notify_one();
+    }
+}
+
+impl BatchExecutor for Gate {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+
+    fn execute(
+        &self,
+        graph: &Csr,
+        algo: &dyn csaw::core::api::Algorithm,
+        seed_sets: &[Vec<u32>],
+        opts: csaw::core::engine::RunOptions,
+    ) -> BatchOutput {
+        let permits = self.permits.lock().expect("gate lock");
+        *self.released.wait_while(permits, |p| *p == 0).expect("gate lock") -= 1;
+        EngineExecutor.execute(graph, algo, seed_sets, opts)
+    }
+}
+
+/// Polls `ready` until it holds. Bounded by a poll count, not a clock: a
+/// condition that never comes fails the test instead of hanging it.
+fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    for _ in 0..20_000 {
+        if ready() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("gave up waiting for {what}");
+}
+
+/// End-to-end fairness over the wire, judged by order, not by time: a
+/// tenant that queued 10x the load *first* does not starve a light
+/// tenant. Dispatch is held until the whole backlog — forty heavy
+/// requests, then four light ones, one connection each — sits in the fair
+/// queue, then runs one request per published completion event, so the
+/// subscriber's event order is the dispatch order. Start-time fair
+/// queuing tags the light requests 0..4 and the heavy ones 0..40: all
+/// four light completions land in the first ten. FIFO would put them last.
 #[test]
 fn wire_fairness_light_tenant_is_not_starved() {
-    let service = SamplingService::with_engine(test_graph(), ServiceConfig::default());
+    const HEAVY: usize = 40;
+    const LIGHT: usize = 4;
+    let gate = Arc::new(Gate::default());
+    let service = SamplingService::new(test_graph(), gate.clone(), ServiceConfig::default());
     let server = CsawServer::start(
         service,
         ServeConfig {
@@ -271,47 +325,55 @@ fn wire_fairness_light_tenant_is_not_starved() {
     )
     .expect("bind");
     let addr = server.addr();
-    let algo = || WireAlgo::by_name("simple-walk").with_depth(8);
+    let metric = |name: &str| parse_value(&server.metrics_page(), name);
+    let enqueued =
+        |tenant: &str| metric(&format!("csaw_tenant_enqueued_total{{tenant=\"{tenant}\"}}"));
 
-    let start = Instant::now();
-    // Load-bearing collect: all heavy connections must be live and
-    // competing before any join — fusing into the max() chain below
-    // would spawn-and-join them one at a time.
-    #[allow(clippy::needless_collect)]
-    let heavy_threads: Vec<_> = (0..10)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let mut c = Client::connect(addr, "heavy").expect("connect");
-                for i in 0..4u32 {
-                    c.sample(algo(), vec![i % 64], 1, None).expect("heavy sample");
-                }
-                start.elapsed()
-            })
+    let mut events =
+        Client::connect(addr, "watch").expect("connect").subscribe().expect("subscribe");
+    wait_until("the subscription", || metric("csaw_serve_subscribers") == Some(1.0));
+    let subscriber = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            let mut order = Vec::with_capacity(HEAVY + LIGHT);
+            while order.len() < HEAVY + LIGHT {
+                let event = events.next_event().expect("event stream").expect("server open");
+                assert_eq!(event.kind, EventKind::Completed, "{event:?}");
+                order.push(event.tenant);
+                // This completion is on record: the next request may run.
+                gate.release_one();
+            }
+            order
         })
-        .collect();
-    let light = std::thread::spawn(move || {
-        let mut c = Client::connect(addr, "light").expect("connect");
-        for i in 0..4u32 {
-            c.sample(algo(), vec![i % 64], 2, None).expect("light sample");
-        }
-        start.elapsed()
-    });
+    };
 
-    let light_elapsed = light.join().expect("light thread");
-    let heavy_elapsed =
-        heavy_threads.into_iter().map(|h| h.join().expect("heavy thread")).max().unwrap();
+    let one_request = |tenant: &'static str, i: usize| {
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr, tenant).expect("connect");
+            let algo = WireAlgo::by_name("simple-walk").with_depth(8);
+            c.sample(algo, vec![i as u32 % 64], 1, None).expect("sample");
+        })
+    };
+    let mut clients: Vec<_> = (0..HEAVY).map(|i| one_request("heavy", i)).collect();
+    wait_until("the heavy backlog", || enqueued("heavy") == Some(HEAVY as f64));
+    clients.extend((0..LIGHT).map(|i| one_request("light", i)));
+    wait_until("the light backlog", || enqueued("light") == Some(LIGHT as f64));
+
+    // The first heavy request was dispatched on arrival and waits at the
+    // gate; the other 43 are queued behind it.
+    gate.release_one();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+    let order = subscriber.join().expect("subscriber thread");
     server.shutdown();
 
-    // 44 total requests serialize through max_inflight=1; the light
-    // tenant holds 1/11 of the offered load, so fair interleaving
-    // finishes it early. FIFO would leave it near the makespan.
+    assert_eq!(order.iter().filter(|t| *t == "light").count(), LIGHT, "{order:?}");
+    let last_light = order.iter().rposition(|t| t == "light").expect("light completions");
     assert!(
-        light_elapsed < heavy_elapsed,
-        "light tenant ({light_elapsed:?}) should finish before the heavy makespan ({heavy_elapsed:?})"
-    );
-    assert!(
-        light_elapsed.as_secs_f64() <= heavy_elapsed.as_secs_f64() * 0.75,
-        "light tenant not fairly interleaved: {light_elapsed:?} vs heavy {heavy_elapsed:?}"
+        last_light < 10,
+        "light tenant not fairly interleaved: its last completion is event {} of {order:?}",
+        last_light + 1
     );
 }
 

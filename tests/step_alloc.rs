@@ -6,6 +6,9 @@
 //! **exactly zero** heap allocations. Any `Vec`/`Box`/`HashSet` growth
 //! inside `expand`/`expand_layer`/`expand_replace`, SELECT, or the SIMT
 //! warp scan trips this test, so per-step churn cannot creep back in.
+//! Two exact counts ride along: a frontier of one never touches the trial
+//! counter's map, and a whole simple-walk instance through the engine's
+//! own driver allocates its output vector and its pool buffers, no more.
 //!
 //! The binary holds a single `#[test]` on purpose: the counting allocator
 //! is process-global, and a concurrent test thread allocating during the
@@ -15,6 +18,7 @@ use csaw::core::algorithms::registry::{AlgoSpec, AlgorithmId};
 use csaw::core::api::FrontierMode;
 use csaw::core::batch::{run_chunk, BatchArena, ChunkInstance};
 use csaw::core::ctps_cache::CtpsCache;
+use csaw::core::engine::{drive_instance, RunOptions};
 use csaw::core::residency::{DiskAccess, DiskRunConfig};
 use csaw::core::select::SelectConfig;
 use csaw::core::step::{
@@ -301,13 +305,63 @@ fn gate_batched(g: &Csr, access: &mut impl NeighborAccess) {
     }
 }
 
+/// A frontier of one never reaches the trial counter's map. The counter
+/// is cold, and a `HashMap` allocates on its first insert, so zero
+/// allocations over many singleton frontiers pins "never touched" without
+/// a clock; a second distinct key in one frontier does reach the map.
+fn gate_singleton_trials() {
+    let mut trials = TrialCounter::new();
+    let before = ALLOC.snapshot();
+    let mut ordinals = 0u32;
+    for step in 0..10_000u32 {
+        trials.reset();
+        ordinals += trials.next(step % 7, step.wrapping_mul(2_654_435_761));
+    }
+    assert_eq!(ALLOC.snapshot().since(&before).allocations, 0, "a singleton frontier hashed");
+    assert_eq!(ordinals, 0);
+    trials.reset();
+    assert_eq!((trials.next(0, 1), trials.next(0, 2), trials.next(0, 2)), (0, 0, 1));
+    assert!(ALLOC.snapshot().since(&before).allocations > 0, "the spill map never allocated");
+}
+
+/// A whole simple-walk instance through the engine's own driver, on a
+/// warm thread arena: three allocations — the output vector, reserved
+/// once at its full length, and the two buffers of the pool. Nothing per
+/// step, and no trial map.
+fn gate_whole_walk(g: &Csr) {
+    const DEPTH: usize = 80;
+    let algo = AlgoSpec::new(AlgorithmId::SimpleRandomWalk)
+        .with_depth(DEPTH)
+        .build()
+        .expect("registry specs are valid");
+    let opts = RunOptions::default();
+    let hub = (0..g.num_vertices() as VertexId).max_by_key(|&v| g.degree(v)).expect("vertices");
+    let mut access = CsrAccess { graph: g };
+    let warm = drive_instance(&mut access, &*algo, &opts, 0, &[hub]);
+    let before = ALLOC.snapshot();
+    let (out, _stats) = drive_instance(&mut access, &*algo, &opts, 0, &[hub]);
+    let delta = ALLOC.snapshot().since(&before);
+    assert_eq!(out, warm.0, "same instance, same walk");
+    assert!(out.len() > 1, "the walk must actually step");
+    assert_eq!(out.capacity(), DEPTH, "output reserved once at depth x seeds");
+    assert_eq!(
+        delta.allocations, 3,
+        "a simple-walk instance allocates its output vector and its two pool buffers \
+         ({} bytes allocated)",
+        delta.bytes
+    );
+}
+
 #[test]
 fn steady_state_step_allocates_nothing() {
+    gate_singleton_trials();
+
     // Power-law graph large enough to exercise long adjacency gathers
     // and without-replacement retries, small enough for a test.
     let g = rmat(9, 8, RmatParams::MILD, 42);
     gate_all(&g, &mut CsrAccess { graph: &g }, "csr", true, |_, _| 0);
     gate_batched(&g, &mut CsrAccess { graph: &g });
+    gate_whole_walk(&g);
 
     // The same gate through the disk tier: with every run admitted to a
     // warm full-budget pool, stepping through [`DiskAccess`] — slot
