@@ -1,16 +1,16 @@
 //! Budget-sweep microbench for the hot-vertex CTPS cache: steps/sec at
 //! cache byte budgets from 0% to 100% of the graph's CTPS footprint,
-//! against the rebuild-every-step baseline (`force_rebuild`), on a
-//! power-law and a uniform-degree graph.
+//! against the cache-less kernel (which rebuilds every non-uniform CTPS
+//! every step), on a power-law and a uniform-degree graph.
 //!
-//! Like `step_bench`, this drives [`StepKernel`] directly with the same
-//! per-mode loops the engine uses, so the measurement isolates the
+//! Like `step_bench`, this drives [`StepKernel`] directly through the
+//! engine's per-instance depth loop, so the measurement isolates the
 //! expand path — bias construction, CTPS build/lookup, SELECT — from
 //! scheduler noise. Three populations:
 //!
 //! - **Uniform static bias** (simple walk, unbiased neighbor sampling,
-//!   MDRW): served by the closed-form uniform CTPS, so their speedup is
-//!   budget-independent — the 0-byte rows already show it.
+//!   MDRW): served by the implicit uniform table with or without a
+//!   cache, so every row reads 1.0× — a control.
 //! - **Non-uniform static bias** (biased walk, biased neighbor
 //!   sampling): served by the budgeted cache; speedup grows with hit
 //!   rate, which grows with budget — the sweep's interesting rows.
@@ -27,132 +27,42 @@
 use csaw_core::algorithms::registry::{AlgoSpec, AlgorithmId};
 use csaw_core::api::{Algorithm, FrontierMode};
 use csaw_core::ctps_cache::{CtpsCache, ENTRY_OVERHEAD_BYTES};
+use csaw_core::engine::{drive_pool, PoolBufs};
 use csaw_core::precompute::EagerCtpsCache;
 use csaw_core::select::SelectConfig;
-use csaw_core::step::{
-    CsrAccess, EmitSink, PoolSink, PoolSlot, StepEntry, StepKernel, StepScratch, TrialCounter,
-};
+use csaw_core::step::{CsrAccess, StepKernel, StepScratch};
 use csaw_gpu::stats::SimStats;
 use csaw_graph::generators::{ring_lattice, rmat, RmatParams};
 use csaw_graph::{Csr, VertexId};
-use std::collections::HashSet;
 use std::time::Instant;
 
-/// Reusable driver state (the `step_bench` loop, verbatim).
+/// Reusable driver state (as in `step_bench`).
 #[derive(Default)]
 struct DriverBufs {
-    pool: Vec<PoolSlot>,
-    pool_biases: Vec<f64>,
-    frontier: Vec<PoolSlot>,
-    visited: HashSet<VertexId>,
+    pool: PoolBufs,
     out: Vec<(VertexId, VertexId)>,
-    trials: TrialCounter,
     stats: SimStats,
     scratch: StepScratch,
 }
 
-/// One full repetition: every instance of `algo` over its seed chunks.
-/// Returns kernel step invocations.
+/// One full repetition: every instance of `algo` over its seed chunks,
+/// each through the engine's own per-instance depth loop. Returns kernel
+/// step invocations.
 fn run_rep(kernel: &StepKernel<'_>, g: &Csr, chunks: &[Vec<VertexId>], b: &mut DriverBufs) -> u64 {
-    let cfg = *kernel.cfg();
-    let detector = kernel.select().detector;
     let mut access = CsrAccess { graph: g };
     let mut steps = 0u64;
     for (inst, seeds) in chunks.iter().enumerate() {
-        let inst = inst as u32;
-        let home = seeds[0];
-        b.pool.clear();
-        b.pool.extend(seeds.iter().map(|&s| PoolSlot::seed(s)));
-        b.visited.clear();
-        if cfg.without_replacement {
-            b.visited.extend(seeds.iter().copied());
-        }
         b.out.clear();
-        match cfg.frontier {
-            FrontierMode::IndependentPerVertex => {
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    std::mem::swap(&mut b.pool, &mut b.frontier);
-                    b.pool.clear();
-                    b.trials.reset();
-                    for i in 0..b.frontier.len() {
-                        let slot = b.frontier[i];
-                        let entry = StepEntry {
-                            instance: inst,
-                            depth: depth as u32,
-                            vertex: slot.vertex,
-                            prev: slot.prev,
-                            trial: b.trials.next(inst, slot.vertex),
-                        };
-                        let mut sink = PoolSink {
-                            cfg: &cfg,
-                            detector,
-                            visited: &mut b.visited,
-                            next: &mut b.pool,
-                            out: &mut b.out,
-                        };
-                        kernel.expand(
-                            &mut access,
-                            &entry,
-                            home,
-                            &mut sink,
-                            &mut b.scratch,
-                            &mut b.stats,
-                        );
-                        steps += 1;
-                    }
-                }
-            }
-            FrontierMode::SharedLayer => {
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    std::mem::swap(&mut b.pool, &mut b.frontier);
-                    b.pool.clear();
-                    let mut sink = PoolSink {
-                        cfg: &cfg,
-                        detector,
-                        visited: &mut b.visited,
-                        next: &mut b.pool,
-                        out: &mut b.out,
-                    };
-                    kernel.expand_layer(
-                        &mut access,
-                        inst,
-                        depth as u32,
-                        &b.frontier,
-                        &mut sink,
-                        &mut b.scratch,
-                        &mut b.stats,
-                    );
-                    steps += 1;
-                }
-            }
-            FrontierMode::BiasedReplace => {
-                b.pool_biases.clear();
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    let mut sink = EmitSink(&mut b.out);
-                    kernel.expand_replace(
-                        &mut access,
-                        inst,
-                        depth as u32,
-                        home,
-                        &mut b.pool,
-                        &mut b.pool_biases,
-                        &mut sink,
-                        &mut b.scratch,
-                        &mut b.stats,
-                    );
-                    steps += 1;
-                }
-            }
-        }
+        steps += drive_pool(
+            kernel,
+            &mut access,
+            inst as u32,
+            seeds,
+            &mut b.pool,
+            &mut b.out,
+            &mut b.scratch,
+            &mut b.stats,
+        );
     }
     steps
 }
@@ -193,7 +103,7 @@ struct Row {
     graph: &'static str,
     algo: &'static str,
     /// Budget as a fraction of the full CTPS footprint (bounds + entry
-    /// overhead); -1 encodes the force-rebuild baseline row.
+    /// overhead); -1 encodes the cache-less baseline row.
     budget_frac: f64,
     budget_bytes: usize,
     steps: u64,
@@ -225,8 +135,8 @@ fn bench_algorithm(
     let chunks = make_chunks(&*algo, g, instances);
     let select = SelectConfig::paper_best();
 
-    // Baseline: rebuild the CTPS every step (the pre-cache kernel).
-    let base_kernel = StepKernel::new(&*algo, 0x5eed).with_select(select).with_force_rebuild(true);
+    // Baseline: no cache — every non-uniform CTPS is rebuilt every step.
+    let base_kernel = StepKernel::new(&*algo, 0x5eed).with_select(select);
     let (steps, base_sps) = timed_steps_per_sec(&base_kernel, g, &chunks, timed_reps);
     rows.push(Row {
         graph: graph_name,
@@ -325,7 +235,7 @@ fn main() {
     }
     for r in &rows {
         let budget_label = if r.budget_frac < 0.0 {
-            "rebuild".to_string()
+            "nocache".to_string()
         } else {
             format!("{:.0}%", r.budget_frac * 100.0)
         };

@@ -2,12 +2,12 @@
 //! sampler chooser (`MethodPolicy::Adaptive`) against the always-ITS
 //! kernel, on a power-law and a uniform-degree graph.
 //!
-//! Like `cache_bench`, this drives [`StepKernel`] directly with the same
-//! per-mode loops the engine uses, so the measurement isolates the
+//! Like `cache_bench`, this drives [`StepKernel`] directly through the
+//! engine's per-instance depth loop, so the measurement isolates the
 //! expand path. Four policy rows per (graph, algorithm):
 //!
-//! - **its-rebuild** — ForceIts with `force_rebuild`: the pre-cache
-//!   kernel, every row's speedup baseline.
+//! - **its-nocache** — ForceIts without a cache: every non-uniform CTPS
+//!   is rebuilt every step. Every row's speedup baseline.
 //! - **its-cache** — ForceIts with a full-budget CTPS cache: the PR-6
 //!   best configuration (cached bounds, ITS search on top).
 //! - **adaptive** — the chooser with the same full-budget cache: hot
@@ -26,132 +26,42 @@
 use csaw_core::algorithms::registry::{AlgoSpec, AlgorithmId};
 use csaw_core::api::{Algorithm, FrontierMode};
 use csaw_core::ctps_cache::{CacheSnapshot, CtpsCache, ENTRY_OVERHEAD_BYTES};
+use csaw_core::engine::{drive_pool, PoolBufs};
 use csaw_core::method::MethodPolicy;
 use csaw_core::select::SelectConfig;
-use csaw_core::step::{
-    CsrAccess, EmitSink, PoolSink, PoolSlot, StepEntry, StepKernel, StepScratch, TrialCounter,
-};
+use csaw_core::step::{CsrAccess, StepKernel, StepScratch};
 use csaw_gpu::stats::SimStats;
 use csaw_graph::generators::{ring_lattice, rmat, RmatParams};
 use csaw_graph::{Csr, VertexId};
-use std::collections::HashSet;
 use std::time::Instant;
 
-/// Reusable driver state (the `step_bench` loop, verbatim).
+/// Reusable driver state (as in `step_bench`).
 #[derive(Default)]
 struct DriverBufs {
-    pool: Vec<PoolSlot>,
-    pool_biases: Vec<f64>,
-    frontier: Vec<PoolSlot>,
-    visited: HashSet<VertexId>,
+    pool: PoolBufs,
     out: Vec<(VertexId, VertexId)>,
-    trials: TrialCounter,
     stats: SimStats,
     scratch: StepScratch,
 }
 
-/// One full repetition: every instance of `algo` over its seed chunks.
-/// Returns kernel step invocations.
+/// One full repetition: every instance of `algo` over its seed chunks,
+/// each through the engine's own per-instance depth loop. Returns kernel
+/// step invocations.
 fn run_rep(kernel: &StepKernel<'_>, g: &Csr, chunks: &[Vec<VertexId>], b: &mut DriverBufs) -> u64 {
-    let cfg = *kernel.cfg();
-    let detector = kernel.select().detector;
     let mut access = CsrAccess { graph: g };
     let mut steps = 0u64;
     for (inst, seeds) in chunks.iter().enumerate() {
-        let inst = inst as u32;
-        let home = seeds[0];
-        b.pool.clear();
-        b.pool.extend(seeds.iter().map(|&s| PoolSlot::seed(s)));
-        b.visited.clear();
-        if cfg.without_replacement {
-            b.visited.extend(seeds.iter().copied());
-        }
         b.out.clear();
-        match cfg.frontier {
-            FrontierMode::IndependentPerVertex => {
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    std::mem::swap(&mut b.pool, &mut b.frontier);
-                    b.pool.clear();
-                    b.trials.reset();
-                    for i in 0..b.frontier.len() {
-                        let slot = b.frontier[i];
-                        let entry = StepEntry {
-                            instance: inst,
-                            depth: depth as u32,
-                            vertex: slot.vertex,
-                            prev: slot.prev,
-                            trial: b.trials.next(inst, slot.vertex),
-                        };
-                        let mut sink = PoolSink {
-                            cfg: &cfg,
-                            detector,
-                            visited: &mut b.visited,
-                            next: &mut b.pool,
-                            out: &mut b.out,
-                        };
-                        kernel.expand(
-                            &mut access,
-                            &entry,
-                            home,
-                            &mut sink,
-                            &mut b.scratch,
-                            &mut b.stats,
-                        );
-                        steps += 1;
-                    }
-                }
-            }
-            FrontierMode::SharedLayer => {
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    std::mem::swap(&mut b.pool, &mut b.frontier);
-                    b.pool.clear();
-                    let mut sink = PoolSink {
-                        cfg: &cfg,
-                        detector,
-                        visited: &mut b.visited,
-                        next: &mut b.pool,
-                        out: &mut b.out,
-                    };
-                    kernel.expand_layer(
-                        &mut access,
-                        inst,
-                        depth as u32,
-                        &b.frontier,
-                        &mut sink,
-                        &mut b.scratch,
-                        &mut b.stats,
-                    );
-                    steps += 1;
-                }
-            }
-            FrontierMode::BiasedReplace => {
-                b.pool_biases.clear();
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    let mut sink = EmitSink(&mut b.out);
-                    kernel.expand_replace(
-                        &mut access,
-                        inst,
-                        depth as u32,
-                        home,
-                        &mut b.pool,
-                        &mut b.pool_biases,
-                        &mut sink,
-                        &mut b.scratch,
-                        &mut b.stats,
-                    );
-                    steps += 1;
-                }
-            }
-        }
+        steps += drive_pool(
+            kernel,
+            &mut access,
+            inst as u32,
+            seeds,
+            &mut b.pool,
+            &mut b.out,
+            &mut b.scratch,
+            &mut b.stats,
+        );
     }
     steps
 }
@@ -190,7 +100,7 @@ fn timed_run(
 
 #[derive(Clone, Copy, PartialEq)]
 enum PolicyRow {
-    ItsRebuild,
+    ItsNoCache,
     ItsCache,
     Adaptive,
     AdaptiveNoCache,
@@ -199,7 +109,7 @@ enum PolicyRow {
 impl PolicyRow {
     fn name(self) -> &'static str {
         match self {
-            PolicyRow::ItsRebuild => "its-rebuild",
+            PolicyRow::ItsNoCache => "its-nocache",
             PolicyRow::ItsCache => "its-cache",
             PolicyRow::Adaptive => "adaptive",
             PolicyRow::AdaptiveNoCache => "adaptive-nocache",
@@ -208,7 +118,7 @@ impl PolicyRow {
 }
 
 const POLICY_ROWS: [PolicyRow; 4] =
-    [PolicyRow::ItsRebuild, PolicyRow::ItsCache, PolicyRow::Adaptive, PolicyRow::AdaptiveNoCache];
+    [PolicyRow::ItsNoCache, PolicyRow::ItsCache, PolicyRow::Adaptive, PolicyRow::AdaptiveNoCache];
 
 struct Row {
     graph: &'static str,
@@ -256,16 +166,13 @@ fn bench_algorithm(
             PolicyRow::Adaptive => Some(CtpsCache::new(full_alias_bytes)),
             _ => None,
         };
-        let mut kernel = StepKernel::new(&*algo, 0x5eed).with_select(select);
-        kernel = match policy {
-            PolicyRow::ItsRebuild => kernel.with_force_rebuild(true),
-            _ => kernel.with_ctps_cache(cache.as_ref()),
-        };
+        let mut kernel =
+            StepKernel::new(&*algo, 0x5eed).with_select(select).with_ctps_cache(cache.as_ref());
         if matches!(policy, PolicyRow::Adaptive | PolicyRow::AdaptiveNoCache) {
             kernel = kernel.with_method_policy(MethodPolicy::Adaptive);
         }
         let (steps, sps, stats) = timed_run(&kernel, g, &chunks, timed_reps);
-        if policy == PolicyRow::ItsRebuild {
+        if policy == PolicyRow::ItsNoCache {
             base_sps = sps;
             base_steps = steps;
         } else {

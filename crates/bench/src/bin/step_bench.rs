@@ -3,7 +3,7 @@
 //!
 //! Unlike `repro` (which reproduces the paper's figures through the full
 //! runtimes), this bench drives [`StepKernel`] directly, single-threaded,
-//! with the same per-mode driver loops the engine uses. That isolates
+//! through the engine's own per-instance depth loop. That isolates
 //! exactly the code the zero-allocation work targets — candidate/bias
 //! construction and SELECT — from scheduler noise, and makes the
 //! before/after comparison an apples-to-apples measurement of the kernel.
@@ -26,15 +26,13 @@
 
 use csaw_core::algorithms::registry::{AlgoSpec, AlgorithmId};
 use csaw_core::api::{AlgoConfig, Algorithm, FrontierMode};
+use csaw_core::engine::{drive_pool, PoolBufs};
 use csaw_core::select::SelectConfig;
-use csaw_core::step::{
-    CsrAccess, EmitSink, PoolSink, PoolSlot, StepEntry, StepKernel, StepScratch, TrialCounter,
-};
+use csaw_core::step::{CsrAccess, StepKernel, StepScratch};
 use csaw_gpu::alloc_count::CountingAllocator;
 use csaw_gpu::stats::SimStats;
 use csaw_graph::generators::{rmat, RmatParams};
 use csaw_graph::{Csr, VertexId};
-use std::collections::HashSet;
 use std::time::Instant;
 
 #[global_allocator]
@@ -45,124 +43,35 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 /// run entirely in warmed capacity.
 #[derive(Default)]
 struct DriverBufs {
-    pool: Vec<PoolSlot>,
-    pool_biases: Vec<f64>,
-    frontier: Vec<PoolSlot>,
-    visited: HashSet<VertexId>,
+    pool: PoolBufs,
     out: Vec<(VertexId, VertexId)>,
-    trials: TrialCounter,
     stats: SimStats,
     scratch: StepScratch,
 }
 
-/// One full repetition: every instance of `algo` over its seed chunks.
-/// Returns (kernel step invocations, sampled edges).
+/// One full repetition: every instance of `algo` over its seed chunks,
+/// each through the engine's own per-instance depth loop. Returns (kernel
+/// step invocations, sampled edges).
 fn run_rep(
     kernel: &StepKernel<'_>,
     g: &Csr,
     chunks: &[Vec<VertexId>],
     b: &mut DriverBufs,
 ) -> (u64, u64) {
-    let cfg = *kernel.cfg();
-    let detector = kernel.select().detector;
     let mut access = CsrAccess { graph: g };
-    let mut steps = 0u64;
-    let mut edges = 0u64;
+    let (mut steps, mut edges) = (0u64, 0u64);
     for (inst, seeds) in chunks.iter().enumerate() {
-        let inst = inst as u32;
-        let home = seeds[0];
-        b.pool.clear();
-        b.pool.extend(seeds.iter().map(|&s| PoolSlot::seed(s)));
-        b.visited.clear();
-        if cfg.without_replacement {
-            b.visited.extend(seeds.iter().copied());
-        }
         b.out.clear();
-        match cfg.frontier {
-            FrontierMode::IndependentPerVertex => {
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    std::mem::swap(&mut b.pool, &mut b.frontier);
-                    b.pool.clear();
-                    b.trials.reset();
-                    for i in 0..b.frontier.len() {
-                        let slot = b.frontier[i];
-                        let entry = StepEntry {
-                            instance: inst,
-                            depth: depth as u32,
-                            vertex: slot.vertex,
-                            prev: slot.prev,
-                            trial: b.trials.next(inst, slot.vertex),
-                        };
-                        let mut sink = PoolSink {
-                            cfg: &cfg,
-                            detector,
-                            visited: &mut b.visited,
-                            next: &mut b.pool,
-                            out: &mut b.out,
-                        };
-                        kernel.expand(
-                            &mut access,
-                            &entry,
-                            home,
-                            &mut sink,
-                            &mut b.scratch,
-                            &mut b.stats,
-                        );
-                        steps += 1;
-                    }
-                }
-            }
-            FrontierMode::SharedLayer => {
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    std::mem::swap(&mut b.pool, &mut b.frontier);
-                    b.pool.clear();
-                    let mut sink = PoolSink {
-                        cfg: &cfg,
-                        detector,
-                        visited: &mut b.visited,
-                        next: &mut b.pool,
-                        out: &mut b.out,
-                    };
-                    kernel.expand_layer(
-                        &mut access,
-                        inst,
-                        depth as u32,
-                        &b.frontier,
-                        &mut sink,
-                        &mut b.scratch,
-                        &mut b.stats,
-                    );
-                    steps += 1;
-                }
-            }
-            FrontierMode::BiasedReplace => {
-                b.pool_biases.clear();
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    let mut sink = EmitSink(&mut b.out);
-                    kernel.expand_replace(
-                        &mut access,
-                        inst,
-                        depth as u32,
-                        home,
-                        &mut b.pool,
-                        &mut b.pool_biases,
-                        &mut sink,
-                        &mut b.scratch,
-                        &mut b.stats,
-                    );
-                    steps += 1;
-                }
-            }
-        }
+        steps += drive_pool(
+            kernel,
+            &mut access,
+            inst as u32,
+            seeds,
+            &mut b.pool,
+            &mut b.out,
+            &mut b.scratch,
+            &mut b.stats,
+        );
         edges += b.out.len() as u64;
     }
     (steps, edges)

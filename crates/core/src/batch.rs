@@ -14,7 +14,7 @@
 //!    `prefetch_adjacency`, plus the CTPS-cache shard).
 //! 2. **Vertex grouping**: entries are expanded in vertex-sorted order,
 //!    so co-located walkers reuse a hot adjacency row, and — when the
-//!    bias is static ([`StepKernel::group_shareable`]) — share one
+//!    bias is static ([`StepKernel::group_shareable`]) — draw from one
 //!    EDGEBIAS fill + CTPS build per group instead of one per walker.
 //! 3. **Batched Philox**: every entry's first RNG block is generated
 //!    up front in one tight loop ([`Philox::first_blocks_into`], the
@@ -34,22 +34,24 @@
 //! by induction (replay appends offers in flat order), so the trial
 //! ordinals match instance-major at every depth.
 //!
-//! Stats are charge-identical too: shared builds capture the fill/rebuild
-//! charges they saved as deltas ([`crate::step::SharedBuild`]) and replay
-//! them per entry, and visited-check charges are applied at replay where
-//! the per-instance visited sizes match the instance-major sequence. Only
-//! the `batch_*` counters (groups, histogram, prefetch coverage) are new
-//! — they are zero under instance-major execution.
+//! Stats are charge-identical too: a member of a shared build charges
+//! the fill and the rebuilds it was spared, which depend on the degree
+//! alone ([`crate::ctps::rebuild_cost`]), and visited-check charges are
+//! applied at replay where the per-instance visited sizes match the
+//! instance-major sequence. Only the `batch_*` counters (groups,
+//! histogram, prefetch coverage) are new — they are zero under
+//! instance-major execution.
 //!
-//! All buffers live in a [`BatchArena`] double-buffered between depths:
-//! with a warm arena a steady-state depth performs zero heap allocations
-//! (the PR-5 gate, extended to this mode by `tests/step_alloc.rs`).
+//! The grouped expansion itself — [`expand_frontier`] — is shared with
+//! the out-of-memory scheduler's depth-synchronous drain; [`run_chunk`]
+//! adds what is the engine's own (seeding, trial ordinals, the flat-order
+//! replay). All buffers live in a [`BatchArena`] double-buffered between
+//! depths: with a warm arena a steady-state depth performs zero heap
+//! allocations (the PR-5 gate, extended to this mode by
+//! `tests/step_alloc.rs`).
 
 use crate::collision::charge_visited_check;
-use crate::frontier::BatchSlot;
-use crate::step::{
-    FrontierSink, NeighborAccess, SharedBuild, StepEntry, StepKernel, StepScratch, TrialCounter,
-};
+use crate::step::{FrontierSink, NeighborAccess, StepEntry, StepKernel, StepScratch, TrialCounter};
 use csaw_gpu::rng::task_key;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;
@@ -66,16 +68,41 @@ pub struct ChunkInstance<'a> {
     pub seeds: &'a [VertexId],
 }
 
-/// Records one entry's sink traffic during grouped expansion for later
-/// replay in flat order. Charges nothing — the replay applies the
-/// order-dependent charges (visited checks, frontier ops) against the
-/// per-instance state exactly as instance-major execution would.
-pub struct RecordSink<'a> {
-    /// Sampled edges, appended in pick order.
-    pub emits: &'a mut Vec<(VertexId, VertexId)>,
+/// One entry of a grouped frontier: what the kernel expands, plus where
+/// its charges go.
+#[derive(Debug, Clone, Copy)]
+pub struct FrontierItem {
+    /// The entry, keyed by its logical position (global instance id).
+    pub entry: StepEntry,
+    /// The instance's home seed (restart target of the `UPDATE` and
+    /// dead-end hooks).
+    pub home: VertexId,
+    /// Index into the ledger slice handed to [`expand_frontier`]: the
+    /// instance's own counters, or the one ledger a stream keeps.
+    pub slot: u32,
+}
+
+/// What one entry's grouped expansion recorded, for replay in the
+/// caller's own order.
+#[derive(Debug, Clone, Copy)]
+pub struct Recorded<'a> {
+    /// Sampled edges, in pick order.
+    pub emits: &'a [(VertexId, VertexId)],
     /// Frontier offers (vertex, prev), post depth-gate, pre visited
     /// filter — the filter is order-dependent and runs at replay.
-    pub offers: &'a mut Vec<(VertexId, Option<VertexId>)>,
+    pub offers: &'a [(VertexId, Option<VertexId>)],
+    /// Warp cycles the expansion charged its ledger (the out-of-memory
+    /// scheduler's per-instance straggler bound).
+    pub warp_cycles: u64,
+}
+
+/// Records one entry's sink traffic during grouped expansion. Charges
+/// nothing — the replay applies the order-dependent charges (visited
+/// checks, frontier ops) against the per-instance state exactly as
+/// instance-major execution would.
+struct RecordSink<'a> {
+    emits: &'a mut Vec<(VertexId, VertexId)>,
+    offers: &'a mut Vec<(VertexId, Option<VertexId>)>,
 }
 
 impl FrontierSink for RecordSink<'_> {
@@ -101,10 +128,11 @@ impl FrontierSink for RecordSink<'_> {
 /// depth allocation-free.
 #[derive(Debug, Default)]
 pub struct BatchArena {
-    /// Current depth's flat frontier (instance-contiguous).
-    cur: Vec<BatchSlot>,
-    /// Next depth's flat frontier, filled by replay.
-    next: Vec<BatchSlot>,
+    /// The frontier [`expand_frontier`] expands, in the caller's flat
+    /// order.
+    cur: Vec<FrontierItem>,
+    /// Next depth's flat frontier, filled by [`run_chunk`]'s replay.
+    next: Vec<FrontierItem>,
     /// Indices into `cur`, sorted by `(vertex, index)` — the grouped
     /// expansion order.
     order: Vec<u32>,
@@ -115,14 +143,14 @@ pub struct BatchArena {
     tasks: Vec<u64>,
     /// Per-entry first Philox blocks, batch-generated from `tasks`.
     blocks: Vec<[u32; 4]>,
-    /// Recorded sampled edges across the whole depth.
+    /// Recorded sampled edges across the whole frontier.
     emits: Vec<(VertexId, VertexId)>,
-    /// Recorded frontier offers across the whole depth.
+    /// Recorded frontier offers across the whole frontier.
     offers: Vec<(VertexId, Option<VertexId>)>,
-    /// Per-entry spans into `emits`/`offers`, indexed by flat position:
-    /// `(emit_start, emit_end, offer_start, offer_end)`.
-    spans: Vec<(u32, u32, u32, u32)>,
-    /// Flat-order trial assignment (reset per depth).
+    /// Per-entry record, indexed by flat position: the spans into
+    /// `emits`/`offers` and the warp cycles charged.
+    spans: Vec<(u32, u32, u32, u32, u64)>,
+    /// Flat-order trial assignment (reset per instance run).
     trials: TrialCounter,
     /// Per-instance visited sets (without-replacement filter), reused
     /// across chunks — clearing keeps capacity.
@@ -133,6 +161,28 @@ impl BatchArena {
     /// An empty arena; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Replaces the frontier [`expand_frontier`] will expand.
+    pub fn set_frontier(&mut self, items: impl IntoIterator<Item = FrontierItem>) {
+        self.cur.clear();
+        self.cur.extend(items);
+    }
+
+    /// The current frontier, in flat order.
+    pub fn frontier(&self) -> &[FrontierItem] {
+        &self.cur
+    }
+
+    /// What the last [`expand_frontier`] recorded for frontier entry
+    /// `idx`.
+    pub fn recorded(&self, idx: usize) -> Recorded<'_> {
+        let (e0, e1, o0, o1, warp_cycles) = self.spans[idx];
+        Recorded {
+            emits: &self.emits[e0 as usize..e1 as usize],
+            offers: &self.offers[o0 as usize..o1 as usize],
+            warp_cycles,
+        }
     }
 }
 
@@ -147,23 +197,146 @@ pub fn with_thread_arena<R>(f: impl FnOnce(&mut BatchArena) -> R) -> R {
     THREAD_ARENA.with(|a| f(&mut a.borrow_mut()))
 }
 
+/// Expands the arena's frontier in vertex-grouped order, recording every
+/// entry's emits and offers ([`BatchArena::recorded`]) instead of sinking
+/// them: batched Philox first blocks, an index sort by `(vertex, flat
+/// position)`, look-ahead prefetch, and one shared bias fill + CTPS build
+/// per vertex group when the kernel allows it
+/// ([`StepKernel::group_shareable`]). Entry `i` charges
+/// `stats[item.slot]`; group-level charges with no single owning walker —
+/// the `batch_*` counters — go to the slot of each group's first entry
+/// (deterministic and conservation-clean: the ledgers still sum to the
+/// frontier's totals).
+///
+/// Used by [`run_chunk`] (one depth of a chunk) and by the out-of-memory
+/// scheduler's depth-synchronous drain (one drained batch); each replays
+/// the record through its own sinks in its own order.
+pub fn expand_frontier<N: NeighborAccess>(
+    kernel: &StepKernel<'_>,
+    access: &mut N,
+    prefetch_distance: usize,
+    stats: &mut [SimStats],
+    arena: &mut BatchArena,
+    scratch: &mut StepScratch,
+) {
+    let BatchArena { cur, order, group_starts, tasks, blocks, emits, offers, spans, .. } = arena;
+    let n = cur.len();
+    let seed = kernel.seed();
+    let shareable = kernel.group_shareable();
+    let cache = kernel.prefetch_cache();
+
+    // Batched Philox: all first blocks in one pass over the task keys.
+    tasks.clear();
+    tasks.extend(cur.iter().map(|item| {
+        let e = &item.entry;
+        task_key(e.instance, e.depth, e.vertex, e.trial)
+    }));
+    Philox::first_blocks_into(seed, tasks, blocks);
+
+    // Vertex grouping: sort an index array, never the items — the
+    // secondary index key makes the order deterministic (and equal to a
+    // stable sort) for any sort algorithm.
+    let vertex_at = |pos: u32| cur[pos as usize].entry.vertex;
+    order.clear();
+    order.extend(0..n as u32);
+    order.sort_unstable_by_key(|&i| (vertex_at(i), i));
+    group_starts.clear();
+    for (pos, &i) in order.iter().enumerate() {
+        if pos == 0 || vertex_at(i) != vertex_at(order[pos - 1]) {
+            group_starts.push(pos as u32);
+        }
+    }
+    group_starts.push(n as u32);
+    let groups = group_starts.len() - 1;
+
+    // Prefetch coverage model: the pipeline needs `adj_dist` groups of
+    // lead time before a row can arrive early, so the first
+    // min(adj_dist, groups) groups count as misses and the rest as hits
+    // (hits + misses == groups, asserted by the conservation tests).
+    // Distance 0 disables prefetching entirely.
+    let adj_dist = if prefetch_distance == 0 { 0 } else { (prefetch_distance / 2).max(1) };
+    let covered = if prefetch_distance == 0 { 0 } else { groups.saturating_sub(adj_dist) };
+    // First vertex of the group `ahead` groups on, if there is one.
+    let group_vertex = |g: usize| {
+        group_starts.get(g).filter(|&&s| (s as usize) < n).map(|&s| vertex_at(order[s as usize]))
+    };
+
+    emits.clear();
+    offers.clear();
+    spans.clear();
+    spans.resize(n, (0, 0, 0, 0, 0));
+
+    for gi in 0..groups {
+        let members = &order[group_starts[gi] as usize..group_starts[gi + 1] as usize];
+        let first = cur[members[0] as usize];
+
+        // Look-ahead prefetch: indices far out (cheap, one line),
+        // adjacency closer in (it lands later but is bigger).
+        if prefetch_distance > 0 {
+            if let Some(pv) = group_vertex(gi + prefetch_distance) {
+                access.prefetch_index(pv);
+            }
+            if let Some(pv) = group_vertex(gi + adj_dist) {
+                access.prefetch_adjacency(pv);
+                if let Some(cache) = cache {
+                    cache.prefetch_shard(pv);
+                }
+            }
+        }
+
+        // Frontier-occupancy observability.
+        let owner = &mut stats[first.slot as usize];
+        owner.record_batch_group(members.len());
+        if gi < groups - covered {
+            owner.batch_prefetch_misses += 1;
+        } else {
+            owner.batch_prefetch_hits += 1;
+        }
+
+        // One shared bias fill + CTPS build per group when legal;
+        // per-entry sources (still grouped, prefetched, and batch-seeded)
+        // otherwise.
+        let build = if shareable {
+            kernel.prepare_group(access, first.entry.vertex, first.entry.prev, scratch)
+        } else {
+            None
+        };
+
+        for &i in members {
+            let idx = i as usize;
+            let item = &cur[idx];
+            let ledger = &mut stats[item.slot as usize];
+            let rng = Philox::with_first_block(seed, tasks[idx], blocks[idx]);
+            let (e0, o0, before) = (emits.len() as u32, offers.len() as u32, ledger.warp_cycles);
+            let mut sink = RecordSink { emits: &mut *emits, offers: &mut *offers };
+            kernel.expand_with(
+                access,
+                &item.entry,
+                item.home,
+                rng,
+                build.as_ref(),
+                &mut sink,
+                scratch,
+                ledger,
+            );
+            let cycles = ledger.warp_cycles - before;
+            spans[idx] = (e0, emits.len() as u32, o0, offers.len() as u32, cycles);
+        }
+    }
+}
+
 /// Drives one chunk of [`crate::api::FrontierMode::IndependentPerVertex`]
 /// instances depth-synchronously. `outs[i]` receives instance `i`'s
 /// sampled edges and `per_inst[i]` its work counters; both must have one
 /// entry per chunk instance. The caller owns the kernel (algorithm,
-/// SELECT config, seed, cache, policy) and the access; the driver owns
-/// the loop interchange.
-///
-/// Group-level charges with no single owning walker — the `batch_*`
-/// counters — are attributed to the instance of each group's first entry
-/// (deterministic and conservation-clean: per-instance counters still sum
-/// to the chunk totals).
+/// SELECT config, seed, cache, policy) and the access; this driver owns
+/// the loop interchange: seeding, trial ordinals, and the flat-order
+/// replay of what [`expand_frontier`] recorded.
 #[allow(clippy::too_many_arguments)]
 pub fn run_chunk<N: NeighborAccess>(
     kernel: &StepKernel<'_>,
     access: &mut N,
     instances: &[ChunkInstance<'_>],
-    seed: u64,
     prefetch_distance: usize,
     outs: &mut [Vec<(VertexId, VertexId)>],
     per_inst: &mut [SimStats],
@@ -174,200 +347,58 @@ pub fn run_chunk<N: NeighborAccess>(
     assert_eq!(instances.len(), outs.len(), "one output vector per instance");
     assert_eq!(instances.len(), per_inst.len(), "one counter set per instance");
     let detector = kernel.select().detector;
-    let shareable = kernel.group_shareable();
-    let cache = kernel.prefetch_cache();
 
     // Seed the flat frontier instance-contiguously and the visited sets,
-    // mirroring `drive_instance`'s per-instance setup.
+    // mirroring the per-instance driver's setup.
     if arena.visited.len() < instances.len() {
         arena.visited.resize_with(instances.len(), HashSet::new);
     }
     arena.cur.clear();
-    arena.next.clear();
     for (i, inst) in instances.iter().enumerate() {
         arena.visited[i].clear();
         if cfg.without_replacement {
             arena.visited[i].extend(inst.seeds.iter().copied());
         }
-        for &s in inst.seeds {
-            arena.cur.push(BatchSlot { instance: i as u32, vertex: s, prev: None, trial: 0 });
-        }
+        let home = inst.seeds.first().copied().unwrap_or(0);
+        arena.cur.extend(inst.seeds.iter().map(|&vertex| FrontierItem {
+            entry: StepEntry { instance: inst.global_id, depth: 0, vertex, prev: None, trial: 0 },
+            home,
+            slot: i as u32,
+        }));
     }
 
     for depth in 0..cfg.depth as u32 {
         if arena.cur.is_empty() {
             break;
         }
-        let n = arena.cur.len();
-
-        // Per-depth frontier charge: instance-major charges each instance
-        // `frontier.len()` at the top of its depth; one unit per flat
-        // entry lands identically.
-        for slot in arena.cur.iter() {
-            per_inst[slot.instance as usize].frontier_ops += 1;
-        }
-
         // Trial ordinals in flat order, *before* sorting — the flat
         // frontier is instance-contiguous, so this visits each instance's
         // entries in exactly the order its per-instance pool would. The
         // key holds the instance, so starting over at each instance's run
         // assigns the same ordinals and keeps a one-entry run (a walk) in
         // the counter's inline slot.
-        arena.tasks.clear();
-        let mut run_instance = u32::MAX;
-        for slot in arena.cur.iter_mut() {
-            if slot.instance != run_instance {
-                run_instance = slot.instance;
+        let mut run_slot = u32::MAX;
+        for item in arena.cur.iter_mut() {
+            // Per-depth frontier charge: instance-major charges each
+            // instance `frontier.len()` at the top of its depth; one unit
+            // per flat entry lands identically.
+            per_inst[item.slot as usize].frontier_ops += 1;
+            if item.slot != run_slot {
+                run_slot = item.slot;
                 arena.trials.reset();
             }
-            slot.trial =
-                arena.trials.next(instances[slot.instance as usize].global_id, slot.vertex);
-            arena.tasks.push(task_key(
-                instances[slot.instance as usize].global_id,
-                depth,
-                slot.vertex,
-                slot.trial,
-            ));
+            item.entry.trial = arena.trials.next(item.entry.instance, item.entry.vertex);
         }
 
-        // Batched Philox: all first blocks in one pass over the task keys.
-        Philox::first_blocks_into(seed, &arena.tasks, &mut arena.blocks);
-
-        // Vertex grouping: sort an index array, never the slots — the
-        // secondary index key makes the order deterministic (and equal to
-        // a stable sort) for any sort algorithm.
-        arena.order.clear();
-        arena.order.extend(0..n as u32);
-        {
-            let cur = &arena.cur;
-            arena.order.sort_unstable_by_key(|&i| (cur[i as usize].vertex, i));
-        }
-        arena.group_starts.clear();
-        for (pos, &i) in arena.order.iter().enumerate() {
-            if pos == 0
-                || arena.cur[i as usize].vertex != arena.cur[arena.order[pos - 1] as usize].vertex
-            {
-                arena.group_starts.push(pos as u32);
-            }
-        }
-        arena.group_starts.push(n as u32);
-        let groups = arena.group_starts.len() - 1;
-
-        // Prefetch coverage model: the pipeline needs `adj_dist` groups of
-        // lead time before a row can arrive early, so the first
-        // min(adj_dist, groups) groups of each depth count as misses and
-        // the rest as hits (hits + misses == groups, asserted by the
-        // conservation tests). Distance 0 disables prefetching entirely.
-        let adj_dist = if prefetch_distance == 0 { 0 } else { (prefetch_distance / 2).max(1) };
-        let covered = if prefetch_distance == 0 { 0 } else { groups.saturating_sub(adj_dist) };
-
-        arena.emits.clear();
-        arena.offers.clear();
-        arena.spans.clear();
-        arena.spans.resize(n, (0, 0, 0, 0));
-
-        for gi in 0..groups {
-            let start = arena.group_starts[gi] as usize;
-            let end = arena.group_starts[gi + 1] as usize;
-            let v = arena.cur[arena.order[start] as usize].vertex;
-
-            // Look-ahead prefetch: indices far out (cheap, one line),
-            // adjacency closer in (it lands later but is bigger).
-            if prefetch_distance > 0 {
-                if let Some(&i) = arena
-                    .group_starts
-                    .get(gi + prefetch_distance)
-                    .filter(|&&s| (s as usize) < n)
-                    .map(|&s| &arena.order[s as usize])
-                {
-                    access.prefetch_index(arena.cur[i as usize].vertex);
-                }
-                if let Some(&i) = arena
-                    .group_starts
-                    .get(gi + adj_dist)
-                    .filter(|&&s| (s as usize) < n)
-                    .map(|&s| &arena.order[s as usize])
-                {
-                    let pv = arena.cur[i as usize].vertex;
-                    access.prefetch_adjacency(pv);
-                    if let Some(cache) = cache {
-                        cache.prefetch_shard(pv);
-                    }
-                }
-            }
-
-            // Frontier-occupancy observability, attributed to the group's
-            // first entry's instance.
-            let owner = arena.cur[arena.order[start] as usize].instance as usize;
-            per_inst[owner].record_batch_group(end - start);
-            if gi < groups - covered {
-                per_inst[owner].batch_prefetch_misses += 1;
-            } else {
-                per_inst[owner].batch_prefetch_hits += 1;
-            }
-
-            // One shared bias fill + CTPS build per group when legal;
-            // per-entry expansion (still grouped, prefetched, and
-            // batch-seeded) otherwise.
-            let build: Option<SharedBuild> = if shareable {
-                let prev = arena.cur[arena.order[start] as usize].prev;
-                kernel.prepare_group(access, v, prev, scratch)
-            } else {
-                None
-            };
-
-            for &i in &arena.order[start..end] {
-                let idx = i as usize;
-                let slot = arena.cur[idx];
-                let inst = slot.instance as usize;
-                let entry = StepEntry {
-                    instance: instances[inst].global_id,
-                    depth,
-                    vertex: slot.vertex,
-                    prev: slot.prev,
-                    trial: slot.trial,
-                };
-                let rng = Philox::with_first_block(seed, arena.tasks[idx], arena.blocks[idx]);
-                let home = instances[inst].seeds.first().copied().unwrap_or(0);
-                let e0 = arena.emits.len() as u32;
-                let o0 = arena.offers.len() as u32;
-                {
-                    let mut sink =
-                        RecordSink { emits: &mut arena.emits, offers: &mut arena.offers };
-                    match &build {
-                        Some(b) => kernel.expand_in_group(
-                            access,
-                            &entry,
-                            home,
-                            b,
-                            rng,
-                            &mut sink,
-                            scratch,
-                            &mut per_inst[inst],
-                        ),
-                        None => kernel.expand_rng(
-                            access,
-                            &entry,
-                            home,
-                            rng,
-                            &mut sink,
-                            scratch,
-                            &mut per_inst[inst],
-                        ),
-                    }
-                }
-                arena.spans[idx] = (e0, arena.emits.len() as u32, o0, arena.offers.len() as u32);
-            }
-        }
+        expand_frontier(kernel, access, prefetch_distance, per_inst, arena, scratch);
 
         // Replay in flat order: output append order, the visited filter's
         // charge/accept sequence, and next-frontier contiguity all match
         // instance-major execution exactly.
         arena.next.clear();
-        for idx in 0..n {
-            let slot = arena.cur[idx];
-            let inst = slot.instance as usize;
-            let (e0, e1, o0, o1) = arena.spans[idx];
+        for (idx, item) in arena.cur.iter().enumerate() {
+            let inst = item.slot as usize;
+            let (e0, e1, o0, o1, _) = arena.spans[idx];
             outs[inst].extend_from_slice(&arena.emits[e0 as usize..e1 as usize]);
             for &(vertex, prev) in &arena.offers[o0 as usize..o1 as usize] {
                 let stats = &mut per_inst[inst];
@@ -378,7 +409,8 @@ pub fn run_chunk<N: NeighborAccess>(
                     }
                 }
                 stats.frontier_ops += 1;
-                arena.next.push(BatchSlot { instance: slot.instance, vertex, prev, trial: 0 });
+                let entry = StepEntry { depth: depth + 1, vertex, prev, trial: 0, ..item.entry };
+                arena.next.push(FrontierItem { entry, ..*item });
             }
         }
         std::mem::swap(&mut arena.cur, &mut arena.next);
@@ -429,7 +461,6 @@ mod tests {
             &kernel,
             &mut access,
             &chunk,
-            0x5eed,
             4,
             &mut outs,
             &mut per_inst,
@@ -479,7 +510,6 @@ mod tests {
                 &kernel,
                 &mut access,
                 &chunk,
-                7,
                 8,
                 &mut outs,
                 &mut per_inst,

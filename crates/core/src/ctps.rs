@@ -42,9 +42,28 @@ impl Ctps {
 
     /// Rebuilds the CTPS in place from raw biases, reusing the bounds
     /// buffer (no allocation once capacity is warm). Charges exactly the
-    /// work [`Ctps::build`] charges. Returns `false` — leaving `self`
-    /// empty — when the total bias is zero or non-finite.
+    /// work [`Ctps::build`] charges, which depends on `biases.len()`
+    /// alone: [`rebuild_cost`] on success, the scan without the
+    /// normalization on failure (debug builds assert both). Returns
+    /// `false` — leaving `self` empty — when the total bias is zero or
+    /// non-finite.
     pub fn rebuild(&mut self, biases: &[f64], stats: &mut SimStats) -> bool {
+        #[cfg(debug_assertions)]
+        let mut expected = *stats;
+        let ok = self.scan_and_normalize(biases, stats);
+        #[cfg(debug_assertions)]
+        {
+            if ok {
+                rebuild_cost(biases.len(), &mut expected);
+            } else {
+                scan_cost(biases.len(), &mut expected);
+            }
+            debug_assert_eq!(*stats, expected, "rebuild charge is not a function of n");
+        }
+        ok
+    }
+
+    fn scan_and_normalize(&mut self, biases: &[f64], stats: &mut SimStats) -> bool {
         self.bounds.clear();
         self.total_bias = 0.0;
         if biases.is_empty() {
@@ -149,10 +168,12 @@ pub fn uniform_bound(n: usize, k: usize) -> f64 {
     }
 }
 
-/// Charges exactly what [`Ctps::rebuild`] charges for `n` unit biases
-/// (Kogge-Stone scan steps plus one normalization warp step per tile),
-/// without building anything. `n` must be positive.
-pub fn uniform_rebuild_cost(n: usize, stats: &mut SimStats) {
+/// Charges exactly what a successful [`Ctps::rebuild`] of `n` biases
+/// charges — Kogge-Stone scan steps plus one normalization warp step per
+/// tile, whatever the biases — without building anything. This is what a
+/// group-shared or implicit uniform table charges for each rebuild it
+/// stands in for. `n` must be positive.
+pub fn rebuild_cost(n: usize, stats: &mut SimStats) {
     debug_assert!(n > 0);
     scan_cost(n, stats);
     stats.warp_cycles += n.div_ceil(WARP_SIZE) as u64;
@@ -353,6 +374,38 @@ mod tests {
         assert!(s.warp_cycles > 0);
     }
 
+    /// What replaced replaying recorded ledgers: a rebuild's charge is a
+    /// function of the lane's length, never of its contents.
+    #[test]
+    fn rebuild_charges_are_a_function_of_n() {
+        let mut rng = Philox::new(0xC7F5);
+        for n in (1..=130).chain([255, 256, 257, 1000, 4097]) {
+            let mut random: Vec<f64> = (0..n).map(|_| rng.uniform() * 1e3).collect();
+            for slot in random.iter_mut().step_by(3) {
+                *slot = if rng.chance(0.5) { 0.0 } else { f64::MIN_POSITIVE / 4.0 };
+            }
+            random[n / 2] = 1.0;
+            let mut single = vec![0.0; n];
+            single[n - 1] = f64::MIN_POSITIVE / 8.0;
+            for lane in [random, single] {
+                let mut expected = SimStats::new();
+                rebuild_cost(n, &mut expected);
+                let mut charged = SimStats::new();
+                assert!(Ctps::empty().rebuild(&lane, &mut charged), "n={n}");
+                assert_eq!(charged, expected, "successful rebuild n={n}");
+            }
+            let mut overflow = vec![1.0; n];
+            overflow[n / 3] = f64::INFINITY;
+            for lane in [vec![0.0; n], overflow] {
+                let mut expected = SimStats::new();
+                scan_cost(n, &mut expected);
+                let mut charged = SimStats::new();
+                assert!(!Ctps::empty().rebuild(&lane, &mut charged), "n={n}");
+                assert_eq!(charged, expected, "failed rebuild n={n}");
+            }
+        }
+    }
+
     #[test]
     fn single_candidate() {
         let mut s = SimStats::new();
@@ -382,7 +435,7 @@ mod tests {
             let mut build_stats = SimStats::new();
             let c = Ctps::build(&vec![1.0; n], &mut build_stats).unwrap();
             let mut cost_stats = SimStats::new();
-            uniform_rebuild_cost(n, &mut cost_stats);
+            rebuild_cost(n, &mut cost_stats);
             assert_eq!(cost_stats, build_stats, "rebuild charges n={n}");
             for (k, &b) in c.bounds().iter().enumerate() {
                 assert_eq!(b.to_bits(), uniform_bound(n, k).to_bits(), "bound n={n} k={k}");

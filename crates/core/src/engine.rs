@@ -22,13 +22,13 @@
 //! [`csaw_gpu::rng::task_key`], so outputs are bit-identical regardless of
 //! host thread count, chunking, or which runtime executes the instance.
 
-use crate::api::{AlgoConfig, Algorithm, FrontierMode, NeighborSize};
+use crate::api::{Algorithm, FrontierMode, NeighborSize};
 use crate::batch::ChunkInstance;
 use crate::output::SampleOutput;
 use crate::select::SelectConfig;
 use crate::step::{
     with_thread_scratch, CsrAccess, DeltaAccess, EmitSink, NeighborAccess, PoolSink, PoolSlot,
-    StepEntry, StepKernel, TrialCounter,
+    StepEntry, StepKernel, StepScratch, TrialCounter,
 };
 use csaw_gpu::device::LaunchResult;
 use csaw_gpu::stats::SimStats;
@@ -72,6 +72,12 @@ pub enum RunError {
         /// The graph's vertex count.
         num_vertices: usize,
     },
+    /// [`RunOptions::snapshot`] and [`RunOptions::disk`] are both set:
+    /// the store serves immutable epochs, so the two are exclusive.
+    SnapshotWithDisk,
+    /// [`RunOptions::batch_chunk`] is `Some(0)`: a depth-synchronous
+    /// chunk holds at least one instance.
+    ZeroBatchChunk,
 }
 
 impl std::fmt::Display for RunError {
@@ -84,6 +90,10 @@ impl std::fmt::Display for RunError {
                 f,
                 "instance {instance}: seed vertex {vertex} out of range (graph has {num_vertices} vertices)"
             ),
+            RunError::SnapshotWithDisk => {
+                write!(f, "RunOptions.snapshot and RunOptions.disk are mutually exclusive")
+            }
+            RunError::ZeroBatchChunk => write!(f, "batch chunk size must be positive"),
         }
     }
 }
@@ -121,6 +131,19 @@ pub fn validate_single_seeds(graph: &Csr, seeds: &[VertexId]) -> Result<(), RunE
     }
 }
 
+/// Validates the option combinations no launch can serve, once, before
+/// any task starts: the tasks then dispatch on `snapshot`/`disk` knowing
+/// at most one is set.
+fn validate_options(opts: &RunOptions) -> Result<(), RunError> {
+    if opts.snapshot.is_some() && opts.disk.is_some() {
+        return Err(RunError::SnapshotWithDisk);
+    }
+    if opts.batch_chunk == Some(0) {
+        return Err(RunError::ZeroBatchChunk);
+    }
+    Ok(())
+}
+
 /// Execution order of the MAIN loop over a run's instances.
 ///
 /// Both modes run the *same* per-entry pipeline ([`StepKernel`]) over the
@@ -149,11 +172,6 @@ pub struct RunOptions {
     pub seed: u64,
     /// SELECT strategy + collision detector.
     pub select: SelectConfig,
-    /// Execute SELECT through the lane-level SIMT executor
-    /// ([`crate::select_simt`]) instead of the round-based loop —
-    /// distribution-identical, additionally tracks warp divergence
-    /// (unsupported for the `Updated` strategy).
-    pub use_simt_select: bool,
     /// Offset added to local instance indices to form the global instance
     /// id that keys RNG streams. Multi-GPU and sharded runs set this per
     /// chunk so a split run samples exactly what a single-device run of
@@ -211,7 +229,6 @@ impl Default for RunOptions {
         RunOptions {
             seed: 0x5eed,
             select: SelectConfig::paper_best(),
-            use_simt_select: false,
             instance_base: 0,
             ctps_cache: None,
             method_policy: crate::method::MethodPolicy::ForceIts,
@@ -295,6 +312,7 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         mut sink: impl FnMut(usize, Vec<(VertexId, VertexId)>),
     ) -> csaw_gpu::stats::SimStats {
         assert!(chunk_size > 0, "chunk size must be positive");
+        validate_options(&self.opts).expect("invalid RunOptions");
         let mut stats = csaw_gpu::stats::SimStats::new();
         for (chunk_idx, chunk) in seeds.chunks(chunk_size).enumerate() {
             let base = chunk_idx * chunk_size;
@@ -319,6 +337,7 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
     /// Runs one instance per seed *set* (multi-dimensional random walk
     /// pools `FrontierSize` seeds per instance).
     pub fn run(&self, seed_sets: &[Vec<VertexId>]) -> SampleOutput {
+        validate_options(&self.opts).expect("invalid RunOptions");
         if self.opts.exec == ExecMode::DepthSync {
             return self.run_depth_sync(seed_sets);
         }
@@ -357,20 +376,17 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
     /// counter except the `batch_*` observability fields.
     fn run_depth_sync(&self, seed_sets: &[Vec<VertexId>]) -> SampleOutput {
         let t0 = std::time::Instant::now();
-        let cfg = self.algo.config();
         let chunk = self.opts.batch_chunk.unwrap_or_else(|| {
             let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
             seed_sets.len().div_ceil(4 * threads).max(1)
         });
-        assert!(chunk > 0, "batch chunk size must be positive");
         let tasks: Vec<(usize, &[Vec<VertexId>])> =
             seed_sets.chunks(chunk).enumerate().map(|(ci, sets)| (ci * chunk, sets)).collect();
         let graph = self.graph;
         let algo = self.algo;
         let opts = &self.opts;
-        let cfg_ref = &cfg;
         let launch = self.device.launch(tasks, move |_, (base, sets)| {
-            let (outs, per_inst) = run_chunk_task(graph, algo, opts, cfg_ref, base, sets);
+            let (outs, per_inst) = run_chunk_task(graph, algo, opts, base, sets);
             let total: SimStats = per_inst.iter().copied().sum();
             ((outs, per_inst), total)
         });
@@ -390,24 +406,36 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         SampleOutput::from_instances(instances, instance_stats, t0.elapsed().as_secs_f64())
     }
 
-    /// [`Sampler::run`] behind upfront validation: rejects empty seed
-    /// sets and out-of-range seed ids with a typed [`RunError`] instead
-    /// of panicking inside CSR indexing.
+    /// [`Sampler::run`] behind upfront validation: rejects unservable
+    /// option combinations, empty seed sets and out-of-range seed ids
+    /// with a typed [`RunError`] instead of panicking in a launched task
+    /// or inside CSR indexing.
     pub fn run_checked(&self, seed_sets: &[Vec<VertexId>]) -> Result<SampleOutput, RunError> {
+        validate_options(&self.opts)?;
         validate_seed_sets(self.graph, seed_sets)?;
         Ok(self.run(seed_sets))
     }
 
     /// [`Sampler::run_single_seeds`] behind upfront validation.
     pub fn run_single_seeds_checked(&self, seeds: &[VertexId]) -> Result<SampleOutput, RunError> {
+        validate_options(&self.opts)?;
         validate_single_seeds(self.graph, seeds)?;
         Ok(self.run_single_seeds(seeds))
     }
 }
 
+/// The kernel a run's options describe.
+fn kernel_for<'a>(algo: &'a dyn Algorithm, opts: &'a RunOptions) -> StepKernel<'a> {
+    StepKernel::new(algo, opts.seed)
+        .with_select(opts.select)
+        .with_ctps_cache(opts.ctps_cache.as_deref())
+        .with_method_policy(opts.method_policy)
+}
+
 /// Executes one full sampling instance by driving [`StepKernel`] over the
 /// instance's frontier pool; returns its sampled edges and private stats
-/// (merged by the device).
+/// (merged by the device). `opts` passed [`validate_options`]: at most
+/// one of `snapshot`/`disk` is set.
 fn run_instance(
     g: &Csr,
     algo: &dyn Algorithm,
@@ -416,10 +444,7 @@ fn run_instance(
     seeds: &[VertexId],
 ) -> (Vec<(VertexId, VertexId)>, SimStats) {
     match (opts.snapshot.as_ref(), opts.disk.as_ref()) {
-        (Some(_), Some(_)) => {
-            panic!("RunOptions.snapshot and RunOptions.disk are mutually exclusive")
-        }
-        (Some(snapshot), None) => {
+        (Some(snapshot), _) => {
             let mut access = DeltaAccess { snapshot };
             drive_instance(&mut access, algo, opts, instance, seeds)
         }
@@ -444,9 +469,8 @@ fn run_instance(
 /// longer walk grows its vector from here as any `Vec` does.
 const MAX_OUT_RESERVE: usize = 1 << 16;
 
-/// The per-instance depth loop, generic over how adjacency is gathered
-/// (bare CSR or epoch snapshot) — the loop itself is identical, which is
-/// what makes the two paths bit-identical on identical adjacency.
+/// One whole instance on this thread's warm [`StepScratch`]: builds the
+/// kernel `opts` describes, sizes the output, and runs [`drive_pool`].
 /// `instance` is local to the launch; `opts.instance_base` is added here.
 /// Public so the allocation gate (`tests/step_alloc.rs`) can hold a whole
 /// instance, not only its steps, to an exact allocation count.
@@ -457,13 +481,8 @@ pub fn drive_instance<N: NeighborAccess>(
     instance: u32,
     seeds: &[VertexId],
 ) -> (Vec<(VertexId, VertexId)>, SimStats) {
-    let cfg = algo.config();
-    let kernel = StepKernel::new(algo, opts.seed)
-        .with_select(opts.select)
-        .with_simt_select(opts.use_simt_select)
-        .with_ctps_cache(opts.ctps_cache.as_deref())
-        .with_method_policy(opts.method_policy);
-    let instance = opts.instance_base + instance;
+    let kernel = kernel_for(algo, opts);
+    let cfg = kernel.cfg();
     let mut stats = SimStats::new();
     // One pick per entry (every walk) means at most one emit and one push
     // per entry: the frontier never outgrows the seeds and the output is
@@ -474,28 +493,100 @@ pub fn drive_instance<N: NeighborAccess>(
         }
         _ => Vec::new(),
     };
-
-    let mut pool: Vec<PoolSlot> = seeds.iter().map(|&v| PoolSlot::seed(v)).collect();
-    let mut visited: HashSet<VertexId> =
-        if cfg.without_replacement { seeds.iter().copied().collect() } else { HashSet::new() };
-    let home = seeds.first().copied().unwrap_or(0);
-
+    let instance = opts.instance_base + instance;
+    let mut bufs = PoolBufs::default();
     // One arena per worker thread: the device launches instance kernels
     // on a pool, and every instance on a thread reuses that thread's
     // warm buffers — zero steady-state allocations in the step pipeline.
-    with_thread_scratch(|scratch| match cfg.frontier {
-        FrontierMode::IndependentPerVertex => {
-            let mut trials = TrialCounter::new();
-            // Double-buffered frontier: swap instead of `mem::take`, so
-            // neither buffer is ever reallocated between depths.
-            let mut frontier: Vec<PoolSlot> = Vec::new();
-            for depth in 0..cfg.depth as u32 {
-                if pool.is_empty() {
-                    break;
-                }
-                std::mem::swap(&mut pool, &mut frontier);
-                pool.clear();
-                stats.frontier_ops += frontier.len() as u64;
+    with_thread_scratch(|scratch| {
+        drive_pool(&kernel, access, instance, seeds, &mut bufs, &mut out, scratch, &mut stats)
+    });
+    (out, stats)
+}
+
+/// The frontier state of one instance's depth loop, owned by the caller
+/// so a serial driver (a pooled out-of-memory run, a bench repetition)
+/// reuses one warm set across instances. [`drive_pool`] re-seeds it.
+#[derive(Debug, Default)]
+pub struct PoolBufs {
+    /// The instance's frontier pool, filled by UPDATE for the next depth.
+    pool: Vec<PoolSlot>,
+    /// The depth being expanded. Double-buffered with `pool`: swapped,
+    /// never taken, so neither is reallocated between depths.
+    frontier: Vec<PoolSlot>,
+    /// Without-replacement filter.
+    visited: HashSet<VertexId>,
+    /// Trial ordinals of duplicate frontier entries (reset per depth).
+    trials: TrialCounter,
+    /// `VERTEXBIAS` lane of a biased-replace pool, maintained
+    /// incrementally by [`StepKernel::expand_replace`].
+    pool_biases: Vec<f64>,
+}
+
+/// The per-instance depth loop — the one place a frontier pool is
+/// stepped through [`StepKernel`], whichever runtime owns the access:
+/// the loop is identical over a bare CSR, an epoch snapshot, the disk
+/// tier or demand-resident partitions, which is what makes those paths
+/// bit-identical on identical adjacency. `instance` is the global id
+/// that keys the RNG streams. Appends the sampled edges to `out`,
+/// charges `stats`, and returns the number of kernel steps taken (one
+/// per expanded entry, or per pool-level step).
+#[allow(clippy::too_many_arguments)]
+pub fn drive_pool<N: NeighborAccess>(
+    kernel: &StepKernel<'_>,
+    access: &mut N,
+    instance: u32,
+    seeds: &[VertexId],
+    bufs: &mut PoolBufs,
+    out: &mut Vec<(VertexId, VertexId)>,
+    scratch: &mut StepScratch,
+    stats: &mut SimStats,
+) -> u64 {
+    let cfg = *kernel.cfg();
+    let detector = kernel.select().detector;
+    let PoolBufs { pool, frontier, visited, trials, pool_biases } = bufs;
+    pool.clear();
+    pool.extend(seeds.iter().map(|&v| PoolSlot::seed(v)));
+    visited.clear();
+    if cfg.without_replacement {
+        visited.extend(seeds.iter().copied());
+    }
+    // The amortized bias lane is per-pool state: a stale lane from the
+    // previous instance must not leak into this one.
+    pool_biases.clear();
+    let home = seeds.first().copied().unwrap_or(0);
+    let mut steps = 0u64;
+
+    for depth in 0..cfg.depth as u32 {
+        if pool.is_empty() {
+            break;
+        }
+        if cfg.frontier == FrontierMode::BiasedReplace {
+            let mut sink = EmitSink(&mut *out);
+            kernel.expand_replace(
+                access,
+                instance,
+                depth,
+                home,
+                pool,
+                pool_biases,
+                &mut sink,
+                scratch,
+                stats,
+            );
+            steps += 1;
+            continue;
+        }
+        std::mem::swap(pool, frontier);
+        pool.clear();
+        stats.frontier_ops += frontier.len() as u64;
+        let mut sink = PoolSink { cfg: &cfg, detector, visited, next: pool, out };
+        match cfg.frontier {
+            FrontierMode::SharedLayer => {
+                kernel.expand_layer(access, instance, depth, frontier, &mut sink, scratch, stats);
+                steps += 1;
+            }
+            _ => {
                 trials.reset();
                 for &slot in frontier.iter() {
                     let entry = StepEntry {
@@ -505,63 +596,13 @@ pub fn drive_instance<N: NeighborAccess>(
                         prev: slot.prev,
                         trial: trials.next(instance, slot.vertex),
                     };
-                    let mut sink = PoolSink {
-                        cfg: &cfg,
-                        detector: opts.select.detector,
-                        visited: &mut visited,
-                        next: &mut pool,
-                        out: &mut out,
-                    };
-                    kernel.expand(access, &entry, home, &mut sink, scratch, &mut stats);
+                    kernel.expand(access, &entry, home, &mut sink, scratch, stats);
                 }
+                steps += frontier.len() as u64;
             }
         }
-        FrontierMode::SharedLayer => {
-            let mut frontier: Vec<PoolSlot> = Vec::new();
-            for depth in 0..cfg.depth as u32 {
-                if pool.is_empty() {
-                    break;
-                }
-                std::mem::swap(&mut pool, &mut frontier);
-                pool.clear();
-                stats.frontier_ops += frontier.len() as u64;
-                let mut sink = PoolSink {
-                    cfg: &cfg,
-                    detector: opts.select.detector,
-                    visited: &mut visited,
-                    next: &mut pool,
-                    out: &mut out,
-                };
-                kernel.expand_layer(
-                    access, instance, depth, &frontier, &mut sink, scratch, &mut stats,
-                );
-            }
-        }
-        FrontierMode::BiasedReplace => {
-            // Per-instance VERTEXBIAS lane, maintained incrementally by
-            // `expand_replace` (cold on the first step, then one slot per
-            // UPDATE instead of a full pool rescan).
-            let mut pool_biases: Vec<f64> = Vec::new();
-            for depth in 0..cfg.depth as u32 {
-                if pool.is_empty() {
-                    break;
-                }
-                let mut sink = EmitSink(&mut out);
-                kernel.expand_replace(
-                    access,
-                    instance,
-                    depth,
-                    home,
-                    &mut pool,
-                    &mut pool_biases,
-                    &mut sink,
-                    scratch,
-                    &mut stats,
-                );
-            }
-        }
-    });
-    (out, stats)
+    }
+    steps
 }
 
 /// Executes one depth-synchronous chunk: dispatches the access layer the
@@ -574,20 +615,16 @@ fn run_chunk_task(
     g: &Csr,
     algo: &dyn Algorithm,
     opts: &RunOptions,
-    cfg: &AlgoConfig,
     base: usize,
     sets: &[Vec<VertexId>],
 ) -> (Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>) {
     match (opts.snapshot.as_ref(), opts.disk.as_ref()) {
-        (Some(_), Some(_)) => {
-            panic!("RunOptions.snapshot and RunOptions.disk are mutually exclusive")
-        }
-        (Some(snapshot), None) => {
+        (Some(snapshot), _) => {
             let mut access = DeltaAccess { snapshot };
-            drive_chunk(&mut access, algo, opts, cfg, base, sets)
+            drive_chunk(&mut access, algo, opts, base, sets)
         }
         (None, Some(disk)) => crate::residency::with_thread_disk_access(disk, |access| {
-            let (outs, mut per_inst) = drive_chunk(access, algo, opts, cfg, base, sets);
+            let (outs, mut per_inst) = drive_chunk(access, algo, opts, base, sets);
             if let Some(first) = per_inst.first_mut() {
                 access.flush_stats(first);
             }
@@ -595,7 +632,7 @@ fn run_chunk_task(
         }),
         (None, None) => {
             let mut access = CsrAccess { graph: g };
-            drive_chunk(&mut access, algo, opts, cfg, base, sets)
+            drive_chunk(&mut access, algo, opts, base, sets)
         }
     }
 }
@@ -604,120 +641,48 @@ fn run_chunk_task(
 /// of instances. `IndependentPerVertex` algorithms run through the flat
 /// grouped frontier of [`crate::batch::run_chunk`]; the layer modes
 /// (`SharedLayer`, `BiasedReplace`) expand whole per-instance layers per
-/// step, so "depth-synchronous" reduces to a loop interchange — depth
-/// outer, instances inner — which is trivially bit- and charge-identical
+/// step, so there is nothing to group across instances and each runs
+/// [`drive_pool`] on one warm set of buffers — bit- and charge-identical
 /// because per-instance state is independent.
 fn drive_chunk<N: NeighborAccess>(
     access: &mut N,
     algo: &dyn Algorithm,
     opts: &RunOptions,
-    cfg: &AlgoConfig,
     base: usize,
     sets: &[Vec<VertexId>],
 ) -> (Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>) {
-    let kernel = StepKernel::new(algo, opts.seed)
-        .with_select(opts.select)
-        .with_simt_select(opts.use_simt_select)
-        .with_ctps_cache(opts.ctps_cache.as_deref())
-        .with_method_policy(opts.method_policy);
+    let kernel = kernel_for(algo, opts);
     let mut outs: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); sets.len()];
     let mut per_inst: Vec<SimStats> = vec![SimStats::new(); sets.len()];
     let global_id = |i: usize| opts.instance_base + (base + i) as u32;
 
-    match cfg.frontier {
-        FrontierMode::IndependentPerVertex => {
+    with_thread_scratch(|scratch| {
+        if kernel.cfg().frontier == FrontierMode::IndependentPerVertex {
             let instances: Vec<ChunkInstance<'_>> = sets
                 .iter()
                 .enumerate()
                 .map(|(i, s)| ChunkInstance { global_id: global_id(i), seeds: s })
                 .collect();
-            with_thread_scratch(|scratch| {
-                crate::batch::with_thread_arena(|arena| {
-                    crate::batch::run_chunk(
-                        &kernel,
-                        access,
-                        &instances,
-                        opts.seed,
-                        opts.prefetch_distance,
-                        &mut outs,
-                        &mut per_inst,
-                        arena,
-                        scratch,
-                    );
-                });
+            crate::batch::with_thread_arena(|arena| {
+                crate::batch::run_chunk(
+                    &kernel,
+                    access,
+                    &instances,
+                    opts.prefetch_distance,
+                    &mut outs,
+                    &mut per_inst,
+                    arena,
+                    scratch,
+                );
             });
+        } else {
+            let mut bufs = PoolBufs::default();
+            for (i, seeds) in sets.iter().enumerate() {
+                let (out, stats) = (&mut outs[i], &mut per_inst[i]);
+                drive_pool(&kernel, access, global_id(i), seeds, &mut bufs, out, scratch, stats);
+            }
         }
-        FrontierMode::SharedLayer => {
-            let mut pools: Vec<Vec<PoolSlot>> =
-                sets.iter().map(|s| s.iter().map(|&v| PoolSlot::seed(v)).collect()).collect();
-            let mut frontiers: Vec<Vec<PoolSlot>> = vec![Vec::new(); sets.len()];
-            let mut visiteds: Vec<HashSet<VertexId>> = sets
-                .iter()
-                .map(|s| {
-                    if cfg.without_replacement {
-                        s.iter().copied().collect()
-                    } else {
-                        HashSet::new()
-                    }
-                })
-                .collect();
-            with_thread_scratch(|scratch| {
-                for depth in 0..cfg.depth as u32 {
-                    for i in 0..sets.len() {
-                        if pools[i].is_empty() {
-                            continue;
-                        }
-                        std::mem::swap(&mut pools[i], &mut frontiers[i]);
-                        pools[i].clear();
-                        per_inst[i].frontier_ops += frontiers[i].len() as u64;
-                        let mut sink = PoolSink {
-                            cfg,
-                            detector: opts.select.detector,
-                            visited: &mut visiteds[i],
-                            next: &mut pools[i],
-                            out: &mut outs[i],
-                        };
-                        kernel.expand_layer(
-                            access,
-                            global_id(i),
-                            depth,
-                            &frontiers[i],
-                            &mut sink,
-                            scratch,
-                            &mut per_inst[i],
-                        );
-                    }
-                }
-            });
-        }
-        FrontierMode::BiasedReplace => {
-            let mut pools: Vec<Vec<PoolSlot>> =
-                sets.iter().map(|s| s.iter().map(|&v| PoolSlot::seed(v)).collect()).collect();
-            let mut pool_biases: Vec<Vec<f64>> = vec![Vec::new(); sets.len()];
-            with_thread_scratch(|scratch| {
-                for depth in 0..cfg.depth as u32 {
-                    for i in 0..sets.len() {
-                        if pools[i].is_empty() {
-                            continue;
-                        }
-                        let home = sets[i].first().copied().unwrap_or(0);
-                        let mut sink = EmitSink(&mut outs[i]);
-                        kernel.expand_replace(
-                            access,
-                            global_id(i),
-                            depth,
-                            home,
-                            &mut pools[i],
-                            &mut pool_biases[i],
-                            &mut sink,
-                            scratch,
-                            &mut per_inst[i],
-                        );
-                    }
-                }
-            });
-        }
-    }
+    });
     (outs, per_inst)
 }
 
@@ -869,30 +834,6 @@ mod tests {
         let out = Sampler::new(&g, &algo).run_single_seeds(&[]);
         assert!(out.instances.is_empty());
         assert_eq!(out.sampled_edges(), 0);
-    }
-
-    #[test]
-    fn simt_select_option_is_distribution_equivalent() {
-        use std::collections::HashMap;
-        let g = toy_graph();
-        let algo = TestNs { ns: 2, depth: 1 };
-        let freq = |use_simt: bool| {
-            let opts = RunOptions { use_simt_select: use_simt, ..Default::default() };
-            let out = Sampler::new(&g, &algo).with_options(opts).run_single_seeds(&vec![8; 40_000]);
-            let mut counts: HashMap<u32, usize> = HashMap::new();
-            for inst in &out.instances {
-                for &(_, u) in inst {
-                    *counts.entry(u).or_default() += 1;
-                }
-            }
-            counts
-        };
-        let (a, b) = (freq(false), freq(true));
-        for &u in g.neighbors(8) {
-            let fa = a[&u] as f64 / 40_000.0;
-            let fb = b[&u] as f64 / 40_000.0;
-            assert!((fa - fb).abs() < 0.02, "u={u}: round {fa} vs simt {fb}");
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::bipartite::{adjust_and_search, updated_ctps_into, BipartiteOutcome};
 use crate::collision::{Detector, DetectorKind};
-use crate::ctps::{uniform_rebuild_cost, uniform_sample_one, Ctps, CtpsView, UniformCtps};
+use crate::ctps::{rebuild_cost, uniform_sample_one, Ctps, CtpsView, UniformCtps};
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;
 
@@ -76,23 +76,32 @@ const MAX_ROUNDS: usize = 1_000_000;
 /// once per worker and cleared (never dropped) between calls, so a
 /// steady-state SELECT performs zero heap allocations. The per-warp
 /// on-GPU analog is the warp's shared-memory working set (§IV-A), which
-/// is likewise allocated once per warp, not per SELECT.
-#[derive(Debug)]
+/// is likewise allocated once per warp, not per SELECT. The table sits
+/// beside the work buffers so the claim loop can read one while it
+/// writes the others.
+#[derive(Debug, Default)]
 pub struct SelectScratch {
     /// CTPS of the current pool, rebuilt in place per call.
     pub(crate) ctps: Ctps,
-    /// Collision detector (bitmap words + lockstep lanes, reused).
-    pub(crate) detector: Detector,
     /// Selected indices in claim order — the result of the `_into` calls.
     pub out: Vec<usize>,
+    /// Detector and lane buffers of the claim rounds.
+    pub(crate) work: SelectWork,
+}
+
+/// The claim rounds' working set: the collision detector plus one buffer
+/// per lane-indexed quantity, reused across rounds and calls.
+#[derive(Debug)]
+pub(crate) struct SelectWork {
+    /// Collision detector (bitmap words + lockstep lanes, reused).
+    pub(crate) detector: Detector,
     /// Lanes still needing a distinct candidate.
     pending: Vec<usize>,
     /// Next round's pending lanes (swapped with `pending` per round).
     still_pending: Vec<usize>,
     /// Phase-1 CTPS picks of the current round.
     picks: Vec<usize>,
-    /// Lockstep claim-round request lanes (satellite fix: one buffer
-    /// reused across retry rounds instead of a fresh `Vec` per round).
+    /// Lockstep claim-round request lanes.
     requests: Vec<Option<usize>>,
     /// Claim-round outcomes.
     pub(crate) outcomes: Vec<Option<bool>>,
@@ -110,13 +119,10 @@ pub struct SelectScratch {
     masked: Vec<f64>,
 }
 
-impl SelectScratch {
-    /// An empty arena; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        SelectScratch {
-            ctps: Ctps::empty(),
+impl Default for SelectWork {
+    fn default() -> Self {
+        SelectWork {
             detector: Detector::new(DetectorKind::paper_default(), 0),
-            out: Vec::new(),
             pending: Vec::new(),
             still_pending: Vec::new(),
             picks: Vec::new(),
@@ -132,17 +138,18 @@ impl SelectScratch {
     }
 }
 
-impl Default for SelectScratch {
-    fn default() -> Self {
-        Self::new()
+impl SelectScratch {
+    /// An empty arena; buffers grow on first use and are then reused.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
 /// Selects `k` distinct candidates with probability proportional to
-/// `biases`, simulating one warp. Leaves the selected indices in claim
-/// order (at most `k`, fewer when fewer candidates carry positive bias)
-/// in `scratch.out`. Identical draws, selections, and stats charges to
-/// [`select_without_replacement`] — the only difference is buffer reuse.
+/// `biases`, simulating one warp: rebuilds the arena's CTPS from the
+/// biases, then runs the claim rounds over it. Leaves the selected
+/// indices in claim order (at most `k`, fewer when fewer candidates carry
+/// positive bias) in `scratch.out`.
 pub fn select_without_replacement_into(
     biases: &[f64],
     k: usize,
@@ -151,174 +158,165 @@ pub fn select_without_replacement_into(
     rng: &mut Philox,
     stats: &mut SimStats,
 ) {
-    let SelectScratch {
-        ctps,
-        detector,
-        out,
-        pending,
-        still_pending,
-        picks,
-        requests,
-        outcomes,
-        bip_retry,
-        adj_requests,
-        adj_lanes,
-        restart_lanes,
-        sel_mask,
-        masked,
-    } = scratch;
+    let SelectScratch { ctps, out, work } = scratch;
     out.clear();
     let n = biases.len();
-    if n == 0 || k == 0 {
-        return;
-    }
     let selectable = biases.iter().filter(|&&b| b > 0.0).count();
-    let k = k.min(selectable);
-    if k == 0 {
+    if k.min(selectable) == 0 || !ctps.rebuild(biases, stats) {
         return;
     }
-
-    if !ctps.rebuild(biases, stats) {
+    let is_selectable = |i: usize| biases[i] > 0.0;
+    if cfg.strategy != SelectStrategy::Updated {
+        return select_k(&*ctps, n, selectable, is_selectable, k, cfg, out, work, rng, stats);
+    }
+    // Updated sampling mutates the CTPS between rounds (rebuild with
+    // selected biases zeroed), so it keeps its own round loop; the
+    // immutable-CTPS strategies share `claim_rounds`.
+    if !seat_lanes(n, selectable, is_selectable, k, cfg, out, work, stats) {
         return;
     }
-
-    // Short-circuit: taking every selectable candidate needs no draws.
-    if k == selectable {
-        stats.selections += k as u64;
-        stats.select_iterations += k as u64;
-        out.extend((0..n).filter(|&i| biases[i] > 0.0));
-        return;
-    }
-
-    detector.reset_for(cfg.detector, n);
-
-    // Lane states: each of the k lanes needs one distinct candidate;
-    // a lane stays in `pending` until it claims.
-    pending.clear();
-    pending.extend(0..k);
-
-    if cfg.strategy == SelectStrategy::Updated {
-        // Updated sampling mutates the CTPS between rounds (rebuild with
-        // selected biases zeroed), so it keeps its own round loop; the
-        // immutable-CTPS strategies share the generic claim loop below.
-        let mut rounds = 0usize;
-        while !pending.is_empty() {
-            rounds += 1;
-            assert!(rounds <= MAX_ROUNDS, "selection failed to converge");
-
-            // Phase 1: every pending lane draws and searches the CTPS.
-            // (The rebuilt CTPS has zero weight on selected regions, so
-            // picks only collide lane-to-lane.)
-            picks.clear();
-            for _ in 0..pending.len() {
-                stats.rng_draws += 1;
-                stats.select_iterations += 1;
-                stats.warp_cycles += 4; // Philox draw
-                let r = rng.uniform();
-                picks.push(ctps.search(r, stats));
+    let mut rounds = 0usize;
+    while !work.pending.is_empty() {
+        rounds += 1;
+        assert!(rounds <= MAX_ROUNDS, "selection failed to converge");
+        // The rebuilt CTPS has zero weight on selected regions, so picks
+        // only collide lane-to-lane.
+        draw_and_claim(&*ctps, work, rng, stats);
+        work.still_pending.clear();
+        for (slot, lane) in work.pending.iter().enumerate() {
+            match work.outcomes[slot] {
+                Some(true) => out.push(work.picks[slot]),
+                Some(false) => work.still_pending.push(*lane),
+                None => unreachable!("all lanes were active"),
             }
-            requests.clear();
-            requests.extend(picks.iter().map(|&p| Some(p)));
-            detector.claim_round_into(requests, outcomes, stats);
-
-            still_pending.clear();
-            for (slot, lane) in pending.iter().enumerate() {
-                match outcomes[slot] {
-                    Some(true) => out.push(picks[slot]),
-                    Some(false) => still_pending.push(*lane),
-                    None => unreachable!("all lanes were active"),
-                }
-            }
-
-            // Rebuild once per round with the now-selected biases zeroed
-            // (a full warp prefix sum each time — the cost the paper
-            // calls "time consuming").
-            if !still_pending.is_empty() {
-                sel_mask.clear();
-                for i in 0..n {
-                    let s = detector.is_selected(i, stats);
-                    sel_mask.push(s);
-                }
-                if !updated_ctps_into(biases, sel_mask, masked, ctps, stats) {
-                    break; // nothing selectable remains
-                }
-            }
-            std::mem::swap(pending, still_pending);
         }
-    } else {
-        claim_rounds(
-            &*ctps,
-            cfg,
-            detector,
-            out,
-            pending,
-            still_pending,
-            picks,
-            requests,
-            outcomes,
-            bip_retry,
-            adj_requests,
-            adj_lanes,
-            restart_lanes,
-            rng,
-            stats,
-        );
+        // Rebuild once per round with the now-selected biases zeroed (a
+        // full warp prefix sum each time — the cost the paper calls
+        // "time consuming").
+        if !work.still_pending.is_empty() {
+            work.sel_mask.clear();
+            for i in 0..n {
+                let s = work.detector.is_selected(i, stats);
+                work.sel_mask.push(s);
+            }
+            if !updated_ctps_into(biases, &work.sel_mask, &mut work.masked, ctps, stats) {
+                break; // nothing selectable remains
+            }
+        }
+        std::mem::swap(&mut work.pending, &mut work.still_pending);
     }
-
     stats.selections += out.len() as u64;
 }
 
-/// The SELECT claim loop for the immutable-CTPS strategies (Repeated and
-/// Bipartite), generic over [`CtpsView`] so materialized, cache-preloaded,
-/// and implicit-uniform CTPSs run the identical draw/claim/adjust
-/// sequence. `pending` holds the lanes still needing a candidate; selected
-/// indices are appended to `out` in claim order.
+/// The without-replacement front end every table kind shares: clamp `k`
+/// to the `selectable` candidates, take all of them without a draw when
+/// that is what `k` asks for, otherwise reset the detector over the `n`
+/// candidates and seat one pending lane per pick. Returns whether claim
+/// rounds are needed; when not, `out` is final.
 #[allow(clippy::too_many_arguments)]
-fn claim_rounds<C: CtpsView>(
-    ctps: &C,
+fn seat_lanes(
+    n: usize,
+    selectable: usize,
+    is_selectable: impl Fn(usize) -> bool,
+    k: usize,
     cfg: SelectConfig,
-    detector: &mut Detector,
     out: &mut Vec<usize>,
-    pending: &mut Vec<usize>,
-    still_pending: &mut Vec<usize>,
-    picks: &mut Vec<usize>,
-    requests: &mut Vec<Option<usize>>,
-    outcomes: &mut Vec<Option<bool>>,
-    bip_retry: &mut Vec<(usize, usize)>,
-    adj_requests: &mut Vec<Option<usize>>,
-    adj_lanes: &mut Vec<usize>,
-    restart_lanes: &mut Vec<usize>,
+    work: &mut SelectWork,
+    stats: &mut SimStats,
+) -> bool {
+    let k = k.min(selectable);
+    if k == 0 {
+        return false;
+    }
+    if k == selectable {
+        stats.selections += k as u64;
+        stats.select_iterations += k as u64;
+        if selectable == n {
+            out.extend(0..n);
+        } else {
+            out.extend((0..n).filter(|&i| is_selectable(i)));
+        }
+        return false;
+    }
+    work.detector.reset_for(cfg.detector, n);
+    work.pending.clear();
+    work.pending.extend(0..k);
+    true
+}
+
+/// The without-replacement SELECT over a table that is already built,
+/// generic over [`CtpsView`] so a rebuilt, a preloaded and the implicit
+/// uniform CTPS run the identical clamp / select-all / claim sequence —
+/// and therefore draw the same random numbers and charge the same work.
+/// `selectable` counts the candidates `is_selectable` accepts; picks are
+/// appended to `out` in claim order.
+#[allow(clippy::too_many_arguments)]
+fn select_k<C: CtpsView>(
+    view: &C,
+    n: usize,
+    selectable: usize,
+    is_selectable: impl Fn(usize) -> bool,
+    k: usize,
+    cfg: SelectConfig,
+    out: &mut Vec<usize>,
+    work: &mut SelectWork,
     rng: &mut Philox,
     stats: &mut SimStats,
 ) {
-    debug_assert!(cfg.strategy != SelectStrategy::Updated, "Updated mutates the CTPS");
+    debug_assert!(cfg.strategy != SelectStrategy::Updated, "Updated rebuilds from raw biases");
+    if seat_lanes(n, selectable, is_selectable, k, cfg, out, work, stats) {
+        claim_rounds(view, cfg, out, work, rng, stats);
+        stats.selections += out.len() as u64;
+    }
+}
+
+/// Phase 1 of a round plus its lockstep claim: every pending lane draws,
+/// searches the CTPS (`work.picks`) and claims its pick
+/// (`work.outcomes`).
+fn draw_and_claim<C: CtpsView>(
+    ctps: &C,
+    work: &mut SelectWork,
+    rng: &mut Philox,
+    stats: &mut SimStats,
+) {
+    work.picks.clear();
+    for _ in 0..work.pending.len() {
+        stats.rng_draws += 1;
+        stats.select_iterations += 1;
+        stats.warp_cycles += 4; // Philox draw
+        let r = rng.uniform();
+        work.picks.push(ctps.search(r, stats));
+    }
+    work.requests.clear();
+    work.requests.extend(work.picks.iter().map(|&p| Some(p)));
+    work.detector.claim_round_into(&work.requests, &mut work.outcomes, stats);
+}
+
+/// The SELECT claim loop for the immutable-CTPS strategies (Repeated and
+/// Bipartite). `work.pending` holds the lanes still needing a candidate;
+/// selected indices are appended to `out` in claim order.
+fn claim_rounds<C: CtpsView>(
+    ctps: &C,
+    cfg: SelectConfig,
+    out: &mut Vec<usize>,
+    work: &mut SelectWork,
+    rng: &mut Philox,
+    stats: &mut SimStats,
+) {
     let mut rounds = 0usize;
-    while !pending.is_empty() {
+    while !work.pending.is_empty() {
         rounds += 1;
         assert!(rounds <= MAX_ROUNDS, "selection failed to converge");
+        draw_and_claim(ctps, work, rng, stats);
 
-        // Phase 1: every pending lane draws and searches the CTPS.
-        picks.clear();
-        for _ in 0..pending.len() {
-            stats.rng_draws += 1;
-            stats.select_iterations += 1;
-            stats.warp_cycles += 4; // Philox draw
-            let r = rng.uniform();
-            picks.push(ctps.search(r, stats));
-        }
-        // Lockstep claim round.
-        requests.clear();
-        requests.extend(picks.iter().map(|&p| Some(p)));
-        detector.claim_round_into(requests, outcomes, stats);
-
-        still_pending.clear();
-        bip_retry.clear();
-        for (slot, lane) in pending.iter().enumerate() {
-            match outcomes[slot] {
-                Some(true) => out.push(picks[slot]),
+        work.still_pending.clear();
+        work.bip_retry.clear();
+        for (slot, lane) in work.pending.iter().enumerate() {
+            match work.outcomes[slot] {
+                Some(true) => out.push(work.picks[slot]),
                 Some(false) => match cfg.strategy {
-                    SelectStrategy::Bipartite => bip_retry.push((*lane, picks[slot])),
-                    _ => still_pending.push(*lane),
+                    SelectStrategy::Bipartite => work.bip_retry.push((*lane, work.picks[slot])),
+                    _ => work.still_pending.push(*lane),
                 },
                 None => unreachable!("all lanes were active"),
             }
@@ -326,13 +324,14 @@ fn claim_rounds<C: CtpsView>(
 
         // Phase 2 (bipartite only): colliding lanes adjust their random
         // number per Theorem 2 and try once more within this iteration.
-        if !bip_retry.is_empty() {
-            adj_requests.clear();
-            adj_lanes.clear();
-            restart_lanes.clear();
-            for &(lane, hit) in bip_retry.iter() {
+        if !work.bip_retry.is_empty() {
+            work.adj_requests.clear();
+            work.adj_lanes.clear();
+            work.restart_lanes.clear();
+            for &(lane, hit) in work.bip_retry.iter() {
                 stats.rng_draws += 1;
                 let r_prime = rng.uniform();
+                let detector = &work.detector;
                 match adjust_and_search(
                     ctps,
                     hit,
@@ -341,25 +340,25 @@ fn claim_rounds<C: CtpsView>(
                     stats,
                 ) {
                     BipartiteOutcome::Selected(c) => {
-                        adj_requests.push(Some(c));
-                        adj_lanes.push(lane);
+                        work.adj_requests.push(Some(c));
+                        work.adj_lanes.push(lane);
                     }
-                    BipartiteOutcome::Restart => restart_lanes.push(lane),
+                    BipartiteOutcome::Restart => work.restart_lanes.push(lane),
                 }
             }
-            if !adj_requests.is_empty() {
-                detector.claim_round_into(adj_requests, outcomes, stats);
-                for (slot, &lane) in adj_lanes.iter().enumerate() {
-                    match outcomes[slot] {
-                        Some(true) => out.push(adj_requests[slot].unwrap()),
-                        Some(false) => restart_lanes.push(lane),
+            if !work.adj_requests.is_empty() {
+                work.detector.claim_round_into(&work.adj_requests, &mut work.outcomes, stats);
+                for (slot, &lane) in work.adj_lanes.iter().enumerate() {
+                    match work.outcomes[slot] {
+                        Some(true) => out.push(work.adj_requests[slot].unwrap()),
+                        Some(false) => work.restart_lanes.push(lane),
                         None => unreachable!(),
                     }
                 }
             }
-            still_pending.extend(restart_lanes.iter().copied());
+            work.still_pending.extend(work.restart_lanes.iter().copied());
         }
-        std::mem::swap(pending, still_pending);
+        std::mem::swap(&mut work.pending, &mut work.still_pending);
     }
 }
 
@@ -474,19 +473,20 @@ pub fn select_one_uniform(n: usize, rng: &mut Philox, stats: &mut SimStats) -> O
     if n == 0 {
         return None;
     }
-    uniform_rebuild_cost(n, stats);
+    rebuild_cost(n, stats);
     stats.select_iterations += 1;
     stats.selections += 1;
     Some(uniform_sample_one(n, rng, stats))
 }
 
 /// [`select_without_replacement_into`] when `scratch.ctps` already holds
-/// the pool's bounds (a hot-vertex cache hit): skips the rebuild — the
-/// caller charges the cache-hit cost model instead — and consumes exactly
-/// the same RNG draws, leaving the identical index sequence in
-/// `scratch.out`. `selectable` must equal the number of positive-width
-/// regions (cache admission verifies width/bias agreement per region).
-/// Not valid for [`SelectStrategy::Updated`], which needs the raw biases.
+/// the pool's bounds (a cache hit, a vertex group's shared build): skips
+/// the rebuild — the caller charges its own cost model instead — and
+/// consumes exactly the same RNG draws, leaving the identical index
+/// sequence in `scratch.out`. `selectable` must equal the number of
+/// positive-width regions (cache admission verifies width/bias agreement
+/// per region). Not valid for [`SelectStrategy::Updated`], which needs
+/// the raw biases.
 pub fn select_without_replacement_preloaded_into(
     selectable: usize,
     k: usize,
@@ -495,66 +495,16 @@ pub fn select_without_replacement_preloaded_into(
     rng: &mut Philox,
     stats: &mut SimStats,
 ) {
-    debug_assert!(cfg.strategy != SelectStrategy::Updated, "Updated rebuilds from raw biases");
-    let SelectScratch {
-        ctps,
-        detector,
-        out,
-        pending,
-        still_pending,
-        picks,
-        requests,
-        outcomes,
-        bip_retry,
-        adj_requests,
-        adj_lanes,
-        restart_lanes,
-        ..
-    } = scratch;
+    let SelectScratch { ctps, out, work } = scratch;
     out.clear();
     let n = ctps.len();
-    if n == 0 || k == 0 {
-        return;
-    }
     debug_assert_eq!(
         selectable,
         (0..n).filter(|&i| ctps.probability(i) > 0.0).count(),
         "cached selectable count out of sync with region widths"
     );
-    let k = k.min(selectable);
-    if k == 0 {
-        return;
-    }
-
-    // Short-circuit: taking every selectable candidate needs no draws.
-    if k == selectable {
-        stats.selections += k as u64;
-        stats.select_iterations += k as u64;
-        out.extend((0..n).filter(|&i| ctps.probability(i) > 0.0));
-        return;
-    }
-
-    detector.reset_for(cfg.detector, n);
-    pending.clear();
-    pending.extend(0..k);
-    claim_rounds(
-        &*ctps,
-        cfg,
-        detector,
-        out,
-        pending,
-        still_pending,
-        picks,
-        requests,
-        outcomes,
-        bip_retry,
-        adj_requests,
-        adj_lanes,
-        restart_lanes,
-        rng,
-        stats,
-    );
-    stats.selections += out.len() as u64;
+    let is_selectable = |i: usize| ctps.probability(i) > 0.0;
+    select_k(&*ctps, n, selectable, is_selectable, k, cfg, out, work, rng, stats);
 }
 
 /// [`select_without_replacement_into`] over `n` implicit unit biases:
@@ -570,60 +520,14 @@ pub fn select_without_replacement_uniform_into(
     rng: &mut Philox,
     stats: &mut SimStats,
 ) {
-    debug_assert!(cfg.strategy != SelectStrategy::Updated, "Updated rebuilds from raw biases");
-    let SelectScratch {
-        detector,
-        out,
-        pending,
-        still_pending,
-        picks,
-        requests,
-        outcomes,
-        bip_retry,
-        adj_requests,
-        adj_lanes,
-        restart_lanes,
-        ..
-    } = scratch;
+    let SelectScratch { out, work, .. } = scratch;
     out.clear();
     if n == 0 || k == 0 {
         return;
     }
-    // Every unit bias is positive: selectable == n.
-    let k = k.min(n);
-    // The virtual rebuild always succeeds and charges exactly what
-    // Ctps::rebuild(&[1.0; n]) charges.
-    uniform_rebuild_cost(n, stats);
-
-    // Short-circuit: taking every candidate needs no draws.
-    if k == n {
-        stats.selections += k as u64;
-        stats.select_iterations += k as u64;
-        out.extend(0..n);
-        return;
-    }
-
-    detector.reset_for(cfg.detector, n);
-    pending.clear();
-    pending.extend(0..k);
-    claim_rounds(
-        &UniformCtps { n },
-        cfg,
-        detector,
-        out,
-        pending,
-        still_pending,
-        picks,
-        requests,
-        outcomes,
-        bip_retry,
-        adj_requests,
-        adj_lanes,
-        restart_lanes,
-        rng,
-        stats,
-    );
-    stats.selections += out.len() as u64;
+    // The virtual rebuild always succeeds; every unit bias is selectable.
+    rebuild_cost(n, stats);
+    select_k(&UniformCtps { n }, n, n, |_| true, k, cfg, out, work, rng, stats);
 }
 
 #[cfg(test)]

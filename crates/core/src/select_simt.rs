@@ -72,14 +72,14 @@ pub fn select_without_replacement_simt_into(
         return DivergenceStats::default();
     }
 
-    scratch.detector.reset_for(cfg.detector, n);
+    scratch.work.detector.reset_for(cfg.detector, n);
     let ctps = &scratch.ctps;
 
     // The detector and RNG are warp-shared; lanes access them in lane
     // order within a lockstep step (deterministic, like hardware's fixed
     // arbitration in the simulated model).
-    let detector = RefCell::new(&mut scratch.detector);
-    let outcomes_cell = RefCell::new(&mut scratch.outcomes);
+    let detector = RefCell::new(&mut scratch.work.detector);
+    let outcomes_cell = RefCell::new(&mut scratch.work.outcomes);
     let rng = RefCell::new(rng);
     let stats_cell = RefCell::new(stats);
 

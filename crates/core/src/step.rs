@@ -34,6 +34,7 @@
 use crate::alias::{AliasBuildScratch, AliasTable};
 use crate::api::{AlgoConfig, Algorithm, EdgeCand, UpdateAction};
 use crate::collision::{charge_visited_check, DetectorKind};
+use crate::ctps::{rebuild_cost, Ctps};
 use crate::ctps_cache::{self, CacheOutcome, CtpsCache};
 use crate::method::{
     choose_method, MethodContext, MethodPolicy, RejectionFeedback, SelectMethod,
@@ -44,7 +45,6 @@ use crate::select::{
     select_without_replacement_into, select_without_replacement_preloaded_into,
     select_without_replacement_uniform_into, SelectConfig, SelectScratch, SelectStrategy,
 };
-use crate::select_simt::select_without_replacement_simt_into;
 use csaw_gpu::rng::task_key;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;
@@ -94,21 +94,36 @@ impl PoolSlot {
 }
 
 /// The shared state of one vertex-group build (see
-/// [`StepKernel::prepare_group`]): the stats each group member replays in
-/// place of recomputing the bias fill and CTPS rebuild, plus the
-/// positive-bias candidate count the preloaded without-replacement SELECT
-/// needs. The lane data itself lives in the [`StepScratch`] the build
-/// filled.
-#[derive(Debug, Clone)]
+/// [`StepKernel::prepare_group`]). The lane and the table themselves live
+/// in the [`StepScratch`] the build filled; what each member charges for
+/// them is a function of the degree ([`crate::ctps::rebuild_cost`]), so
+/// the only thing left to carry is the count the without-replacement
+/// SELECT needs.
+#[derive(Debug, Clone, Copy)]
 pub struct SharedBuild {
-    /// Stats the EDGEBIAS lane fill charged (replayed once per entry).
-    pub fill_delta: SimStats,
-    /// Stats the CTPS rebuild charged (replayed once per entry when
-    /// without replacement, once per *pick* with replacement — mirroring
-    /// `select_one_with`'s per-pick rebuild).
-    pub rebuild_delta: SimStats,
     /// Number of positive-bias candidates in the shared lane.
     pub selectable: usize,
+}
+
+/// Where one expansion's transition table comes from — stage 1 of the
+/// step pipeline (DESIGN.md §"One step kernel for every runtime" has the
+/// charge table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// The EDGEBIAS lane in `scratch.biases`; SELECT builds the table
+    /// from it and charges the builds it really runs.
+    Lane,
+    /// A table already in `scratch.select.ctps`. `charged` tells a vertex
+    /// group's shared build — each member charges the fill and every
+    /// rebuild it was spared — from a cache hit, which charged its
+    /// cached-table read instead.
+    Table { selectable: usize, charged: bool },
+    /// `n` implicit unit biases: nothing is materialized, the fill and
+    /// the rebuilds are charged.
+    Uniform,
+    /// A cached alias row, sampled under the cache's shard lock: stage 2
+    /// already ran, the picks are in `scratch.select.out`.
+    Drawn,
 }
 
 /// Bytes read from global memory to gather one adjacency list: two
@@ -595,10 +610,8 @@ pub struct StepKernel<'a> {
     /// [`Algorithm::edge_bias_is_static`], read once likewise.
     bias_static: bool,
     select: SelectConfig,
-    use_simt_select: bool,
     seed: u64,
     cache: Option<&'a CtpsCache>,
-    force_rebuild: bool,
     method_policy: MethodPolicy,
 }
 
@@ -611,10 +624,8 @@ impl<'a> StepKernel<'a> {
             bias_uniform: algo.edge_bias_is_uniform(),
             bias_static: algo.edge_bias_is_static(),
             select: SelectConfig::paper_best(),
-            use_simt_select: false,
             seed,
             cache: None,
-            force_rebuild: false,
             method_policy: MethodPolicy::ForceIts,
         }
     }
@@ -636,13 +647,6 @@ impl<'a> StepKernel<'a> {
         self
     }
 
-    /// Routes without-replacement SELECT through the lane-level SIMT
-    /// executor (distribution-identical; additionally tracks divergence).
-    pub fn with_simt_select(mut self, use_simt: bool) -> Self {
-        self.use_simt_select = use_simt;
-        self
-    }
-
     /// Shares a hot-vertex CTPS cache across the expansions this kernel
     /// runs. Consulted only when the algorithm's edge bias is static and
     /// non-uniform and the SELECT configuration reuses a built CTPS
@@ -653,43 +657,38 @@ impl<'a> StepKernel<'a> {
         self
     }
 
-    /// Forces every expansion down the materialized rebuild path — no
-    /// closed-form uniform selection, no CTPS cache. The bench baseline;
-    /// output is bit-identical either way.
-    pub fn with_force_rebuild(mut self, force: bool) -> Self {
-        self.force_rebuild = force;
-        self
-    }
-
-    /// True when the SELECT configuration consumes a built CTPS without
-    /// mutating it mid-select — the precondition for both the closed-form
-    /// uniform path and the CTPS cache. Updated sampling rebuilds the
-    /// CTPS per round; the SIMT executor owns its own build.
+    /// True when SELECT consumes a built CTPS without mutating it — the
+    /// precondition for every source but the lane. Updated sampling
+    /// rebuilds the CTPS per round from the raw biases.
     fn select_reuses_ctps(&self) -> bool {
-        if self.cfg.without_replacement {
-            !self.use_simt_select && self.select.strategy != SelectStrategy::Updated
-        } else {
-            true
-        }
+        !(self.cfg.without_replacement && self.select.strategy == SelectStrategy::Updated)
     }
 
     /// The cache, if this kernel's algorithm/SELECT combination may use it.
     fn effective_cache(&self) -> Option<&'a CtpsCache> {
-        if self.force_rebuild
-            || self.bias_uniform
-            || !self.bias_static
-            || !self.select_reuses_ctps()
-        {
-            return None;
+        if self.bias_static && !self.bias_uniform && self.select_reuses_ctps() {
+            self.cache
+        } else {
+            None
         }
-        self.cache
     }
 
     /// True when uniform-bias selection is served closed-form (no bias
     /// lane, no materialized CTPS) — charge-identical and bit-identical
     /// to the materialized path.
     fn uniform_closed_form(&self) -> bool {
-        self.bias_uniform && !self.force_rebuild && self.select_reuses_ctps()
+        self.bias_uniform && self.select_reuses_ctps()
+    }
+
+    /// True in the regime the method chooser covers: independent
+    /// per-vertex, with-replacement, non-uniform expansions — where ITS,
+    /// alias, and rejection actually compete. Everything else (implicit
+    /// uniform, without-replacement collision loops, pool-level steps)
+    /// stays on ITS per the decision table in [`crate::method`].
+    fn chooses_method(&self) -> bool {
+        self.method_policy == MethodPolicy::Adaptive
+            && !self.cfg.without_replacement
+            && !self.bias_uniform
     }
 
     /// The algorithm's structural configuration.
@@ -705,6 +704,11 @@ impl<'a> StepKernel<'a> {
     /// The SELECT configuration in effect.
     pub fn select(&self) -> SelectConfig {
         self.select
+    }
+
+    /// The seed every expansion's Philox stream is keyed under.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// Expands one frontier entry with its own neighbor pool — the
@@ -726,129 +730,109 @@ impl<'a> StepKernel<'a> {
             self.seed,
             task_key(entry.instance, entry.depth, entry.vertex, entry.trial),
         );
-        self.expand_rng(access, entry, home, rng, sink, scratch, stats)
+        self.expand_with(access, entry, home, rng, None, sink, scratch, stats)
     }
 
-    /// [`Self::expand`] with the entry's RNG stream supplied by the
-    /// caller — the depth-synchronous driver batch-generates every
-    /// frontier entry's first Philox block up front (the cuRAND-style
-    /// 4-counters-per-call kernel) and hands each stream in via
-    /// [`Philox::with_first_block`]. The stream must be positioned at
-    /// draw 0 of `task_key(entry.instance, entry.depth, entry.vertex,
-    /// entry.trial)` or output determinism is lost.
+    /// The per-entry step, in three stages: resolve the **weight source**
+    /// (cache hit | group-shared table | implicit uniform | the bias
+    /// lane), **draw** `k` picks from it (distinct via the claim loop |
+    /// independent ITS picks | alias | rejection), **emit** them through
+    /// `accept`/`UPDATE` into the sink. Which source and which draw are
+    /// values picked here, so every combination consumes the entry's
+    /// Philox stream in the same order: dead-end hook or `k`, the picks,
+    /// then the hooks.
+    ///
+    /// [`Self::expand`] derives the stream; the depth-synchronous driver
+    /// batch-generates every frontier entry's first Philox block and
+    /// hands each stream in via [`Philox::with_first_block`], along with
+    /// the vertex group's `shared` build if [`Self::prepare_group`] made
+    /// one. The stream must be positioned at draw 0 of
+    /// `task_key(entry.instance, entry.depth, entry.vertex, entry.trial)`
+    /// or output determinism is lost; `scratch.biases` and
+    /// `scratch.select.ctps` must be untouched since `prepare_group`.
     #[allow(clippy::too_many_arguments)]
-    pub fn expand_rng<N: NeighborAccess, S: FrontierSink>(
+    pub fn expand_with<N: NeighborAccess, S: FrontierSink>(
         &self,
         access: &mut N,
         entry: &StepEntry,
         home: VertexId,
         mut rng: Philox,
+        shared: Option<&SharedBuild>,
         sink: &mut S,
         scratch: &mut StepScratch,
         stats: &mut SimStats,
     ) {
         let v = entry.vertex;
-
-        // The method chooser covers independent per-vertex, with-
-        // replacement, non-uniform expansions — the regime where ITS,
-        // alias, and rejection actually compete. Everything else (uniform
-        // closed-form, without-replacement collision loops, pool-level
-        // steps) keeps its existing ITS-shaped path per the decision
-        // table in [`crate::method`].
-        if self.method_policy == MethodPolicy::Adaptive
-            && !self.force_rebuild
-            && !self.cfg.without_replacement
-            && !self.bias_uniform
-        {
-            self.expand_adaptive(access, entry, home, &mut rng, sink, scratch, stats);
-            return;
-        }
-
-        let cache = self.effective_cache();
+        let rng = &mut rng;
+        let chooser = self.chooses_method();
+        let cache = if chooser { self.prefetch_cache() } else { self.effective_cache() };
+        debug_assert!(shared.is_none() || self.group_shareable(), "shared build on a lone kernel");
         // The 1-hop mutation tag only keys the cache — computing it costs
         // O(overlay ∩ adjacency), so the uncached path must not pay it.
         let epoch = if cache.is_some() { access.entry_epoch(v) } else { 0 };
-        if let Some(cache) = cache {
-            match cache.lookup_into(v, epoch, &mut scratch.select.ctps) {
-                CacheOutcome::Hit { selectable, degree } => {
-                    stats.ctps_cache_hits += 1;
-                    self.expand_cached(
-                        access,
-                        entry,
-                        home,
-                        selectable as usize,
-                        degree as usize,
-                        &mut rng,
-                        sink,
-                        scratch,
-                        stats,
-                    );
-                    return;
+
+        // Stage 1: the source. A cached table stands in for the gather,
+        // the fill and the build; its reader pays for the cached words
+        // and, at emit, for the neighbors it picked.
+        let cached = match cache {
+            Some(cache) => self.cached_source(cache, chooser, v, epoch, rng, scratch, stats),
+            None => None,
+        };
+        // Empty tables are never admitted, so a cached source has no dead
+        // end and its adjacency is read only at the picks.
+        let gat = match cached {
+            Some(_) => access.fetch(v),
+            None => access.gather(v, stats),
+        };
+        let n = gat.neighbors.len();
+        let (source, pick_bytes) = match (cached, shared) {
+            (Some((source, degree)), _) => {
+                debug_assert_eq!(n, degree, "cached degree diverged from adjacency");
+                (source, 4 + if gat.graph.is_weighted() { 4 } else { 0 })
+            }
+            (None, _) if n == 0 => {
+                match self.algo.on_dead_end(gat.graph, v, home, rng) {
+                    UpdateAction::Add(w) => self.offer(entry, w, Some(v), sink, stats),
+                    UpdateAction::Discard => {}
                 }
-                CacheOutcome::Miss => stats.ctps_cache_misses += 1,
+                return;
             }
-        }
+            (None, Some(b)) => (Source::Table { selectable: b.selectable, charged: true }, 0),
+            (None, None) if self.uniform_closed_form() => (Source::Uniform, 0),
+            (None, None) => (Source::Lane, 0),
+        };
 
-        let gat = access.gather(v, stats);
-        let g = gat.graph;
-
-        if gat.neighbors.is_empty() {
-            match self.algo.on_dead_end(g, v, home, &mut rng) {
-                UpdateAction::Add(w) => self.offer(entry, w, Some(v), sink, stats),
-                UpdateAction::Discard => {}
+        // Stage 2: the draw.
+        if source != Source::Drawn {
+            let k = self.cfg.neighbor_size.realize(n, rng);
+            if k == 0 {
+                return;
             }
-            return;
-        }
-
-        let k = self.cfg.neighbor_size.realize(gat.neighbors.len(), &mut rng);
-        if k == 0 {
-            return;
-        }
-        let StepScratch { biases, select, .. } = scratch;
-        if self.uniform_closed_form() {
-            if self.method_policy == MethodPolicy::Adaptive {
-                stats.method_uniform += 1;
-            }
-            // The bias lane would be all-ones: charge its (skipped) fill
-            // and serve SELECT closed-form — bit-identical picks and
-            // charges, no lane write, no materialized CTPS.
-            let n = gat.neighbors.len();
-            #[cfg(debug_assertions)]
-            for i in 0..n {
-                debug_assert_eq!(
-                    self.algo.edge_bias(g, &gat.edge(i, v, entry.prev)),
-                    1.0,
-                    "edge_bias_is_uniform() contradicted by edge_bias()"
-                );
-            }
-            stats.warp_cycles += n.div_ceil(32) as u64;
-            if self.cfg.without_replacement {
-                select_without_replacement_uniform_into(n, k, self.select, select, &mut rng, stats);
-            } else {
-                select.out.clear();
-                for _ in 0..k {
-                    if let Some(i) = select_one_uniform(n, &mut rng, stats) {
-                        select.out.push(i);
+            let cache = cache.map(|c| (c, epoch));
+            if !(chooser && self.draw_adaptive(&gat, entry, k, cache, scratch, rng, stats)) {
+                if self.method_policy == MethodPolicy::Adaptive {
+                    match source {
+                        Source::Uniform => stats.method_uniform += 1,
+                        _ => stats.method_its += 1,
+                    }
+                }
+                self.fill(source, &gat, v, entry.prev, scratch, stats);
+                let StepScratch { biases, select, .. } = &mut *scratch;
+                self.draw_its(source, n, k, biases, select, rng, stats);
+                if let (Source::Lane, false, Some((cache, epoch))) = (source, chooser, cache) {
+                    // The draw left its pristine CTPS build in the arena
+                    // (Updated sampling, which masks it in place, never
+                    // takes the cache path): offer it for admission.
+                    let selectable = biases.iter().filter(|&&b| b > 0.0).count();
+                    if selectable > 0 && ctps_cache::widths_agree(&select.ctps, biases) {
+                        cache.promote(v, epoch, &select.ctps, selectable as u32, n as u32);
                     }
                 }
             }
-        } else {
-            if self.method_policy == MethodPolicy::Adaptive {
-                stats.method_its += 1;
-            }
-            self.fill_biases(&gat, v, entry.prev, biases, stats);
-            self.select_picks_into(biases, k, &mut rng, select, stats);
-            if let Some(cache) = cache {
-                // The select left its pristine CTPS build in the arena
-                // (Updated sampling, which masks it in place, never takes
-                // the cache path): offer it for admission.
-                let selectable = biases.iter().filter(|&&b| b > 0.0).count();
-                if selectable > 0 && ctps_cache::widths_agree(&select.ctps, biases) {
-                    cache.promote(v, epoch, &select.ctps, selectable as u32, biases.len() as u32);
-                }
-            }
         }
-        self.emit_picks(&gat, entry, home, &select.out, 0, &mut rng, sink, stats);
+
+        // Stage 3: accept → emit → UPDATE → offer.
+        self.emit_picks(&gat, entry, home, &scratch.select.out, pick_bytes, rng, sink, stats);
     }
 
     /// The CTPS/alias cache this kernel's expansions may consult for
@@ -867,35 +851,31 @@ impl<'a> StepKernel<'a> {
     /// True when co-located frontier entries (same current vertex, same
     /// depth) may legally share one bias fill + CTPS build: the bias is
     /// static (keyed by vertex alone — the CTPS cache's legality
-    /// argument), non-uniform (uniform selection is closed-form, there is
-    /// no build to share), and SELECT consumes the built CTPS unmodified.
-    /// A kernel with a CTPS cache attached already shares builds through
-    /// the cache, and an Adaptive with-replacement kernel branches to the
-    /// method chooser before the ITS lane — both opt out here. Entries of
-    /// a non-shareable kernel still benefit from grouped execution
-    /// (sorted-vertex locality, prefetch, batched Philox) via per-entry
-    /// [`Self::expand_rng`].
+    /// argument), non-uniform (the implicit uniform table has no build to
+    /// share), and SELECT consumes the built CTPS unmodified. A kernel
+    /// with a CTPS cache attached already shares builds through the
+    /// cache, and the method chooser picks its own table — both opt out
+    /// here. Entries of a non-shareable kernel still benefit from grouped
+    /// execution (sorted-vertex locality, prefetch, batched Philox).
     pub fn group_shareable(&self) -> bool {
-        !self.force_rebuild
-            && self.bias_static
+        self.bias_static
             && !self.bias_uniform
             && self.select_reuses_ctps()
             && self.effective_cache().is_none()
-            && (self.method_policy != MethodPolicy::Adaptive || self.cfg.without_replacement)
+            && !self.chooses_method()
     }
 
     /// Builds the shared per-vertex state one vertex-group of co-located
     /// walkers will reuse: the EDGEBIAS lane in `scratch.biases` and the
-    /// CTPS in `scratch.select.ctps`, via an **uncharged** fetch. The
-    /// work each walker would have charged for the fill and the rebuild
-    /// is captured in the returned deltas; [`Self::expand_in_group`]
-    /// replays them per entry so `SimStats` stay charge-identical to
-    /// instance-major execution while the actual compute runs once.
+    /// CTPS in `scratch.select.ctps`, via an **uncharged** fetch and an
+    /// uncharged build. Each member, handed the result through
+    /// [`Self::expand_with`], charges what its own fill and rebuilds
+    /// would have cost, so `SimStats` stay charge-identical to
+    /// instance-major execution while the compute runs once.
     ///
     /// Returns `None` when the group cannot share — empty adjacency
     /// (dead-end hook needs the entry's own RNG) or a degenerate all-zero
-    /// bias lane — in which case nothing was charged and the caller falls
-    /// back to per-entry [`Self::expand_rng`].
+    /// bias lane — and the members expand on their own.
     pub fn prepare_group<N: NeighborAccess>(
         &self,
         access: &mut N,
@@ -909,268 +889,249 @@ impl<'a> StepKernel<'a> {
             return None;
         }
         let StepScratch { biases, select, .. } = scratch;
-        let mut fill_delta = SimStats::new();
-        self.fill_biases(&gat, v, prev, biases, &mut fill_delta);
-        let mut rebuild_delta = SimStats::new();
-        if !select.ctps.rebuild(biases, &mut rebuild_delta) {
+        let mut uncharged = SimStats::new();
+        self.fill_biases(&gat, v, prev, biases, &mut uncharged);
+        if !select.ctps.rebuild(biases, &mut uncharged) {
             return None;
         }
-        let selectable = biases.iter().filter(|&&b| b > 0.0).count();
-        Some(SharedBuild { fill_delta, rebuild_delta, selectable })
+        Some(SharedBuild { selectable: biases.iter().filter(|&&b| b > 0.0).count() })
     }
 
-    /// Expands one entry of a vertex-group against the shared build left
-    /// in `scratch` by [`Self::prepare_group`] — same picks, same emitted
-    /// edges, same frontier offers, and same stats charges as
-    /// [`Self::expand`], with the bias fill and CTPS build(s) replayed
-    /// from `build`'s deltas instead of recomputed. The caller supplies
-    /// the entry's RNG stream (batched first blocks); `scratch.biases`
-    /// and `scratch.select.ctps` must be untouched since `prepare_group`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn expand_in_group<N: NeighborAccess, S: FrontierSink>(
+    /// Stage 1's charge and its oracles. EDGEBIAS evaluation costs one
+    /// warp-cycle per 32 lanes, which a fresh lane really runs and a
+    /// shared or implicit one only charges; a cache hit charged its
+    /// cached-table read instead. Debug builds check every claim a
+    /// source rests on against the algorithm's own `edge_bias`.
+    #[inline]
+    fn fill(
         &self,
-        access: &mut N,
-        entry: &StepEntry,
-        home: VertexId,
-        build: &SharedBuild,
-        mut rng: Philox,
-        sink: &mut S,
+        source: Source,
+        gat: &Gathered<'_>,
+        v: VertexId,
+        prev: Option<VertexId>,
         scratch: &mut StepScratch,
         stats: &mut SimStats,
     ) {
-        let v = entry.vertex;
-        let gat = access.gather(v, stats);
-        debug_assert!(!gat.neighbors.is_empty(), "prepare_group admitted a dead end");
-        let k = self.cfg.neighbor_size.realize(gat.neighbors.len(), &mut rng);
-        if k == 0 {
-            return;
-        }
-        if self.method_policy == MethodPolicy::Adaptive {
-            stats.method_its += 1;
-        }
-        stats.merge(&build.fill_delta);
-        #[cfg(debug_assertions)]
-        {
-            scratch.dbg_biases.clear();
-            scratch.dbg_biases.extend(
-                (0..gat.neighbors.len())
-                    .map(|i| self.algo.edge_bias(gat.graph, &gat.edge(i, v, entry.prev))),
-            );
-            assert_eq!(
-                scratch.dbg_biases, scratch.biases,
-                "edge_bias_is_static() contradicted: v{v}'s bias lane depends on the walker"
-            );
-        }
-        let select = &mut scratch.select;
-        if self.cfg.without_replacement {
-            // Instance-major charges one rebuild per entry inside
-            // `select_without_replacement_into`; replay it.
-            stats.merge(&build.rebuild_delta);
-            select_without_replacement_preloaded_into(
-                build.selectable,
-                k,
-                self.select,
-                select,
-                &mut rng,
-                stats,
-            );
-        } else {
-            // ...and one rebuild per *pick* via `select_one_with`.
-            select.out.clear();
-            for _ in 0..k {
-                stats.merge(&build.rebuild_delta);
-                if let Some(i) = select_one_preloaded(&select.ctps, &mut rng, stats) {
-                    select.out.push(i);
-                }
+        let n = gat.neighbors.len();
+        match source {
+            Source::Lane => return self.fill_biases(gat, v, prev, &mut scratch.biases, stats),
+            Source::Drawn | Source::Table { charged: false, .. } => {}
+            Source::Table { charged: true, .. } | Source::Uniform => {
+                stats.warp_cycles += n.div_ceil(32) as u64;
             }
-        }
-        self.emit_picks(&gat, entry, home, &select.out, 0, &mut rng, sink, stats);
-    }
-
-    /// The cache-hit expand: the CTPS is already in the select arena
-    /// (copied by the cache lookup); selection binary-searches it
-    /// directly. Consumes exactly the RNG draws of the rebuild path —
-    /// the cache changes the charged cost (a cached-table read instead of
-    /// gather + bias fill + scan), never the sampled output, which debug
-    /// builds assert bound for bound against a fresh rebuild.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_cached<N: NeighborAccess, S: FrontierSink>(
-        &self,
-        access: &mut N,
-        entry: &StepEntry,
-        home: VertexId,
-        selectable: usize,
-        degree: usize,
-        rng: &mut Philox,
-        sink: &mut S,
-        scratch: &mut StepScratch,
-        stats: &mut SimStats,
-    ) {
-        let v = entry.vertex;
-        if self.method_policy == MethodPolicy::Adaptive {
-            // Only without-replacement static-bias kernels reach here
-            // under Adaptive (with-replacement ones branch to
-            // `expand_adaptive`) — and those stay on ITS per the table.
-            stats.method_its += 1;
-        }
-        // Cached-table read: the row header plus the bound words a binary
-        // search touches (≤ 8 modeled probes, as in the eager A7 cache).
-        stats.read_gmem(16 + 8 * degree.min(8));
-        let gat = access.fetch(v);
-        debug_assert_eq!(gat.neighbors.len(), degree, "cached degree diverged from adjacency");
-        // Empty CTPSs are never admitted, so degree > 0: no dead-end here.
-        let k = self.cfg.neighbor_size.realize(degree, rng);
-        if k == 0 {
-            return;
         }
         #[cfg(debug_assertions)]
         {
-            let mut check = SimStats::new();
-            scratch.biases.clear();
-            scratch.biases.extend(
-                (0..degree).map(|i| self.algo.edge_bias(gat.graph, &gat.edge(i, v, entry.prev))),
-            );
-            scratch.dbg_ctps.rebuild(&scratch.biases, &mut check);
-            assert_eq!(
-                scratch.dbg_ctps, scratch.select.ctps,
-                "cached CTPS of v{v} diverged from a fresh rebuild"
-            );
-            assert_eq!(scratch.biases.iter().filter(|&&b| b > 0.0).count(), selectable);
-        }
-        let select = &mut scratch.select;
-        if self.cfg.without_replacement {
-            select_without_replacement_preloaded_into(
-                selectable,
-                k,
-                self.select,
-                select,
-                rng,
-                stats,
-            );
-        } else {
-            select.out.clear();
-            for _ in 0..k {
-                if let Some(i) = select_one_preloaded(&select.ctps, rng, stats) {
-                    select.out.push(i);
+            let fresh = &mut scratch.dbg_biases;
+            fresh.clear();
+            fresh.extend((0..n).map(|i| self.algo.edge_bias(gat.graph, &gat.edge(i, v, prev))));
+            match source {
+                Source::Uniform => assert!(
+                    fresh.iter().all(|&b| b == 1.0),
+                    "edge_bias_is_uniform() contradicted by edge_bias()"
+                ),
+                Source::Table { selectable, charged } => {
+                    assert!(
+                        !charged || *fresh == scratch.biases,
+                        "edge_bias_is_static() contradicted: v{v}'s bias lane depends on the walker"
+                    );
+                    scratch.dbg_ctps.rebuild(fresh, &mut SimStats::new());
+                    assert_eq!(
+                        scratch.dbg_ctps, scratch.select.ctps,
+                        "preloaded CTPS of v{v} diverged from a fresh rebuild"
+                    );
+                    assert_eq!(fresh.iter().filter(|&&b| b > 0.0).count(), selectable);
                 }
+                Source::Lane | Source::Drawn => {}
             }
         }
-        let pick_bytes = 4 + if gat.graph.is_weighted() { 4 } else { 0 };
-        self.emit_picks(&gat, entry, home, &select.out, pick_bytes, rng, sink, stats);
     }
 
-    /// The adaptive per-vertex expand: [`crate::method::choose_method`]
-    /// picks the sampling method per expansion.
+    /// Stage 2, the ITS family: `k` distinct picks through the claim loop
+    /// or `k` independent picks, off whichever table stage 1 resolved,
+    /// into `select.out`.
     ///
-    /// - **Static bias, cache attached** — alias fast path. A hit samples
-    ///   O(1) rows straight off the cached table *under the shard lock*
-    ///   (no O(d) copy-out); a miss builds the table once in the scratch
-    ///   lane, samples it, and offers it for admission.
+    /// Forced inline, with [`Self::draw_one`]: they are stages of the one
+    /// step body, and the 80 ns uniform walk step measurably (≈ 10%)
+    /// pays for reaching its single pick through two out-of-line calls.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn draw_its(
+        &self,
+        source: Source,
+        n: usize,
+        k: usize,
+        biases: &[f64],
+        select: &mut SelectScratch,
+        rng: &mut Philox,
+        stats: &mut SimStats,
+    ) {
+        if !self.cfg.without_replacement {
+            select.out.clear();
+            for _ in 0..k {
+                if let Some(i) = Self::draw_one(source, n, biases, &mut select.ctps, rng, stats) {
+                    select.out.push(i);
+                }
+            }
+            return;
+        }
+        match source {
+            Source::Lane => {
+                select_without_replacement_into(biases, k, self.select, select, rng, stats)
+            }
+            Source::Table { selectable, charged } => {
+                if charged {
+                    rebuild_cost(n, stats);
+                }
+                select_without_replacement_preloaded_into(
+                    selectable,
+                    k,
+                    self.select,
+                    select,
+                    rng,
+                    stats,
+                )
+            }
+            Source::Uniform => {
+                select_without_replacement_uniform_into(n, k, self.select, select, rng, stats)
+            }
+            Source::Drawn => unreachable!("stage 2 already ran under the cache lock"),
+        }
+    }
+
+    /// One with-replacement ITS pick. A pick costs one rebuild of the
+    /// table: the lane runs it, a shared or implicit table charges
+    /// [`rebuild_cost`], a cache hit is spared it.
+    #[inline(always)]
+    fn draw_one(
+        source: Source,
+        n: usize,
+        biases: &[f64],
+        ctps: &mut Ctps,
+        rng: &mut Philox,
+        stats: &mut SimStats,
+    ) -> Option<usize> {
+        match source {
+            Source::Lane => select_one_with(biases, ctps, rng, stats),
+            Source::Table { charged, .. } => {
+                if charged {
+                    rebuild_cost(n, stats);
+                }
+                select_one_preloaded(ctps, rng, stats)
+            }
+            Source::Uniform => select_one_uniform(n, rng, stats),
+            Source::Drawn => unreachable!("stage 2 already ran under the cache lock"),
+        }
+    }
+
+    /// Stage 1, the cache side: `v`'s cached table and its degree, or
+    /// `None` on a miss; counts the hit or the miss.
+    ///
+    /// - ITS: the CTPS is copied into the arena and its read is charged —
+    ///   the row header plus the bound words a binary search touches
+    ///   (≤ 8 modeled probes, as in the eager A7 cache).
+    /// - Under the method chooser: `k` O(1) draws straight off the cached
+    ///   alias table *under the shard lock* (no O(d) copy-out), which
+    ///   fuses stage 2 into stage 1; charged the header once and one
+    ///   alias row per draw.
+    ///
+    /// Out of line on purpose: a lookup takes a shard lock, so the call is
+    /// free, and inlined it costs the cache-less 80 ns step ≈ 3 ns.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn cached_source(
+        &self,
+        cache: &CtpsCache,
+        chooser: bool,
+        v: VertexId,
+        epoch: u64,
+        rng: &mut Philox,
+        scratch: &mut StepScratch,
+        stats: &mut SimStats,
+    ) -> Option<(Source, usize)> {
+        let select = &mut scratch.select;
+        let hit = if chooser {
+            let out = &mut select.out;
+            let sampled = cache.with_alias_entry(v, epoch, |table, _selectable| {
+                let k = self.cfg.neighbor_size.realize(table.len(), rng);
+                out.clear();
+                stats.read_gmem(16);
+                for _ in 0..k {
+                    stats.read_gmem(12);
+                    out.push(table.sample(rng, stats));
+                }
+                stats.selections += out.len() as u64;
+                stats.method_alias += 1;
+                table.len()
+            });
+            sampled.map(|degree| (Source::Drawn, degree))
+        } else {
+            match cache.lookup_into(v, epoch, &mut select.ctps) {
+                CacheOutcome::Hit { selectable, degree } => {
+                    stats.read_gmem(16 + 8 * (degree as usize).min(8));
+                    let selectable = selectable as usize;
+                    Some((Source::Table { selectable, charged: false }, degree as usize))
+                }
+                CacheOutcome::Miss => None,
+            }
+        };
+        match hit {
+            Some(_) => stats.ctps_cache_hits += 1,
+            None => stats.ctps_cache_misses += 1,
+        }
+        hit
+    }
+
+    /// Stage 2 under [`MethodPolicy::Adaptive`], past a cache miss:
+    /// [`crate::method::choose_method`] picks the method per expansion
+    /// and this serves the two that are not ITS. Returns `false` when the
+    /// table says ITS, which the caller then draws from the lane.
+    ///
+    /// - **Static bias, cache attached** — alias: build the table once in
+    ///   the scratch lane, sample it O(1) per pick, and offer it for
+    ///   admission so the next expansion of `v` hits without the O(d)
+    ///   build.
     /// - **Dynamic bias with an a-priori bound** — rejection: each throw
     ///   evaluates only the *proposed* candidate's bias, where ITS must
     ///   evaluate all `d` of them (the node2vec win). A trial cap with an
     ///   exact-ITS fallback guarantees termination; mixing exact methods
     ///   preserves the target distribution.
-    /// - Everything else — the existing ITS lane.
     ///
     /// Every method draws from the same per-task Philox stream but
     /// consumes different draw counts, so Adaptive output is
     /// distribution-equal (chi-square validated) to `ForceIts`, never
     /// bit-equal.
     #[allow(clippy::too_many_arguments)]
-    fn expand_adaptive<N: NeighborAccess, S: FrontierSink>(
+    fn draw_adaptive(
         &self,
-        access: &mut N,
+        gat: &Gathered<'_>,
         entry: &StepEntry,
-        home: VertexId,
-        rng: &mut Philox,
-        sink: &mut S,
+        k: usize,
+        cache: Option<(&CtpsCache, u64)>,
         scratch: &mut StepScratch,
+        rng: &mut Philox,
         stats: &mut SimStats,
-    ) {
-        let v = entry.vertex;
-        let static_bias = self.bias_static;
-        let cache = if static_bias { self.cache } else { None };
-        // As in `expand`: the 1-hop tag is cache-keying cost only.
-        let epoch = if cache.is_some() { access.entry_epoch(v) } else { 0 };
-
-        if let Some(cache) = cache {
-            let select = &mut scratch.select;
-            let served = cache.with_alias_entry(v, epoch, |table, _selectable| {
-                let degree = table.len();
-                let k = self.cfg.neighbor_size.realize(degree, rng);
-                select.out.clear();
-                // Cached-row read: the header once, one alias row per draw.
-                stats.read_gmem(16);
-                for _ in 0..k {
-                    stats.read_gmem(12);
-                    select.out.push(table.sample(rng, stats));
-                }
-                stats.selections += select.out.len() as u64;
-                degree
-            });
-            if let Some(degree) = served {
-                stats.ctps_cache_hits += 1;
-                stats.method_alias += 1;
-                let gat = access.fetch(v);
-                debug_assert_eq!(
-                    gat.neighbors.len(),
-                    degree,
-                    "cached degree diverged from adjacency"
-                );
-                let pick_bytes = 4 + if gat.graph.is_weighted() { 4 } else { 0 };
-                self.emit_picks(
-                    &gat,
-                    entry,
-                    home,
-                    &scratch.select.out,
-                    pick_bytes,
-                    rng,
-                    sink,
-                    stats,
-                );
-                return;
-            }
-            stats.ctps_cache_misses += 1;
-        }
-
-        let gat = access.gather(v, stats);
-        let g = gat.graph;
-        if gat.neighbors.is_empty() {
-            match self.algo.on_dead_end(g, v, home, rng) {
-                UpdateAction::Add(w) => self.offer(entry, w, Some(v), sink, stats),
-                UpdateAction::Discard => {}
-            }
-            return;
-        }
-        let n = gat.neighbors.len();
-        let k = self.cfg.neighbor_size.realize(n, rng);
-        if k == 0 {
-            return;
-        }
-
+    ) -> bool {
+        let (v, g, n) = (entry.vertex, gat.graph, gat.neighbors.len());
         let StepScratch { biases, select, alias, alias_build, rej_feedback, .. } = scratch;
-        let bound = if static_bias {
+        let bound = if self.bias_static {
             None
         } else {
             self.algo.edge_bias_bound(g, v, entry.prev).filter(|b| b.is_finite() && *b > 0.0)
         };
         let ctx = MethodContext {
             uniform: false,
-            static_bias,
+            static_bias: self.bias_static,
             without_replacement: false,
             degree: n,
             cache_available: cache.is_some(),
             bound_available: bound.is_some(),
-            rejection_allowed: !static_bias && rej_feedback.allow(),
+            rejection_allowed: !self.bias_static && rej_feedback.allow(),
             skew: None,
         };
         match choose_method(&ctx) {
             SelectMethod::CachedAlias => {
-                // Cache miss: build the table once, sample O(1) per pick,
-                // then offer it for admission so the next expansion of v
-                // hits without the O(d) build.
-                self.fill_biases(&gat, v, entry.prev, biases, stats);
+                self.fill_biases(gat, v, entry.prev, biases, stats);
                 if alias.rebuild(biases, alias_build, stats) {
                     stats.method_alias += 1;
                     select.out.clear();
@@ -1179,18 +1140,15 @@ impl<'a> StepKernel<'a> {
                     }
                     stats.selections += select.out.len() as u64;
                     let selectable = biases.iter().filter(|&&b| b > 0.0).count();
-                    cache.expect("CachedAlias implies cache_available").promote_alias(
-                        v,
-                        epoch,
-                        alias,
-                        selectable as u32,
-                    );
+                    let (cache, epoch) = cache.expect("CachedAlias implies cache_available");
+                    cache.promote_alias(v, epoch, alias, selectable as u32);
                 } else {
                     // Degenerate lane (all-zero biases): the exact ITS
                     // lane is the arbiter — it yields no picks either.
                     stats.method_its += 1;
-                    self.select_picks_into(biases, k, rng, select, stats);
+                    self.draw_its(Source::Lane, n, k, biases, select, rng, stats);
                 }
+                true
             }
             SelectMethod::Rejection => {
                 stats.method_rejection += 1;
@@ -1216,21 +1174,15 @@ impl<'a> StepKernel<'a> {
                 if deferred > 0 {
                     // Cap exhausted (skew the bound could not see): serve
                     // the remaining picks from the exact ITS lane.
-                    self.fill_biases(&gat, v, entry.prev, biases, stats);
+                    self.fill_biases(gat, v, entry.prev, biases, stats);
                     for _ in 0..deferred {
-                        if let Some(i) = select_one_with(biases, &mut select.ctps, rng, stats) {
-                            select.out.push(i);
-                        }
+                        select.out.extend(select_one_with(biases, &mut select.ctps, rng, stats));
                     }
                 }
+                true
             }
-            SelectMethod::Its | SelectMethod::ClosedFormUniform => {
-                stats.method_its += 1;
-                self.fill_biases(&gat, v, entry.prev, biases, stats);
-                self.select_picks_into(biases, k, rng, select, stats);
-            }
+            SelectMethod::Its | SelectMethod::ClosedFormUniform => false,
         }
-        self.emit_picks(&gat, entry, home, &select.out, 0, rng, sink, stats);
     }
 
     /// The accept → emit → UPDATE → offer tail of a per-vertex step,
@@ -1304,8 +1256,8 @@ impl<'a> StepKernel<'a> {
         }
         let k = self.cfg.neighbor_size.realize(cands.len(), &mut rng);
         let g = access.graph();
-        self.fill_biases_cands(g, cands, biases, stats);
-        self.select_picks_into(biases, k, &mut rng, select, stats);
+        self.fill_lane(g, cands.len(), |i| cands[i], biases, stats);
+        self.draw_its(Source::Lane, cands.len(), k, biases, select, &mut rng, stats);
         for &idx in select.out.iter() {
             let cand = cands[idx];
             sink.emit(&entry, (cand.v, cand.u));
@@ -1345,8 +1297,6 @@ impl<'a> StepKernel<'a> {
     ) {
         let entry = StepEntry { instance, depth, vertex: POOL_STEP_VERTEX, prev: None, trial: 0 };
         let mut rng = Philox::for_task(self.seed, task_key(instance, depth, POOL_STEP_VERTEX, 0));
-        let StepScratch { biases, select, .. } = scratch;
-
         // Frontier selection by VERTEXBIAS (Fig. 2b line 4). Cold lane:
         // full scan. Warm lane: already maintained by the previous step's
         // UPDATE, nothing to read.
@@ -1366,7 +1316,8 @@ impl<'a> StepKernel<'a> {
                 "incrementally maintained VERTEXBIAS lane diverged from the pool"
             );
         }
-        let Some(j) = select_one_with(pool_biases, &mut select.ctps, &mut rng, stats) else {
+        let Some(j) = select_one_with(pool_biases, &mut scratch.select.ctps, &mut rng, stats)
+        else {
             pool.clear();
             pool_biases.clear();
             return;
@@ -1391,24 +1342,13 @@ impl<'a> StepKernel<'a> {
             return;
         }
 
-        let idx = if self.uniform_closed_form() {
-            // Uniform EDGEBIAS (the MDRW case): closed-form neighbor
-            // selection, charge-identical to the materialized lane.
-            let n = gat.neighbors.len();
-            #[cfg(debug_assertions)]
-            for i in 0..n {
-                debug_assert_eq!(
-                    self.algo.edge_bias(g, &gat.edge(i, v, slot.prev)),
-                    1.0,
-                    "edge_bias_is_uniform() contradicted by edge_bias()"
-                );
-            }
-            stats.warp_cycles += n.div_ceil(32) as u64;
-            select_one_uniform(n, &mut rng, stats)
-        } else {
-            self.fill_biases(&gat, v, slot.prev, biases, stats);
-            select_one_with(biases, &mut select.ctps, &mut rng, stats)
-        };
+        // One neighbor off the same source → draw stages as a per-vertex
+        // step: implicit uniform (the MDRW case) or the bias lane.
+        let source = if self.uniform_closed_form() { Source::Uniform } else { Source::Lane };
+        self.fill(source, &gat, v, slot.prev, scratch, stats);
+        let n = gat.neighbors.len();
+        let ctps = &mut scratch.select.ctps;
+        let idx = Self::draw_one(source, n, &scratch.biases, ctps, &mut rng, stats);
         let Some(idx) = idx else {
             pool.swap_remove(j);
             pool_biases.swap_remove(j);
@@ -1431,11 +1371,7 @@ impl<'a> StepKernel<'a> {
     }
 
     /// EDGEBIAS over a gathered adjacency, filling the caller's bias
-    /// lane and charging one warp-cycle per 32 lanes of evaluation. When
-    /// the algorithm declares its edge bias uniform
-    /// ([`Algorithm::edge_bias_is_uniform`]) the lane is filled with 1.0
-    /// directly — no per-neighbor hook calls, no `EdgeCand`
-    /// materialization (debug builds still verify the claim).
+    /// lane (see [`Self::fill_lane`]).
     fn fill_biases(
         &self,
         gat: &Gathered<'_>,
@@ -1444,73 +1380,33 @@ impl<'a> StepKernel<'a> {
         biases: &mut Vec<f64>,
         stats: &mut SimStats,
     ) {
-        biases.clear();
-        if self.bias_uniform {
-            biases.resize(gat.neighbors.len(), 1.0);
-            #[cfg(debug_assertions)]
-            for i in 0..gat.neighbors.len() {
-                debug_assert_eq!(
-                    self.algo.edge_bias(gat.graph, &gat.edge(i, v, prev)),
-                    1.0,
-                    "edge_bias_is_uniform() contradicted by edge_bias()"
-                );
-            }
-        } else {
-            biases.extend(
-                (0..gat.neighbors.len())
-                    .map(|i| self.algo.edge_bias(gat.graph, &gat.edge(i, v, prev))),
-            );
-        }
-        stats.warp_cycles += biases.len().div_ceil(32) as u64;
+        self.fill_lane(gat.graph, gat.neighbors.len(), |i| gat.edge(i, v, prev), biases, stats)
     }
 
-    /// [`Self::fill_biases`] over an already-materialized candidate pool
-    /// (the shared-layer union pool).
-    fn fill_biases_cands(
+    /// Fills `biases` with EDGEBIAS of candidates `0..n` and charges one
+    /// warp-cycle per 32 lanes of evaluation. When the algorithm declares
+    /// its edge bias uniform ([`Algorithm::edge_bias_is_uniform`]) the
+    /// lane is filled with 1.0 directly — no per-candidate hook calls, no
+    /// `EdgeCand` materialization (debug builds still verify the claim).
+    fn fill_lane(
         &self,
         g: GraphView<'_>,
-        cands: &[EdgeCand],
+        n: usize,
+        cand: impl Fn(usize) -> EdgeCand,
         biases: &mut Vec<f64>,
         stats: &mut SimStats,
     ) {
         biases.clear();
         if self.bias_uniform {
-            biases.resize(cands.len(), 1.0);
+            biases.resize(n, 1.0);
             debug_assert!(
-                cands.iter().all(|c| self.algo.edge_bias(g, c) == 1.0),
+                (0..n).all(|i| self.algo.edge_bias(g, &cand(i)) == 1.0),
                 "edge_bias_is_uniform() contradicted by edge_bias()"
             );
         } else {
-            biases.extend(cands.iter().map(|c| self.algo.edge_bias(g, c)));
+            biases.extend((0..n).map(|i| self.algo.edge_bias(g, &cand(i))));
         }
-        stats.warp_cycles += biases.len().div_ceil(32) as u64;
-    }
-
-    /// SELECT: without-replacement (per the run's strategy/SIMT options)
-    /// or `k` independent with-replacement draws. The picks land in
-    /// `select.out`.
-    fn select_picks_into(
-        &self,
-        biases: &[f64],
-        k: usize,
-        rng: &mut Philox,
-        select: &mut SelectScratch,
-        stats: &mut SimStats,
-    ) {
-        if self.cfg.without_replacement {
-            if self.use_simt_select && self.select.strategy != SelectStrategy::Updated {
-                select_without_replacement_simt_into(biases, k, self.select, select, rng, stats);
-            } else {
-                select_without_replacement_into(biases, k, self.select, select, rng, stats);
-            }
-        } else {
-            select.out.clear();
-            for _ in 0..k {
-                if let Some(i) = select_one_with(biases, &mut select.ctps, rng, stats) {
-                    select.out.push(i);
-                }
-            }
-        }
+        stats.warp_cycles += n.div_ceil(32) as u64;
     }
 
     /// UPDATE's frontier push, gated by the depth budget: entries that
@@ -1535,7 +1431,7 @@ impl<'a> StepKernel<'a> {
 mod tests {
     use super::*;
     use crate::api::{FrontierMode, NeighborSize};
-    use csaw_graph::generators::toy_graph;
+    use csaw_graph::generators::{rmat, toy_graph, RmatParams};
 
     struct Ns2;
     impl Algorithm for Ns2 {
@@ -1614,6 +1510,171 @@ mod tests {
         let (out, next) = expand_once(3, &entry);
         assert!(!out.is_empty());
         assert!(next.is_empty(), "final-depth entries must not reach the sink");
+    }
+
+    /// Constant-`k` sampler whose static edge bias is uniform or a
+    /// function of the far endpoint with zeros in it.
+    struct Probe {
+        k: usize,
+        without_replacement: bool,
+        uniform: bool,
+    }
+    impl Algorithm for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn config(&self) -> AlgoConfig {
+            AlgoConfig {
+                depth: 2,
+                neighbor_size: NeighborSize::Constant(self.k),
+                frontier: FrontierMode::IndependentPerVertex,
+                without_replacement: self.without_replacement,
+            }
+        }
+        fn edge_bias(&self, _g: GraphView<'_>, e: &EdgeCand) -> f64 {
+            if self.uniform {
+                1.0
+            } else {
+                (e.u % 4) as f64 * e.weight as f64
+            }
+        }
+        fn edge_bias_is_uniform(&self) -> bool {
+            self.uniform
+        }
+        fn edge_bias_is_static(&self) -> bool {
+            true
+        }
+    }
+
+    /// Everything one expansion produced.
+    #[derive(Debug, PartialEq)]
+    struct Expansion {
+        picks: Vec<usize>,
+        emits: Vec<(VertexId, VertexId)>,
+        offers: Vec<(VertexId, Option<VertexId>)>,
+        stats: SimStats,
+    }
+
+    struct Tape<'a>(&'a mut Expansion);
+    impl FrontierSink for Tape<'_> {
+        fn emit(&mut self, _e: &StepEntry, edge: (VertexId, VertexId)) {
+            self.0.emits.push(edge);
+        }
+        fn push(&mut self, _e: &StepEntry, v: VertexId, p: Option<VertexId>, _s: &mut SimStats) {
+            self.0.offers.push((v, p));
+        }
+    }
+
+    fn expand_via(kernel: &StepKernel<'_>, g: &Csr, entry: &StepEntry, share: bool) -> Expansion {
+        let mut access = CsrAccess { graph: g };
+        let mut scratch = StepScratch::new();
+        let mut stats = SimStats::new();
+        let mut x = Expansion { picks: vec![], emits: vec![], offers: vec![], stats };
+        let build =
+            share.then(|| kernel.prepare_group(&mut access, entry.vertex, None, &mut scratch));
+        let rng = Philox::for_task(kernel.seed(), task_key(entry.instance, 0, entry.vertex, 0));
+        let shared = build.flatten();
+        let (home, sink) = (entry.vertex, &mut Tape(&mut x));
+        kernel.expand_with(
+            &mut access,
+            entry,
+            home,
+            rng,
+            shared.as_ref(),
+            sink,
+            &mut scratch,
+            &mut stats,
+        );
+        x.picks = scratch.select.out.clone();
+        x.stats = stats;
+        x
+    }
+
+    /// The same `(entry, seed)` through every source that is legal for
+    /// the algorithm: identical picks, emitted edges and offers, and a
+    /// ledger that differs by exactly what the source documents.
+    #[test]
+    fn every_source_draws_the_same_expansion() {
+        let graphs = [toy_graph(), rmat(8, 6, RmatParams::GRAPH500, 3).with_unit_weights()];
+        let mut hits = 0;
+        for (g, without_replacement) in graphs.iter().flat_map(|g| [(g, false), (g, true)]) {
+            let pick_bytes = if g.is_weighted() { 8 } else { 4 };
+            for v in (0..g.num_vertices() as VertexId).filter(|&v| g.degree(v) >= 2).take(24) {
+                let n = g.degree(v);
+                let entry = StepEntry { instance: 3, depth: 0, vertex: v, prev: None, trial: 0 };
+                let gather = |s: &mut SimStats| {
+                    s.read_gmem(gather_bytes(g.is_weighted(), n));
+                    s.warp_cycles += n.div_ceil(32) as u64;
+                };
+                for k in [1, 2, n - 1, n, n + 3] {
+                    // Static non-uniform bias: lane, group-shared, cache.
+                    let algo = Probe { k, without_replacement, uniform: false };
+                    let lane = expand_via(&StepKernel::new(&algo, 11), g, &entry, false);
+                    assert_eq!(expand_via(&StepKernel::new(&algo, 11), g, &entry, true), lane);
+                    let cache = CtpsCache::new(1 << 20);
+                    let cached = StepKernel::new(&algo, 11).with_ctps_cache(Some(&cache));
+                    let mut miss = expand_via(&cached, g, &entry, false);
+                    assert_eq!(std::mem::take(&mut miss.stats.ctps_cache_misses), 1);
+                    assert_eq!(miss, lane, "a promoting miss is the lane plus the miss count");
+                    let hit = expand_via(&cached, g, &entry, false);
+                    if hit.stats.ctps_cache_hits == 1 {
+                        hits += 1;
+                        assert_eq!(
+                            (&hit.picks, &hit.emits, &hit.offers),
+                            (&lane.picks, &lane.emits, &lane.offers)
+                        );
+                        // The hit reads the cached table and its picks; the
+                        // lane gathered, filled and rebuilt (per entry
+                        // without replacement, per pick with).
+                        let mut hit_plus = hit.stats;
+                        gather(&mut hit_plus);
+                        let rebuilds = if without_replacement { 1 } else { k.min(n) };
+                        (0..rebuilds).for_each(|_| rebuild_cost(n, &mut hit_plus));
+                        let mut lane_plus = lane.stats;
+                        lane_plus.read_gmem(16 + 8 * n.min(8));
+                        (0..hit.picks.len()).for_each(|_| lane_plus.read_gmem(pick_bytes));
+                        lane_plus.ctps_cache_hits = 1;
+                        assert_eq!(hit_plus, lane_plus, "v{v} k={k}");
+                    }
+
+                    // Uniform bias: the implicit table against SELECT over
+                    // a materialized all-ones lane.
+                    let algo = Probe { k, without_replacement, uniform: true };
+                    let implicit = expand_via(&StepKernel::new(&algo, 11), g, &entry, false);
+                    let mut select = SelectScratch::new();
+                    let mut rng = Philox::for_task(11, task_key(3, 0, v, 0));
+                    let mut stats = SimStats::new();
+                    gather(&mut stats);
+                    let ones = vec![1.0; n];
+                    let cfg = SelectConfig::paper_best();
+                    if without_replacement {
+                        select_without_replacement_into(
+                            &ones,
+                            k,
+                            cfg,
+                            &mut select,
+                            &mut rng,
+                            &mut stats,
+                        );
+                    } else {
+                        for _ in 0..k.min(n) {
+                            let pick =
+                                select_one_with(&ones, &mut select.ctps, &mut rng, &mut stats);
+                            select.out.extend(pick);
+                        }
+                    }
+                    assert_eq!(
+                        (&implicit.picks, &implicit.stats),
+                        (&select.out, &stats),
+                        "v{v} k={k}"
+                    );
+                    let emits: Vec<_> =
+                        select.out.iter().map(|&i| (v, g.neighbors(v)[i])).collect();
+                    assert_eq!(implicit.emits, emits);
+                }
+            }
+        }
+        assert!(hits > 100, "the cache-hit source was barely exercised: {hits}");
     }
 
     #[test]

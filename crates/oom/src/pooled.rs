@@ -20,16 +20,15 @@
 use crate::config::OomConfig;
 use crate::scheduler::{OomOutput, OomRunner, KERNEL_LAUNCH_OVERHEAD};
 use csaw_core::api::{Algorithm, FrontierMode};
+use csaw_core::engine::{drive_pool, PoolBufs};
 use csaw_core::residency::{with_thread_disk_access, DiskAccess};
-use csaw_core::step::{
-    gather_bytes, EmitSink, Gathered, NeighborAccess, PoolSink, PoolSlot, StepKernel, StepScratch,
-};
+use csaw_core::step::{gather_bytes, Gathered, NeighborAccess, StepKernel, StepScratch};
 use csaw_gpu::cost::gpu_kernel_seconds;
 use csaw_gpu::memory::DeviceMemory;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::transfer::TransferEngine;
 use csaw_graph::{Csr, GraphSnapshot, GraphView, Partition, PartitionSet, VertexId};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Demand-resident partition access: a gather whose partition is not on
 /// the device first evicts (FIFO) until the partition fits, transfers it
@@ -198,68 +197,26 @@ fn run_pooled_inner<A: Algorithm>(
     );
     let mut outputs: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); seed_sets.len()];
     let mut stats = SimStats::new();
-    let mut rounds = 0usize;
+    let mut rounds = 0u64;
     // Instances run serially on one stream: one warm arena (and one
     // frontier double-buffer) serves the whole run allocation-free.
     let mut scratch = StepScratch::new();
-    let mut frontier: Vec<PoolSlot> = Vec::new();
-    let mut pool_biases: Vec<f64> = Vec::new();
-
+    let mut bufs = PoolBufs::default();
     for (i, seeds) in seed_sets.iter().enumerate() {
         let instance = runner.instance_base + i as u32;
-        let mut pool: Vec<PoolSlot> = seeds.iter().map(|&v| PoolSlot::seed(v)).collect();
-        // The amortized bias lane is per-pool state: a stale lane from the
-        // previous instance must not leak into this one.
-        pool_biases.clear();
-        let mut visited: HashSet<VertexId> =
-            if cfg.without_replacement { seeds.iter().copied().collect() } else { HashSet::new() };
-        let home = seeds.first().copied().unwrap_or(0);
-        let mut steps = 0usize;
-
-        for depth in 0..cfg.depth as u32 {
-            if pool.is_empty() {
-                break;
-            }
-            steps += 1;
-            match cfg.frontier {
-                FrontierMode::SharedLayer => {
-                    std::mem::swap(&mut pool, &mut frontier);
-                    pool.clear();
-                    stats.frontier_ops += frontier.len() as u64;
-                    let mut sink = PoolSink {
-                        cfg: &cfg,
-                        detector: runner.select.detector,
-                        visited: &mut visited,
-                        next: &mut pool,
-                        out: &mut outputs[i],
-                    };
-                    kernel.expand_layer(
-                        &mut access,
-                        instance,
-                        depth,
-                        &frontier,
-                        &mut sink,
-                        &mut scratch,
-                        &mut stats,
-                    );
-                }
-                FrontierMode::BiasedReplace => {
-                    let mut sink = EmitSink(&mut outputs[i]);
-                    kernel.expand_replace(
-                        &mut access,
-                        instance,
-                        depth,
-                        home,
-                        &mut pool,
-                        &mut pool_biases,
-                        &mut sink,
-                        &mut scratch,
-                        &mut stats,
-                    );
-                }
-                FrontierMode::IndependentPerVertex => unreachable!("routed to the queue runtime"),
-            }
-        }
+        let out = &mut outputs[i];
+        // A pool step is one kernel step, so the count is the depth the
+        // instance reached.
+        let steps = drive_pool(
+            &kernel,
+            &mut access,
+            instance,
+            seeds,
+            &mut bufs,
+            out,
+            &mut scratch,
+            &mut stats,
+        );
         rounds = rounds.max(steps);
     }
 
@@ -280,7 +237,7 @@ fn run_pooled_inner<A: Algorithm>(
         sim_seconds: transfer_secs + kernel_secs,
         kernel_busy: vec![kernel_secs],
         round_kernel_times: Vec::new(),
-        rounds,
+        rounds: rounds as usize,
         events: Vec::new(),
     }
 }

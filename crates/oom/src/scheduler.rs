@@ -43,7 +43,7 @@
 use crate::config::OomConfig;
 use crate::timeline::{EventKind, TimelineEvent};
 use csaw_core::api::{AlgoConfig, Algorithm, FrontierMode};
-use csaw_core::batch::RecordSink;
+use csaw_core::batch::{expand_frontier, with_thread_arena, FrontierItem};
 use csaw_core::collision::{charge_visited_check, DetectorKind};
 use csaw_core::ctps_cache::CtpsCache;
 use csaw_core::engine::ExecMode;
@@ -52,16 +52,14 @@ use csaw_core::method::MethodPolicy;
 use csaw_core::select::SelectConfig;
 use csaw_core::step::{
     with_thread_scratch, DeltaPartitionAccess, FrontierSink, NeighborAccess, PartitionAccess,
-    StepEntry, StepKernel, StepScratch,
+    StepEntry, StepKernel,
 };
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds_with_slots;
 use csaw_gpu::device::Device;
 use csaw_gpu::memory::DeviceMemory;
-use csaw_gpu::rng::task_key;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::transfer::TransferEngine;
-use csaw_gpu::Philox;
 use csaw_graph::{Csr, GraphSnapshot, Partition, PartitionSet, VertexId};
 use std::collections::{HashMap, HashSet};
 
@@ -747,8 +745,14 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
         edges: &mut Vec<(usize, (VertexId, VertexId))>,
         stats: &mut SimStats,
     ) -> u64 {
-        let mut straggler_cycles: u64 = 0;
+        // Warp cycles per instance: unbatched kernels wait for the
+        // instance that accumulated the most.
         let mut per_instance: HashMap<u32, u64> = HashMap::new();
+        let mut tally = |instance: u32, cycles: u64| {
+            if !self.cfg.batched {
+                *per_instance.entry(instance).or_insert(0) += cycles;
+            }
+        };
         // Per-stream arena: stream tasks run one per host thread, so the
         // thread-local scratch is private to this round's stream.
         with_thread_scratch(|scratch| loop {
@@ -756,210 +760,20 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             if batch.is_empty() {
                 break;
             }
-            if self.exec == ExecMode::DepthSync {
-                self.drain_batch_grouped(
-                    kernel,
-                    access,
-                    parts,
-                    algo_cfg,
-                    instance_base,
-                    seeds,
-                    partition,
-                    &batch,
-                    queue,
-                    shard,
-                    outbox,
-                    edges,
-                    stats,
-                    scratch,
-                    &mut per_instance,
-                    &mut straggler_cycles,
-                );
-            } else {
-                for entry in batch {
-                    let instance = entry.instance;
-                    let local = (instance - instance_base) as usize;
-                    let before = stats.warp_cycles;
-                    let step = StepEntry {
-                        instance,
-                        depth: entry.depth,
-                        vertex: entry.vertex,
-                        prev: entry.prev,
-                        trial: 0,
-                    };
-                    let mut sink = StreamSink {
-                        parts,
-                        cfg: algo_cfg,
-                        detector: self.select.detector,
-                        partition,
-                        instance_base,
-                        queue,
-                        shard,
-                        outbox,
-                        edges,
-                    };
-                    kernel.expand(access, &step, seeds[local], &mut sink, scratch, stats);
-                    if !self.cfg.batched {
-                        let c = per_instance.entry(instance).or_insert(0);
-                        *c += stats.warp_cycles - before;
-                        straggler_cycles = straggler_cycles.max(*c);
-                    }
-                }
-            }
-            if !self.cfg.workload_aware {
-                break; // baseline: one pass per round
-            }
-        });
-        straggler_cycles
-    }
-
-    /// Depth-synchronous drain of one batch: entries are expanded in
-    /// vertex-sorted order — co-located entries (even of different
-    /// instances or depths: a static edge bias depends on the vertex
-    /// alone) share one gather + CTPS build, Philox first blocks generate
-    /// in one batched pass — and their recorded sink effects are then
-    /// replayed in **drained order** through the real [`StreamSink`].
-    /// Replay order is what preserves bit-identity with the entry-order
-    /// drain: queue self-feeding before the next `drain_all`, outbox
-    /// order at the round barrier, and the visited-shard charge sequence
-    /// all match exactly. Only the unbatched straggler bound may differ
-    /// slightly (expansion charges accrue in grouped order).
-    #[allow(clippy::too_many_arguments)]
-    fn drain_batch_grouped<N: NeighborAccess>(
-        &self,
-        kernel: &StepKernel<'_>,
-        access: &mut N,
-        parts: &PartitionSet,
-        algo_cfg: &AlgoConfig,
-        instance_base: u32,
-        seeds: &[VertexId],
-        partition: usize,
-        batch: &[FrontierEntry],
-        queue: &mut FrontierQueue,
-        shard: &mut Vec<HashSet<VertexId>>,
-        outbox: &mut Vec<Outbound>,
-        edges: &mut Vec<(usize, (VertexId, VertexId))>,
-        stats: &mut SimStats,
-        scratch: &mut StepScratch,
-        per_instance: &mut HashMap<u32, u64>,
-        straggler_cycles: &mut u64,
-    ) {
-        let n = batch.len();
-        // Queue entries carry their logical position; the queue path
-        // always expands trial 0 (duplicates of one (instance, depth,
-        // vertex) never coexist in a partition queue).
-        let tasks: Vec<u64> =
-            batch.iter().map(|e| task_key(e.instance, e.depth, e.vertex, 0)).collect();
-        let mut blocks: Vec<[u32; 4]> = Vec::with_capacity(n);
-        Philox::first_blocks_into(self.seed, &tasks, &mut blocks);
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&i| (batch[i as usize].vertex, i));
-        let mut group_starts: Vec<u32> = Vec::new();
-        for (pos, &i) in order.iter().enumerate() {
-            if pos == 0 || batch[i as usize].vertex != batch[order[pos - 1] as usize].vertex {
-                group_starts.push(pos as u32);
-            }
-        }
-        group_starts.push(n as u32);
-        let groups = group_starts.len() - 1;
-        let adj_dist = (OOM_PREFETCH_DISTANCE / 2).max(1);
-        let covered = groups.saturating_sub(adj_dist);
-        let shareable = kernel.group_shareable();
-        let cache = kernel.prefetch_cache();
-
-        let mut emits: Vec<(VertexId, VertexId)> = Vec::new();
-        let mut offers: Vec<(VertexId, Option<VertexId>)> = Vec::new();
-        let mut spans: Vec<(u32, u32, u32, u32)> = vec![(0, 0, 0, 0); n];
-
-        for gi in 0..groups {
-            let start = group_starts[gi] as usize;
-            let end = group_starts[gi + 1] as usize;
-            let v = batch[order[start] as usize].vertex;
-            if let Some(&s) = group_starts.get(gi + OOM_PREFETCH_DISTANCE) {
-                if (s as usize) < n {
-                    access.prefetch_index(batch[order[s as usize] as usize].vertex);
-                }
-            }
-            if let Some(&s) = group_starts.get(gi + adj_dist) {
-                if (s as usize) < n {
-                    let pv = batch[order[s as usize] as usize].vertex;
-                    access.prefetch_adjacency(pv);
-                    if let Some(cache) = cache {
-                        cache.prefetch_shard(pv);
-                    }
-                }
-            }
-            stats.record_batch_group(end - start);
-            if gi < groups - covered {
-                stats.batch_prefetch_misses += 1;
-            } else {
-                stats.batch_prefetch_hits += 1;
-            }
-
-            let build = if shareable {
-                kernel.prepare_group(access, v, batch[order[start] as usize].prev, scratch)
-            } else {
-                None
-            };
-
-            for &i in &order[start..end] {
-                let idx = i as usize;
-                let e = &batch[idx];
-                let step = StepEntry {
+            // Queue entries carry their logical position; the queue path
+            // always expands trial 0 (duplicates of one (instance, depth,
+            // vertex) never coexist in a partition queue).
+            let items = batch.iter().map(|e| FrontierItem {
+                entry: StepEntry {
                     instance: e.instance,
                     depth: e.depth,
                     vertex: e.vertex,
                     prev: e.prev,
                     trial: 0,
-                };
-                let rng = Philox::with_first_block(self.seed, tasks[idx], blocks[idx]);
-                let local = (e.instance - instance_base) as usize;
-                let before = stats.warp_cycles;
-                let e0 = emits.len() as u32;
-                let o0 = offers.len() as u32;
-                {
-                    let mut sink = RecordSink { emits: &mut emits, offers: &mut offers };
-                    match &build {
-                        Some(b) => kernel.expand_in_group(
-                            access,
-                            &step,
-                            seeds[local],
-                            b,
-                            rng,
-                            &mut sink,
-                            scratch,
-                            stats,
-                        ),
-                        None => kernel.expand_rng(
-                            access,
-                            &step,
-                            seeds[local],
-                            rng,
-                            &mut sink,
-                            scratch,
-                            stats,
-                        ),
-                    }
-                }
-                spans[idx] = (e0, emits.len() as u32, o0, offers.len() as u32);
-                if !self.cfg.batched {
-                    let c = per_instance.entry(e.instance).or_insert(0);
-                    *c += stats.warp_cycles - before;
-                    *straggler_cycles = (*straggler_cycles).max(*c);
-                }
-            }
-        }
-
-        for (idx, e) in batch.iter().enumerate() {
-            let step = StepEntry {
-                instance: e.instance,
-                depth: e.depth,
-                vertex: e.vertex,
-                prev: e.prev,
-                trial: 0,
-            };
-            let (e0, e1, o0, o1) = spans[idx];
-            let before = stats.warp_cycles;
+                },
+                home: seeds[(e.instance - instance_base) as usize],
+                slot: 0,
+            });
             let mut sink = StreamSink {
                 parts,
                 cfg: algo_cfg,
@@ -971,19 +785,47 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
                 outbox,
                 edges,
             };
-            for k in e0..e1 {
-                sink.emit(&step, emits[k as usize]);
+            if self.exec == ExecMode::DepthSync {
+                // Depth-synchronous drain: the batch is expanded in
+                // vertex-sorted order by the engine's grouped expander —
+                // co-located entries (even of different instances or
+                // depths: a static edge bias depends on the vertex alone)
+                // share one gather + CTPS build, Philox first blocks
+                // generate in one batched pass — and the recorded sink
+                // effects are replayed in **drained order** through the
+                // real sink. Replay order is what preserves bit-identity
+                // with the entry-order drain: queue self-feeding before
+                // the next `drain_all`, outbox order at the round barrier,
+                // and the visited-shard charge sequence all match exactly.
+                with_thread_arena(|arena| {
+                    arena.set_frontier(items);
+                    let ledger = std::slice::from_mut(&mut *stats);
+                    expand_frontier(kernel, access, OOM_PREFETCH_DISTANCE, ledger, arena, scratch);
+                    for (idx, item) in arena.frontier().iter().enumerate() {
+                        let rec = arena.recorded(idx);
+                        let before = stats.warp_cycles;
+                        for &edge in rec.emits {
+                            sink.emit(&item.entry, edge);
+                        }
+                        for &(vertex, prev) in rec.offers {
+                            sink.push(&item.entry, vertex, prev, stats);
+                        }
+                        let replayed = stats.warp_cycles - before;
+                        tally(item.entry.instance, rec.warp_cycles + replayed);
+                    }
+                });
+            } else {
+                for item in items {
+                    let before = stats.warp_cycles;
+                    kernel.expand(access, &item.entry, item.home, &mut sink, scratch, stats);
+                    tally(item.entry.instance, stats.warp_cycles - before);
+                }
             }
-            for k in o0..o1 {
-                let (vx, pv) = offers[k as usize];
-                sink.push(&step, vx, pv, stats);
+            if !self.cfg.workload_aware {
+                break; // baseline: one pass per round
             }
-            if !self.cfg.batched {
-                let c = per_instance.entry(e.instance).or_insert(0);
-                *c += stats.warp_cycles - before;
-                *straggler_cycles = (*straggler_cycles).max(*c);
-            }
-        }
+        });
+        per_instance.into_values().max().unwrap_or(0)
     }
 }
 

@@ -185,6 +185,46 @@ fn checked_runs_reject_bad_seed_ids_with_typed_errors() {
     assert_eq!(checked.instances, unchecked.instances);
 }
 
+/// Option combinations no launch can serve come back as typed errors
+/// from the checked entry points, before any task starts — not as a
+/// panic inside every launched task.
+#[test]
+fn checked_runs_reject_unservable_options_with_typed_errors() {
+    use csaw::core::engine::{ExecMode, RunError, RunOptions};
+    use csaw::core::residency::DiskRunConfig;
+    use csaw::graph::store::write_store;
+    use csaw::graph::{DiskStore, MutableGraph};
+    let g = csaw::graph::generators::toy_graph();
+    let walk = SimpleRandomWalk { length: 4 };
+
+    let base = std::env::var_os("CSAW_DISK_TMPDIR")
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(std::env::temp_dir);
+    let dir = base.join(format!("csaw-disk-edge-cases-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_store(&dir, &g, 2, 0).expect("write store");
+    let store = std::sync::Arc::new(DiskStore::open(&dir).expect("open store"));
+    let both = RunOptions {
+        snapshot: Some(MutableGraph::new(g.clone()).snapshot()),
+        disk: Some(DiskRunConfig { store, pool_budget: 1 << 16, shared: None }),
+        ..Default::default()
+    };
+    for exec in [ExecMode::InstanceMajor, ExecMode::DepthSync] {
+        let s = Sampler::new(&g, &walk).with_options(RunOptions { exec, ..both.clone() });
+        assert_eq!(s.run_single_seeds_checked(&[0, 8]).unwrap_err(), RunError::SnapshotWithDisk);
+        assert_eq!(s.run_checked(&[vec![0]]).unwrap_err(), RunError::SnapshotWithDisk);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let zero = RunOptions { exec: ExecMode::DepthSync, batch_chunk: Some(0), ..Default::default() };
+    let s = Sampler::new(&g, &walk).with_options(zero);
+    assert_eq!(s.run_single_seeds_checked(&[0, 8]).unwrap_err(), RunError::ZeroBatchChunk);
+    // The options are judged before the seeds: nothing ran.
+    assert_eq!(s.run_checked(&[vec![99]]).unwrap_err(), RunError::ZeroBatchChunk);
+    assert!(RunError::SnapshotWithDisk.to_string().contains("mutually exclusive"));
+    assert!(RunError::ZeroBatchChunk.to_string().contains("chunk"));
+}
+
 #[test]
 fn run_error_messages_name_the_problem() {
     use csaw::core::engine::RunError;

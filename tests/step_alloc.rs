@@ -1,7 +1,7 @@
 //! Allocation-regression gate for the expand hot path.
 //!
-//! Drives the shared [`StepKernel`] directly — the same per-mode driver
-//! loops the engine uses — under a counting global allocator, and asserts
+//! Drives the shared [`StepKernel`] directly — through the engine's own
+//! per-instance depth loop — under a counting global allocator, and asserts
 //! that a steady-state repetition of every Table-I algorithm performs
 //! **exactly zero** heap allocations. Any `Vec`/`Box`/`HashSet` growth
 //! inside `expand`/`expand_layer`/`expand_replace`, SELECT, or the SIMT
@@ -16,21 +16,19 @@
 
 use csaw::core::algorithms::registry::{AlgoSpec, AlgorithmId};
 use csaw::core::api::FrontierMode;
-use csaw::core::batch::{run_chunk, BatchArena, ChunkInstance};
+use csaw::core::batch::{expand_frontier, run_chunk, BatchArena, ChunkInstance, FrontierItem};
 use csaw::core::ctps_cache::CtpsCache;
-use csaw::core::engine::{drive_instance, RunOptions};
+use csaw::core::engine::{drive_instance, drive_pool, PoolBufs, RunOptions};
 use csaw::core::residency::{DiskAccess, DiskRunConfig};
 use csaw::core::select::SelectConfig;
 use csaw::core::step::{
-    CsrAccess, EmitSink, NeighborAccess, PoolSink, PoolSlot, StepEntry, StepKernel, StepScratch,
-    TrialCounter,
+    CsrAccess, NeighborAccess, StepEntry, StepKernel, StepScratch, TrialCounter,
 };
 use csaw::gpu::alloc_count::CountingAllocator;
 use csaw::gpu::stats::SimStats;
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::graph::store::write_store;
 use csaw::graph::{Csr, DiskStore, VertexId};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 #[global_allocator]
@@ -40,123 +38,35 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 /// steady-state repetitions run entirely in warmed capacity.
 #[derive(Default)]
 struct DriverBufs {
-    pool: Vec<PoolSlot>,
-    pool_biases: Vec<f64>,
-    frontier: Vec<PoolSlot>,
-    visited: HashSet<VertexId>,
+    pool: PoolBufs,
     out: Vec<(VertexId, VertexId)>,
-    trials: TrialCounter,
     stats: SimStats,
     scratch: StepScratch,
 }
 
 /// One full repetition: every instance of the algorithm over its seed
-/// chunks. Deterministic (draws keyed by task), so every repetition
-/// performs identical work. Returns kernel step invocations.
+/// chunks, each through the engine's own per-instance depth loop.
+/// Deterministic (draws keyed by task), so every repetition performs
+/// identical work. Returns kernel step invocations.
 fn run_rep(
     kernel: &StepKernel<'_>,
     access: &mut impl NeighborAccess,
     chunks: &[Vec<VertexId>],
     b: &mut DriverBufs,
 ) -> u64 {
-    let cfg = *kernel.cfg();
-    let detector = kernel.select().detector;
     let mut steps = 0u64;
     for (inst, seeds) in chunks.iter().enumerate() {
-        let inst = inst as u32;
-        let home = seeds[0];
-        b.pool.clear();
-        b.pool.extend(seeds.iter().map(|&s| PoolSlot::seed(s)));
-        b.visited.clear();
-        if cfg.without_replacement {
-            b.visited.extend(seeds.iter().copied());
-        }
         b.out.clear();
-        match cfg.frontier {
-            FrontierMode::IndependentPerVertex => {
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    std::mem::swap(&mut b.pool, &mut b.frontier);
-                    b.pool.clear();
-                    b.trials.reset();
-                    for i in 0..b.frontier.len() {
-                        let slot = b.frontier[i];
-                        let entry = StepEntry {
-                            instance: inst,
-                            depth: depth as u32,
-                            vertex: slot.vertex,
-                            prev: slot.prev,
-                            trial: b.trials.next(inst, slot.vertex),
-                        };
-                        let mut sink = PoolSink {
-                            cfg: &cfg,
-                            detector,
-                            visited: &mut b.visited,
-                            next: &mut b.pool,
-                            out: &mut b.out,
-                        };
-                        kernel.expand(
-                            access,
-                            &entry,
-                            home,
-                            &mut sink,
-                            &mut b.scratch,
-                            &mut b.stats,
-                        );
-                        steps += 1;
-                    }
-                }
-            }
-            FrontierMode::SharedLayer => {
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    std::mem::swap(&mut b.pool, &mut b.frontier);
-                    b.pool.clear();
-                    let mut sink = PoolSink {
-                        cfg: &cfg,
-                        detector,
-                        visited: &mut b.visited,
-                        next: &mut b.pool,
-                        out: &mut b.out,
-                    };
-                    kernel.expand_layer(
-                        access,
-                        inst,
-                        depth as u32,
-                        &b.frontier,
-                        &mut sink,
-                        &mut b.scratch,
-                        &mut b.stats,
-                    );
-                    steps += 1;
-                }
-            }
-            FrontierMode::BiasedReplace => {
-                b.pool_biases.clear();
-                for depth in 0..cfg.depth {
-                    if b.pool.is_empty() {
-                        break;
-                    }
-                    let mut sink = EmitSink(&mut b.out);
-                    kernel.expand_replace(
-                        access,
-                        inst,
-                        depth as u32,
-                        home,
-                        &mut b.pool,
-                        &mut b.pool_biases,
-                        &mut sink,
-                        &mut b.scratch,
-                        &mut b.stats,
-                    );
-                    steps += 1;
-                }
-            }
-        }
+        steps += drive_pool(
+            kernel,
+            access,
+            inst as u32,
+            seeds,
+            &mut b.pool,
+            &mut b.out,
+            &mut b.scratch,
+            &mut b.stats,
+        );
     }
     steps
 }
@@ -235,7 +145,7 @@ fn gate_all<A: NeighborAccess>(
 /// prefetch bookkeeping must all run in warmed capacity — a steady-state
 /// batched depth allocates exactly as much as an instance-major one:
 /// nothing. No CTPS cache here so static-bias algorithms take the
-/// shared-build (`prepare_group`/`expand_in_group`) path.
+/// group-shared source (`prepare_group`).
 fn gate_batched(g: &Csr, access: &mut impl NeighborAccess) {
     let n = g.num_vertices() as VertexId;
 
@@ -273,7 +183,7 @@ fn gate_batched(g: &Csr, access: &mut impl NeighborAccess) {
                 o.clear();
             }
             per_inst.fill(SimStats::new());
-            run_chunk(kernel, access, chunk, 0x5eed, 8, outs, per_inst, arena, scratch);
+            run_chunk(kernel, access, chunk, 8, outs, per_inst, arena, scratch);
             outs.iter().map(Vec::len).sum::<usize>()
         }
 
@@ -301,6 +211,60 @@ fn gate_batched(g: &Csr, access: &mut impl NeighborAccess) {
             id.name(),
             delta.allocations,
             delta.bytes,
+        );
+    }
+}
+
+/// The shared grouped expander fed the way the out-of-memory scheduler's
+/// depth-synchronous drain feeds it: one drained batch of 512 queue
+/// entries — many instances, mixed depths, trial 0, one ledger — on a
+/// warm arena. The drain used to build its task keys, Philox blocks,
+/// sort order, group starts, emits, offers and spans in fresh vectors
+/// per batch; through [`expand_frontier`] it allocates nothing.
+fn gate_drained_batch(g: &Csr, access: &mut impl NeighborAccess) {
+    let n = g.num_vertices() as VertexId;
+    for id in AlgorithmId::ALL {
+        let spec = if id.uses_walk_length() {
+            AlgoSpec::new(id).with_depth(12)
+        } else {
+            AlgoSpec::new(id)
+        };
+        let algo = spec.build().expect("registry specs are valid");
+        if algo.config().frontier != FrontierMode::IndependentPerVertex {
+            continue;
+        }
+        let kernel = StepKernel::new(&*algo, 0x5eed).with_select(SelectConfig::paper_best());
+        // 97 distinct vertices over 512 entries: every group is shared.
+        let batch: Vec<FrontierItem> = (0..512u32)
+            .map(|i| {
+                let vertex = (i % 97 * 131) % n;
+                let entry = StepEntry { instance: i, depth: i % 2, vertex, prev: None, trial: 0 };
+                FrontierItem { entry, home: vertex, slot: 0 }
+            })
+            .collect();
+        let mut arena = BatchArena::new();
+        let mut scratch = StepScratch::new();
+        let mut ledger = [SimStats::new()];
+        let mut edges = [0usize; 3];
+        let mut allocations = 0;
+        for (rep, edges) in edges.iter_mut().enumerate() {
+            let before = ALLOC.snapshot();
+            arena.set_frontier(batch.iter().copied());
+            expand_frontier(&kernel, access, 8, &mut ledger, &mut arena, &mut scratch);
+            *edges = (0..batch.len()).map(|i| arena.recorded(i).emits.len()).sum();
+            if rep == 2 {
+                allocations = ALLOC.snapshot().since(&before).allocations;
+            }
+        }
+        assert_eq!(edges[2], edges[0], "{}/drained: repetitions must be identical", id.name());
+        assert!(edges[2] > 0, "{}/drained: workload must actually sample", id.name());
+        assert!(ledger[0].batch_groups > 0, "{}/drained: must form groups", id.name());
+        assert_eq!(
+            allocations,
+            0,
+            "{}/drained: a drained batch on a warm arena allocated — the out-of-memory \
+             depth-synchronous drain is back to per-batch vectors",
+            id.name(),
         );
     }
 }
@@ -361,6 +325,7 @@ fn steady_state_step_allocates_nothing() {
     let g = rmat(9, 8, RmatParams::MILD, 42);
     gate_all(&g, &mut CsrAccess { graph: &g }, "csr", true, |_, _| 0);
     gate_batched(&g, &mut CsrAccess { graph: &g });
+    gate_drained_batch(&g, &mut CsrAccess { graph: &g });
     gate_whole_walk(&g);
 
     // The same gate through the disk tier: with every run admitted to a
