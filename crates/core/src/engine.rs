@@ -25,9 +25,10 @@
 use crate::api::{Algorithm, FrontierMode, NeighborSize};
 use crate::batch::ChunkInstance;
 use crate::output::SampleOutput;
+use crate::residency::with_thread_disk_access;
 use crate::select::SelectConfig;
 use crate::step::{
-    with_thread_scratch, CsrAccess, DeltaAccess, EmitSink, NeighborAccess, PoolSink, PoolSlot,
+    with_thread_scratch, CsrAccess, EmitSink, LayeredAccess, NeighborAccess, PoolSink, PoolSlot,
     StepEntry, StepKernel, StepScratch, TrialCounter,
 };
 use csaw_gpu::device::LaunchResult;
@@ -72,9 +73,6 @@ pub enum RunError {
         /// The graph's vertex count.
         num_vertices: usize,
     },
-    /// [`RunOptions::snapshot`] and [`RunOptions::disk`] are both set:
-    /// the store serves immutable epochs, so the two are exclusive.
-    SnapshotWithDisk,
     /// [`RunOptions::batch_chunk`] is `Some(0)`: a depth-synchronous
     /// chunk holds at least one instance.
     ZeroBatchChunk,
@@ -90,9 +88,6 @@ impl std::fmt::Display for RunError {
                 f,
                 "instance {instance}: seed vertex {vertex} out of range (graph has {num_vertices} vertices)"
             ),
-            RunError::SnapshotWithDisk => {
-                write!(f, "RunOptions.snapshot and RunOptions.disk are mutually exclusive")
-            }
             RunError::ZeroBatchChunk => write!(f, "batch chunk size must be positive"),
         }
     }
@@ -132,12 +127,8 @@ pub fn validate_single_seeds(graph: &Csr, seeds: &[VertexId]) -> Result<(), RunE
 }
 
 /// Validates the option combinations no launch can serve, once, before
-/// any task starts: the tasks then dispatch on `snapshot`/`disk` knowing
-/// at most one is set.
+/// any task starts.
 fn validate_options(opts: &RunOptions) -> Result<(), RunError> {
-    if opts.snapshot.is_some() && opts.disk.is_some() {
-        return Err(RunError::SnapshotWithDisk);
-    }
     if opts.batch_chunk == Some(0) {
         return Err(RunError::ZeroBatchChunk);
     }
@@ -190,11 +181,12 @@ pub struct RunOptions {
     pub method_policy: crate::method::MethodPolicy,
     /// Optional epoch snapshot of a [`csaw_graph::MutableGraph`]. When
     /// set, every instance gathers through the snapshot's delta overlay
-    /// ([`DeltaAccess`]) instead of the bare CSR: mutated vertices serve
-    /// their merged adjacency, untouched vertices serve the base slices
-    /// verbatim. RNG streams are keyed by `(instance, depth, vertex,
-    /// trial)` only, so a snapshot run is bit-identical to a from-scratch
-    /// run on the compacted CSR of the same epoch. `None` (the default)
+    /// ([`LayeredAccess`]) over the storage: mutated vertices serve their
+    /// merged adjacency, untouched vertices serve the base slices
+    /// verbatim, from the CSR or from the disk tier. RNG streams are
+    /// keyed by `(instance, depth, vertex, trial)` only, so a snapshot run
+    /// is bit-identical to a from-scratch run on the compacted CSR of the
+    /// same epoch. `None` (the default)
     /// is the static path, byte-for-byte what it was before overlays
     /// existed.
     pub snapshot: Option<GraphSnapshot>,
@@ -204,9 +196,9 @@ pub struct RunOptions {
     /// neighbor lists decode on demand into each worker thread's
     /// byte-budgeted pool. Decode is bit-exact and RNG streams are keyed
     /// by `(instance, depth, vertex, trial)` only, so a disk-backed run
-    /// is bit-identical to the in-memory run at every pool budget.
-    /// Mutually exclusive with `snapshot` — the store serves immutable
-    /// epochs.
+    /// is bit-identical to the in-memory run at every pool budget. With
+    /// `snapshot` also set, the store holds the snapshot's base graph and
+    /// the overlay serves the mutated vertices above it.
     pub disk: Option<crate::residency::DiskRunConfig>,
     /// Execution order over instances — see [`ExecMode`]. Output is
     /// bit-identical across modes; only throughput and the `batch_*`
@@ -280,8 +272,8 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
     /// mmap-backed segments with on-demand decode into per-thread pools
     /// (see [`crate::residency`]). The store must hold the same logical
     /// graph as the CSR this sampler was constructed over for the
-    /// bit-identity guarantee to be meaningful. Mutually exclusive with
-    /// [`Sampler::with_snapshot`].
+    /// bit-identity guarantee to be meaningful; under
+    /// [`Sampler::with_snapshot`] that is the snapshot's base.
     pub fn with_disk(mut self, disk: crate::residency::DiskRunConfig) -> Self {
         self.opts.disk = Some(disk);
         self
@@ -432,10 +424,37 @@ fn kernel_for<'a>(algo: &'a dyn Algorithm, opts: &'a RunOptions) -> StepKernel<'
         .with_method_policy(opts.method_policy)
 }
 
-/// Executes one full sampling instance by driving [`StepKernel`] over the
-/// instance's frontier pool; returns its sampled edges and private stats
-/// (merged by the device). `opts` passed [`validate_options`]: at most
-/// one of `snapshot`/`disk` is set.
+/// One launch task's body, generic over the storage its access reads, so
+/// the engine's two drivers share [`run_task`]'s one dispatch.
+trait Task {
+    type Out;
+    fn run<S: NeighborAccess>(self, access: &mut LayeredAccess<'_, S>) -> Self::Out;
+    /// Where the disk work the task caused on its worker thread (decodes,
+    /// hits, evictions) is charged; the warm pool itself persists.
+    fn ledger(out: &mut Self::Out) -> Option<&mut SimStats>;
+}
+
+/// Runs `task` over the storage `opts` picks (the CSR or this thread's
+/// warm disk pool) under the snapshot's overlay, if any.
+fn run_task<T: Task>(g: &Csr, opts: &RunOptions, task: T) -> T::Out {
+    let snapshot = opts.snapshot.as_ref();
+    match opts.disk.as_ref() {
+        None => task.run(&mut LayeredAccess::new(&mut CsrAccess { graph: g }, snapshot, ())),
+        Some(disk) => with_thread_disk_access(disk, |storage| {
+            let mut out = task.run(&mut LayeredAccess::new(&mut *storage, snapshot, ()));
+            if let Some(stats) = T::ledger(&mut out) {
+                storage.flush_stats(stats);
+            }
+            out
+        }),
+    }
+}
+
+/// One full sampling instance ([`drive_instance`]) over the storage
+/// `opts` picks. Not generic, like [`run_chunk_task`]: the kernel is
+/// compiled here once, not into every crate that instantiates a generic
+/// [`Sampler`], whose calls back into this crate go through the GOT
+/// (measured 2–7% slower on the benchmark's walk and neighbor workloads).
 fn run_instance(
     g: &Csr,
     algo: &dyn Algorithm,
@@ -443,23 +462,24 @@ fn run_instance(
     instance: u32,
     seeds: &[VertexId],
 ) -> (Vec<(VertexId, VertexId)>, SimStats) {
-    match (opts.snapshot.as_ref(), opts.disk.as_ref()) {
-        (Some(snapshot), _) => {
-            let mut access = DeltaAccess { snapshot };
-            drive_instance(&mut access, algo, opts, instance, seeds)
-        }
-        (None, Some(disk)) => crate::residency::with_thread_disk_access(disk, |access| {
-            let (out, mut stats) = drive_instance(access, algo, opts, instance, seeds);
-            // Attribute the disk work this instance caused on its worker
-            // thread (decodes, hits, evictions) to its own counters; the
-            // warm pool itself persists for the next instance.
-            access.flush_stats(&mut stats);
-            (out, stats)
-        }),
-        (None, None) => {
-            let mut access = CsrAccess { graph: g };
-            drive_instance(&mut access, algo, opts, instance, seeds)
-        }
+    run_task(g, opts, Instance { algo, opts, instance, seeds })
+}
+
+/// [`run_instance`]'s task; its disk work is charged to its own counters.
+struct Instance<'a> {
+    algo: &'a dyn Algorithm,
+    opts: &'a RunOptions,
+    instance: u32,
+    seeds: &'a [VertexId],
+}
+
+impl Task for Instance<'_> {
+    type Out = (Vec<(VertexId, VertexId)>, SimStats);
+    fn run<S: NeighborAccess>(self, access: &mut LayeredAccess<'_, S>) -> Self::Out {
+        drive_instance(access, self.algo, self.opts, self.instance, self.seeds)
+    }
+    fn ledger(out: &mut Self::Out) -> Option<&mut SimStats> {
+        Some(&mut out.1)
     }
 }
 
@@ -525,9 +545,9 @@ pub struct PoolBufs {
 
 /// The per-instance depth loop — the one place a frontier pool is
 /// stepped through [`StepKernel`], whichever runtime owns the access:
-/// the loop is identical over a bare CSR, an epoch snapshot, the disk
-/// tier or demand-resident partitions, which is what makes those paths
-/// bit-identical on identical adjacency. `instance` is the global id
+/// the loop is identical over the CSR or the disk tier, with or without
+/// a snapshot overlay or a residency model, which is what makes those
+/// paths bit-identical on identical adjacency. `instance` is the global id
 /// that keys the RNG streams. Appends the sampled edges to `out`,
 /// charges `stats`, and returns the number of kernel steps taken (one
 /// per expanded entry, or per pool-level step).
@@ -605,12 +625,8 @@ pub fn drive_pool<N: NeighborAccess>(
     steps
 }
 
-/// Executes one depth-synchronous chunk: dispatches the access layer the
-/// same way [`run_instance`] does, then hands the chunk to
-/// [`drive_chunk`]. Returns per-instance outputs and per-instance stats
-/// (disk-tier worker charges land on the chunk's first instance — the
-/// same "whoever ran on the warm pool pays" attribution the
-/// instance-major path applies per instance).
+/// One depth-synchronous chunk ([`drive_chunk`]) over the storage `opts`
+/// picks: per-instance outputs and stats.
 fn run_chunk_task(
     g: &Csr,
     algo: &dyn Algorithm,
@@ -618,22 +634,26 @@ fn run_chunk_task(
     base: usize,
     sets: &[Vec<VertexId>],
 ) -> (Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>) {
-    match (opts.snapshot.as_ref(), opts.disk.as_ref()) {
-        (Some(snapshot), _) => {
-            let mut access = DeltaAccess { snapshot };
-            drive_chunk(&mut access, algo, opts, base, sets)
-        }
-        (None, Some(disk)) => crate::residency::with_thread_disk_access(disk, |access| {
-            let (outs, mut per_inst) = drive_chunk(access, algo, opts, base, sets);
-            if let Some(first) = per_inst.first_mut() {
-                access.flush_stats(first);
-            }
-            (outs, per_inst)
-        }),
-        (None, None) => {
-            let mut access = CsrAccess { graph: g };
-            drive_chunk(&mut access, algo, opts, base, sets)
-        }
+    run_task(g, opts, Chunk { algo, opts, base, sets })
+}
+
+/// [`run_chunk_task`]'s task; the chunk's disk work is charged to its
+/// first instance — the same "whoever ran on the warm pool pays"
+/// attribution the instance-major path applies per instance.
+struct Chunk<'a> {
+    algo: &'a dyn Algorithm,
+    opts: &'a RunOptions,
+    base: usize,
+    sets: &'a [Vec<VertexId>],
+}
+
+impl Task for Chunk<'_> {
+    type Out = (Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>);
+    fn run<S: NeighborAccess>(self, access: &mut LayeredAccess<'_, S>) -> Self::Out {
+        drive_chunk(access, self.algo, self.opts, self.base, self.sets)
+    }
+    fn ledger(out: &mut Self::Out) -> Option<&mut SimStats> {
+        out.1.first_mut()
     }
 }
 

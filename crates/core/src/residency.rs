@@ -41,12 +41,12 @@
 //! resident bytes never exceed the budget
 //! ([`DiskPoolSnapshot::is_conserved`]).
 //!
-//! **Epoch composition.** Evicting `v`'s run bumps `v`'s residency
-//! epoch, and [`DiskAccess::entry_epoch`] tags `v` with `epoch << 32` —
-//! the composition [`crate::step::DeltaPartitionAccess`] uses — so the
-//! CTPS/alias invalidation machinery retires exactly the tier-1 entries
-//! whose tier-2 backing was recycled. Re-decoded content is
-//! bit-identical: epoch churn affects the cost model, never the sample.
+//! **Epoch composition.** Evicting `v`'s run bumps `v`'s run epoch, which
+//! [`crate::step::entry_tag`] puts in the residency half of `v`'s cache
+//! tag, so the CTPS/alias invalidation machinery retires exactly the
+//! tier-1 entries whose tier-2 backing was recycled. Re-decoded content
+//! is bit-identical: epoch churn affects the cost model, never the
+//! sample.
 //!
 //! **Soundness of the pool.** `neighbors()` is called through a shared
 //! borrow (the [`GraphView`] hooks probe other vertices mid-step), yet a
@@ -60,7 +60,9 @@
 //! only *move* its `Vec` header (to the graveyard, the transient list);
 //! and buffers are cleared or dropped only in
 //! [`ResidencyHierarchy::maintain`], which [`DiskAccess::fetch`] runs
-//! under `&mut self`. The overshoot is one step's working set.
+//! under `&mut self`. The overshoot is the working set since the last
+//! base gather — one step's, unless a snapshot overlay above the store
+//! served the steps in between.
 //!
 //! **Determinism.** Decode is bit-exact, so sampling output is identical
 //! at every budget. The tier counters depend on how instances were
@@ -258,10 +260,8 @@ struct Pool {
     freq: Vec<u8>,
     age_in: usize,
     /// Per vertex: residency epoch, bumped when its run is evicted;
-    /// composed into `entry_epoch` tags.
+    /// the run epoch of [`crate::step::entry_tag`].
     epochs: Vec<u32>,
-    /// Monotonic count of evictions (the access-wide epoch).
-    global_epoch: u64,
     slab: Vec<Run>,
     free: Vec<u32>,
     hand: usize,
@@ -326,7 +326,6 @@ impl Pool {
             let bytes = run_bytes(weighted, run.col.len());
             self.index[run.v as usize] = NO_SLOT;
             self.epochs[run.v as usize] = self.epochs[run.v as usize].wrapping_add(1);
-            self.global_epoch += 1;
             self.bytes -= bytes;
             self.graveyard_bytes += bytes;
             self.graveyard.push(run);
@@ -443,12 +442,6 @@ impl ResidencyHierarchy {
     pub fn partition_epoch(&self, v: VertexId) -> u64 {
         // SAFETY: as in snapshot().
         unsafe { (&(*self.pool.get()).epochs)[v as usize] as u64 }
-    }
-
-    /// Access-wide eviction count (the coarse epoch).
-    pub fn global_epoch(&self) -> u64 {
-        // SAFETY: as in snapshot().
-        unsafe { (*self.pool.get()).global_epoch }
     }
 
     /// Points the hierarchy at a different observability sink, moving
@@ -673,49 +666,8 @@ impl NeighborAccess for DiskAccess {
         Gathered { graph: GraphView::paged(hier), neighbors, weights }
     }
 
-    fn epoch(&self) -> u64 {
-        self.hier.global_epoch()
-    }
-
-    fn entry_epoch(&self, v: VertexId) -> u64 {
-        // Composed exactly like DeltaPartitionAccess: the run's residency
-        // epoch in the high half, per-vertex mutation version in the low
-        // half (zero — the disk tier serves immutable epochs).
-        self.hier.partition_epoch(v) << 32
-    }
-}
-
-/// Disk access wrapped for the out-of-memory scheduler: composes the
-/// stream's device-residency epoch (high half) with the disk pool's
-/// per-run epoch (low half), so a cached CTPS entry dies when *either*
-/// its device partition was swapped or its host decoded run was evicted
-/// — the full three-tier invalidation chain.
-pub struct TieredDiskAccess<'a> {
-    /// The worker's disk access.
-    pub inner: &'a mut DiskAccess,
-    /// Device residency epoch of the stream this access serves.
-    pub residency_epoch: u64,
-}
-
-impl NeighborAccess for TieredDiskAccess<'_> {
-    fn graph(&self) -> GraphView<'_> {
-        self.inner.graph()
-    }
-
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
-        self.inner.gather(v, stats)
-    }
-
-    fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
-        self.inner.fetch(v)
-    }
-
-    fn epoch(&self) -> u64 {
-        (self.residency_epoch << 32) | (self.inner.epoch() & 0xffff_ffff)
-    }
-
-    fn entry_epoch(&self, v: VertexId) -> u64 {
-        (self.residency_epoch << 32) | (self.inner.hier.partition_epoch(v) & 0xffff_ffff)
+    fn run_epoch(&self, v: VertexId) -> u64 {
+        self.hier.partition_epoch(v)
     }
 }
 
@@ -753,9 +705,10 @@ pub fn with_thread_disk_access<R>(cfg: &DiskRunConfig, f: impl FnOnce(&mut DiskA
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::{entry_tag, LayeredAccess};
     use csaw_graph::generators::{rmat, toy_graph, RmatParams};
     use csaw_graph::store::write_store;
-    use csaw_graph::{Csr, CsrBuilder};
+    use csaw_graph::{Csr, CsrBuilder, GraphSnapshot};
     use std::path::PathBuf;
 
     fn open_store(name: &str, g: &Csr, k: usize) -> (Arc<DiskStore>, PathBuf) {
@@ -931,7 +884,6 @@ mod tests {
         }
         let after = access.entry_epoch(probe);
         assert_eq!(access.snapshot().evictions, 60);
-        assert_eq!(access.epoch(), 60, "the coarse epoch counts evictions");
         assert!(after > before, "eviction must advance the entry tag: {before} -> {after}");
         assert_eq!(after & 0xffff_ffff, 0, "low half reserved for mutation versions");
         assert_eq!(access.entry_epoch(63), 0, "a still-resident run keeps its tag");
@@ -949,9 +901,48 @@ mod tests {
         }
         let disk_epoch = access.hierarchy().partition_epoch(0);
         assert!(disk_epoch > 0);
-        let tiered = TieredDiskAccess { inner: &mut access, residency_epoch: 5 };
-        assert_eq!(tiered.entry_epoch(0), (5u64 << 32) | disk_epoch);
-        assert_eq!(tiered.epoch() >> 32, 5);
+        let tiered = LayeredAccess::new(&mut access, None, 5u64);
+        assert_eq!(tiered.entry_epoch(0), entry_tag(5, disk_epoch, 0));
+        assert_eq!(tiered.entry_epoch(0) >> 48, 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The one tag rule, bumped one component at a time: the device epoch,
+    /// `v`'s run epoch, `v`'s mutation version and a neighbour's version
+    /// each move `v`'s tag; another vertex's run epoch does not.
+    #[test]
+    fn entry_tag_moves_with_each_component_alone() {
+        use csaw_graph::{EdgeEdit, MutableGraph};
+        let g = ring_graph(16, |_| 2);
+        let (store, dir) = open_store("tag", &g, 2);
+        let mut disk = DiskAccess::new(&cfg(&store, run_bytes(false, 2)));
+        let mut stats = SimStats::new();
+        let mut mg = MutableGraph::new(g);
+        let tag = |disk: &mut DiskAccess, snap: &GraphSnapshot, device: u64| {
+            LayeredAccess::new(disk, Some(snap), device).entry_epoch(0)
+        };
+        let s0 = mg.snapshot();
+        let t0 = tag(&mut disk, &s0, 1);
+        assert_ne!(tag(&mut disk, &s0, 2), t0, "device epoch");
+
+        // The pool holds one run: 4 evicts 3, then 5 evicts 0.
+        for v in [3, 4] {
+            let _ = disk.gather(v, &mut stats);
+        }
+        assert!(disk.hierarchy().partition_epoch(3) > 0);
+        assert_eq!(tag(&mut disk, &s0, 1), t0, "another vertex's run epoch");
+        for v in [0, 5] {
+            let _ = disk.gather(v, &mut stats);
+        }
+        let t1 = tag(&mut disk, &s0, 1);
+        assert_ne!(t1, t0, "v's run epoch");
+
+        mg.apply_batch(&[EdgeEdit::Insert { src: 0, dst: 9, weight: 1.0 }]).unwrap();
+        let s1 = mg.snapshot();
+        let t2 = tag(&mut disk, &s1, 1);
+        assert_ne!(t2, t1, "v's version");
+        mg.apply_batch(&[EdgeEdit::Insert { src: 1, dst: 11, weight: 1.0 }]).unwrap();
+        assert_ne!(tag(&mut disk, &mg.snapshot(), 1), t2, "a neighbour's version");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

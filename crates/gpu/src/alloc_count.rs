@@ -84,24 +84,32 @@ impl Default for CountingAllocator {
 }
 
 // SAFETY: pure forwarding to `System`; the counters never influence the
-// returned pointers or layouts.
+// returned pointers or layouts, so `System`'s `GlobalAlloc` guarantees are
+// this allocator's.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.count(layout.size());
+        // SAFETY: the caller's `alloc` contract (non-zero size) passes to
+        // `System` unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract passes through unchanged: `ptr`
+        // came from this allocator, i.e. from `System`, with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         self.count(layout.size());
+        // SAFETY: as in `alloc` — the caller's contract, unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         self.count(new_size);
+        // SAFETY: the caller's contract passes through unchanged: `ptr` is
+        // a live `System` block of `layout`, `new_size` is valid for it.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -116,6 +124,8 @@ mod tests {
     fn counts_alloc_and_realloc() {
         let a = CountingAllocator::new();
         let layout = Layout::from_size_align(64, 8).unwrap();
+        // SAFETY: a non-zero layout; `q` is reallocated from the block
+        // `alloc` returned and freed once with its new layout.
         unsafe {
             let p = a.alloc(layout);
             assert!(!p.is_null());

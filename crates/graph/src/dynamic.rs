@@ -401,11 +401,15 @@ impl GraphSnapshot {
     /// The read view of this snapshot's logical graph.
     #[inline]
     pub fn view(&self) -> GraphView<'_> {
-        if self.state.deltas.is_empty() {
-            GraphView::new(&self.base)
-        } else {
-            GraphView::with_overlay(&self.base, &self.state)
-        }
+        GraphView::new(&self.base).with_overlay(self.overlay())
+    }
+
+    /// The overlay of live deltas, or `None` when every vertex serves its
+    /// base slice — the view to put over any base holding this
+    /// snapshot's base graph (the CSR itself, or a store written from it).
+    #[inline]
+    pub fn overlay(&self) -> Option<&OverlayState> {
+        (!self.state.deltas.is_empty()).then_some(&*self.state)
     }
 
     /// The base CSR under this snapshot (mutated vertices differ; use

@@ -215,9 +215,13 @@ pub enum Mapped {
     Owned(Vec<u8>),
 }
 
-// SAFETY: the mapping is PROT_READ/MAP_PRIVATE over an opened file; the
-// bytes are immutable for the mapping's lifetime, so sharing the region
-// across threads is sound.
+// SAFETY: the mapping is PROT_READ/MAP_PRIVATE and this process never
+// writes through it. Sharing it across threads is sound on one
+// assumption the type cannot enforce: the segment files are not truncated
+// or rewritten in place while mapped (a truncation turns reads past the
+// new end into SIGBUS; an in-place rewrite changes bytes under live
+// slices). `write_store` truncates and rewrites segment files, so it
+// must not target a directory some open `DiskStore` has mapped.
 #[cfg(unix)]
 unsafe impl Send for Mapped {}
 #[cfg(unix)]

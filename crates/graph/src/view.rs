@@ -1,6 +1,6 @@
-//! [`GraphView`]: the uniform read surface over a plain CSR, an
-//! epoch snapshot (base CSR + delta overlay), or a paged (disk-backed)
-//! adjacency source.
+//! [`GraphView`]: the uniform read surface over a base — a plain CSR or
+//! a paged (disk-backed) adjacency source — under an optional epoch
+//! overlay of a mutable graph.
 //!
 //! Algorithm hooks and the step kernel read adjacency through this view
 //! instead of `&Csr`, so the same code serves the static path (the
@@ -9,10 +9,11 @@
 //! a [`crate::dynamic::MutableGraph`] snapshot where mutated vertices
 //! resolve to their merged overlay adjacency, and — through
 //! [`PagedAdjacency`] — walks over a graph whose neighbor lists live in
-//! an on-disk store and are decoded into a bounded RAM pool on demand.
+//! an on-disk store and are decoded into a bounded RAM pool on demand,
+//! with or without an overlay above it.
 
 use crate::csr::Csr;
-use crate::dynamic::OverlayState;
+use crate::dynamic::{OverlayState, VertexDelta};
 use crate::types::{VertexId, Weight};
 
 /// Adjacency served page-at-a-time from a backing store rather than a
@@ -43,138 +44,135 @@ pub trait PagedAdjacency: std::fmt::Debug {
     fn neighbor_weights(&self, v: VertexId) -> Option<&[Weight]>;
 }
 
-/// Which storage the view reads through.
+/// The storage a view reads base adjacency from.
 #[derive(Debug, Clone, Copy)]
-enum Source<'a> {
-    /// A resident CSR, optionally under a mutation overlay.
-    Csr { base: &'a Csr, overlay: Option<&'a OverlayState> },
-    /// A paged (disk-backed) adjacency source. Never combined with an
-    /// overlay: the disk tier serves immutable epochs.
+enum Base<'a> {
+    /// A resident CSR.
+    Csr(&'a Csr),
+    /// A paged (disk-backed) adjacency source.
     Paged(&'a dyn PagedAdjacency),
 }
 
-/// A borrowed, copyable read view of a graph at a fixed epoch.
+/// A borrowed, copyable read view of a graph at a fixed epoch: a base
+/// (a resident CSR or a paged source) under an optional mutation overlay.
 ///
 /// For vertices untouched by the overlay, every accessor returns exactly
 /// what the base [`Csr`] would — same slices, same order — which is what
 /// makes snapshot walks bit-identical to walks on the compacted CSR. The
-/// same contract binds paged sources (see [`PagedAdjacency`]).
+/// same contract binds paged sources (see [`PagedAdjacency`]), so an
+/// overlay over either base serves the same logical graph.
 #[derive(Debug, Clone, Copy)]
 pub struct GraphView<'a> {
-    source: Source<'a>,
+    base: Base<'a>,
+    overlay: Option<&'a OverlayState>,
 }
 
 impl<'a> GraphView<'a> {
     /// View over a bare CSR (no overlay).
     #[inline]
     pub fn new(base: &'a Csr) -> Self {
-        GraphView { source: Source::Csr { base, overlay: None } }
-    }
-
-    /// View over a CSR plus a delta overlay (used by
-    /// [`crate::dynamic::GraphSnapshot::view`]).
-    #[inline]
-    pub fn with_overlay(base: &'a Csr, overlay: &'a OverlayState) -> Self {
-        GraphView { source: Source::Csr { base, overlay: Some(overlay) } }
+        GraphView { base: Base::Csr(base), overlay: None }
     }
 
     /// View over a paged (disk-backed) adjacency source.
     #[inline]
     pub fn paged(paged: &'a dyn PagedAdjacency) -> Self {
-        GraphView { source: Source::Paged(paged) }
+        GraphView { base: Base::Paged(paged), overlay: None }
+    }
+
+    /// This view's base under `overlay` (used by
+    /// [`crate::dynamic::GraphSnapshot::view`] and by snapshot accesses
+    /// over the disk tier); `None` serves the base alone.
+    #[inline]
+    pub fn with_overlay(self, overlay: Option<&'a OverlayState>) -> Self {
+        GraphView { overlay, ..self }
     }
 
     /// The underlying base CSR (adjacency of *mutated* vertices differs
     /// from it — use the view accessors for logical adjacency).
     ///
     /// # Panics
-    /// Panics for paged views, which have no resident CSR; the callers
-    /// (snapshot compaction, mutation benches) only ever hold CSR-backed
-    /// views.
+    /// Panics for paged views, which have no resident CSR.
     #[inline]
     pub fn base(&self) -> &'a Csr {
-        match self.source {
-            Source::Csr { base, .. } => base,
-            Source::Paged(_) => panic!("paged GraphView has no resident base CSR"),
+        match self.base {
+            Base::Csr(base) => base,
+            Base::Paged(_) => panic!("paged GraphView has no resident base CSR"),
         }
     }
 
     /// Number of vertices (mutations never add vertices).
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        match self.source {
-            Source::Csr { base, .. } => base.num_vertices(),
-            Source::Paged(p) => p.num_vertices(),
+        match self.base {
+            Base::Csr(base) => base.num_vertices(),
+            Base::Paged(p) => p.num_vertices(),
         }
     }
 
     /// Number of directed edges in the logical graph.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        match self.source {
-            Source::Csr { base, overlay: Some(o) } => {
-                (base.num_edges() as i64 + o.edge_delta()) as usize
-            }
-            Source::Csr { base, overlay: None } => base.num_edges(),
-            Source::Paged(p) => p.num_edges(),
-        }
+        let base = match self.base {
+            Base::Csr(base) => base.num_edges(),
+            Base::Paged(p) => p.num_edges(),
+        };
+        (base as i64 + self.overlay.map_or(0, OverlayState::edge_delta)) as usize
     }
 
     /// Out-degree of `v` in the logical graph.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        match self.source {
-            Source::Csr { base, overlay } => match overlay.and_then(|o| o.delta(v)) {
-                Some(d) => d.neighbors().len(),
-                None => base.degree(v),
-            },
-            Source::Paged(p) => p.degree(v),
+        // Base first, then the overlay within each arm: degree bias pays
+        // this once per edge, and testing the overlay first cost
+        // `neighbor_biased` 5–8%.
+        match self.base {
+            Base::Csr(base) => {
+                self.delta(v).map_or_else(|| base.degree(v), |d| d.neighbors().len())
+            }
+            Base::Paged(p) => self.delta(v).map_or_else(|| p.degree(v), |d| d.neighbors().len()),
         }
     }
 
     /// The neighbor list of `v` as a sorted slice.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &'a [VertexId] {
-        match self.source {
-            Source::Csr { base, overlay } => match overlay.and_then(|o| o.delta(v)) {
-                Some(d) => d.neighbors(),
-                None => base.neighbors(v),
-            },
-            Source::Paged(p) => p.neighbors(v),
+        match self.base {
+            Base::Csr(base) => self.delta(v).map_or_else(|| base.neighbors(v), |d| d.neighbors()),
+            Base::Paged(p) => self.delta(v).map_or_else(|| p.neighbors(v), |d| d.neighbors()),
         }
     }
 
     /// The weight list of `v`, if the graph is weighted.
     #[inline]
     pub fn neighbor_weights(&self, v: VertexId) -> Option<&'a [Weight]> {
-        match self.source {
-            Source::Csr { base, overlay } => match overlay.and_then(|o| o.delta(v)) {
-                Some(d) => d.weights(),
-                None => base.neighbor_weights(v),
-            },
-            Source::Paged(p) => p.neighbor_weights(v),
+        match self.base {
+            Base::Csr(base) => {
+                self.delta(v).map_or_else(|| base.neighbor_weights(v), |d| d.weights())
+            }
+            Base::Paged(p) => self.delta(v).map_or_else(|| p.neighbor_weights(v), |d| d.weights()),
         }
+    }
+
+    /// `v`'s merged overlay adjacency, if the overlay mutated `v`.
+    #[inline]
+    fn delta(&self, v: VertexId) -> Option<&'a VertexDelta> {
+        self.overlay.and_then(|o| o.delta(v))
     }
 
     /// Weight of the `i`-th edge of `v` (1.0 for unweighted graphs).
     #[inline]
     pub fn edge_weight(&self, v: VertexId, i: usize) -> Weight {
-        match self.source {
-            Source::Csr { base, overlay } => match overlay.and_then(|o| o.delta(v)) {
-                Some(d) => d.weights().map_or(1.0, |w| w[i]),
-                None => base.edge_weight(v, i),
-            },
-            Source::Paged(p) => p.neighbor_weights(v).map_or(1.0, |w| w[i]),
-        }
+        self.neighbor_weights(v).map_or(1.0, |w| w[i])
     }
 
     /// True if the graph stores per-edge weights (a property of the base;
     /// overlays on an unweighted graph stay unweighted).
     #[inline]
     pub fn is_weighted(&self) -> bool {
-        match self.source {
-            Source::Csr { base, .. } => base.is_weighted(),
-            Source::Paged(p) => p.is_weighted(),
+        match self.base {
+            Base::Csr(base) => base.is_weighted(),
+            Base::Paged(p) => p.is_weighted(),
         }
     }
 

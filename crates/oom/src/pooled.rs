@@ -21,61 +21,46 @@ use crate::config::OomConfig;
 use crate::scheduler::{OomOutput, OomRunner, KERNEL_LAUNCH_OVERHEAD};
 use csaw_core::api::{Algorithm, FrontierMode};
 use csaw_core::engine::{drive_pool, PoolBufs};
-use csaw_core::residency::{with_thread_disk_access, DiskAccess};
-use csaw_core::step::{gather_bytes, Gathered, NeighborAccess, StepKernel, StepScratch};
+use csaw_core::residency::with_thread_disk_access;
+use csaw_core::step::{
+    CsrAccess, LayeredAccess, NeighborAccess, Residency, StepKernel, StepScratch,
+};
 use csaw_gpu::cost::gpu_kernel_seconds;
 use csaw_gpu::memory::DeviceMemory;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::transfer::TransferEngine;
-use csaw_graph::{Csr, GraphSnapshot, GraphView, Partition, PartitionSet, VertexId};
+use csaw_graph::{Partition, PartitionSet, VertexId};
 use std::collections::VecDeque;
 
-/// Demand-resident partition access: a gather whose partition is not on
-/// the device first evicts (FIFO) until the partition fits, transfers it
-/// on stream 0, and then charges the same gather bytes every other
-/// runtime charges.
-struct ResidentAccess<'g, 'd> {
-    graph: &'g Csr,
+/// Demand-resident partitions: a gather whose partition is not on the
+/// device first evicts (FIFO) until the partition fits and transfers it on
+/// stream 0; the storage under the access then serves the adjacency and
+/// charges the same gather bytes every other runtime charges.
+struct DeviceFaults<'g> {
     parts: &'g PartitionSet,
-    /// Epoch snapshot, when the run samples a mutable graph: overlay
-    /// vertices serve their merged adjacency (device-resident, no
-    /// partition fault), untouched vertices page the base partitions.
-    snapshot: Option<&'g GraphSnapshot>,
-    /// Disk tier, when the run's host side is an on-disk store: the
-    /// device fault-in simulation runs unchanged, but the adjacency
-    /// bytes themselves come from the worker's decoded-run pool
-    /// instead of the resident CSR slices.
-    disk: Option<&'d mut DiskAccess>,
     memory: DeviceMemory,
     engine: TransferEngine,
     fifo: VecDeque<usize>,
     now: f64,
 }
 
-impl<'g, 'd> ResidentAccess<'g, 'd> {
-    fn new(
-        graph: &'g Csr,
-        parts: &'g PartitionSet,
-        snapshot: Option<&'g GraphSnapshot>,
-        disk: Option<&'d mut DiskAccess>,
-        cfg: &OomConfig,
-        pcie_gbps: f64,
-    ) -> Self {
+impl<'g> DeviceFaults<'g> {
+    fn new(parts: &'g PartitionSet, cfg: &OomConfig, pcie_gbps: f64) -> Self {
         let max_part_bytes = parts.parts().iter().map(Partition::size_bytes).max().unwrap_or(1);
-        ResidentAccess {
-            graph,
+        DeviceFaults {
             parts,
-            snapshot,
-            disk,
             memory: DeviceMemory::new(max_part_bytes * cfg.resident_partitions),
             engine: TransferEngine::new(1, pcie_gbps),
             fifo: VecDeque::new(),
             now: 0.0,
         }
     }
+}
 
-    /// Makes `p` resident, evicting FIFO victims as needed.
-    fn fault_in(&mut self, p: usize) {
+impl Residency for DeviceFaults<'_> {
+    /// Makes `v`'s partition resident, evicting FIFO victims as needed.
+    fn fault_in(&mut self, v: VertexId, _charged: bool) {
+        let p = self.parts.partition_of(v);
         if self.memory.is_resident(p) {
             return;
         }
@@ -90,96 +75,32 @@ impl<'g, 'd> ResidentAccess<'g, 'd> {
     }
 }
 
-impl NeighborAccess for ResidentAccess<'_, '_> {
-    fn graph(&self) -> GraphView<'_> {
-        if let Some(disk) = self.disk.as_deref() {
-            return disk.graph();
-        }
-        match self.snapshot {
-            Some(s) => s.view(),
-            None => self.graph.view(),
-        }
-    }
-
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
-        if let Some(s) = self.snapshot {
-            if let Some((neighbors, weights)) = s.delta_adjacency(v) {
-                stats.read_gmem(gather_bytes(self.graph.is_weighted(), neighbors.len()));
-                return Gathered { graph: s.view(), neighbors, weights };
-            }
-        }
-        let p = self.parts.partition_of(v);
-        self.fault_in(p);
-        // Field-disjoint arms: the `disk` borrow must not overlap a
-        // whole-`self` method call in the fall-through.
-        match self.disk.as_deref_mut() {
-            Some(disk) => disk.gather(v, stats),
-            None => {
-                let part = self.parts.get(p);
-                stats.read_gmem(gather_bytes(self.graph.is_weighted(), part.degree(v)));
-                let graph = match self.snapshot {
-                    Some(s) => s.view(),
-                    None => self.graph.view(),
-                };
-                Gathered { graph, neighbors: part.neighbors(v), weights: part.neighbor_weights(v) }
-            }
-        }
-    }
-
-    fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
-        if let Some(s) = self.snapshot {
-            if let Some((neighbors, weights)) = s.delta_adjacency(v) {
-                return Gathered { graph: s.view(), neighbors, weights };
-            }
-        }
-        let p = self.parts.partition_of(v);
-        self.fault_in(p);
-        match self.disk.as_deref_mut() {
-            Some(disk) => disk.fetch(v),
-            None => {
-                let part = self.parts.get(p);
-                let graph = match self.snapshot {
-                    Some(s) => s.view(),
-                    None => self.graph.view(),
-                };
-                Gathered { graph, neighbors: part.neighbors(v), weights: part.neighbor_weights(v) }
-            }
-        }
-    }
-
-    fn entry_epoch(&self, v: VertexId) -> u64 {
-        if let Some(disk) = self.disk.as_deref() {
-            return disk.entry_epoch(v);
-        }
-        match self.snapshot {
-            Some(s) => s.entry_version(v),
-            None => 0,
-        }
-    }
-}
-
 /// Runs pool-frontier instances out-of-memory: the engine's per-instance
-/// depth loop over [`StepKernel`], gathering through [`ResidentAccess`].
-/// Instances run in order on one stream (a pool step is a single warp's
-/// sequential SELECT, so there is no intra-step parallelism to model).
+/// depth loop over [`StepKernel`], gathering through a [`LayeredAccess`]
+/// that faults partitions in ([`DeviceFaults`]) over the CSR or the disk
+/// tier, under the runner's snapshot overlay if any. Instances run in
+/// order on one stream (a pool step is a single warp's sequential
+/// SELECT, so there is no intra-step parallelism to model).
 pub(crate) fn run_pooled<A: Algorithm>(
     runner: &OomRunner<'_, A>,
     parts: &PartitionSet,
     seed_sets: &[Vec<VertexId>],
 ) -> OomOutput {
     match runner.disk.as_ref() {
-        Some(cfg) => {
-            with_thread_disk_access(cfg, |da| run_pooled_inner(runner, parts, seed_sets, Some(da)))
-        }
-        None => run_pooled_inner(runner, parts, seed_sets, None),
+        Some(cfg) => with_thread_disk_access(cfg, |storage| {
+            let mut out = run_pooled_on(runner, parts, seed_sets, storage);
+            storage.flush_stats(&mut out.stats);
+            out
+        }),
+        None => run_pooled_on(runner, parts, seed_sets, &mut CsrAccess { graph: runner.graph }),
     }
 }
 
-fn run_pooled_inner<A: Algorithm>(
+fn run_pooled_on<A: Algorithm, S: NeighborAccess>(
     runner: &OomRunner<'_, A>,
     parts: &PartitionSet,
     seed_sets: &[Vec<VertexId>],
-    disk: Option<&mut DiskAccess>,
+    storage: &mut S,
 ) -> OomOutput {
     let algo = runner.algo;
     let cfg = algo.config();
@@ -187,14 +108,8 @@ fn run_pooled_inner<A: Algorithm>(
     let kernel = StepKernel::new(algo, runner.seed)
         .with_select(runner.select)
         .with_method_policy(runner.method_policy);
-    let mut access = ResidentAccess::new(
-        runner.graph,
-        parts,
-        runner.snapshot.as_ref(),
-        disk,
-        &runner.cfg,
-        runner.device.pcie_gbps,
-    );
+    let faults = DeviceFaults::new(parts, &runner.cfg, runner.device.pcie_gbps);
+    let mut access = LayeredAccess::new(storage, runner.snapshot.as_ref(), faults);
     let mut outputs: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); seed_sets.len()];
     let mut stats = SimStats::new();
     let mut rounds = 0u64;
@@ -220,20 +135,18 @@ fn run_pooled_inner<A: Algorithm>(
         rounds = rounds.max(steps);
     }
 
-    if let Some(disk) = access.disk.as_deref_mut() {
-        disk.flush_stats(&mut stats);
-    }
     stats.sampled_edges = outputs.iter().map(|o| o.len() as u64).sum();
     // One logical kernel per pool step amortized over the run; the
     // transfer timeline is serial on stream 0 (gathers are dependent, so
     // copies cannot overlap sampling).
     let kernel_secs = gpu_kernel_seconds(&stats, &runner.device) + KERNEL_LAUNCH_OVERHEAD;
-    let transfer_secs = access.engine.sync_all();
+    let engine = &mut access.residency.engine;
+    let transfer_secs = engine.sync_all();
     OomOutput {
         instances: outputs,
         stats,
-        transfers: access.engine.transfers,
-        bytes_transferred: access.engine.bytes_transferred,
+        transfers: engine.transfers,
+        bytes_transferred: engine.bytes_transferred,
         sim_seconds: transfer_secs + kernel_secs,
         kernel_busy: vec![kernel_secs],
         round_kernel_times: Vec::new(),
@@ -311,6 +224,44 @@ mod tests {
         for inst in &a.instances {
             assert!(inst.len() <= 9, "budget bounds sampled edges");
         }
+    }
+
+    /// The pooled path's transfer ledger, pinned exactly on a fixed input:
+    /// layer sampling and MDRW over the CSR, and MDRW over a snapshot
+    /// whose overlay vertices (hubs among them) serve without a fault.
+    #[test]
+    fn transfer_counters_are_pinned() {
+        use csaw_graph::{EdgeEdit, MutableGraph};
+        let g = rmat(10, 6, RmatParams::GRAPH500, 24);
+        let layer = LayerSampling { layer_size: 6, depth: 4 };
+        let seeds: Vec<u32> = (0..32).map(|i| i * 37 % 1024).collect();
+        let out =
+            OomRunner::new(&g, &layer, OomConfig::full()).with_device(tiny_device()).run(&seeds);
+        assert_eq!((out.transfers, out.bytes_transferred), (58, 674736));
+        let mdrw = MultiDimRandomWalk { budget: 40 };
+        let pools = MultiDimRandomWalk::seed_pools(g.num_vertices(), 10, 8, 5);
+        let out = OomRunner::new(&g, &mdrw, OomConfig::full())
+            .with_device(tiny_device())
+            .run_pools(&pools);
+        assert_eq!((out.transfers, out.bytes_transferred), (63, 730376));
+        let hubs: Vec<u32> = {
+            let mut by_degree: Vec<u32> = (0..g.num_vertices() as u32).collect();
+            by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+            by_degree.truncate(8);
+            by_degree
+        };
+        let mut mg = MutableGraph::new(g.clone());
+        let mut edits: Vec<EdgeEdit> = hubs
+            .iter()
+            .map(|&h| EdgeEdit::Insert { src: h, dst: (h + 1) % 1024, weight: 1.0 })
+            .collect();
+        edits.push(EdgeEdit::Delete { src: hubs[0], dst: g.neighbors(hubs[0])[0] });
+        mg.apply_batch(&edits).unwrap();
+        let out = OomRunner::new(&g, &mdrw, OomConfig::full())
+            .with_device(tiny_device())
+            .with_snapshot(mg.snapshot())
+            .run_pools(&pools);
+        assert_eq!((out.transfers, out.bytes_transferred), (71, 822248));
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //!
 //! The expansion of each queue entry is the shared
 //! [`csaw_core::step::StepKernel`] — the same Fig. 2b pipeline the
-//! in-memory engine runs — reading adjacency through
-//! [`csaw_core::step::PartitionAccess`] and writing through this module's
-//! `StreamSink` (visited shard + same-partition queue push, with
-//! cross-partition insertions staged in a per-stream outbox merged at the
-//! round barrier in fixed `(stream, entry)` order). Pool-frontier
-//! algorithms (layer sampling, multi-dimensional random walk) don't queue
-//! per-vertex entries at all; [`OomRunner::run`] routes them to the
-//! [`crate::pooled`] path, which drives the same kernel over resident
-//! partitions.
+//! in-memory engine runs — reading adjacency through a
+//! [`csaw_core::step::LayeredAccess`] stamped with the stream's device
+//! epoch, and writing through this module's `StreamSink` (visited shard +
+//! same-partition queue push, with cross-partition insertions staged in
+//! a per-stream outbox merged at the round barrier in fixed
+//! `(stream, entry)` order). Pool-frontier algorithms (layer sampling,
+//! multi-dimensional random walk) don't queue per-vertex entries at all;
+//! [`OomRunner::run`] routes them to the [`crate::pooled`] path, which
+//! drives the same kernel over demand-resident partitions.
 //!
 //! The per-stream round work (transfer accounting + queue drain + kernel
 //! cost) runs as one independent host task per CUDA stream, routed through
@@ -49,10 +49,11 @@ use csaw_core::ctps_cache::CtpsCache;
 use csaw_core::engine::ExecMode;
 use csaw_core::frontier::{FrontierEntry, FrontierQueue};
 use csaw_core::method::MethodPolicy;
+use csaw_core::residency::with_thread_disk_access;
 use csaw_core::select::SelectConfig;
 use csaw_core::step::{
-    with_thread_scratch, DeltaPartitionAccess, FrontierSink, NeighborAccess, PartitionAccess,
-    StepEntry, StepKernel,
+    with_thread_scratch, CsrAccess, FrontierSink, LayeredAccess, NeighborAccess, StepEntry,
+    StepKernel,
 };
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds_with_slots;
@@ -240,9 +241,8 @@ pub struct OomRunner<'g, A: Algorithm> {
 }
 
 /// Look-ahead distance (in vertex-groups) for the depth-synchronous
-/// stream drain. Partition-access prefetch hooks default to no-ops, so
-/// on this runtime the distance mostly shapes the coverage counters; the
-/// value matches the engine's [`csaw_core::engine::RunOptions`] default.
+/// stream drain; the value matches the engine's
+/// [`csaw_core::engine::RunOptions`] default.
 const OOM_PREFETCH_DISTANCE: usize = 8;
 
 impl<'g, A: Algorithm> OomRunner<'g, A> {
@@ -327,14 +327,13 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
     /// Binds an epoch snapshot of a `csaw_graph::MutableGraph`: every
     /// gather resolves mutated vertices through the snapshot's delta
     /// overlay (assumed device-resident — deltas are small relative to
-    /// partitions) while untouched vertices read the partitioned base
-    /// CSR. The snapshot's base must be the graph this runner was
-    /// constructed over. Cache tags compose residency epoch with the
-    /// per-vertex mutation version, so a partition swap still retires the
-    /// generation and a mutation still invalidates exactly the touched
-    /// vertices.
+    /// partitions) while untouched vertices read the base graph, from the
+    /// CSR or from the disk tier ([`OomRunner::with_disk`]). The
+    /// snapshot's base must be the graph this runner was constructed
+    /// over. Cache tags compose the residency epochs with the per-vertex
+    /// mutation version, so a partition swap still retires the generation
+    /// and a mutation still invalidates exactly the touched vertices.
     pub fn with_snapshot(mut self, snapshot: GraphSnapshot) -> Self {
-        assert!(self.disk.is_none(), "disk tier and mutation snapshot are mutually exclusive");
         self.snapshot = Some(snapshot);
         self
     }
@@ -344,13 +343,12 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
     /// into per-worker pools (see [`csaw_core::residency`]), while the
     /// device-side partition machinery — residency, transfers, epochs —
     /// runs unchanged. Cache tags compose the stream's device-residency
-    /// epoch with the disk pool's per-partition epoch, so a CTPS entry
-    /// dies when either backing tier recycled its memory. The store must
-    /// hold the same logical graph as the CSR this runner was
-    /// constructed over; output stays bit-identical at every pool
-    /// budget. Mutually exclusive with [`OomRunner::with_snapshot`].
+    /// epoch with the disk pool's per-run epoch, so a CTPS entry dies
+    /// when either backing tier recycled its memory. The store must hold
+    /// the same logical graph as the CSR this runner was constructed over
+    /// (a snapshot's base, under [`OomRunner::with_snapshot`]); output
+    /// stays bit-identical at every pool budget.
     pub fn with_disk(mut self, disk: csaw_core::residency::DiskRunConfig) -> Self {
-        assert!(self.snapshot.is_none(), "disk tier and mutation snapshot are mutually exclusive");
         self.disk = Some(disk);
         self
     }
@@ -653,98 +651,51 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             .with_select(self.select)
             .with_ctps_cache(task.cache.as_deref())
             .with_method_policy(self.method_policy);
-        let mut queue = task.queue;
-        let mut shard = task.shard;
-        let mut outbox: Vec<Outbound> = Vec::new();
-        let mut edges: Vec<(usize, (VertexId, VertexId))> = Vec::new();
+        let (mut queue, mut shard) = (task.queue, task.shard);
+        let (mut outbox, mut edges) = (Vec::new(), Vec::new());
+        let mut sink = StreamSink {
+            parts,
+            cfg: algo_cfg,
+            detector: self.select.detector,
+            partition: task.partition,
+            instance_base,
+            queue: &mut queue,
+            shard: &mut shard,
+            outbox: &mut outbox,
+            edges: &mut edges,
+        };
         let mut stats = SimStats::new();
-        let straggler_cycles = match (self.snapshot.as_ref(), self.disk.as_ref()) {
-            (Some(snapshot), _) => {
-                let mut access =
-                    DeltaPartitionAccess { snapshot, parts, residency_epoch: task.epoch };
-                self.drain_queue(
-                    &kernel,
-                    &mut access,
-                    parts,
-                    algo_cfg,
-                    instance_base,
-                    seeds,
-                    task.partition,
-                    &mut queue,
-                    &mut shard,
-                    &mut outbox,
-                    &mut edges,
-                    &mut stats,
-                )
+        let snapshot = self.snapshot.as_ref();
+        let straggler_cycles = match self.disk.as_ref() {
+            None => {
+                let mut storage = CsrAccess { graph: self.graph };
+                let mut access = LayeredAccess::new(&mut storage, snapshot, task.epoch);
+                self.drain_queue(&kernel, &mut access, &mut sink, seeds, &mut stats)
             }
-            (None, Some(disk)) => {
-                csaw_core::residency::with_thread_disk_access(disk, |da| {
-                    let cycles = {
-                        let mut access = csaw_core::residency::TieredDiskAccess {
-                            inner: da,
-                            residency_epoch: task.epoch,
-                        };
-                        self.drain_queue(
-                            &kernel,
-                            &mut access,
-                            parts,
-                            algo_cfg,
-                            instance_base,
-                            seeds,
-                            task.partition,
-                            &mut queue,
-                            &mut shard,
-                            &mut outbox,
-                            &mut edges,
-                            &mut stats,
-                        )
-                    };
-                    // This stream round's disk work travels with its
-                    // kernel counters into the round's cost model.
-                    da.flush_stats(&mut stats);
-                    cycles
-                })
-            }
-            (None, None) => {
-                let mut access = PartitionAccess { graph: self.graph, parts, epoch: task.epoch };
-                self.drain_queue(
-                    &kernel,
-                    &mut access,
-                    parts,
-                    algo_cfg,
-                    instance_base,
-                    seeds,
-                    task.partition,
-                    &mut queue,
-                    &mut shard,
-                    &mut outbox,
-                    &mut edges,
-                    &mut stats,
-                )
-            }
+            Some(disk) => with_thread_disk_access(disk, |storage| {
+                let mut access = LayeredAccess::new(&mut *storage, snapshot, task.epoch);
+                let cycles = self.drain_queue(&kernel, &mut access, &mut sink, seeds, &mut stats);
+                // This stream round's disk work travels with its kernel
+                // counters into the round's cost model.
+                storage.flush_stats(&mut stats);
+                cycles
+            }),
         };
         (StreamRound { queue, shard, outbox, edges, straggler_cycles }, stats)
     }
 
-    /// The drain loop of one stream round, generic over how adjacency is
-    /// gathered (partitioned base CSR, or base + delta overlay). Returns
-    /// the straggler cycle bound for unbatched runs.
-    #[allow(clippy::too_many_arguments)]
+    /// The drain loop of one stream round over the sink's partition
+    /// queue, generic over the storage the access reads. Returns the
+    /// straggler cycle bound for unbatched runs.
     fn drain_queue<N: NeighborAccess>(
         &self,
         kernel: &StepKernel<'_>,
         access: &mut N,
-        parts: &PartitionSet,
-        algo_cfg: &AlgoConfig,
-        instance_base: u32,
+        sink: &mut StreamSink<'_>,
         seeds: &[VertexId],
-        partition: usize,
-        queue: &mut FrontierQueue,
-        shard: &mut Vec<HashSet<VertexId>>,
-        outbox: &mut Vec<Outbound>,
-        edges: &mut Vec<(usize, (VertexId, VertexId))>,
         stats: &mut SimStats,
     ) -> u64 {
+        let instance_base = sink.instance_base;
         // Warp cycles per instance: unbatched kernels wait for the
         // instance that accumulated the most.
         let mut per_instance: HashMap<u32, u64> = HashMap::new();
@@ -756,7 +707,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
         // Per-stream arena: stream tasks run one per host thread, so the
         // thread-local scratch is private to this round's stream.
         with_thread_scratch(|scratch| loop {
-            let batch = queue.drain_all();
+            let batch = sink.queue.drain_all();
             if batch.is_empty() {
                 break;
             }
@@ -774,17 +725,6 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
                 home: seeds[(e.instance - instance_base) as usize],
                 slot: 0,
             });
-            let mut sink = StreamSink {
-                parts,
-                cfg: algo_cfg,
-                detector: self.select.detector,
-                partition,
-                instance_base,
-                queue,
-                shard,
-                outbox,
-                edges,
-            };
             if self.exec == ExecMode::DepthSync {
                 // Depth-synchronous drain: the batch is expanded in
                 // vertex-sorted order by the engine's grouped expander —
@@ -817,7 +757,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             } else {
                 for item in items {
                     let before = stats.warp_cycles;
-                    kernel.expand(access, &item.entry, item.home, &mut sink, scratch, stats);
+                    kernel.expand(access, &item.entry, item.home, sink, scratch, stats);
                     tally(item.entry.instance, stats.warp_cycles - before);
                 }
             }

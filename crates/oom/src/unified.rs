@@ -10,24 +10,24 @@
 //! gets.
 //!
 //! The expand pipeline is the shared [`StepKernel`]: this runner only
-//! supplies `PagedAccess` (the fault-counting [`NeighborAccess`]) and
-//! drives the engine's [`PoolSink`] over per-instance frontiers. Because
-//! kernel and RNG keys are identical to the in-memory engine's, a
-//! unified-memory run samples exactly the engine's edges — including
-//! second-order biases like node2vec, whose `prev` threading a previous
-//! hand-rolled copy of this loop silently dropped. The regression test
-//! pins that equality.
+//! supplies a page cache as the [`Residency`] model of a [`LayeredAccess`]
+//! over the CSR, and drives the engine's [`PoolSink`] over per-instance
+//! frontiers. Because kernel and RNG keys are identical to the in-memory
+//! engine's, a unified-memory run samples exactly the engine's edges —
+//! including second-order biases like node2vec, whose `prev` threading a
+//! previous hand-rolled copy of this loop silently dropped. The
+//! regression test pins that equality.
 
 use csaw_core::api::{Algorithm, FrontierMode};
 use csaw_core::select::SelectConfig;
 use csaw_core::step::{
-    gather_bytes, Gathered, NeighborAccess, PoolSink, PoolSlot, StepEntry, StepKernel, StepScratch,
+    CsrAccess, LayeredAccess, PoolSink, PoolSlot, Residency, StepEntry, StepKernel, StepScratch,
     TrialCounter,
 };
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds;
 use csaw_gpu::stats::SimStats;
-use csaw_graph::{Csr, GraphView, VertexId};
+use csaw_graph::{Csr, VertexId};
 use std::collections::{HashSet, VecDeque};
 
 /// Driver-side latency of servicing one GPU page fault (fault interrupt,
@@ -61,21 +61,27 @@ impl UnifiedOutput {
 }
 
 /// Demand-paged cache over the CSR's column array with FIFO eviction
-/// (a fair stand-in for the driver's coarse LRU at this granularity).
-struct PageCache {
+/// (a fair stand-in for the driver's coarse LRU at this granularity):
+/// every gather touches the neighbor list's byte range, counting faults
+/// and migrated bytes, before the CSR serves it.
+struct PageCache<'g> {
+    graph: &'g Csr,
     capacity_pages: usize,
     resident: HashSet<usize>,
     fifo: VecDeque<usize>,
     faults: u64,
+    bytes_migrated: u64,
 }
 
-impl PageCache {
-    fn new(capacity_bytes: usize) -> Self {
+impl<'g> PageCache<'g> {
+    fn new(graph: &'g Csr, capacity_bytes: usize) -> Self {
         PageCache {
+            graph,
             capacity_pages: (capacity_bytes / PAGE_BYTES).max(1),
             resident: HashSet::new(),
             fifo: VecDeque::new(),
             faults: 0,
+            bytes_migrated: 0,
         }
     }
 
@@ -100,38 +106,14 @@ impl PageCache {
     }
 }
 
-/// Demand-paged [`NeighborAccess`]: every gather touches the neighbor
-/// list's byte range in the page cache (counting faults and migrated
-/// bytes) before charging the standard gather read.
-struct PagedAccess<'g> {
-    graph: &'g Csr,
-    cache: PageCache,
-    bytes_migrated: u64,
-}
-
-impl NeighborAccess for PagedAccess<'_> {
-    fn graph(&self) -> GraphView<'_> {
-        self.graph.view()
-    }
-
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
-        let deg = self.graph.degree(v);
-        let start_byte = self.graph.row_ptr()[v as usize] * 4;
-        let faulted = self.cache.touch(start_byte, deg * 4);
-        self.bytes_migrated += faulted * PAGE_BYTES as u64;
-        stats.read_gmem(gather_bytes(self.graph.is_weighted(), deg));
-        Gathered {
-            graph: self.graph.view(),
-            neighbors: self.graph.neighbors(v),
-            weights: self.graph.neighbor_weights(v),
-        }
-    }
-
-    fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
-        Gathered {
-            graph: self.graph.view(),
-            neighbors: self.graph.neighbors(v),
-            weights: self.graph.neighbor_weights(v),
+impl Residency for PageCache<'_> {
+    /// Pages in `v`'s neighbor list on a gather; the cache-hit path's
+    /// uncharged re-borrow reads no adjacency page.
+    fn fault_in(&mut self, v: VertexId, charged: bool) {
+        if charged {
+            let start_byte = self.graph.row_ptr()[v as usize] * 4;
+            let faulted = self.touch(start_byte, self.graph.degree(v) * 4);
+            self.bytes_migrated += faulted * PAGE_BYTES as u64;
         }
     }
 }
@@ -200,11 +182,9 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
             .with_select(self.select)
             .with_ctps_cache(cache.as_ref())
             .with_method_policy(self.method_policy);
-        let mut access = PagedAccess {
-            graph: self.graph,
-            cache: PageCache::new(self.device.memory_bytes),
-            bytes_migrated: 0,
-        };
+        let mut storage = CsrAccess { graph: self.graph };
+        let pages = PageCache::new(self.graph, self.device.memory_bytes);
+        let mut access = LayeredAccess::new(&mut storage, None, pages);
         let mut stats = SimStats::new();
         let mut outputs: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); seeds.len()];
 
@@ -269,14 +249,15 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
         }
 
         let kernel_secs = gpu_kernel_seconds(&stats, &self.device);
-        let paging = access.cache.faults as f64
+        let pages = &access.residency;
+        let paging = pages.faults as f64
             * (PAGE_FAULT_LATENCY + PAGE_BYTES as f64 / (self.device.pcie_gbps * 1e9));
         stats.sampled_edges = outputs.iter().map(|o| o.len() as u64).sum();
         UnifiedOutput {
             instances: outputs,
             stats,
-            page_faults: access.cache.faults,
-            bytes_migrated: access.bytes_migrated,
+            page_faults: pages.faults,
+            bytes_migrated: pages.bytes_migrated,
             sim_seconds: kernel_secs + paging,
         }
     }
@@ -399,6 +380,24 @@ mod tests {
             csaw.sim_seconds,
             um.sim_seconds
         );
+    }
+
+    /// The comparator's paging ledger, pinned exactly on a fixed input: a
+    /// plain sampler (every gather pages) and a cached biased walk (cache
+    /// hits re-borrow adjacency without touching the page cache).
+    #[test]
+    fn paging_counters_are_pinned() {
+        use csaw_core::algorithms::BiasedRandomWalk;
+        let g = rmat(12, 8, RmatParams::GRAPH500, 3);
+        let seeds: Vec<u32> = (0..96).map(|i| i * 41 % 4096).collect();
+        let device = DeviceConfig::tiny(3 * PAGE_BYTES);
+        let ns = UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 };
+        let out = UnifiedRunner::new(&g, &ns, device).run(&seeds);
+        assert_eq!((out.page_faults, out.bytes_migrated), (80, 5242880));
+        let walk = BiasedRandomWalk { length: 16 };
+        let out = UnifiedRunner::new(&g, &walk, device).with_ctps_cache_budget(1 << 16).run(&seeds);
+        assert!(out.stats.ctps_cache_hits > 0);
+        assert_eq!((out.page_faults, out.bytes_migrated), (107, 7012352));
     }
 
     #[test]

@@ -72,9 +72,11 @@ pub struct ServiceConfig {
     /// gathers through the store's mmap-backed segments with on-demand
     /// decode into per-worker pools instead of the resident CSR.
     /// Responses stay bit-identical to in-memory runs at every pool
-    /// budget. A disk-backed service serves immutable epochs:
+    /// budget. A disk-backed service refuses edits —
     /// [`SamplingService::mutate`] is rejected with
-    /// `EditError::ImmutableStore`. The service installs its own
+    /// `EditError::ImmutableStore` — because [`SamplingService::compact`]
+    /// folds the overlay into a fresh base, and here the base is the
+    /// store, which compaction would have to rewrite. The service installs its own
     /// [`csaw_core::residency::DiskTierStats`] sink when `shared` is
     /// `None`, surfacing pool gauges through [`StatsSnapshot`].
     pub disk: Option<csaw_core::residency::DiskRunConfig>,
@@ -360,8 +362,8 @@ impl SamplingService {
         let stats = &self.shared.stats;
         ServiceStats::inc(&stats.mutations_submitted);
         if self.shared.config.disk.is_some() {
-            // The disk tier serves immutable epochs: segment files are
-            // write-once and pool decodes must stay bit-exact.
+            // Compaction folds the overlay into a fresh base; on the disk
+            // tier that base is the mapped store, which it cannot rewrite.
             ServiceStats::inc(&stats.mutations_rejected);
             return Err(EditError::ImmutableStore);
         }

@@ -6,13 +6,15 @@
 //! samples (every RNG draw is keyed by `(instance, depth, vertex,
 //! trial)`, and the disk tier serves the exact same neighbor slices).
 
-use csaw::core::algorithms::{BiasedRandomWalk, UnbiasedNeighborSampling};
-use csaw::core::engine::{RunOptions, Sampler};
-use csaw::core::residency::{DiskRunConfig, DiskTierStats};
-use csaw::core::AlgoSpec;
+use csaw::core::algorithms::{BiasedRandomWalk, MultiDimRandomWalk, UnbiasedNeighborSampling};
+use csaw::core::ctps_cache::CtpsCache;
+use csaw::core::engine::{ExecMode, RunOptions, Sampler};
+use csaw::core::residency::{with_thread_disk_access, DiskRunConfig, DiskTierStats};
+use csaw::core::{AlgoSpec, Algorithm};
+use csaw::gpu::stats::SimStats;
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::graph::store::write_store;
-use csaw::graph::{Csr, DiskStore, EdgeEdit};
+use csaw::graph::{Csr, DiskStore, EdgeEdit, MutableGraph};
 use csaw::oom::{OomConfig, OomRunner};
 use csaw::service::{
     MutationRequest, OomExecutor, SamplingRequest, SamplingService, ServiceConfig,
@@ -187,5 +189,114 @@ fn service_is_bit_identical_and_rejects_mutation_on_every_executor() {
     assert_eq!(snap.disk_lookups, snap.disk_hits + snap.disk_misses);
     assert_eq!(snap.mutations_rejected, 1);
     assert!(snap.fully_accounted(), "{snap:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The disk tier's ledger in one run's counters, and the calling
+/// thread's pool (the pooled path's, or a fresh one) stays conserved.
+fn assert_disk_ledger(stats: &SimStats, cfg: &DiskRunConfig, label: &str) {
+    assert!(stats.disk_pool_lookups > 0, "{label}: disk tier never consulted");
+    assert_eq!(stats.disk_pool_lookups, stats.disk_pool_hits + stats.disk_pool_misses, "{label}");
+    let pool = with_thread_disk_access(cfg, |a| a.snapshot());
+    assert!(pool.is_conserved(), "{label}: {pool:?}");
+}
+
+/// A mutation snapshot over the disk tier — its overlay above a store
+/// written from its base — samples exactly what the same snapshot
+/// samples over the CSR, and what a plain run on the compacted graph
+/// samples: on the engine in both execution orders with a CTPS cache
+/// attached, on the out-of-memory queue path and on the pooled path, at
+/// pool budgets from one run to the whole graph. `biased-walk` reads
+/// `degree(dst)` and `node2vec` reads `has_edge` through the access's
+/// graph view, so a view that dropped the overlay would diverge here.
+#[test]
+fn snapshot_over_disk_matches_snapshot_over_csr_and_the_compacted_graph() {
+    let g = rmat(9, 6, RmatParams::GRAPH500, 35);
+    let n = g.num_vertices() as u32;
+    let mut hubs: Vec<u32> = (0..n).collect();
+    hubs.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+    hubs.truncate(6);
+    let mut edits = Vec::new();
+    for &h in &hubs {
+        edits.push(EdgeEdit::Delete { src: h, dst: g.neighbors(h)[0] });
+        edits.push(EdgeEdit::Insert { src: h, dst: (h * 7 + 3) % n, weight: 1.0 });
+        edits.push(EdgeEdit::Insert { src: (h * 13 + 5) % n, dst: h, weight: 1.0 });
+    }
+    let mut mg = MutableGraph::new(g.clone());
+    mg.apply_batch(&edits).unwrap();
+    let snap = mg.snapshot();
+    let compacted = snap.to_csr();
+    let seeds: Vec<u32> = (0..48).map(|i| i * 13 % n).collect();
+    let dir = tmp_dir("snapshot");
+    let total = disk_cfg(&g, &dir, 8, 0).store.total_decoded_bytes();
+    // One hub's run (4 bytes an edge plus its row-pointer word), a tenth
+    // of the graph, all of it.
+    let budgets = [4 * g.degree(hubs[0]) + 8, total / 10, total];
+
+    for name in ["simple-walk", "biased-walk", "node2vec"] {
+        let algo = AlgoSpec::by_name(name).unwrap().with_depth(10).build().unwrap();
+        let algo: &dyn Algorithm = algo.as_ref();
+        let plain = Sampler::new(&compacted, &algo).run_single_seeds(&seeds).instances;
+        for budget in budgets {
+            let cfg = disk_cfg(&g, &dir, 8, budget);
+            for exec in [ExecMode::InstanceMajor, ExecMode::DepthSync] {
+                let label = format!("{name} {exec:?} pool {budget}");
+                let run = |disk: Option<DiskRunConfig>| {
+                    let cache = Arc::new(CtpsCache::new(1 << 16));
+                    let opts = RunOptions {
+                        exec,
+                        ctps_cache: Some(Arc::clone(&cache)),
+                        snapshot: Some(snap.clone()),
+                        disk,
+                        ..Default::default()
+                    };
+                    let out = Sampler::new(snap.base(), &algo)
+                        .with_options(opts)
+                        .run_checked(&seeds.iter().map(|&s| vec![s]).collect::<Vec<_>>());
+                    let snap = cache.snapshot();
+                    assert!(snap.is_conserved(), "{label}: {snap:?}");
+                    out.expect("a snapshot over the disk tier is servable")
+                };
+                assert_eq!(run(None).instances, plain, "{label}: snapshot over CSR");
+                let over_disk = run(Some(cfg.clone()));
+                assert_eq!(over_disk.instances, plain, "{label}: snapshot over disk");
+                assert_disk_ledger(&over_disk.stats, &cfg, &label);
+            }
+
+            let label = format!("{name} OOM queue pool {budget}");
+            let oom = |disk: Option<DiskRunConfig>| {
+                let runner = OomRunner::new(snap.base(), &algo, OomConfig::full())
+                    .with_ctps_cache_budget(1 << 16)
+                    .with_snapshot(snap.clone());
+                match disk {
+                    Some(cfg) => runner.with_disk(cfg).run(&seeds),
+                    None => runner.run(&seeds),
+                }
+            };
+            assert_eq!(oom(None).instances, plain, "{label}: snapshot over CSR");
+            let over_disk = oom(Some(cfg.clone()));
+            assert_eq!(over_disk.instances, plain, "{label}: snapshot over disk");
+            assert_disk_ledger(&over_disk.stats, &cfg, &label);
+        }
+    }
+
+    let mdrw = MultiDimRandomWalk { budget: 60 };
+    let pools = MultiDimRandomWalk::seed_pools(g.num_vertices(), 6, 32, 7);
+    let plain = OomRunner::new(&compacted, &mdrw, OomConfig::full()).run_pools(&pools);
+    let pooled = |disk: Option<DiskRunConfig>| {
+        let runner =
+            OomRunner::new(snap.base(), &mdrw, OomConfig::full()).with_snapshot(snap.clone());
+        match disk {
+            Some(cfg) => runner.with_disk(cfg).run_pools(&pools),
+            None => runner.run_pools(&pools),
+        }
+    };
+    assert_eq!(pooled(None).instances, plain.instances, "mdrw: snapshot over CSR");
+    for budget in budgets {
+        let cfg = disk_cfg(&g, &dir, 8, budget);
+        let over_disk = pooled(Some(cfg.clone()));
+        assert_eq!(over_disk.instances, plain.instances, "mdrw pool {budget}: snapshot over disk");
+        assert_disk_ledger(&over_disk.stats, &cfg, &format!("mdrw pool {budget}"));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

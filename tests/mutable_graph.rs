@@ -9,7 +9,8 @@
 use csaw::core::algorithms::{BiasedRandomWalk, UnbiasedNeighborSampling};
 use csaw::core::ctps_cache::CtpsCache;
 use csaw::core::engine::{RunOptions, Sampler};
-use csaw::core::{DeltaAccess, NeighborAccess};
+use csaw::core::step::CsrAccess;
+use csaw::core::{LayeredAccess, NeighborAccess};
 use csaw::gpu::config::DeviceConfig;
 use csaw::gpu::stats::SimStats;
 use csaw::graph::generators::{rmat, toy_graph, RmatParams};
@@ -138,7 +139,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any interleaving of edits and compactions: the overlay's
-    /// `DeltaAccess` gather is edge-multiset-identical (per vertex) to a
+    /// snapshot access's gather is edge-multiset-identical (per vertex) to a
     /// CSR rebuilt from scratch, and snapshot walks are bit-identical to
     /// walks on that rebuilt CSR.
     #[test]
@@ -159,7 +160,8 @@ proptest! {
 
         let scratch = model.to_csr();
         let snap = mg.snapshot();
-        let mut access = DeltaAccess { snapshot: &snap };
+        let mut csr = CsrAccess { graph: snap.base() };
+        let mut access = LayeredAccess::new(&mut csr, Some(&snap), ());
         let mut stats = SimStats::new();
         prop_assert_eq!(snap.view().num_edges(), scratch.num_edges());
         for v in 0..model.n as u32 {

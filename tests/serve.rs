@@ -532,8 +532,12 @@ fn metrics_ledger_balances_under_hostile_multi_tenant_load() {
         quota_sheds
     });
 
-    // Let the flood pile up against the paused worker, then release it.
-    std::thread::sleep(Duration::from_millis(200));
+    // Hold the worker paused until the flood has overrun the cap-2 queue
+    // at least once, then release it.
+    wait_until("a queue-full shed", || {
+        parse_value(&server.metrics_page(), "csaw_requests_rejected_queue_full_total")
+            .is_some_and(|sheds| sheds >= 1.0)
+    });
     server.service().resume();
 
     for t in flood_threads {
