@@ -84,6 +84,12 @@ pub fn adjust_and_search<C: CtpsView>(
 /// (no allocation once both buffers are warm). Charges exactly what
 /// [`updated_ctps`] charges. Returns `false` — leaving `ctps` empty —
 /// when every candidate is selected (total bias zero).
+///
+/// Kept out of line: only [`crate::select::SelectStrategy::Updated`]
+/// reaches it, and inlined into the shared without-replacement SELECT it
+/// slows the other strategies' rounds (≈ 10% on a bipartite
+/// biased-neighbor launch, x86-64, default release profile).
+#[inline(never)]
 pub fn updated_ctps_into(
     biases: &[f64],
     selected: &[bool],

@@ -9,6 +9,13 @@
 //! by every instance of a launch, evicted with a degree-aware clock so
 //! hubs stick and leaves churn.
 //!
+//! The budget is **cache-wide**: one bytes ledger, reserved atomically
+//! on admission. Entries live in lock stripes (vertex id modulo the
+//! stripe count), but a stripe is only a lock — it owns no slice of the
+//! budget, so an admission that fits is never refused or made to evict,
+//! however unevenly the hubs land. Over budget, the clock sweeps the
+//! incomer's own stripe and then the others.
+//!
 //! Only algorithms whose [`crate::api::Algorithm::edge_bias`] is *static*
 //! (`edge_bias_is_static()`, no walk-state dependence) may use it: their
 //! CTPS for a vertex is the same on every visit, so a hit can binary-search
@@ -16,7 +23,10 @@
 //! consumes exactly the same RNG draws and selects exactly the same
 //! indices as a rebuild — the cache changes the *cost model* (hits charge
 //! a cheap cached-table gather instead of the bias gather + Kogge-Stone
-//! scan), never the sampled output.
+//! scan), never the sampled output. The kernel's hits sample the cached
+//! table in place under the stripe lock ([`CtpsCache::with_ctps_entry`],
+//! [`CtpsCache::with_alias_entry`]) and copy nothing out;
+//! [`CtpsCache::lookup_into`] is the copy-out accessor for other callers.
 //!
 //! Admission verifies per-region that a positive bound width corresponds
 //! to a positive raw bias (see [`widths_agree`]); entries failing the
@@ -84,8 +94,8 @@ pub fn build_vertex_ctps<A: Algorithm + ?Sized>(
 /// What a lookup found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// The vertex's CTPS was cached at the current epoch and has been
-    /// copied into the destination arena.
+    /// The vertex's CTPS was cached at the current epoch; its bounds are
+    /// now in the destination table.
     Hit {
         /// Number of positive-bias candidates (selectable count).
         selectable: u32,
@@ -192,6 +202,20 @@ impl Payload {
             Payload::Alias(t) => alias_entry_bytes(t.len()),
         }
     }
+
+    fn ctps(&self) -> Option<&Ctps> {
+        match self {
+            Payload::Ctps(c) => Some(c),
+            Payload::Alias(_) => None,
+        }
+    }
+
+    fn alias(&self) -> Option<&AliasTable> {
+        match self {
+            Payload::Alias(t) => Some(t),
+            Payload::Ctps(_) => None,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -210,51 +234,40 @@ struct Shard {
     slots: Vec<Option<Entry>>,
     free: Vec<usize>,
     hand: usize,
-    bytes: usize,
 }
 
-impl Shard {
-    /// Drops slot `i`, returning its byte charge.
-    fn evict_slot(&mut self, i: usize) -> usize {
-        let e = self.slots[i].take().expect("evicting an occupied slot");
-        self.map.remove(&e.vertex);
-        self.free.push(i);
-        let freed = e.payload.bytes();
-        self.bytes -= freed;
-        freed
-    }
-}
-
-/// A byte-budgeted, sharded, lazily-populated cache of per-vertex CTPS
-/// tables for static-edge-bias algorithms. Shared by reference across the
-/// instances (and rayon workers) of a launch; see the module docs for the
-/// bit-identical-output invariant.
+/// A byte-budgeted, lock-striped, lazily-populated cache of per-vertex
+/// CTPS tables for static-edge-bias algorithms. Shared by reference
+/// across the instances (and rayon workers) of a launch; see the module
+/// docs for the bit-identical-output invariant.
 #[derive(Debug)]
 pub struct CtpsCache {
     shards: Vec<Mutex<Shard>>,
-    shard_budget: usize,
     budget: usize,
     counters: Counters,
 }
 
-/// Default shard count: enough to keep engine workers from serializing on
-/// one lock, deterministic (vertex id modulo) so behavior never depends
-/// on thread timing for *placement* (only hit/miss timing is racy, which
-/// affects cost accounting alone, never sampled output).
+/// Default stripe count: enough to keep engine workers from serializing
+/// on one lock, deterministic (vertex id modulo) so behavior never
+/// depends on thread timing for *placement* (only hit/miss timing is
+/// racy, which affects cost accounting alone, never sampled output).
 const DEFAULT_SHARDS: usize = 16;
 
 impl CtpsCache {
-    /// A cache with `budget` bytes split over the default shard count.
+    /// A cache with a `budget`-byte budget behind the default stripe
+    /// count.
     pub fn new(budget: usize) -> Self {
         Self::with_shards(budget, DEFAULT_SHARDS)
     }
 
-    /// A cache with `budget` bytes split evenly over `shards` locks.
+    /// A cache with one cache-wide `budget`-byte budget behind `shards`
+    /// lock stripes. Stripes are locks only: any stripe may hold any share
+    /// of the budget, so a skewed placement (hubs with low-order zero
+    /// bits) never turns a table away while the cache has room.
     pub fn with_shards(budget: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         CtpsCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: budget / shards,
             budget,
             counters: Counters::default(),
         }
@@ -265,8 +278,12 @@ impl CtpsCache {
         self.budget
     }
 
+    fn stripe(&self, v: VertexId) -> usize {
+        v as usize % self.shards.len()
+    }
+
     fn shard_of(&self, v: VertexId) -> &Mutex<Shard> {
-        &self.shards[v as usize % self.shards.len()]
+        &self.shards[self.stripe(v)]
     }
 
     /// Hints the host memory system to pull vertex `v`'s shard header
@@ -290,84 +307,102 @@ impl CtpsCache {
         let _ = v;
     }
 
-    /// Looks up vertex `v`'s CTPS at residency `epoch`. On a hit the
-    /// cached bounds are copied into `dst` (allocation-free once `dst`'s
-    /// capacity is warm) and the entry's clock reference bit is set. A
-    /// stale-epoch entry is dropped (counted as an eviction) and reported
-    /// as a miss. Charges nothing — callers charge their cost model.
-    pub fn lookup_into(&self, v: VertexId, epoch: u64, dst: &mut Ctps) -> CacheOutcome {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_of(v).lock().unwrap();
-        if let Some(&slot) = shard.map.get(&v) {
-            let stale = shard.slots[slot].as_ref().expect("mapped slot occupied").epoch != epoch;
-            if stale {
-                let freed = shard.evict_slot(slot);
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                self.counters.evictions_stale.fetch_add(1, Ordering::Relaxed);
-                self.counters.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
-            } else {
-                let e = shard.slots[slot].as_mut().expect("mapped slot occupied");
-                if let Payload::Ctps(ref ctps) = e.payload {
-                    e.referenced = true;
-                    dst.assign(ctps);
-                    let out = CacheOutcome::Hit { selectable: e.selectable, degree: e.degree };
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    return out;
-                }
-                // Alias-flavored entry: a miss for the ITS path (see
-                // [`Payload`]); the entry stays.
-            }
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        CacheOutcome::Miss
+    /// Drops slot `i` of a locked stripe, counting the eviction under
+    /// `kind` and returning its bytes to the budget.
+    fn evict(&self, shard: &mut Shard, i: usize, kind: &AtomicU64) {
+        let e = shard.slots[i].take().expect("evicting an occupied slot");
+        shard.map.remove(&e.vertex);
+        shard.free.push(i);
+        self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+        kind.fetch_add(1, Ordering::Relaxed);
+        self.counters.bytes.fetch_sub(e.payload.bytes() as u64, Ordering::Relaxed);
     }
 
-    /// Runs `f` over vertex `v`'s cached alias table (plus its selectable
-    /// count) at residency `epoch`, *under the shard lock* — the alias
-    /// win is O(1) draws with no O(degree) copy-out, so the closure
-    /// samples in place. Returns `None` on a miss (absent, stale-epoch —
-    /// dropped like [`CtpsCache::lookup_into`] — or CTPS-flavored entry).
-    /// Charges nothing; callers charge their cost model.
-    pub fn with_alias_entry<R>(
+    /// The one locked lookup body: counts the lookup, drops a stale-epoch
+    /// entry, and runs `f` under the stripe lock over a current entry
+    /// whose payload `flavor` accepts (setting its clock reference bit and
+    /// counting the hit). Anything else is a miss; an entry of the other
+    /// flavor stays (see [`Payload`]).
+    fn with_entry<T: ?Sized, R>(
         &self,
         v: VertexId,
         epoch: u64,
-        f: impl FnOnce(&AliasTable, u32) -> R,
+        flavor: impl FnOnce(&Payload) -> Option<&T>,
+        f: impl FnOnce(&T, u32) -> R,
     ) -> Option<R> {
         self.counters.lookups.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_of(v).lock().unwrap();
         if let Some(&slot) = shard.map.get(&v) {
-            let stale = shard.slots[slot].as_ref().expect("mapped slot occupied").epoch != epoch;
-            if stale {
-                let freed = shard.evict_slot(slot);
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                self.counters.evictions_stale.fetch_add(1, Ordering::Relaxed);
-                self.counters.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
-            } else {
-                let e = shard.slots[slot].as_mut().expect("mapped slot occupied");
+            let e = shard.slots[slot].as_mut().expect("mapped slot occupied");
+            if e.epoch != epoch {
+                self.evict(&mut shard, slot, &self.counters.evictions_stale);
+            } else if let Some(payload) = flavor(&e.payload) {
+                e.referenced = true;
+                let out = f(payload, e.selectable);
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 if matches!(e.payload, Payload::Alias(_)) {
-                    e.referenced = true;
-                    let selectable = e.selectable;
-                    let Payload::Alias(ref table) = e.payload else { unreachable!() };
-                    let out = f(table, selectable);
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
                     self.counters.alias_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(out);
                 }
+                return Some(out);
             }
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
+    /// Runs `f` over vertex `v`'s cached CTPS (plus its selectable count)
+    /// at residency `epoch`, *under the stripe lock* — the ITS hit draws
+    /// its picks off the borrowed bounds in place, an O(log d) search per
+    /// pick with no O(degree) copy-out. Returns `None` on a miss (absent,
+    /// stale-epoch — dropped and counted as an eviction — or
+    /// alias-flavored entry). Charges nothing; callers charge their cost
+    /// model.
+    pub fn with_ctps_entry<R>(
+        &self,
+        v: VertexId,
+        epoch: u64,
+        f: impl FnOnce(&Ctps, u32) -> R,
+    ) -> Option<R> {
+        self.with_entry(v, epoch, Payload::ctps, f)
+    }
+
+    /// The copy-out accessor: looks up vertex `v`'s CTPS at residency
+    /// `epoch` like [`CtpsCache::with_ctps_entry`] and, on a hit, copies
+    /// the cached bounds into `dst` (allocation-free once `dst`'s capacity
+    /// is warm). The sampling kernel draws in place instead; this serves
+    /// callers that need an owned table.
+    pub fn lookup_into(&self, v: VertexId, epoch: u64, dst: &mut Ctps) -> CacheOutcome {
+        self.with_ctps_entry(v, epoch, |ctps, selectable| {
+            dst.assign(ctps);
+            CacheOutcome::Hit { selectable, degree: ctps.len() as u32 }
+        })
+        .unwrap_or(CacheOutcome::Miss)
+    }
+
+    /// Runs `f` over vertex `v`'s cached alias table (plus its selectable
+    /// count) at residency `epoch`, *under the stripe lock* — the alias
+    /// win is O(1) draws with no O(degree) copy-out, so the closure
+    /// samples in place. Returns `None` on a miss (absent, stale-epoch —
+    /// dropped like [`CtpsCache::with_ctps_entry`] — or CTPS-flavored
+    /// entry). Charges nothing; callers charge their cost model.
+    pub fn with_alias_entry<R>(
+        &self,
+        v: VertexId,
+        epoch: u64,
+        f: impl FnOnce(&AliasTable, u32) -> R,
+    ) -> Option<R> {
+        self.with_entry(v, epoch, Payload::alias, f)
+    }
+
     /// Offers vertex `v`'s freshly built CTPS for admission at residency
-    /// `epoch`. The degree-aware clock makes room: stale-epoch entries go
-    /// first, reference bits grant one round of grace, and an unreferenced
-    /// entry is only displaced by an incomer of equal or higher degree —
-    /// hubs stick, leaves churn. Refusal (entry larger than the shard
-    /// budget, or the clock declined) counts an admission reject and is
-    /// not an error; the caller already has its built CTPS. Returns
-    /// whether the entry was admitted.
+    /// `epoch`. Within the budget it is stored outright; over it, the
+    /// degree-aware clock makes room: stale-epoch entries go first,
+    /// reference bits grant one round of grace, and an unreferenced entry
+    /// is only displaced by an incomer of equal or higher degree — hubs
+    /// stick, leaves churn. Refusal (entry larger than the whole budget,
+    /// or the cache-wide sweep could not make room) counts an admission
+    /// reject and is not an error; the caller already has its built CTPS.
+    /// Returns whether the entry was admitted.
     ///
     /// Callers must have verified [`widths_agree`] against the raw biases
     /// and pass `selectable` consistent with it.
@@ -420,9 +455,59 @@ impl CtpsCache {
         admitted
     }
 
-    /// Shared admission path: budget check, re-promotion race check, the
-    /// degree-aware clock, then storage. `make` is called only once the
-    /// entry is certain to be stored.
+    /// Reserves `needed` bytes of the cache-wide budget if they fit. The
+    /// compare-and-swap keeps `bytes <= budget` under concurrent
+    /// admissions.
+    fn reserve(&self, needed: usize) -> bool {
+        self.counters
+            .bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
+                (b + needed as u64 <= self.budget as u64).then_some(b + needed as u64)
+            })
+            .is_ok()
+    }
+
+    /// True when `needed` more bytes would overrun the budget.
+    fn over_budget(&self, needed: usize) -> bool {
+        self.counters.bytes.load(Ordering::Relaxed) + needed as u64 > self.budget as u64
+    }
+
+    /// One stripe's turn of the degree-aware clock for an incomer of
+    /// `degree` at `epoch`: at most two full revolutions, stopping as soon
+    /// as `needed` bytes fit the cache-wide budget. Entries whose tag
+    /// differs from the incomer's go first — under uniform epochs
+    /// (residency bumps) they are genuinely stale; under per-vertex
+    /// version tags this is a heuristic (a differently-versioned neighbor
+    /// may still be valid), but evicting a valid entry is always safe and
+    /// sweep pressure only exists over budget.
+    fn sweep(&self, shard: &mut Shard, epoch: u64, degree: u32, needed: usize) {
+        let len = shard.slots.len();
+        let mut probes = 0usize;
+        while self.over_budget(needed) && probes < 2 * len {
+            let i = shard.hand;
+            shard.hand = (shard.hand + 1) % len;
+            probes += 1;
+            let Some(e) = shard.slots[i].as_mut() else { continue };
+            if e.epoch != epoch {
+                self.evict(shard, i, &self.counters.evictions_stale);
+            } else if e.referenced {
+                e.referenced = false;
+            } else if e.degree <= degree {
+                self.evict(shard, i, &self.counters.evictions_clock);
+            }
+        }
+    }
+
+    /// Shared admission path: re-promotion race check, a budget
+    /// reservation, the cache-wide clock if the reservation fails, then
+    /// storage. `make` is called only once the entry is certain to be
+    /// stored.
+    ///
+    /// The clock sweeps `v`'s own stripe first, then every other stripe
+    /// in order. Holding one stripe lock it only ever *tries* another, so
+    /// two admissions never wait on each other; a stripe busy elsewhere
+    /// is skipped. Single-threaded, every try succeeds and the sweep
+    /// order is fixed, so counts repeat exactly.
     fn admit(
         &self,
         v: VertexId,
@@ -432,11 +517,12 @@ impl CtpsCache {
         degree: u32,
         make: impl FnOnce() -> Payload,
     ) -> bool {
-        if needed > self.shard_budget {
+        if needed > self.budget {
             self.counters.admission_rejects.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let mut shard = self.shard_of(v).lock().unwrap();
+        let own = self.stripe(v);
+        let mut shard = self.shards[own].lock().unwrap();
         if let Some(&slot) = shard.map.get(&v) {
             let same = shard.slots[slot].as_ref().expect("mapped slot occupied").epoch == epoch;
             if same {
@@ -447,46 +533,25 @@ impl CtpsCache {
             // The resident copy was built under a different tag (residency
             // or mutation-version change): replace it with the incoming
             // entry, which was built against the current adjacency.
-            let freed = shard.evict_slot(slot);
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-            self.counters.evictions_replaced.fetch_add(1, Ordering::Relaxed);
-            self.counters.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
+            self.evict(&mut shard, slot, &self.counters.evictions_replaced);
         }
 
-        // Degree-aware clock: sweep at most two full revolutions. Entries
-        // whose tag differs from the promoting entry's epoch go first —
-        // under uniform epochs (residency bumps) they are genuinely stale;
-        // under per-vertex version tags this is a heuristic (a
-        // differently-versioned neighbor may still be valid), but evicting
-        // a valid entry is always safe and sweep pressure only exists
-        // over-budget.
-        let len = shard.slots.len();
-        let mut probes = 0usize;
-        let mut evicted_stale = 0u64;
-        let mut evicted_clock = 0u64;
-        let mut freed = 0u64;
-        while shard.bytes + needed > self.shard_budget && probes < 2 * len {
-            let i = shard.hand;
-            shard.hand = (shard.hand + 1) % len;
-            probes += 1;
-            let Some(e) = shard.slots[i].as_mut() else { continue };
-            if e.epoch != epoch {
-                freed += shard.evict_slot(i) as u64;
-                evicted_stale += 1;
-            } else if e.referenced {
-                e.referenced = false;
-            } else if e.degree <= degree {
-                freed += shard.evict_slot(i) as u64;
-                evicted_clock += 1;
+        let mut reserved = self.reserve(needed);
+        if !reserved {
+            self.sweep(&mut shard, epoch, degree, needed);
+            reserved = self.reserve(needed);
+        }
+        let stripes = self.shards.len();
+        for other in (1..stripes).map(|d| (own + d) % stripes) {
+            if reserved {
+                break;
             }
+            if let Ok(mut peer) = self.shards[other].try_lock() {
+                self.sweep(&mut peer, epoch, degree, needed);
+            }
+            reserved = self.reserve(needed);
         }
-        if evicted_stale + evicted_clock > 0 {
-            self.counters.evictions.fetch_add(evicted_stale + evicted_clock, Ordering::Relaxed);
-            self.counters.evictions_stale.fetch_add(evicted_stale, Ordering::Relaxed);
-            self.counters.evictions_clock.fetch_add(evicted_clock, Ordering::Relaxed);
-            self.counters.bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-        if shard.bytes + needed > self.shard_budget {
+        if !reserved {
             self.counters.admission_rejects.fetch_add(1, Ordering::Relaxed);
             return false;
         }
@@ -504,13 +569,11 @@ impl CtpsCache {
             }
         };
         shard.map.insert(v, slot);
-        shard.bytes += needed;
         self.counters.promotions.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes.fetch_add(needed as u64, Ordering::Relaxed);
         true
     }
 
-    /// Entries currently cached (locks every shard).
+    /// Entries currently cached (locks every stripe in turn).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
     }
@@ -521,7 +584,7 @@ impl CtpsCache {
     }
 
     /// A consistent-enough snapshot of the counters (individually atomic;
-    /// the bytes gauge is reconciled against the locked shards).
+    /// `entries` locks every stripe in turn).
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
             lookups: self.counters.lookups.load(Ordering::Relaxed),
@@ -640,12 +703,116 @@ mod tests {
     #[test]
     fn oversized_entries_are_rejected() {
         let g = toy_graph();
-        let cache = CtpsCache::new(16); // smaller than any entry
         let (ctps, selectable) = built(&g, 8);
+        let needed = entry_bytes(ctps.len());
+        // One byte short of the entry: refused outright.
+        let cache = CtpsCache::new(needed - 1);
         assert!(!cache.promote(8, 0, &ctps, selectable as u32, ctps.len() as u32));
         let snap = cache.snapshot();
         assert_eq!(snap.admission_rejects, 1);
         assert_eq!(snap.entries, 0);
+        // Exactly the entry: admitted, though it is far more than one
+        // stripe's sixteenth of the budget.
+        let cache = CtpsCache::new(needed);
+        assert!(cache.promote(8, 0, &ctps, selectable as u32, ctps.len() as u32));
+        assert_eq!(cache.snapshot().bytes as usize, needed);
+    }
+
+    #[test]
+    fn one_stripe_may_hold_the_whole_budget() {
+        // Every vertex a multiple of 16 lands in stripe 0 of a 16-stripe
+        // cache. Their tables total under the budget but far over a
+        // sixteenth of it: all of them must be admitted, nothing evicted.
+        let g = rmat(8, 8, RmatParams::GRAPH500, 5);
+        let stripe0: Vec<VertexId> =
+            (0..g.num_vertices() as VertexId).step_by(16).filter(|&v| g.degree(v) > 0).collect();
+        let tables: Vec<_> = stripe0.iter().map(|&v| (v, built(&g, v))).collect();
+        let total: usize = tables.iter().map(|(_, (c, _))| entry_bytes(c.len())).sum();
+        let budget = total + total / 8;
+        assert!(total > budget / 16, "the stripe must overflow a sixteenth slice");
+        let cache = CtpsCache::with_shards(budget, 16);
+        let mut dst = Ctps::empty();
+        for (v, (ctps, selectable)) in &tables {
+            assert_eq!(cache.lookup_into(*v, 0, &mut dst), CacheOutcome::Miss);
+            assert!(cache.promote(*v, 0, ctps, *selectable as u32, ctps.len() as u32), "v{v}");
+        }
+        let snap = cache.snapshot();
+        assert_eq!((snap.admission_rejects, snap.evictions), (0, 0), "{snap:?}");
+        assert_eq!(snap.entries as usize, tables.len());
+        assert_eq!(snap.bytes as usize, total);
+        assert!(snap.is_conserved());
+    }
+
+    #[test]
+    fn full_stripe_evicts_from_its_peers() {
+        // Fill stripe 1 to the budget, then admit into stripe 0: the sweep
+        // must reach into stripe 1 to make room.
+        let g = rmat(8, 8, RmatParams::GRAPH500, 5);
+        let n = g.num_vertices() as VertexId;
+        let (hub, (hub_ctps, hub_sel)) = (0..n)
+            .step_by(2)
+            .map(|v| (v, g.degree(v)))
+            .max_by_key(|&(_, d)| d)
+            .map(|(v, _)| (v, built(&g, v)))
+            .unwrap();
+        // Odd (stripe 1) vertices no bigger than the hub, until their
+        // tables alone could hold the hub's.
+        let (mut leaves, mut budget) = (Vec::new(), 0);
+        for v in (1..n).step_by(2).filter(|&v| (1..=hub_ctps.len()).contains(&g.degree(v))) {
+            if budget >= entry_bytes(hub_ctps.len()) {
+                break;
+            }
+            leaves.push(v);
+            budget += entry_bytes(g.degree(v));
+        }
+        assert!(entry_bytes(hub_ctps.len()) <= budget);
+        let cache = CtpsCache::with_shards(budget, 2);
+        let mut dst = Ctps::empty();
+        for &v in &leaves {
+            let (c, sel) = built(&g, v);
+            assert_eq!(cache.lookup_into(v, 0, &mut dst), CacheOutcome::Miss);
+            assert!(cache.promote(v, 0, &c, sel as u32, c.len() as u32));
+        }
+        assert_eq!(cache.lookup_into(hub, 0, &mut dst), CacheOutcome::Miss);
+        assert!(cache.promote(hub, 0, &hub_ctps, hub_sel as u32, hub_ctps.len() as u32));
+        let snap = cache.snapshot();
+        assert!(snap.evictions_clock > 0, "{snap:?}");
+        assert_eq!(snap.admission_rejects, 0);
+        assert!(snap.is_conserved(), "{snap:?}");
+    }
+
+    #[test]
+    fn concurrent_hammer_keeps_the_budget() {
+        let g = rmat(9, 8, RmatParams::GRAPH500, 9);
+        let tables: Vec<_> = (0..g.num_vertices() as VertexId)
+            .filter(|&v| g.degree(v) > 0)
+            .map(|v| (v, built(&g, v)))
+            .collect();
+        let cache = CtpsCache::new(8 * 1024);
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (cache, tables) = (&cache, &tables);
+                s.spawn(move || {
+                    let mut dst = Ctps::empty();
+                    for round in 0..3 {
+                        for (i, (v, (ctps, sel))) in tables.iter().enumerate() {
+                            if (i + t + round) % 3 == 0 {
+                                continue;
+                            }
+                            let epoch = (round == 2 && i % 5 == t) as u64;
+                            if cache.lookup_into(*v, epoch, &mut dst) == CacheOutcome::Miss {
+                                cache.promote(*v, epoch, ctps, *sel as u32, ctps.len() as u32);
+                            }
+                            let snap = cache.snapshot();
+                            assert!(snap.bytes <= snap.budget, "{snap:?}");
+                        }
+                    }
+                });
+            }
+        });
+        let snap = cache.snapshot();
+        assert!(snap.is_conserved(), "{snap:?}");
+        assert!(snap.hits > 0 && snap.evictions > 0, "{snap:?}");
     }
 
     #[test]

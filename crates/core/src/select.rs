@@ -496,6 +496,23 @@ pub fn select_without_replacement_preloaded_into(
     stats: &mut SimStats,
 ) {
     let SelectScratch { ctps, out, work } = scratch;
+    select_without_replacement_over(ctps, selectable, k, cfg, out, work, rng, stats);
+}
+
+/// [`select_without_replacement_preloaded_into`] over a borrowed table
+/// — a cache hit draws off the cached bounds in place, under the cache's
+/// stripe lock, into the caller's `out` and `work`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn select_without_replacement_over(
+    ctps: &Ctps,
+    selectable: usize,
+    k: usize,
+    cfg: SelectConfig,
+    out: &mut Vec<usize>,
+    work: &mut SelectWork,
+    rng: &mut Philox,
+    stats: &mut SimStats,
+) {
     out.clear();
     let n = ctps.len();
     debug_assert_eq!(
@@ -504,7 +521,7 @@ pub fn select_without_replacement_preloaded_into(
         "cached selectable count out of sync with region widths"
     );
     let is_selectable = |i: usize| ctps.probability(i) > 0.0;
-    select_k(&*ctps, n, selectable, is_selectable, k, cfg, out, work, rng, stats);
+    select_k(ctps, n, selectable, is_selectable, k, cfg, out, work, rng, stats);
 }
 
 /// [`select_without_replacement_into`] over `n` implicit unit biases:

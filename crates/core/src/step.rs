@@ -36,15 +36,16 @@ use crate::alias::{AliasBuildScratch, AliasTable};
 use crate::api::{AlgoConfig, Algorithm, EdgeCand, UpdateAction};
 use crate::collision::{charge_visited_check, DetectorKind};
 use crate::ctps::{rebuild_cost, Ctps};
-use crate::ctps_cache::{self, CacheOutcome, CtpsCache};
+use crate::ctps_cache::{self, CtpsCache};
 use crate::method::{
     choose_method, MethodContext, MethodPolicy, RejectionFeedback, SelectMethod,
     REJECTION_MAX_TRIALS,
 };
 use crate::select::{
     select_one_preloaded, select_one_rejection, select_one_uniform, select_one_with,
-    select_without_replacement_into, select_without_replacement_preloaded_into,
-    select_without_replacement_uniform_into, SelectConfig, SelectScratch, SelectStrategy,
+    select_without_replacement_into, select_without_replacement_over,
+    select_without_replacement_preloaded_into, select_without_replacement_uniform_into,
+    SelectConfig, SelectScratch, SelectStrategy,
 };
 use csaw_gpu::rng::task_key;
 use csaw_gpu::stats::SimStats;
@@ -115,16 +116,15 @@ enum Source {
     /// The EDGEBIAS lane in `scratch.biases`; SELECT builds the table
     /// from it and charges the builds it really runs.
     Lane,
-    /// A table already in `scratch.select.ctps`. `charged` tells a vertex
-    /// group's shared build — each member charges the fill and every
-    /// rebuild it was spared — from a cache hit, which charged its
-    /// cached-table read instead.
-    Table { selectable: usize, charged: bool },
+    /// A vertex group's shared build, already in `scratch.select.ctps`:
+    /// each member charges the fill and every rebuild it was spared.
+    Table { selectable: usize },
     /// `n` implicit unit biases: nothing is materialized, the fill and
     /// the rebuilds are charged.
     Uniform,
-    /// A cached alias row, sampled under the cache's shard lock: stage 2
-    /// already ran, the picks are in `scratch.select.out`.
+    /// A cached table (CTPS or alias), sampled in place under the cache's
+    /// stripe lock: stage 2 already ran, the picks are in
+    /// `scratch.select.out`.
     Drawn,
 }
 
@@ -561,10 +561,17 @@ pub struct StepScratch {
     /// Live rejection-acceptance feedback for the method chooser (one per
     /// worker, like the rest of the arena — health is a local property).
     rej_feedback: RejectionFeedback,
-    /// Debug-only rebuild lane: cache hits re-derive the CTPS here and
-    /// assert it matches the cached bounds bit for bit.
+    /// Debug-only rebuild lane: preloaded sources re-derive the CTPS here
+    /// and assert it matches the table they drew from bit for bit.
     #[cfg(debug_assertions)]
     dbg_ctps: crate::ctps::Ctps,
+    /// Debug-only copy of the table a CTPS cache hit drew from in place,
+    /// taken under the stripe lock, with its selectable count; checked
+    /// against a fresh rebuild once the step has fetched the adjacency.
+    #[cfg(debug_assertions)]
+    dbg_cached: crate::ctps::Ctps,
+    #[cfg(debug_assertions)]
+    dbg_hit: Option<usize>,
     /// Debug-only bias lane: group-shared expansions re-derive each
     /// entry's own EDGEBIAS lane here and assert the shared build (keyed
     /// by vertex alone) really is prev/instance-independent.
@@ -764,9 +771,9 @@ impl<'a> StepKernel<'a> {
         // O(overlay ∩ adjacency), so the uncached path must not pay it.
         let epoch = if cache.is_some() { access.entry_epoch(v) } else { 0 };
 
-        // Stage 1: the source. A cached table stands in for the gather,
-        // the fill and the build; its reader pays for the cached words
-        // and, at emit, for the neighbors it picked.
+        // Stage 1: the source. A cache hit stands in for the gather, the
+        // fill, the build and the draw; its reader pays for the cached
+        // words and, at emit, for the neighbors it picked.
         let cached = match cache {
             Some(cache) => self.cached_source(cache, chooser, v, epoch, rng, scratch, stats),
             None => None,
@@ -778,10 +785,14 @@ impl<'a> StepKernel<'a> {
             None => access.gather(v, stats),
         };
         let n = gat.neighbors.len();
+        #[cfg(debug_assertions)]
+        if let Some(selectable) = scratch.dbg_hit.take() {
+            self.dbg_check_table(&gat, v, entry.prev, selectable, true, scratch);
+        }
         let (source, pick_bytes) = match (cached, shared) {
-            (Some((source, degree)), _) => {
+            (Some(degree), _) => {
                 debug_assert_eq!(n, degree, "cached degree diverged from adjacency");
-                (source, 4 + if gat.graph.is_weighted() { 4 } else { 0 })
+                (Source::Drawn, 4 + if gat.graph.is_weighted() { 4 } else { 0 })
             }
             (None, _) if n == 0 => {
                 match self.algo.on_dead_end(gat.graph, v, home, rng) {
@@ -790,7 +801,7 @@ impl<'a> StepKernel<'a> {
                 }
                 return;
             }
-            (None, Some(b)) => (Source::Table { selectable: b.selectable, charged: true }, 0),
+            (None, Some(b)) => (Source::Table { selectable: b.selectable }, 0),
             (None, None) if self.uniform_closed_form() => (Source::Uniform, 0),
             (None, None) => (Source::Lane, 0),
         };
@@ -892,9 +903,9 @@ impl<'a> StepKernel<'a> {
 
     /// Stage 1's charge and its oracles. EDGEBIAS evaluation costs one
     /// warp-cycle per 32 lanes, which a fresh lane really runs and a
-    /// shared or implicit one only charges; a cache hit charged its
-    /// cached-table read instead. Debug builds check every claim a
-    /// source rests on against the algorithm's own `edge_bias`.
+    /// shared or implicit one only charges (a cache hit drew in stage 1
+    /// and never gets here). Debug builds check every claim a source
+    /// rests on against the algorithm's own `edge_bias`.
     #[inline]
     fn fill(
         &self,
@@ -905,39 +916,63 @@ impl<'a> StepKernel<'a> {
         scratch: &mut StepScratch,
         stats: &mut SimStats,
     ) {
-        let n = gat.neighbors.len();
         match source {
             Source::Lane => return self.fill_biases(gat, v, prev, &mut scratch.biases, stats),
-            Source::Drawn | Source::Table { charged: false, .. } => {}
-            Source::Table { charged: true, .. } | Source::Uniform => {
-                stats.warp_cycles += n.div_ceil(32) as u64;
+            Source::Drawn => {}
+            Source::Table { .. } | Source::Uniform => {
+                stats.warp_cycles += gat.neighbors.len().div_ceil(32) as u64;
             }
         }
         #[cfg(debug_assertions)]
-        {
-            let fresh = &mut scratch.dbg_biases;
-            fresh.clear();
-            fresh.extend((0..n).map(|i| self.algo.edge_bias(gat.graph, &gat.edge(i, v, prev))));
-            match source {
-                Source::Uniform => assert!(
+        match source {
+            Source::Uniform => {
+                let fresh = &mut scratch.dbg_biases;
+                fresh.clear();
+                let n = gat.neighbors.len();
+                fresh.extend((0..n).map(|i| self.algo.edge_bias(gat.graph, &gat.edge(i, v, prev))));
+                assert!(
                     fresh.iter().all(|&b| b == 1.0),
                     "edge_bias_is_uniform() contradicted by edge_bias()"
-                ),
-                Source::Table { selectable, charged } => {
-                    assert!(
-                        !charged || *fresh == scratch.biases,
-                        "edge_bias_is_static() contradicted: v{v}'s bias lane depends on the walker"
-                    );
-                    scratch.dbg_ctps.rebuild(fresh, &mut SimStats::new());
-                    assert_eq!(
-                        scratch.dbg_ctps, scratch.select.ctps,
-                        "preloaded CTPS of v{v} diverged from a fresh rebuild"
-                    );
-                    assert_eq!(fresh.iter().filter(|&&b| b > 0.0).count(), selectable);
-                }
-                Source::Lane | Source::Drawn => {}
+                );
             }
+            Source::Table { selectable } => {
+                self.dbg_check_table(gat, v, prev, selectable, false, scratch)
+            }
+            Source::Lane | Source::Drawn => {}
         }
+    }
+
+    /// Debug oracle of a preloaded table: `v`'s EDGEBIAS lane, evaluated
+    /// fresh, must rebuild to exactly the table the step draws from, with
+    /// `selectable` positive regions — the copy a cache hit took under
+    /// the lock (`hit`), or a vertex group's shared build, whose lane
+    /// must also equal this walker's own.
+    #[cfg(debug_assertions)]
+    fn dbg_check_table(
+        &self,
+        gat: &Gathered<'_>,
+        v: VertexId,
+        prev: Option<VertexId>,
+        selectable: usize,
+        hit: bool,
+        scratch: &mut StepScratch,
+    ) {
+        let StepScratch { biases, select, dbg_ctps, dbg_biases: fresh, dbg_cached, .. } = scratch;
+        fresh.clear();
+        let n = gat.neighbors.len();
+        fresh.extend((0..n).map(|i| self.algo.edge_bias(gat.graph, &gat.edge(i, v, prev))));
+        let table = if hit {
+            &*dbg_cached
+        } else {
+            assert!(
+                fresh == biases,
+                "edge_bias_is_static() contradicted: v{v}'s bias lane depends on the walker"
+            );
+            &select.ctps
+        };
+        dbg_ctps.rebuild(fresh, &mut SimStats::new());
+        assert_eq!(*dbg_ctps, *table, "preloaded CTPS of v{v} diverged from a fresh rebuild");
+        assert_eq!(fresh.iter().filter(|&&b| b > 0.0).count(), selectable);
     }
 
     /// Stage 2, the ITS family: `k` distinct picks through the claim loop
@@ -972,10 +1007,8 @@ impl<'a> StepKernel<'a> {
             Source::Lane => {
                 select_without_replacement_into(biases, k, self.select, select, rng, stats)
             }
-            Source::Table { selectable, charged } => {
-                if charged {
-                    rebuild_cost(n, stats);
-                }
+            Source::Table { selectable } => {
+                rebuild_cost(n, stats);
                 select_without_replacement_preloaded_into(
                     selectable,
                     k,
@@ -994,7 +1027,7 @@ impl<'a> StepKernel<'a> {
 
     /// One with-replacement ITS pick. A pick costs one rebuild of the
     /// table: the lane runs it, a shared or implicit table charges
-    /// [`rebuild_cost`], a cache hit is spared it.
+    /// [`rebuild_cost`].
     #[inline(always)]
     fn draw_one(
         source: Source,
@@ -1006,10 +1039,8 @@ impl<'a> StepKernel<'a> {
     ) -> Option<usize> {
         match source {
             Source::Lane => select_one_with(biases, ctps, rng, stats),
-            Source::Table { charged, .. } => {
-                if charged {
-                    rebuild_cost(n, stats);
-                }
+            Source::Table { .. } => {
+                rebuild_cost(n, stats);
                 select_one_preloaded(ctps, rng, stats)
             }
             Source::Uniform => select_one_uniform(n, rng, stats),
@@ -1017,19 +1048,20 @@ impl<'a> StepKernel<'a> {
         }
     }
 
-    /// Stage 1, the cache side: `v`'s cached table and its degree, or
-    /// `None` on a miss; counts the hit or the miss.
+    /// Stage 1, the cache side: on a hit, `k` and its picks drawn
+    /// straight off `v`'s cached table *under the stripe lock* into
+    /// `scratch.select.out` (no O(d) copy-out), which fuses stage 2 into
+    /// stage 1; returns the degree, or `None` on a miss. Counts the hit or
+    /// the miss.
     ///
-    /// - ITS: the CTPS is copied into the arena and its read is charged —
-    ///   the row header plus the bound words a binary search touches
-    ///   (≤ 8 modeled probes, as in the eager A7 cache).
-    /// - Under the method chooser: `k` O(1) draws straight off the cached
-    ///   alias table *under the shard lock* (no O(d) copy-out), which
-    ///   fuses stage 2 into stage 1; charged the header once and one
-    ///   alias row per draw.
+    /// - ITS: charged the row header plus the bound words a binary search
+    ///   touches (≤ 8 modeled probes, as in the eager A7 cache), then the
+    ///   picks exactly as the preloaded SELECT charges them.
+    /// - Under the method chooser: O(1) draws off the cached alias table;
+    ///   charged the header once and one alias row per draw.
     ///
-    /// Out of line on purpose: a lookup takes a shard lock, so the call is
-    /// free, and inlined it costs the cache-less 80 ns step ≈ 3 ns.
+    /// Out of line on purpose: a lookup takes a stripe lock, so the call
+    /// is free, and inlined it costs the cache-less 80 ns step ≈ 3 ns.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn cached_source(
@@ -1041,11 +1073,10 @@ impl<'a> StepKernel<'a> {
         rng: &mut Philox,
         scratch: &mut StepScratch,
         stats: &mut SimStats,
-    ) -> Option<(Source, usize)> {
-        let select = &mut scratch.select;
+    ) -> Option<usize> {
+        let out = &mut scratch.select.out;
         let hit = if chooser {
-            let out = &mut select.out;
-            let sampled = cache.with_alias_entry(v, epoch, |table, _selectable| {
+            cache.with_alias_entry(v, epoch, |table, _selectable| {
                 let k = self.cfg.neighbor_size.realize(table.len(), rng);
                 out.clear();
                 stats.read_gmem(16);
@@ -1056,17 +1087,37 @@ impl<'a> StepKernel<'a> {
                 stats.selections += out.len() as u64;
                 stats.method_alias += 1;
                 table.len()
-            });
-            sampled.map(|degree| (Source::Drawn, degree))
+            })
         } else {
-            match cache.lookup_into(v, epoch, &mut select.ctps) {
-                CacheOutcome::Hit { selectable, degree } => {
-                    stats.read_gmem(16 + 8 * (degree as usize).min(8));
-                    let selectable = selectable as usize;
-                    Some((Source::Table { selectable, charged: false }, degree as usize))
+            let work = &mut scratch.select.work;
+            #[cfg(debug_assertions)]
+            let (dbg_cached, dbg_hit) = (&mut scratch.dbg_cached, &mut scratch.dbg_hit);
+            cache.with_ctps_entry(v, epoch, |ctps, selectable| {
+                let n = ctps.len();
+                #[cfg(debug_assertions)]
+                {
+                    dbg_cached.assign(ctps);
+                    *dbg_hit = Some(selectable as usize);
                 }
-                CacheOutcome::Miss => None,
-            }
+                stats.read_gmem(16 + 8 * n.min(8));
+                out.clear();
+                let k = self.cfg.neighbor_size.realize(n, rng);
+                if k == 0 {
+                    return n;
+                }
+                if self.method_policy == MethodPolicy::Adaptive {
+                    stats.method_its += 1;
+                }
+                if self.cfg.without_replacement {
+                    let (sel, cfg) = (selectable as usize, self.select);
+                    select_without_replacement_over(ctps, sel, k, cfg, out, work, rng, stats);
+                } else {
+                    for _ in 0..k {
+                        out.extend(select_one_preloaded(ctps, rng, stats));
+                    }
+                }
+                n
+            })
         };
         match hit {
             Some(_) => stats.ctps_cache_hits += 1,
@@ -1589,7 +1640,7 @@ mod tests {
     #[test]
     fn every_source_draws_the_same_expansion() {
         let graphs = [toy_graph(), rmat(8, 6, RmatParams::GRAPH500, 3).with_unit_weights()];
-        let mut hits = 0;
+        let mut hits = [0; 2];
         for (g, without_replacement) in graphs.iter().flat_map(|g| [(g, false), (g, true)]) {
             let pick_bytes = if g.is_weighted() { 8 } else { 4 };
             for v in (0..g.num_vertices() as VertexId).filter(|&v| g.degree(v) >= 2).take(24) {
@@ -1611,7 +1662,8 @@ mod tests {
                     assert_eq!(miss, lane, "a promoting miss is the lane plus the miss count");
                     let hit = expand_via(&cached, g, &entry, false);
                     if hit.stats.ctps_cache_hits == 1 {
-                        hits += 1;
+                        // Drawn in place under the stripe lock.
+                        hits[without_replacement as usize] += 1;
                         assert_eq!(
                             (&hit.picks, &hit.emits, &hit.offers),
                             (&lane.picks, &lane.emits, &lane.offers)
@@ -1667,7 +1719,10 @@ mod tests {
                 }
             }
         }
-        assert!(hits > 100, "the cache-hit source was barely exercised: {hits}");
+        assert!(
+            hits.iter().all(|&h| h > 50),
+            "the cache-hit source was barely exercised: {hits:?}"
+        );
     }
 
     #[test]

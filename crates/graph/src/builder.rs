@@ -102,8 +102,13 @@ impl CsrBuilder {
             edges.retain(|&(s, d, _)| s != d);
         }
         if symmetrize {
-            let rev: Vec<_> = edges.iter().map(|&(s, d, w)| (d, s, w)).collect();
-            edges.extend(rev);
+            // In place: one exact reservation, no second edge list.
+            let m = edges.len();
+            edges.reserve_exact(m);
+            for i in 0..m {
+                let (s, d, w) = edges[i];
+                edges.push((d, s, w));
+            }
         }
 
         let inferred = edges.iter().map(|&(s, d, _)| s.max(d) as usize + 1).max().unwrap_or(0);
@@ -112,7 +117,14 @@ impl CsrBuilder {
         // Sort by (src, dst) then optionally dedup; counting sort on src via
         // the row counts would be faster, but an O(E log E) sort keeps the
         // adjacency lists sorted by dst, which `Csr::has_edge` relies on.
-        edges.sort_by_key(|e| (e.0, e.1));
+        // Dedup keeps the *first* weight, so a weighted build needs the
+        // stable sort; unweighted, equal keys are indistinguishable in the
+        // output and the in-place unstable sort spares the merge scratch.
+        if weighted {
+            edges.sort_by_key(|e| (e.0, e.1));
+        } else {
+            edges.sort_unstable_by_key(|e| (e.0, e.1));
+        }
         if dedup {
             edges.dedup_by_key(|e| (e.0, e.1));
         }
@@ -202,6 +214,35 @@ mod tests {
             .build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weight(0, 0), 2.5);
+    }
+
+    #[test]
+    fn shuffled_duplicated_input_builds_the_sorted_csr() {
+        let sorted: Vec<(VertexId, VertexId)> =
+            vec![(0, 1), (0, 3), (1, 1), (1, 2), (2, 0), (2, 3), (3, 1), (3, 3), (4, 4)];
+        // The same edges shuffled, then every one repeated in reverse.
+        let mut messy: Vec<_> =
+            [5usize, 2, 8, 0, 7, 3, 1, 6, 4].iter().map(|&i| sorted[i]).collect();
+        messy.extend(sorted.iter().rev().copied());
+        for symmetrize in [false, true] {
+            for drop_self_loops in [true, false] {
+                let build = |edges: &[(VertexId, VertexId)]| {
+                    CsrBuilder::new()
+                        .symmetrize(symmetrize)
+                        .drop_self_loops(drop_self_loops)
+                        .extend_edges(edges.iter().copied())
+                        .build()
+                };
+                let (a, b) = (build(&sorted), build(&messy));
+                let ctx = format!("symmetrize={symmetrize} drop_self_loops={drop_self_loops}");
+                assert_eq!(a.row_ptr(), b.row_ptr(), "{ctx}");
+                assert_eq!(a.col(), b.col(), "{ctx}");
+                assert_eq!(b.has_edge(1, 1), !drop_self_loops, "{ctx}");
+                for v in 0..b.num_vertices() as VertexId {
+                    assert!(b.neighbors(v).windows(2).all(|w| w[0] < w[1]), "{ctx} v{v}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -397,7 +397,7 @@ mod tests {
         let walk = BiasedRandomWalk { length: 16 };
         let out = UnifiedRunner::new(&g, &walk, device).with_ctps_cache_budget(1 << 16).run(&seeds);
         assert!(out.stats.ctps_cache_hits > 0);
-        assert_eq!((out.page_faults, out.bytes_migrated), (107, 7012352));
+        assert_eq!((out.page_faults, out.bytes_migrated), (99, 6488064));
     }
 
     #[test]

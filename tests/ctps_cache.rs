@@ -7,7 +7,7 @@
 
 use csaw::core::algorithms::registry::{AlgoSpec, AlgorithmId};
 use csaw::core::algorithms::{BiasedNeighborSampling, BiasedRandomWalk, MultiDimRandomWalk};
-use csaw::core::ctps_cache::CtpsCache;
+use csaw::core::ctps_cache::{entry_bytes, CtpsCache};
 use csaw::core::engine::{RunOptions, Sampler};
 use csaw::gpu::config::DeviceConfig;
 use csaw::graph::generators::{rmat, RmatParams};
@@ -92,7 +92,8 @@ fn eviction_pressure_never_changes_the_sample() {
     let seeds: Vec<VertexId> = (0..64).map(|i| (i * 197) % n).collect();
 
     let baseline = Sampler::new(&g, &algo).run_single_seeds(&seeds);
-    // ~6 average-degree entries across 16 shards: constant displacement.
+    // ~6 average-degree entries in one cache-wide budget: constant
+    // displacement.
     let cache = Arc::new(CtpsCache::new(1024));
     let opts = RunOptions { ctps_cache: Some(Arc::clone(&cache)), ..RunOptions::default() };
     let cached = Sampler::new(&g, &algo).with_options(opts).run_single_seeds(&seeds);
@@ -104,6 +105,31 @@ fn eviction_pressure_never_changes_the_sample() {
         snap.evictions > 0 || snap.admission_rejects > 0,
         "a 1 KiB budget on a power-law graph must displace entries: {snap:?}"
     );
+}
+
+/// The budget is cache-wide: a budget that holds every table admits
+/// every table, however unevenly R-MAT's hubs (low-order zero bits) load
+/// the 16 lock stripes — no admission is refused and nothing is evicted.
+#[test]
+fn a_budget_that_fits_every_table_never_evicts() {
+    let g = rmat(10, 8, RmatParams::GRAPH500, 37);
+    let n = g.num_vertices() as VertexId;
+    let algo = BiasedRandomWalk { length: 12 };
+    let seeds: Vec<VertexId> = (0..256).map(|i| (i * 61) % n).collect();
+    let budget: usize = (0..n).map(|v| entry_bytes(g.degree(v))).sum();
+    let stripe0: usize = (0..n).step_by(16).map(|v| entry_bytes(g.degree(v))).sum();
+    assert!(stripe0 > budget / 16, "R-MAT hubs must overload stripe 0");
+
+    let baseline = Sampler::new(&g, &algo).run_single_seeds(&seeds);
+    let cache = Arc::new(CtpsCache::new(budget));
+    let opts = RunOptions { ctps_cache: Some(Arc::clone(&cache)), ..RunOptions::default() };
+    let cached = Sampler::new(&g, &algo).with_options(opts).run_single_seeds(&seeds);
+    assert_eq!(cached.instances, baseline.instances);
+    let snap = cache.snapshot();
+    assert!(snap.is_conserved(), "{snap:?}");
+    assert_eq!((snap.admission_rejects, snap.evictions), (0, 0), "{snap:?}");
+    assert_eq!(snap.promotions, snap.entries);
+    assert!(snap.hits > 0, "{snap:?}");
 }
 
 /// Out-of-memory scheduler: per-stream cache shards (with epoch
