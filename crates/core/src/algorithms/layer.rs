@@ -6,7 +6,7 @@
 //! SELECT.
 
 use crate::api::{AlgoConfig, Algorithm, EdgeCand, FrontierMode, NeighborSize};
-use csaw_graph::{GraphView, VertexId};
+use csaw_graph::{GraphView, VertexId, Weight};
 
 /// Layer sampling with a per-layer budget.
 #[derive(Debug, Clone, Copy)]
@@ -32,6 +32,17 @@ impl Algorithm for LayerSampling {
     fn edge_bias(&self, g: GraphView<'_>, e: &EdgeCand) -> f64 {
         // Importance ∝ candidate degree (static bias per Table I).
         g.degree(e.u) as f64
+    }
+    fn edge_bias_lane(
+        &self,
+        g: GraphView<'_>,
+        _v: VertexId,
+        _prev: Option<VertexId>,
+        neighbors: &[VertexId],
+        _weights: Option<&[Weight]>,
+        out: &mut Vec<f64>,
+    ) {
+        g.degree_lane(neighbors, out)
     }
     fn edge_bias_is_static(&self) -> bool {
         // Static per Table I. The shared-layer union pool is still built

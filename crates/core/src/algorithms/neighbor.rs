@@ -2,7 +2,7 @@
 //! the DGL `NeighborSampler` workload and the GCN mini-batch sampler).
 
 use crate::api::{AlgoConfig, Algorithm, EdgeCand, FrontierMode, NeighborSize};
-use csaw_graph::GraphView;
+use csaw_graph::{GraphView, VertexId, Weight};
 
 fn ns_config(ns: usize, depth: usize) -> AlgoConfig {
     AlgoConfig {
@@ -58,6 +58,21 @@ impl Algorithm for BiasedNeighborSampling {
             e.weight as f64
         } else {
             g.degree(e.u) as f64
+        }
+    }
+    fn edge_bias_lane(
+        &self,
+        g: GraphView<'_>,
+        _v: VertexId,
+        _prev: Option<VertexId>,
+        neighbors: &[VertexId],
+        weights: Option<&[Weight]>,
+        out: &mut Vec<f64>,
+    ) {
+        match (g.is_weighted(), weights) {
+            (true, Some(w)) => out.extend(w.iter().map(|&w| w as f64)),
+            (true, None) => out.resize(out.len() + neighbors.len(), 1.0),
+            (false, _) => g.degree_lane(neighbors, out),
         }
     }
     fn edge_bias_is_static(&self) -> bool {

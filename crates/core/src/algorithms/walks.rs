@@ -2,7 +2,7 @@
 
 use crate::api::{AlgoConfig, Algorithm, EdgeCand, FrontierMode, NeighborSize, UpdateAction};
 use csaw_gpu::Philox;
-use csaw_graph::{GraphView, VertexId};
+use csaw_graph::{GraphView, VertexId, Weight};
 
 fn walk_config(length: usize) -> AlgoConfig {
     AlgoConfig {
@@ -200,6 +200,17 @@ impl Algorithm for BiasedRandomWalk {
     }
     fn edge_bias(&self, g: GraphView<'_>, e: &EdgeCand) -> f64 {
         g.degree(e.u) as f64
+    }
+    fn edge_bias_lane(
+        &self,
+        g: GraphView<'_>,
+        _v: VertexId,
+        _prev: Option<VertexId>,
+        neighbors: &[VertexId],
+        _weights: Option<&[Weight]>,
+        out: &mut Vec<f64>,
+    ) {
+        g.degree_lane(neighbors, out)
     }
     fn edge_bias_is_static(&self) -> bool {
         true // degree of the endpoint: per-edge, no walk state

@@ -132,9 +132,34 @@ pub trait Algorithm: Sync + Send {
         1.0
     }
 
+    /// `EDGEBIAS` over a whole adjacency — the paper's unit of work
+    /// (§IV-A: a warp fills all `d` lanes of a vertex, then scans them):
+    /// appends the bias of every edge `(v, neighbors[i])` to `out`, in
+    /// neighbor order. `weights` is `v`'s weight slice (`None` on
+    /// unweighted graphs, where every edge weighs 1.0). The step kernel
+    /// calls this once per expansion. The default calls
+    /// [`Algorithm::edge_bias`] per edge; override it only to produce the
+    /// very same values faster, e.g. a bias that reads nothing but the
+    /// edge weight or `degree(u)` ([`GraphView::degree_lane`]). Debug
+    /// builds check every lane against `edge_bias` bit for bit.
+    fn edge_bias_lane(
+        &self,
+        g: GraphView<'_>,
+        v: VertexId,
+        prev: Option<VertexId>,
+        neighbors: &[VertexId],
+        weights: Option<&[Weight]>,
+        out: &mut Vec<f64>,
+    ) {
+        out.extend(neighbors.iter().enumerate().map(|(i, &u)| {
+            let weight = weights.map_or(1.0, |w| w[i]);
+            self.edge_bias(g, &EdgeCand { v, u, weight, prev })
+        }));
+    }
+
     /// Declares that [`Algorithm::edge_bias`] returns `1.0` for *every*
-    /// edge, letting the step kernel fill the bias lane directly instead
-    /// of materializing candidates and calling the hook per neighbor.
+    /// edge, letting the step kernel fill the bias lane with `1.0`s
+    /// directly instead of calling [`Algorithm::edge_bias_lane`].
     /// Conservative default `false`; algorithms that override `edge_bias`
     /// must leave it `false` (debug builds verify the claim against the
     /// hook). Purely a fast path: stats charges and sampled output are
@@ -227,6 +252,17 @@ macro_rules! forward_algorithm {
             }
             fn edge_bias(&self, g: GraphView<'_>, e: &EdgeCand) -> f64 {
                 (**self).edge_bias(g, e)
+            }
+            fn edge_bias_lane(
+                &self,
+                g: GraphView<'_>,
+                v: VertexId,
+                prev: Option<VertexId>,
+                neighbors: &[VertexId],
+                weights: Option<&[Weight]>,
+                out: &mut Vec<f64>,
+            ) {
+                (**self).edge_bias_lane(g, v, prev, neighbors, weights, out)
             }
             fn edge_bias_is_uniform(&self) -> bool {
                 (**self).edge_bias_is_uniform()

@@ -396,7 +396,11 @@ mod tests {
             }
             let mut overflow = vec![1.0; n];
             overflow[n / 3] = f64::INFINITY;
-            for lane in [vec![0.0; n], overflow] {
+            // Finite biases whose sum overflows part-way through the scan.
+            let sum_overflow = vec![f64::MAX / 3.0; n];
+            let failing =
+                [vec![0.0; n], overflow].into_iter().chain((n >= 4).then_some(sum_overflow));
+            for lane in failing {
                 let mut expected = SimStats::new();
                 scan_cost(n, &mut expected);
                 let mut charged = SimStats::new();

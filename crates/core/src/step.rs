@@ -1289,19 +1289,21 @@ impl<'a> StepKernel<'a> {
         let mut rng = Philox::for_task(self.seed, task_key(instance, depth, POOL_STEP_VERTEX, 0));
         let StepScratch { cands, biases, select, .. } = scratch;
         cands.clear();
+        biases.clear();
+        // The union lane is built slot by slot through the same lane hook
+        // as a per-vertex step, and charged once over the whole pool.
         for slot in frontier {
             let gat = access.gather(slot.vertex, stats);
-            for i in 0..gat.neighbors.len() {
-                cands.push(gat.edge(i, slot.vertex, slot.prev));
-            }
+            cands.extend((0..gat.neighbors.len()).map(|i| gat.edge(i, slot.vertex, slot.prev)));
+            self.push_lane(&gat, slot.vertex, slot.prev, biases);
         }
         if cands.is_empty() {
             return;
         }
         let k = self.cfg.neighbor_size.realize(cands.len(), &mut rng);
-        let g = access.graph();
-        self.fill_lane(g, cands.len(), |i| cands[i], biases, stats);
+        stats.warp_cycles += cands.len().div_ceil(32) as u64;
         self.draw_its(Source::Lane, cands.len(), k, biases, select, &mut rng, stats);
+        let g = access.graph();
         for &idx in select.out.iter() {
             let cand = cands[idx];
             sink.emit(&entry, (cand.v, cand.u));
@@ -1414,8 +1416,8 @@ impl<'a> StepKernel<'a> {
         stats.frontier_ops += 1;
     }
 
-    /// EDGEBIAS over a gathered adjacency, filling the caller's bias
-    /// lane (see [`Self::fill_lane`]).
+    /// Fills `biases` with `v`'s EDGEBIAS lane over a gathered adjacency
+    /// and charges one warp-cycle per 32 lanes of evaluation.
     fn fill_biases(
         &self,
         gat: &Gathered<'_>,
@@ -1424,33 +1426,39 @@ impl<'a> StepKernel<'a> {
         biases: &mut Vec<f64>,
         stats: &mut SimStats,
     ) {
-        self.fill_lane(gat.graph, gat.neighbors.len(), |i| gat.edge(i, v, prev), biases, stats)
+        biases.clear();
+        self.push_lane(gat, v, prev, biases);
+        stats.warp_cycles += gat.neighbors.len().div_ceil(32) as u64;
     }
 
-    /// Fills `biases` with EDGEBIAS of candidates `0..n` and charges one
-    /// warp-cycle per 32 lanes of evaluation. When the algorithm declares
-    /// its edge bias uniform ([`Algorithm::edge_bias_is_uniform`]) the
-    /// lane is filled with 1.0 directly — no per-candidate hook calls, no
-    /// `EdgeCand` materialization (debug builds still verify the claim).
-    fn fill_lane(
+    /// Appends `v`'s EDGEBIAS lane over `gat` to `biases`, uncharged: one
+    /// [`Algorithm::edge_bias_lane`] call, or 1.0 per candidate when the
+    /// algorithm declares its edge bias uniform
+    /// ([`Algorithm::edge_bias_is_uniform`]). Debug builds check the
+    /// lane against the per-edge `edge_bias` bit for bit, which is what
+    /// keeps an overriding hook — or the uniform claim — honest.
+    #[inline]
+    fn push_lane(
         &self,
-        g: GraphView<'_>,
-        n: usize,
-        cand: impl Fn(usize) -> EdgeCand,
+        gat: &Gathered<'_>,
+        v: VertexId,
+        prev: Option<VertexId>,
         biases: &mut Vec<f64>,
-        stats: &mut SimStats,
     ) {
-        biases.clear();
+        let (start, n) = (biases.len(), gat.neighbors.len());
         if self.bias_uniform {
-            biases.resize(n, 1.0);
-            debug_assert!(
-                (0..n).all(|i| self.algo.edge_bias(g, &cand(i)) == 1.0),
-                "edge_bias_is_uniform() contradicted by edge_bias()"
-            );
+            biases.resize(start + n, 1.0);
         } else {
-            biases.extend((0..n).map(|i| self.algo.edge_bias(g, &cand(i))));
+            self.algo.edge_bias_lane(gat.graph, v, prev, gat.neighbors, gat.weights, biases);
         }
-        stats.warp_cycles += n.div_ceil(32) as u64;
+        debug_assert!(
+            biases.len() == start + n
+                && biases[start..].iter().enumerate().all(|(i, b)| {
+                    b.to_bits() == self.algo.edge_bias(gat.graph, &gat.edge(i, v, prev)).to_bits()
+                }),
+            "{} contradicted by edge_bias() at v{v}",
+            if self.bias_uniform { "edge_bias_is_uniform()" } else { "edge_bias_lane()" }
+        );
     }
 
     /// UPDATE's frontier push, gated by the depth budget: entries that

@@ -36,35 +36,100 @@ pub const LOG_WARP_SIZE: u32 = 5;
 /// tiles the running carry is added (one more lockstep step), which is how
 /// a single warp scans a pool longer than 32. Returns nothing; work is
 /// recorded into `stats`.
+///
+/// A full tile runs its five rounds with compile-time strides
+/// (`ks_round::<1>` … `::<16>`), which the compiler unrolls; a partial
+/// tile runs the generic round loop. Both perform the same adds in the
+/// same order as [`inclusive_scan_by_rounds`], so the result is
+/// bit-identical to it (debug builds check every full tile) and the
+/// charges are exactly [`scan_cost`]`(vals.len())`.
 pub fn inclusive_scan(vals: &mut [f64], stats: &mut SimStats) {
     let mut carry = 0.0;
+    let mut tiles = vals.chunks_exact_mut(WARP_SIZE);
+    for tile in &mut tiles {
+        let tile: &mut [f64; WARP_SIZE] =
+            tile.try_into().expect("chunks_exact_mut yields full tiles");
+        #[cfg(debug_assertions)]
+        let mut oracle = *tile;
+        ks_round::<1>(tile);
+        ks_round::<2>(tile);
+        ks_round::<4>(tile);
+        ks_round::<8>(tile);
+        ks_round::<16>(tile);
+        #[cfg(debug_assertions)]
+        {
+            ks_rounds(&mut oracle, &mut SimStats::new());
+            debug_assert!(
+                oracle.iter().zip(tile.iter()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "unrolled Kogge-Stone tile diverged from the round loop"
+            );
+        }
+        stats.scan_steps += LOG_WARP_SIZE as u64;
+        stats.warp_cycles += LOG_WARP_SIZE as u64;
+        carry = broadcast_carry(tile, carry, stats);
+    }
+    let rest = tiles.into_remainder();
+    if !rest.is_empty() {
+        ks_rounds(rest, stats);
+        broadcast_carry(rest, carry, stats);
+    }
+}
+
+/// The reference for [`inclusive_scan`]: every tile, full or partial,
+/// through the generic round loop. An oracle for tests and
+/// `debug_assert`s, never a path.
+pub fn inclusive_scan_by_rounds(vals: &mut [f64], stats: &mut SimStats) {
+    let mut carry = 0.0;
     for tile in vals.chunks_mut(WARP_SIZE) {
-        // Kogge-Stone: lane i adds lane i-d's value from the previous
-        // round. Descending iteration preserves read-before-write.
-        let mut d = 1;
-        while d < tile.len() {
-            for i in (d..tile.len()).rev() {
-                tile[i] += tile[i - d];
-            }
-            d <<= 1;
-            stats.scan_steps += 1;
-            stats.warp_cycles += 1;
+        ks_rounds(tile, stats);
+        carry = broadcast_carry(tile, carry, stats);
+    }
+}
+
+/// One Kogge-Stone round at stride `D` over a full tile: lane `i` adds
+/// lane `i - D`'s value from the previous round — exactly the adds, and
+/// the operand order, of one iteration of [`ks_rounds`].
+#[inline(always)]
+fn ks_round<const D: usize>(tile: &mut [f64; WARP_SIZE]) {
+    let prev = *tile;
+    for i in D..WARP_SIZE {
+        tile[i] = prev[i] + prev[i - D];
+    }
+}
+
+/// The Kogge-Stone rounds of one tile of any length, charged a lockstep
+/// step per round.
+fn ks_rounds(tile: &mut [f64], stats: &mut SimStats) {
+    // Lane i adds lane i-d's value from the previous round. Descending
+    // iteration preserves read-before-write.
+    let mut d = 1;
+    while d < tile.len() {
+        for i in (d..tile.len()).rev() {
+            tile[i] += tile[i - d];
         }
-        if tile.len() == 1 {
-            // A 1-element tile still costs a step on hardware (predicated).
-            stats.scan_steps += 1;
-            stats.warp_cycles += 1;
-        }
-        if carry != 0.0 {
-            for v in tile.iter_mut() {
-                *v += carry;
-            }
-        }
-        // Carry broadcast costs one step whether or not it is zero.
+        d <<= 1;
         stats.scan_steps += 1;
         stats.warp_cycles += 1;
-        carry = *tile.last().unwrap();
     }
+    if tile.len() == 1 {
+        // A 1-element tile still costs a step on hardware (predicated).
+        stats.scan_steps += 1;
+        stats.warp_cycles += 1;
+    }
+}
+
+/// Adds the running `carry` to a scanned tile and returns the next one.
+/// The broadcast costs one step whether or not the carry is zero.
+#[inline]
+fn broadcast_carry(tile: &mut [f64], carry: f64, stats: &mut SimStats) -> f64 {
+    if carry != 0.0 {
+        for v in tile.iter_mut() {
+            *v += carry;
+        }
+    }
+    stats.scan_steps += 1;
+    stats.warp_cycles += 1;
+    tile[tile.len() - 1]
 }
 
 /// Charges exactly the lockstep steps [`inclusive_scan`] would charge for
@@ -319,6 +384,36 @@ mod tests {
             let mut charged = SimStats::new();
             scan_cost(n, &mut charged);
             assert_eq!(charged, expect, "n={n}");
+        }
+    }
+
+    /// The unrolled full tiles against the round loop, bit for bit, on
+    /// lanes whose partial sums round (non-integer values, zeros and
+    /// subnormals) and on one that overflows to infinity part-way.
+    #[test]
+    fn tiled_scan_matches_the_round_loop() {
+        let mut rng = crate::Philox::new(0x5CA7);
+        for n in (0..=200).chain([255, 256, 257, 1000, 4097]) {
+            let mut random: Vec<f64> = (0..n).map(|_| rng.uniform() * 1e3 + 1e-3).collect();
+            for slot in random.iter_mut().step_by(3) {
+                *slot = if rng.chance(0.5) { 0.0 } else { f64::MIN_POSITIVE / 4.0 };
+            }
+            let overflow = vec![f64::MAX / 3.0; n];
+            for (i, lane) in [random, overflow].into_iter().enumerate() {
+                let mut tiled = lane.clone();
+                let mut charged = SimStats::new();
+                inclusive_scan(&mut tiled, &mut charged);
+                let mut oracle = lane;
+                inclusive_scan_by_rounds(&mut oracle, &mut SimStats::new());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&tiled), bits(&oracle), "n={n} lane {i}");
+                let mut expect = SimStats::new();
+                scan_cost(n, &mut expect);
+                assert_eq!(charged, expect, "n={n}");
+                if i == 1 && n >= 4 {
+                    assert_eq!(tiled.last(), Some(&f64::INFINITY), "n={n}");
+                }
+            }
         }
     }
 

@@ -134,6 +134,20 @@ impl<'a> GraphView<'a> {
         }
     }
 
+    /// Appends `degree(u) as f64` for every `u` in `us` to `out` — the
+    /// degree-bias lane of a whole adjacency in one call. A bare CSR reads
+    /// `row_ptr[u + 1] − row_ptr[u]` in one tight loop; an overlay or a
+    /// paged base resolves each vertex through [`Self::degree`].
+    pub fn degree_lane(&self, us: &[VertexId], out: &mut Vec<f64>) {
+        match (self.base, self.overlay) {
+            (Base::Csr(base), None) => {
+                let rp = base.row_ptr();
+                out.extend(us.iter().map(|&u| (rp[u as usize + 1] - rp[u as usize]) as f64));
+            }
+            _ => out.extend(us.iter().map(|&u| self.degree(u) as f64)),
+        }
+    }
+
     /// The neighbor list of `v` as a sorted slice.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &'a [VertexId] {

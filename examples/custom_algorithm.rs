@@ -59,6 +59,11 @@ impl Algorithm for SimilarityExplorer {
         }
     }
     // EDGEBIAS: 1 + |N(v) ∩ N(u)| — prefer structurally similar neighbors.
+    // The kernel asks for a vertex's whole lane at once through
+    // `edge_bias_lane`, whose default calls this once per edge. Overriding
+    // the lane hook pays off when the lane has a cheaper bulk form, such as
+    // `GraphView::degree_lane` for a degree bias. A sorted-list intersection
+    // per neighbor has none, so the default is the right choice here.
     fn edge_bias(&self, g: GraphView<'_>, e: &EdgeCand) -> f64 {
         1.0 + Self::overlap(g, e.v, e.u) as f64
     }
