@@ -5,7 +5,9 @@
 //! to set up, but "may require many trials before picking up a vertex
 //! successfully, especially for scale-free graphs where a few candidates
 //! have much larger biases than others" — which is exactly what the A3
-//! ablation measures against inverse transform sampling.
+//! ablation measures against inverse transform sampling. The serving
+//! path's bounded rejection draw is `csaw_core::select::select_one_rejection`;
+//! this full board is only the KnightKing baseline's and the ablation's.
 
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;

@@ -17,6 +17,14 @@
 //! POWER9-like cost model can price them on the paper's hardware — the
 //! same convention the simulated GPU uses. Host wall time is also
 //! reported.
+//!
+//! Two comparators on the simulated GPU live here too, because only
+//! KnightKing and the paper's ablations call them:
+//!
+//! - [`dartboard`]: the full rejection board of §II-B (KnightKing's
+//!   dynamic-bias path and the A3 ablation);
+//! - [`precompute`]: the eager all-vertices CTPS cache (the A7
+//!   ablation, §VII's "probability pre-computation").
 
 //! ## Example
 //!
@@ -39,8 +47,10 @@
 pub mod fenwick {
     pub use csaw_core::fenwick::Fenwick;
 }
+pub mod dartboard;
 pub mod graphsaint;
 pub mod knightking;
+pub mod precompute;
 
 pub use graphsaint::GraphSaintMdrw;
 pub use knightking::KnightKing;

@@ -11,14 +11,16 @@
 //! what it costs (one f64 per edge of device memory).
 //!
 //! The eager all-vertices build here and the lazy budgeted
-//! [`crate::ctps_cache::CtpsCache`] share the same per-vertex builder
-//! ([`crate::ctps_cache::build_vertex_ctps`]), so the two strategies are
-//! the endpoints of one budget axis: this cache is the 100%-budget,
-//! paid-up-front point of the lazy cache's sweep.
+//! [`csaw_core::ctps_cache::CtpsCache`] share the same per-vertex builder
+//! ([`csaw_core::ctps_cache::build_vertex_ctps`]), so the two strategies
+//! are the endpoints of one budget axis: this cache is the 100%-budget,
+//! paid-up-front point of the lazy cache's sweep. It lives with the
+//! baselines because only the A7 ablation calls it: with the lazy cache
+//! at a near-total hit share, the serving path has no gap for it to close.
 
-use crate::api::Algorithm;
-use crate::ctps::Ctps;
-use crate::ctps_cache::build_vertex_ctps;
+use csaw_core::api::Algorithm;
+use csaw_core::ctps::Ctps;
+use csaw_core::ctps_cache::build_vertex_ctps;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;
 use csaw_graph::{Csr, VertexId};
@@ -100,8 +102,8 @@ impl EagerCtpsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::BiasedRandomWalk;
-    use crate::engine::Sampler;
+    use csaw_core::algorithms::BiasedRandomWalk;
+    use csaw_core::engine::Sampler;
     use csaw_graph::generators::{rmat, toy_graph, RmatParams};
     use std::collections::HashMap;
 

@@ -69,6 +69,9 @@ fn main() {
         ("quality", ablations::quality),
         ("sweep-depth", sweeps::sweep_depth),
         ("sweep-oom", sweeps::sweep_oom),
+        ("sweep-exec", sweeps::sweep_exec),
+        ("sweep-disk", sweeps::sweep_disk),
+        ("sweep-overlay", sweeps::sweep_overlay),
     ];
 
     eprintln!("# C-SAW reproduction harness — scale: {scale:?}");

@@ -10,11 +10,11 @@
 use crate::experiments::graph_for;
 use crate::report::{f2, f3, Table};
 use crate::scale::{seeds, Scale};
+use csaw_baselines::dartboard::Dartboard;
 use csaw_core::algorithms::BiasedNeighborSampling;
 use csaw_core::alias::AliasTable;
 use csaw_core::collision::DetectorKind;
 use csaw_core::ctps::Ctps;
-use csaw_core::dartboard::Dartboard;
 use csaw_core::engine::{RunOptions, Sampler};
 use csaw_core::select::{SelectConfig, SelectStrategy};
 use csaw_gpu::stats::SimStats;
@@ -306,8 +306,8 @@ pub fn quality(scale: Scale) -> Vec<Table> {
 /// computing the CTPS at every step — §VII's "probability pre-computation"
 /// trade-off inside C-SAW.
 pub fn ablate_precompute(scale: Scale) -> Vec<Table> {
+    use csaw_baselines::precompute::EagerCtpsCache;
     use csaw_core::algorithms::BiasedRandomWalk;
-    use csaw_core::precompute::EagerCtpsCache;
     let mut t = Table::new(
         "A7 - static-bias CTPS cache vs per-step recompute (biased walk)",
         &["graph", "recompute cyc/edge", "cached cyc/edge", "speedup", "cache MB", "build cycles"],

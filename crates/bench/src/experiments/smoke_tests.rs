@@ -41,6 +41,9 @@ mod tests {
     fn sweep_smoke() {
         assert_tables(sweeps::sweep_depth(Scale::Quick), 2, 8);
         assert_tables(sweeps::sweep_oom(Scale::Quick), 1, 5);
+        assert_tables(sweeps::sweep_exec(Scale::Quick), 1, 12);
+        assert_tables(sweeps::sweep_disk(Scale::Quick), 1, 3);
+        assert_tables(sweeps::sweep_overlay(Scale::Quick), 1, 6);
     }
 
     #[test]

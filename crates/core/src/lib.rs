@@ -28,13 +28,15 @@
 //! - [`collision`]: collision detectors — shared-memory linear search
 //!   (the Fig. 12 baseline), contiguous bitmap, and the paper's **strided
 //!   bitmap**, with 8-bit or 32-bit words (§IV-B).
-//! - [`alias`] and [`dartboard`]: the two classical alternatives to
-//!   inverse transform sampling (§II-B), used as in-framework ablations.
+//! - [`alias`]: the alias method, the adaptive chooser's O(1) draw for
+//!   cached static biases ([`method`]).
 //!
 //! All thirteen Table-I algorithms ship in [`algorithms`]; the §II-A
 //! one-pass category (random node / random edge / TIES) is in
 //! [`onepass`], and [`reservoir`] adds a collision-free weighted
-//! reservoir selector used as an ablation against SELECT.
+//! reservoir selector used as an ablation against SELECT. The full
+//! dartboard board and the eager all-vertices CTPS cache, which only the
+//! KnightKing baseline and the ablations call, live in `csaw-baselines`.
 
 pub mod algorithms;
 pub mod alias;
@@ -45,7 +47,6 @@ pub mod bipartite;
 pub mod collision;
 pub mod ctps;
 pub mod ctps_cache;
-pub mod dartboard;
 pub mod engine;
 pub mod estimators;
 pub mod fenwick;
@@ -53,7 +54,6 @@ pub mod frontier;
 pub mod method;
 pub mod onepass;
 pub mod output;
-pub mod precompute;
 pub mod profile;
 pub mod reservoir;
 pub mod residency;

@@ -10,7 +10,7 @@ use csaw::core::algorithms::{BiasedNeighborSampling, BiasedRandomWalk, MultiDimR
 use csaw::core::ctps_cache::{entry_bytes, CtpsCache};
 use csaw::core::engine::{RunOptions, Sampler};
 use csaw::gpu::config::DeviceConfig;
-use csaw::graph::generators::{rmat, RmatParams};
+use csaw::graph::generators::{ring_lattice, rmat, RmatParams};
 use csaw::graph::{Csr, CsrBuilder, VertexId};
 use csaw::oom::{MultiGpu, OomConfig, OomRunner, UnifiedRunner};
 use proptest::prelude::*;
@@ -26,33 +26,40 @@ fn budget_sweep(g: &Csr) -> Vec<usize> {
 
 /// Engine: every registry algorithm, cached at every budget, samples
 /// exactly what the uncached engine samples — instance order, edge
-/// order, everything.
+/// order, everything — on a power-law graph, and on a ring lattice with
+/// no hubs, the cache's worst case (every table equally cold).
 #[test]
 fn engine_cached_output_is_bit_identical_at_every_budget() {
-    let g = rmat(9, 8, RmatParams::MILD, 11);
-    let n = g.num_vertices() as VertexId;
-    let seeds: Vec<VertexId> = (0..48).map(|i| (i * 131) % n).collect();
+    for (graph, g) in [("rmat", rmat(9, 8, RmatParams::MILD, 11)), ("ring", ring_lattice(512, 8))] {
+        let n = g.num_vertices() as VertexId;
+        let seeds: Vec<VertexId> = (0..48).map(|i| (i * 131) % n).collect();
 
-    for id in AlgorithmId::ALL {
-        let spec = if id.uses_walk_length() {
-            AlgoSpec::new(id).with_depth(10)
-        } else {
-            AlgoSpec::new(id)
-        };
-        let algo = spec.build().expect("registry specs are valid");
-        let baseline = Sampler::new(&g, &algo).run_single_seeds(&seeds);
-        for budget in budget_sweep(&g) {
-            let cache = Arc::new(CtpsCache::new(budget));
-            let opts = RunOptions { ctps_cache: Some(Arc::clone(&cache)), ..RunOptions::default() };
-            let cached = Sampler::new(&g, &algo).with_options(opts).run_single_seeds(&seeds);
-            assert_eq!(
-                cached.instances,
-                baseline.instances,
-                "{} at budget {budget}: cached run changed the sample",
-                id.name()
-            );
-            let snap = cache.snapshot();
-            assert!(snap.is_conserved(), "{} at budget {budget}: {snap:?}", id.name());
+        for id in AlgorithmId::ALL {
+            let spec = if id.uses_walk_length() {
+                AlgoSpec::new(id).with_depth(10)
+            } else {
+                AlgoSpec::new(id)
+            };
+            let algo = spec.build().expect("registry specs are valid");
+            let baseline = Sampler::new(&g, &algo).run_single_seeds(&seeds);
+            for budget in budget_sweep(&g) {
+                let cache = Arc::new(CtpsCache::new(budget));
+                let opts =
+                    RunOptions { ctps_cache: Some(Arc::clone(&cache)), ..RunOptions::default() };
+                let cached = Sampler::new(&g, &algo).with_options(opts).run_single_seeds(&seeds);
+                assert_eq!(
+                    cached.instances,
+                    baseline.instances,
+                    "{} on {graph} at budget {budget}: cached run changed the sample",
+                    id.name()
+                );
+                let snap = cache.snapshot();
+                assert!(
+                    snap.is_conserved(),
+                    "{} on {graph} at budget {budget}: {snap:?}",
+                    id.name()
+                );
+            }
         }
     }
 }

@@ -8,11 +8,14 @@
 
 use csaw::core::algorithms::{BiasedRandomWalk, MultiDimRandomWalk, UnbiasedNeighborSampling};
 use csaw::core::ctps_cache::CtpsCache;
-use csaw::core::engine::{ExecMode, RunOptions, Sampler};
-use csaw::core::residency::{with_thread_disk_access, DiskRunConfig, DiskTierStats};
+use csaw::core::engine::{drive_instance, ExecMode, RunOptions, Sampler};
+use csaw::core::residency::{
+    with_thread_disk_access, DiskAccess, DiskPoolSnapshot, DiskRunConfig, DiskTierStats,
+};
 use csaw::core::{AlgoSpec, Algorithm};
 use csaw::gpu::stats::SimStats;
 use csaw::graph::generators::{rmat, RmatParams};
+use csaw::graph::reorder::{degree_order, relabel};
 use csaw::graph::store::write_store;
 use csaw::graph::{Csr, DiskStore, EdgeEdit, MutableGraph};
 use csaw::oom::{OomConfig, OomRunner};
@@ -118,6 +121,51 @@ fn oom_pooled_runtime_is_bit_identical_with_disk_behind_it() {
         assert_eq!(disk.instances, mem.instances, "pool {pool} changed the pooled sample");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The full-budget shape of the pool-budget sweep, by counts alone. One
+/// pool per budget ({5, 10, 25, 50, 100}% of the decoded graph) serves
+/// the same biased walks single-threaded over a degree-ordered R-MAT in
+/// 256 partitions, so every count is deterministic. The pool with room
+/// for the whole graph never evicts, and its hit share is at least every
+/// smaller budget's: a full pool whose admission turned runs away would
+/// re-decode what it had room to keep.
+#[test]
+fn a_full_budget_pool_never_evicts_and_out_hits_every_smaller_budget() {
+    let raw = rmat(11, 8, RmatParams::GRAPH500, 42);
+    let g = relabel(&raw, &degree_order(&raw));
+    let n = g.num_vertices() as u64;
+    let seeds: Vec<u32> = (0..128u64).map(|i| (i * 2_654_435_761 % n) as u32).collect();
+    let dir = tmp_dir("budgets");
+    let store = disk_cfg(&g, &dir, 256, 0).store;
+    let algo = BiasedRandomWalk { length: 16 };
+    let opts = RunOptions { seed: 7, ..Default::default() };
+    let pools: Vec<(usize, DiskPoolSnapshot)> = [5, 10, 25, 50, 100]
+        .into_iter()
+        .map(|pct| {
+            let pool_budget = store.total_decoded_bytes() * pct / 100;
+            let cfg = DiskRunConfig { store: Arc::clone(&store), pool_budget, shared: None };
+            let mut access = DiskAccess::new(&cfg);
+            for (i, &s) in seeds.iter().enumerate() {
+                drive_instance(&mut access, &algo, &opts, i as u32, &[s]);
+            }
+            (pct, access.snapshot())
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let hit_share = |p: &DiskPoolSnapshot| p.hits as f64 / p.lookups as f64;
+    let (_, full) = pools.last().expect("five budgets");
+    assert!(pools.iter().all(|(_, p)| p.is_conserved()), "{pools:?}");
+    assert_eq!(full.evictions, 0, "a full budget must never evict: {full:?}");
+    for (pct, p) in &pools[..pools.len() - 1] {
+        assert!(
+            hit_share(full) >= hit_share(p),
+            "full-budget hit share {:.3} below the {pct}% budget's {:.3}: admission regressed",
+            hit_share(full),
+            hit_share(p)
+        );
+    }
 }
 
 /// Runs the same request stream against a memory-backed and a

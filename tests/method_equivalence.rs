@@ -17,10 +17,11 @@ use csaw::core::algorithms::{
 };
 use csaw::core::alias::AliasTable;
 use csaw::core::api::Algorithm;
-use csaw::core::ctps_cache::CtpsCache;
-use csaw::core::engine::{RunOptions, Sampler};
+use csaw::core::ctps_cache::{alias_entry_bytes, CtpsCache};
+use csaw::core::engine::{drive_pool, PoolBufs, RunOptions, Sampler};
 use csaw::core::method::MethodPolicy;
 use csaw::core::select::{select_one, select_one_rejection};
+use csaw::core::step::{CsrAccess, StepKernel, StepScratch};
 use csaw::gpu::stats::SimStats;
 use csaw::gpu::Philox;
 use csaw::graph::generators::toy_graph;
@@ -271,16 +272,55 @@ fn force_its_is_bit_identical_to_the_default_for_all_algorithms() {
     }
 }
 
+/// Kernel step invocations of `algo` over `sets`, each instance through
+/// the engine's own depth loop, under `opts`'s cache and method policy.
+fn kernel_steps(g: &Csr, algo: &dyn Algorithm, opts: &RunOptions, sets: &[Vec<VertexId>]) -> u64 {
+    let kernel = StepKernel::new(algo, opts.seed)
+        .with_select(opts.select)
+        .with_ctps_cache(opts.ctps_cache.as_deref())
+        .with_method_policy(opts.method_policy);
+    let mut access = CsrAccess { graph: g };
+    let (mut bufs, mut out) = (PoolBufs::default(), Vec::new());
+    let (mut scratch, mut stats) = (StepScratch::new(), SimStats::new());
+    (0..)
+        .zip(sets)
+        .map(|(i, seeds)| {
+            drive_pool(
+                &kernel,
+                &mut access,
+                i,
+                seeds,
+                &mut bufs,
+                &mut out,
+                &mut scratch,
+                &mut stats,
+            )
+        })
+        .sum()
+}
+
 /// Adaptive runs of every Table-I algorithm stay structurally valid
-/// (real edges, walk lengths intact) and account each per-vertex
-/// expansion to exactly one method counter.
+/// (real edges, walk lengths intact), account each per-vertex expansion
+/// to exactly one method counter, and keep the ledger of a cache sized
+/// for every vertex's alias table conserved. The chooser changes how a
+/// draw is made, never how much work a run does: ITS with and without a
+/// cache and Adaptive with and without one run the same kernel steps.
 #[test]
 fn adaptive_stays_valid_for_all_algorithms() {
     let g = toy_graph();
+    let alias_sized: usize =
+        (0..g.num_vertices() as VertexId).map(|v| alias_entry_bytes(g.degree(v))).sum();
     for (algo, singles) in registry() {
         let sets = seed_sets(singles);
-        let out =
-            Sampler::new(&g, &algo).with_options(toy_opts(MethodPolicy::Adaptive, true)).run(&sets);
+        let cache = Arc::new(CtpsCache::new(alias_sized));
+        let adaptive = RunOptions {
+            method_policy: MethodPolicy::Adaptive,
+            ctps_cache: Some(Arc::clone(&cache)),
+            ..RunOptions::default()
+        };
+        let out = Sampler::new(&g, &algo).with_options(adaptive.clone()).run(&sets);
+        let snap = cache.snapshot();
+        assert!(snap.is_conserved(), "{}: {snap:?}", algo.name());
         for inst in &out.instances {
             for &(v, u) in inst {
                 assert!(g.has_edge(v, u), "{}: sampled a non-edge {v}-{u}", algo.name());
@@ -292,6 +332,19 @@ fn adaptive_stays_valid_for_all_algorithms() {
             assert!(
                 methods > 0,
                 "{}: adaptive per-vertex expansions must be accounted to a method",
+                algo.name()
+            );
+        }
+        let steps = kernel_steps(&g, &*algo, &adaptive, &sets);
+        for (policy, cache) in [
+            (MethodPolicy::ForceIts, false),
+            (MethodPolicy::ForceIts, true),
+            (MethodPolicy::Adaptive, false),
+        ] {
+            assert_eq!(
+                kernel_steps(&g, &*algo, &toy_opts(policy, cache), &sets),
+                steps,
+                "{}: {policy:?} (cache={cache}) changed the amount of work",
                 algo.name()
             );
         }

@@ -10,7 +10,7 @@ use csaw::core::algorithms::{BiasedRandomWalk, UnbiasedNeighborSampling};
 use csaw::core::ctps_cache::CtpsCache;
 use csaw::core::engine::{RunOptions, Sampler};
 use csaw::core::step::CsrAccess;
-use csaw::core::{LayeredAccess, NeighborAccess};
+use csaw::core::{Algorithm, LayeredAccess, NeighborAccess};
 use csaw::gpu::config::DeviceConfig;
 use csaw::gpu::stats::SimStats;
 use csaw::graph::generators::{rmat, toy_graph, RmatParams};
@@ -222,42 +222,70 @@ fn epoch_walks_are_frozen_against_later_mutations() {
     assert!(s1.view().has_edge(0, 9));
 }
 
+/// Snapshot walks on the engine and on the out-of-memory scheduler equal
+/// each other and a from-scratch run on the epoch's compacted CSR, for
+/// two edit shapes: a mix of hub-adjacent and leaf inserts plus a delete
+/// of a base edge, and walks seeded at the hubs while inserts land on
+/// the coldest vertices, at overlay fractions 0, 1 and 25%. The empty
+/// overlay also samples exactly what the untouched input graph does.
 #[test]
 fn engine_and_oom_agree_on_snapshot_walks() {
     let g = rmat(9, 6, RmatParams::GRAPH500, 22);
-    let mut mg = MutableGraph::new(g);
-    // Edit a mix of hub-adjacent and leaf vertices: inserts everywhere,
-    // plus a delete of a known base edge.
+    let n = g.num_vertices() as u32;
     let probe = {
-        let s = mg.snapshot();
-        let v = (0..s.view().num_vertices() as u32)
-            .find(|&v| s.view().degree(v) > 0)
-            .expect("rmat graph has edges");
-        (v, s.view().neighbors(v)[0])
+        let v = (0..n).find(|&v| g.degree(v) > 0).expect("rmat graph has edges");
+        (v, g.neighbors(v)[0])
     };
-    mg.apply_batch(&[
+    let mixed = vec![
         EdgeEdit::Insert { src: 3, dst: 250, weight: 1.0 },
         EdgeEdit::Insert { src: 250, dst: 3, weight: 1.0 },
         EdgeEdit::Insert { src: 7, dst: 400, weight: 1.0 },
         EdgeEdit::Delete { src: probe.0, dst: probe.1 },
-    ])
-    .unwrap();
-    let snap = mg.snapshot();
-    let algo = UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 };
-    let seeds: Vec<u32> = (0..48).map(|i| i * 11 % 512).collect();
+    ];
+    let strided: Vec<u32> = (0..48).map(|i| i * 11 % n).collect();
+    let mut by_degree: Vec<u32> = (0..n).collect();
+    by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+    let (hot, rest) = by_degree.split_at(32);
+    let cold: Vec<u32> = rest.iter().rev().copied().filter(|&v| g.degree(v) > 0).collect();
+    let cold_edits = |pct: usize| -> Vec<EdgeEdit> {
+        let touched = (n as usize * pct / 100).min(cold.len());
+        cold[..touched]
+            .iter()
+            .flat_map(|&v| {
+                [1, 7].map(|d| EdgeEdit::Insert { src: v, dst: (v + d) % n, weight: 1.0 })
+            })
+            .collect()
+    };
+    let cases =
+        [(mixed, &strided[..]), (cold_edits(0), hot), (cold_edits(1), hot), (cold_edits(25), hot)];
+    let algos: [Box<dyn Algorithm>; 2] = [
+        Box::new(UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 }),
+        Box::new(BiasedRandomWalk { length: 8 }),
+    ];
 
-    let engine =
-        Sampler::new(snap.base(), &algo).with_snapshot(snap.clone()).run_single_seeds(&seeds);
-    let oom = OomRunner::new(snap.base(), &algo, OomConfig::default())
-        .with_device(DeviceConfig::tiny(1 << 20))
-        .with_snapshot(snap.clone())
-        .run(&seeds);
-    assert_eq!(sorted(engine.instances.clone()), sorted(oom.instances));
+    for (edits, seeds) in cases {
+        let mut mg = MutableGraph::new(g.clone());
+        mg.apply_batch(&edits).unwrap();
+        let snap = mg.snapshot();
+        let compacted = snap.to_csr();
+        for algo in &algos {
+            let label = format!("{} after {} edits", algo.name(), edits.len());
+            let engine =
+                Sampler::new(snap.base(), algo).with_snapshot(snap.clone()).run_single_seeds(seeds);
+            let oom = OomRunner::new(snap.base(), algo, OomConfig::default())
+                .with_device(DeviceConfig::tiny(1 << 20))
+                .with_snapshot(snap.clone())
+                .run(seeds);
+            assert_eq!(sorted(engine.instances.clone()), sorted(oom.instances), "{label}");
 
-    // Both equal the from-scratch run on the compacted CSR of the epoch.
-    let compacted = snap.to_csr();
-    let scratch = Sampler::new(&compacted, &algo).run_single_seeds(&seeds);
-    assert_eq!(engine.instances, scratch.instances);
+            let scratch = Sampler::new(&compacted, algo).run_single_seeds(seeds);
+            assert_eq!(engine.instances, scratch.instances, "{label}: snapshot vs compacted");
+            if edits.is_empty() {
+                let untouched = Sampler::new(&g, algo).run_single_seeds(seeds);
+                assert_eq!(engine.instances, untouched.instances, "{label}: empty overlay");
+            }
+        }
+    }
 }
 
 #[test]
