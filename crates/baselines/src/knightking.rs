@@ -12,9 +12,9 @@
 //! - walkers advance in bulk over a rayon thread pool, one logical thread
 //!   per walker batch (`# threads = # cores` as profiled in §VI-A).
 
+use crate::alias::AliasTable;
 use crate::dartboard::Dartboard;
 use crate::BaselineOutput;
-use csaw_core::alias::AliasTable;
 use csaw_gpu::cost::CpuWork;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;

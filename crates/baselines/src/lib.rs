@@ -18,9 +18,11 @@
 //! same convention the simulated GPU uses. Host wall time is also
 //! reported.
 //!
-//! Two comparators on the simulated GPU live here too, because only
+//! Three comparators on the simulated GPU live here too, because only
 //! KnightKing and the paper's ablations call them:
 //!
+//! - [`alias`]: Walker's alias method (KnightKing's static-bias tables
+//!   and the A3 ablation);
 //! - [`dartboard`]: the full rejection board of §II-B (KnightKing's
 //!   dynamic-bias path and the A3 ablation);
 //! - [`precompute`]: the eager all-vertices CTPS cache (the A7
@@ -47,6 +49,7 @@
 pub mod fenwick {
     pub use csaw_core::fenwick::Fenwick;
 }
+pub mod alias;
 pub mod dartboard;
 pub mod graphsaint;
 pub mod knightking;

@@ -3,8 +3,8 @@
 //! construction (dynamic biases cannot be precomputed — §II-B).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use csaw_baselines::alias::AliasTable;
 use csaw_baselines::dartboard::Dartboard;
-use csaw_core::alias::AliasTable;
 use csaw_core::ctps::Ctps;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;

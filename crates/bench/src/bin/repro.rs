@@ -72,6 +72,7 @@ fn main() {
         ("sweep-exec", sweeps::sweep_exec),
         ("sweep-disk", sweeps::sweep_disk),
         ("sweep-overlay", sweeps::sweep_overlay),
+        ("sweep-method", sweeps::sweep_method),
     ];
 
     eprintln!("# C-SAW reproduction harness — scale: {scale:?}");

@@ -10,9 +10,9 @@
 use crate::experiments::graph_for;
 use crate::report::{f2, f3, Table};
 use crate::scale::{seeds, Scale};
+use csaw_baselines::alias::AliasTable;
 use csaw_baselines::dartboard::Dartboard;
 use csaw_core::algorithms::BiasedNeighborSampling;
-use csaw_core::alias::AliasTable;
 use csaw_core::collision::DetectorKind;
 use csaw_core::ctps::Ctps;
 use csaw_core::engine::{RunOptions, Sampler};

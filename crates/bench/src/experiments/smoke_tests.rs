@@ -44,6 +44,7 @@ mod tests {
         assert_tables(sweeps::sweep_exec(Scale::Quick), 1, 12);
         assert_tables(sweeps::sweep_disk(Scale::Quick), 1, 3);
         assert_tables(sweeps::sweep_overlay(Scale::Quick), 1, 6);
+        assert_tables(sweeps::sweep_method(Scale::Quick), 1, 4);
     }
 
     #[test]

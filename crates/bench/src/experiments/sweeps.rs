@@ -3,19 +3,21 @@
 //! out-of-memory runtime's structural knobs (streams, resident
 //! partitions).
 //!
-//! Three more sweeps cover what the cache-resident benchmark
-//! (`BENCHMARK.json`) cannot show by design: the execution schedule out
-//! of LLC ([`sweep_exec`]), the disk tier's pool budget
-//! ([`sweep_disk`]) and the mutable graph's overlay fraction
-//! ([`sweep_overlay`]). Their rates are host wall-clock, so unlike every
-//! other `repro` table they differ from run to run; each asserts on
-//! every row that the sample is bit-identical to its reference.
+//! Four more sweeps cover what the cache-resident benchmark
+//! (`BENCHMARK.json`) does not show: the execution schedule out of LLC
+//! ([`sweep_exec`]), the disk tier's pool budget ([`sweep_disk`]), the
+//! mutable graph's overlay fraction ([`sweep_overlay`]) and the adaptive
+//! method policy, which no workload runs ([`sweep_method`]). Their rates
+//! are host wall-clock, so unlike every other `repro` table they differ
+//! from run to run; each asserts on every row that the sample matches
+//! its reference — bit for bit, or for the method policy, in edge count.
 
 use crate::experiments::graph_for;
 use crate::report::{f2, f3, ms, Table};
 use crate::scale::{seeds, Scale};
 use csaw_core::algorithms::{BiasedNeighborSampling, BiasedRandomWalk};
 use csaw_core::engine::{ExecMode, RunOptions, Sampler};
+use csaw_core::method::MethodPolicy;
 use csaw_core::residency::{DiskRunConfig, DiskTierStats};
 use csaw_core::{AlgoSpec, Algorithm, SampleOutput};
 use csaw_gpu::config::DeviceConfig;
@@ -413,6 +415,66 @@ pub fn sweep_overlay(scale: Scale) -> Vec<Table> {
             folded.to_string(),
             ms(compact_s),
         ]);
+    }
+    vec![t]
+}
+
+/// Method sweep: node2vec under `ForceIts` against `Adaptive`, which
+/// serves its dynamic-bias expansions by bounded rejection — one bias
+/// evaluation per throw where ITS evaluates every candidate's. This is
+/// the measurement that keeps the adaptive policy (EXPERIMENTS.md
+/// §"Retiring the cached alias method"). Timed reps alternate between
+/// the policies so machine drift hits both. Every row asserts both
+/// policies sample equally many edges and that rejection ran under
+/// `Adaptive`; rates and the ratio are reported, never asserted.
+pub fn sweep_method(scale: Scale) -> Vec<Table> {
+    let (log_n, walkers, depth, reps) = match scale {
+        Scale::Quick => (10, 128, 40, 2),
+        Scale::Full => (14, 512, 80, 6),
+    };
+    let g = rmat(log_n, 16, RmatParams::GRAPH500, 42);
+    let seeds = seeds(walkers, g.num_vertices());
+    let algo = AlgoSpec::by_name("node2vec").unwrap().with_depth(depth).build().unwrap();
+    let mut t = Table::new(
+        format!(
+            "Method sweep - node2vec on rmat-{log_n}, {walkers} walkers x depth {depth} (host M \
+             edges/s; ratio = Adaptive / ForceIts)"
+        ),
+        &["exec", "policy", "M edges/s", "rejection share", "trials/pick", "ratio"],
+    );
+    let policies = [MethodPolicy::ForceIts, MethodPolicy::Adaptive];
+    for exec in [ExecMode::InstanceMajor, ExecMode::DepthSync] {
+        let samplers = policies.map(|method_policy| {
+            let opts = RunOptions { exec, method_policy, ..Default::default() };
+            Sampler::new(&g, &algo).with_options(opts)
+        });
+        let outs = samplers.each_ref().map(|s| s.run_single_seeds(&seeds));
+        let mut secs = [0.0; 2];
+        for _ in 0..reps {
+            for (s, secs) in samplers.iter().zip(&mut secs) {
+                let t0 = Instant::now();
+                s.run_single_seeds(&seeds);
+                *secs += t0.elapsed().as_secs_f64();
+            }
+        }
+        let seps = |i: usize| (reps as u64 * outs[i].sampled_edges()) as f64 / secs[i];
+        for (i, (policy, out)) in policies.iter().zip(&outs).enumerate() {
+            let s = &out.stats;
+            let what = format!("node2vec {policy:?} ({exec:?}) on rmat-{log_n}");
+            assert_eq!(out.sampled_edges(), outs[0].sampled_edges(), "{what}: edge count moved");
+            assert!(s.rejection_trials >= s.method_rejection, "{what}: a served pick never threw");
+            if *policy == MethodPolicy::Adaptive {
+                assert!(s.method_rejection > 0, "{what}: rejection never ran");
+            }
+            t.row(vec![
+                if exec == ExecMode::DepthSync { "depth" } else { "instance" }.into(),
+                format!("{policy:?}"),
+                f2(seps(i) / 1e6),
+                f3(share(s.method_rejection, s.method_its + s.method_rejection)),
+                f2(share(s.rejection_trials, s.method_rejection)),
+                f2(seps(i) / seps(0)),
+            ]);
+        }
     }
     vec![t]
 }

@@ -50,21 +50,6 @@ impl Algorithm for LayerSampling {
         // the flag is accurate but only the per-vertex path exploits it.
         true
     }
-    /// Degree bias is dominated by the largest neighbor degree — one scan
-    /// of `v`'s adjacency, no `EDGEBIAS` calls. The method chooser keeps
-    /// layer sampling on ITS regardless (the shared-layer pool samples
-    /// without replacement, where one CTPS serves all `layer_size`
-    /// picks), so this hook exists for per-vertex reconfigurations and to
-    /// document the bound's shape for degree-biased algorithms.
-    fn edge_bias_bound(
-        &self,
-        g: GraphView<'_>,
-        v: VertexId,
-        _prev: Option<VertexId>,
-    ) -> Option<f64> {
-        let max_deg = g.neighbors(v).iter().map(|&u| g.degree(u)).max()?;
-        (max_deg > 0).then_some(max_deg as f64)
-    }
 }
 
 #[cfg(test)]

@@ -223,7 +223,7 @@ pub fn expand_frontier<N: NeighborAccess>(
     let n = cur.len();
     let seed = kernel.seed();
     let shareable = kernel.group_shareable();
-    let cache = kernel.prefetch_cache();
+    let cache = kernel.effective_cache();
 
     // Batched Philox: all first blocks in one pass over the task keys.
     tasks.clear();

@@ -24,9 +24,9 @@
 //! indices as a rebuild — the cache changes the *cost model* (hits charge
 //! a cheap cached-table gather instead of the bias gather + Kogge-Stone
 //! scan), never the sampled output. The kernel's hits sample the cached
-//! table in place under the stripe lock ([`CtpsCache::with_ctps_entry`],
-//! [`CtpsCache::with_alias_entry`]) and copy nothing out;
-//! [`CtpsCache::lookup_into`] is the copy-out accessor for other callers.
+//! table in place under the stripe lock ([`CtpsCache::with_ctps_entry`])
+//! and copy nothing out; [`CtpsCache::lookup_into`] is the copy-out
+//! accessor for other callers.
 //!
 //! Admission verifies per-region that a positive bound width corresponds
 //! to a positive raw bias (see [`widths_agree`]); entries failing the
@@ -38,7 +38,6 @@
 //! stale entries are lazily dropped on the next lookup — modelling that a
 //! real GPU would free cached tables along with the partition's memory.
 
-use crate::alias::AliasTable;
 use crate::api::{Algorithm, EdgeCand};
 use crate::ctps::Ctps;
 use csaw_gpu::stats::SimStats;
@@ -54,12 +53,6 @@ pub const ENTRY_OVERHEAD_BYTES: usize = 64;
 /// Bytes one cached entry of `len` bounds charges against the budget.
 pub fn entry_bytes(len: usize) -> usize {
     ENTRY_OVERHEAD_BYTES + 8 * len
-}
-
-/// Bytes one cached *alias-table* entry of `len` bins charges against the
-/// budget: per bin, one f64 keep-probability plus one u32 alias row.
-pub fn alias_entry_bytes(len: usize) -> usize {
-    ENTRY_OVERHEAD_BYTES + 12 * len
 }
 
 /// True when every region of `ctps` has positive width exactly where the
@@ -142,24 +135,16 @@ pub struct CacheSnapshot {
     pub budget: u64,
     /// Entries currently cached.
     pub entries: u64,
-    /// Hits served from an alias-table payload (subset of `hits`).
-    pub alias_hits: u64,
-    /// Promotions that stored an alias-table payload (subset of
-    /// `promotions`).
-    pub alias_promotions: u64,
 }
 
 impl CacheSnapshot {
     /// The conservation identities every consistent snapshot satisfies:
     /// `lookups == hits + misses`, `promotions <= misses`,
-    /// `bytes <= budget`, the alias gauges never exceed their parent
-    /// counters, and the eviction split sums to the total.
+    /// `bytes <= budget`, and the eviction split sums to the total.
     pub fn is_conserved(&self) -> bool {
         self.lookups == self.hits + self.misses
             && self.promotions <= self.misses
             && self.bytes <= self.budget
-            && self.alias_hits <= self.hits
-            && self.alias_promotions <= self.promotions
             && self.evictions
                 == self.evictions_clock + self.evictions_stale + self.evictions_replaced
     }
@@ -177,51 +162,12 @@ struct Counters {
     evictions_replaced: AtomicU64,
     admission_rejects: AtomicU64,
     bytes: AtomicU64,
-    alias_hits: AtomicU64,
-    alias_promotions: AtomicU64,
-}
-
-/// What a cached entry holds. Both flavors live under the same byte
-/// budget, epoch invalidation, and degree-aware clock; which flavor a
-/// vertex carries follows from how it was promoted. A lookup for one
-/// flavor that finds the other reports a miss but leaves the entry alone
-/// (it only arises when runs with different method policies share a
-/// cache; pressure from the clock resolves it).
-#[derive(Debug)]
-enum Payload {
-    /// Cumulative transition-probability bounds (ITS binary-searches it).
-    Ctps(Ctps),
-    /// A Vose alias table (O(1) draws for hot static-bias vertices).
-    Alias(AliasTable),
-}
-
-impl Payload {
-    fn bytes(&self) -> usize {
-        match self {
-            Payload::Ctps(c) => entry_bytes(c.len()),
-            Payload::Alias(t) => alias_entry_bytes(t.len()),
-        }
-    }
-
-    fn ctps(&self) -> Option<&Ctps> {
-        match self {
-            Payload::Ctps(c) => Some(c),
-            Payload::Alias(_) => None,
-        }
-    }
-
-    fn alias(&self) -> Option<&AliasTable> {
-        match self {
-            Payload::Alias(t) => Some(t),
-            Payload::Ctps(_) => None,
-        }
-    }
 }
 
 #[derive(Debug)]
 struct Entry {
     vertex: VertexId,
-    payload: Payload,
+    ctps: Ctps,
     selectable: u32,
     degree: u32,
     epoch: u64,
@@ -315,55 +261,36 @@ impl CtpsCache {
         shard.free.push(i);
         self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         kind.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes.fetch_sub(e.payload.bytes() as u64, Ordering::Relaxed);
-    }
-
-    /// The one locked lookup body: counts the lookup, drops a stale-epoch
-    /// entry, and runs `f` under the stripe lock over a current entry
-    /// whose payload `flavor` accepts (setting its clock reference bit and
-    /// counting the hit). Anything else is a miss; an entry of the other
-    /// flavor stays (see [`Payload`]).
-    fn with_entry<T: ?Sized, R>(
-        &self,
-        v: VertexId,
-        epoch: u64,
-        flavor: impl FnOnce(&Payload) -> Option<&T>,
-        f: impl FnOnce(&T, u32) -> R,
-    ) -> Option<R> {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_of(v).lock().unwrap();
-        if let Some(&slot) = shard.map.get(&v) {
-            let e = shard.slots[slot].as_mut().expect("mapped slot occupied");
-            if e.epoch != epoch {
-                self.evict(&mut shard, slot, &self.counters.evictions_stale);
-            } else if let Some(payload) = flavor(&e.payload) {
-                e.referenced = true;
-                let out = f(payload, e.selectable);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                if matches!(e.payload, Payload::Alias(_)) {
-                    self.counters.alias_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(out);
-            }
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        self.counters.bytes.fetch_sub(entry_bytes(e.ctps.len()) as u64, Ordering::Relaxed);
     }
 
     /// Runs `f` over vertex `v`'s cached CTPS (plus its selectable count)
     /// at residency `epoch`, *under the stripe lock* — the ITS hit draws
     /// its picks off the borrowed bounds in place, an O(log d) search per
-    /// pick with no O(degree) copy-out. Returns `None` on a miss (absent,
-    /// stale-epoch — dropped and counted as an eviction — or
-    /// alias-flavored entry). Charges nothing; callers charge their cost
-    /// model.
+    /// pick with no O(degree) copy-out. A hit sets the entry's clock
+    /// reference bit. Returns `None` on a miss (absent, or stale-epoch —
+    /// dropped and counted as an eviction). Charges nothing; callers
+    /// charge their cost model.
     pub fn with_ctps_entry<R>(
         &self,
         v: VertexId,
         epoch: u64,
         f: impl FnOnce(&Ctps, u32) -> R,
     ) -> Option<R> {
-        self.with_entry(v, epoch, Payload::ctps, f)
+        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
+        let mut shard = self.shard_of(v).lock().unwrap();
+        if let Some(&slot) = shard.map.get(&v) {
+            let e = shard.slots[slot].as_mut().expect("mapped slot occupied");
+            if e.epoch == epoch {
+                e.referenced = true;
+                let out = f(&e.ctps, e.selectable);
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(out);
+            }
+            self.evict(&mut shard, slot, &self.counters.evictions_stale);
+        }
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// The copy-out accessor: looks up vertex `v`'s CTPS at residency
@@ -377,82 +304,6 @@ impl CtpsCache {
             CacheOutcome::Hit { selectable, degree: ctps.len() as u32 }
         })
         .unwrap_or(CacheOutcome::Miss)
-    }
-
-    /// Runs `f` over vertex `v`'s cached alias table (plus its selectable
-    /// count) at residency `epoch`, *under the stripe lock* — the alias
-    /// win is O(1) draws with no O(degree) copy-out, so the closure
-    /// samples in place. Returns `None` on a miss (absent, stale-epoch —
-    /// dropped like [`CtpsCache::with_ctps_entry`] — or CTPS-flavored
-    /// entry). Charges nothing; callers charge their cost model.
-    pub fn with_alias_entry<R>(
-        &self,
-        v: VertexId,
-        epoch: u64,
-        f: impl FnOnce(&AliasTable, u32) -> R,
-    ) -> Option<R> {
-        self.with_entry(v, epoch, Payload::alias, f)
-    }
-
-    /// Offers vertex `v`'s freshly built CTPS for admission at residency
-    /// `epoch`. Within the budget it is stored outright; over it, the
-    /// degree-aware clock makes room: stale-epoch entries go first,
-    /// reference bits grant one round of grace, and an unreferenced entry
-    /// is only displaced by an incomer of equal or higher degree — hubs
-    /// stick, leaves churn. Refusal (entry larger than the whole budget,
-    /// or the cache-wide sweep could not make room) counts an admission
-    /// reject and is not an error; the caller already has its built CTPS.
-    /// Returns whether the entry was admitted.
-    ///
-    /// Callers must have verified [`widths_agree`] against the raw biases
-    /// and pass `selectable` consistent with it.
-    pub fn promote(
-        &self,
-        v: VertexId,
-        epoch: u64,
-        ctps: &Ctps,
-        selectable: u32,
-        degree: u32,
-    ) -> bool {
-        debug_assert_eq!(ctps.len(), degree as usize);
-        debug_assert!(selectable as usize <= ctps.len());
-        if ctps.is_empty() {
-            self.counters.admission_rejects.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        self.admit(v, epoch, entry_bytes(ctps.len()), selectable, degree, || {
-            let mut stored = Ctps::empty();
-            stored.assign(ctps);
-            Payload::Ctps(stored)
-        })
-    }
-
-    /// [`CtpsCache::promote`] for an alias-table payload: same budget,
-    /// same clock, same epoch semantics; on admission the table is cloned
-    /// into the entry and `alias_promotions` ticks alongside
-    /// `promotions`. Alias tables are built over the full candidate lane,
-    /// so `table.len()` is the vertex degree.
-    pub fn promote_alias(
-        &self,
-        v: VertexId,
-        epoch: u64,
-        table: &AliasTable,
-        selectable: u32,
-    ) -> bool {
-        debug_assert!(selectable as usize <= table.len());
-        if table.is_empty() {
-            self.counters.admission_rejects.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let degree = table.len() as u32;
-        let admitted =
-            self.admit(v, epoch, alias_entry_bytes(table.len()), selectable, degree, || {
-                Payload::Alias(table.clone())
-            });
-        if admitted {
-            self.counters.alias_promotions.fetch_add(1, Ordering::Relaxed);
-        }
-        admitted
     }
 
     /// Reserves `needed` bytes of the cache-wide budget if they fit. The
@@ -498,26 +349,36 @@ impl CtpsCache {
         }
     }
 
-    /// Shared admission path: re-promotion race check, a budget
-    /// reservation, the cache-wide clock if the reservation fails, then
-    /// storage. `make` is called only once the entry is certain to be
-    /// stored.
+    /// Offers vertex `v`'s freshly built CTPS for admission at residency
+    /// `epoch`. Within the budget it is stored outright; over it, the
+    /// degree-aware clock makes room: stale-epoch entries go first,
+    /// reference bits grant one round of grace, and an unreferenced entry
+    /// is only displaced by an incomer of equal or higher degree — hubs
+    /// stick, leaves churn. Refusal (entry larger than the whole budget,
+    /// or the cache-wide sweep could not make room) counts an admission
+    /// reject and is not an error; the caller already has its built CTPS.
+    /// Returns whether the entry was admitted.
     ///
     /// The clock sweeps `v`'s own stripe first, then every other stripe
     /// in order. Holding one stripe lock it only ever *tries* another, so
     /// two admissions never wait on each other; a stripe busy elsewhere
     /// is skipped. Single-threaded, every try succeeds and the sweep
     /// order is fixed, so counts repeat exactly.
-    fn admit(
+    ///
+    /// Callers must have verified [`widths_agree`] against the raw biases
+    /// and pass `selectable` consistent with it.
+    pub fn promote(
         &self,
         v: VertexId,
         epoch: u64,
-        needed: usize,
+        ctps: &Ctps,
         selectable: u32,
         degree: u32,
-        make: impl FnOnce() -> Payload,
     ) -> bool {
-        if needed > self.budget {
+        debug_assert_eq!(ctps.len(), degree as usize);
+        debug_assert!(selectable as usize <= ctps.len());
+        let needed = entry_bytes(ctps.len());
+        if ctps.is_empty() || needed > self.budget {
             self.counters.admission_rejects.fetch_add(1, Ordering::Relaxed);
             return false;
         }
@@ -556,8 +417,9 @@ impl CtpsCache {
             return false;
         }
 
-        let entry =
-            Entry { vertex: v, payload: make(), selectable, degree, epoch, referenced: false };
+        let mut stored = Ctps::empty();
+        stored.assign(ctps);
+        let entry = Entry { vertex: v, ctps: stored, selectable, degree, epoch, referenced: false };
         let slot = match shard.free.pop() {
             Some(i) => {
                 shard.slots[i] = Some(entry);
@@ -599,8 +461,6 @@ impl CtpsCache {
             bytes: self.counters.bytes.load(Ordering::Relaxed),
             budget: self.budget as u64,
             entries: self.len() as u64,
-            alias_hits: self.counters.alias_hits.load(Ordering::Relaxed),
-            alias_promotions: self.counters.alias_promotions.load(Ordering::Relaxed),
         }
     }
 }
@@ -889,48 +749,6 @@ mod tests {
         assert!(widths_agree(&ctps, &[1.0, 0.0, 2.0]));
         assert!(!widths_agree(&ctps, &[1.0, 1.0, 2.0]));
         assert!(!widths_agree(&ctps, &[1.0, 0.0]));
-    }
-
-    #[test]
-    fn alias_payloads_share_budget_and_flavor_mismatch_is_a_miss() {
-        let g = toy_graph();
-        let cache = CtpsCache::new(1 << 20);
-        // v8's static degree-bias lane and an alias table over it.
-        let algo = BiasedRandomWalk { length: 1 };
-        let mut biases = Vec::new();
-        let mut ctps = Ctps::empty();
-        let mut s = SimStats::new();
-        assert!(build_vertex_ctps(g.view(), &algo, 8, &mut biases, &mut ctps, &mut s));
-        let table = AliasTable::build(&biases, &mut s).unwrap();
-        let selectable = biases.iter().filter(|&&b| b > 0.0).count() as u32;
-
-        // Promote the alias flavor; the ITS lookup flavor-misses but must
-        // leave the entry resident.
-        assert!(cache.promote_alias(8, 0, &table, selectable));
-        let mut dst = Ctps::empty();
-        assert_eq!(cache.lookup_into(8, 0, &mut dst), CacheOutcome::Miss);
-        assert_eq!(cache.len(), 1, "flavor miss must not evict");
-
-        // The alias lookup hits and samples in place under the lock.
-        let mut rng = csaw_gpu::Philox::new(1);
-        let drawn = cache.with_alias_entry(8, 0, |t, sel| {
-            assert_eq!(sel, selectable);
-            t.sample(&mut rng, &mut s)
-        });
-        assert!(drawn.is_some_and(|i| i < table.len()));
-        let snap = cache.snapshot();
-        assert_eq!(snap.alias_promotions, 1);
-        assert_eq!(snap.alias_hits, 1);
-        assert_eq!(snap.hits, 1);
-        assert_eq!(snap.bytes as usize, alias_entry_bytes(table.len()));
-        assert!(snap.is_conserved());
-
-        // Stale epochs drop alias entries exactly like CTPS entries.
-        assert!(cache.with_alias_entry(8, 1, |_, _| ()).is_none());
-        let snap = cache.snapshot();
-        assert_eq!(snap.entries, 0);
-        assert_eq!(snap.bytes, 0);
-        assert!(snap.is_conserved());
     }
 
     #[test]

@@ -173,11 +173,13 @@ pub struct RunOptions {
     /// edge biases; sampled output is bit-identical with or without it.
     /// `None` (the default) disables cross-instance CTPS reuse.
     pub ctps_cache: Option<std::sync::Arc<crate::ctps_cache::CtpsCache>>,
-    /// Sampling-method policy (see [`crate::method`]). The default,
+    /// Sampling-method policy (see [`crate::method`]) — the one way to
+    /// request rejection sampling. The default,
     /// [`crate::method::MethodPolicy::ForceIts`], keeps output
     /// bit-identical to the pinned goldens;
-    /// [`crate::method::MethodPolicy::Adaptive`] picks alias/rejection
-    /// per expansion and is distribution-equal instead.
+    /// [`crate::method::MethodPolicy::Adaptive`] serves dynamic-bias
+    /// expansions by rejection where it pays and is distribution-equal
+    /// instead.
     pub method_policy: crate::method::MethodPolicy,
     /// Optional epoch snapshot of a [`csaw_graph::MutableGraph`]. When
     /// set, every instance gathers through the snapshot's delta overlay

@@ -28,18 +28,18 @@
 //! - [`collision`]: collision detectors — shared-memory linear search
 //!   (the Fig. 12 baseline), contiguous bitmap, and the paper's **strided
 //!   bitmap**, with 8-bit or 32-bit words (§IV-B).
-//! - [`alias`]: the alias method, the adaptive chooser's O(1) draw for
-//!   cached static biases ([`method`]).
+//! - [`method`]: bounded rejection, the one alternative to ITS, for
+//!   dynamic biases under [`MethodPolicy::Adaptive`].
 //!
 //! All thirteen Table-I algorithms ship in [`algorithms`]; the §II-A
 //! one-pass category (random node / random edge / TIES) is in
 //! [`onepass`], and [`reservoir`] adds a collision-free weighted
 //! reservoir selector used as an ablation against SELECT. The full
-//! dartboard board and the eager all-vertices CTPS cache, which only the
-//! KnightKing baseline and the ablations call, live in `csaw-baselines`.
+//! dartboard board, the alias method and the eager all-vertices CTPS
+//! cache, which only the KnightKing baseline and the ablations call, live
+//! in `csaw-baselines`.
 
 pub mod algorithms;
-pub mod alias;
 pub mod analysis;
 pub mod api;
 pub mod batch;
@@ -64,7 +64,7 @@ pub mod step;
 pub use algorithms::registry::{AlgoSpec, AlgorithmId, RegistryError};
 pub use api::{AlgoConfig, Algorithm, EdgeCand, FrontierMode, NeighborSize, UpdateAction};
 pub use engine::{ExecMode, RunError, RunOptions, Sampler};
-pub use method::{MethodPolicy, SelectMethod};
+pub use method::MethodPolicy;
 pub use output::SampleOutput;
 pub use residency::{DiskAccess, DiskRunConfig, DiskTierStats, ResidencyHierarchy};
 pub use select::{CollisionDetectorKind, SelectStrategy};

@@ -1,60 +1,37 @@
-//! Runtime-adaptive sampling-method selection.
+//! Rejection sampling as the one alternative to ITS.
 //!
-//! C-SAW hardwires inverse transform sampling (ITS) into the kernel, but
-//! ThunderRW and FlexiWalker (PAPERS.md) show no single method wins: ITS,
-//! alias tables, and rejection each dominate a different
-//! (degree, bias-skew, reuse) regime. This module owns the decision
-//! table; [`crate::step::StepKernel`] consults it once per expansion:
+//! C-SAW hardwires inverse transform sampling (ITS) into the kernel, and
+//! for a bias that is the same on every visit the CTPS cache makes ITS
+//! hits O(log d) in place. A *dynamic* bias (node2vec's, which reads the
+//! walk's previous vertex) cannot be cached, so ITS evaluates all `d`
+//! candidate biases every step. Bounded rejection evaluates only the
+//! proposed candidate's (FlexiWalker, PAPERS.md). Under
+//! [`MethodPolicy::Adaptive`], [`crate::step::StepKernel`] serves a
+//! per-vertex, with-replacement, dynamic-bias expansion by rejection when
+//! one predicate, `rejection_bound`, holds: the algorithm returns a finite
+//! positive [`crate::api::Algorithm::edge_bias_bound`], the degree is at
+//! least [`REJECTION_MIN_DEGREE`], and [`RejectionFeedback::allow`] says
+//! acceptance is healthy. Every other expansion takes exactly the
+//! [`MethodPolicy::ForceIts`] path.
 //!
-//! | bias class            | regime                           | method |
-//! |-----------------------|----------------------------------|--------|
-//! | uniform               | any                              | [`SelectMethod::ClosedFormUniform`] |
-//! | any                   | without-replacement / pool modes | [`SelectMethod::Its`] |
-//! | static, cache present | degree ≥ 2                       | [`SelectMethod::CachedAlias`] |
-//! | static, no cache      | any                              | [`SelectMethod::Its`] |
-//! | dynamic, bound known  | degree ≥ 4, acceptance healthy   | [`SelectMethod::Rejection`] |
-//! | dynamic, no bound     | any                              | [`SelectMethod::Its`] |
-//!
-//! The contract split: [`MethodPolicy::ForceIts`] (the default) keeps the
-//! kernel bit-identical to the pinned `step_golden` output, because ITS
-//! consumes exactly one draw per selection from the per-task Philox
-//! stream. [`MethodPolicy::Adaptive`] lets the chooser pick methods that
-//! consume *different* draws (alias: 2, rejection: 2 per throw), so its
-//! output is validated by chi-square distribution equality instead of
-//! bit-exactness — every method samples the same target distribution, so
-//! swapping methods mid-run is sound even when the choice depends on
-//! racy cache state.
+//! The contract split: `ForceIts` (the default) keeps the kernel
+//! bit-identical to the pinned `step_golden` output, because ITS consumes
+//! exactly one draw per selection from the per-task Philox stream.
+//! Rejection consumes two per throw, so `Adaptive` output is validated by
+//! chi-square distribution equality instead of bit-exactness — both
+//! methods sample the same target distribution.
 
 /// Which sampling methods the kernel may use.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MethodPolicy {
-    /// Inverse transform sampling everywhere (plus the pre-existing
-    /// closed-form uniform path): bit-identical to the pinned goldens.
+    /// Inverse transform sampling everywhere (plus the closed-form
+    /// uniform path): bit-identical to the pinned goldens.
     #[default]
     ForceIts,
-    /// Per-expansion method choice by [`choose_method`]. Distribution-
-    /// equal to `ForceIts`, not bit-equal.
+    /// Rejection for dynamic-bias expansions the predicate admits (see
+    /// the module docs). Distribution-equal to `ForceIts`, not bit-equal.
     Adaptive,
 }
-
-/// The method chosen for one expansion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectMethod {
-    /// Build/lookup the CTPS and binary-search it (the paper's kernel).
-    Its,
-    /// O(1) draws from an alias table cached per hot static-bias vertex.
-    CachedAlias,
-    /// Bounded dartboard throws evaluating only the proposed candidate's
-    /// bias — the win for dynamic biases like node2vec, where ITS must
-    /// evaluate all `d` candidate biases per step.
-    Rejection,
-    /// The closed-form uniform CTPS (no table at all).
-    ClosedFormUniform,
-}
-
-/// Minimum frontier degree before a cached alias table pays for itself
-/// (below this, the CTPS rebuild is a couple of adds).
-pub const ALIAS_MIN_DEGREE: usize = 2;
 
 /// Minimum frontier degree before rejection can beat ITS: each ITS step
 /// evaluates all `d` candidate biases, each rejection throw evaluates
@@ -66,61 +43,17 @@ pub const REJECTION_MIN_DEGREE: usize = 4;
 /// preserves the target distribution).
 pub const REJECTION_MAX_TRIALS: u64 = 32;
 
-/// Expected-trials ceiling: when the measured (or estimated) skew
-/// `n·max/Σ` exceeds this, rejection is throwing too many darts and ITS
+/// Expected-trials ceiling: when a feedback window's mean trials per
+/// expansion exceeds this, rejection is throwing too many darts and ITS
 /// is cheaper.
 pub const MAX_EXPECTED_TRIALS: f64 = 8.0;
 
-/// Everything the decision table looks at for one expansion.
-#[derive(Debug, Clone, Copy)]
-pub struct MethodContext {
-    /// `Algorithm::edge_bias_is_uniform()`.
-    pub uniform: bool,
-    /// `Algorithm::edge_bias_is_static()`.
-    pub static_bias: bool,
-    /// Sampling without replacement (bitmap/linear-search SELECT loops).
-    pub without_replacement: bool,
-    /// Degree of the frontier vertex being expanded.
-    pub degree: usize,
-    /// A `CtpsCache` is attached and eligible (static bias, stable epoch).
-    pub cache_available: bool,
-    /// `Algorithm::edge_bias_bound` returned a finite positive bound.
-    pub bound_available: bool,
-    /// Live acceptance feedback says rejection is currently healthy.
-    pub rejection_allowed: bool,
-    /// Cheap `n·max/Σ` skew estimate when the bias lane has already been
-    /// materialized this expansion; `None` when it would cost a pass.
-    pub skew: Option<f64>,
-}
-
-/// The decision table (pure; the kernel threads live state in through
-/// [`MethodContext`]).
-pub fn choose_method(ctx: &MethodContext) -> SelectMethod {
-    if ctx.uniform {
-        return SelectMethod::ClosedFormUniform;
-    }
-    if ctx.without_replacement {
-        // The SELECT collision loops re-search one CTPS k times; alias
-        // and rejection would rebuild their acceptance state per pick.
-        return SelectMethod::Its;
-    }
-    if ctx.static_bias {
-        if ctx.cache_available && ctx.degree >= ALIAS_MIN_DEGREE {
-            return SelectMethod::CachedAlias;
-        }
-        return SelectMethod::Its;
-    }
-    // Dynamic bias: rejection only with a sound upper bound, enough
-    // candidates to amortize, healthy live acceptance, and (when the
-    // lane is already materialized) tolerable skew.
-    if ctx.bound_available
-        && ctx.degree >= REJECTION_MIN_DEGREE
-        && ctx.rejection_allowed
-        && ctx.skew.is_none_or(|s| s <= MAX_EXPECTED_TRIALS)
-    {
-        return SelectMethod::Rejection;
-    }
-    SelectMethod::Its
+/// The one rejection predicate: the algorithm's a-priori `bound`, if it
+/// is finite and positive, the frontier `degree` reaches
+/// [`REJECTION_MIN_DEGREE`], and the live feedback `allowed` it
+/// ([`RejectionFeedback::allow`]). `None` means ITS.
+pub(crate) fn rejection_bound(bound: Option<f64>, degree: usize, allowed: bool) -> Option<f64> {
+    bound.filter(|b| b.is_finite() && *b > 0.0 && degree >= REJECTION_MIN_DEGREE && allowed)
 }
 
 /// Per-worker live feedback for the rejection sampler: when measured
@@ -144,7 +77,7 @@ impl RejectionFeedback {
         RejectionFeedback::default()
     }
 
-    /// Whether the chooser may pick rejection right now. Counts down the
+    /// Whether the kernel may pick rejection right now. Counts down the
     /// cooldown while disabled so the sampler re-probes periodically.
     pub fn allow(&mut self) -> bool {
         if self.cooldown > 0 {
@@ -175,63 +108,15 @@ impl RejectionFeedback {
 mod tests {
     use super::*;
 
-    fn ctx() -> MethodContext {
-        MethodContext {
-            uniform: false,
-            static_bias: false,
-            without_replacement: false,
-            degree: 16,
-            cache_available: false,
-            bound_available: false,
-            rejection_allowed: true,
-            skew: None,
-        }
-    }
-
-    #[test]
-    fn uniform_always_closed_form() {
-        let c = MethodContext { uniform: true, ..ctx() };
-        assert_eq!(choose_method(&c), SelectMethod::ClosedFormUniform);
-        let c = MethodContext { uniform: true, without_replacement: true, ..ctx() };
-        assert_eq!(choose_method(&c), SelectMethod::ClosedFormUniform);
-    }
-
-    #[test]
-    fn without_replacement_stays_its() {
-        let c = MethodContext {
-            without_replacement: true,
-            static_bias: true,
-            cache_available: true,
-            ..ctx()
-        };
-        assert_eq!(choose_method(&c), SelectMethod::Its);
-    }
-
-    #[test]
-    fn static_bias_uses_cached_alias_only_with_a_cache() {
-        let c = MethodContext { static_bias: true, cache_available: true, ..ctx() };
-        assert_eq!(choose_method(&c), SelectMethod::CachedAlias);
-        let c = MethodContext { static_bias: true, ..ctx() };
-        assert_eq!(choose_method(&c), SelectMethod::Its);
-        let c = MethodContext { static_bias: true, cache_available: true, degree: 1, ..ctx() };
-        assert_eq!(choose_method(&c), SelectMethod::Its);
-    }
-
     #[test]
     fn dynamic_bias_needs_bound_degree_and_health() {
-        let c = MethodContext { bound_available: true, ..ctx() };
-        assert_eq!(choose_method(&c), SelectMethod::Rejection);
-        assert_eq!(
-            choose_method(&MethodContext { bound_available: false, ..c }),
-            SelectMethod::Its
-        );
-        assert_eq!(choose_method(&MethodContext { degree: 2, ..c }), SelectMethod::Its);
-        assert_eq!(
-            choose_method(&MethodContext { rejection_allowed: false, ..c }),
-            SelectMethod::Its
-        );
-        assert_eq!(choose_method(&MethodContext { skew: Some(100.0), ..c }), SelectMethod::Its);
-        assert_eq!(choose_method(&MethodContext { skew: Some(2.0), ..c }), SelectMethod::Rejection);
+        assert_eq!(rejection_bound(Some(2.0), 16, true), Some(2.0));
+        assert_eq!(rejection_bound(None, 16, true), None);
+        assert_eq!(rejection_bound(Some(f64::INFINITY), 16, true), None);
+        assert_eq!(rejection_bound(Some(0.0), 16, true), None);
+        assert_eq!(rejection_bound(Some(2.0), REJECTION_MIN_DEGREE - 1, true), None);
+        assert_eq!(rejection_bound(Some(2.0), REJECTION_MIN_DEGREE, true), Some(2.0));
+        assert_eq!(rejection_bound(Some(2.0), 16, false), None);
     }
 
     #[test]

@@ -409,9 +409,10 @@ pub fn select_one(biases: &[f64], rng: &mut Philox, stats: &mut SimStats) -> Opt
 /// bound `bound` (must dominate every candidate's bias): each throw
 /// proposes a uniform candidate and accepts it with probability
 /// `bias/bound`, evaluating only the *proposed* candidate's bias — where
-/// the ITS lane must evaluate all `n` of them. The method of choice for
-/// low-degree dynamic-bias frontiers (node2vec) under
-/// [`crate::method::MethodPolicy::Adaptive`].
+/// the ITS lane must evaluate all `n` of them. The kernel serves
+/// dynamic-bias frontiers (node2vec) with it under
+/// [`crate::method::MethodPolicy::Adaptive`] when the predicate in
+/// [`crate::method`] admits the expansion.
 ///
 /// Returns `None` when `max_trials` throws all rejected (heavy skew the
 /// bound cannot see) — the caller falls back to the exact ITS lane,

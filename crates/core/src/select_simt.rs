@@ -12,11 +12,11 @@
 //! slots — and that bipartite region search, by cutting retries, also
 //! cuts divergence.
 //!
-//! Method-chooser note: the SIMT executor serves only the ITS family.
-//! Under [`crate::method::MethodPolicy::Adaptive`] the decision table
-//! routes without-replacement selections (the only ones this module
-//! executes) to ITS unconditionally, so SIMT runs are unaffected by the
-//! policy and stay bit-identical to the round-based loop.
+//! Method-policy note: the SIMT executor serves only the ITS family.
+//! [`crate::method::MethodPolicy::Adaptive`] only ever changes
+//! with-replacement draws, and this module executes without-replacement
+//! selections, so SIMT runs are unaffected by the policy and stay
+//! bit-identical to the round-based loop.
 
 use crate::bipartite::{adjust_and_search, BipartiteOutcome};
 #[cfg(test)]

@@ -32,15 +32,11 @@
 //! identical no matter which runtime executes it or in what order —
 //! the property the cross-runtime equivalence tests pin down.
 
-use crate::alias::{AliasBuildScratch, AliasTable};
 use crate::api::{AlgoConfig, Algorithm, EdgeCand, UpdateAction};
 use crate::collision::{charge_visited_check, DetectorKind};
 use crate::ctps::{rebuild_cost, Ctps};
 use crate::ctps_cache::{self, CtpsCache};
-use crate::method::{
-    choose_method, MethodContext, MethodPolicy, RejectionFeedback, SelectMethod,
-    REJECTION_MAX_TRIALS,
-};
+use crate::method::{rejection_bound, MethodPolicy, RejectionFeedback, REJECTION_MAX_TRIALS};
 use crate::select::{
     select_one_preloaded, select_one_rejection, select_one_uniform, select_one_with,
     select_without_replacement_into, select_without_replacement_over,
@@ -122,9 +118,8 @@ enum Source {
     /// `n` implicit unit biases: nothing is materialized, the fill and
     /// the rebuilds are charged.
     Uniform,
-    /// A cached table (CTPS or alias), sampled in place under the cache's
-    /// stripe lock: stage 2 already ran, the picks are in
-    /// `scratch.select.out`.
+    /// A cached CTPS, sampled in place under the cache's stripe lock:
+    /// stage 2 already ran, the picks are in `scratch.select.out`.
     Drawn,
 }
 
@@ -187,10 +182,10 @@ pub trait NeighborAccess {
         0
     }
 
-    /// Cache-invalidation tag for *vertex* `v`'s cached per-vertex state
-    /// (CTPS/alias entries), composed by [`entry_tag`]. Storage alone tags
-    /// with its run epoch; [`LayeredAccess`] adds the device epoch and the
-    /// snapshot's 1-hop mutation version.
+    /// Cache-invalidation tag for *vertex* `v`'s cached CTPS, composed by
+    /// [`entry_tag`]. Storage alone tags with its run epoch;
+    /// [`LayeredAccess`] adds the device epoch and the snapshot's 1-hop
+    /// mutation version.
     fn entry_epoch(&self, v: VertexId) -> u64 {
         entry_tag(0, self.run_epoch(v), 0)
     }
@@ -280,7 +275,7 @@ impl NeighborAccess for CsrAccess<'_> {
     }
 }
 
-/// The one cache-tag rule for per-vertex state (CTPS/alias entries). The
+/// The one cache-tag rule for per-vertex state (CTPS cache entries). The
 /// low 32 bits carry `v`'s 1-hop mutation version — the correctness half:
 /// a cached table is reused only while no edit touched `v` or a neighbor
 /// whose adjacency its bias reads. The high 32 bits carry residency — the
@@ -553,11 +548,6 @@ pub struct StepScratch {
     biases: Vec<f64>,
     /// The SELECT arena (CTPS, detector bitmap, lane buffers).
     select: SelectScratch,
-    /// Alias-method lane: the table rebuilt on an adaptive cache miss
-    /// (then cloned into the cache by admission).
-    alias: AliasTable,
-    /// Vose worklists for the alias lane.
-    alias_build: AliasBuildScratch,
     /// Live rejection-acceptance feedback for the method chooser (one per
     /// worker, like the rest of the arena — health is a local property).
     rej_feedback: RejectionFeedback,
@@ -632,9 +622,9 @@ impl<'a> StepKernel<'a> {
 
     /// Sets the sampling-method policy. The default,
     /// [`MethodPolicy::ForceIts`], keeps the kernel bit-identical to the
-    /// pinned goldens; [`MethodPolicy::Adaptive`] lets
-    /// [`crate::method::choose_method`] pick alias/rejection per
-    /// expansion (distribution-equal, not bit-equal — the methods consume
+    /// pinned goldens; [`MethodPolicy::Adaptive`] serves dynamic-bias
+    /// expansions by rejection where the predicate in [`crate::method`]
+    /// admits it (distribution-equal, not bit-equal — the methods consume
     /// different Philox draws).
     pub fn with_method_policy(mut self, policy: MethodPolicy) -> Self {
         self.method_policy = policy;
@@ -664,8 +654,10 @@ impl<'a> StepKernel<'a> {
         !(self.cfg.without_replacement && self.select.strategy == SelectStrategy::Updated)
     }
 
-    /// The cache, if this kernel's algorithm/SELECT combination may use it.
-    fn effective_cache(&self) -> Option<&'a CtpsCache> {
+    /// The CTPS cache, if this kernel's algorithm/SELECT combination may
+    /// use it — the depth-synchronous driver prefetches the owning shard
+    /// alongside the CSR row.
+    pub(crate) fn effective_cache(&self) -> Option<&'a CtpsCache> {
         if self.bias_static && !self.bias_uniform && self.select_reuses_ctps() {
             self.cache
         } else {
@@ -681,14 +673,15 @@ impl<'a> StepKernel<'a> {
     }
 
     /// True in the regime the method chooser covers: independent
-    /// per-vertex, with-replacement, non-uniform expansions — where ITS,
-    /// alias, and rejection actually compete. Everything else (implicit
-    /// uniform, without-replacement collision loops, pool-level steps)
-    /// stays on ITS per the decision table in [`crate::method`].
+    /// per-vertex, with-replacement expansions of a dynamic, non-uniform
+    /// bias — where rejection can beat ITS. Everything else (implicit
+    /// uniform, cacheable static biases, without-replacement collision
+    /// loops, pool-level steps) takes exactly the `ForceIts` path.
     fn chooses_method(&self) -> bool {
         self.method_policy == MethodPolicy::Adaptive
             && !self.cfg.without_replacement
             && !self.bias_uniform
+            && !self.bias_static
     }
 
     /// The algorithm's structural configuration.
@@ -765,7 +758,7 @@ impl<'a> StepKernel<'a> {
         let v = entry.vertex;
         let rng = &mut rng;
         let chooser = self.chooses_method();
-        let cache = if chooser { self.prefetch_cache() } else { self.effective_cache() };
+        let cache = self.effective_cache();
         debug_assert!(shared.is_none() || self.group_shareable(), "shared build on a lone kernel");
         // The 1-hop mutation tag only keys the cache — computing it costs
         // O(overlay ∩ adjacency), so the uncached path must not pay it.
@@ -775,7 +768,7 @@ impl<'a> StepKernel<'a> {
         // fill, the build and the draw; its reader pays for the cached
         // words and, at emit, for the neighbors it picked.
         let cached = match cache {
-            Some(cache) => self.cached_source(cache, chooser, v, epoch, rng, scratch, stats),
+            Some(cache) => self.cached_source(cache, v, epoch, rng, scratch, stats),
             None => None,
         };
         // Empty tables are never admitted, so a cached source has no dead
@@ -812,18 +805,11 @@ impl<'a> StepKernel<'a> {
             if k == 0 {
                 return;
             }
-            let cache = cache.map(|c| (c, epoch));
-            if !(chooser && self.draw_adaptive(&gat, entry, k, cache, scratch, rng, stats)) {
-                if self.method_policy == MethodPolicy::Adaptive {
-                    match source {
-                        Source::Uniform => stats.method_uniform += 1,
-                        _ => stats.method_its += 1,
-                    }
-                }
+            if !(chooser && self.draw_rejection(&gat, entry, k, scratch, rng, stats)) {
                 self.fill(source, &gat, v, entry.prev, scratch, stats);
                 let StepScratch { biases, select, .. } = &mut *scratch;
                 self.draw_its(source, n, k, biases, select, rng, stats);
-                if let (Source::Lane, false, Some((cache, epoch))) = (source, chooser, cache) {
+                if let (Source::Lane, Some(cache)) = (source, cache) {
                     // The draw left its pristine CTPS build in the arena
                     // (Updated sampling, which masks it in place, never
                     // takes the cache path): offer it for admission.
@@ -839,34 +825,20 @@ impl<'a> StepKernel<'a> {
         self.emit_picks(&gat, entry, home, &scratch.select.out, pick_bytes, rng, sink, stats);
     }
 
-    /// The CTPS/alias cache this kernel's expansions may consult for
-    /// per-vertex state, if any — the depth-synchronous driver prefetches
-    /// the owning shard alongside the CSR row. A hint only: over-approxi-
-    /// mating (static-bias kernels whose SELECT ends up not consulting the
-    /// cache) costs one harmless prefetch, never correctness.
-    pub fn prefetch_cache(&self) -> Option<&'a CtpsCache> {
-        if self.bias_static {
-            self.cache
-        } else {
-            None
-        }
-    }
-
     /// True when co-located frontier entries (same current vertex, same
     /// depth) may legally share one bias fill + CTPS build: the bias is
     /// static (keyed by vertex alone — the CTPS cache's legality
     /// argument), non-uniform (the implicit uniform table has no build to
     /// share), and SELECT consumes the built CTPS unmodified. A kernel
     /// with a CTPS cache attached already shares builds through the
-    /// cache, and the method chooser picks its own table — both opt out
-    /// here. Entries of a non-shareable kernel still benefit from grouped
-    /// execution (sorted-vertex locality, prefetch, batched Philox).
+    /// cache and opts out here. Entries of a non-shareable kernel still
+    /// benefit from grouped execution (sorted-vertex locality, prefetch,
+    /// batched Philox).
     pub fn group_shareable(&self) -> bool {
         self.bias_static
             && !self.bias_uniform
             && self.select_reuses_ctps()
             && self.effective_cache().is_none()
-            && !self.chooses_method()
     }
 
     /// Builds the shared per-vertex state one vertex-group of co-located
@@ -1049,76 +1021,51 @@ impl<'a> StepKernel<'a> {
     }
 
     /// Stage 1, the cache side: on a hit, `k` and its picks drawn
-    /// straight off `v`'s cached table *under the stripe lock* into
+    /// straight off `v`'s cached CTPS *under the stripe lock* into
     /// `scratch.select.out` (no O(d) copy-out), which fuses stage 2 into
     /// stage 1; returns the degree, or `None` on a miss. Counts the hit or
-    /// the miss.
-    ///
-    /// - ITS: charged the row header plus the bound words a binary search
-    ///   touches (≤ 8 modeled probes, as in the eager A7 cache), then the
-    ///   picks exactly as the preloaded SELECT charges them.
-    /// - Under the method chooser: O(1) draws off the cached alias table;
-    ///   charged the header once and one alias row per draw.
+    /// the miss. A hit is charged the row header plus the bound words a
+    /// binary search touches (≤ 8 modeled probes, as in the eager A7
+    /// cache), then the picks exactly as the preloaded SELECT charges them.
     ///
     /// Out of line on purpose: a lookup takes a stripe lock, so the call
     /// is free, and inlined it costs the cache-less 80 ns step ≈ 3 ns.
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
     fn cached_source(
         &self,
         cache: &CtpsCache,
-        chooser: bool,
         v: VertexId,
         epoch: u64,
         rng: &mut Philox,
         scratch: &mut StepScratch,
         stats: &mut SimStats,
     ) -> Option<usize> {
-        let out = &mut scratch.select.out;
-        let hit = if chooser {
-            cache.with_alias_entry(v, epoch, |table, _selectable| {
-                let k = self.cfg.neighbor_size.realize(table.len(), rng);
-                out.clear();
-                stats.read_gmem(16);
-                for _ in 0..k {
-                    stats.read_gmem(12);
-                    out.push(table.sample(rng, stats));
-                }
-                stats.selections += out.len() as u64;
-                stats.method_alias += 1;
-                table.len()
-            })
-        } else {
-            let work = &mut scratch.select.work;
+        let (out, work) = (&mut scratch.select.out, &mut scratch.select.work);
+        #[cfg(debug_assertions)]
+        let (dbg_cached, dbg_hit) = (&mut scratch.dbg_cached, &mut scratch.dbg_hit);
+        let hit = cache.with_ctps_entry(v, epoch, |ctps, selectable| {
+            let n = ctps.len();
             #[cfg(debug_assertions)]
-            let (dbg_cached, dbg_hit) = (&mut scratch.dbg_cached, &mut scratch.dbg_hit);
-            cache.with_ctps_entry(v, epoch, |ctps, selectable| {
-                let n = ctps.len();
-                #[cfg(debug_assertions)]
-                {
-                    dbg_cached.assign(ctps);
-                    *dbg_hit = Some(selectable as usize);
+            {
+                dbg_cached.assign(ctps);
+                *dbg_hit = Some(selectable as usize);
+            }
+            stats.read_gmem(16 + 8 * n.min(8));
+            out.clear();
+            let k = self.cfg.neighbor_size.realize(n, rng);
+            if k == 0 {
+                return n;
+            }
+            if self.cfg.without_replacement {
+                let (sel, cfg) = (selectable as usize, self.select);
+                select_without_replacement_over(ctps, sel, k, cfg, out, work, rng, stats);
+            } else {
+                for _ in 0..k {
+                    out.extend(select_one_preloaded(ctps, rng, stats));
                 }
-                stats.read_gmem(16 + 8 * n.min(8));
-                out.clear();
-                let k = self.cfg.neighbor_size.realize(n, rng);
-                if k == 0 {
-                    return n;
-                }
-                if self.method_policy == MethodPolicy::Adaptive {
-                    stats.method_its += 1;
-                }
-                if self.cfg.without_replacement {
-                    let (sel, cfg) = (selectable as usize, self.select);
-                    select_without_replacement_over(ctps, sel, k, cfg, out, work, rng, stats);
-                } else {
-                    for _ in 0..k {
-                        out.extend(select_one_preloaded(ctps, rng, stats));
-                    }
-                }
-                n
-            })
-        };
+            }
+            n
+        });
         match hit {
             Some(_) => stats.ctps_cache_hits += 1,
             None => stats.ctps_cache_misses += 1,
@@ -1126,107 +1073,67 @@ impl<'a> StepKernel<'a> {
         hit
     }
 
-    /// Stage 2 under [`MethodPolicy::Adaptive`], past a cache miss:
-    /// [`crate::method::choose_method`] picks the method per expansion
-    /// and this serves the two that are not ITS. Returns `false` when the
-    /// table says ITS, which the caller then draws from the lane.
+    /// Stage 2 under [`MethodPolicy::Adaptive`] for a dynamic-bias
+    /// expansion: `k` picks by rejection when
+    /// [`crate::method::rejection_bound`] admits it, counted in
+    /// `method_rejection`; otherwise counts `method_its` and returns
+    /// `false`, and the caller draws from the ITS lane. Each throw
+    /// evaluates only the *proposed* candidate's bias, where ITS must
+    /// evaluate all `d` of them (the node2vec win). A trial cap with an
+    /// exact-ITS fallback guarantees termination; mixing exact methods
+    /// preserves the target distribution.
     ///
-    /// - **Static bias, cache attached** — alias: build the table once in
-    ///   the scratch lane, sample it O(1) per pick, and offer it for
-    ///   admission so the next expansion of `v` hits without the O(d)
-    ///   build.
-    /// - **Dynamic bias with an a-priori bound** — rejection: each throw
-    ///   evaluates only the *proposed* candidate's bias, where ITS must
-    ///   evaluate all `d` of them (the node2vec win). A trial cap with an
-    ///   exact-ITS fallback guarantees termination; mixing exact methods
-    ///   preserves the target distribution.
-    ///
-    /// Every method draws from the same per-task Philox stream but
-    /// consumes different draw counts, so Adaptive output is
+    /// Rejection draws from the same per-task Philox stream as ITS but
+    /// consumes two draws per throw, so Adaptive output is
     /// distribution-equal (chi-square validated) to `ForceIts`, never
     /// bit-equal.
-    #[allow(clippy::too_many_arguments)]
-    fn draw_adaptive(
+    fn draw_rejection(
         &self,
         gat: &Gathered<'_>,
         entry: &StepEntry,
         k: usize,
-        cache: Option<(&CtpsCache, u64)>,
         scratch: &mut StepScratch,
         rng: &mut Philox,
         stats: &mut SimStats,
     ) -> bool {
         let (v, g, n) = (entry.vertex, gat.graph, gat.neighbors.len());
-        let StepScratch { biases, select, alias, alias_build, rej_feedback, .. } = scratch;
-        let bound = if self.bias_static {
-            None
-        } else {
-            self.algo.edge_bias_bound(g, v, entry.prev).filter(|b| b.is_finite() && *b > 0.0)
+        let StepScratch { biases, select, rej_feedback, .. } = scratch;
+        // The feedback is consulted on every expansion the chooser sees,
+        // so its cooldown counts those down.
+        let allowed = rej_feedback.allow();
+        let bound = self.algo.edge_bias_bound(g, v, entry.prev);
+        let Some(bound) = rejection_bound(bound, n, allowed) else {
+            stats.method_its += 1;
+            return false;
         };
-        let ctx = MethodContext {
-            uniform: false,
-            static_bias: self.bias_static,
-            without_replacement: false,
-            degree: n,
-            cache_available: cache.is_some(),
-            bound_available: bound.is_some(),
-            rejection_allowed: !self.bias_static && rej_feedback.allow(),
-            skew: None,
-        };
-        match choose_method(&ctx) {
-            SelectMethod::CachedAlias => {
-                self.fill_biases(gat, v, entry.prev, biases, stats);
-                if alias.rebuild(biases, alias_build, stats) {
-                    stats.method_alias += 1;
-                    select.out.clear();
-                    for _ in 0..k {
-                        select.out.push(alias.sample(rng, stats));
-                    }
-                    stats.selections += select.out.len() as u64;
-                    let selectable = biases.iter().filter(|&&b| b > 0.0).count();
-                    let (cache, epoch) = cache.expect("CachedAlias implies cache_available");
-                    cache.promote_alias(v, epoch, alias, selectable as u32);
-                } else {
-                    // Degenerate lane (all-zero biases): the exact ITS
-                    // lane is the arbiter — it yields no picks either.
-                    stats.method_its += 1;
-                    self.draw_its(Source::Lane, n, k, biases, select, rng, stats);
-                }
-                true
+        stats.method_rejection += 1;
+        select.out.clear();
+        let mut deferred = 0usize;
+        for _ in 0..k {
+            let before = stats.rejection_trials;
+            let pick = select_one_rejection(
+                n,
+                bound,
+                REJECTION_MAX_TRIALS,
+                |col| self.algo.edge_bias(g, &gat.edge(col, v, entry.prev)),
+                rng,
+                stats,
+            );
+            rej_feedback.record(stats.rejection_trials - before);
+            match pick {
+                Some(col) => select.out.push(col),
+                None => deferred += 1,
             }
-            SelectMethod::Rejection => {
-                stats.method_rejection += 1;
-                let bound = bound.expect("Rejection implies bound_available");
-                select.out.clear();
-                let mut deferred = 0usize;
-                for _ in 0..k {
-                    let before = stats.rejection_trials;
-                    let pick = select_one_rejection(
-                        n,
-                        bound,
-                        REJECTION_MAX_TRIALS,
-                        |col| self.algo.edge_bias(g, &gat.edge(col, v, entry.prev)),
-                        rng,
-                        stats,
-                    );
-                    rej_feedback.record(stats.rejection_trials - before);
-                    match pick {
-                        Some(col) => select.out.push(col),
-                        None => deferred += 1,
-                    }
-                }
-                if deferred > 0 {
-                    // Cap exhausted (skew the bound could not see): serve
-                    // the remaining picks from the exact ITS lane.
-                    self.fill_biases(gat, v, entry.prev, biases, stats);
-                    for _ in 0..deferred {
-                        select.out.extend(select_one_with(biases, &mut select.ctps, rng, stats));
-                    }
-                }
-                true
-            }
-            SelectMethod::Its | SelectMethod::ClosedFormUniform => false,
         }
+        if deferred > 0 {
+            // Cap exhausted (skew the bound could not see): serve the
+            // remaining picks from the exact ITS lane.
+            self.fill_biases(gat, v, entry.prev, biases, stats);
+            for _ in 0..deferred {
+                select.out.extend(select_one_with(biases, &mut select.ctps, rng, stats));
+            }
+        }
+        true
     }
 
     /// The accept → emit → UPDATE → offer tail of a per-vertex step,

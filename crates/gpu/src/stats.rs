@@ -51,17 +51,14 @@ pub struct SimStats {
     pub ctps_cache_hits: u64,
     /// Static-bias expansions that missed the CTPS cache and rebuilt.
     pub ctps_cache_misses: u64,
-    /// Expansions served by inverse transform sampling under the adaptive
-    /// method chooser (counted only when the chooser ran: the `ForceIts`
-    /// policy leaves all four `method_*` counters at zero).
+    /// Expansions the adaptive method chooser sent to inverse transform
+    /// sampling. `method_its + method_rejection` counts exactly the
+    /// expansions where the chooser ran (dynamic-bias, per-vertex, with
+    /// replacement, under `Adaptive`); the `ForceIts` policy leaves both
+    /// at zero.
     pub method_its: u64,
-    /// Adaptive expansions served by a cached (or freshly built) alias
-    /// table.
-    pub method_alias: u64,
     /// Adaptive expansions served by bounded rejection (dartboard) trials.
     pub method_rejection: u64,
-    /// Adaptive expansions served by the closed-form uniform path.
-    pub method_uniform: u64,
     /// Total rejection throws across `method_rejection` expansions
     /// (accepted + rejected); trials / accepts is the live skew signal the
     /// chooser feeds back on.
@@ -127,9 +124,7 @@ impl SimStats {
         self.ctps_cache_hits += other.ctps_cache_hits;
         self.ctps_cache_misses += other.ctps_cache_misses;
         self.method_its += other.method_its;
-        self.method_alias += other.method_alias;
         self.method_rejection += other.method_rejection;
-        self.method_uniform += other.method_uniform;
         self.rejection_trials += other.rejection_trials;
         self.disk_pool_lookups += other.disk_pool_lookups;
         self.disk_pool_hits += other.disk_pool_hits;

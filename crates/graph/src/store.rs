@@ -429,7 +429,7 @@ pub fn write_store(dir: &Path, g: &Csr, partitions: usize, epoch: u64) -> Result
         let end = (((id + 1) * per).min(n)) as VertexId;
         let nv = (end - start) as usize;
 
-        // Payload: per vertex, zigzag-delta varint neighbors then raw
+        // The payload: per vertex, zigzag-delta varint neighbors then raw
         // little-endian f32 weights. Offsets are collected relative to
         // the payload start.
         let mut payload: Vec<u8> = Vec::new();
@@ -519,7 +519,7 @@ struct Segment {
     degree_off: usize,
     /// Byte offset of the encoded payload.
     payload_off: usize,
-    /// Payload length in bytes.
+    /// Length of the encoded payload in bytes.
     payload_len: usize,
     /// Trailing checksum verified (lazily, before first decode).
     verified: AtomicBool,

@@ -105,9 +105,7 @@ fn run_pooled_on<A: Algorithm, S: NeighborAccess>(
     let algo = runner.algo;
     let cfg = algo.config();
     debug_assert_ne!(cfg.frontier, FrontierMode::IndependentPerVertex);
-    let kernel = StepKernel::new(algo, runner.seed)
-        .with_select(runner.select)
-        .with_method_policy(runner.method_policy);
+    let kernel = StepKernel::new(algo, runner.seed).with_select(runner.select);
     let faults = DeviceFaults::new(parts, &runner.cfg, runner.device.pcie_gbps);
     let mut access = LayeredAccess::new(storage, runner.snapshot.as_ref(), faults);
     let mut outputs: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); seed_sets.len()];

@@ -48,7 +48,6 @@ use csaw_core::collision::{charge_visited_check, DetectorKind};
 use csaw_core::ctps_cache::CtpsCache;
 use csaw_core::engine::ExecMode;
 use csaw_core::frontier::{FrontierEntry, FrontierQueue};
-use csaw_core::method::MethodPolicy;
 use csaw_core::residency::with_thread_disk_access;
 use csaw_core::select::SelectConfig;
 use csaw_core::step::{
@@ -234,7 +233,6 @@ pub struct OomRunner<'g, A: Algorithm> {
     pub(crate) seed: u64,
     pub(crate) instance_base: u32,
     pub(crate) ctps_cache_budget: usize,
-    pub(crate) method_policy: MethodPolicy,
     pub(crate) snapshot: Option<GraphSnapshot>,
     pub(crate) disk: Option<csaw_core::residency::DiskRunConfig>,
     pub(crate) exec: ExecMode,
@@ -262,7 +260,6 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             seed: 0x5eed,
             instance_base: 0,
             ctps_cache_budget: 0,
-            method_policy: MethodPolicy::ForceIts,
             snapshot: None,
             disk: None,
             exec: ExecMode::InstanceMajor,
@@ -313,14 +310,6 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
     /// Sampled output is bit-identical with or without the cache.
     pub fn with_ctps_cache_budget(mut self, budget: usize) -> Self {
         self.ctps_cache_budget = budget;
-        self
-    }
-
-    /// Sampling-method policy (see `csaw_core::method`): `ForceIts` (the
-    /// default) stays bit-identical to the in-memory engine; `Adaptive`
-    /// picks alias/rejection per expansion (distribution-equal).
-    pub fn with_method_policy(mut self, policy: MethodPolicy) -> Self {
-        self.method_policy = policy;
         self
     }
 
@@ -649,8 +638,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
     ) -> (StreamRound, SimStats) {
         let kernel = StepKernel::new(self.algo, self.seed)
             .with_select(self.select)
-            .with_ctps_cache(task.cache.as_deref())
-            .with_method_policy(self.method_policy);
+            .with_ctps_cache(task.cache.as_deref());
         let (mut queue, mut shard) = (task.queue, task.shard);
         let (mut outbox, mut edges) = (Vec::new(), Vec::new());
         let mut sink = StreamSink {

@@ -128,7 +128,6 @@ pub struct UnifiedRunner<'g, A: Algorithm> {
     select: SelectConfig,
     seed: u64,
     ctps_cache_budget: usize,
-    method_policy: csaw_core::method::MethodPolicy,
 }
 
 impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
@@ -146,7 +145,6 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
             select: SelectConfig::paper_best(),
             seed: 0x5eed,
             ctps_cache_budget: 0,
-            method_policy: csaw_core::method::MethodPolicy::ForceIts,
         }
     }
 
@@ -165,14 +163,6 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
         self
     }
 
-    /// Sampling-method policy (see `csaw_core::method`): `ForceIts` (the
-    /// default) stays bit-identical to the in-memory engine; `Adaptive`
-    /// picks alias/rejection per expansion (distribution-equal).
-    pub fn with_method_policy(mut self, policy: csaw_core::method::MethodPolicy) -> Self {
-        self.method_policy = policy;
-        self
-    }
-
     /// Runs one single-seed instance per seed, demand-paging the CSR.
     pub fn run(&self, seeds: &[VertexId]) -> UnifiedOutput {
         let algo_cfg = self.algo.config();
@@ -180,8 +170,7 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
             .then(|| csaw_core::ctps_cache::CtpsCache::new(self.ctps_cache_budget));
         let kernel = StepKernel::new(self.algo, self.seed)
             .with_select(self.select)
-            .with_ctps_cache(cache.as_ref())
-            .with_method_policy(self.method_policy);
+            .with_ctps_cache(cache.as_ref());
         let mut storage = CsrAccess { graph: self.graph };
         let pages = PageCache::new(self.graph, self.device.memory_bytes);
         let mut access = LayeredAccess::new(&mut storage, None, pages);

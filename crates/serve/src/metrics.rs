@@ -161,13 +161,22 @@ pub fn render(
         "CTPS cache evictions",
         snap.cache_evictions,
     );
-    gauge(&mut out, "csaw_ctps_cache_bytes", "Bytes held by the CTPS cache", snap.cache_bytes);
-    counter(
-        &mut out,
-        "csaw_alias_cache_hits_total",
-        "Cached alias-table hits",
-        snap.cache_alias_hits,
+    // The split of the total above: clock pressure, stale epoch tags
+    // (residency swaps and graph mutations), same-vertex replacement.
+    let _ = writeln!(
+        out,
+        "# HELP csaw_ctps_cache_evictions_by_reason_total CTPS cache evictions by reason"
     );
+    let _ = writeln!(out, "# TYPE csaw_ctps_cache_evictions_by_reason_total counter");
+    for (reason, v) in [
+        ("clock", snap.cache_evictions_clock),
+        ("stale", snap.cache_evictions_stale),
+        ("replaced", snap.cache_evictions_replaced),
+    ] {
+        let _ =
+            writeln!(out, "csaw_ctps_cache_evictions_by_reason_total{{reason=\"{reason}\"}} {v}");
+    }
+    gauge(&mut out, "csaw_ctps_cache_bytes", "Bytes held by the CTPS cache", snap.cache_bytes);
 
     // --- disk tier ------------------------------------------------------
     // All zero unless the service fronts a disk store; gauges because the
@@ -209,7 +218,7 @@ pub fn render(
         "RAM bytes produced by disk-tier decodes",
         snap.disk_decode_bytes,
     );
-    let _ = writeln!(out, "# HELP csaw_disk_decode_seconds Partition decode wall time");
+    let _ = writeln!(out, "# HELP csaw_disk_decode_seconds Vertex-run decode wall time");
     let _ = writeln!(out, "# TYPE csaw_disk_decode_seconds histogram");
     let mut cumulative = 0u64;
     for (i, &ub_us) in csaw_core::residency::DECODE_BUCKETS_US.iter().enumerate() {
@@ -226,12 +235,7 @@ pub fn render(
     let _ =
         writeln!(out, "# HELP csaw_method_selections_total Neighbor selections by sampling method");
     let _ = writeln!(out, "# TYPE csaw_method_selections_total counter");
-    for (method, v) in [
-        ("its", snap.method_its),
-        ("alias", snap.method_alias),
-        ("rejection", snap.method_rejection),
-        ("uniform", snap.method_uniform),
-    ] {
+    for (method, v) in [("its", snap.method_its), ("rejection", snap.method_rejection)] {
         let _ = writeln!(out, "csaw_method_selections_total{{method=\"{method}\"}} {v}");
     }
     counter(
@@ -431,6 +435,30 @@ mod tests {
         assert_eq!(parse_value(&page, "csaw_batch_group_size_bucket{le=\"15\"}"), Some(5.0));
         assert_eq!(parse_value(&page, "csaw_batch_group_size_bucket{le=\"+Inf\"}"), Some(5.0));
         assert_eq!(parse_value(&page, "csaw_batch_group_size_count"), Some(5.0));
+    }
+
+    #[test]
+    fn renders_cache_evictions_by_reason() {
+        let snap = StatsSnapshot {
+            cache_evictions: 6,
+            cache_evictions_clock: 3,
+            cache_evictions_stale: 2,
+            cache_evictions_replaced: 1,
+            ..Default::default()
+        };
+        let page = render(&snap, &[], &[], &ServeMetrics::default());
+        let reason = |r: &str| {
+            parse_value(
+                &page,
+                &format!("csaw_ctps_cache_evictions_by_reason_total{{reason=\"{r}\"}}"),
+            )
+        };
+        assert_eq!(reason("clock"), Some(3.0));
+        assert_eq!(reason("stale"), Some(2.0));
+        assert_eq!(reason("replaced"), Some(1.0));
+        assert_eq!(parse_value(&page, "csaw_ctps_cache_evictions_total"), Some(6.0));
+        assert!(!page.contains("alias"), "the alias method is retired");
+        assert!(!page.contains("method=\"uniform\""));
     }
 
     #[test]

@@ -37,9 +37,9 @@ pub struct TenantQuota {
     pub rate: f64,
     /// Request-token bucket capacity (burst size).
     pub burst: f64,
-    /// Payload-byte tokens refilled per second.
+    /// Tokens of payload bytes refilled per second.
     pub byte_rate: f64,
-    /// Payload-byte bucket capacity.
+    /// Capacity of the payload-byte bucket.
     pub byte_burst: f64,
     /// Pending jobs this tenant may hold in its fair queue; admissions
     /// beyond it are shed with per-tenant backpressure.

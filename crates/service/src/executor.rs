@@ -146,7 +146,6 @@ impl BatchExecutor for OomExecutor {
             .with_select(opts.select)
             .with_instance_base(opts.instance_base)
             .with_ctps_cache_budget(cache_budget)
-            .with_method_policy(opts.method_policy)
             .with_exec(opts.exec);
         if let Some(snap) = &opts.snapshot {
             // The service hands over the snapshot's base as `graph`, so

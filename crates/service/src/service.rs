@@ -63,11 +63,6 @@ pub struct ServiceConfig {
     /// Coalesced same-graph requests re-hit transition-probability
     /// tables built for earlier batches of the same algorithm.
     pub ctps_cache_budget: usize,
-    /// Sampling-method policy applied to every launch (see
-    /// `csaw_core::method`). `ForceIts` (the default) keeps responses
-    /// bit-identical to solo engine runs; `Adaptive` picks
-    /// alias/rejection per expansion and is distribution-equal instead.
-    pub method_policy: csaw_core::method::MethodPolicy,
     /// Optional disk tier (see `csaw_core::residency`): every launch
     /// gathers through the store's mmap-backed segments with on-demand
     /// decode into per-worker pools instead of the resident CSR.
@@ -101,7 +96,6 @@ impl Default for ServiceConfig {
             queue_capacity: 256,
             start_paused: false,
             ctps_cache_budget: 4 << 20,
-            method_policy: csaw_core::method::MethodPolicy::ForceIts,
             disk: None,
             exec: csaw_core::engine::ExecMode::InstanceMajor,
             prefetch_distance: 8,
@@ -651,7 +645,6 @@ fn process_batch(
             seed: rng_seed,
             instance_base: seg[0].instance_base,
             ctps_cache: cache.clone(),
-            method_policy: shared.config.method_policy,
             snapshot: snapshot.clone(),
             disk: shared.config.disk.clone(),
             exec: shared.config.exec,
@@ -727,8 +720,6 @@ fn publish_cache_totals(stats: &ServiceStats, caches: &HashMap<AlgoIdentity, Arc
         totals.evictions_stale += s.evictions_stale;
         totals.evictions_replaced += s.evictions_replaced;
         totals.bytes += s.bytes;
-        totals.alias_hits += s.alias_hits;
-        totals.alias_promotions += s.alias_promotions;
     }
     stats.record_cache(&totals);
 }

@@ -91,21 +91,11 @@ pub struct ServiceStats {
     pub cache_evictions_replaced: AtomicU64,
     /// Bytes currently held by the caches (gauge).
     pub cache_bytes: AtomicU64,
-    /// Cache lookups served from a cached *alias table* (gauge, subset
-    /// of `cache_hits`; nonzero only under the adaptive method policy).
-    pub cache_alias_hits: AtomicU64,
-    /// Alias tables promoted into the caches (gauge, subset of
-    /// `cache_promotions`).
-    pub cache_alias_promotions: AtomicU64,
-    /// Expansions served by ITS when the method chooser ran (batch
-    /// totals; all four `method_*` counters stay zero under `ForceIts`).
+    /// Expansions the method chooser sent to ITS (batch totals; both
+    /// `method_*` counters stay zero under `ForceIts`).
     pub method_its: AtomicU64,
-    /// Expansions served from a cached or freshly built alias table.
-    pub method_alias: AtomicU64,
     /// Expansions served by bounded rejection sampling.
     pub method_rejection: AtomicU64,
-    /// Expansions served by the closed-form uniform path.
-    pub method_uniform: AtomicU64,
     /// Total rejection throws across rejection-served expansions.
     pub rejection_trials: AtomicU64,
     /// Vertex-groups formed by depth-synchronous launches (batch totals;
@@ -208,8 +198,6 @@ impl ServiceStats {
         self.cache_evictions_stale.store(totals.evictions_stale, Relaxed);
         self.cache_evictions_replaced.store(totals.evictions_replaced, Relaxed);
         self.cache_bytes.store(totals.bytes, Relaxed);
-        self.cache_alias_hits.store(totals.alias_hits, Relaxed);
-        self.cache_alias_promotions.store(totals.alias_promotions, Relaxed);
     }
 
     /// Publishes the disk tier's totals (gauge semantics: the tier's
@@ -249,9 +237,7 @@ impl ServiceStats {
     /// Accumulates one launch's per-method expansion counters.
     pub(crate) fn record_methods(&self, stats: &csaw_gpu::stats::SimStats) {
         Self::add(&self.method_its, stats.method_its);
-        Self::add(&self.method_alias, stats.method_alias);
         Self::add(&self.method_rejection, stats.method_rejection);
-        Self::add(&self.method_uniform, stats.method_uniform);
         Self::add(&self.rejection_trials, stats.rejection_trials);
     }
 
@@ -294,12 +280,8 @@ impl ServiceStats {
             cache_evictions_stale: self.cache_evictions_stale.load(Relaxed),
             cache_evictions_replaced: self.cache_evictions_replaced.load(Relaxed),
             cache_bytes: self.cache_bytes.load(Relaxed),
-            cache_alias_hits: self.cache_alias_hits.load(Relaxed),
-            cache_alias_promotions: self.cache_alias_promotions.load(Relaxed),
             method_its: self.method_its.load(Relaxed),
-            method_alias: self.method_alias.load(Relaxed),
             method_rejection: self.method_rejection.load(Relaxed),
-            method_uniform: self.method_uniform.load(Relaxed),
             rejection_trials: self.rejection_trials.load(Relaxed),
             batch_groups: self.batch_groups.load(Relaxed),
             batch_group_entries: self.batch_group_entries.load(Relaxed),
@@ -355,12 +337,8 @@ pub struct StatsSnapshot {
     pub cache_evictions_stale: u64,
     pub cache_evictions_replaced: u64,
     pub cache_bytes: u64,
-    pub cache_alias_hits: u64,
-    pub cache_alias_promotions: u64,
     pub method_its: u64,
-    pub method_alias: u64,
     pub method_rejection: u64,
-    pub method_uniform: u64,
     pub rejection_trials: u64,
     pub batch_groups: u64,
     pub batch_group_entries: u64,

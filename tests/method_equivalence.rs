@@ -1,30 +1,32 @@
-//! Distribution-equality validation for the adaptive method chooser.
+//! Validation for the adaptive method chooser.
 //!
-//! `MethodPolicy::ForceIts` is pinned bit-for-bit by `step_golden`. The
-//! alias and rejection methods consume different Philox draws, so
-//! `MethodPolicy::Adaptive` cannot be bit-compared — instead this suite
-//! checks the only property the chooser is allowed to rely on: every
-//! method samples the *same target distribution*. Pearson chi-square
-//! against the exact bias-derived probabilities is the arbiter, at the
-//! primitive level (ITS vs alias vs rejection over identical bias
-//! arrays) and end-to-end through the engine (Adaptive vs the exact
-//! per-step distribution for a static-bias walk and for node2vec).
+//! `MethodPolicy::ForceIts` is pinned bit-for-bit by `step_golden`, and
+//! `MethodPolicy::Adaptive` only ever changes a dynamic-bias draw: every
+//! other algorithm is held to the `ForceIts` run bit for bit. Rejection
+//! consumes different Philox draws, so where it runs (node2vec) this
+//! suite checks the only property the chooser is allowed to rely on:
+//! every method samples the *same target distribution*. Pearson
+//! chi-square against the exact bias-derived probabilities is the
+//! arbiter, at the primitive level (ITS vs alias vs rejection over
+//! identical bias arrays) and end-to-end through the engine (Adaptive vs
+//! the exact per-step distribution for a static-bias walk and for
+//! node2vec).
 
+use csaw::baselines::alias::AliasTable;
 use csaw::core::algorithms::{
     BiasedNeighborSampling, BiasedRandomWalk, ForestFire, LayerSampling, MetropolisHastingsWalk,
     MultiDimRandomWalk, MultiIndependentRandomWalk, Node2Vec, RandomWalkWithJump,
     RandomWalkWithRestart, SimpleRandomWalk, Snowball, UnbiasedNeighborSampling,
 };
-use csaw::core::alias::AliasTable;
 use csaw::core::api::Algorithm;
-use csaw::core::ctps_cache::{alias_entry_bytes, CtpsCache};
-use csaw::core::engine::{drive_pool, PoolBufs, RunOptions, Sampler};
+use csaw::core::ctps_cache::{entry_bytes, CtpsCache};
+use csaw::core::engine::{drive_pool, ExecMode, PoolBufs, RunOptions, Sampler};
 use csaw::core::method::MethodPolicy;
 use csaw::core::select::{select_one, select_one_rejection};
 use csaw::core::step::{CsrAccess, StepKernel, StepScratch};
 use csaw::gpu::stats::SimStats;
 use csaw::gpu::Philox;
-use csaw::graph::generators::toy_graph;
+use csaw::graph::generators::{rmat, toy_graph, RmatParams};
 use csaw::graph::quality::chi_square_stat;
 use csaw::graph::{Csr, CsrBuilder, VertexId};
 use std::sync::Arc;
@@ -133,9 +135,9 @@ fn toy_opts(policy: MethodPolicy, cache: bool) -> RunOptions {
     }
 }
 
-/// End-to-end: Adaptive biased random walk (static bias → cached-alias
+/// End-to-end: Adaptive biased random walk (static bias → the cached ITS
 /// path) must reproduce the exact degree-proportional first-hop
-/// distribution, with the chooser actually exercising the alias method.
+/// distribution, served from the CTPS cache and never by the chooser.
 #[test]
 fn adaptive_biased_walk_matches_exact_distribution() {
     let g = toy_graph();
@@ -157,9 +159,9 @@ fn adaptive_biased_walk_matches_exact_distribution() {
         stat < chi2_threshold(nbrs.len() - 1),
         "adaptive biased walk diverged: chi2 {stat:.1} (counts {counts:?})"
     );
-    assert!(out.stats.method_alias > 0, "static bias + cache must exercise the alias method");
-    assert!(out.stats.ctps_cache_hits > 0, "40k expansions of one vertex must hit the alias cache");
-    assert_eq!(out.stats.method_rejection, 0, "static bias never chooses rejection");
+    assert!(out.stats.ctps_cache_hits > 0, "40k expansions of one vertex must hit the CTPS cache");
+    let methods = (out.stats.method_its, out.stats.method_rejection);
+    assert_eq!(methods, (0, 0), "a static bias never reaches the chooser");
 }
 
 /// Node2vec probe graph where vertex 1 (degree 4 — enough for the
@@ -263,11 +265,48 @@ fn force_its_is_bit_identical_to_the_default_for_all_algorithms() {
             );
             let s = &out.stats;
             assert_eq!(
-                (s.method_its, s.method_alias, s.method_rejection, s.method_uniform),
-                (0, 0, 0, 0),
+                (s.method_its, s.method_rejection),
+                (0, 0),
                 "{}: ForceIts must not tick method counters",
                 algo.name()
             );
+        }
+    }
+}
+
+/// `Adaptive` changes only dynamic-bias draws: for every Table-I
+/// algorithm but node2vec — the one with an `edge_bias_bound` — it is the
+/// `ForceIts` run bit for bit, the same instances and the same `SimStats`
+/// (the chooser never runs, so even its two counters stay zero), with and
+/// without a CTPS cache, instance-major and depth-synchronous. One worker
+/// thread, so the cache's hit/miss counts repeat exactly.
+#[test]
+fn adaptive_equals_force_its_except_node2vec() {
+    let g = rmat(9, 8, RmatParams::MILD, 11);
+    let n = g.num_vertices() as VertexId;
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    for (algo, singles) in registry() {
+        let per = if singles { 1 } else { 3 };
+        let sets: Vec<Vec<VertexId>> =
+            (0..48).map(|i| (0..per).map(|j| ((i * per + j) * 131) % n).collect()).collect();
+        for exec in [ExecMode::InstanceMajor, ExecMode::DepthSync] {
+            for cache in [false, true] {
+                let run = |policy| {
+                    let opts = RunOptions { exec, ..toy_opts(policy, cache) };
+                    pool.install(|| Sampler::new(&g, &algo).with_options(opts).run(&sets))
+                };
+                let (its, adaptive) = (run(MethodPolicy::ForceIts), run(MethodPolicy::Adaptive));
+                let what = format!("{} ({exec:?}, cache={cache})", algo.name());
+                if algo.name() == "node2vec" {
+                    assert!(adaptive.stats.method_rejection > 0, "{what}: rejection never ran");
+                    continue;
+                }
+                assert_eq!(
+                    adaptive.instances, its.instances,
+                    "{what}: Adaptive changed the sample"
+                );
+                assert_eq!(adaptive.stats, its.stats, "{what}: Adaptive changed the ledger");
+            }
         }
     }
 }
@@ -300,19 +339,20 @@ fn kernel_steps(g: &Csr, algo: &dyn Algorithm, opts: &RunOptions, sets: &[Vec<Ve
 }
 
 /// Adaptive runs of every Table-I algorithm stay structurally valid
-/// (real edges, walk lengths intact), account each per-vertex expansion
-/// to exactly one method counter, and keep the ledger of a cache sized
-/// for every vertex's alias table conserved. The chooser changes how a
-/// draw is made, never how much work a run does: ITS with and without a
-/// cache and Adaptive with and without one run the same kernel steps.
+/// (real edges, walk lengths intact), tick the method counters exactly
+/// when the bias is dynamic (the chooser ran), and keep the ledger of a
+/// cache sized for every vertex's table conserved. The chooser changes
+/// how a draw is made, never how much work a run does: ITS with and
+/// without a cache and Adaptive with and without one run the same kernel
+/// steps.
 #[test]
 fn adaptive_stays_valid_for_all_algorithms() {
     let g = toy_graph();
-    let alias_sized: usize =
-        (0..g.num_vertices() as VertexId).map(|v| alias_entry_bytes(g.degree(v))).sum();
+    let all_sized: usize =
+        (0..g.num_vertices() as VertexId).map(|v| entry_bytes(g.degree(v))).sum();
     for (algo, singles) in registry() {
         let sets = seed_sets(singles);
-        let cache = Arc::new(CtpsCache::new(alias_sized));
+        let cache = Arc::new(CtpsCache::new(all_sized));
         let adaptive = RunOptions {
             method_policy: MethodPolicy::Adaptive,
             ctps_cache: Some(Arc::clone(&cache)),
@@ -327,14 +367,13 @@ fn adaptive_stays_valid_for_all_algorithms() {
             }
         }
         let s = &out.stats;
-        let methods = s.method_its + s.method_alias + s.method_rejection + s.method_uniform;
-        if singles {
-            assert!(
-                methods > 0,
-                "{}: adaptive per-vertex expansions must be accounted to a method",
-                algo.name()
-            );
-        }
+        let dynamic = !algo.edge_bias_is_static() && !algo.edge_bias_is_uniform();
+        assert_eq!(
+            s.method_its + s.method_rejection > 0,
+            dynamic,
+            "{}: the chooser runs exactly for dynamic-bias expansions",
+            algo.name()
+        );
         let steps = kernel_steps(&g, &*algo, &adaptive, &sets);
         for (policy, cache) in [
             (MethodPolicy::ForceIts, false),

@@ -9,20 +9,24 @@
 //! Two exact counts ride along: a frontier of one never touches the trial
 //! counter's map, and a whole simple-walk instance through the engine's
 //! own driver allocates its output vector and its pool buffers, no more.
+//! The adaptive method's rejection path, with its capped-out ITS
+//! fallback, is held to the same zero.
 //!
 //! The binary holds a single `#[test]` on purpose: the counting allocator
 //! is process-global, and a concurrent test thread allocating during the
 //! measured window would produce false positives.
 
 use csaw::core::algorithms::registry::{AlgoSpec, AlgorithmId};
+use csaw::core::algorithms::Node2Vec;
 use csaw::core::api::FrontierMode;
 use csaw::core::batch::{expand_frontier, run_chunk, BatchArena, ChunkInstance, FrontierItem};
 use csaw::core::ctps_cache::CtpsCache;
 use csaw::core::engine::{drive_instance, drive_pool, PoolBufs, RunOptions};
+use csaw::core::method::{MethodPolicy, REJECTION_MAX_TRIALS};
 use csaw::core::residency::{DiskAccess, DiskRunConfig};
 use csaw::core::select::SelectConfig;
 use csaw::core::step::{
-    CsrAccess, NeighborAccess, StepEntry, StepKernel, StepScratch, TrialCounter,
+    CsrAccess, FrontierSink, NeighborAccess, StepEntry, StepKernel, StepScratch, TrialCounter,
 };
 use csaw::gpu::alloc_count::CountingAllocator;
 use csaw::gpu::stats::SimStats;
@@ -316,6 +320,85 @@ fn gate_whole_walk(g: &Csr) {
     );
 }
 
+/// Counts what an expansion emits and offers, and keeps nothing.
+#[derive(Default)]
+struct Tally {
+    emits: u64,
+    offers: u64,
+}
+
+impl FrontierSink for Tally {
+    fn emit(&mut self, _entry: &StepEntry, _edge: (VertexId, VertexId)) {
+        self.emits += 1;
+    }
+
+    fn push(&mut self, _e: &StepEntry, _v: VertexId, _p: Option<VertexId>, _s: &mut SimStats) {
+        self.offers += 1;
+    }
+}
+
+/// The rejection path under the same gate, on warm arenas: node2vec
+/// under `Adaptive`. First whole walks, whose throws accept at once
+/// (p = q = 1 makes every bias equal to its bound). Then expansions of
+/// the hub with a predecessor outside its adjacency and a tiny `p`: the
+/// bound is 1/p, no candidate's bias comes near it, so every throw
+/// misses, the cap runs out, and each pick falls back to the ITS lane.
+/// Neither may allocate.
+fn gate_rejection(g: &Csr) {
+    let n = g.num_vertices() as VertexId;
+    let mut access = CsrAccess { graph: g };
+
+    let walk = AlgoSpec::new(AlgorithmId::Node2Vec)
+        .with_depth(12)
+        .build()
+        .expect("registry specs are valid");
+    let kernel = StepKernel::new(&*walk, 0x5eed).with_method_policy(MethodPolicy::Adaptive);
+    let chunks: Vec<Vec<VertexId>> = (0..16).map(|i| vec![(i * 131) % n]).collect();
+    let mut bufs = DriverBufs::default();
+    let warm1 = run_rep(&kernel, &mut access, &chunks, &mut bufs);
+    let warm2 = run_rep(&kernel, &mut access, &chunks, &mut bufs);
+    assert_eq!(warm1, warm2, "node2vec/adaptive: repetitions must perform identical work");
+    let (before, rejected) = (ALLOC.snapshot(), bufs.stats.method_rejection);
+    let steps = run_rep(&kernel, &mut access, &chunks, &mut bufs);
+    let delta = ALLOC.snapshot().since(&before);
+    assert_eq!(steps, warm1, "node2vec/adaptive: repetitions must perform identical work");
+    assert!(bufs.stats.method_rejection > rejected, "node2vec/adaptive: rejection never ran");
+    assert_eq!(
+        delta.allocations, 0,
+        "node2vec/adaptive: a steady-state walk repetition allocated ({} bytes)",
+        delta.bytes
+    );
+
+    let hub = (0..n).max_by_key(|&v| g.degree(v)).expect("vertices");
+    let prev = (0..n).find(|&u| u != hub && !g.has_edge(hub, u)).expect("a non-neighbor");
+    let tight = Node2Vec { length: 12, p: 1e-9, q: 1.0 };
+    let kernel = StepKernel::new(&tight, 0x5eed).with_method_policy(MethodPolicy::Adaptive);
+    let (mut scratch, mut stats, mut sink) =
+        (StepScratch::new(), SimStats::new(), Tally::default());
+    // Four expansions a repetition, twelve in all: 384 throws, short of
+    // the feedback window, so rejection stays chosen throughout.
+    let mut rep = |stats: &mut SimStats, sink: &mut Tally| {
+        for instance in 0..4 {
+            let entry = StepEntry { instance, depth: 1, vertex: hub, prev: Some(prev), trial: 0 };
+            kernel.expand(&mut access, &entry, hub, sink, &mut scratch, stats);
+        }
+    };
+    rep(&mut stats, &mut sink);
+    rep(&mut stats, &mut sink);
+    let (before, mut stats, mut sink) = (ALLOC.snapshot(), SimStats::new(), Tally::default());
+    rep(&mut stats, &mut sink);
+    let delta = ALLOC.snapshot().since(&before);
+    assert_eq!(stats.method_rejection, 4, "every hub expansion must choose rejection");
+    assert_eq!(stats.rejection_trials, 4 * REJECTION_MAX_TRIALS, "every throw must miss");
+    assert_eq!(sink.emits, 4, "the ITS fallback must serve every pick");
+    assert_eq!(sink.offers, 4);
+    assert_eq!(
+        delta.allocations, 0,
+        "node2vec/adaptive: rejection plus the ITS fallback allocated ({} bytes)",
+        delta.bytes
+    );
+}
+
 #[test]
 fn steady_state_step_allocates_nothing() {
     gate_singleton_trials();
@@ -327,6 +410,7 @@ fn steady_state_step_allocates_nothing() {
     gate_batched(&g, &mut CsrAccess { graph: &g });
     gate_drained_batch(&g, &mut CsrAccess { graph: &g });
     gate_whole_walk(&g);
+    gate_rejection(&g);
 
     // The same gate through the disk tier: with every run admitted to a
     // warm full-budget pool, stepping through [`DiskAccess`] — slot
