@@ -13,33 +13,47 @@
 //! log entry, because the step kernel's `gather` needs the adjacency as
 //! one contiguous slice).
 //!
+//! A batch that returns a vertex's adjacency to its base slice (an
+//! insert undone by a delete) retires that vertex's delta, so undone
+//! churn leaves no overlay behind and the view is a bare CSR again.
+//!
 //! ## Epochs and the determinism contract
 //!
 //! Every successful [`MutableGraph::apply_batch`] bumps the graph
-//! **epoch** and stamps each touched vertex's **version** with the new
-//! epoch. A [`GraphSnapshot`] is two `Arc` clones (O(1)) freezing the
-//! state of an epoch; walks launched against snapshot E read exactly
-//! epoch E's adjacency and are bit-identical to a from-scratch run on
-//! [`GraphSnapshot::to_csr`] — the compacted CSR of E — because the view
-//! serves identical slices in identical order and the engine's RNG is
-//! keyed by (instance, depth, vertex, trial), never by representation.
+//! **epoch** and appends one entry to the **edit log**: the sorted
+//! sources the batch edited. A vertex's **version** is the epoch of the
+//! last batch that edited it. A [`GraphSnapshot`] is two `Arc` clones
+//! (O(1)) freezing the state of an epoch; walks launched against
+//! snapshot E read exactly epoch E's adjacency and are bit-identical to
+//! a from-scratch run on [`GraphSnapshot::to_csr`] — the compacted CSR of
+//! E — because the view serves identical slices in identical order and
+//! the engine's RNG is keyed by (instance, depth, vertex, trial), never
+//! by representation.
 //!
-//! Per-vertex versions are what the CTPS/alias cache keys on
-//! (`NeighborAccess::entry_epoch`, via [`GraphSnapshot::entry_version`]):
-//! a cached entry for vertex v is tagged with the max version over v and
-//! its neighbors — the 1-hop closure, because static edge biases may read
-//! the far endpoint's adjacency (degree bias reads `degree(dst)`). The
-//! tag stays 0 across epochs that touch nothing within one hop of v, so
-//! hot untouched regions keep their entries while the edited vertex and
-//! its neighborhood invalidate lazily on next lookup.
+//! Versions are what the CTPS cache keys on (`NeighborAccess::entry_epoch`,
+//! via [`GraphSnapshot::entry_version`]): a cached entry for vertex v is
+//! tagged with the max version over v and its neighbors — the 1-hop
+//! closure, because static edge biases may read the far endpoint's
+//! adjacency (degree bias reads `degree(dst)`). The tag stays 0 across
+//! epochs that touch nothing within one hop of v, so hot untouched
+//! regions keep their entries while the edited vertex and its
+//! neighborhood invalidate lazily on next lookup.
+//!
+//! The tag's cost does not grow with the history already read. One
+//! lineage (a [`MutableGraph`] and all its snapshots) shares the log and
+//! a per-vertex memo of `(epoch, tag)`. A lookup at the memo's epoch is
+//! one atomic load; a lookup at a later epoch reads only the batches
+//! since the memo's epoch, newest first, and moves the memo forward.
+//! Each batch is read at most once per vertex.
 //!
 //! [`MutableGraph::compact`] folds the overlay into a fresh base CSR.
 //! It does **not** bump the epoch (the logical graph is unchanged) and
-//! it **retains** the versions map: versions are monotone over a
+//! it **retains** the log and the memo: versions are monotone over a
 //! vertex's whole mutation history, so a stale cache entry built before
 //! a fold can never collide with a post-fold tag.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::csr::Csr;
@@ -161,6 +175,11 @@ impl VertexDelta {
         VertexDelta { neighbors, weights, fenwick, inserts: 0, deletes: 0, reweights: 0 }
     }
 
+    /// Whether this delta serves exactly `v`'s slices in `base`.
+    fn is_base(&self, base: &Csr, v: VertexId) -> bool {
+        self.neighbors == base.neighbors(v) && self.weights.as_deref() == base.neighbor_weights(v)
+    }
+
     /// Merged, sorted neighbor list.
     #[inline]
     pub fn neighbors(&self) -> &[VertexId] {
@@ -232,17 +251,100 @@ fn build_fenwick(weights: &[Weight]) -> Fenwick {
     Fenwick::new(&w64)
 }
 
+/// One entry of the edit log: a successful batch's epoch and the sorted,
+/// deduplicated sources it edited, linked to the batch before it. A
+/// state holds the newest entry of its own epoch, so appending a batch is
+/// one allocation, the log is shared by a lineage and all its snapshots
+/// without copying, and a snapshot reads only the batches up to its own
+/// epoch.
+struct Batch {
+    epoch: u64,
+    sources: Box<[VertexId]>,
+    prev: Option<Arc<Batch>>,
+}
+
+impl Batch {
+    /// The epoch of the newest batch at or below this one, and above
+    /// `floor`, that edited `v` or one of `nbrs` (sorted) — `v`'s 1-hop
+    /// tag over that range, when `nbrs` is `v`'s current adjacency.
+    /// Testing every batch against the *current* adjacency is exact:
+    /// `v`'s adjacency changes only through a batch that edits `v`, and
+    /// the walk stops at the newest such batch.
+    fn last_touch(&self, v: VertexId, nbrs: &[VertexId], floor: u64) -> Option<u64> {
+        std::iter::successors(Some(self), |b| b.prev.as_deref())
+            .take_while(|b| b.epoch > floor)
+            .find(|b| {
+                let s = &b.sources;
+                s.binary_search(&v).is_ok()
+                    || if s.len() <= nbrs.len() {
+                        s.iter().any(|u| nbrs.binary_search(u).is_ok())
+                    } else {
+                        nbrs.iter().any(|u| s.binary_search(u).is_ok())
+                    }
+            })
+            .map(|b| b.epoch)
+    }
+}
+
+impl Drop for Batch {
+    /// Unlinks the chain iteratively: dropping a long log through the
+    /// default recursive drop would overflow the stack.
+    fn drop(&mut self) {
+        let mut prev = self.prev.take();
+        while let Some(mut b) = prev.and_then(Arc::into_inner) {
+            prev = b.prev.take();
+        }
+    }
+}
+
+impl std::fmt::Debug for Batch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Batch").field("epoch", &self.epoch).field("sources", &self.sources).finish()
+    }
+}
+
+/// Per-vertex memo of the 1-hop tag, one word a vertex packing
+/// `(epoch << 32) | tag`: the tag at `epoch`. All zeros is true of every
+/// vertex (the tag at epoch 0 is 0). Words only move forward, and every
+/// word describes the history of the lineage that owns the memo, so a
+/// reader at any epoch of that lineage can use it (see
+/// [`GraphSnapshot::entry_version`]). `Relaxed` is enough: a word
+/// publishes no other data, since the batches it summarises are immutable
+/// and reach every reader through its own snapshot's `Arc`.
+struct TagMemo(Box<[AtomicU64]>);
+
+impl TagMemo {
+    fn new(n: usize) -> Self {
+        TagMemo((0..n).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    /// A copy for a new lineage that shares this one's history so far.
+    fn fork(&self) -> Self {
+        TagMemo(self.0.iter().map(|w| AtomicU64::new(w.load(Relaxed))).collect())
+    }
+}
+
+impl std::fmt::Debug for TagMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "TagMemo({} vertices)", self.0.len())
+    }
+}
+
 /// The shared, immutable-once-published overlay of one epoch: mutated
-/// vertices' merged adjacencies plus the per-vertex version map.
+/// vertices' merged adjacencies plus the edit log and the tag memo.
 #[derive(Debug, Clone, Default)]
 pub struct OverlayState {
     /// Mutated vertex → merged adjacency. `Arc` per delta so the
     /// copy-on-write of `apply_batch` only deep-clones vertices the new
-    /// batch actually touches.
+    /// batch actually touches. A delta equal to its base slice is
+    /// retired.
     deltas: HashMap<VertexId, Arc<VertexDelta>>,
-    /// Vertex → epoch of its last mutation. Never cleared — survives
-    /// compaction so cache tags stay monotone (see module docs).
-    versions: HashMap<VertexId, u64>,
+    /// The newest batch of the edit log (`None` at epoch 0). Never
+    /// truncated — survives compaction so cache tags stay monotone (see
+    /// module docs).
+    log: Option<Arc<Batch>>,
+    /// The lineage's tag memo, allocated by the first successful batch.
+    memo: Option<Arc<TagMemo>>,
     /// Bitset over vertex ids guarding `deltas`: bit v set ⇔ v has a
     /// live delta. The step kernel's bias loops call [`Self::delta`]
     /// once per *edge* (degree bias reads `degree(dst)`), so the
@@ -286,10 +388,10 @@ impl OverlayState {
         self.deltas.len()
     }
 
-    /// Epoch of `v`'s last mutation ever (0 if never mutated).
-    #[inline]
+    /// Epoch of `v`'s last mutation ever (0 if never mutated). Reads the
+    /// log back to that batch: a diagnostic, not a hot-path call.
     pub fn vertex_version(&self, v: VertexId) -> u64 {
-        self.versions.get(&v).copied().unwrap_or(0)
+        self.log.as_ref().and_then(|b| b.last_touch(v, &[], 0)).unwrap_or(0)
     }
 
     /// Materializes the logical graph (base + this overlay) as a fresh
@@ -348,10 +450,8 @@ impl GraphSnapshot {
         self.state.epoch
     }
 
-    /// Epoch of `v`'s last mutation (0 if never mutated). This is the
-    /// cache-invalidation tag: it changes exactly when `v`'s adjacency
-    /// does.
-    #[inline]
+    /// Epoch of `v`'s last mutation (0 if never mutated), read back from
+    /// the log. The cache keys on [`Self::entry_version`] instead.
     pub fn vertex_version(&self, v: VertexId) -> u64 {
         self.state.vertex_version(v)
     }
@@ -362,8 +462,8 @@ impl GraphSnapshot {
         self.state.overlay_vertices()
     }
 
-    /// Cache-invalidation tag for `v`'s per-vertex sampling state (CTPS /
-    /// alias tables): the max mutation version over `v` **and its current
+    /// Cache-invalidation tag for `v`'s per-vertex sampling state (its
+    /// CTPS table): the max mutation version over `v` **and its current
     /// neighbors**. The neighborhood matters because static edge biases
     /// may read the far endpoint's adjacency (degree bias reads
     /// `degree(dst)`), so an edit to `u` stales the cached tables of every
@@ -372,29 +472,43 @@ impl GraphSnapshot {
     /// so a dropped neighbor can never lower the max. Vertices whose
     /// 1-hop neighborhood was never mutated keep tag 0 — the same tag the
     /// static-CSR path uses — so their cached entries survive epochs and
-    /// compaction. Cost: O(min(mutated-set · log d, d)) map probes, paid
-    /// only on cache lookups and only once any mutation exists.
+    /// compaction.
+    ///
+    /// Cost: each batch is read at most once per vertex, so a lookup never
+    /// re-reads history an earlier lookup of `v` already read. At epoch 0
+    /// the tag is 0. Otherwise the lineage's memo holds `v`'s tag at some
+    /// epoch M:
+    /// - M is this epoch: one atomic load.
+    /// - M is older: the batches in (M, this epoch] are tested newest
+    ///   first against `v`'s adjacency (binary search), stopping at the
+    ///   first that edited `v` or a neighbor, and the memo moves forward —
+    ///   so each batch is read at most once per vertex.
+    /// - M is newer (an old snapshot, read after a newer one moved the
+    ///   memo): the memo's tag is this epoch's too if it is not above this
+    ///   epoch, since then no batch in between touched `v`'s 1-hop
+    ///   neighborhood; otherwise the log is read from this epoch down.
+    ///
+    /// Epochs from 2³² on do not fit the memo and always read the log.
     pub fn entry_version(&self, v: VertexId) -> u64 {
-        let versions = &self.state.versions;
-        if versions.is_empty() {
-            return 0;
+        let state = &*self.state;
+        let (Some(log), Some(memo)) = (&state.log, &state.memo) else { return 0 };
+        let epoch = state.epoch;
+        let last_touch = |floor| log.last_touch(v, self.view().neighbors(v), floor);
+        if epoch > u64::from(u32::MAX) {
+            return last_touch(0).unwrap_or(0);
         }
-        let mut tag = versions.get(&v).copied().unwrap_or(0);
-        let view = self.view();
-        let nbrs = view.neighbors(v);
-        if versions.len() <= nbrs.len() {
-            for (&u, &ver) in versions {
-                if ver > tag && nbrs.binary_search(&u).is_ok() {
-                    tag = ver;
-                }
-            }
-        } else {
-            for &u in nbrs {
-                if let Some(&ver) = versions.get(&u) {
-                    tag = tag.max(ver);
-                }
-            }
+        let slot = &memo.0[v as usize];
+        let word = slot.load(Relaxed);
+        let (seen, tag) = (word >> 32, word & u64::from(u32::MAX));
+        if seen == epoch {
+            return tag;
         }
+        if seen > epoch {
+            return if tag <= epoch { tag } else { last_touch(0).unwrap_or(0) };
+        }
+        let tag = last_touch(seen).unwrap_or(tag);
+        let next = (epoch << 32) | tag;
+        let _ = slot.fetch_update(Relaxed, Relaxed, |w| (w >> 32 < epoch).then_some(next));
         tag
     }
 
@@ -435,10 +549,21 @@ impl GraphSnapshot {
 }
 
 /// A graph that accepts edits while samplers run against its snapshots.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MutableGraph {
     base: Arc<Csr>,
     state: Arc<OverlayState>,
+}
+
+/// A clone starts a new lineage. It shares the base, the deltas and the
+/// log (all immutable) but takes its own copy of the tag memo: the two
+/// graphs' next batches differ, and one memo cannot describe both.
+impl Clone for MutableGraph {
+    fn clone(&self) -> Self {
+        let mut state = (*self.state).clone();
+        state.memo = state.memo.map(|m| Arc::new(m.fork()));
+        MutableGraph { base: Arc::clone(&self.base), state: Arc::new(state) }
+    }
 }
 
 impl MutableGraph {
@@ -483,6 +608,7 @@ impl MutableGraph {
         let epoch = next.epoch;
         let n = self.base.num_vertices();
         let weighted = self.base.is_weighted();
+        let mut sources = Vec::with_capacity(edits.len());
         for edit in edits {
             let (src, dst) = match *edit {
                 EdgeEdit::Insert { src, dst, .. }
@@ -532,17 +658,33 @@ impl MutableGraph {
                     }
                 }
             }
-            next.versions.insert(src, epoch);
+            sources.push(src);
         }
+        sources.sort_unstable();
+        sources.dedup();
+        // Retire the deltas this batch returned to their base slices. The
+        // log still records the batch, so their tags move all the same.
+        for &v in &sources {
+            if next.deltas.get(&v).is_some_and(|d| d.is_base(&self.base, v)) {
+                next.deltas.remove(&v);
+                next.dirty[(v >> 6) as usize] &= !(1u64 << (v & 63));
+            }
+        }
+        if next.deltas.is_empty() {
+            next.dirty.clear();
+        }
+        next.memo.get_or_insert_with(|| Arc::new(TagMemo::new(n)));
+        let prev = next.log.take();
+        next.log = Some(Arc::new(Batch { epoch, sources: sources.into(), prev }));
         self.state = Arc::new(next);
         Ok(epoch)
     }
 
     /// Folds the overlay into a fresh base CSR and clears the deltas,
     /// returning the number of vertex deltas folded. The epoch does not
-    /// change (the logical graph is identical) and per-vertex versions
-    /// are retained (see module docs). Existing snapshots keep the old
-    /// base and stay valid.
+    /// change (the logical graph is identical) and the log and the tag
+    /// memo are retained (see module docs). Existing snapshots keep the
+    /// old base and stay valid.
     pub fn compact(&mut self) -> usize {
         let folded = self.state.overlay_vertices();
         if folded == 0 {
@@ -660,6 +802,21 @@ mod tests {
         let after = mg.snapshot();
         assert_eq!(after.entry_version(8), 1);
         assert_eq!(after.entry_version(2), 0);
+    }
+
+    #[test]
+    fn a_long_log_drops_without_recursing() {
+        let mut mg = MutableGraph::new(toy_graph());
+        for i in 0..100_000 {
+            let edit = if i % 2 == 0 {
+                EdgeEdit::Insert { src: 8, dst: 0, weight: 1.0 }
+            } else {
+                EdgeEdit::Delete { src: 8, dst: 0 }
+            };
+            mg.apply_batch(&[edit]).unwrap();
+        }
+        assert_eq!(mg.snapshot().entry_version(9), 100_000);
+        drop(mg);
     }
 
     #[test]

@@ -350,8 +350,9 @@ impl SamplingService {
     /// Applies a batch of edge edits to the live graph atomically and
     /// returns the new epoch. Batches already launched keep the snapshot
     /// they captured; batches dequeued after this call see the new epoch.
-    /// Walks on untouched vertices keep their cached CTPS entries — only
-    /// mutated vertices' cache tags change.
+    /// Invalidation is 1-hop: a cached CTPS entry goes stale when the batch
+    /// edits its vertex or one of that vertex's neighbors (degree bias
+    /// reads `degree(dst)`); every other entry stays valid.
     pub fn mutate(&self, req: MutationRequest) -> Result<MutationResponse, EditError> {
         let stats = &self.shared.stats;
         ServiceStats::inc(&stats.mutations_submitted);

@@ -52,16 +52,54 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
 }
 
 /// Naive reference: a plain edge list mutated in lockstep with the
-/// overlay, rebuilt into a CSR from scratch at the end.
+/// overlay, rebuilt into a CSR from scratch at the end, plus each
+/// vertex's last-edit epoch for the cache-tag oracle.
 #[derive(Debug, Clone)]
 struct Model {
     n: usize,
     edges: Vec<(u32, u32, f32)>,
+    epoch: u64,
+    edited: Vec<u64>,
 }
 
 impl Model {
+    /// The model of `g` at epoch 0.
+    fn of(g: &Csr) -> Self {
+        let n = g.num_vertices();
+        let edges = (0..n as u32)
+            .flat_map(|v| {
+                let ws = g.neighbor_weights(v);
+                g.neighbors(v)
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, &d)| (v, d, ws.map_or(1.0, |w| w[i])))
+            })
+            .collect();
+        Model { n, edges, epoch: 0, edited: vec![0; n] }
+    }
+
     fn has(&self, src: u32, dst: u32) -> bool {
         self.edges.iter().any(|&(s, d, _)| s == src && d == dst)
+    }
+
+    /// A one-edit batch on `src` succeeded.
+    fn stamp(&mut self, src: u32) {
+        self.epoch += 1;
+        self.edited[src as usize] = self.epoch;
+    }
+
+    /// The 1-hop cache tag, computed independently of the overlay: the
+    /// last-edit epoch maxed over `v` and its current neighbors.
+    fn tag(&self, v: u32) -> u64 {
+        self.edges
+            .iter()
+            .filter(|&&(s, _, _)| s == v)
+            .map(|&(_, d, _)| self.edited[d as usize])
+            .fold(self.edited[v as usize], u64::max)
+    }
+
+    fn tags(&self) -> Vec<u64> {
+        (0..self.n as u32).map(|v| self.tag(v)).collect()
     }
 
     fn to_csr(&self) -> Csr {
@@ -83,38 +121,54 @@ impl Model {
 /// no-ops on both sides identically.
 fn apply_steps(mg: &mut MutableGraph, model: &mut Model, steps: &[Step]) {
     for step in steps {
-        match *step {
-            Step::Insert { src_frac, dst_frac, weight } => {
-                let src = ((src_frac * model.n as f64) as u32).min(model.n as u32 - 1);
-                let dst = ((dst_frac * model.n as f64) as u32).min(model.n as u32 - 1);
-                if model.has(src, dst) {
-                    continue;
-                }
-                mg.apply_batch(&[EdgeEdit::Insert { src, dst, weight }]).unwrap();
-                model.edges.push((src, dst, weight));
-            }
-            Step::Delete { pick } => {
-                if model.edges.is_empty() {
-                    continue;
-                }
-                let i = ((pick * model.edges.len() as f64) as usize).min(model.edges.len() - 1);
-                let (src, dst, _) = model.edges.remove(i);
-                mg.apply_batch(&[EdgeEdit::Delete { src, dst }]).unwrap();
-            }
-            Step::Reweight { pick, weight } => {
-                if model.edges.is_empty() {
-                    continue;
-                }
-                let i = ((pick * model.edges.len() as f64) as usize).min(model.edges.len() - 1);
-                let (src, dst, _) = model.edges[i];
-                mg.apply_batch(&[EdgeEdit::Reweight { src, dst, weight }]).unwrap();
-                model.edges[i] = (src, dst, weight);
-            }
-            Step::Compact => {
-                mg.compact();
-            }
-        }
+        apply_step(mg, model, step);
     }
+}
+
+fn apply_step(mg: &mut MutableGraph, model: &mut Model, step: &Step) {
+    let pick = |p: f64, len: usize| ((p * len as f64) as usize).min(len - 1);
+    let (src, edit) = match *step {
+        Step::Insert { src_frac, dst_frac, weight } => {
+            let src = pick(src_frac, model.n) as u32;
+            let dst = pick(dst_frac, model.n) as u32;
+            if model.has(src, dst) {
+                return;
+            }
+            model.edges.push((src, dst, weight));
+            (src, EdgeEdit::Insert { src, dst, weight })
+        }
+        Step::Delete { .. } | Step::Reweight { .. } if model.edges.is_empty() => return,
+        Step::Delete { pick: p } => {
+            let (src, dst, _) = model.edges.remove(pick(p, model.edges.len()));
+            (src, EdgeEdit::Delete { src, dst })
+        }
+        Step::Reweight { pick: p, weight } => {
+            let i = pick(p, model.edges.len());
+            model.edges[i].2 = weight;
+            let (src, dst, _) = model.edges[i];
+            (src, EdgeEdit::Reweight { src, dst, weight })
+        }
+        Step::Compact => {
+            mg.compact();
+            return;
+        }
+    };
+    mg.apply_batch(&[edit]).unwrap();
+    model.stamp(src);
+}
+
+/// Every vertex's `entry_version` in `snap` equals `want`.
+fn check_tags(snap: &GraphSnapshot, want: &[u64]) -> Result<(), prop::test_runner::TestCaseError> {
+    for (v, &tag) in want.iter().enumerate() {
+        prop_assert_eq!(
+            snap.entry_version(v as u32),
+            tag,
+            "vertex {} at epoch {}",
+            v,
+            snap.epoch()
+        );
+    }
+    Ok(())
 }
 
 /// `v`'s adjacency as a sorted (dst, weight-bits) multiset.
@@ -147,14 +201,7 @@ proptest! {
         // Start from a weighted seed graph so reweights always have
         // targets and the overlay materializes non-trivial bases.
         let seed_graph = toy_graph().with_unit_weights();
-        let mut model = Model {
-            n: seed_graph.num_vertices(),
-            edges: (0..seed_graph.num_vertices() as u32)
-                .flat_map(|v| {
-                    seed_graph.neighbors(v).iter().map(move |&d| (v, d, 1.0f32))
-                })
-                .collect(),
-        };
+        let mut model = Model::of(&seed_graph);
         let mut mg = MutableGraph::new(seed_graph);
         apply_steps(&mut mg, &mut model, &steps);
 
@@ -181,6 +228,103 @@ proptest! {
         let on_scratch = Sampler::new(&scratch, &algo).run_single_seeds(&seeds);
         prop_assert_eq!(on_snap.instances, on_scratch.instances);
     }
+
+    /// The same interleavings against an independent cache-tag oracle:
+    /// every vertex's `entry_version` equals the model's last-edit epoch
+    /// maxed over the vertex and its current neighbors, after every step.
+    /// `Compact` steps put reads across folds. Part-way the graph is
+    /// cloned and the two lineages take different steps, interleaved.
+    /// Every snapshot is read again right after a newer one moved the
+    /// memo past it, and all of them once more at the end.
+    #[test]
+    fn entry_version_matches_a_one_hop_oracle(
+        steps in arb_steps(),
+        other in arb_steps(),
+        fork in 0.0f64..1.0
+    ) {
+        let seed_graph = toy_graph().with_unit_weights();
+        let mut model = Model::of(&seed_graph);
+        let mut mg = MutableGraph::new(seed_graph);
+        let mut taken = Vec::new();
+        observe(&mg, &model, &mut taken)?;
+        let split = (fork * steps.len() as f64) as usize;
+        for step in &steps[..split] {
+            apply_step(&mut mg, &mut model, step);
+            observe(&mg, &model, &mut taken)?;
+        }
+
+        let (mut forked, mut forked_model) = (mg.clone(), model.clone());
+        for i in 0..other.len().max(steps.len() - split) {
+            if let Some(step) = steps.get(split + i) {
+                apply_step(&mut mg, &mut model, step);
+                observe(&mg, &model, &mut taken)?;
+            }
+            if let Some(step) = other.get(i) {
+                apply_step(&mut forked, &mut forked_model, step);
+                observe(&forked, &forked_model, &mut taken)?;
+            }
+        }
+        for (snap, want) in taken.iter().rev().chain(&taken) {
+            check_tags(snap, want)?;
+        }
+    }
+}
+
+/// Checks a fresh snapshot of `mg` against the oracle, re-reads the
+/// snapshot taken before it, and keeps the fresh one.
+fn observe(
+    mg: &MutableGraph,
+    model: &Model,
+    taken: &mut Vec<(GraphSnapshot, Vec<u64>)>,
+) -> Result<(), prop::test_runner::TestCaseError> {
+    let (snap, want) = (mg.snapshot(), model.tags());
+    check_tags(&snap, &want)?;
+    if let Some((older, older_want)) = taken.last() {
+        check_tags(older, older_want)?;
+    }
+    taken.push((snap, want));
+    Ok(())
+}
+
+/// Edits that are undone leave no overlay behind: an insert and a
+/// reweight undone by a later batch, and an insert undone within one
+/// batch. The view is the bare CSR again, walks equal the compacted
+/// CSR's, which is the input graph, and the tags still moved.
+#[test]
+fn undone_edits_retire_their_deltas() {
+    let g = toy_graph().with_unit_weights();
+    let mut mg = MutableGraph::new(g.clone());
+    mg.apply_batch(&[
+        EdgeEdit::Insert { src: 0, dst: 9, weight: 2.5 },
+        EdgeEdit::Reweight { src: 3, dst: 7, weight: 0.5 },
+    ])
+    .unwrap();
+    assert_eq!(mg.overlay_vertices(), 2);
+    mg.apply_batch(&[
+        EdgeEdit::Delete { src: 0, dst: 9 },
+        EdgeEdit::Reweight { src: 3, dst: 7, weight: 1.0 },
+        EdgeEdit::Insert { src: 8, dst: 0, weight: 1.0 },
+        EdgeEdit::Delete { src: 8, dst: 0 },
+    ])
+    .unwrap();
+    let snap = mg.snapshot();
+    assert_eq!(snap.epoch(), 2);
+    assert_eq!(snap.overlay_vertices(), 0);
+    assert!(snap.overlay().is_none(), "the view is the bare CSR again");
+    for v in [0, 3, 8] {
+        assert_eq!(snap.entry_version(v), 2, "vertex {v} was edited at epoch 2");
+    }
+    assert_eq!(snap.entry_version(9), 2, "8 is a neighbor of 9");
+
+    let compacted = snap.to_csr();
+    assert_eq!(compacted, g);
+    let algo = BiasedRandomWalk { length: 8 };
+    let seeds: Vec<u32> = (0..13).collect();
+    let on_snap =
+        Sampler::new(snap.base(), &algo).with_snapshot(snap.clone()).run_single_seeds(&seeds);
+    let on_compacted = Sampler::new(&compacted, &algo).run_single_seeds(&seeds);
+    assert_eq!(on_snap.instances, on_compacted.instances);
+    assert_eq!(mg.compact(), 0, "nothing is left to fold");
 }
 
 #[test]

@@ -26,13 +26,14 @@ use csaw::core::method::{MethodPolicy, REJECTION_MAX_TRIALS};
 use csaw::core::residency::{DiskAccess, DiskRunConfig};
 use csaw::core::select::SelectConfig;
 use csaw::core::step::{
-    CsrAccess, FrontierSink, NeighborAccess, StepEntry, StepKernel, StepScratch, TrialCounter,
+    CsrAccess, FrontierSink, LayeredAccess, NeighborAccess, StepEntry, StepKernel, StepScratch,
+    TrialCounter,
 };
 use csaw::gpu::alloc_count::CountingAllocator;
 use csaw::gpu::stats::SimStats;
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::graph::store::write_store;
-use csaw::graph::{Csr, DiskStore, VertexId};
+use csaw::graph::{Csr, DiskStore, EdgeEdit, MutableGraph, VertexId};
 use std::sync::Arc;
 
 #[global_allocator]
@@ -399,6 +400,60 @@ fn gate_rejection(g: &Csr) {
     );
 }
 
+/// A warm cached biased walk through [`LayeredAccess`] over a mutated
+/// snapshot, where every cache tag is `GraphSnapshot::entry_version`. A
+/// first batch edits the hub, so walks gather its delta and its
+/// neighbors' tables carry its epoch. A second batch, applied after the
+/// warm-up, edits a vertex no walk comes within one hop of: every tag
+/// stays put, but every first lookup at the new epoch reads the log to
+/// move the tag memo forward. Those steps allocate nothing.
+fn gate_snapshot(g: &Csr) {
+    let n = g.num_vertices() as VertexId;
+    let hub = (0..n).max_by_key(|&v| g.degree(v)).expect("vertices");
+    let far = (0..n).find(|&u| u != hub && !g.has_edge(hub, u)).expect("a non-neighbor");
+    let mut mg = MutableGraph::new(g.clone());
+    mg.apply_batch(&[EdgeEdit::Insert { src: hub, dst: far, weight: 1.0 }]).expect("edit");
+
+    let algo = AlgoSpec::new(AlgorithmId::BiasedRandomWalk)
+        .with_depth(12)
+        .build()
+        .expect("registry specs are valid");
+    let cache = CtpsCache::new(64 << 20);
+    let kernel = StepKernel::new(&*algo, 0x5eed)
+        .with_select(SelectConfig::paper_best())
+        .with_ctps_cache(Some(&cache));
+    let chunks: Vec<Vec<VertexId>> = (0..16).map(|i| vec![(i * 131) % n]).collect();
+    let mut bufs = DriverBufs::default();
+    let snap = mg.snapshot();
+    let mut csr = CsrAccess { graph: snap.base() };
+    let mut access = LayeredAccess::new(&mut csr, Some(&snap), ());
+    let warm1 = run_rep(&kernel, &mut access, &chunks, &mut bufs);
+    let warm2 = run_rep(&kernel, &mut access, &chunks, &mut bufs);
+    assert_eq!(warm1, warm2, "snapshot: repetitions must perform identical work");
+
+    // An isolated vertex is in no walk's 1-hop neighborhood.
+    let cold = (0..n).find(|&u| g.degree(u) == 0 && chunks.iter().all(|c| c[0] != u));
+    let cold = cold.expect("an isolated vertex that seeds no walk");
+    mg.apply_batch(&[EdgeEdit::Insert { src: cold, dst: far, weight: 1.0 }]).expect("edit");
+    let snap = mg.snapshot();
+    assert_eq!(snap.epoch(), 2);
+    let mut csr = CsrAccess { graph: snap.base() };
+    let mut access = LayeredAccess::new(&mut csr, Some(&snap), ());
+    let (warm, before) = (cache.snapshot(), ALLOC.snapshot());
+    let steps = run_rep(&kernel, &mut access, &chunks, &mut bufs);
+    let delta = ALLOC.snapshot().since(&before);
+    let after = cache.snapshot();
+
+    assert_eq!(steps, warm1, "snapshot: repetitions must perform identical work");
+    assert!(after.hits > warm.hits, "snapshot: the measured walks must hit the cache");
+    assert_eq!(after.misses, warm.misses, "snapshot: no tag may move for a cold edit");
+    assert_eq!(
+        delta.allocations, 0,
+        "biased-walk/snapshot: a warm cached walk over a mutated snapshot allocated ({} bytes)",
+        delta.bytes
+    );
+}
+
 #[test]
 fn steady_state_step_allocates_nothing() {
     gate_singleton_trials();
@@ -411,6 +466,7 @@ fn steady_state_step_allocates_nothing() {
     gate_drained_batch(&g, &mut CsrAccess { graph: &g });
     gate_whole_walk(&g);
     gate_rejection(&g);
+    gate_snapshot(&g);
 
     // The same gate through the disk tier: with every run admitted to a
     // warm full-budget pool, stepping through [`DiskAccess`] — slot
