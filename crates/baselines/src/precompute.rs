@@ -36,7 +36,8 @@ pub struct EagerCtpsCache {
 impl EagerCtpsCache {
     /// Builds one CTPS per vertex using `algo`'s `EDGEBIAS` with no walk
     /// context (`prev = None`) — only valid for static biases, which by
-    /// definition ignore runtime state.
+    /// definition ignore runtime state. Each table is stored normalized,
+    /// as the lazy cache stores its entries.
     pub fn build<A: Algorithm>(g: &Csr, algo: &A) -> Self {
         let mut build_stats = SimStats::new();
         let mut biases: Vec<f64> = Vec::new();
@@ -44,7 +45,10 @@ impl EagerCtpsCache {
         let tables: Vec<Option<Ctps>> = (0..g.num_vertices() as VertexId)
             .map(|v| {
                 build_vertex_ctps(g.view(), algo, v, &mut biases, &mut scratch, &mut build_stats)
-                    .then(|| scratch.clone())
+                    .then(|| {
+                        scratch.normalize();
+                        scratch.clone()
+                    })
             })
             .collect();
         EagerCtpsCache { tables, build_stats }
@@ -114,8 +118,8 @@ mod tests {
         let cache = EagerCtpsCache::build(&g, &algo);
         // v8's cached CTPS must equal the Fig. 1b values.
         let t = cache.tables[8].as_ref().unwrap();
-        assert!((t.bounds()[0] - 0.2).abs() < 1e-12);
-        assert!((t.bounds()[1] - 0.6).abs() < 1e-12);
+        assert!((t.bound(0) - 0.2).abs() < 1e-12);
+        assert!((t.bound(1) - 0.6).abs() < 1e-12);
         assert!(cache.tables.iter().flatten().count() == 13, "every vertex has neighbors");
     }
 

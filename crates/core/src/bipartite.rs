@@ -230,9 +230,9 @@ mod tests {
         // remaining vertices. Ours keeps the removed vertex as a
         // zero-width region, so its bounds are {1/3, 1/3, 5/9, 7/9, 1}.
         assert!((upd.probability(1) - 0.0).abs() < 1e-12);
-        assert!((upd.bounds()[0] - 1.0 / 3.0).abs() < 1e-12);
-        assert!((upd.bounds()[2] - 5.0 / 9.0).abs() < 1e-12);
-        assert!((upd.bounds()[3] - 7.0 / 9.0).abs() < 1e-12);
+        assert!((upd.bound(0) - 1.0 / 3.0).abs() < 1e-12);
+        assert!((upd.bound(2) - 5.0 / 9.0).abs() < 1e-12);
+        assert!((upd.bound(3) - 7.0 / 9.0).abs() < 1e-12);
         // r = 0.58 selects v10 (index 3) on the updated CTPS, as the paper
         // says.
         assert_eq!(upd.search(0.58, &mut st), 3);

@@ -7,6 +7,26 @@
 //!
 //! On the simulated device the prefix sum is a warp-level Kogge-Stone scan
 //! and the normalization is distributed across lanes, exactly as in §IV-A.
+//!
+//! Here the upper edge of candidate `k`'s region is always `fl(S_k / T)`:
+//! the Kogge-Stone inclusive prefix sum `S_k` over the total
+//! `T = S_{n−1}`, correctly rounded (so the last edge is exactly 1). A
+//! table holds it in one of two states, and both select the same
+//! candidate and charge the same probes for every draw:
+//!
+//! - **raw**, as [`Ctps::rebuild`] leaves it: the sums themselves, with
+//!   the division applied per probe. `fl(s / T)` is monotone in `s`, so
+//!   `r < fl(S_k / T)` holds exactly when `S_k >= S*(r)`, the smallest
+//!   double whose quotient exceeds `r`; a search computes `S*` once and
+//!   compares sums branch-free. A fresh build is in L1, where a
+//!   branch-free probe beats a mispredicted one.
+//! - **normalized**, by [`Ctps::normalize`]: the quotients, applied once
+//!   on admission to the CTPS cache, searched with the branchy loop of
+//!   [`binary_search_region`]. A cached table is mostly not in L1, and
+//!   the branchy loop lets the core speculate the next probe's load.
+//!
+//! The cost model charges the paper's normalization on every rebuild,
+//! whichever state the table is kept in.
 
 use csaw_gpu::stats::SimStats;
 #[cfg(any(test, debug_assertions))]
@@ -16,20 +36,24 @@ use csaw_gpu::warp::{
     WARP_SIZE,
 };
 use csaw_gpu::Philox;
+use std::hint::select_unpredictable;
 
-/// A built CTPS: `bounds[k]` is `F_{k+1}`, the upper edge of candidate
-/// `k`'s region (so `bounds.last() == 1.0` when total bias is positive).
+/// A built CTPS over `bounds.len()` candidates: `bounds[k]` is the raw
+/// prefix sum `S_k`, or, once normalized, the region edge `fl(S_k / T)`
+/// (see the module docs). Equality includes the state, so a raw table
+/// never equals a normalized one.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Ctps {
     bounds: Vec<f64>,
     total_bias: f64,
+    normalized: bool,
 }
 
 impl Ctps {
     /// An empty CTPS holding no candidates — the reusable-arena starting
     /// state. Nothing is selectable until [`Ctps::rebuild`] succeeds.
     pub fn empty() -> Ctps {
-        Ctps { bounds: Vec::new(), total_bias: 0.0 }
+        Ctps::default()
     }
 
     /// Builds the CTPS from raw biases with warp-counted work. Returns
@@ -41,16 +65,16 @@ impl Ctps {
     }
 
     /// Rebuilds the CTPS in place from raw biases, reusing the bounds
-    /// buffer (no allocation once capacity is warm). Charges exactly the
-    /// work [`Ctps::build`] charges, which depends on `biases.len()`
-    /// alone: [`rebuild_cost`] on success, the scan without the
-    /// normalization on failure (debug builds assert both). Returns
+    /// buffer (no allocation once capacity is warm), and leaves it raw.
+    /// Charges exactly the work [`Ctps::build`] charges, which depends on
+    /// `biases.len()` alone: [`rebuild_cost`] on success, the scan without
+    /// the normalization on failure (debug builds assert both). Returns
     /// `false` — leaving `self` empty — when the total bias is zero or
     /// non-finite.
     pub fn rebuild(&mut self, biases: &[f64], stats: &mut SimStats) -> bool {
         #[cfg(debug_assertions)]
         let mut expected = *stats;
-        let ok = self.scan_and_normalize(biases, stats);
+        let ok = self.scan(biases, stats);
         #[cfg(debug_assertions)]
         {
             if ok {
@@ -63,9 +87,10 @@ impl Ctps {
         ok
     }
 
-    fn scan_and_normalize(&mut self, biases: &[f64], stats: &mut SimStats) -> bool {
+    fn scan(&mut self, biases: &[f64], stats: &mut SimStats) -> bool {
         self.bounds.clear();
         self.total_bias = 0.0;
+        self.normalized = false;
         if biases.is_empty() {
             return false;
         }
@@ -77,15 +102,24 @@ impl Ctps {
             self.bounds.clear();
             return false;
         }
-        // Normalization: one division per element, one warp step per tile.
-        for b in self.bounds.iter_mut() {
-            *b /= total;
-        }
+        // The paper's normalization, one warp step per tile; the divisions
+        // themselves run per probe (see the module docs).
         stats.warp_cycles += self.bounds.len().div_ceil(WARP_SIZE) as u64;
-        // Guard against FP drift: the last bound must be exactly 1.
-        *self.bounds.last_mut().unwrap() = 1.0;
         self.total_bias = total;
         true
+    }
+
+    /// Divides every raw sum by the total, once, so later searches read
+    /// the region edges directly — what the CTPS cache does to each table
+    /// it admits. Charges nothing; a no-op on a normalized table.
+    pub fn normalize(&mut self) {
+        if !self.normalized {
+            let total = self.total_bias;
+            for b in self.bounds.iter_mut() {
+                *b /= total;
+            }
+            self.normalized = true;
+        }
     }
 
     /// Number of candidates.
@@ -104,11 +138,22 @@ impl Ctps {
         self.total_bias
     }
 
+    /// The upper edge `F_{k+1} = fl(S_k / T)` of candidate `k`'s region;
+    /// a raw table divides here.
+    #[inline]
+    pub fn bound(&self, k: usize) -> f64 {
+        if self.normalized {
+            self.bounds[k]
+        } else {
+            self.bounds[k] / self.total_bias
+        }
+    }
+
     /// Region `(l, h)` of candidate `k`: `F_k .. F_{k+1}`.
     #[inline]
     pub fn region(&self, k: usize) -> (f64, f64) {
-        let l = if k == 0 { 0.0 } else { self.bounds[k - 1] };
-        (l, self.bounds[k])
+        let l = if k == 0 { 0.0 } else { self.bound(k - 1) };
+        (l, self.bound(k))
     }
 
     /// Transition probability of candidate `k`.
@@ -117,16 +162,47 @@ impl Ctps {
         h - l
     }
 
-    /// Binary search: the candidate whose region contains `r ∈ [0, 1)`.
-    /// Zero-width regions are never returned.
+    /// Binary search: the candidate whose region contains `r ∈ [0, 1)`,
+    /// the smallest `k` with `r < F_{k+1}` (clamped to the last candidate).
+    /// Zero-width regions are never returned for `r >= 0`: the search stops
+    /// on a `k` whose lower edge it found `<= r` and whose upper edge `> r`,
+    /// or clamps `r >= 1` to the last candidate.
     #[inline]
     pub fn search(&self, r: f64, stats: &mut SimStats) -> usize {
-        let mut k = binary_search_region(&self.bounds, r, stats);
-        // r can land exactly on a region's lower edge when preceding
-        // regions have zero width; skip forward to a positive-width region.
-        while self.probability(k) == 0.0 && k + 1 < self.bounds.len() {
-            k += 1;
+        let k = if self.normalized {
+            binary_search_region(&self.bounds, r, stats)
+        } else {
+            self.search_sums(r, stats)
+        };
+        debug_assert!(
+            k + 1 == self.len() || self.probability(k) > 0.0,
+            "r={r:e} landed on zero-width region {k}"
+        );
+        k
+    }
+
+    /// [`Ctps::search`] over raw sums: the probes of
+    /// [`binary_search_region`] over `fl(S_k / T)`, made branch-free and
+    /// against the threshold `S*(r)` (see [`quotient_threshold`]), or
+    /// against the quotients themselves where no threshold was found.
+    /// Same index, same probe charges; debug builds replay the branchy
+    /// loop over [`Ctps::bound`] and assert both.
+    #[inline]
+    fn search_sums(&self, r: f64, stats: &mut SimStats) -> usize {
+        let (n, total) = (self.bounds.len(), self.total_bias);
+        let (p, probes) = match quotient_threshold(r, total) {
+            Some(s) => branchless_insertion_point(&self.bounds, |b| b >= s),
+            None => branchless_insertion_point(&self.bounds, |b| r < b / total),
+        };
+        let k = p.min(n - 1);
+        #[cfg(debug_assertions)]
+        {
+            let mut oracle = SimStats::new();
+            let k_ref = binary_search_region_by(n, r, |i| self.bound(i), &mut oracle);
+            debug_assert_eq!((k, probes), (k_ref, oracle.search_steps), "n={n} r={r}");
         }
+        stats.search_steps += probes;
+        stats.warp_cycles += probes * SEARCH_PROBE_CYCLES;
         k
     }
 
@@ -138,34 +214,86 @@ impl Ctps {
         self.search(r, stats)
     }
 
-    /// The normalized bounds (read-only view for the select loop).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Copies another CTPS's bounds into this one, reusing this buffer's
-    /// capacity (no allocation once warm). Charges nothing — callers that
-    /// load cached bounds charge their own cost model.
+    /// Copies another CTPS — bounds, total and state — into this one,
+    /// reusing this buffer's capacity (no allocation once warm). Charges
+    /// nothing — callers that load cached bounds charge their own cost
+    /// model.
     pub fn assign(&mut self, src: &Ctps) {
         self.bounds.clear();
         self.bounds.extend_from_slice(&src.bounds);
         self.total_bias = src.total_bias;
+        self.normalized = src.normalized;
     }
 }
 
+/// One-ulp steps [`quotient_threshold`] takes up from `fl(r · T)` before
+/// it gives up. The product and the quotient each round by at most 2⁻⁵³,
+/// so with a normal product the threshold lies within two ulps above it;
+/// the rest is margin, and running out only costs the per-probe division.
+const THRESHOLD_STEPS: u32 = 4;
+
+/// `S*(r)`, the smallest double `s` with `r < fl(s / total)`, or `None`
+/// when `fl(r · total)` is not a normal number (`r = 0`, a subnormal
+/// product or total, `r` NaN or infinite) or `S*` is more than
+/// [`THRESHOLD_STEPS`] ulps above it. Division by a positive total is
+/// monotone in `s`, so for every sum `S`, `r < fl(S / total)` exactly when
+/// `S >= S*`.
+///
+/// `S*` is never below the product: `fl(r · total)` is the double nearest
+/// `r · total`, so the double below it is under `r · total`, and its
+/// quotient is under `r` and rounds to at most `r`. The walk therefore
+/// starts at the product and goes up, checking each step with the
+/// division it stands in for, until the comparison flips.
+#[inline]
+fn quotient_threshold(r: f64, total: f64) -> Option<f64> {
+    let mut s = r * total;
+    if !s.is_normal() {
+        return None;
+    }
+    for _ in 0..=THRESHOLD_STEPS {
+        if r < s / total {
+            return Some(s);
+        }
+        s = s.next_up();
+    }
+    None
+}
+
+/// The insertion point [`binary_search_region`] finds over `sums` with
+/// `above` as its `r < bound` test, and the probes it takes to find it.
+/// The probe sequence is the same — the same midpoints, so the same
+/// point even where Kogge-Stone rounding leaves sums out of order — but
+/// each of the `floor(log2(n + 1))` rounds every search makes picks its
+/// half with a select instead of a branch. The one probe only some
+/// insertion points need is made on a clamped index either way and
+/// counted only when the interval is still open.
+#[inline]
+fn branchless_insertion_point(sums: &[f64], above: impl Fn(f64) -> bool) -> (usize, u64) {
+    let n = sums.len();
+    debug_assert!(n > 0);
+    let rounds = (n + 1).ilog2();
+    let (mut lo, mut hi) = (0usize, n);
+    for _ in 0..rounds {
+        let mid = (lo + hi) / 2;
+        let left = above(sums[mid]);
+        hi = select_unpredictable(left, mid, hi);
+        lo = select_unpredictable(left, lo, mid + 1);
+    }
+    let open = lo < hi;
+    let left = above(sums[lo.min(n - 1)]);
+    lo += (open && !left) as usize;
+    (lo, rounds as u64 + open as u64)
+}
+
 /// The bound `F_{k+1}` a CTPS built from `n` unit biases would hold at
-/// index `k`, computed closed-form. Bit-identical to the materialized
-/// array: the Kogge-Stone prefix sums of 1.0s are exact integers below
-/// 2^53, each normalization is one correctly-rounded division by `n`, and
-/// the final bound is forced to exactly 1.0 — all reproduced here.
+/// index `k`, computed closed-form. Bit-identical to [`Ctps::bound`] on
+/// the materialized table: the Kogge-Stone prefix sums of 1.0s are exact
+/// integers below 2^53, and bound `k` is their `k + 1` correctly rounded
+/// over the total `n` — exactly 1.0 for the last.
 #[inline]
 pub fn uniform_bound(n: usize, k: usize) -> f64 {
     debug_assert!(k < n);
-    if k + 1 == n {
-        1.0
-    } else {
-        (k + 1) as f64 / n as f64
-    }
+    (k + 1) as f64 / n as f64
 }
 
 /// Charges exactly what a successful [`Ctps::rebuild`] of `n` biases
@@ -232,8 +360,7 @@ pub fn uniform_search(n: usize, r: f64, stats: &mut SimStats) -> usize {
     }
     stats.search_steps += probes;
     stats.warp_cycles += probes * SEARCH_PROBE_CYCLES;
-    // Uniform regions all have width 1/n > 0 for any realistic n, so the
-    // zero-width skip in Ctps::search never fires on this path.
+    // Uniform regions all have width 1/n > 0 for any realistic n.
     debug_assert!(uniform_bound(n, k) > if k == 0 { 0.0 } else { uniform_bound(n, k - 1) });
     k
 }
@@ -301,7 +428,7 @@ mod tests {
     fn matches_paper_fig1b() {
         let c = fig1_ctps();
         let expect = [0.2, 0.6, 11.0 / 15.0, 13.0 / 15.0, 1.0];
-        for (a, b) in c.bounds().iter().zip(expect) {
+        for (a, b) in (0..c.len()).map(|k| c.bound(k)).zip(expect) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
         assert_eq!(c.total_bias(), 15.0);
@@ -432,6 +559,81 @@ mod tests {
     }
 
     #[test]
+    fn normalize_keeps_every_bound_and_is_part_of_equality() {
+        let raw = fig1_ctps();
+        let mut norm = raw.clone();
+        norm.normalize();
+        assert_ne!(norm, raw, "a raw table never equals a normalized one");
+        for k in 0..raw.len() {
+            assert_eq!(norm.bound(k).to_bits(), raw.bound(k).to_bits(), "k={k}");
+        }
+        assert_eq!(raw.bound(raw.len() - 1), 1.0, "T / T is exactly 1");
+        let once = norm.clone();
+        norm.normalize();
+        assert_eq!(norm, once, "normalizing twice divides once");
+        let mut copy = Ctps::empty();
+        copy.assign(&norm);
+        assert_eq!(copy, norm);
+    }
+
+    #[test]
+    fn quotient_threshold_is_the_exact_flip_point() {
+        let mut rng = Philox::new(0x7E5);
+        let mut totals = vec![1.0, 3.0, 15.0, 24_337.5, 1e-300, 1e300, f64::MAX / 3.0];
+        totals.extend((0..40).map(|i| (rng.uniform() + 0.5) * 2f64.powi(i * 50 - 1000)));
+        for &total in &totals {
+            let mut rs = vec![0.0, 0.5, 1.0 - 1.0 / (1u64 << 53) as f64, 1.0, 1.5];
+            rs.extend((0..500).map(|_| rng.uniform()));
+            rs.extend((0..50).map(|_| rng.uniform() * 1e-12));
+            for r in rs {
+                match quotient_threshold(r, total) {
+                    Some(s) => {
+                        assert!(r < s / total, "r={r:e} total={total:e}");
+                        assert!(s.next_down() / total <= r, "r={r:e} total={total:e}");
+                    }
+                    None => assert!(!(r * total).is_normal(), "walk ran out r={r:e} t={total:e}"),
+                }
+            }
+        }
+        assert_eq!(quotient_threshold(0.0, 1.0), None);
+        assert_eq!(quotient_threshold(f64::NAN, 1.0), None);
+        assert_eq!(quotient_threshold(0.5, f64::MIN_POSITIVE / 2.0), None);
+    }
+
+    #[test]
+    fn branchless_search_matches_the_branchy_one_with_either_predicate() {
+        let tiny = 1.0 / (1u64 << 53) as f64;
+        let lanes: Vec<Vec<f64>> = vec![
+            vec![3.0, 6.0, 2.0, 2.0, 2.0],
+            vec![0.0, 1.0, 0.0, 1.0],
+            vec![0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+            // Kogge-Stone leaves these sums out of order: 1, 1, 1 + 2⁻⁵², 1.
+            vec![1.0, tiny, tiny, 0.0],
+            vec![1.0, 1e-17, 1e-17, 1.0, 0.0, 1e-17],
+            (0..100).map(|i| ((i * 37) % 11) as f64).collect(),
+        ];
+        for biases in lanes {
+            let c = Ctps::build(&biases, &mut SimStats::new()).unwrap();
+            let (n, total) = (c.len(), c.total_bias());
+            let mut rs = vec![0.0, 1.0 - tiny, 1.0, 2.0];
+            for k in 0..n {
+                let b = c.bound(k);
+                rs.extend([b.next_down(), b, b.next_up()]);
+            }
+            for r in rs {
+                let mut oracle = SimStats::new();
+                let k_ref = binary_search_region_by(n, r, |i| c.bound(i), &mut oracle);
+                let divided = branchless_insertion_point(&c.bounds, |b| r < b / total);
+                assert_eq!((divided.0.min(n - 1), divided.1), (k_ref, oracle.search_steps));
+                if let Some(s) = quotient_threshold(r, total) {
+                    let by_threshold = branchless_insertion_point(&c.bounds, |b| b >= s);
+                    assert_eq!(by_threshold, divided, "{biases:?} r={r:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn uniform_closed_form_is_bit_identical() {
         // The implicit uniform CTPS must reproduce the materialized one
         // exactly: same bounds bitwise, same searched index, same charges.
@@ -441,7 +643,8 @@ mod tests {
             let mut cost_stats = SimStats::new();
             rebuild_cost(n, &mut cost_stats);
             assert_eq!(cost_stats, build_stats, "rebuild charges n={n}");
-            for (k, &b) in c.bounds().iter().enumerate() {
+            for k in 0..n {
+                let b = c.bound(k);
                 assert_eq!(b.to_bits(), uniform_bound(n, k).to_bits(), "bound n={n} k={k}");
             }
             for step in 0..100 {

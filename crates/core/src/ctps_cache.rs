@@ -28,10 +28,14 @@
 //! and copy nothing out; [`CtpsCache::lookup_into`] is the copy-out
 //! accessor for other callers.
 //!
-//! Admission verifies per-region that a positive bound width corresponds
-//! to a positive raw bias (see [`widths_agree`]); entries failing the
-//! check (pathological FP collapse) are never cached, so the preloaded
-//! SELECT's zero-width-region handling matches the rebuilt path exactly.
+//! A fresh build is raw (see [`crate::ctps`]); admission
+//! ([`CtpsCache::admit`]) normalizes it once — the same divisions every
+//! build used to pay, now on the miss path only — so every hit searches
+//! stored region edges with the branchy loop. On the normalized table it
+//! then verifies per region that a positive width corresponds to a
+//! positive raw bias (see [`widths_agree`]); entries failing the check
+//! (pathological FP collapse) are never cached, so the preloaded SELECT's
+//! zero-width-region handling matches the rebuilt path exactly.
 //!
 //! Out-of-memory streams tag entries with a residency *epoch*: when a
 //! partition swap changes what is device-resident, the epoch bumps and
@@ -58,7 +62,9 @@ pub fn entry_bytes(len: usize) -> usize {
 /// True when every region of `ctps` has positive width exactly where the
 /// raw bias is positive. Guarantees the preloaded SELECT path (which sees
 /// only widths) partitions candidates identically to the rebuilt path
-/// (which sees raw biases); admission requires it.
+/// (which sees raw biases); admission requires it. The answer does not
+/// depend on the table's state, but a raw table divides twice per region
+/// here, so [`CtpsCache::admit`] runs it on the normalized table.
 pub fn widths_agree(ctps: &Ctps, biases: &[f64]) -> bool {
     ctps.len() == biases.len()
         && (0..ctps.len()).all(|i| (ctps.probability(i) > 0.0) == (biases[i] > 0.0))
@@ -349,9 +355,24 @@ impl CtpsCache {
         }
     }
 
+    /// Offers vertex `v`'s freshly built CTPS, built from `biases`, for
+    /// admission at residency `epoch`: normalizes `ctps` in place (it is
+    /// left normalized), then refuses it without counting anything when no
+    /// bias is positive or [`widths_agree`] fails, and otherwise
+    /// [`CtpsCache::promote`]s it with its selectable count. Returns
+    /// whether the entry was admitted.
+    pub fn admit(&self, v: VertexId, epoch: u64, ctps: &mut Ctps, biases: &[f64]) -> bool {
+        ctps.normalize();
+        let selectable = biases.iter().filter(|&&b| b > 0.0).count();
+        selectable > 0
+            && widths_agree(ctps, biases)
+            && self.promote(v, epoch, ctps, selectable as u32, biases.len() as u32)
+    }
+
     /// Offers vertex `v`'s freshly built CTPS for admission at residency
-    /// `epoch`. Within the budget it is stored outright; over it, the
-    /// degree-aware clock makes room: stale-epoch entries go first,
+    /// `epoch`; what is stored is a normalized copy. Within the budget it
+    /// is stored outright; over it, the degree-aware clock makes room:
+    /// stale-epoch entries go first,
     /// reference bits grant one round of grace, and an unreferenced entry
     /// is only displaced by an incomer of equal or higher degree — hubs
     /// stick, leaves churn. Refusal (entry larger than the whole budget,
@@ -366,7 +387,8 @@ impl CtpsCache {
     /// order is fixed, so counts repeat exactly.
     ///
     /// Callers must have verified [`widths_agree`] against the raw biases
-    /// and pass `selectable` consistent with it.
+    /// and pass `selectable` consistent with it; [`CtpsCache::admit`] does
+    /// both.
     pub fn promote(
         &self,
         v: VertexId,
@@ -419,6 +441,7 @@ impl CtpsCache {
 
         let mut stored = Ctps::empty();
         stored.assign(ctps);
+        stored.normalize();
         let entry = Entry { vertex: v, ctps: stored, selectable, degree, epoch, referenced: false };
         let slot = match shard.free.pop() {
             Some(i) => {
@@ -494,7 +517,10 @@ mod tests {
             CacheOutcome::Hit { selectable: s, degree } => {
                 assert_eq!(s as usize, selectable);
                 assert_eq!(degree as usize, ctps.len());
-                assert_eq!(dst, ctps, "hit must hand back identical bounds");
+                let mut normalized = ctps.clone();
+                normalized.normalize();
+                assert_ne!(dst, ctps, "the cache stores the normalized table");
+                assert_eq!(dst, normalized, "hit must hand back identical bounds");
             }
             CacheOutcome::Miss => panic!("expected hit"),
         }
@@ -752,12 +778,44 @@ mod tests {
     }
 
     #[test]
+    fn admit_normalizes_once_and_refuses_absorbed_biases() {
+        let cache = CtpsCache::new(1 << 20);
+        // 1e-17 vanishes into the running sum: a positive bias whose
+        // region has zero width. Refused before the budget sees it.
+        let absorbed = [1.0, 1e-17, 1.0];
+        let mut ctps = Ctps::build(&absorbed, &mut SimStats::new()).unwrap();
+        assert_eq!(ctps.probability(1), 0.0);
+        assert!(!cache.admit(3, 0, &mut ctps, &absorbed));
+        let snap = cache.snapshot();
+        assert_eq!((snap.entries, snap.promotions, snap.admission_rejects), (0, 0, 0));
+        // All-zero lanes are refused the same way.
+        assert!(!cache.admit(4, 0, &mut Ctps::empty(), &[0.0, 0.0]));
+
+        let biases = [3.0, 0.0, 6.0, 2.0];
+        let raw = Ctps::build(&biases, &mut SimStats::new()).unwrap();
+        let mut ctps = raw.clone();
+        assert!(cache.admit(5, 0, &mut ctps, &biases));
+        let mut normalized = raw.clone();
+        normalized.normalize();
+        assert_eq!(ctps, normalized, "admit leaves the caller's table normalized");
+        let mut dst = Ctps::empty();
+        assert_eq!(
+            cache.lookup_into(5, 0, &mut dst),
+            CacheOutcome::Hit { selectable: 3, degree: 4 }
+        );
+        assert_eq!(dst, normalized);
+        for k in 0..biases.len() {
+            assert_eq!(dst.bound(k).to_bits(), raw.bound(k).to_bits(), "k={k}");
+        }
+    }
+
+    #[test]
     fn build_vertex_ctps_matches_precompute_shape() {
         // v8 of the toy graph under degree bias: the Fig. 1b bounds.
         let g = toy_graph();
         let (ctps, _) = built(&g, 8);
-        assert!((ctps.bounds()[0] - 0.2).abs() < 1e-12);
-        assert!((ctps.bounds()[1] - 0.6).abs() < 1e-12);
+        assert!((ctps.bound(0) - 0.2).abs() < 1e-12);
+        assert!((ctps.bound(1) - 0.6).abs() < 1e-12);
         // Zero-degree vertex: build fails, nothing cached.
         let chain = csaw_graph::CsrBuilder::new().add_edge(0, 1).build();
         let algo = BiasedRandomWalk { length: 1 };

@@ -35,7 +35,7 @@
 use crate::api::{AlgoConfig, Algorithm, EdgeCand, UpdateAction};
 use crate::collision::{charge_visited_check, DetectorKind};
 use crate::ctps::{rebuild_cost, Ctps};
-use crate::ctps_cache::{self, CtpsCache};
+use crate::ctps_cache::CtpsCache;
 use crate::method::{rejection_bound, MethodPolicy, RejectionFeedback, REJECTION_MAX_TRIALS};
 use crate::select::{
     select_one_preloaded, select_one_rejection, select_one_uniform, select_one_with,
@@ -812,11 +812,9 @@ impl<'a> StepKernel<'a> {
                 if let (Source::Lane, Some(cache)) = (source, cache) {
                     // The draw left its pristine CTPS build in the arena
                     // (Updated sampling, which masks it in place, never
-                    // takes the cache path): offer it for admission.
-                    let selectable = biases.iter().filter(|&&b| b > 0.0).count();
-                    if selectable > 0 && ctps_cache::widths_agree(&select.ctps, biases) {
-                        cache.promote(v, epoch, &select.ctps, selectable as u32, n as u32);
-                    }
+                    // takes the cache path): offer it for admission, which
+                    // normalizes it in place — the next build resets it.
+                    cache.admit(v, epoch, &mut select.ctps, biases);
                 }
             }
         }
@@ -917,8 +915,9 @@ impl<'a> StepKernel<'a> {
     /// Debug oracle of a preloaded table: `v`'s EDGEBIAS lane, evaluated
     /// fresh, must rebuild to exactly the table the step draws from, with
     /// `selectable` positive regions — the copy a cache hit took under
-    /// the lock (`hit`), or a vertex group's shared build, whose lane
-    /// must also equal this walker's own.
+    /// the lock (`hit`; the rebuild is normalized, as admission stores
+    /// it), or a vertex group's shared build, raw, whose lane must also
+    /// equal this walker's own.
     #[cfg(debug_assertions)]
     fn dbg_check_table(
         &self,
@@ -943,6 +942,9 @@ impl<'a> StepKernel<'a> {
             &select.ctps
         };
         dbg_ctps.rebuild(fresh, &mut SimStats::new());
+        if hit {
+            dbg_ctps.normalize();
+        }
         assert_eq!(*dbg_ctps, *table, "preloaded CTPS of v{v} diverged from a fresh rebuild");
         assert_eq!(fresh.iter().filter(|&&b| b > 0.0).count(), selectable);
     }
