@@ -49,7 +49,8 @@ pub use metrics::{parse_value, render, ServeMetrics};
 pub use notify::Notifier;
 pub use server::{CsawServer, ServeConfig};
 pub use tenant::{
-    AdmitError, FairScheduler, SchedulerConfig, TenantQuota, TenantSnapshot, WaitHistogram,
+    AdmitError, FairScheduler, SchedulerConfig, TenantCounts, TenantQuota, TenantSnapshot,
+    WaitHistogram,
 };
 pub use wire::{
     read_frame, read_frame_limited, write_frame, ChunkFrame, ErrorCode, ErrorFrame, EventFrame,

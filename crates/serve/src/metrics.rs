@@ -5,14 +5,21 @@
 //! listener and the wire protocol's `Stats` frame, so a scraper and a
 //! wire client read the same vocabulary (exposition format 0.0.4).
 //!
+//! The service section is `csaw-service`'s counter table printed row by
+//! row ([`StatsSnapshot::metrics`]): a counter declared there reaches
+//! this page with no edit here. This module adds only what is not a
+//! service counter — the derived ledger gauge, the per-tenant planes and
+//! the server plane.
+//!
 //! The ledger metrics mirror the service's conservation identities —
 //! `csaw_ledger_fully_accounted` is `1` exactly when every submitted
 //! request (sampling, mutation, and compact alike) has reached exactly
-//! one terminal state, which is what the multi-tenant integration test
-//! asserts after inducing sheds, expiries, and a panicking batch.
+//! one terminal state and the cache, disk and depth-sync totals balance,
+//! which is what the multi-tenant integration test asserts after
+//! inducing sheds, expiries, and a panicking batch.
 
 use crate::tenant::{TenantSnapshot, WAIT_BUCKETS_US};
-use csaw_service::stats::BATCH_BUCKETS;
+use csaw_service::stats::{Metric, MetricKind};
 use csaw_service::StatsSnapshot;
 use std::fmt::Write as _;
 
@@ -31,21 +38,90 @@ pub struct ServeMetrics {
     pub subscribers: u64,
 }
 
-fn counter(out: &mut String, name: &str, help: &str, value: u64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {value}");
+impl ServeMetrics {
+    /// The server plane as table rows.
+    fn rows(&self) -> [Metric<'_>; 5] {
+        use MetricKind::{Counter, Gauge};
+        [
+            row("csaw_serve_connections_total", Counter, "Connections accepted", &self.connections),
+            row(
+                "csaw_serve_bad_frames_total",
+                Counter,
+                "Frames that failed to decode",
+                &self.bad_frames,
+            ),
+            row(
+                "csaw_serve_events_published_total",
+                Counter,
+                "Completion events published",
+                &self.events_published,
+            ),
+            row(
+                "csaw_serve_events_dropped_total",
+                Counter,
+                "Events dropped (no live subscriber)",
+                &self.events_dropped,
+            ),
+            row("csaw_serve_subscribers", Gauge, "Live event subscribers", &self.subscribers),
+        ]
+    }
 }
 
-fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {value}");
+/// An unlabelled one-value row.
+fn row<'a>(
+    family: &'static str,
+    kind: MetricKind,
+    help: &'static str,
+    value: &'a u64,
+) -> Metric<'a> {
+    Metric { family, label: None, help, kind, value: std::slice::from_ref(value) }
 }
 
 /// Escapes a label value per the exposition format.
 fn escape(v: &str) -> String {
     v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+}
+
+fn header(out: &mut String, family: &str, help: &str, type_name: &str) {
+    let _ = writeln!(out, "# HELP {family} {help}");
+    let _ = writeln!(out, "# TYPE {family} {type_name}");
+}
+
+/// Prints table rows: one `# HELP`/`# TYPE` pair per family (a family's
+/// rows are adjacent), then each row's samples. Histogram buckets are
+/// stored per bucket and printed cumulative.
+fn write_rows<'a>(out: &mut String, rows: impl IntoIterator<Item = Metric<'a>>) {
+    let mut family = "";
+    for m in rows {
+        let name = m.family;
+        if name != family {
+            header(out, name, m.help, m.kind.type_name());
+            family = name;
+        }
+        let _ = match (m.kind, m.label) {
+            (MetricKind::Counter | MetricKind::Gauge, Some((k, v))) => {
+                writeln!(out, "{name}{{{k}=\"{v}\"}} {}", m.value[0])
+            }
+            (MetricKind::Counter | MetricKind::Gauge, None) => {
+                writeln!(out, "{name} {}", m.value[0])
+            }
+            (MetricKind::Histogram { le }, _) => {
+                let mut cumulative = 0u64;
+                for (i, &n) in m.value.iter().enumerate() {
+                    cumulative += n;
+                    let _ = if i + 1 < m.value.len() {
+                        writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", le(i))
+                    } else {
+                        writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}")
+                    };
+                }
+                writeln!(out, "{name}_count {cumulative}")
+            }
+            (MetricKind::HistogramSum { divisor }, _) => {
+                writeln!(out, "{name}_sum {}", m.value[0] as f64 / divisor)
+            }
+        };
+    }
 }
 
 /// Renders the full metrics page.
@@ -56,49 +132,28 @@ pub fn render(
     serve: &ServeMetrics,
 ) -> String {
     let mut out = String::with_capacity(8 << 10);
+    write_rows(&mut out, snap.metrics());
 
-    // --- service ledger -------------------------------------------------
-    counter(
+    // Conservation check, machine-readable.
+    let accounted = u64::from(snap.fully_accounted());
+    write_rows(
         &mut out,
-        "csaw_requests_submitted_total",
-        "Sampling requests submitted",
-        snap.submitted,
+        [row(
+            "csaw_ledger_fully_accounted",
+            MetricKind::Gauge,
+            "1 when every submitted request reached exactly one terminal state",
+            &accounted,
+        )],
     );
-    counter(
-        &mut out,
-        "csaw_requests_accepted_total",
-        "Requests admitted to the queue",
-        snap.accepted,
-    );
-    counter(
-        &mut out,
-        "csaw_requests_rejected_invalid_total",
-        "Requests rejected as malformed",
-        snap.rejected_invalid,
-    );
-    counter(
-        &mut out,
-        "csaw_requests_rejected_queue_full_total",
-        "Requests shed by the bounded queue",
-        snap.rejected_queue_full,
-    );
-    counter(
-        &mut out,
-        "csaw_requests_rejected_shutdown_total",
-        "Requests rejected during shutdown",
-        snap.rejected_shutdown,
-    );
-    counter(&mut out, "csaw_requests_expired_total", "Requests past their deadline", snap.expired);
-    counter(&mut out, "csaw_requests_completed_total", "Requests answered", snap.completed);
-    counter(&mut out, "csaw_requests_failed_total", "Requests lost to a batch panic", snap.failed);
-    counter(&mut out, "csaw_batches_total", "Coalesced launches", snap.batches);
-    gauge(&mut out, "csaw_queue_depth", "Requests waiting in the service queue", snap.queue_depth);
-    counter(&mut out, "csaw_sampled_edges_total", "Edges sampled", snap.sampled_edges);
 
-    // Per-tenant shed split of the global rejected_queue_full counter.
-    let _ =
-        writeln!(out, "# HELP csaw_tenant_queue_full_sheds_total Service-queue sheds by tenant");
-    let _ = writeln!(out, "# TYPE csaw_tenant_queue_full_sheds_total counter");
+    // --- per-tenant planes (label values come from the wire) ------------
+    // The split of the global rejected_queue_full counter.
+    header(
+        &mut out,
+        "csaw_tenant_queue_full_sheds_total",
+        "Service-queue sheds by tenant",
+        "counter",
+    );
     for (tenant, sheds) in tenant_sheds {
         let _ = writeln!(
             out,
@@ -106,234 +161,42 @@ pub fn render(
             escape(tenant)
         );
     }
-
-    // Mutation / compaction ledger.
-    counter(
-        &mut out,
-        "csaw_mutations_submitted_total",
-        "Mutation requests submitted",
-        snap.mutations_submitted,
-    );
-    counter(&mut out, "csaw_mutations_applied_total", "Mutation requests applied", snap.mutations);
-    counter(
-        &mut out,
-        "csaw_mutations_rejected_total",
-        "Mutation requests rejected",
-        snap.mutations_rejected,
-    );
-    counter(&mut out, "csaw_compact_requests_total", "Compact requests", snap.compact_requests);
-    counter(&mut out, "csaw_compactions_total", "Compactions that folded deltas", snap.compactions);
-    counter(
-        &mut out,
-        "csaw_compact_noops_total",
-        "Compactions with nothing to fold",
-        snap.compact_noops,
-    );
-    gauge(&mut out, "csaw_graph_epoch", "Current graph epoch", snap.graph_epoch);
-    gauge(
-        &mut out,
-        "csaw_overlay_vertices",
-        "Vertices with uncompacted deltas",
-        snap.overlay_vertices,
-    );
-
-    // Conservation check, machine-readable.
-    gauge(
-        &mut out,
-        "csaw_ledger_fully_accounted",
-        "1 when every submitted request reached exactly one terminal state",
-        u64::from(snap.fully_accounted()),
-    );
-
-    // --- cache gauges ---------------------------------------------------
-    counter(&mut out, "csaw_ctps_cache_lookups_total", "CTPS cache lookups", snap.cache_lookups);
-    counter(&mut out, "csaw_ctps_cache_hits_total", "CTPS cache hits", snap.cache_hits);
-    counter(&mut out, "csaw_ctps_cache_misses_total", "CTPS cache misses", snap.cache_misses);
-    counter(
-        &mut out,
-        "csaw_ctps_cache_promotions_total",
-        "CTPS cache promotions",
-        snap.cache_promotions,
-    );
-    counter(
-        &mut out,
-        "csaw_ctps_cache_evictions_total",
-        "CTPS cache evictions",
-        snap.cache_evictions,
-    );
-    // The split of the total above: clock pressure, stale epoch tags
-    // (residency swaps and graph mutations), same-vertex replacement.
-    let _ = writeln!(
-        out,
-        "# HELP csaw_ctps_cache_evictions_by_reason_total CTPS cache evictions by reason"
-    );
-    let _ = writeln!(out, "# TYPE csaw_ctps_cache_evictions_by_reason_total counter");
-    for (reason, v) in [
-        ("clock", snap.cache_evictions_clock),
-        ("stale", snap.cache_evictions_stale),
-        ("replaced", snap.cache_evictions_replaced),
-    ] {
-        let _ =
-            writeln!(out, "csaw_ctps_cache_evictions_by_reason_total{{reason=\"{reason}\"}} {v}");
-    }
-    gauge(&mut out, "csaw_ctps_cache_bytes", "Bytes held by the CTPS cache", snap.cache_bytes);
-
-    // --- disk tier ------------------------------------------------------
-    // All zero unless the service fronts a disk store; gauges because the
-    // worker pools outlive batches and each publish replaces the last.
-    counter(&mut out, "csaw_disk_lookups_total", "Disk-tier pool lookups", snap.disk_lookups);
-    counter(
-        &mut out,
-        "csaw_disk_hits_total",
-        "Disk-tier lookups served by a resident decoded vertex run",
-        snap.disk_hits,
-    );
-    counter(
-        &mut out,
-        "csaw_disk_misses_total",
-        "Disk-tier lookups that decoded a vertex run from its segment",
-        snap.disk_misses,
-    );
-    counter(
-        &mut out,
-        "csaw_disk_evictions_total",
-        "Decoded vertex runs evicted by the clock sweep",
-        snap.disk_evictions,
-    );
-    gauge(
-        &mut out,
-        "csaw_disk_pool_bytes",
-        "Bytes held by decoded vertex runs across all pools",
-        snap.disk_pool_bytes,
-    );
-    counter(
-        &mut out,
-        "csaw_disk_mmap_faults_total",
-        "Simulated 4KiB page faults streaming mapped segments",
-        snap.disk_mmap_faults,
-    );
-    counter(
-        &mut out,
-        "csaw_disk_decode_bytes_total",
-        "RAM bytes produced by disk-tier decodes",
-        snap.disk_decode_bytes,
-    );
-    let _ = writeln!(out, "# HELP csaw_disk_decode_seconds Vertex-run decode wall time");
-    let _ = writeln!(out, "# TYPE csaw_disk_decode_seconds histogram");
-    let mut cumulative = 0u64;
-    for (i, &ub_us) in csaw_core::residency::DECODE_BUCKETS_US.iter().enumerate() {
-        cumulative += snap.disk_decode_hist[i];
-        let ub_s = ub_us as f64 / 1e6;
-        let _ = writeln!(out, "csaw_disk_decode_seconds_bucket{{le=\"{ub_s}\"}} {cumulative}");
-    }
-    cumulative += snap.disk_decode_hist[csaw_core::residency::DECODE_BUCKETS_US.len()];
-    let _ = writeln!(out, "csaw_disk_decode_seconds_bucket{{le=\"+Inf\"}} {cumulative}");
-    let _ = writeln!(out, "csaw_disk_decode_seconds_sum {}", snap.disk_decode_sum_us as f64 / 1e6);
-    let _ = writeln!(out, "csaw_disk_decode_seconds_count {}", snap.disk_decode_count);
-
-    // --- sampling method counters --------------------------------------
-    let _ =
-        writeln!(out, "# HELP csaw_method_selections_total Neighbor selections by sampling method");
-    let _ = writeln!(out, "# TYPE csaw_method_selections_total counter");
-    for (method, v) in [("its", snap.method_its), ("rejection", snap.method_rejection)] {
-        let _ = writeln!(out, "csaw_method_selections_total{{method=\"{method}\"}} {v}");
-    }
-    counter(
-        &mut out,
-        "csaw_rejection_trials_total",
-        "Rejection-sampling trials",
-        snap.rejection_trials,
-    );
-
-    // Batch-size histogram (requests per coalesced launch).
-    let _ = writeln!(out, "# HELP csaw_batch_requests Requests coalesced per launch");
-    let _ = writeln!(out, "# TYPE csaw_batch_requests histogram");
-    let mut cumulative = 0u64;
-    for (i, &ub) in BATCH_BUCKETS.iter().enumerate() {
-        cumulative += snap.batch_hist[i];
-        let _ = writeln!(out, "csaw_batch_requests_bucket{{le=\"{ub}\"}} {cumulative}");
-    }
-    cumulative += snap.batch_hist[BATCH_BUCKETS.len()];
-    let _ = writeln!(out, "csaw_batch_requests_bucket{{le=\"+Inf\"}} {cumulative}");
-    let _ = writeln!(out, "csaw_batch_requests_count {cumulative}");
-
-    // --- depth-sync batch execution ------------------------------------
-    // All zero unless the service runs with `exec = DepthSync`; the
-    // conservation identities (hits + misses == groups, histogram sums
-    // to groups) fold into `csaw_ledger_fully_accounted` above.
-    counter(
-        &mut out,
-        "csaw_batch_groups_total",
-        "Same-vertex frontier groups expanded by the depth-sync driver",
-        snap.batch_groups,
-    );
-    counter(
-        &mut out,
-        "csaw_batch_group_entries_total",
-        "Frontier entries expanded through grouped depth-sync steps",
-        snap.batch_group_entries,
-    );
-    counter(
-        &mut out,
-        "csaw_batch_prefetch_hits_total",
-        "Frontier groups whose rows were software-prefetched ahead of use",
-        snap.batch_prefetch_hits,
-    );
-    counter(
-        &mut out,
-        "csaw_batch_prefetch_misses_total",
-        "Frontier groups expanded without prefetch coverage",
-        snap.batch_prefetch_misses,
-    );
-    // Log2-bucketed group occupancy: bucket `i` counts groups of
-    // [2^i, 2^(i+1)) co-located walkers, so `le` is `2^(i+1) - 1`.
-    let _ = writeln!(out, "# HELP csaw_batch_group_size Walkers co-located per frontier group");
-    let _ = writeln!(out, "# TYPE csaw_batch_group_size histogram");
-    let mut cumulative = 0u64;
-    for (i, count) in snap.batch_group_hist.iter().enumerate().take(7) {
-        cumulative += count;
-        let ub = (1u64 << (i + 1)) - 1;
-        let _ = writeln!(out, "csaw_batch_group_size_bucket{{le=\"{ub}\"}} {cumulative}");
-    }
-    cumulative += snap.batch_group_hist[7];
-    let _ = writeln!(out, "csaw_batch_group_size_bucket{{le=\"+Inf\"}} {cumulative}");
-    let _ = writeln!(out, "csaw_batch_group_size_count {cumulative}");
-
-    // --- per-tenant scheduler plane ------------------------------------
-    for (name, help, get) in [
+    for (name, type_name, help, get) in [
         (
             "csaw_tenant_enqueued_total",
+            "counter",
             "Jobs accepted into the tenant's fair queue",
-            (|t: &TenantSnapshot| t.enqueued) as fn(&TenantSnapshot) -> u64,
+            (|t: &TenantSnapshot| t.counts.enqueued) as fn(&TenantSnapshot) -> u64,
         ),
-        ("csaw_tenant_dispatched_total", "Jobs released to the service", |t| t.dispatched),
-        ("csaw_tenant_completed_total", "Jobs completed", |t| t.completed),
-        ("csaw_tenant_shed_quota_total", "Admissions shed by a token bucket", |t| t.shed_quota),
-        ("csaw_tenant_shed_queue_total", "Admissions shed by the fair-queue bound", |t| {
-            t.shed_queue
+        ("csaw_tenant_dispatched_total", "counter", "Jobs released to the service", |t| {
+            t.counts.dispatched
         }),
+        ("csaw_tenant_completed_total", "counter", "Jobs completed", |t| t.counts.completed),
+        ("csaw_tenant_shed_quota_total", "counter", "Admissions shed by a token bucket", |t| {
+            t.counts.shed_quota
+        }),
+        (
+            "csaw_tenant_shed_queue_total",
+            "counter",
+            "Admissions shed by the fair-queue bound",
+            |t| t.counts.shed_queue,
+        ),
+        ("csaw_tenant_queued", "gauge", "Jobs waiting in the tenant's fair queue", |t| {
+            t.queued as u64
+        }),
+        ("csaw_tenant_weight", "gauge", "Fair-share weight in effect", |t| u64::from(t.weight)),
     ] {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
+        header(&mut out, name, help, type_name);
         for t in tenants {
             let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {}", escape(&t.tenant), get(t));
         }
     }
-    let _ = writeln!(out, "# HELP csaw_tenant_queued Jobs waiting in the tenant's fair queue");
-    let _ = writeln!(out, "# TYPE csaw_tenant_queued gauge");
-    for t in tenants {
-        let _ =
-            writeln!(out, "csaw_tenant_queued{{tenant=\"{}\"}} {}", escape(&t.tenant), t.queued);
-    }
-    let _ = writeln!(out, "# HELP csaw_tenant_weight Fair-share weight in effect");
-    let _ = writeln!(out, "# TYPE csaw_tenant_weight gauge");
-    for t in tenants {
-        let _ =
-            writeln!(out, "csaw_tenant_weight{{tenant=\"{}\"}} {}", escape(&t.tenant), t.weight);
-    }
-    let _ =
-        writeln!(out, "# HELP csaw_tenant_queue_wait_seconds Fair-queue wait, enqueue to dispatch");
-    let _ = writeln!(out, "# TYPE csaw_tenant_queue_wait_seconds histogram");
+    header(
+        &mut out,
+        "csaw_tenant_queue_wait_seconds",
+        "Fair-queue wait, enqueue to dispatch",
+        "histogram",
+    );
     for t in tenants {
         let label = escape(&t.tenant);
         for (i, &ub_us) in WAIT_BUCKETS_US.iter().enumerate() {
@@ -361,28 +224,7 @@ pub fn render(
         );
     }
 
-    // --- server plane ---------------------------------------------------
-    counter(&mut out, "csaw_serve_connections_total", "Connections accepted", serve.connections);
-    counter(
-        &mut out,
-        "csaw_serve_bad_frames_total",
-        "Frames that failed to decode",
-        serve.bad_frames,
-    );
-    counter(
-        &mut out,
-        "csaw_serve_events_published_total",
-        "Completion events published",
-        serve.events_published,
-    );
-    counter(
-        &mut out,
-        "csaw_serve_events_dropped_total",
-        "Events dropped (no live subscriber)",
-        serve.events_dropped,
-    );
-    gauge(&mut out, "csaw_serve_subscribers", "Live event subscribers", serve.subscribers);
-
+    write_rows(&mut out, serve.rows());
     out
 }
 
@@ -459,6 +301,43 @@ mod tests {
         assert_eq!(parse_value(&page, "csaw_ctps_cache_evictions_total"), Some(6.0));
         assert!(!page.contains("alias"), "the alias method is retired");
         assert!(!page.contains("method=\"uniform\""));
+    }
+
+    #[test]
+    fn every_counter_table_row_is_on_the_page() {
+        let snap = StatsSnapshot {
+            transfers: 7,
+            bytes_transferred: 4096,
+            method_rejection: 3,
+            batch_hist: [1, 0, 2, 0, 0, 0, 0, 4],
+            disk_decode_hist: [0, 1, 0, 0, 0, 0, 0, 2],
+            disk_decode_sum_us: 2_500_000,
+            ..Default::default()
+        };
+        let serve = ServeMetrics { subscribers: 2, ..ServeMetrics::default() };
+        let page = render(&snap, &[], &[], &serve);
+        for m in snap.metrics().chain(serve.rows()) {
+            let f = m.family;
+            let (name, value) = match (m.kind, m.label) {
+                (MetricKind::Histogram { .. }, _) => {
+                    let total: u64 = m.value.iter().sum();
+                    assert_eq!(parse_value(&page, &format!("{f}_count")), Some(total as f64));
+                    (format!("{f}_bucket{{le=\"+Inf\"}}"), total as f64)
+                }
+                (MetricKind::HistogramSum { divisor }, _) => {
+                    (format!("{f}_sum"), m.value[0] as f64 / divisor)
+                }
+                (_, Some((k, v))) => (format!("{f}{{{k}=\"{v}\"}}"), m.value[0] as f64),
+                (_, None) => (f.to_string(), m.value[0] as f64),
+            };
+            assert_eq!(parse_value(&page, &name), Some(value), "{name}");
+            assert_eq!(page.matches(&format!("# TYPE {f} ")).count(), 1, "{f}");
+        }
+        assert_eq!(parse_value(&page, "csaw_transfers_total"), Some(7.0));
+        assert_eq!(parse_value(&page, "csaw_batch_requests_bucket{le=\"4\"}"), Some(3.0));
+        assert_eq!(parse_value(&page, "csaw_disk_decode_seconds_bucket{le=\"0.0001\"}"), Some(1.0));
+        assert_eq!(parse_value(&page, "csaw_disk_decode_seconds_sum"), Some(2.5));
+        assert_eq!(parse_value(&page, "csaw_serve_subscribers"), Some(2.0));
     }
 
     #[test]

@@ -159,13 +159,9 @@ impl WaitHistogram {
     }
 }
 
-/// Point-in-time per-tenant accounting, for the metrics plane.
-#[derive(Debug, Clone)]
-pub struct TenantSnapshot {
-    /// Tenant label.
-    pub tenant: String,
-    /// Fair-share weight in effect.
-    pub weight: u32,
+/// A tenant's admission and dispatch counters.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct TenantCounts {
     /// Jobs accepted into the fair queue.
     pub enqueued: u64,
     /// Jobs released to the service.
@@ -176,6 +172,17 @@ pub struct TenantSnapshot {
     pub shed_quota: u64,
     /// Admissions shed by the per-tenant queue bound.
     pub shed_queue: u64,
+}
+
+/// Point-in-time per-tenant accounting, for the metrics plane.
+#[derive(Debug, Clone)]
+pub struct TenantSnapshot {
+    /// Tenant label.
+    pub tenant: String,
+    /// Fair-share weight in effect.
+    pub weight: u32,
+    /// Admission and dispatch counters.
+    pub counts: TenantCounts,
     /// Jobs currently waiting in the fair queue.
     pub queued: usize,
     /// Time jobs spent waiting in the fair queue (enqueue → dispatch).
@@ -198,11 +205,7 @@ struct TenantState<T> {
     /// Finish tag of this tenant's most recently tagged job — the chain
     /// that spaces consecutive jobs `cost/weight` apart in virtual time.
     last_finish: f64,
-    enqueued: u64,
-    dispatched: u64,
-    completed: u64,
-    shed_quota: u64,
-    shed_queue: u64,
+    counts: TenantCounts,
     wait: WaitHistogram,
 }
 
@@ -261,21 +264,17 @@ impl<T> FairScheduler<T> {
             byte_bucket: TokenBucket::new(quota.byte_rate, quota.byte_burst, now),
             queue: std::collections::VecDeque::new(),
             last_finish: 0.0,
-            enqueued: 0,
-            dispatched: 0,
-            completed: 0,
-            shed_quota: 0,
-            shed_queue: 0,
+            counts: TenantCounts::default(),
             wait: WaitHistogram::default(),
         });
         let req = ts.bucket.try_take(1.0, now);
         let byt = ts.byte_bucket.try_take(bytes, now);
         if let Err(wait) = req.and(byt) {
-            ts.shed_quota += 1;
+            ts.counts.shed_quota += 1;
             return Err(AdmitError::Quota { retry_after: wait });
         }
         if ts.queue.len() >= ts.quota.max_queued {
-            ts.shed_queue += 1;
+            ts.counts.shed_queue += 1;
             // Backoff hint: the head-of-queue job's virtual distance is
             // meaningless wall-clock, so hint one bucket refill instead.
             let retry = Duration::from_secs_f64(1.0 / ts.quota.rate.max(1.0));
@@ -285,7 +284,7 @@ impl<T> FairScheduler<T> {
         let finish = start + cost / f64::from(ts.quota.weight.max(1));
         ts.last_finish = finish;
         ts.queue.push_back(Job { start_tag: start, finish_tag: finish, enqueued: now, payload });
-        ts.enqueued += 1;
+        ts.counts.enqueued += 1;
         st.queued_total += 1;
         drop(st);
         self.cv.notify_all();
@@ -309,7 +308,7 @@ impl<T> FairScheduler<T> {
                     .expect("queued_total > 0 implies a non-empty queue");
                 let ts = st.tenants.get_mut(&tenant).expect("tenant exists");
                 let job = ts.queue.pop_front().expect("non-empty");
-                ts.dispatched += 1;
+                ts.counts.dispatched += 1;
                 ts.wait.observe(job.enqueued.elapsed());
                 st.queued_total -= 1;
                 st.inflight += 1;
@@ -329,7 +328,7 @@ impl<T> FairScheduler<T> {
         let mut st = self.state.lock().expect("scheduler lock");
         st.inflight = st.inflight.saturating_sub(1);
         if let Some(ts) = st.tenants.get_mut(tenant) {
-            ts.completed += 1;
+            ts.counts.completed += 1;
         }
         drop(st);
         self.cv.notify_all();
@@ -350,11 +349,7 @@ impl<T> FairScheduler<T> {
             .map(|(name, ts)| TenantSnapshot {
                 tenant: name.clone(),
                 weight: ts.quota.weight,
-                enqueued: ts.enqueued,
-                dispatched: ts.dispatched,
-                completed: ts.completed,
-                shed_quota: ts.shed_quota,
-                shed_queue: ts.shed_queue,
+                counts: ts.counts,
                 queued: ts.queue.len(),
                 wait: ts.wait.clone(),
             })
@@ -418,8 +413,8 @@ mod tests {
             other => panic!("expected quota shed, got {other:?}"),
         }
         let snap = sched.snapshot();
-        assert_eq!(snap[0].shed_quota, 1);
-        assert_eq!(snap[0].enqueued, 2);
+        assert_eq!(snap[0].counts.shed_quota, 1);
+        assert_eq!(snap[0].counts.enqueued, 2);
         // After a refill interval the bucket admits again.
         std::thread::sleep(Duration::from_millis(120));
         sched.admit("t", 1.0, 0.0, 3).expect("bucket refilled");
@@ -432,7 +427,7 @@ mod tests {
         sched.admit("t", 1.0, 0.0, 0).unwrap();
         sched.admit("t", 1.0, 0.0, 1).unwrap();
         assert!(matches!(sched.admit("t", 1.0, 0.0, 2), Err(AdmitError::QueueFull { .. })));
-        assert_eq!(sched.snapshot()[0].shed_queue, 1);
+        assert_eq!(sched.snapshot()[0].counts.shed_queue, 1);
     }
 
     #[test]
