@@ -9,7 +9,7 @@
 //! ```text
 //! tier 1  CTPS / alias cache      per-vertex sampling tables (device)
 //! tier 2  decoded-run pool        one vertex's neighbor run a slot (host)
-//! tier 3  mmap'd segment files    delta/varint CSR, decoded on demand
+//! tier 3  mmap'd segment files    fixed-width delta CSR, decoded on demand
 //! ```
 //!
 //! **The unit of residency is one vertex's run**

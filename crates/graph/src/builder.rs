@@ -93,7 +93,8 @@ impl CsrBuilder {
         self
     }
 
-    /// Consumes the builder and produces the CSR.
+    /// Consumes the builder and produces the CSR: adjacency lists come
+    /// out sorted by destination, which `Csr::has_edge` relies on.
     pub fn build(self) -> Csr {
         let CsrBuilder { mut edges, num_vertices, symmetrize, dedup, drop_self_loops, weighted } =
             self;
@@ -101,46 +102,103 @@ impl CsrBuilder {
         if drop_self_loops {
             edges.retain(|&(s, d, _)| s != d);
         }
-        if symmetrize {
-            // In place: one exact reservation, no second edge list.
-            let m = edges.len();
-            edges.reserve_exact(m);
-            for i in 0..m {
-                let (s, d, w) = edges[i];
-                edges.push((d, s, w));
-            }
-        }
-
         let inferred = edges.iter().map(|&(s, d, _)| s.max(d) as usize + 1).max().unwrap_or(0);
         let n = num_vertices.unwrap_or(inferred).max(inferred);
-
-        // Sort by (src, dst) then optionally dedup; counting sort on src via
-        // the row counts would be faster, but an O(E log E) sort keeps the
-        // adjacency lists sorted by dst, which `Csr::has_edge` relies on.
-        // Dedup keeps the *first* weight, so a weighted build needs the
-        // stable sort; unweighted, equal keys are indistinguishable in the
-        // output and the in-place unstable sort spares the merge scratch.
         if weighted {
-            edges.sort_by_key(|e| (e.0, e.1));
+            build_weighted(edges, n, symmetrize, dedup)
         } else {
-            edges.sort_unstable_by_key(|e| (e.0, e.1));
+            build_unweighted(edges, n, symmetrize, dedup)
         }
-        if dedup {
-            edges.dedup_by_key(|e| (e.0, e.1));
-        }
-
-        let mut row_ptr = vec![0usize; n + 1];
-        for &(s, _, _) in &edges {
-            row_ptr[s as usize + 1] += 1;
-        }
-        for i in 0..n {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let col: Vec<VertexId> = edges.iter().map(|&(_, d, _)| d).collect();
-        let weights =
-            if weighted { Some(edges.iter().map(|&(_, _, w)| w).collect()) } else { None };
-        Csr::from_parts(row_ptr, col, weights)
     }
+}
+
+/// The weighted build: one sort of the whole edge list by (src, dst).
+/// Dedup keeps the *first* weight, so the sort is stable.
+fn build_weighted(
+    mut edges: Vec<(VertexId, VertexId, Weight)>,
+    n: usize,
+    symmetrize: bool,
+    dedup: bool,
+) -> Csr {
+    if symmetrize {
+        // In place: one exact reservation, no second edge list.
+        let m = edges.len();
+        edges.reserve_exact(m);
+        for i in 0..m {
+            let (s, d, w) = edges[i];
+            edges.push((d, s, w));
+        }
+    }
+    edges.sort_by_key(|e| (e.0, e.1));
+    if dedup {
+        edges.dedup_by_key(|e| (e.0, e.1));
+    }
+    let mut row_ptr = vec![0usize; n + 1];
+    for &(s, _, _) in &edges {
+        row_ptr[s as usize + 1] += 1;
+    }
+    for i in 0..n {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    let col = edges.iter().map(|&(_, d, _)| d).collect();
+    let weights = edges.iter().map(|&(_, _, w)| w).collect();
+    Csr::from_parts(row_ptr, col, Some(weights))
+}
+
+/// The unweighted build, without a second copy of the edge list: count
+/// degrees (both directions when symmetrizing), scatter each edge into
+/// its source's row of `col`, drop the edge list, then sort and dedup
+/// each row in place and compact. Equal entries are indistinguishable,
+/// so this gives the same rows as the weighted build's global sort.
+fn build_unweighted(
+    edges: Vec<(VertexId, VertexId, Weight)>,
+    n: usize,
+    symmetrize: bool,
+    dedup: bool,
+) -> Csr {
+    let mut row_ptr = vec![0usize; n + 1];
+    for &(s, d, _) in &edges {
+        row_ptr[s as usize + 1] += 1;
+        if symmetrize {
+            row_ptr[d as usize + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    // `row_ptr[s]` is row s's write cursor; once every edge is placed it
+    // holds the row's end, and shifting by one restores the starts.
+    let mut col = vec![0 as VertexId; row_ptr[n]];
+    let mut place = |s: VertexId, d: VertexId| {
+        col[row_ptr[s as usize]] = d;
+        row_ptr[s as usize] += 1;
+    };
+    for &(s, d, _) in &edges {
+        place(s, d);
+        if symmetrize {
+            place(d, s);
+        }
+    }
+    drop(edges);
+    row_ptr.copy_within(0..n, 1);
+    row_ptr[0] = 0;
+
+    let mut kept = 0;
+    for i in 0..n {
+        let (start, end) = (row_ptr[i], row_ptr[i + 1]);
+        col[start..end].sort_unstable();
+        row_ptr[i] = kept;
+        for k in start..end {
+            if !(dedup && k > start && col[k] == col[k - 1]) {
+                col[kept] = col[k];
+                kept += 1;
+            }
+        }
+    }
+    row_ptr[n] = kept;
+    col.truncate(kept);
+    col.shrink_to_fit();
+    Csr::from_parts(row_ptr, col, None)
 }
 
 /// Builds a CSR from a plain (src, dst) slice with default policies plus

@@ -22,7 +22,7 @@
 //! - [`partition`]: the contiguous vertex-range partitioner of §V-A.
 //! - [`io`]: edge-list and binary CSR readers/writers for real data.
 //! - [`store`]: the on-disk partitioned CSR store (mmap-backed segments
-//!   with delta/varint neighbor lists) behind the disk tier.
+//!   with fixed-width delta neighbor records) behind the disk tier.
 //! - [`quality`]: sample-quality metrics (degree KS, clustering,
 //!   effective diameter) from the sampling literature.
 //! - [`stats`]: degree statistics used in the evaluation write-up.

@@ -3,9 +3,20 @@
 //! The out-of-memory runtime (paper §V) streams partitions between host
 //! and device memory; this module extends the hierarchy one level down so
 //! the *host* side no longer has to hold the whole CSR either. A store is
-//! a directory of per-partition **segment files** — delta-encoded varint
-//! neighbor lists behind a fixed-width offset index — plus a checksummed
-//! `store.meta` header carrying the epoch and the partition table.
+//! a directory of per-partition **segment files** — fixed-width
+//! delta-encoded neighbor records behind a fixed-width offset index —
+//! plus a checksummed `store.meta` header carrying the epoch and the
+//! partition table.
+//!
+//! A vertex's record is empty when it has no neighbors. Otherwise it is
+//! one width byte `w` (1..=5, the byte length of the record's largest
+//! zigzag delta), then its `d` zigzag deltas as little-endian `w`-byte
+//! integers, then its `d` raw little-endian f32 weights when the store
+//! is weighted. Every delta of a record starts at a fixed offset, so a
+//! decode widens the run in one pass and prefix-sums it in a second,
+//! with no chain of variable-length reads through the bytes. CSR
+//! columns are sorted, so deltas are small: on R-MAT graphs nearly
+//! every record is one or two bytes wide.
 //!
 //! Readers map segments with `mmap(2)` (a hand-declared libc binding —
 //! the workspace is hermetic) and decode partitions on demand; the
@@ -39,8 +50,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub const META_MAGIC: &[u8; 8] = b"CSAWSTR1";
 /// Magic bytes opening each segment file.
 pub const SEG_MAGIC: &[u8; 8] = b"CSAWSEG1";
-/// On-disk format version.
-pub const STORE_VERSION: u32 = 1;
+/// On-disk format version. Version 2 holds fixed-width records; a store
+/// of any other version fails to open with [`StoreError::BadVersion`].
+pub const STORE_VERSION: u32 = 2;
+/// Widest delta a record can hold: a zigzag delta between two `u32`
+/// vertex ids needs at most 33 bits.
+const MAX_WIDTH: usize = 5;
 /// Size of the fixed segment header preceding the offset index.
 const SEG_HEADER_BYTES: usize = 48;
 /// Simulated page size for the mmap-fault gauge.
@@ -78,8 +93,8 @@ pub enum StoreError {
         /// File that failed the check.
         file: String,
     },
-    /// Structurally invalid content (non-monotonic index, varint
-    /// overrun, out-of-range vertex id, ...).
+    /// Structurally invalid content (non-monotonic index, a record
+    /// width that disagrees with its size, out-of-range vertex id, ...).
     Corrupt {
         /// File that failed the check.
         file: String,
@@ -128,7 +143,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-// --- varint + zigzag -------------------------------------------------------
+// --- zigzag-delta records -------------------------------------------------
 
 #[inline]
 fn zigzag(v: i64) -> u64 {
@@ -140,37 +155,120 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// [`unzigzag`] of a zigzag value below 2^32: the `i32` it encodes, as
+/// its bits.
 #[inline]
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
+fn unzigzag32(v: u32) -> u32 {
+    (v >> 1) ^ (v & 1).wrapping_neg()
+}
+
+/// Appends one vertex's record: nothing for an empty row; otherwise the
+/// width byte, the zigzag deltas at that width, then the weights.
+fn encode_record(out: &mut Vec<u8>, ns: &[VertexId], ws: Option<&[Weight]>) {
+    if ns.is_empty() {
+        return;
+    }
+    let delta = |k: usize| {
+        let prev = if k == 0 { 0 } else { i64::from(ns[k - 1]) };
+        zigzag(i64::from(ns[k]) - prev)
+    };
+    let top = (0..ns.len()).map(delta).max().unwrap_or(0);
+    let w = ((64 - top.leading_zeros() as usize).div_ceil(8)).max(1);
+    out.push(w as u8);
+    for k in 0..ns.len() {
+        out.extend_from_slice(&delta(k).to_le_bytes()[..w]);
+    }
+    for &x in ws.unwrap_or(&[]) {
+        out.extend_from_slice(&x.to_le_bytes());
     }
 }
 
-/// Reads one LEB128 varint from `buf` starting at `*pos`, advancing it.
-/// Returns `None` on overrun or on a varint longer than 10 bytes.
-#[inline]
-fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &b = buf.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 {
-            return None;
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
+/// Decodes one record of `deg` neighbors, appending them to `col` and,
+/// when `weights` is given, the record's weights to it (`weighted` says
+/// whether the record carries any). The one decoder behind
+/// [`DiskStore::decode_vertex`] and [`DiskStore::decode_partition`].
+///
+/// Two passes, neither chained through the bytes: the deltas are
+/// widened and unzigzagged into `col`, then prefix-summed in place. The
+/// running sum wraps rather than overflows and an out-of-range flag is
+/// or-ed in branch-free, so corrupt bytes give an error, never a panic.
+/// The sum is exact until the first step out of `0..num_vertices` (each
+/// step moves it by under 2^40), and that step sets the flag. Each
+/// buffer grows by one `reserve(deg)` (exact-size iterators), so it
+/// allocates nothing when it already has room for the run.
+fn decode_record(
+    rec: &[u8],
+    deg: usize,
+    num_vertices: usize,
+    col: &mut Vec<VertexId>,
+    weights: Option<&mut Vec<Weight>>,
+    weighted: bool,
+) -> Result<(), &'static str> {
+    let wbytes = if weighted { deg * 4 } else { 0 };
+    if deg == 0 {
+        return if rec.len() == wbytes { Ok(()) } else { Err("bytes in an empty record") };
     }
+    let w = rec.first().map_or(0, |&b| usize::from(b));
+    if !(1..=MAX_WIDTH).contains(&w) {
+        return Err("bad delta width");
+    }
+    if rec.len() != 1 + deg * w + wbytes {
+        return Err("delta width disagrees with the record size");
+    }
+    let (deltas, wrec) = rec[1..].split_at(deg * w);
+    let limit = (num_vertices as u64).min(1 << 32);
+    // Each arm keeps its own sum: one the wide arm's closure borrows
+    // would live in memory in the narrow arms' loop too.
+    let out_of_range = if w < MAX_WIDTH {
+        // Up to four bytes, a zigzag delta unzigzags to an `i32`; `col`
+        // holds its bits until the prefix sum.
+        let base = col.len();
+        match w {
+            1 => col.extend(deltas.iter().map(|&b| unzigzag32(u32::from(b)))),
+            2 => col.extend(
+                deltas
+                    .as_chunks::<2>()
+                    .0
+                    .iter()
+                    .map(|&c| unzigzag32(u32::from(u16::from_le_bytes(c)))),
+            ),
+            3 => col.extend(
+                deltas
+                    .as_chunks::<3>()
+                    .0
+                    .iter()
+                    .map(|&[a, b, c]| unzigzag32(u32::from_le_bytes([a, b, c, 0]))),
+            ),
+            _ => col.extend(
+                deltas.as_chunks::<4>().0.iter().map(|&c| unzigzag32(u32::from_le_bytes(c))),
+            ),
+        }
+        let (mut sum, mut out_of_range) = (0i64, false);
+        for x in &mut col[base..] {
+            sum = sum.wrapping_add(i64::from(*x as i32));
+            out_of_range |= sum as u64 >= limit;
+            *x = sum as VertexId;
+        }
+        out_of_range
+    } else {
+        // Five-byte deltas do not fit a `u32`: widen and sum in one pass.
+        let (mut sum, mut out_of_range) = (0i64, false);
+        col.extend(deltas.chunks_exact(w).map(|c| {
+            let mut b = [0u8; 8];
+            b[..w].copy_from_slice(c);
+            sum = sum.wrapping_add(unzigzag(u64::from_le_bytes(b)));
+            out_of_range |= sum as u64 >= limit;
+            sum as VertexId
+        }));
+        out_of_range
+    };
+    if out_of_range {
+        return Err("neighbor out of range");
+    }
+    if let Some(ws) = weights {
+        ws.extend(wrec.as_chunks::<4>().0.iter().map(|&c| f32::from_le_bytes(c)));
+    }
+    Ok(())
 }
 
 // --- mmap ------------------------------------------------------------------
@@ -429,9 +527,8 @@ pub fn write_store(dir: &Path, g: &Csr, partitions: usize, epoch: u64) -> Result
         let end = (((id + 1) * per).min(n)) as VertexId;
         let nv = (end - start) as usize;
 
-        // The payload: per vertex, zigzag-delta varint neighbors then raw
-        // little-endian f32 weights. Offsets are collected relative to
-        // the payload start.
+        // The payload: one record per vertex (see the module doc).
+        // Offsets are collected relative to the payload start.
         let mut payload: Vec<u8> = Vec::new();
         let mut offsets: Vec<u64> = Vec::with_capacity(nv + 1);
         let mut degrees: Vec<u8> = Vec::with_capacity(nv * 4);
@@ -441,16 +538,7 @@ pub fn write_store(dir: &Path, g: &Csr, partitions: usize, epoch: u64) -> Result
             let ns = g.neighbors(v);
             degrees.extend_from_slice(&(ns.len() as u32).to_le_bytes());
             edges += ns.len() as u64;
-            let mut prev: i64 = 0;
-            for &u in ns {
-                write_varint(&mut payload, zigzag(u as i64 - prev));
-                prev = u as i64;
-            }
-            if let Some(ws) = g.neighbor_weights(v) {
-                for &w in ws {
-                    payload.extend_from_slice(&w.to_le_bytes());
-                }
-            }
+            encode_record(&mut payload, ns, g.neighbor_weights(v));
         }
         offsets.push(payload.len() as u64);
 
@@ -704,8 +792,16 @@ impl DiskStore {
             deg_sum += deg;
             let rec = next - off;
             let wbytes = if weighted { deg * 4 } else { 0 };
-            // Each neighbor's varint is 1..=10 bytes.
-            if rec < deg + wbytes || rec > deg * 10 + wbytes {
+            // Empty, or a width byte, `deg` deltas of 1..=5 bytes each
+            // and the weights.
+            let fits = match (rec.checked_sub(1 + wbytes), deg) {
+                (_, 0) => rec == wbytes,
+                (Some(body), _) => {
+                    body % deg == 0 && (1..=MAX_WIDTH as u64).contains(&(body / deg))
+                }
+                (None, _) => false,
+            };
+            if !fits {
                 return Err(corrupt(format!("record size {rec} inconsistent with degree {deg}")));
             }
         }
@@ -840,31 +936,8 @@ impl DiskStore {
             let rec = payload
                 .get(off..end)
                 .ok_or_else(|| corrupt(format!("record {i} out of payload bounds")))?;
-            let mut pos = 0usize;
-            let mut prev: i64 = 0;
-            for _ in 0..deg {
-                let raw = read_varint(rec, &mut pos)
-                    .ok_or_else(|| corrupt(format!("varint overrun in record {i}")))?;
-                let u = prev + unzigzag(raw);
-                if u < 0 || u >= self.num_vertices as i64 {
-                    return Err(corrupt(format!("neighbor {u} out of range in record {i}")));
-                }
-                col.push(u as VertexId);
-                prev = u;
-            }
-            if let Some(ws) = weights.as_mut() {
-                let need = deg * 4;
-                let wrec = rec
-                    .get(pos..pos + need)
-                    .ok_or_else(|| corrupt(format!("weight block overrun in record {i}")))?;
-                for c in wrec.chunks_exact(4) {
-                    ws.push(f32::from_le_bytes(c.try_into().expect("chunk of 4")));
-                }
-                pos += need;
-            }
-            if pos != rec.len() {
-                return Err(corrupt(format!("trailing bytes in record {i}")));
-            }
+            decode_record(rec, deg, self.num_vertices, &mut col, weights.as_mut(), self.weighted)
+                .map_err(|e| corrupt(format!("{e} in record {i}")))?;
             local_row_ptr.push(col.len());
         }
         Ok(DecodedPartition { start: m.start, end: m.end, local_row_ptr, col, weights })
@@ -902,37 +975,8 @@ impl DiskStore {
         let rec = payload
             .get(off..end)
             .ok_or_else(|| corrupt(format!("record {i} out of payload bounds")))?;
-        let mut pos = 0usize;
-        let mut prev: i64 = 0;
-        // Open checked `deg` against the record's size, so this is
-        // bounded by the segment; it makes the loop's pushes growth-free.
-        col.reserve(deg);
-        for _ in 0..deg {
-            let raw = read_varint(rec, &mut pos)
-                .ok_or_else(|| corrupt(format!("varint overrun in record {i}")))?;
-            let u = prev + unzigzag(raw);
-            if u < 0 || u >= self.num_vertices as i64 {
-                return Err(corrupt(format!("neighbor {u} out of range in record {i}")));
-            }
-            col.push(u as VertexId);
-            prev = u;
-        }
-        if self.weighted {
-            let need = deg * 4;
-            let wrec = rec
-                .get(pos..pos + need)
-                .ok_or_else(|| corrupt(format!("weight block overrun in record {i}")))?;
-            if let Some(ws) = weights {
-                ws.reserve(deg);
-                for c in wrec.chunks_exact(4) {
-                    ws.push(f32::from_le_bytes(c.try_into().expect("chunk of 4")));
-                }
-            }
-            pos += need;
-        }
-        if pos != rec.len() {
-            return Err(corrupt(format!("trailing bytes in record {i}")));
-        }
+        decode_record(rec, deg, self.num_vertices, col, weights, self.weighted)
+            .map_err(|e| corrupt(format!("{e} in record {i}")))?;
         let first = seg.payload_off + off;
         let span = if end > off {
             ((seg.payload_off + end - 1) / PAGE_BYTES - first / PAGE_BYTES + 1) as u64
@@ -1116,18 +1160,187 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The width byte of vertex `v`'s record, read off the mapping.
+    fn record_width(store: &DiskStore, v: VertexId) -> u8 {
+        let p = store.partition_of(v);
+        let seg = &store.segments[p];
+        let i = (v - store.metas[p].start) as usize;
+        let off = read_u64(seg.map.bytes(), seg.index_off + i * 8).unwrap() as usize;
+        seg.map.bytes()[seg.payload_off + off]
+    }
+
+    /// Rows whose largest zigzag delta needs exactly 1, 2 and 3 bytes,
+    /// unsorted rows (negative deltas) and zero-degree vertices, plain
+    /// and weighted.
     #[test]
-    fn varint_zigzag_round_trip() {
-        for v in [0i64, 1, -1, 63, -64, 300, -300, i32::MAX as i64, -(i32::MAX as i64)] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, zigzag(v));
-            let mut pos = 0;
-            assert_eq!(unzigzag(read_varint(&buf, &mut pos).unwrap()), v);
-            assert_eq!(pos, buf.len());
+    fn round_trips_every_test_reachable_width() {
+        let n = 70_000;
+        let rows: [&[VertexId]; 6] = [
+            &[3, 60],             // largest delta 57: zigzag 114, 1 byte
+            &[],                  // zero degree
+            &[10, 300],           // largest delta 290: zigzag 580, 2 bytes
+            &[69_999, 5, 40_000], // delta -69 994: zigzag 139 987, 3 bytes
+            &[9, 2, 1, 0],        // unsorted: negative deltas, 1 byte
+            &[],
+        ];
+        let mut row_ptr = vec![0];
+        let mut col = Vec::new();
+        for r in rows {
+            col.extend_from_slice(r);
+            row_ptr.push(col.len());
         }
-        // Overrun returns None, never panics.
-        let mut pos = 0;
-        assert!(read_varint(&[0x80, 0x80], &mut pos).is_none());
+        row_ptr.resize(n + 1, col.len());
+        let g = Csr::from_parts(row_ptr, col, None);
+        let weights = (0..g.num_edges()).map(|i| 0.5 + i as f32).collect();
+        for (g, name) in [(g.clone(), "widths"), (g.with_weights(weights), "wwidths")] {
+            let dir = tmp_dir(name);
+            write_store(&dir, &g, 2, 0).unwrap();
+            let store = DiskStore::open(&dir).unwrap();
+            assert_eq!(&store.load_csr().unwrap(), &g);
+            for v in 0..rows.len() as VertexId {
+                let (mut col, mut ws) = (Vec::new(), g.is_weighted().then(Vec::new));
+                store.decode_vertex(v, &mut col, ws.as_mut()).unwrap();
+                assert_eq!(
+                    (col.as_slice(), ws.as_deref()),
+                    (g.neighbors(v), g.neighbor_weights(v))
+                );
+            }
+            let widths: Vec<u8> = [0, 2, 3, 4].iter().map(|&v| record_width(&store, v)).collect();
+            assert_eq!(widths, [1, 2, 3, 1]);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn decode_record_reads_widths_four_and_five() {
+        // Hand-built: a zigzag delta of 2^31 (vertex 2^30) needs 4 bytes;
+        // one of 2^33 - 28 (vertex 2^32 - 14 from 0) needs 5.
+        let four = [4u8, 0, 0, 0, 0x80, 0x0b, 0, 0, 0];
+        let mut col = Vec::new();
+        decode_record(&four, 2, (1 << 30) + 1, &mut col, None, false).unwrap();
+        assert_eq!(col, [1 << 30, (1 << 30) - 6]);
+        let five = [5u8, 0xe4, 0xff, 0xff, 0xff, 0x01, 0xe1, 0xff, 0xff, 0xff, 0x01];
+        col.clear();
+        decode_record(&five, 2, 1 << 32, &mut col, None, false).unwrap();
+        assert_eq!(col, [u32::MAX - 13, 1]);
+        // The encoder picks the same widths.
+        for (ns, w) in [(&[1u32 << 30, (1 << 30) - 6][..], 4), (&[u32::MAX - 13, 1][..], 5)] {
+            let mut rec = Vec::new();
+            encode_record(&mut rec, ns, Some(&[1.5, 2.5]));
+            assert_eq!(usize::from(rec[0]), w);
+            let (mut col, mut ws) = (Vec::new(), Vec::new());
+            decode_record(&rec, 2, 1 << 32, &mut col, Some(&mut ws), true).unwrap();
+            assert_eq!((col.as_slice(), ws.as_slice()), (ns, &[1.5, 2.5][..]));
+        }
+    }
+
+    #[test]
+    fn decode_record_rejects_bad_widths_sizes_and_sums() {
+        let decode = |rec: &[u8], deg, n| decode_record(rec, deg, n, &mut Vec::new(), None, false);
+        assert_eq!(decode(&[1, 2, 2], 2, 8), Ok(()));
+        assert_eq!(decode(&[], 2, 8), Err("bad delta width"));
+        assert_eq!(decode(&[0, 2, 2], 2, 8), Err("bad delta width"));
+        assert_eq!(decode(&[6, 2, 2], 2, 8), Err("bad delta width"));
+        assert_eq!(decode(&[2, 2, 2], 2, 8), Err("delta width disagrees with the record size"));
+        assert_eq!(decode(&[1, 2, 2, 2], 2, 8), Err("delta width disagrees with the record size"));
+        assert_eq!(decode(&[1], 0, 8), Err("bytes in an empty record"));
+        // 1 then 1 + 4: past n = 5. A negative sum, -1, is out too.
+        assert_eq!(decode(&[1, 2, 8], 2, 5), Err("neighbor out of range"));
+        assert_eq!(decode(&[1, 1], 1, 5), Err("neighbor out of range"));
+        // Widest deltas that keep stepping down wrap, never overflow.
+        let mut rec = vec![5u8];
+        for _ in 0..64 {
+            rec.extend_from_slice(&[0xff; 5]);
+        }
+        assert_eq!(decode(&rec, 64, 8), Err("neighbor out of range"));
+    }
+
+    /// Writes `g`, applies `edit` to segment `p`'s bytes (given the
+    /// payload offset), then reseals the segment and `store.meta`
+    /// checksums, so only the format checks can catch the edit.
+    fn resealed_store(
+        g: &Csr,
+        name: &str,
+        p: usize,
+        edit: impl FnOnce(&mut [u8], usize),
+    ) -> PathBuf {
+        let dir = tmp_dir(name);
+        write_store(&dir, g, 2, 0).unwrap();
+        let payload_off = {
+            let store = DiskStore::open(&dir).unwrap();
+            store.segments[p].payload_off
+        };
+        let path = dir.join(segment_name(p));
+        let mut seg = fs::read(&path).unwrap();
+        let body = seg.len() - 8;
+        edit(&mut seg[..body], payload_off);
+        let sum = fnv1a(&seg[..body]);
+        seg[body..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &seg).unwrap();
+        let mut meta = fs::read(dir.join("store.meta")).unwrap();
+        let at = 48 + p * 40 + 32;
+        meta[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+        reseal_meta(&dir, &mut meta);
+        dir
+    }
+
+    fn reseal_meta(dir: &Path, meta: &mut [u8]) {
+        let body = meta.len() - 8;
+        let sum = fnv1a(&meta[..body]);
+        meta[body..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(dir.join("store.meta"), meta).unwrap();
+    }
+
+    #[test]
+    fn bad_record_bytes_are_typed_errors_on_both_decode_paths() {
+        // Vertex 0's record: width 1, deltas 1 and 1 (neighbors 1, 2).
+        let g = Csr::from_parts(vec![0, 2, 3, 4, 4], vec![1, 2, 0, 0], None);
+        let edits: [(&str, usize, u8); 4] = [
+            ("flipwidth", 0, 2), // 1 -> 2: the size says 1
+            ("width0", 0, 0),
+            ("width6", 0, 6),
+            ("sumout", 2, 0x0c), // delta +6 to neighbor 7, past n = 4
+        ];
+        for (name, at, byte) in edits {
+            let dir = resealed_store(&g, name, 0, |seg, payload| seg[payload + at] = byte);
+            let store = DiskStore::open(&dir).expect("sizes still agree");
+            assert!(matches!(store.decode_partition(0), Err(StoreError::Corrupt { .. })), "{name}");
+            let r = store.decode_vertex(0, &mut Vec::new(), None);
+            assert!(matches!(r, Err(StoreError::Corrupt { .. })), "{name}: {r:?}");
+            let mut col = Vec::new();
+            store.decode_vertex(1, &mut col, None).expect("other records still decode");
+            assert_eq!(col, [0]);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn record_size_that_fits_no_width_fails_open() {
+        // Vertex 0 has two neighbors and a 3-byte record: shift the
+        // offset index so it claims 4 bytes, which is no width.
+        let g = Csr::from_parts(vec![0, 2, 3, 4, 4], vec![1, 2, 0, 0], None);
+        let dir = resealed_store(&g, "nowidth", 0, |seg, _| {
+            seg[SEG_HEADER_BYTES + 8] += 1;
+        });
+        match DiskStore::open(&dir) {
+            Err(StoreError::Corrupt { detail, .. }) => assert!(detail.contains("record size")),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_store_is_bad_version() {
+        let dir = tmp_dir("v1");
+        write_store(&dir, &toy_graph(), 2, 0).unwrap();
+        let mut meta = fs::read(dir.join("store.meta")).unwrap();
+        meta[8..12].copy_from_slice(&1u32.to_le_bytes());
+        reseal_meta(&dir, &mut meta);
+        match DiskStore::open(&dir) {
+            Err(StoreError::BadVersion { found: 1 }) => {}
+            other => panic!("expected BadVersion, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,6 +8,35 @@ fn arb_edges() -> impl Strategy<Value = Vec<(u32, u32)>> {
 }
 
 proptest! {
+    /// The unweighted build (degree count, scatter, per-row sort) gives
+    /// the weighted build's rows (one stable global sort) on the same
+    /// edges: with self loops and duplicates, under every policy, and
+    /// with a vertex count inferred, given above the inferred one, or
+    /// given below it.
+    #[test]
+    fn unweighted_build_matches_weighted_build(
+        edges in prop::collection::vec((0u32..24, 0u32..24), 0..160),
+        symmetrize: bool,
+        dedup: bool,
+        drop_self_loops: bool,
+        n in prop::option::of(0usize..30),
+    ) {
+        let build = |weighted| {
+            let b = CsrBuilder::new();
+            let b = if let Some(n) = n { b.with_num_vertices(n) } else { b };
+            b.symmetrize(symmetrize)
+                .dedup(dedup)
+                .drop_self_loops(drop_self_loops)
+                .weighted(weighted)
+                .extend_edges(edges.iter().copied())
+                .build()
+        };
+        let (lean, sorted) = (build(false), build(true));
+        prop_assert_eq!(lean.row_ptr(), sorted.row_ptr());
+        prop_assert_eq!(lean.col(), sorted.col());
+        prop_assert!(lean.weights().is_none());
+    }
+
     /// Any edge list builds a structurally valid CSR.
     #[test]
     fn builder_always_produces_valid_csr(edges in arb_edges(), symmetrize: bool, dedup: bool) {

@@ -218,14 +218,23 @@ impl SamplingService {
             config,
             mutable: Mutex::new(MutableGraph::from_arc(Arc::clone(&graph))),
         });
+        // Return only once the worker has allocated. glibc hands a
+        // thread, at its first allocation, the arena most recently freed
+        // by an exited thread; taken before the caller can start other
+        // threads, that is the arena of the worker of a service stopped
+        // just before, so this worker's CTPS cache reuses the pages that
+        // one's faulted in. Left to a race, another thread could take
+        // them, and the process then holds two caches' worth of pages.
+        let (ready, started) = mpsc::channel();
         let worker = {
             let shared = Arc::clone(&shared);
             let graph = Arc::clone(&graph);
             thread::Builder::new()
                 .name("csaw-service".into())
-                .spawn(move || worker_loop(&shared, &graph, &*executor))
+                .spawn(move || worker_loop(&shared, &graph, &*executor, ready))
                 .expect("spawn service worker")
         };
+        let _ = started.recv();
         SamplingService { shared, graph, worker: Some(worker) }
     }
 
@@ -461,13 +470,21 @@ impl Drop for SamplingService {
     }
 }
 
-fn worker_loop(shared: &Shared, graph: &Csr, executor: &dyn BatchExecutor) {
+fn worker_loop(
+    shared: &Shared,
+    graph: &Csr,
+    executor: &dyn BatchExecutor,
+    ready: mpsc::Sender<()>,
+) {
     // One hot-vertex CTPS cache per algorithm identity, shared by every
     // batch the worker serves for that algorithm: coalesced same-graph
     // requests re-hit transition-probability tables built for earlier
     // batches. The map lives as long as the worker, so the cache's byte
-    // budget — not batch boundaries — bounds its footprint.
-    let mut caches: HashMap<AlgoIdentity, Arc<CtpsCache>> = HashMap::new();
+    // budget — not batch boundaries — bounds its footprint. Allocated
+    // before `ready`, so the worker has allocated by the time
+    // `SamplingService::new` returns.
+    let mut caches: HashMap<AlgoIdentity, Arc<CtpsCache>> = HashMap::with_capacity(1);
+    let _ = ready.send(());
     while let Some(batch) = collect_batch(shared) {
         process_batch(shared, graph, executor, batch, &mut caches);
     }
