@@ -40,7 +40,9 @@ fn bench_multigpu_oom_host(c: &mut Criterion) {
     group.sample_size(10);
     for (label, cfg) in [("parallel", OomConfig::full()), ("serial", OomConfig::full().serial())] {
         group.bench_function(label, |b| {
-            b.iter(|| black_box(MultiGpu::new(4).run_oom(&g, &algo, &seeds, cfg)))
+            b.iter(|| {
+                black_box(MultiGpu::new(4).run_oom(&g, &algo, &seeds, cfg, RunOptions::default()))
+            })
         });
     }
     group.finish();

@@ -29,7 +29,7 @@ use crate::residency::with_thread_disk_access;
 use crate::select::SelectConfig;
 use crate::step::{
     with_thread_scratch, CsrAccess, EmitSink, LayeredAccess, NeighborAccess, PoolSink, PoolSlot,
-    StepEntry, StepKernel, StepScratch, TrialCounter,
+    Residency, StepEntry, StepKernel, StepScratch, TrialCounter,
 };
 use csaw_gpu::device::LaunchResult;
 use csaw_gpu::stats::SimStats;
@@ -155,7 +155,10 @@ pub enum ExecMode {
     DepthSync,
 }
 
-/// Engine-level options shared by all instances of a run.
+/// Options shared by all instances of a run: the one description every
+/// runtime takes whole — [`Sampler`], the out-of-memory scheduler and its
+/// multi-GPU split, the unified-memory comparator and the service's
+/// executors. No runtime re-declares a field of it.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Global RNG seed; instance `i` draws from streams keyed by
@@ -171,7 +174,9 @@ pub struct RunOptions {
     /// Optional hot-vertex CTPS cache shared by every instance of the run
     /// (see [`crate::ctps_cache`]). Consulted only for static non-uniform
     /// edge biases; sampled output is bit-identical with or without it.
-    /// `None` (the default) disables cross-instance CTPS reuse.
+    /// `None` (the default) disables cross-instance CTPS reuse. The
+    /// out-of-memory scheduler uses only this cache's byte budget, split
+    /// evenly into one private shard per stream.
     pub ctps_cache: Option<std::sync::Arc<crate::ctps_cache::CtpsCache>>,
     /// Sampling-method policy (see [`crate::method`]) — the one way to
     /// request rejection sampling. The default,
@@ -214,7 +219,9 @@ pub struct RunOptions {
     /// Instances per depth-synchronous chunk (the unit of host
     /// parallelism). `None` (the default) auto-sizes to roughly four
     /// chunks per available worker thread. Ignored under instance-major
-    /// execution; any value yields bit-identical output.
+    /// execution; any value yields bit-identical output. The
+    /// out-of-memory scheduler ignores it too: its drain batch is a
+    /// partition's queue.
     pub batch_chunk: Option<usize>,
 }
 
@@ -258,26 +265,6 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
     /// Overrides the simulated device.
     pub fn with_device(mut self, device: Device) -> Self {
         self.device = device;
-        self
-    }
-
-    /// Binds an epoch snapshot: all instances of this run sample the
-    /// snapshot's logical graph (base + delta overlay) instead of the
-    /// bare CSR. The snapshot's base must be the graph this sampler was
-    /// constructed over for the run to be meaningful.
-    pub fn with_snapshot(mut self, snapshot: GraphSnapshot) -> Self {
-        self.opts.snapshot = Some(snapshot);
-        self
-    }
-
-    /// Binds a disk tier: all instances gather through the store's
-    /// mmap-backed segments with on-demand decode into per-thread pools
-    /// (see [`crate::residency`]). The store must hold the same logical
-    /// graph as the CSR this sampler was constructed over for the
-    /// bit-identity guarantee to be meaningful; under
-    /// [`Sampler::with_snapshot`] that is the snapshot's base.
-    pub fn with_disk(mut self, disk: crate::residency::DiskRunConfig) -> Self {
-        self.opts.disk = Some(disk);
         self
     }
 
@@ -418,32 +405,43 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
     }
 }
 
-/// The kernel a run's options describe.
-fn kernel_for<'a>(algo: &'a dyn Algorithm, opts: &'a RunOptions) -> StepKernel<'a> {
+/// The kernel a run's options describe: seed, SELECT, CTPS cache and
+/// method policy. Every runtime builds its [`StepKernel`] here; the
+/// out-of-memory scheduler then swaps in its per-stream cache shard.
+pub fn kernel_for<'a>(algo: &'a dyn Algorithm, opts: &'a RunOptions) -> StepKernel<'a> {
     StepKernel::new(algo, opts.seed)
         .with_select(opts.select)
         .with_ctps_cache(opts.ctps_cache.as_deref())
         .with_method_policy(opts.method_policy)
 }
 
-/// One launch task's body, generic over the storage its access reads, so
-/// the engine's two drivers share [`run_task`]'s one dispatch.
-trait Task {
+/// One task's body, generic over the storage its access reads, so every
+/// runtime shares [`run_task`]'s one storage dispatch. `Residency` is the
+/// runtime's memory model stamped into the access (`()` for the engine).
+pub trait Task {
+    /// The residency model the access carries.
+    type Residency: Residency;
+    /// What the task returns.
     type Out;
-    fn run<S: NeighborAccess>(self, access: &mut LayeredAccess<'_, S>) -> Self::Out;
+    /// Runs the task over the access [`run_task`] built.
+    fn run<S: NeighborAccess>(
+        self,
+        access: &mut LayeredAccess<'_, S, Self::Residency>,
+    ) -> Self::Out;
     /// Where the disk work the task caused on its worker thread (decodes,
     /// hits, evictions) is charged; the warm pool itself persists.
     fn ledger(out: &mut Self::Out) -> Option<&mut SimStats>;
 }
 
 /// Runs `task` over the storage `opts` picks (the CSR or this thread's
-/// warm disk pool) under the snapshot's overlay, if any.
-fn run_task<T: Task>(g: &Csr, opts: &RunOptions, task: T) -> T::Out {
+/// warm disk pool) under the snapshot's overlay, if any, faulted in by
+/// `residency`. The one place a runtime chooses its storage.
+pub fn run_task<T: Task>(g: &Csr, opts: &RunOptions, residency: T::Residency, task: T) -> T::Out {
     let snapshot = opts.snapshot.as_ref();
     match opts.disk.as_ref() {
-        None => task.run(&mut LayeredAccess::new(&mut CsrAccess { graph: g }, snapshot, ())),
+        None => task.run(&mut LayeredAccess::new(&mut CsrAccess { graph: g }, snapshot, residency)),
         Some(disk) => with_thread_disk_access(disk, |storage| {
-            let mut out = task.run(&mut LayeredAccess::new(&mut *storage, snapshot, ()));
+            let mut out = task.run(&mut LayeredAccess::new(&mut *storage, snapshot, residency));
             if let Some(stats) = T::ledger(&mut out) {
                 storage.flush_stats(stats);
             }
@@ -464,7 +462,7 @@ fn run_instance(
     instance: u32,
     seeds: &[VertexId],
 ) -> (Vec<(VertexId, VertexId)>, SimStats) {
-    run_task(g, opts, Instance { algo, opts, instance, seeds })
+    run_task(g, opts, (), Instance { algo, opts, instance, seeds })
 }
 
 /// [`run_instance`]'s task; its disk work is charged to its own counters.
@@ -476,6 +474,7 @@ struct Instance<'a> {
 }
 
 impl Task for Instance<'_> {
+    type Residency = ();
     type Out = (Vec<(VertexId, VertexId)>, SimStats);
     fn run<S: NeighborAccess>(self, access: &mut LayeredAccess<'_, S>) -> Self::Out {
         drive_instance(access, self.algo, self.opts, self.instance, self.seeds)
@@ -636,7 +635,7 @@ fn run_chunk_task(
     base: usize,
     sets: &[Vec<VertexId>],
 ) -> (Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>) {
-    run_task(g, opts, Chunk { algo, opts, base, sets })
+    run_task(g, opts, (), Chunk { algo, opts, base, sets })
 }
 
 /// [`run_chunk_task`]'s task; the chunk's disk work is charged to its
@@ -650,6 +649,7 @@ struct Chunk<'a> {
 }
 
 impl Task for Chunk<'_> {
+    type Residency = ();
     type Out = (Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>);
     fn run<S: NeighborAccess>(self, access: &mut LayeredAccess<'_, S>) -> Self::Out {
         drive_chunk(access, self.algo, self.opts, self.base, self.sets)

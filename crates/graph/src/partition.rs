@@ -10,9 +10,12 @@
 use crate::csr::Csr;
 use crate::types::VertexId;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
-/// One partition: the vertex range `[start, end)` plus CSR slices for the
-/// neighbor lists of those vertices.
+/// One partition: the vertex range `[start, end)` and the range of CSR
+/// entries holding those vertices' neighbor lists. A partition is a view
+/// of the graph's own arrays, never a copy: the runtimes read adjacency
+/// through their storage and bill a partition by [`Partition::size_bytes`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Partition {
     /// Partition index.
@@ -21,12 +24,10 @@ pub struct Partition {
     pub start: VertexId,
     /// One past the last vertex.
     pub end: VertexId,
-    /// Local row pointer, rebased so `local_row_ptr[0] == 0`.
-    pub local_row_ptr: Vec<usize>,
-    /// Column entries for the partition's vertices (global vertex ids).
-    pub col: Vec<VertexId>,
-    /// Weights for those entries, if the graph is weighted.
-    pub weights: Option<Vec<f32>>,
+    /// CSR entries of the owned vertices: `row_ptr[start]..row_ptr[end]`.
+    pub edges: Range<usize>,
+    /// Whether the graph carries edge weights.
+    pub weighted: bool,
 }
 
 impl Partition {
@@ -37,7 +38,7 @@ impl Partition {
 
     /// Number of CSR entries held.
     pub fn num_edges(&self) -> usize {
-        self.col.len()
+        self.edges.len()
     }
 
     /// Whether global vertex `v` belongs to this partition.
@@ -46,36 +47,13 @@ impl Partition {
         v >= self.start && v < self.end
     }
 
-    /// Neighbor list of global vertex `v` (must be owned).
-    #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        debug_assert!(self.owns(v));
-        let i = (v - self.start) as usize;
-        &self.col[self.local_row_ptr[i]..self.local_row_ptr[i + 1]]
-    }
-
-    /// Weights of `v`'s edges, if weighted.
-    #[inline]
-    pub fn neighbor_weights(&self, v: VertexId) -> Option<&[f32]> {
-        let w = self.weights.as_ref()?;
-        let i = (v - self.start) as usize;
-        Some(&w[self.local_row_ptr[i]..self.local_row_ptr[i + 1]])
-    }
-
-    /// Degree of global vertex `v` (must be owned).
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        debug_assert!(self.owns(v));
-        let i = (v - self.start) as usize;
-        self.local_row_ptr[i + 1] - self.local_row_ptr[i]
-    }
-
-    /// Bytes this partition occupies when resident on the device —
-    /// the unit the transfer engine bills.
+    /// Bytes this partition occupies when resident on the device — a
+    /// rebased row pointer, its column entries and their weights, if any.
+    /// The unit the transfer engine bills.
     pub fn size_bytes(&self) -> usize {
-        self.local_row_ptr.len() * std::mem::size_of::<usize>()
-            + self.col.len() * std::mem::size_of::<VertexId>()
-            + self.weights.as_ref().map_or(0, |w| w.len() * 4)
+        let weight_bytes = if self.weighted { std::mem::size_of::<f32>() } else { 0 };
+        (self.num_vertices() + 1) * std::mem::size_of::<usize>()
+            + self.num_edges() * (std::mem::size_of::<VertexId>() + weight_bytes)
     }
 }
 
@@ -132,15 +110,9 @@ impl PartitionSet {
         let k = boundaries.len() - 1;
         let mut parts = Vec::with_capacity(k);
         for id in 0..k {
-            let start = boundaries[id];
-            let end = boundaries[id + 1];
-            let e_start = g.row_ptr()[start as usize];
-            let e_end = g.row_ptr()[end as usize];
-            let local_row_ptr: Vec<usize> =
-                g.row_ptr()[start as usize..=end as usize].iter().map(|&p| p - e_start).collect();
-            let col = g.col()[e_start..e_end].to_vec();
-            let weights = g.weights().map(|w| w[e_start..e_end].to_vec());
-            parts.push(Partition { id, start, end, local_row_ptr, col, weights });
+            let (start, end) = (boundaries[id], boundaries[id + 1]);
+            let edges = g.row_ptr()[start as usize]..g.row_ptr()[end as usize];
+            parts.push(Partition { id, start, end, edges, weighted: g.is_weighted() });
         }
         PartitionSet { parts, boundaries, uniform }
     }
@@ -199,16 +171,19 @@ mod tests {
         assert!(seen.iter().all(|&c| c == 1));
     }
 
+    /// Each partition's edge range is exactly its vertices' CSR entries.
+    fn assert_edge_ranges(g: &Csr, ps: &PartitionSet) {
+        for p in ps.parts() {
+            let rp = g.row_ptr();
+            assert_eq!(p.edges, rp[p.start as usize]..rp[p.end as usize], "partition {}", p.id);
+            assert_eq!(p.weighted, g.is_weighted());
+        }
+    }
+
     #[test]
     fn preserves_neighbor_lists() {
         let g = toy_graph();
-        let ps = PartitionSet::equal_ranges(&g, 3);
-        for p in ps.parts() {
-            for v in p.start..p.end {
-                assert_eq!(p.neighbors(v), g.neighbors(v));
-                assert_eq!(p.degree(v), g.degree(v));
-            }
-        }
+        assert_edge_ranges(&g, &PartitionSet::equal_ranges(&g, 3));
     }
 
     #[test]
@@ -246,11 +221,11 @@ mod tests {
     fn weighted_partitions_carry_weights() {
         let g = toy_graph().with_unit_weights();
         let ps = PartitionSet::equal_ranges(&g, 3);
-        for p in ps.parts() {
-            for v in p.start..p.end {
-                let w = p.neighbor_weights(v).unwrap();
-                assert_eq!(w.len(), p.degree(v));
-            }
+        assert_edge_ranges(&g, &ps);
+        // Weights add four bytes an entry to the billed size.
+        let unweighted = PartitionSet::equal_ranges(&toy_graph(), 3);
+        for (w, u) in ps.parts().iter().zip(unweighted.parts()) {
+            assert_eq!(w.size_bytes(), u.size_bytes() + 4 * u.num_edges());
         }
     }
 
@@ -278,11 +253,7 @@ mod tests {
         let total_e: usize = ps.parts().iter().map(|p| p.num_edges()).sum();
         assert_eq!(total_v, g.num_vertices());
         assert_eq!(total_e, g.num_edges());
-        for p in ps.parts() {
-            for v in p.start..p.end {
-                assert_eq!(p.neighbors(v), g.neighbors(v));
-            }
-        }
+        assert_edge_ranges(&g, &ps);
         for v in 0..g.num_vertices() as u32 {
             assert!(ps.get(ps.partition_of(v)).owns(v));
         }

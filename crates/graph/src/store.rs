@@ -32,9 +32,9 @@
 //! trailing checksum is verified once, before its first decode. Any
 //! truncated or byte-flipped file surfaces as a [`StoreError`].
 //!
-//! Decoded partitions come back in exactly the shape of
-//! [`crate::partition::Partition`] — rebased local row pointer, global
-//! column ids, optional weights — and decoding is bit-exact: a store
+//! A decoded partition holds the adjacency a
+//! [`crate::partition::Partition`] describes — rebased local row pointer,
+//! global column ids, optional weights — and decoding is bit-exact: a store
 //! round-trip reproduces the source CSR slices verbatim, which is what
 //! keeps disk-backed sampling output identical to the in-memory run.
 
@@ -460,9 +460,9 @@ impl PartitionMeta {
     }
 }
 
-/// A partition decoded out of its segment — the exact shape of
-/// [`crate::partition::Partition`], reproduced bit-for-bit from the
-/// source CSR.
+/// A partition decoded out of its segment: the CSR slices a
+/// [`crate::partition::Partition`] describes, reproduced bit-for-bit from
+/// the source CSR.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedPartition {
     /// First vertex (inclusive).

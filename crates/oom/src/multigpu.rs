@@ -88,6 +88,17 @@ impl MultiGpu {
         MultiGpu { num_gpus, device: DeviceConfig::v100() }
     }
 
+    /// Splits `items` into `num_gpus` equal contiguous groups, each with
+    /// its global starting instance index so RNG streams stay keyed by
+    /// global instance: a split run draws exactly what the single-device
+    /// run draws. The caller's own `base` offsets every group, so a
+    /// multi-GPU launch that is itself a segment of a larger coalesced
+    /// batch still draws the segment's streams.
+    fn groups<'s, T>(&self, items: &'s [T], base: u32) -> Vec<(u32, &'s [T])> {
+        let per = items.len().div_ceil(self.num_gpus).max(1);
+        items.chunks(per).enumerate().map(|(j, chunk)| (base + (j * per) as u32, chunk)).collect()
+    }
+
     /// Splits `seed_sets` into `num_gpus` equal contiguous groups and runs
     /// each on its own device.
     pub fn run<A: Algorithm>(
@@ -97,18 +108,7 @@ impl MultiGpu {
         seed_sets: &[Vec<VertexId>],
         opts: RunOptions,
     ) -> MultiGpuOutput {
-        let per = seed_sets.len().div_ceil(self.num_gpus).max(1);
-        // Each chunk carries its global starting instance index so RNG
-        // streams stay keyed by global instance: a split run draws exactly
-        // what the single-device run draws. The caller's own
-        // `instance_base` offsets every group, so a multi-GPU launch that
-        // is itself a segment of a larger coalesced batch still draws the
-        // segment's streams.
-        let chunks: Vec<(u32, &[Vec<VertexId>])> = seed_sets
-            .chunks(per)
-            .enumerate()
-            .map(|(j, chunk)| (opts.instance_base + (j * per) as u32, chunk))
-            .collect();
+        let chunks = self.groups(seed_sets, opts.instance_base);
         // One host task per simulated GPU: the groups are disjoint and the
         // devices never communicate, so each chunk runs independently and
         // the per-group results are collected in group order.
@@ -166,21 +166,21 @@ impl MultiGpu {
     /// runtime): "each GPU will perform the same tasks as shown in
     /// Fig. 8" over its own disjoint instance group, with its own
     /// partition transfers — there is no inter-GPU communication, so
-    /// end-to-end time is the slowest device's.
+    /// end-to-end time is the slowest device's. Groups are offset by
+    /// `opts.instance_base` exactly as in [`MultiGpu::run`].
     pub fn run_oom<A: Algorithm>(
         &self,
         graph: &Csr,
         algo: &A,
         seeds: &[VertexId],
         cfg: crate::OomConfig,
+        opts: RunOptions,
     ) -> MultiGpuOomOutput {
-        let per = seeds.len().div_ceil(self.num_gpus).max(1);
-        let chunks: Vec<(u32, &[VertexId])> =
-            seeds.chunks(per).enumerate().map(|(j, chunk)| ((j * per) as u32, chunk)).collect();
+        let chunks = self.groups(seeds, opts.instance_base);
         let run_chunk = |(base, chunk): (u32, &[VertexId])| {
             let out = crate::OomRunner::new(graph, algo, cfg)
                 .with_device(self.device)
-                .with_instance_base(base)
+                .with_options(RunOptions { instance_base: base, ..opts.clone() })
                 .run(chunk);
             (out.sim_seconds, out.transfers, out.instances, out.rounds)
         };
@@ -350,8 +350,9 @@ mod tests {
         let g = rmat(10, 6, RmatParams::GRAPH500, 6);
         let algo = csaw_core::algorithms::UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 };
         let s = seeds(96, 1024);
-        let one = MultiGpu::new(1).run_oom(&g, &algo, &s, OomConfig::full());
-        let four = MultiGpu::new(4).run_oom(&g, &algo, &s, OomConfig::full());
+        let one = MultiGpu::new(1).run_oom(&g, &algo, &s, OomConfig::full(), RunOptions::default());
+        let four =
+            MultiGpu::new(4).run_oom(&g, &algo, &s, OomConfig::full(), RunOptions::default());
         // Global instance keying again: the 4-way out-of-memory split
         // samples exactly the single-device edges per instance (each
         // instance's edge set is canonical-sorted because rounds may

@@ -10,7 +10,7 @@
 //! the same driver the in-memory engine uses — against a partitioned,
 //! demand-resident graph: each gather pulls the owning partition onto the
 //! device (FIFO eviction under the configured residency budget) before
-//! the shared [`StepKernel`] consumes the adjacency.
+//! the shared [`csaw_core::step::StepKernel`] consumes the adjacency.
 //!
 //! Because the kernel and its RNG keys are byte-for-byte the ones the
 //! in-memory engine drives, a pooled out-of-memory run samples **exactly**
@@ -20,11 +20,8 @@
 use crate::config::OomConfig;
 use crate::scheduler::{OomOutput, OomRunner, KERNEL_LAUNCH_OVERHEAD};
 use csaw_core::api::{Algorithm, FrontierMode};
-use csaw_core::engine::{drive_pool, PoolBufs};
-use csaw_core::residency::with_thread_disk_access;
-use csaw_core::step::{
-    CsrAccess, LayeredAccess, NeighborAccess, Residency, StepKernel, StepScratch,
-};
+use csaw_core::engine::{drive_pool, kernel_for, run_task, PoolBufs, Task};
+use csaw_core::step::{LayeredAccess, NeighborAccess, Residency, StepScratch};
 use csaw_gpu::cost::gpu_kernel_seconds;
 use csaw_gpu::memory::DeviceMemory;
 use csaw_gpu::stats::SimStats;
@@ -76,80 +73,85 @@ impl Residency for DeviceFaults<'_> {
 }
 
 /// Runs pool-frontier instances out-of-memory: the engine's per-instance
-/// depth loop over [`StepKernel`], gathering through a [`LayeredAccess`]
-/// that faults partitions in ([`DeviceFaults`]) over the CSR or the disk
-/// tier, under the runner's snapshot overlay if any. Instances run in
-/// order on one stream (a pool step is a single warp's sequential
-/// SELECT, so there is no intra-step parallelism to model).
+/// depth loop over [`csaw_core::step::StepKernel`], gathering through a
+/// [`LayeredAccess`] that faults partitions in ([`DeviceFaults`]) over the
+/// storage and overlay the runner's options pick. Instances run in order
+/// on one stream (a pool step is a single warp's sequential SELECT, so
+/// there is no intra-step parallelism to model).
 pub(crate) fn run_pooled<A: Algorithm>(
     runner: &OomRunner<'_, A>,
     parts: &PartitionSet,
     seed_sets: &[Vec<VertexId>],
 ) -> OomOutput {
-    match runner.disk.as_ref() {
-        Some(cfg) => with_thread_disk_access(cfg, |storage| {
-            let mut out = run_pooled_on(runner, parts, seed_sets, storage);
-            storage.flush_stats(&mut out.stats);
-            out
-        }),
-        None => run_pooled_on(runner, parts, seed_sets, &mut CsrAccess { graph: runner.graph }),
-    }
+    let faults = DeviceFaults::new(parts, &runner.cfg, runner.device.pcie_gbps);
+    run_task(runner.graph, &runner.opts, faults, Pooled { runner, seed_sets })
 }
 
-fn run_pooled_on<A: Algorithm, S: NeighborAccess>(
-    runner: &OomRunner<'_, A>,
-    parts: &PartitionSet,
-    seed_sets: &[Vec<VertexId>],
-    storage: &mut S,
-) -> OomOutput {
-    let algo = runner.algo;
-    let cfg = algo.config();
-    debug_assert_ne!(cfg.frontier, FrontierMode::IndependentPerVertex);
-    let kernel = StepKernel::new(algo, runner.seed).with_select(runner.select);
-    let faults = DeviceFaults::new(parts, &runner.cfg, runner.device.pcie_gbps);
-    let mut access = LayeredAccess::new(storage, runner.snapshot.as_ref(), faults);
-    let mut outputs: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); seed_sets.len()];
-    let mut stats = SimStats::new();
-    let mut rounds = 0u64;
-    // Instances run serially on one stream: one warm arena (and one
-    // frontier double-buffer) serves the whole run allocation-free.
-    let mut scratch = StepScratch::new();
-    let mut bufs = PoolBufs::default();
-    for (i, seeds) in seed_sets.iter().enumerate() {
-        let instance = runner.instance_base + i as u32;
-        let out = &mut outputs[i];
-        // A pool step is one kernel step, so the count is the depth the
-        // instance reached.
-        let steps = drive_pool(
-            &kernel,
-            &mut access,
-            instance,
-            seeds,
-            &mut bufs,
-            out,
-            &mut scratch,
-            &mut stats,
-        );
-        rounds = rounds.max(steps);
+/// [`run_pooled`]'s body as a [`Task`]; the run's disk work is charged to
+/// its counters.
+struct Pooled<'r, 'g, A: Algorithm> {
+    runner: &'r OomRunner<'g, A>,
+    seed_sets: &'r [Vec<VertexId>],
+}
+
+impl<'r, A: Algorithm> Task for Pooled<'r, '_, A> {
+    type Residency = DeviceFaults<'r>;
+    type Out = OomOutput;
+
+    fn run<S: NeighborAccess>(
+        self,
+        access: &mut LayeredAccess<'_, S, DeviceFaults<'r>>,
+    ) -> OomOutput {
+        let Pooled { runner, seed_sets } = self;
+        debug_assert_ne!(runner.algo.config().frontier, FrontierMode::IndependentPerVertex);
+        let kernel = kernel_for(runner.algo, &runner.opts);
+        let mut outputs: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); seed_sets.len()];
+        let mut stats = SimStats::new();
+        let mut rounds = 0u64;
+        // Instances run serially on one stream: one warm arena (and one
+        // frontier double-buffer) serves the whole run allocation-free.
+        let mut scratch = StepScratch::new();
+        let mut bufs = PoolBufs::default();
+        for (i, seeds) in seed_sets.iter().enumerate() {
+            let instance = runner.opts.instance_base + i as u32;
+            let out = &mut outputs[i];
+            // A pool step is one kernel step, so the count is the depth
+            // the instance reached.
+            let steps = drive_pool(
+                &kernel,
+                access,
+                instance,
+                seeds,
+                &mut bufs,
+                out,
+                &mut scratch,
+                &mut stats,
+            );
+            rounds = rounds.max(steps);
+        }
+
+        stats.sampled_edges = outputs.iter().map(|o| o.len() as u64).sum();
+        // One logical kernel per pool step amortized over the run; the
+        // transfer timeline is serial on stream 0 (gathers are dependent,
+        // so copies cannot overlap sampling).
+        let kernel_secs = gpu_kernel_seconds(&stats, &runner.device) + KERNEL_LAUNCH_OVERHEAD;
+        let engine = &mut access.residency.engine;
+        let transfer_secs = engine.sync_all();
+        OomOutput {
+            instances: outputs,
+            stats,
+            transfers: engine.transfers,
+            bytes_transferred: engine.bytes_transferred,
+            sim_seconds: transfer_secs + kernel_secs,
+            kernel_busy: vec![kernel_secs],
+            round_kernel_times: Vec::new(),
+            rounds: rounds as usize,
+            events: Vec::new(),
+        }
     }
 
-    stats.sampled_edges = outputs.iter().map(|o| o.len() as u64).sum();
-    // One logical kernel per pool step amortized over the run; the
-    // transfer timeline is serial on stream 0 (gathers are dependent, so
-    // copies cannot overlap sampling).
-    let kernel_secs = gpu_kernel_seconds(&stats, &runner.device) + KERNEL_LAUNCH_OVERHEAD;
-    let engine = &mut access.residency.engine;
-    let transfer_secs = engine.sync_all();
-    OomOutput {
-        instances: outputs,
-        stats,
-        transfers: engine.transfers,
-        bytes_transferred: engine.bytes_transferred,
-        sim_seconds: transfer_secs + kernel_secs,
-        kernel_busy: vec![kernel_secs],
-        round_kernel_times: Vec::new(),
-        rounds: rounds as usize,
-        events: Vec::new(),
+    fn ledger(out: &mut OomOutput) -> Option<&mut SimStats> {
+        Some(&mut out.stats)
     }
 }
 
@@ -229,6 +231,7 @@ mod tests {
     /// whose overlay vertices (hubs among them) serve without a fault.
     #[test]
     fn transfer_counters_are_pinned() {
+        use csaw_core::engine::RunOptions;
         use csaw_graph::{EdgeEdit, MutableGraph};
         let g = rmat(10, 6, RmatParams::GRAPH500, 24);
         let layer = LayerSampling { layer_size: 6, depth: 4 };
@@ -257,7 +260,7 @@ mod tests {
         mg.apply_batch(&edits).unwrap();
         let out = OomRunner::new(&g, &mdrw, OomConfig::full())
             .with_device(tiny_device())
-            .with_snapshot(mg.snapshot())
+            .with_options(RunOptions { snapshot: Some(mg.snapshot()), ..Default::default() })
             .run_pools(&pools);
         assert_eq!((out.transfers, out.bytes_transferred), (71, 822248));
     }

@@ -46,13 +46,10 @@ use csaw_core::api::{AlgoConfig, Algorithm, FrontierMode};
 use csaw_core::batch::{expand_frontier, with_thread_arena, FrontierItem};
 use csaw_core::collision::{charge_visited_check, DetectorKind};
 use csaw_core::ctps_cache::CtpsCache;
-use csaw_core::engine::ExecMode;
+use csaw_core::engine::{kernel_for, run_task, ExecMode, RunOptions, Task};
 use csaw_core::frontier::{FrontierEntry, FrontierQueue};
-use csaw_core::residency::with_thread_disk_access;
-use csaw_core::select::SelectConfig;
 use csaw_core::step::{
-    with_thread_scratch, CsrAccess, FrontierSink, LayeredAccess, NeighborAccess, StepEntry,
-    StepKernel,
+    with_thread_scratch, FrontierSink, LayeredAccess, NeighborAccess, StepEntry, StepKernel,
 };
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds_with_slots;
@@ -60,7 +57,7 @@ use csaw_gpu::device::Device;
 use csaw_gpu::memory::DeviceMemory;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::transfer::TransferEngine;
-use csaw_graph::{Csr, GraphSnapshot, Partition, PartitionSet, VertexId};
+use csaw_graph::{Csr, Partition, PartitionSet, VertexId};
 use std::collections::{HashMap, HashSet};
 
 /// Fixed cost of launching one kernel (driver + scheduling), seconds.
@@ -229,19 +226,8 @@ pub struct OomRunner<'g, A: Algorithm> {
     pub(crate) algo: &'g A,
     pub(crate) cfg: OomConfig,
     pub(crate) device: DeviceConfig,
-    pub(crate) select: SelectConfig,
-    pub(crate) seed: u64,
-    pub(crate) instance_base: u32,
-    pub(crate) ctps_cache_budget: usize,
-    pub(crate) snapshot: Option<GraphSnapshot>,
-    pub(crate) disk: Option<csaw_core::residency::DiskRunConfig>,
-    pub(crate) exec: ExecMode,
+    pub(crate) opts: RunOptions,
 }
-
-/// Look-ahead distance (in vertex-groups) for the depth-synchronous
-/// stream drain; the value matches the engine's
-/// [`csaw_core::engine::RunOptions`] default.
-const OOM_PREFETCH_DISTANCE: usize = 8;
 
 impl<'g, A: Algorithm> OomRunner<'g, A> {
     /// A runner with the paper's experiment frame on a device whose memory
@@ -251,94 +237,30 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
     /// (layer sampling, MDRW) through the [`crate::pooled`] path.
     pub fn new(graph: &'g Csr, algo: &'g A, cfg: OomConfig) -> Self {
         cfg.validate().expect("invalid OOM config");
-        OomRunner {
-            graph,
-            algo,
-            cfg,
-            device: DeviceConfig::v100(),
-            select: SelectConfig::paper_best(),
-            seed: 0x5eed,
-            instance_base: 0,
-            ctps_cache_budget: 0,
-            snapshot: None,
-            disk: None,
-            exec: ExecMode::InstanceMajor,
-        }
+        OomRunner { graph, algo, cfg, device: DeviceConfig::v100(), opts: RunOptions::default() }
     }
 
-    /// Execution order of each stream's queue drain
-    /// ([`csaw_core::engine::ExecMode`]): `DepthSync` sorts every drained
-    /// batch by current vertex so co-located entries share one gather +
-    /// CTPS build and Philox blocks generate in one batched pass, then
-    /// replays sink effects in drained order — sampled output and merged
-    /// stats totals are bit-identical to the default entry-order drain.
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
+    /// Overrides the run options — the same [`RunOptions`] the in-memory
+    /// engine takes, with the same meaning and bit-identical output:
+    /// `instance_base` offsets instance ids (multi-GPU groups set it per
+    /// chunk); `snapshot` and `disk` layer a (device-resident) overlay
+    /// and a disk tier under the device-side partition machinery, which
+    /// runs unchanged (the snapshot's base and the store hold the graph
+    /// this runner was constructed over); `exec: DepthSync` expands each
+    /// drained batch vertex-grouped and replays its sink effects in
+    /// drained order. The queue scheduler takes only `ctps_cache`'s byte
+    /// budget, split into one shard per stream: each stream's kernels
+    /// reuse their own shard, and a partition swap bumps the residency
+    /// epoch that lazily drops stale entries. `batch_chunk` is ignored:
+    /// a drain batch is a partition's queue.
+    pub fn with_options(mut self, opts: RunOptions) -> Self {
+        self.opts = opts;
         self
     }
 
     /// Overrides the device model.
     pub fn with_device(mut self, device: DeviceConfig) -> Self {
         self.device = device;
-        self
-    }
-
-    /// Overrides the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Overrides the SELECT configuration.
-    pub fn with_select(mut self, select: SelectConfig) -> Self {
-        self.select = select;
-        self
-    }
-
-    /// Offsets local instance indices to form globally unique instance
-    /// ids (multi-GPU groups set this per chunk, making a split run
-    /// sample exactly what a single-device run would).
-    pub fn with_instance_base(mut self, base: u32) -> Self {
-        self.instance_base = base;
-        self
-    }
-
-    /// Enables the hot-vertex CTPS cache with `budget` device bytes,
-    /// split into per-stream shards (each CUDA stream's kernels reuse
-    /// their own shard; a partition swap bumps the residency epoch and
-    /// lazily drops stale entries). `0` (the default) disables caching.
-    /// Sampled output is bit-identical with or without the cache.
-    pub fn with_ctps_cache_budget(mut self, budget: usize) -> Self {
-        self.ctps_cache_budget = budget;
-        self
-    }
-
-    /// Binds an epoch snapshot of a `csaw_graph::MutableGraph`: every
-    /// gather resolves mutated vertices through the snapshot's delta
-    /// overlay (assumed device-resident — deltas are small relative to
-    /// partitions) while untouched vertices read the base graph, from the
-    /// CSR or from the disk tier ([`OomRunner::with_disk`]). The
-    /// snapshot's base must be the graph this runner was constructed
-    /// over. Cache tags compose the residency epochs with the per-vertex
-    /// mutation version, so a partition swap still retires the generation
-    /// and a mutation still invalidates exactly the touched vertices.
-    pub fn with_snapshot(mut self, snapshot: GraphSnapshot) -> Self {
-        self.snapshot = Some(snapshot);
-        self
-    }
-
-    /// Binds a disk tier below the simulated device: every gather reads
-    /// through the store's mmap-backed segments with on-demand decode
-    /// into per-worker pools (see [`csaw_core::residency`]), while the
-    /// device-side partition machinery — residency, transfers, epochs —
-    /// runs unchanged. Cache tags compose the stream's device-residency
-    /// epoch with the disk pool's per-run epoch, so a CTPS entry dies
-    /// when either backing tier recycled its memory. The store must hold
-    /// the same logical graph as the CSR this runner was constructed over
-    /// (a snapshot's base, under [`OomRunner::with_snapshot`]); output
-    /// stays bit-identical at every pool budget.
-    pub fn with_disk(mut self, disk: csaw_core::residency::DiskRunConfig) -> Self {
-        self.disk = Some(disk);
         self
     }
 
@@ -358,7 +280,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             let sets: Vec<Vec<VertexId>> = seeds.iter().map(|&s| vec![s]).collect();
             return crate::pooled::run_pooled(self, &parts, &sets);
         }
-        self.run_group(&parts, seeds, self.instance_base, &mut 0.0)
+        self.run_group(&parts, seeds)
     }
 
     /// Runs one instance per seed *set* — the shape pool-frontier
@@ -376,16 +298,10 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
         crate::pooled::run_pooled(self, &parts, seed_sets)
     }
 
-    /// Runs a group of instances through the scheduling loop starting at
-    /// simulated time `*clock` (advanced on return).
-    fn run_group(
-        &self,
-        parts: &PartitionSet,
-        seeds: &[VertexId],
-        instance_base: u32,
-        clock: &mut f64,
-    ) -> OomOutput {
+    /// Runs single-seed instances through the scheduling loop.
+    fn run_group(&self, parts: &PartitionSet, seeds: &[VertexId]) -> OomOutput {
         let algo_cfg = self.algo.config();
+        let instance_base = self.opts.instance_base;
         let k = parts.len();
         let max_part_bytes = parts.parts().iter().map(Partition::size_bytes).max().unwrap_or(1);
         let mut memory = DeviceMemory::new(max_part_bytes * self.cfg.resident_partitions);
@@ -414,7 +330,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             }
         }
 
-        let mut now = *clock;
+        let mut now = 0.0;
         let mut kernel_busy = vec![0.0f64; self.cfg.num_kernels];
         let mut round_kernel_times: Vec<Vec<f64>> = Vec::new();
         let mut events: Vec<TimelineEvent> = Vec::new();
@@ -424,8 +340,9 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
         // Per-stream CTPS cache shards: each stream's kernels reuse their
         // own shard across rounds, with the residency epoch dropping
         // entries whose backing device memory was recycled by a swap.
-        let caches: Vec<Option<std::sync::Arc<CtpsCache>>> = if self.ctps_cache_budget > 0 {
-            let per_stream = self.ctps_cache_budget / self.cfg.num_kernels.max(1);
+        let budget = self.opts.ctps_cache.as_ref().map_or(0, |c| c.budget());
+        let caches: Vec<Option<std::sync::Arc<CtpsCache>>> = if budget > 0 {
+            let per_stream = budget / self.cfg.num_kernels.max(1);
             (0..self.cfg.num_kernels)
                 .map(|_| Some(std::sync::Arc::new(CtpsCache::new(per_stream))))
                 .collect()
@@ -517,7 +434,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             // shard, so the tasks share nothing mutable; results come back
             // in stream order regardless of host scheduling.
             let launch = dev.launch_with(stream_tasks, self.cfg.host_parallel, |_, task| {
-                self.run_stream_round(parts, &algo_cfg, instance_base, seeds, task)
+                self.run_stream_round(parts, &algo_cfg, seeds, task)
             });
             let mut stream_rounds = launch.outputs;
             let mut kstats = launch.task_stats;
@@ -536,7 +453,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
                     let local = (ob.instance - instance_base) as usize;
                     if algo_cfg.without_replacement {
                         charge_visited_check(
-                            self.select.detector,
+                            self.opts.select.detector,
                             visited[target][local].len(),
                             &mut kstats[stream],
                         );
@@ -593,7 +510,6 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             now = engine.sync_all();
         }
 
-        *clock = now;
         stats.sampled_edges = outputs.iter().map(|o| o.len() as u64).sum();
         OomOutput {
             instances: outputs,
@@ -632,43 +548,27 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
         &self,
         parts: &PartitionSet,
         algo_cfg: &AlgoConfig,
-        instance_base: u32,
         seeds: &[VertexId],
         task: StreamTask,
     ) -> (StreamRound, SimStats) {
-        let kernel = StepKernel::new(self.algo, self.seed)
-            .with_select(self.select)
-            .with_ctps_cache(task.cache.as_deref());
+        let kernel = kernel_for(self.algo, &self.opts).with_ctps_cache(task.cache.as_deref());
         let (mut queue, mut shard) = (task.queue, task.shard);
         let (mut outbox, mut edges) = (Vec::new(), Vec::new());
         let mut sink = StreamSink {
             parts,
             cfg: algo_cfg,
-            detector: self.select.detector,
+            detector: self.opts.select.detector,
             partition: task.partition,
-            instance_base,
+            instance_base: self.opts.instance_base,
             queue: &mut queue,
             shard: &mut shard,
             outbox: &mut outbox,
             edges: &mut edges,
         };
-        let mut stats = SimStats::new();
-        let snapshot = self.snapshot.as_ref();
-        let straggler_cycles = match self.disk.as_ref() {
-            None => {
-                let mut storage = CsrAccess { graph: self.graph };
-                let mut access = LayeredAccess::new(&mut storage, snapshot, task.epoch);
-                self.drain_queue(&kernel, &mut access, &mut sink, seeds, &mut stats)
-            }
-            Some(disk) => with_thread_disk_access(disk, |storage| {
-                let mut access = LayeredAccess::new(&mut *storage, snapshot, task.epoch);
-                let cycles = self.drain_queue(&kernel, &mut access, &mut sink, seeds, &mut stats);
-                // This stream round's disk work travels with its kernel
-                // counters into the round's cost model.
-                storage.flush_stats(&mut stats);
-                cycles
-            }),
-        };
+        // This stream round's disk work travels with its kernel counters
+        // into the round's cost model.
+        let drain = StreamDrain { runner: self, kernel: &kernel, sink: &mut sink, seeds };
+        let (straggler_cycles, stats) = run_task(self.graph, &self.opts, task.epoch, drain);
         (StreamRound { queue, shard, outbox, edges, straggler_cycles }, stats)
     }
 
@@ -713,7 +613,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
                 home: seeds[(e.instance - instance_base) as usize],
                 slot: 0,
             });
-            if self.exec == ExecMode::DepthSync {
+            if self.opts.exec == ExecMode::DepthSync {
                 // Depth-synchronous drain: the batch is expanded in
                 // vertex-sorted order by the engine's grouped expander —
                 // co-located entries (even of different instances or
@@ -728,7 +628,8 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
                 with_thread_arena(|arena| {
                     arena.set_frontier(items);
                     let ledger = std::slice::from_mut(&mut *stats);
-                    expand_frontier(kernel, access, OOM_PREFETCH_DISTANCE, ledger, arena, scratch);
+                    let distance = self.opts.prefetch_distance;
+                    expand_frontier(kernel, access, distance, ledger, arena, scratch);
                     for (idx, item) in arena.frontier().iter().enumerate() {
                         let rec = arena.recorded(idx);
                         let before = stats.warp_cycles;
@@ -754,6 +655,32 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             }
         });
         per_instance.into_values().max().unwrap_or(0)
+    }
+}
+
+/// One stream round's queue drain as a [`Task`]: [`run_task`] picks the
+/// storage and stamps the stream's device epoch into the access.
+struct StreamDrain<'a, 'g, 's, A: Algorithm> {
+    runner: &'a OomRunner<'g, A>,
+    kernel: &'a StepKernel<'a>,
+    sink: &'a mut StreamSink<'s>,
+    seeds: &'a [VertexId],
+}
+
+impl<A: Algorithm> Task for StreamDrain<'_, '_, '_, A> {
+    type Residency = u64;
+    /// The straggler cycle bound and the round's counters.
+    type Out = (u64, SimStats);
+
+    fn run<S: NeighborAccess>(self, access: &mut LayeredAccess<'_, S, u64>) -> Self::Out {
+        let mut stats = SimStats::new();
+        let cycles =
+            self.runner.drain_queue(self.kernel, access, self.sink, self.seeds, &mut stats);
+        (cycles, stats)
+    }
+
+    fn ledger(out: &mut Self::Out) -> Option<&mut SimStats> {
+        Some(&mut out.1)
     }
 }
 
@@ -836,14 +763,14 @@ mod tests {
             let reference = OomRunner::new(&g, &ns, cfg).with_device(tiny_device()).run(&seeds);
             let grouped = OomRunner::new(&g, &ns, cfg)
                 .with_device(tiny_device())
-                .with_exec(ExecMode::DepthSync)
+                .with_options(RunOptions { exec: ExecMode::DepthSync, ..Default::default() })
                 .run(&seeds);
             assert_eq!(grouped.instances, reference.instances, "{label}: ns outputs");
             assert_eq!(scrub(grouped.stats), reference.stats, "{label}: ns stats");
             let reference = OomRunner::new(&g, &walk, cfg).with_device(tiny_device()).run(&seeds);
             let grouped = OomRunner::new(&g, &walk, cfg)
                 .with_device(tiny_device())
-                .with_exec(ExecMode::DepthSync)
+                .with_options(RunOptions { exec: ExecMode::DepthSync, ..Default::default() })
                 .run(&seeds);
             assert_eq!(grouped.instances, reference.instances, "{label}: walk outputs");
             assert_eq!(scrub(grouped.stats), reference.stats, "{label}: walk stats");

@@ -9,7 +9,8 @@
 //! with LRU eviction under the same memory budget the partition runtime
 //! gets.
 //!
-//! The expand pipeline is the shared [`StepKernel`]: this runner only
+//! The expand pipeline is the shared [`csaw_core::step::StepKernel`],
+//! built from the same [`RunOptions`] the engine takes: this runner only
 //! supplies a page cache as the [`Residency`] model of a [`LayeredAccess`]
 //! over the CSR, and drives the engine's [`PoolSink`] over per-instance
 //! frontiers. Because kernel and RNG keys are identical to the in-memory
@@ -19,10 +20,9 @@
 //! regression test pins that equality.
 
 use csaw_core::api::{Algorithm, FrontierMode};
-use csaw_core::select::SelectConfig;
+use csaw_core::engine::{kernel_for, ExecMode, RunOptions};
 use csaw_core::step::{
-    CsrAccess, LayeredAccess, PoolSink, PoolSlot, Residency, StepEntry, StepKernel, StepScratch,
-    TrialCounter,
+    CsrAccess, LayeredAccess, PoolSink, PoolSlot, Residency, StepEntry, StepScratch, TrialCounter,
 };
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds;
@@ -125,9 +125,7 @@ pub struct UnifiedRunner<'g, A: Algorithm> {
     graph: &'g Csr,
     algo: &'g A,
     device: DeviceConfig,
-    select: SelectConfig,
-    seed: u64,
-    ctps_cache_budget: usize,
+    opts: RunOptions,
 }
 
 impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
@@ -138,39 +136,30 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
             FrontierMode::IndependentPerVertex,
             "unified-memory comparator covers the per-vertex frontier algorithms"
         );
-        UnifiedRunner {
-            graph,
-            algo,
-            device,
-            select: SelectConfig::paper_best(),
-            seed: 0x5eed,
-            ctps_cache_budget: 0,
-        }
+        UnifiedRunner { graph, algo, device, opts: RunOptions::default() }
     }
 
-    /// Overrides the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Byte budget for a hot-vertex CTPS cache shared by every instance
-    /// of a run (0 — the default — disables caching). The CSR is
-    /// read-only under demand paging, so cached bounds never go stale
-    /// and the cache stays on epoch 0.
-    pub fn with_ctps_cache_budget(mut self, budget: usize) -> Self {
-        self.ctps_cache_budget = budget;
+    /// Overrides the run options. The comparator pages the resident CSR
+    /// in one instance-interleaved BSP loop, so it has no model for a
+    /// snapshot overlay, a disk tier or depth-synchronous execution: those
+    /// must stay unset. `ctps_cache` is shared by every instance; the CSR
+    /// is read-only under demand paging, so cached bounds never go stale
+    /// and entries stay on epoch 0.
+    pub fn with_options(mut self, opts: RunOptions) -> Self {
+        assert!(
+            opts.snapshot.is_none() && opts.disk.is_none() && opts.exec == ExecMode::InstanceMajor,
+            "unified-memory comparator models neither snapshots, disk tiers nor depth-sync"
+        );
+        self.opts = opts;
         self
     }
 
     /// Runs one single-seed instance per seed, demand-paging the CSR.
     pub fn run(&self, seeds: &[VertexId]) -> UnifiedOutput {
         let algo_cfg = self.algo.config();
-        let cache = (self.ctps_cache_budget > 0)
-            .then(|| csaw_core::ctps_cache::CtpsCache::new(self.ctps_cache_budget));
-        let kernel = StepKernel::new(self.algo, self.seed)
-            .with_select(self.select)
-            .with_ctps_cache(cache.as_ref());
+        let kernel = kernel_for(self.algo, &self.opts);
+        let detector = self.opts.select.detector;
+        let base = self.opts.instance_base;
         let mut storage = CsrAccess { graph: self.graph };
         let pages = PageCache::new(self.graph, self.device.memory_bytes);
         let mut access = LayeredAccess::new(&mut storage, None, pages);
@@ -208,16 +197,17 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
                 stats.frontier_ops += frontier.len() as u64;
                 for &slot in frontier.iter() {
                     any = true;
+                    let instance = base + inst as u32;
                     let entry = StepEntry {
-                        instance: inst as u32,
+                        instance,
                         depth,
                         vertex: slot.vertex,
                         prev: slot.prev,
-                        trial: trials.next(inst as u32, slot.vertex),
+                        trial: trials.next(instance, slot.vertex),
                     };
                     let mut sink = PoolSink {
                         cfg: &algo_cfg,
-                        detector: self.select.detector,
+                        detector,
                         visited: &mut visited[inst],
                         next: &mut frontiers[inst],
                         out: &mut outputs[inst],
@@ -384,7 +374,9 @@ mod tests {
         let out = UnifiedRunner::new(&g, &ns, device).run(&seeds);
         assert_eq!((out.page_faults, out.bytes_migrated), (80, 5242880));
         let walk = BiasedRandomWalk { length: 16 };
-        let out = UnifiedRunner::new(&g, &walk, device).with_ctps_cache_budget(1 << 16).run(&seeds);
+        let cache = Some(std::sync::Arc::new(csaw_core::ctps_cache::CtpsCache::new(1 << 16)));
+        let opts = RunOptions { ctps_cache: cache, ..Default::default() };
+        let out = UnifiedRunner::new(&g, &walk, device).with_options(opts).run(&seeds);
         assert!(out.stats.ctps_cache_hits > 0);
         assert_eq!((out.page_faults, out.bytes_migrated), (99, 6488064));
     }

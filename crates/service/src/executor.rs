@@ -137,24 +137,10 @@ impl BatchExecutor for OomExecutor {
         seed_sets: &[Vec<VertexId>],
         opts: RunOptions,
     ) -> BatchOutput {
-        // The scheduler's streams shard their caches per residency epoch,
-        // so the shared service cache hands over only its byte budget.
-        let cache_budget = opts.ctps_cache.as_ref().map_or(0, |c| c.budget());
-        let mut runner = OomRunner::new(graph, &algo, self.cfg)
-            .with_device(self.device)
-            .with_seed(opts.seed)
-            .with_select(opts.select)
-            .with_instance_base(opts.instance_base)
-            .with_ctps_cache_budget(cache_budget)
-            .with_exec(opts.exec);
-        if let Some(snap) = &opts.snapshot {
-            // The service hands over the snapshot's base as `graph`, so
-            // the partitions the runner builds match the overlay's base.
-            runner = runner.with_snapshot(snap.clone());
-        }
-        if let Some(disk) = &opts.disk {
-            runner = runner.with_disk(disk.clone());
-        }
+        // The service hands over a snapshot's base as `graph`, so the
+        // partitions the runner builds match the overlay's base.
+        let runner =
+            OomRunner::new(graph, &algo, self.cfg).with_device(self.device).with_options(opts);
         let out = if algo.config().frontier == FrontierMode::IndependentPerVertex {
             // The service shapes one single-seed instance per vertex for
             // per-vertex-frontier algorithms; the scheduler's plain entry

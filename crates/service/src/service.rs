@@ -82,10 +82,6 @@ pub struct ServiceConfig {
     /// are bit-identical either way; the `batch_*` counters in
     /// [`StatsSnapshot`] report the realized grouping.
     pub exec: csaw_core::engine::ExecMode,
-    /// Depth-synchronous prefetch look-ahead, in vertex-groups (see
-    /// [`csaw_core::engine::RunOptions::prefetch_distance`]). Ignored
-    /// under instance-major execution.
-    pub prefetch_distance: usize,
 }
 
 impl Default for ServiceConfig {
@@ -98,7 +94,6 @@ impl Default for ServiceConfig {
             ctps_cache_budget: 4 << 20,
             disk: None,
             exec: csaw_core::engine::ExecMode::InstanceMajor,
-            prefetch_distance: 8,
         }
     }
 }
@@ -666,7 +661,6 @@ fn process_batch(
             snapshot: snapshot.clone(),
             disk: shared.config.disk.clone(),
             exec: shared.config.exec,
-            prefetch_distance: shared.config.prefetch_distance,
             ..RunOptions::default()
         };
         let result = catch_unwind(AssertUnwindSafe(|| {

@@ -10,6 +10,7 @@
 //! ```
 
 use csaw::core::algorithms::UnbiasedNeighborSampling;
+use csaw::core::engine::RunOptions;
 use csaw::gpu::config::DeviceConfig;
 use csaw::graph::datasets;
 use csaw::oom::{OomConfig, OomRunner};
@@ -77,7 +78,8 @@ fn main() {
     // each running its own Fig. 8 loop with its own transfers.
     println!("multi-GPU out-of-memory (each device pages the graph itself):");
     for gpus in [1usize, 2, 4] {
-        let out = csaw::oom::MultiGpu::new(gpus).run_oom(&g, &algo, &seeds, OomConfig::full());
+        let multi = csaw::oom::MultiGpu::new(gpus);
+        let out = multi.run_oom(&g, &algo, &seeds, OomConfig::full(), RunOptions::default());
         println!(
             "  {gpus} GPU(s): {:.3} ms, {} total transfers",
             out.total_seconds() * 1e3,

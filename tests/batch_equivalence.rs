@@ -114,14 +114,14 @@ proptest! {
         seeds in prop::collection::vec(0u32..N, 4..24),
         choice in 0usize..3,
         rng_seed in 1u64..4,
+        prefetch in 0usize..10,
     ) {
         let algo = algo_spec(choice).build().unwrap();
         let cfg = OomConfig::full();
         let run = |exec: ExecMode| {
-            OomRunner::new(&g, &algo, cfg)
-                .with_seed(rng_seed)
-                .with_exec(exec)
-                .run(&seeds)
+            let opts =
+                RunOptions { seed: rng_seed, exec, prefetch_distance: prefetch, ..Default::default() };
+            OomRunner::new(&g, &algo, cfg).with_options(opts).run(&seeds)
         };
         let reference = run(ExecMode::InstanceMajor);
         let batched = run(ExecMode::DepthSync);
@@ -139,7 +139,6 @@ proptest! {
         requests in prop::collection::vec(
             (0usize..3, prop::collection::vec(0u32..N, 1..4), 1u64..3), 1..5),
         max_batch in 1usize..8,
-        prefetch in 0usize..10,
     ) {
         let g = Arc::new(g);
         let svc = SamplingService::with_engine(Arc::clone(&g), ServiceConfig {
@@ -147,7 +146,6 @@ proptest! {
             max_batch_instances: max_batch,
             batch_window: Duration::from_millis(1),
             exec: ExecMode::DepthSync,
-            prefetch_distance: prefetch,
             ..ServiceConfig::default()
         });
         // Submit everything in one paused admission batch, then resume.

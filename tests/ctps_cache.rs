@@ -16,6 +16,11 @@ use csaw::oom::{MultiGpu, OomConfig, OomRunner, UnifiedRunner};
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// Default options with a fresh `budget`-byte CTPS cache.
+fn cached_opts(budget: usize) -> RunOptions {
+    RunOptions { ctps_cache: Some(Arc::new(CtpsCache::new(budget))), ..RunOptions::default() }
+}
+
 /// Budgets spanning "evict constantly" to "everything fits": a few
 /// entries, a fraction of the graph's CTPS bytes, and effectively
 /// unlimited.
@@ -155,7 +160,7 @@ fn oom_cached_output_is_bit_identical_across_partition_swaps() {
     for budget in budget_sweep(&g) {
         let cached = OomRunner::new(&g, &algo, OomConfig::full())
             .with_device(device)
-            .with_ctps_cache_budget(budget)
+            .with_options(cached_opts(budget))
             .run(&seeds);
         assert_eq!(cached.instances, base.instances, "budget {budget} changed the OOM sample");
         assert_eq!(cached.transfers, base.transfers, "budget {budget} changed scheduling");
@@ -174,7 +179,7 @@ fn unified_cached_output_is_bit_identical() {
     let base = UnifiedRunner::new(&g, &algo, device).run(&seeds);
     for budget in budget_sweep(&g) {
         let cached =
-            UnifiedRunner::new(&g, &algo, device).with_ctps_cache_budget(budget).run(&seeds);
+            UnifiedRunner::new(&g, &algo, device).with_options(cached_opts(budget)).run(&seeds);
         assert_eq!(cached.instances, base.instances, "budget {budget} changed the sample");
     }
 }
@@ -259,7 +264,7 @@ proptest! {
             .run(&seeds);
         let cached = OomRunner::new(&g, &algo, OomConfig::full())
             .with_device(device)
-            .with_ctps_cache_budget(budget)
+            .with_options(cached_opts(budget))
             .run(&seeds);
         prop_assert_eq!(cached.instances, base.instances);
     }

@@ -100,8 +100,8 @@ fn oom_queue_runtime_is_bit_identical_with_disk_behind_it() {
     let cfg = OomConfig::full();
     let mem = OomRunner::new(&g, &algo, cfg).run(&seeds);
     for pool in POOL_BUDGETS {
-        let disk =
-            OomRunner::new(&g, &algo, cfg).with_disk(disk_cfg(&g, &dir, 8, pool)).run(&seeds);
+        let opts = RunOptions { disk: Some(disk_cfg(&g, &dir, 8, pool)), ..Default::default() };
+        let disk = OomRunner::new(&g, &algo, cfg).with_options(opts).run(&seeds);
         assert_eq!(disk.instances, mem.instances, "pool {pool} changed the OOM sample");
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -116,8 +116,8 @@ fn oom_pooled_runtime_is_bit_identical_with_disk_behind_it() {
     let cfg = OomConfig::full();
     let mem = OomRunner::new(&g, &algo, cfg).run_pools(&pools);
     for pool in POOL_BUDGETS {
-        let disk =
-            OomRunner::new(&g, &algo, cfg).with_disk(disk_cfg(&g, &dir, 8, pool)).run_pools(&pools);
+        let opts = RunOptions { disk: Some(disk_cfg(&g, &dir, 8, pool)), ..Default::default() };
+        let disk = OomRunner::new(&g, &algo, cfg).with_options(opts).run_pools(&pools);
         assert_eq!(disk.instances, mem.instances, "pool {pool} changed the pooled sample");
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -313,13 +313,13 @@ fn snapshot_over_disk_matches_snapshot_over_csr_and_the_compacted_graph() {
 
             let label = format!("{name} OOM queue pool {budget}");
             let oom = |disk: Option<DiskRunConfig>| {
-                let runner = OomRunner::new(snap.base(), &algo, OomConfig::full())
-                    .with_ctps_cache_budget(1 << 16)
-                    .with_snapshot(snap.clone());
-                match disk {
-                    Some(cfg) => runner.with_disk(cfg).run(&seeds),
-                    None => runner.run(&seeds),
-                }
+                let opts = RunOptions {
+                    ctps_cache: Some(Arc::new(CtpsCache::new(1 << 16))),
+                    snapshot: Some(snap.clone()),
+                    disk,
+                    ..Default::default()
+                };
+                OomRunner::new(snap.base(), &algo, OomConfig::full()).with_options(opts).run(&seeds)
             };
             assert_eq!(oom(None).instances, plain, "{label}: snapshot over CSR");
             let over_disk = oom(Some(cfg.clone()));
@@ -332,12 +332,8 @@ fn snapshot_over_disk_matches_snapshot_over_csr_and_the_compacted_graph() {
     let pools = MultiDimRandomWalk::seed_pools(g.num_vertices(), 6, 32, 7);
     let plain = OomRunner::new(&compacted, &mdrw, OomConfig::full()).run_pools(&pools);
     let pooled = |disk: Option<DiskRunConfig>| {
-        let runner =
-            OomRunner::new(snap.base(), &mdrw, OomConfig::full()).with_snapshot(snap.clone());
-        match disk {
-            Some(cfg) => runner.with_disk(cfg).run_pools(&pools),
-            None => runner.run_pools(&pools),
-        }
+        let opts = RunOptions { snapshot: Some(snap.clone()), disk, ..Default::default() };
+        OomRunner::new(snap.base(), &mdrw, OomConfig::full()).with_options(opts).run_pools(&pools)
     };
     assert_eq!(pooled(None).instances, plain.instances, "mdrw: snapshot over CSR");
     for budget in budgets {

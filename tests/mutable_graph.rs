@@ -189,6 +189,11 @@ fn sorted(mut instances: Vec<Vec<(u32, u32)>>) -> Vec<Vec<(u32, u32)>> {
     instances
 }
 
+/// Default options over `snap`'s overlay.
+fn on(snap: &GraphSnapshot) -> RunOptions {
+    RunOptions { snapshot: Some(snap.clone()), ..RunOptions::default() }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -223,7 +228,7 @@ proptest! {
         let algo = BiasedRandomWalk { length: 3 };
         let seeds: Vec<u32> = (0..8).map(|i| i * 3 % model.n as u32).collect();
         let on_snap = Sampler::new(snap.base(), &algo)
-            .with_snapshot(snap.clone())
+            .with_options(on(&snap))
             .run_single_seeds(&seeds);
         let on_scratch = Sampler::new(&scratch, &algo).run_single_seeds(&seeds);
         prop_assert_eq!(on_snap.instances, on_scratch.instances);
@@ -320,8 +325,7 @@ fn undone_edits_retire_their_deltas() {
     assert_eq!(compacted, g);
     let algo = BiasedRandomWalk { length: 8 };
     let seeds: Vec<u32> = (0..13).collect();
-    let on_snap =
-        Sampler::new(snap.base(), &algo).with_snapshot(snap.clone()).run_single_seeds(&seeds);
+    let on_snap = Sampler::new(snap.base(), &algo).with_options(on(&snap)).run_single_seeds(&seeds);
     let on_compacted = Sampler::new(&compacted, &algo).run_single_seeds(&seeds);
     assert_eq!(on_snap.instances, on_compacted.instances);
     assert_eq!(mg.compact(), 0, "nothing is left to fold");
@@ -340,7 +344,7 @@ fn epoch_walks_are_frozen_against_later_mutations() {
     let algo = BiasedRandomWalk { length: 8 };
     let seeds: Vec<u32> = (0..13).collect();
     let run = |snap: &GraphSnapshot| {
-        Sampler::new(snap.base(), &algo).with_snapshot(snap.clone()).run_single_seeds(&seeds)
+        Sampler::new(snap.base(), &algo).with_options(on(snap)).run_single_seeds(&seeds)
     };
 
     // Contract half 1: the epoch-1 run equals a from-scratch run on the
@@ -415,10 +419,10 @@ fn engine_and_oom_agree_on_snapshot_walks() {
         for algo in &algos {
             let label = format!("{} after {} edits", algo.name(), edits.len());
             let engine =
-                Sampler::new(snap.base(), algo).with_snapshot(snap.clone()).run_single_seeds(seeds);
+                Sampler::new(snap.base(), algo).with_options(on(&snap)).run_single_seeds(seeds);
             let oom = OomRunner::new(snap.base(), algo, OomConfig::default())
                 .with_device(DeviceConfig::tiny(1 << 20))
-                .with_snapshot(snap.clone())
+                .with_options(on(&snap))
                 .run(seeds);
             assert_eq!(sorted(engine.instances.clone()), sorted(oom.instances), "{label}");
 

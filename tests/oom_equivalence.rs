@@ -2,7 +2,8 @@
 //! engine and across its own configurations.
 
 use csaw::core::algorithms::{BiasedRandomWalk, UnbiasedNeighborSampling};
-use csaw::core::engine::Sampler;
+use csaw::core::engine::{ExecMode, RunOptions, Sampler};
+use csaw::core::method::MethodPolicy;
 use csaw::gpu::config::DeviceConfig;
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::oom::{OomConfig, OomRunner};
@@ -61,16 +62,38 @@ fn partition_count_does_not_change_samples() {
 /// workload-aware transfers, host thread counts) can no longer leak into
 /// the sample.
 fn assert_exact_equivalence<A: csaw::core::api::Algorithm>(algo: &A, graph_seed: u64, label: &str) {
+    assert_exact_equivalence_under(algo, graph_seed, label, RunOptions::default());
+}
+
+/// [`assert_exact_equivalence`] with both sides taking the same `opts`,
+/// the out-of-memory side under both of its drain orders.
+fn assert_exact_equivalence_under<A: csaw::core::api::Algorithm>(
+    algo: &A,
+    graph_seed: u64,
+    label: &str,
+    opts: RunOptions,
+) {
     let g = rmat(9, 6, RmatParams::GRAPH500, graph_seed);
     let seeds: Vec<u32> = (0..48).map(|i| i * 13 % 512).collect();
-    let mem = canon(&Sampler::new(&g, algo).run_single_seeds(&seeds).instances);
+    let mem = Sampler::new(&g, algo).with_options(opts.clone()).run_single_seeds(&seeds);
+    let mem = canon(&mem.instances);
     let device = DeviceConfig::tiny(1 << 20);
-    for (name, cfg) in OomConfig::figure13_ladder() {
-        let oom = OomRunner::new(&g, algo, cfg).with_device(device).run(&seeds);
-        assert_eq!(canon(&oom.instances), mem, "{label} under {name} diverged from the engine");
+    for exec in [ExecMode::InstanceMajor, ExecMode::DepthSync] {
+        let opts = RunOptions { exec, ..opts.clone() };
+        for (name, cfg) in OomConfig::figure13_ladder() {
+            let oom = OomRunner::new(&g, algo, cfg).with_device(device).with_options(opts.clone());
+            let oom = oom.run(&seeds);
+            assert_eq!(
+                canon(&oom.instances),
+                mem,
+                "{label} under {name} ({exec:?}) diverged from the engine"
+            );
+        }
     }
-    let serial =
-        OomRunner::new(&g, algo, OomConfig::full().serial()).with_device(device).run(&seeds);
+    let serial = OomRunner::new(&g, algo, OomConfig::full().serial())
+        .with_device(device)
+        .with_options(opts)
+        .run(&seeds);
     assert_eq!(canon(&serial.instances), mem, "{label} (serial) diverged from the engine");
 }
 
@@ -107,11 +130,18 @@ fn oom_samples_exactly_match_the_engine_walks() {
         "metropolis-hastings walk",
     );
     // Second-order bias: `prev` must survive the outbox round trip.
-    assert_exact_equivalence(
-        &csaw::core::algorithms::Node2Vec { length: 10, p: 0.25, q: 2.0 },
-        27,
-        "node2vec",
-    );
+    let node2vec = csaw::core::algorithms::Node2Vec { length: 10, p: 0.25, q: 2.0 };
+    assert_exact_equivalence(&node2vec, 27, "node2vec");
+    // The method policy reaches the out-of-memory kernels: under
+    // `Adaptive` node2vec's dynamic bias is served by rejection, which
+    // draws another (distribution-equal) sample than inverse transform.
+    let adaptive = RunOptions { method_policy: MethodPolicy::Adaptive, ..Default::default() };
+    assert_exact_equivalence_under(&node2vec, 27, "adaptive node2vec", adaptive.clone());
+    let g = rmat(9, 6, RmatParams::GRAPH500, 27);
+    let seeds: Vec<u32> = (0..48).map(|i| i * 13 % 512).collect();
+    let its = Sampler::new(&g, &node2vec).run_single_seeds(&seeds);
+    let rejection = Sampler::new(&g, &node2vec).with_options(adaptive).run_single_seeds(&seeds);
+    assert_ne!(its.instances, rejection.instances, "Adaptive must change the draw");
 }
 
 #[test]
@@ -151,7 +181,8 @@ fn oom_runtime_is_deterministic_across_thread_counts() {
     let single = |cfg: OomConfig| {
         OomRunner::new(&g, &algo, cfg).with_device(DeviceConfig::tiny(1 << 20)).run(&seeds)
     };
-    let multi = |cfg: OomConfig| MultiGpu::new(3).run_oom(&g, &algo, &seeds, cfg);
+    let multi =
+        |cfg: OomConfig| MultiGpu::new(3).run_oom(&g, &algo, &seeds, cfg, RunOptions::default());
     let f64_bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
 
     // Reference: the default host-parallel config on the ambient pool.
@@ -198,7 +229,6 @@ fn oom_runtime_is_deterministic_across_thread_counts() {
 
 #[test]
 fn multi_gpu_and_oom_compose_with_engine_outputs() {
-    use csaw::core::engine::RunOptions;
     use csaw::oom::MultiGpu;
     let g = rmat(9, 4, RmatParams::MILD, 25);
     let algo = BiasedRandomWalk { length: 8 };
@@ -206,4 +236,18 @@ fn multi_gpu_and_oom_compose_with_engine_outputs() {
     let mg = MultiGpu::new(3).run_single_seeds(&g, &algo, &seeds, RunOptions::default());
     assert_eq!(mg.instances.len(), 48);
     assert_eq!(mg.sampled_edges, mg.instances.iter().map(|i| i.len() as u64).sum::<u64>());
+
+    // The out-of-memory split takes the caller's options whole: a
+    // non-default seed and an outer instance base offset every group, so
+    // the split equals one device running the same options.
+    let opts = RunOptions { seed: 77, instance_base: 1000, ..Default::default() };
+    let device = DeviceConfig::tiny(1 << 20);
+    let multi = MultiGpu { num_gpus: 3, device };
+    let split = multi.run_oom(&g, &algo, &seeds, OomConfig::full(), opts.clone());
+    let single =
+        OomRunner::new(&g, &algo, OomConfig::full()).with_device(device).with_options(opts);
+    let single = single.run(&seeds);
+    assert_eq!(split.instances, single.instances);
+    let default = multi.run_oom(&g, &algo, &seeds, OomConfig::full(), RunOptions::default());
+    assert_ne!(split.instances, default.instances, "seed and base must reach every group");
 }

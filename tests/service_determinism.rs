@@ -215,3 +215,42 @@ proptest! {
         prop_assert!(server.shutdown().stats().fully_accounted());
     }
 }
+
+/// The executor contract covers every run option: under the `Adaptive`
+/// method policy (rejection sampling for node2vec's dynamic bias) the
+/// engine, the multi-GPU split and the out-of-memory scheduler draw equal
+/// samples.
+#[test]
+fn every_executor_honours_the_method_policy() {
+    use csaw::core::algorithms::Node2Vec;
+    use csaw::core::MethodPolicy;
+    use csaw::graph::generators::{rmat, RmatParams};
+    use csaw::service::{BatchExecutor, EngineExecutor};
+
+    let g = rmat(9, 6, RmatParams::GRAPH500, 27);
+    let algo = Node2Vec { length: 10, p: 0.25, q: 2.0 };
+    let seed_sets: Vec<Vec<u32>> = (0..48).map(|i| vec![i * 13 % 512]).collect();
+    let opts = RunOptions {
+        method_policy: MethodPolicy::Adaptive,
+        instance_base: 5,
+        ..RunOptions::default()
+    };
+    let executors: [Box<dyn BatchExecutor>; 3] = [
+        Box::new(EngineExecutor),
+        Box::new(MultiGpuExecutor::new(3)),
+        Box::new(OomExecutor::new(OomConfig::full())),
+    ];
+    let samples: Vec<Vec<Vec<(u32, u32)>>> = executors
+        .iter()
+        .map(|e| sorted(e.execute(&g, &algo, &seed_sets, opts.clone()).sample.instances))
+        .collect();
+    assert_eq!(samples[1], samples[0], "multi-GPU diverged from the engine");
+    assert_eq!(samples[2], samples[0], "out-of-memory diverged from the engine");
+    let its = EngineExecutor.execute(
+        &g,
+        &algo,
+        &seed_sets,
+        RunOptions { instance_base: 5, ..RunOptions::default() },
+    );
+    assert_ne!(sorted(its.sample.instances), samples[0], "Adaptive must change the draw");
+}
