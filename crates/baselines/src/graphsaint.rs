@@ -7,10 +7,10 @@
 //! O(log F) degree-proportional selection and O(log F) replacement per
 //! step — a *stronger* baseline than a linear rescan.
 
-use crate::fenwick::Fenwick;
 use crate::BaselineOutput;
 use csaw_gpu::cost::CpuWork;
 use csaw_gpu::Philox;
+use csaw_graph::fenwick::Fenwick;
 use csaw_graph::{Csr, VertexId};
 use rayon::prelude::*;
 

@@ -18,7 +18,7 @@
 //! same convention the simulated GPU uses. Host wall time is also
 //! reported.
 //!
-//! Three comparators on the simulated GPU live here too, because only
+//! The comparators on the simulated GPU live here too, because only
 //! KnightKing and the paper's ablations call them:
 //!
 //! - [`alias`]: Walker's alias method (KnightKing's static-bias tables
@@ -26,7 +26,17 @@
 //! - [`dartboard`]: the full rejection board of §II-B (KnightKing's
 //!   dynamic-bias path and the A3 ablation);
 //! - [`precompute`]: the eager all-vertices CTPS cache (the A7
-//!   ablation, §VII's "probability pre-computation").
+//!   ablation, §VII's "probability pre-computation");
+//! - [`reservoir`]: collision-free weighted reservoir selection (the A5
+//!   ablation against SELECT);
+//! - [`select_simt`]: SELECT run lane by lane in lockstep, measuring warp
+//!   divergence (the A9 ablation);
+//! - [`unified`]: the demand-paged unified-memory comparator §VII argues
+//!   against (the A4 ablation);
+//! - [`profile`]: the per-depth frontier profile behind §VI-C's
+//!   exponential-growth claim, on the comparator's loop;
+//! - [`onepass`]: the §II-A one-pass samplers (random node, random edge,
+//!   TIES), compared in the sample-quality table.
 
 //! ## Example
 //!
@@ -42,18 +52,16 @@
 //! assert!(seps > 0.0);
 //! ```
 
-/// Fenwick tree — compatibility re-export. The implementation was
-/// promoted to the framework (`csaw_core::fenwick`, backed by
-/// `csaw_graph::fenwick`); existing `csaw_baselines::fenwick::Fenwick`
-/// callers keep compiling through this alias.
-pub mod fenwick {
-    pub use csaw_core::fenwick::Fenwick;
-}
 pub mod alias;
 pub mod dartboard;
 pub mod graphsaint;
 pub mod knightking;
+pub mod onepass;
 pub mod precompute;
+pub mod profile;
+pub mod reservoir;
+pub mod select_simt;
+pub mod unified;
 
 pub use graphsaint::GraphSaintMdrw;
 pub use knightking::KnightKing;

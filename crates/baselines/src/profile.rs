@@ -3,17 +3,16 @@
 //! §VI-C explains several out-of-memory trends with "active vertices
 //! increase exponentially with depth during sampling". This profiler runs
 //! a per-vertex-frontier algorithm breadth-first, one depth per step
-//! across all instances, and reports the frontier size and sampled-edge
-//! count at every depth — the quantitative form of that claim.
+//! across all instances — the unified-memory comparator's loop
+//! ([`crate::unified`]) without its page cache — and reports the frontier
+//! size and sampled-edge count at every depth: the quantitative form of
+//! that claim.
 
-use crate::api::{Algorithm, FrontierMode};
-use crate::select::SelectConfig;
-use crate::step::{
-    CsrAccess, PoolSink, PoolSlot, StepEntry, StepKernel, StepScratch, TrialCounter,
-};
+use crate::unified::run_interleaved;
+use csaw_core::api::Algorithm;
+use csaw_core::engine::RunOptions;
 use csaw_gpu::stats::SimStats;
 use csaw_graph::{Csr, VertexId};
-use std::collections::HashSet;
 
 /// One depth level's aggregate activity across all instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,82 +26,26 @@ pub struct DepthProfile {
 }
 
 /// Profiles `algo` (per-vertex frontier modes only) over single-seed
-/// instances, returning the per-depth activity.
+/// instances, returning the per-depth activity up to and including the
+/// first depth whose frontier is empty.
 pub fn profile_depths<A: Algorithm>(
     g: &Csr,
     algo: &A,
     seeds: &[VertexId],
     seed: u64,
 ) -> Vec<DepthProfile> {
-    let cfg = algo.config();
-    assert_eq!(
-        cfg.frontier,
-        FrontierMode::IndependentPerVertex,
-        "the depth profiler covers per-vertex frontier algorithms"
-    );
-    let select = SelectConfig::paper_best();
-    let kernel = StepKernel::new(algo, seed).with_select(select);
-    let mut access = CsrAccess { graph: g };
-    let mut stats = SimStats::new();
-    let mut frontiers: Vec<Vec<PoolSlot>> =
-        seeds.iter().map(|&s| vec![PoolSlot::seed(s)]).collect();
-    let mut visited: Vec<HashSet<VertexId>> = seeds
-        .iter()
-        .map(|&s| if cfg.without_replacement { HashSet::from([s]) } else { HashSet::new() })
-        .collect();
-    let mut edges: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); seeds.len()];
-    let mut trials = TrialCounter::new();
+    let opts = RunOptions { seed, ..Default::default() };
     let mut out = Vec::new();
-    let mut scratch = StepScratch::new();
-    let mut frontier: Vec<PoolSlot> = Vec::new();
-
-    for depth in 0..cfg.depth {
-        let mut frontier_total = 0u64;
-        let mut edge_total = 0u64;
-        trials.reset();
-        for inst in 0..seeds.len() {
-            std::mem::swap(&mut frontiers[inst], &mut frontier);
-            frontiers[inst].clear();
-            frontier_total += frontier.len() as u64;
-            for &slot in frontier.iter() {
-                let before = edges[inst].len();
-                let entry = StepEntry {
-                    instance: inst as u32,
-                    depth: depth as u32,
-                    vertex: slot.vertex,
-                    prev: slot.prev,
-                    trial: trials.next(inst as u32, slot.vertex),
-                };
-                let mut sink = PoolSink {
-                    cfg: &cfg,
-                    detector: select.detector,
-                    visited: &mut visited[inst],
-                    next: &mut frontiers[inst],
-                    out: &mut edges[inst],
-                };
-                kernel.expand(
-                    &mut access,
-                    &entry,
-                    seeds[inst],
-                    &mut sink,
-                    &mut scratch,
-                    &mut stats,
-                );
-                edge_total += (edges[inst].len() - before) as u64;
-            }
-        }
-        out.push(DepthProfile { depth, frontier: frontier_total, edges: edge_total });
-        if frontier_total == 0 {
-            break;
-        }
-    }
+    run_interleaved(g, algo, &opts, seeds, (), &mut SimStats::new(), |depth, frontier, edges| {
+        out.push(DepthProfile { depth, frontier, edges })
+    });
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{SimpleRandomWalk, UnbiasedNeighborSampling};
+    use csaw_core::algorithms::{SimpleRandomWalk, UnbiasedNeighborSampling};
     use csaw_graph::generators::{ring_lattice, rmat, toy_graph, RmatParams};
 
     #[test]
@@ -114,7 +57,7 @@ mod tests {
         let algo = UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 };
         let seeds: Vec<u32> = (0..16).collect();
         let prof = profile_depths(&g, &algo, &seeds, 0x5eed);
-        let eng = crate::engine::Sampler::new(&g, &algo).run_single_seeds(&seeds);
+        let eng = csaw_core::engine::Sampler::new(&g, &algo).run_single_seeds(&seeds);
         assert_eq!(prof.iter().map(|p| p.edges).sum::<u64>(), eng.sampled_edges());
     }
 
@@ -159,12 +102,24 @@ mod tests {
         assert!(prof.len() <= 3, "profile must stop when the frontier empties: {prof:?}");
     }
 
+    #[test]
+    fn the_depth_whose_frontier_died_is_reported() {
+        // The star again: the spokes' only offer is the visited hub, so
+        // depth 2 expands nothing — and still gets its row.
+        let g =
+            csaw_graph::CsrBuilder::new().symmetrize(true).extend_edges([(0, 1), (0, 2)]).build();
+        let algo = UnbiasedNeighborSampling { neighbor_size: 2, depth: 10 };
+        let prof = profile_depths(&g, &algo, &[0], 3);
+        let rows: Vec<_> = prof.iter().map(|p| (p.depth, p.frontier, p.edges)).collect();
+        assert_eq!(rows, [(0, 1, 2), (1, 2, 2), (2, 0, 0)]);
+    }
+
     /// Cross-validation against the engine: the profiler's total edge
     /// count must statistically match a full engine run of the same
     /// workload (different RNG keying, same law).
     #[test]
     fn totals_match_engine_statistically() {
-        use crate::engine::Sampler;
+        use csaw_core::engine::Sampler;
         let g = rmat(10, 6, RmatParams::GRAPH500, 7);
         let algo = UnbiasedNeighborSampling { neighbor_size: 2, depth: 4 };
         let seeds: Vec<u32> = (0..256).map(|i| i * 13 % 1024).collect();

@@ -76,7 +76,7 @@ pub fn reservoir_select(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::{select_without_replacement, SelectConfig};
+    use csaw_core::select::{select_without_replacement, SelectConfig};
     use std::collections::HashMap;
 
     #[test]

@@ -2,7 +2,7 @@
 //! structured implementation of the Fig. 5 kernel used for differential
 //! testing and divergence measurement.
 //!
-//! [`crate::select::select_without_replacement`] simulates the warp in
+//! [`csaw_core::select::select_without_replacement`] simulates the warp in
 //! *rounds* (all pending lanes advance together); this module runs the
 //! same algorithm through [`csaw_gpu::simt::run_lockstep`], where each
 //! lane is an explicit program over `(draw, search, claim)` micro-steps
@@ -13,22 +13,24 @@
 //! cuts divergence.
 //!
 //! Method-policy note: the SIMT executor serves only the ITS family.
-//! [`crate::method::MethodPolicy::Adaptive`] only ever changes
+//! [`csaw_core::MethodPolicy::Adaptive`] only ever changes
 //! with-replacement draws, and this module executes without-replacement
 //! selections, so SIMT runs are unaffected by the policy and stay
 //! bit-identical to the round-based loop.
 
-use crate::bipartite::{adjust_and_search, BipartiteOutcome};
+use csaw_core::bipartite::{adjust_and_search, BipartiteOutcome};
+use csaw_core::collision::Detector;
 #[cfg(test)]
-use crate::collision::DetectorKind;
-use crate::select::{SelectConfig, SelectScratch, SelectStrategy};
+use csaw_core::collision::DetectorKind;
+use csaw_core::ctps::Ctps;
+use csaw_core::select::{SelectConfig, SelectStrategy};
 use csaw_gpu::simt::{run_lockstep, DivergenceStats, LaneStep};
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;
 use std::cell::RefCell;
 
 /// Result of a SIMT-executed selection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimtSelection {
     /// Selected candidate indices (distinct, positive bias).
     pub selected: Vec<usize>,
@@ -36,54 +38,45 @@ pub struct SimtSelection {
     pub divergence: DivergenceStats,
 }
 
-/// Lane-level SELECT, arena-reuse form: `k` lanes each claim one distinct
-/// candidate from `biases`, with per-lane retry loops executed in
-/// lockstep. The selected indices land in `scratch.out`; the CTPS,
-/// detector, and outcome lanes are all reused from `scratch`. Supports
-/// the `Repeated` and `Bipartite` strategies (`Updated` rebuilds
-/// warp-shared state mid-kernel and needs the round-structured
-/// implementation).
-pub fn select_without_replacement_simt_into(
+/// Lane-level SELECT: `k` lanes each claim one distinct candidate from
+/// `biases`, with per-lane retry loops executed in lockstep. Supports the
+/// `Repeated` and `Bipartite` strategies (`Updated` rebuilds warp-shared
+/// state mid-kernel and needs the round-structured implementation).
+pub fn select_without_replacement_simt(
     biases: &[f64],
     k: usize,
     cfg: SelectConfig,
-    scratch: &mut SelectScratch,
     rng: &mut Philox,
     stats: &mut SimStats,
-) -> DivergenceStats {
+) -> SimtSelection {
     assert!(
         cfg.strategy != SelectStrategy::Updated,
         "Updated sampling rebuilds warp-shared state; use the round-based SELECT"
     );
-    scratch.out.clear();
     let n = biases.len();
     let selectable = biases.iter().filter(|&&b| b > 0.0).count();
     let k = k.min(selectable).min(csaw_gpu::WARP_SIZE);
-    if k == 0 {
-        return DivergenceStats::default();
-    }
-    if !scratch.ctps.rebuild(biases, stats) {
-        return DivergenceStats::default();
+    let mut ctps = Ctps::default();
+    if k == 0 || !ctps.rebuild(biases, stats) {
+        return SimtSelection::default();
     }
     if k == selectable {
         stats.selections += k as u64;
         stats.select_iterations += k as u64;
-        scratch.out.extend((0..n).filter(|&i| biases[i] > 0.0));
-        return DivergenceStats::default();
+        let selected = (0..n).filter(|&i| biases[i] > 0.0).collect();
+        return SimtSelection { selected, divergence: DivergenceStats::default() };
     }
-
-    scratch.work.detector.reset_for(cfg.detector, n);
-    let ctps = &scratch.ctps;
 
     // The detector and RNG are warp-shared; lanes access them in lane
     // order within a lockstep step (deterministic, like hardware's fixed
     // arbitration in the simulated model).
-    let detector = RefCell::new(&mut scratch.work.detector);
-    let outcomes_cell = RefCell::new(&mut scratch.work.outcomes);
+    let detector = RefCell::new(Detector::new(cfg.detector, n));
+    let outcomes_cell = RefCell::new(Vec::new());
     let rng = RefCell::new(rng);
     let stats_cell = RefCell::new(stats);
 
-    let (results, divergence) = {
+    let (selected, divergence) = {
+        let ctps = &ctps;
         let detector = &detector;
         let outcomes_cell = &outcomes_cell;
         let rng = &rng;
@@ -119,24 +112,9 @@ pub fn select_without_replacement_simt_into(
         })
     };
     let stats = stats_cell.into_inner();
-    stats.selections += results.len() as u64;
+    stats.selections += selected.len() as u64;
     stats.warp_cycles += divergence.steps; // issue slots
-    scratch.out.extend(results);
-    divergence
-}
-
-/// Allocating convenience wrapper over
-/// [`select_without_replacement_simt_into`].
-pub fn select_without_replacement_simt(
-    biases: &[f64],
-    k: usize,
-    cfg: SelectConfig,
-    rng: &mut Philox,
-    stats: &mut SimStats,
-) -> SimtSelection {
-    let mut scratch = SelectScratch::new();
-    let divergence = select_without_replacement_simt_into(biases, k, cfg, &mut scratch, rng, stats);
-    SimtSelection { selected: scratch.out, divergence }
+    SimtSelection { selected, divergence }
 }
 
 #[cfg(test)]
@@ -192,7 +170,7 @@ mod tests {
             {
                 *freq_simt.entry(i).or_default() += 1;
             }
-            for i in crate::select::select_without_replacement(
+            for i in csaw_core::select::select_without_replacement(
                 &biases,
                 2,
                 cfg(SelectStrategy::Bipartite),

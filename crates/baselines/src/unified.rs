@@ -17,7 +17,8 @@
 //! engine's, a unified-memory run samples exactly the engine's edges —
 //! including second-order biases like node2vec, whose `prev` threading a
 //! previous hand-rolled copy of this loop silently dropped. The
-//! regression test pins that equality.
+//! regression test pins that equality. The depth profiler
+//! ([`crate::profile`]) runs the same loop with no residency model.
 
 use csaw_core::api::{Algorithm, FrontierMode};
 use csaw_core::engine::{kernel_for, ExecMode, RunOptions};
@@ -118,6 +119,82 @@ impl Residency for PageCache<'_> {
     }
 }
 
+/// The instance-interleaved BSP loop the comparator and the depth
+/// profiler share: every instance expands its depth-`d` frontier, in
+/// instance order, before any starts depth `d + 1` — the fault pattern of
+/// thousands of concurrent walkers hitting scattered pages. After each
+/// depth `on_depth(depth, frontier, edges)` gets that depth's expanded
+/// frontier entries and sampled edges over all instances; a depth whose
+/// frontier died is reported with zeros and ends the loop. Returns the
+/// per-instance edges and the residency model.
+pub(crate) fn run_interleaved<R: Residency>(
+    graph: &Csr,
+    algo: &dyn Algorithm,
+    opts: &RunOptions,
+    seeds: &[VertexId],
+    residency: R,
+    stats: &mut SimStats,
+    mut on_depth: impl FnMut(usize, u64, u64),
+) -> (Vec<Vec<(VertexId, VertexId)>>, R) {
+    let algo_cfg = algo.config();
+    assert_eq!(
+        algo_cfg.frontier,
+        FrontierMode::IndependentPerVertex,
+        "the interleaved loop covers the per-vertex frontier algorithms"
+    );
+    let kernel = kernel_for(algo, opts);
+    let mut storage = CsrAccess { graph };
+    let mut access = LayeredAccess::new(&mut storage, None, residency);
+    let mut outputs: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); seeds.len()];
+    let mut frontiers: Vec<Vec<PoolSlot>> =
+        seeds.iter().map(|&s| vec![PoolSlot::seed(s)]).collect();
+    let mut visited: Vec<HashSet<VertexId>> = seeds
+        .iter()
+        .map(|&s| if algo_cfg.without_replacement { HashSet::from([s]) } else { HashSet::new() })
+        .collect();
+
+    // One warm arena and one frontier double-buffer serve every
+    // instance of the serial loop allocation-free.
+    let mut scratch = StepScratch::new();
+    let mut frontier: Vec<PoolSlot> = Vec::new();
+    let mut trials = TrialCounter::new();
+    for depth in 0..algo_cfg.depth {
+        let (mut frontier_total, mut edge_total) = (0u64, 0u64);
+        trials.reset();
+        for inst in 0..seeds.len() {
+            std::mem::swap(&mut frontiers[inst], &mut frontier);
+            frontiers[inst].clear();
+            frontier_total += frontier.len() as u64;
+            let before = outputs[inst].len();
+            let mut sink = PoolSink {
+                cfg: &algo_cfg,
+                detector: opts.select.detector,
+                visited: &mut visited[inst],
+                next: &mut frontiers[inst],
+                out: &mut outputs[inst],
+            };
+            for &slot in frontier.iter() {
+                let instance = opts.instance_base + inst as u32;
+                let entry = StepEntry {
+                    instance,
+                    depth: depth as u32,
+                    vertex: slot.vertex,
+                    prev: slot.prev,
+                    trial: trials.next(instance, slot.vertex),
+                };
+                kernel.expand(&mut access, &entry, seeds[inst], &mut sink, &mut scratch, stats);
+            }
+            edge_total += (outputs[inst].len() - before) as u64;
+        }
+        stats.frontier_ops += frontier_total;
+        on_depth(depth, frontier_total, edge_total);
+        if frontier_total == 0 {
+            break;
+        }
+    }
+    (outputs, access.residency)
+}
+
 /// Unified-memory sampler: same algorithms, demand paging instead of
 /// partition scheduling. Supports the per-vertex frontier algorithms
 /// (the Fig. 13 workload set).
@@ -131,11 +208,6 @@ pub struct UnifiedRunner<'g, A: Algorithm> {
 impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
     /// A runner over a demand-paged device.
     pub fn new(graph: &'g Csr, algo: &'g A, device: DeviceConfig) -> Self {
-        assert_eq!(
-            algo.config().frontier,
-            FrontierMode::IndependentPerVertex,
-            "unified-memory comparator covers the per-vertex frontier algorithms"
-        );
         UnifiedRunner { graph, algo, device, opts: RunOptions::default() }
     }
 
@@ -156,79 +228,18 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
 
     /// Runs one single-seed instance per seed, demand-paging the CSR.
     pub fn run(&self, seeds: &[VertexId]) -> UnifiedOutput {
-        let algo_cfg = self.algo.config();
-        let kernel = kernel_for(self.algo, &self.opts);
-        let detector = self.opts.select.detector;
-        let base = self.opts.instance_base;
-        let mut storage = CsrAccess { graph: self.graph };
-        let pages = PageCache::new(self.graph, self.device.memory_bytes);
-        let mut access = LayeredAccess::new(&mut storage, None, pages);
         let mut stats = SimStats::new();
-        let mut outputs: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); seeds.len()];
-
-        // BSP over depth, interleaving instances — the fault pattern of
-        // thousands of concurrent walkers hitting scattered pages.
-        let mut frontiers: Vec<Vec<PoolSlot>> =
-            seeds.iter().map(|&s| vec![PoolSlot::seed(s)]).collect();
-        let mut visited: Vec<HashSet<VertexId>> = seeds
-            .iter()
-            .map(
-                |&s| {
-                    if algo_cfg.without_replacement {
-                        HashSet::from([s])
-                    } else {
-                        HashSet::new()
-                    }
-                },
-            )
-            .collect();
-
-        // One warm arena and one frontier double-buffer serve every
-        // instance of the serial BSP loop allocation-free.
-        let mut scratch = StepScratch::new();
-        let mut frontier: Vec<PoolSlot> = Vec::new();
-        let mut trials = TrialCounter::new();
-        for depth in 0..algo_cfg.depth as u32 {
-            let mut any = false;
-            trials.reset();
-            for inst in 0..seeds.len() {
-                std::mem::swap(&mut frontiers[inst], &mut frontier);
-                frontiers[inst].clear();
-                stats.frontier_ops += frontier.len() as u64;
-                for &slot in frontier.iter() {
-                    any = true;
-                    let instance = base + inst as u32;
-                    let entry = StepEntry {
-                        instance,
-                        depth,
-                        vertex: slot.vertex,
-                        prev: slot.prev,
-                        trial: trials.next(instance, slot.vertex),
-                    };
-                    let mut sink = PoolSink {
-                        cfg: &algo_cfg,
-                        detector,
-                        visited: &mut visited[inst],
-                        next: &mut frontiers[inst],
-                        out: &mut outputs[inst],
-                    };
-                    kernel.expand(
-                        &mut access,
-                        &entry,
-                        seeds[inst],
-                        &mut sink,
-                        &mut scratch,
-                        &mut stats,
-                    );
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-
+        let cache = PageCache::new(self.graph, self.device.memory_bytes);
+        let (outputs, pages) = run_interleaved(
+            self.graph,
+            self.algo,
+            &self.opts,
+            seeds,
+            cache,
+            &mut stats,
+            |_, _, _| {},
+        );
         let kernel_secs = gpu_kernel_seconds(&stats, &self.device);
-        let pages = &access.residency;
         let paging = pages.faults as f64
             * (PAGE_FAULT_LATENCY + PAGE_BYTES as f64 / (self.device.pcie_gbps * 1e9));
         stats.sampled_edges = outputs.iter().map(|o| o.len() as u64).sum();
@@ -245,7 +256,6 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OomConfig, OomRunner};
     use csaw_core::algorithms::UnbiasedNeighborSampling;
     use csaw_graph::generators::{rmat, toy_graph, RmatParams};
 
@@ -335,30 +345,6 @@ mod tests {
         let out = UnifiedRunner::new(&g, &algo, DeviceConfig::tiny(1 << 24)).run(&[0, 8]);
         // The whole CSR fits in one page.
         assert_eq!(out.page_faults, 1);
-    }
-
-    /// The §VII claim: partition-based out-of-memory sampling beats
-    /// demand paging on irregular access, with the same memory budget.
-    #[test]
-    fn partition_runtime_beats_unified_memory() {
-        let g = rmat(12, 8, RmatParams::GRAPH500, 3);
-        let algo = UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 };
-        let seeds: Vec<u32> = (0..256).map(|i| i * 17 % 4096).collect();
-        // Same budget: UM gets as many bytes as the partition runtime's
-        // two resident partitions.
-        let parts = csaw_graph::PartitionSet::equal_ranges(&g, 4);
-        let budget: usize =
-            parts.parts().iter().map(csaw_graph::Partition::size_bytes).max().unwrap() * 2;
-        let um = UnifiedRunner::new(&g, &algo, DeviceConfig::tiny(budget)).run(&seeds);
-        let csaw = OomRunner::new(&g, &algo, OomConfig::full())
-            .with_device(DeviceConfig::tiny(budget))
-            .run(&seeds);
-        assert!(
-            csaw.sim_seconds < um.sim_seconds,
-            "partition runtime {} s must beat unified memory {} s",
-            csaw.sim_seconds,
-            um.sim_seconds
-        );
     }
 
     /// The comparator's paging ledger, pinned exactly on a fixed input: a

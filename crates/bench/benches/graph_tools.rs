@@ -2,7 +2,7 @@
 //! metrics, and reordering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use csaw_core::onepass;
+use csaw_baselines::onepass;
 use csaw_graph::datasets;
 use csaw_graph::quality::{clustering_coefficient_sampled, degree_ks};
 use csaw_graph::reorder::{bfs_order, degree_order, relabel};

@@ -60,7 +60,7 @@ fn bench_host_parallel(c: &mut Criterion) {
 }
 
 fn bench_unified(c: &mut Criterion) {
-    use csaw_oom::UnifiedRunner;
+    use csaw_baselines::unified::UnifiedRunner;
     let g = datasets::by_abbr("WG").unwrap().build();
     let algo = UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 };
     let seeds: Vec<u32> = (0..128u32).map(|i| i * 61 % g.num_vertices() as u32).collect();

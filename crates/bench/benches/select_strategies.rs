@@ -71,8 +71,8 @@ fn bench_detectors(c: &mut Criterion) {
 }
 
 fn bench_selector_implementations(c: &mut Criterion) {
-    use csaw_core::reservoir::reservoir_select;
-    use csaw_core::select_simt::select_without_replacement_simt;
+    use csaw_baselines::reservoir::reservoir_select;
+    use csaw_baselines::select_simt::select_without_replacement_simt;
     let mut group = c.benchmark_group("select/implementation");
     group.sample_size(20);
     let biases = skewed_pool(64);

@@ -2,10 +2,10 @@
 //! throughput, Fenwick selection, and CSR construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use csaw_baselines::fenwick::Fenwick;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::warp::inclusive_scan;
 use csaw_gpu::Philox;
+use csaw_graph::fenwick::Fenwick;
 use csaw_graph::generators::{rmat, RmatParams};
 use std::hint::black_box;
 

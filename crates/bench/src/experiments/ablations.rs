@@ -148,8 +148,9 @@ pub fn ablate_select(_scale: Scale) -> Vec<Table> {
 /// "unified memory is not a suitable option" for irregular sampling),
 /// same memory budget on both sides.
 pub fn ablate_unified(scale: Scale) -> Vec<Table> {
+    use csaw_baselines::unified::UnifiedRunner;
     use csaw_gpu::config::DeviceConfig;
-    use csaw_oom::{OomConfig, OomRunner, UnifiedRunner};
+    use csaw_oom::{OomConfig, OomRunner};
     let mut t = Table::new(
         "A4 - unified memory vs partition runtime (unbiased-ns, same memory budget)",
         &["graph", "UM faults", "UM time ms", "C-SAW transfers", "C-SAW time ms", "speedup"],
@@ -180,7 +181,7 @@ pub fn ablate_unified(scale: Scale) -> Vec<Table> {
 /// sampling (collision-free single pass) — cycles per k-of-n selection on
 /// real neighbor pools.
 pub fn ablate_reservoir(_scale: Scale) -> Vec<Table> {
-    use csaw_core::reservoir::reservoir_select;
+    use csaw_baselines::reservoir::reservoir_select;
     use csaw_core::select::{select_without_replacement, SelectConfig};
     let mut t = Table::new(
         "A5 - SELECT (bipartite+bitmap) vs weighted reservoir, cycles per k=2 selection",
@@ -252,8 +253,8 @@ pub fn ablate_partitions(scale: Scale) -> Vec<Table> {
 /// Sample-quality comparison across samplers (the paper's §I motivation:
 /// samples "capture the desirable graph properties").
 pub fn quality(scale: Scale) -> Vec<Table> {
+    use csaw_baselines::onepass;
     use csaw_core::engine::Sampler;
-    use csaw_core::onepass;
     use csaw_graph::quality::compare;
     let mut t = Table::new(
         "Sample quality - degree KS / clustering / effective diameter vs original (WG stand-in)",
@@ -369,7 +370,7 @@ pub fn ablate_reorder(scale: Scale) -> Vec<Table> {
 /// sampling vs. bipartite region search over real neighbor pools
 /// (lane-level execution via the lockstep executor).
 pub fn ablate_divergence(_scale: Scale) -> Vec<Table> {
-    use csaw_core::select_simt::select_without_replacement_simt;
+    use csaw_baselines::select_simt::select_without_replacement_simt;
     let mut t = Table::new(
         "A9 - SIMT divergence of SELECT (weighted pools, k = deg/2 lanes)",
         &["graph", "repeated steps", "bipartite steps", "repeated eff", "bipartite eff"],

@@ -58,7 +58,7 @@ pub fn sweep_depth(scale: Scale) -> Vec<Table> {
 /// Companion table: the frontier size per depth measured directly with
 /// the BSP depth profiler.
 fn frontier_profile(scale: Scale) -> Table {
-    use csaw_core::profile::profile_depths;
+    use csaw_baselines::profile::profile_depths;
     let mut t = Table::new(
         "Frontier size per depth (biased-ns, NS = 2, depth 5) - the exponential-growth claim",
         &["graph", "d0", "d1", "d2", "d3", "d4"],

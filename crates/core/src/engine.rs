@@ -41,10 +41,7 @@ use std::collections::HashSet;
 /// counters, then tallies `sampled_edges` from the per-instance output
 /// lengths. The instance kernels deliberately leave `sampled_edges` at
 /// zero — the output vectors are the ground truth — so this helper is the
-/// single place the counter is accounted. Both [`Sampler::run`] and
-/// [`Sampler::run_chunked`] go through it, which keeps chunked and
-/// unchunked stats identical (`chunked_run_matches_unchunked` asserts
-/// this).
+/// single place the counter is accounted.
 fn merge_launch_stats(stats: &mut SimStats, launch: &LaunchResult<Vec<(VertexId, VertexId)>>) {
     debug_assert_eq!(
         launch.stats.sampled_edges, 0,
@@ -279,40 +276,6 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
     pub fn run_single_seeds(&self, seeds: &[VertexId]) -> SampleOutput {
         let sets: Vec<Vec<VertexId>> = seeds.iter().map(|&s| vec![s]).collect();
         self.run(&sets)
-    }
-
-    /// Memory-bounded run: processes single-seed instances in chunks of
-    /// `chunk_size`, handing each finished instance's edges to `sink`
-    /// (global instance index, edges) instead of materializing every
-    /// instance at once — the right shape for corpus generation over
-    /// millions of walks. Returns the merged stats.
-    pub fn run_chunked(
-        &self,
-        seeds: &[VertexId],
-        chunk_size: usize,
-        mut sink: impl FnMut(usize, Vec<(VertexId, VertexId)>),
-    ) -> csaw_gpu::stats::SimStats {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        validate_options(&self.opts).expect("invalid RunOptions");
-        let mut stats = csaw_gpu::stats::SimStats::new();
-        for (chunk_idx, chunk) in seeds.chunks(chunk_size).enumerate() {
-            let base = chunk_idx * chunk_size;
-            // Instance ids stay global so RNG streams (and thus outputs)
-            // are identical to an unchunked run.
-            let tasks: Vec<(u32, Vec<VertexId>)> =
-                chunk.iter().enumerate().map(|(i, &s)| ((base + i) as u32, vec![s])).collect();
-            let graph = self.graph;
-            let algo = self.algo;
-            let opts = &self.opts;
-            let launch = self.device.launch(tasks, move |_, (instance, seeds)| {
-                run_instance(graph, algo, opts, instance, &seeds)
-            });
-            merge_launch_stats(&mut stats, &launch);
-            for (i, inst) in launch.outputs.into_iter().enumerate() {
-                sink(base + i, inst);
-            }
-        }
-        stats
     }
 
     /// Runs one instance per seed *set* (multi-dimensional random walk
@@ -856,35 +819,6 @@ mod tests {
         let out = Sampler::new(&g, &algo).run_single_seeds(&[]);
         assert!(out.instances.is_empty());
         assert_eq!(out.sampled_edges(), 0);
-    }
-
-    #[test]
-    fn chunked_run_matches_unchunked() {
-        let g = toy_graph();
-        let algo = TestWalk { len: 15 };
-        let seeds: Vec<u32> = (0..23).map(|i| i % 13).collect();
-        let full = Sampler::new(&g, &algo).run_single_seeds(&seeds);
-        for chunk in [1usize, 4, 7, 23, 100] {
-            let mut collected: Vec<Option<Vec<(u32, u32)>>> = vec![None; seeds.len()];
-            let stats = Sampler::new(&g, &algo).run_chunked(&seeds, chunk, |i, edges| {
-                collected[i] = Some(edges);
-            });
-            let collected: Vec<_> = collected.into_iter().map(Option::unwrap).collect();
-            assert_eq!(collected, full.instances, "chunk={chunk}");
-            // Full-stats equality, not just sampled_edges: both paths fold
-            // every launch through `merge_launch_stats`, and chunking only
-            // regroups instances (global ids keep RNG streams fixed), so
-            // every counter must match the unchunked run exactly.
-            assert_eq!(stats, full.stats, "chunk={chunk}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size")]
-    fn chunked_run_rejects_zero_chunk() {
-        let g = toy_graph();
-        let algo = TestWalk { len: 2 };
-        Sampler::new(&g, &algo).run_chunked(&[0], 0, |_, _| {});
     }
 
     #[test]

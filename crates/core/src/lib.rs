@@ -15,7 +15,8 @@
 //! `NeighborSize`, depth). The engine's MAIN loop (Fig. 2b) is
 //! [`engine::Sampler::run`]; its per-entry expand pipeline is the
 //! runtime-agnostic [`step::StepKernel`], shared verbatim by the
-//! out-of-memory, unified-memory, and multi-GPU runtimes in `csaw-oom`.
+//! out-of-memory and multi-GPU runtimes in `csaw-oom` and the
+//! unified-memory comparator in `csaw-baselines`.
 //!
 //! ## Selection machinery
 //!
@@ -31,16 +32,14 @@
 //! - [`method`]: bounded rejection, the one alternative to ITS, for
 //!   dynamic biases under [`MethodPolicy::Adaptive`].
 //!
-//! All thirteen Table-I algorithms ship in [`algorithms`]; the §II-A
-//! one-pass category (random node / random edge / TIES) is in
-//! [`onepass`], and [`reservoir`] adds a collision-free weighted
-//! reservoir selector used as an ablation against SELECT. The full
-//! dartboard board, the alias method and the eager all-vertices CTPS
-//! cache, which only the KnightKing baseline and the ablations call, live
-//! in `csaw-baselines`.
+//! All thirteen Table-I algorithms ship in [`algorithms`]. What only
+//! the baselines and the paper's ablations call lives in
+//! `csaw-baselines`: the §II-A one-pass samplers, the weighted reservoir
+//! and lane-level SIMT selectors, the full dartboard board, the alias
+//! method, the eager all-vertices CTPS cache, the unified-memory
+//! comparator and the per-depth frontier profiler.
 
 pub mod algorithms;
-pub mod analysis;
 pub mod api;
 pub mod batch;
 pub mod bipartite;
@@ -49,16 +48,11 @@ pub mod ctps;
 pub mod ctps_cache;
 pub mod engine;
 pub mod estimators;
-pub mod fenwick;
 pub mod frontier;
 pub mod method;
-pub mod onepass;
 pub mod output;
-pub mod profile;
-pub mod reservoir;
 pub mod residency;
 pub mod select;
-pub mod select_simt;
 pub mod step;
 
 pub use algorithms::registry::{AlgoSpec, AlgorithmId, RegistryError};

@@ -94,7 +94,7 @@ pub struct SelectScratch {
 #[derive(Debug)]
 pub(crate) struct SelectWork {
     /// Collision detector (bitmap words + lockstep lanes, reused).
-    pub(crate) detector: Detector,
+    detector: Detector,
     /// Lanes still needing a distinct candidate.
     pending: Vec<usize>,
     /// Next round's pending lanes (swapped with `pending` per round).
@@ -104,7 +104,7 @@ pub(crate) struct SelectWork {
     /// Lockstep claim-round request lanes.
     requests: Vec<Option<usize>>,
     /// Claim-round outcomes.
-    pub(crate) outcomes: Vec<Option<bool>>,
+    outcomes: Vec<Option<bool>>,
     /// Bipartite retries of the current round: `(lane, hit)`.
     bip_retry: Vec<(usize, usize)>,
     /// Adjusted claim requests (bipartite phase 2).

@@ -291,8 +291,8 @@ pub fn entry_tag(device_epoch: u64, run_epoch: u64, version: u64) -> u64 {
 /// adjacency, and the residency epoch it stamps into every [`entry_tag`].
 /// `()` models nothing (the engine); a `u64` is the device epoch of an
 /// out-of-memory stream, bumped whenever resident partitions change;
-/// `csaw-oom` models the pooled path's FIFO partition fault-in and the
-/// unified-memory comparator's page cache.
+/// `csaw-oom` models the pooled path's FIFO partition fault-in, and
+/// `csaw-baselines` the unified-memory comparator's page cache.
 pub trait Residency {
     /// Makes `v`'s base adjacency resident: `charged` on a gather, not on
     /// the cache-hit path's uncharged re-borrow. Overlay vertices never

@@ -6,8 +6,7 @@
 //! replaced, O(log n) proportional-to-weight selection via descent), and
 //! the [`crate::dynamic`] overlay's per-vertex weight index (O(log d)
 //! reweight without recomputing the vertex's prefix sums from scratch).
-//! It lives in `csaw-graph` — the lowest layer both can depend on — and
-//! is canonically re-exported as `csaw_core::fenwick`.
+//! It lives in `csaw-graph`, the lowest layer both can depend on.
 
 /// A Fenwick tree over non-negative weights.
 #[derive(Debug, Clone)]

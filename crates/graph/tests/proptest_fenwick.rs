@@ -1,14 +1,74 @@
-//! Property tests for the promoted Fenwick tree at its canonical
-//! framework path (`csaw_core::fenwick`, backed by `csaw_graph::fenwick`).
+//! Property tests for the Fenwick tree behind the mutable-graph overlay's
+//! per-vertex weights and the GraphSAINT baseline's pool selection.
 //!
-//! `csaw_baselines::tests::proptest_fenwick` checks prefix/set/select in
-//! isolation through the compatibility re-export; this suite drives
-//! arbitrary *interleavings* of `add`/`set` against a naive `Vec<f64>`
-//! model — the access pattern the mutable-graph overlay produces when a
-//! vertex's weights are edited repeatedly across epochs.
+//! The first group checks prefix/set/select in isolation on fresh trees;
+//! the second drives arbitrary *interleavings* of `add`/`set` against a
+//! naive `Vec<f64>` model — the access pattern the mutable-graph overlay
+//! produces when a vertex's weights are edited repeatedly across epochs.
 
-use csaw_core::fenwick::Fenwick;
+use csaw_graph::fenwick::Fenwick;
 use proptest::prelude::*;
+
+/// Weight vectors for the fresh-tree properties (longer than the
+/// interleaving suite's).
+fn arb_fresh_weights() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(0.0f64..100.0, 1..100)
+}
+
+proptest! {
+    /// Prefix sums match a naive accumulation.
+    #[test]
+    fn prefix_matches_naive(w in arb_fresh_weights()) {
+        let f = Fenwick::new(&w);
+        let mut acc = 0.0;
+        for k in 0..=w.len() {
+            prop_assert!((f.prefix(k) - acc).abs() < 1e-6, "k={k}");
+            if k < w.len() {
+                acc += w[k];
+            }
+        }
+    }
+
+    /// `get` recovers the stored weight; `set` overwrites it.
+    #[test]
+    fn get_set_roundtrip(w in arb_fresh_weights(), idx_frac in 0.0f64..1.0, nv in 0.0f64..100.0) {
+        let mut f = Fenwick::new(&w);
+        let i = ((idx_frac * w.len() as f64) as usize).min(w.len() - 1);
+        prop_assert!((f.get(i) - w[i]).abs() < 1e-6);
+        f.set(i, nv);
+        prop_assert!((f.get(i) - nv).abs() < 1e-6);
+        let expect_total: f64 = w.iter().sum::<f64>() - w[i] + nv;
+        prop_assert!((f.total() - expect_total).abs() < 1e-6);
+    }
+
+    /// `select(t)` returns the unique slot whose cumulative interval
+    /// contains `t`; zero-weight slots are never selected.
+    #[test]
+    fn select_is_interval_lookup(w in arb_fresh_weights(), t_frac in 0.0f64..1.0) {
+        let f = Fenwick::new(&w);
+        let total: f64 = w.iter().sum();
+        match f.select(t_frac * total) {
+            None => prop_assert!(total == 0.0),
+            Some(j) => {
+                prop_assert!(w[j] > 0.0, "zero-weight slot {j} selected");
+                // Linear reference: first slot with cumulative > target.
+                let target = t_frac * total;
+                let mut acc = 0.0;
+                let mut expect = None;
+                for (i, &x) in w.iter().enumerate() {
+                    acc += x;
+                    if acc > target {
+                        expect = Some(i);
+                        break;
+                    }
+                }
+                // target == total (t_frac == 1) falls to the last positive slot.
+                let expect = expect.unwrap_or_else(|| w.iter().rposition(|&x| x > 0.0).unwrap());
+                prop_assert_eq!(j, expect);
+            }
+        }
+    }
+}
 
 /// One mutation against a slot, as a fraction so it is valid for any
 /// tree length.

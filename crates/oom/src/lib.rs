@@ -29,9 +29,9 @@
 //!   disjoint groups, one simulated device per group, no inter-GPU
 //!   communication; per-group `instance_base` offsets keep RNG streams
 //!   global, so a split run equals the single-device run bit for bit.
-//! - [`unified::UnifiedRunner`]: the demand-paged unified-memory
-//!   comparator §VII argues against — used by ablation A4 to quantify
-//!   why partition scheduling wins on irregular sampling access.
+//!
+//! The demand-paged unified-memory comparator §VII argues against
+//! (ablation A4) lives in `csaw-baselines`.
 
 //! ## Example
 //!
@@ -54,9 +54,7 @@ pub mod multigpu;
 pub mod pooled;
 pub mod scheduler;
 pub mod timeline;
-pub mod unified;
 
 pub use config::OomConfig;
 pub use multigpu::{MultiGpu, MultiGpuOomOutput};
 pub use scheduler::{OomOutput, OomRunner};
-pub use unified::UnifiedRunner;

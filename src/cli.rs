@@ -298,9 +298,9 @@ pub fn execute(cli: &Cli, out: &mut dyn std::io::Write) -> Result<(), CliError> 
             }
             let seed = cli.get_usize("seed", 1)? as u64;
             let res = match cli.get("algo").unwrap() {
-                "random-node" => crate::core::onepass::random_node(&g, fraction, seed),
-                "random-edge" => crate::core::onepass::random_edge(&g, fraction, seed),
-                _ => crate::core::onepass::ties(&g, fraction, seed),
+                "random-node" => crate::baselines::onepass::random_node(&g, fraction, seed),
+                "random-edge" => crate::baselines::onepass::random_edge(&g, fraction, seed),
+                _ => crate::baselines::onepass::ties(&g, fraction, seed),
             };
             wr(
                 out,

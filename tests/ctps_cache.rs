@@ -5,6 +5,7 @@
 //! the conservation identities (`lookups == hits + misses`,
 //! `bytes <= budget`).
 
+use csaw::baselines::unified::UnifiedRunner;
 use csaw::core::algorithms::registry::{AlgoSpec, AlgorithmId};
 use csaw::core::algorithms::{BiasedNeighborSampling, BiasedRandomWalk, MultiDimRandomWalk};
 use csaw::core::ctps_cache::{entry_bytes, CtpsCache};
@@ -12,7 +13,7 @@ use csaw::core::engine::{RunOptions, Sampler};
 use csaw::gpu::config::DeviceConfig;
 use csaw::graph::generators::{ring_lattice, rmat, RmatParams};
 use csaw::graph::{Csr, CsrBuilder, VertexId};
-use csaw::oom::{MultiGpu, OomConfig, OomRunner, UnifiedRunner};
+use csaw::oom::{MultiGpu, OomConfig, OomRunner};
 use proptest::prelude::*;
 use std::sync::Arc;
 

@@ -1,7 +1,7 @@
 //! Property tests for one-pass sampling and the reservoir selector.
 
-use csaw_core::onepass::{random_edge, random_node, ties};
-use csaw_core::reservoir::reservoir_select;
+use csaw_baselines::onepass::{random_edge, random_node, ties};
+use csaw_baselines::reservoir::reservoir_select;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;
 use csaw_graph::CsrBuilder;

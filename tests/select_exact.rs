@@ -3,8 +3,8 @@
 //! (successive weighted draws); every strategy and the reservoir selector
 //! must match it — jointly, not just marginally.
 
+use csaw_baselines::reservoir::reservoir_select;
 use csaw_core::collision::DetectorKind;
-use csaw_core::reservoir::reservoir_select;
 use csaw_core::select::{select_without_replacement, SelectConfig, SelectStrategy};
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;

@@ -1,17 +1,20 @@
 //! Walk-trajectory analysis: cover time and return statistics — the
 //! classical quantities that validate a random-walk implementation
 //! against theory (a walk with the right transition law has the right
-//! cover time; a subtly biased one does not).
+//! cover time; a subtly biased one does not). The return-time check is
+//! Kac's lemma: a simple random walk on a connected undirected graph
+//! returns to `v` after `2|E| / deg(v)` steps on average.
 
-use crate::algorithms::SimpleRandomWalk;
-use crate::engine::{RunOptions, Sampler};
-use csaw_graph::{Csr, VertexId};
+use csaw_core::algorithms::SimpleRandomWalk;
+use csaw_core::engine::{RunOptions, Sampler};
+use csaw_graph::generators::{ring_lattice, toy_graph};
+use csaw_graph::{Csr, CsrBuilder, VertexId};
 
 /// Measures the cover time of a simple random walk from `source`: steps
 /// until every vertex reachable from `source` has been visited, averaged
 /// over `trials` independent walks. Returns `None` if any trial fails to
 /// cover within `max_steps` (walk too short for this graph).
-pub fn mean_cover_time(
+fn mean_cover_time(
     g: &Csr,
     source: VertexId,
     trials: usize,
@@ -46,7 +49,7 @@ pub fn mean_cover_time(
 /// Mean return time to `vertex` over a long walk: steps between
 /// consecutive visits. For a connected undirected graph theory gives
 /// `2|E| / deg(v)` — a sharp test of the transition law.
-pub fn mean_return_time(g: &Csr, vertex: VertexId, walk_length: usize, seed: u64) -> Option<f64> {
+fn mean_return_time(g: &Csr, vertex: VertexId, walk_length: usize, seed: u64) -> Option<f64> {
     let algo = SimpleRandomWalk { length: walk_length };
     let out = Sampler::new(g, &algo)
         .with_options(RunOptions { seed, ..Default::default() })
@@ -68,58 +71,48 @@ pub fn mean_return_time(g: &Csr, vertex: VertexId, walk_length: usize, seed: u64
     Some(gaps.iter().sum::<usize>() as f64 / gaps.len() as f64)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use csaw_graph::generators::{ring_lattice, toy_graph};
-    use csaw_graph::CsrBuilder;
-
-    #[test]
-    fn return_time_matches_2m_over_degree() {
-        // Theory: E[return to v] = 2|E_undirected| / deg(v) = m_csr / deg(v).
-        let g = toy_graph();
-        for v in [7u32, 8, 1] {
-            let expect = g.num_edges() as f64 / g.degree(v) as f64;
-            let measured = mean_return_time(&g, v, 400_000, 3).unwrap();
-            assert!(
-                (measured - expect).abs() / expect < 0.05,
-                "v{v}: measured {measured} vs theory {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn cover_time_scales_superlinearly_on_rings() {
-        // Ring cover time is Θ(n²); doubling n should far more than
-        // double it.
-        let small = mean_cover_time(&ring_lattice(16, 1), 0, 24, 40_000, 5).unwrap();
-        let large = mean_cover_time(&ring_lattice(32, 1), 0, 24, 40_000, 5).unwrap();
+#[test]
+fn return_time_matches_2m_over_degree() {
+    // Theory: E[return to v] = 2|E_undirected| / deg(v) = m_csr / deg(v).
+    let g = toy_graph();
+    for v in [7u32, 8, 1] {
+        let expect = g.num_edges() as f64 / g.degree(v) as f64;
+        let measured = mean_return_time(&g, v, 400_000, 3).unwrap();
         assert!(
-            large > 2.8 * small,
-            "ring cover time must scale ~quadratically: {small} -> {large}"
+            (measured - expect).abs() / expect < 0.05,
+            "v{v}: measured {measured} vs theory {expect}"
         );
     }
+}
 
-    #[test]
-    fn clique_covers_fast() {
-        // Complete graph cover time ~ n ln n — tiny.
-        let mut b = CsrBuilder::new().symmetrize(true);
-        for i in 0..8u32 {
-            for j in (i + 1)..8 {
-                b = b.add_edge(i, j);
-            }
+#[test]
+fn cover_time_scales_superlinearly_on_rings() {
+    // Ring cover time is Θ(n²); doubling n should far more than
+    // double it.
+    let small = mean_cover_time(&ring_lattice(16, 1), 0, 24, 40_000, 5).unwrap();
+    let large = mean_cover_time(&ring_lattice(32, 1), 0, 24, 40_000, 5).unwrap();
+    assert!(large > 2.8 * small, "ring cover time must scale ~quadratically: {small} -> {large}");
+}
+
+#[test]
+fn clique_covers_fast() {
+    // Complete graph cover time ~ n ln n — tiny.
+    let mut b = CsrBuilder::new().symmetrize(true);
+    for i in 0..8u32 {
+        for j in (i + 1)..8 {
+            b = b.add_edge(i, j);
         }
-        let g = b.build();
-        let t = mean_cover_time(&g, 0, 32, 2_000, 7).unwrap();
-        assert!(t < 40.0, "K8 cover time {t}");
     }
+    let g = b.build();
+    let t = mean_cover_time(&g, 0, 32, 2_000, 7).unwrap();
+    assert!(t < 40.0, "K8 cover time {t}");
+}
 
-    #[test]
-    fn uncoverable_returns_none() {
-        // Max steps too small to cover.
-        let g = ring_lattice(64, 1);
-        assert!(mean_cover_time(&g, 0, 4, 80, 1).is_none());
-        // Too few returns for the average.
-        assert!(mean_return_time(&g, 0, 16, 1).is_none());
-    }
+#[test]
+fn uncoverable_returns_none() {
+    // Max steps too small to cover.
+    let g = ring_lattice(64, 1);
+    assert!(mean_cover_time(&g, 0, 4, 80, 1).is_none());
+    // Too few returns for the average.
+    assert!(mean_return_time(&g, 0, 16, 1).is_none());
 }
