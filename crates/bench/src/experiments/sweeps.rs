@@ -211,8 +211,11 @@ pub fn sweep_exec(scale: Scale) -> Vec<Table> {
 }
 
 /// Disk-tier budget sweep: biased walks through the mmap-backed store at
-/// decoded-run pool budgets from a small fraction of the graph up to all
-/// of it, against the in-memory CSR on the same walks. The graph is a
+/// decoded-run pool budgets from nothing to all of the graph, against
+/// the in-memory CSR on the same walks. At budget 0 every miss decodes
+/// into scratch and nothing is pooled: the baseline the pool must beat
+/// to earn its place. (Uniform walks read neighbors in place and skip
+/// the pool, so only a biased walk measures it.) The graph is a
 /// degree-reordered R-MAT over 256 partitions, so hubs share segment
 /// pages. Every budget row is asserted bit-identical to the in-memory
 /// sample; the full-budget row must never evict and, at `--full`, must
@@ -221,8 +224,8 @@ pub fn sweep_exec(scale: Scale) -> Vec<Table> {
 /// count-only half of that shape is tier-1 (`tests/disk_store.rs`).
 pub fn sweep_disk(scale: Scale) -> Vec<Table> {
     let (log_n, walks, length, reps, fracs): (u32, usize, usize, usize, &[f64]) = match scale {
-        Scale::Quick => (11, 128, 16, 2, &[0.1, 1.0]),
-        Scale::Full => (14, 1024, 32, 12, &[0.05, 0.1, 0.25, 0.5, 1.0]),
+        Scale::Quick => (11, 128, 16, 2, &[0.0, 0.1, 1.0]),
+        Scale::Full => (14, 1024, 32, 12, &[0.0, 0.05, 0.1, 0.25, 0.5, 1.0]),
     };
     let g = {
         let raw = rmat(log_n, 8, RmatParams::GRAPH500, 42);
@@ -275,7 +278,10 @@ pub fn sweep_disk(scale: Scale) -> Vec<Table> {
     ]);
     let mut half_sps = None;
     for &frac in fracs {
-        let pool_budget = ((graph_bytes as f64 * frac) as usize).max(4096);
+        let pool_budget = match frac {
+            0.0 => 0,
+            _ => ((graph_bytes as f64 * frac) as usize).max(4096),
+        };
         let cfg = |shared| DiskRunConfig { store: Arc::clone(&store), pool_budget, shared };
         assert_eq!(
             run(7, Some(&cfg(None))).instances,

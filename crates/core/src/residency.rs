@@ -9,7 +9,7 @@
 //! ```text
 //! tier 1  CTPS / alias cache      per-vertex sampling tables (device)
 //! tier 2  decoded-run pool        one vertex's neighbor run a slot (host)
-//! tier 3  mmap'd segment files    fixed-width delta CSR, decoded on demand
+//! tier 3  mmap'd segment files    fixed-width id records, read in place
 //! ```
 //!
 //! **The unit of residency is one vertex's run**
@@ -22,6 +22,17 @@
 //! whatever shared their id range. A lookup is one load of the dense
 //! per-vertex slot index and one of the run slab; zero-degree vertices
 //! never decode or allocate.
+//!
+//! **A uniform step reads one neighbor, not a run.** The closed-form
+//! uniform step needs only `d(v)`, served from the store's resident
+//! degree array, and the neighbor at its pick. [`DiskAccess`]'s
+//! [`NeighborAccess::neighbor_at`] is still a pool lookup — it bumps the
+//! frequency gate and counts — but a resident or transient run serves it
+//! from RAM (a hit), and otherwise the neighbor is read in place from the
+//! mapping ([`DiskStore::neighbor_at`], O(1)): a miss that decodes
+//! nothing and admits nothing. Only steps that read the whole run —
+//! biased and weighted ones, whose bias lane spans every edge — gather,
+//! decode and fill the pool.
 //!
 //! **Admission is a frequency gate** (TinyLFU-shaped). Every lookup bumps
 //! its vertex's saturating `u8` counter, and all counters halve every
@@ -87,6 +98,11 @@ pub const DECODE_BUCKETS_US: [u64; 7] = [50, 100, 250, 500, 1000, 5000, 25000];
 /// Number of decode-histogram buckets (bounds plus the open-ended one).
 pub const NUM_DECODE_BUCKETS: usize = DECODE_BUCKETS_US.len() + 1;
 
+/// Simulated page faults charged for a neighbor read in place: the
+/// index/degree page and the page holding the id (a decode charges the
+/// first plus the record's span).
+const POINT_READ_FAULTS: u64 = 2;
+
 /// "No run" in the per-vertex slot index.
 const NO_SLOT: u32 = u32::MAX;
 /// Set on a slot-index entry that points into the transient list, not
@@ -105,11 +121,11 @@ fn run_bytes(weighted: bool, edges: usize) -> usize {
 /// deterministic per-run counters travel through [`SimStats`] instead.
 #[derive(Debug, Default)]
 pub struct DiskTierStats {
-    /// Pool lookups across all workers.
+    /// Pool lookups across all workers: one a gather, one a point read.
     pub lookups: AtomicU64,
     /// Lookups served by a resident (or this step's transient) run.
     pub hits: AtomicU64,
-    /// Lookups that decoded a run.
+    /// Lookups that no resident run served: decoded, or read in place.
     pub misses: AtomicU64,
     /// Runs evicted by the clock sweep.
     pub evictions: AtomicU64,
@@ -120,7 +136,8 @@ pub struct DiskTierStats {
     pub mmap_faults: AtomicU64,
     /// RAM bytes produced by decodes.
     pub decode_bytes: AtomicU64,
-    /// Decode wall-time histogram: bucket `i` counts decodes that took
+    /// Decode wall-time histogram (point reads decode nothing and are not
+    /// timed): bucket `i` counts decodes that took
     /// ≤ `DECODE_BUCKETS_US[i]` µs (last bucket: longer than all).
     pub decode_hist: [AtomicU64; NUM_DECODE_BUCKETS],
     /// Sum of decode wall times, microseconds.
@@ -221,7 +238,7 @@ pub struct DiskPoolSnapshot {
     pub lookups: u64,
     /// Lookups served resident.
     pub hits: u64,
-    /// Lookups that decoded.
+    /// Lookups that no resident run served: decoded, or read in place.
     pub misses: u64,
     /// Runs the frequency gate admitted to the pool.
     pub admissions: u64,
@@ -237,7 +254,7 @@ pub struct DiskPoolSnapshot {
 
 impl DiskPoolSnapshot {
     /// The pool's conservation identities: every lookup is a hit or a
-    /// miss, only a missed run is admitted, only an admitted run is
+    /// miss, only a missed (decoded) run is admitted, only an admitted run is
     /// evicted, and resident bytes never exceed the budget.
     pub fn is_conserved(&self) -> bool {
         self.lookups == self.hits + self.misses
@@ -267,10 +284,11 @@ struct Pool {
     hand: usize,
     /// Runs the gate rejected, served until the next reclaim.
     transient: Vec<Run>,
-    /// Cleared buffers for the next rejected run: a walk rejects at most
-    /// one a step and decodes it here, allocating nothing. A step whose
-    /// hooks probe many cold runs allocates the rest and frees them with
-    /// the step, so idle scratch memory stays one buffer pair.
+    /// Cleared buffers for the next rejected run, sized for the store's
+    /// largest run: a walk rejects at most one a step and decodes it
+    /// here, allocating nothing. A step whose hooks probe many cold runs
+    /// allocates the rest and frees them with the step, so idle scratch
+    /// memory stays one buffer pair.
     spare: Option<Run>,
     /// Evicted runs awaiting reclaim.
     graveyard: Vec<Run>,
@@ -281,15 +299,41 @@ struct Pool {
 }
 
 impl Pool {
-    /// Counts one lookup of `v` into its touch counter, halving every
-    /// counter once per `num_vertices` lookups.
-    fn touch(&mut self, v: VertexId) {
+    /// Counts one lookup of `v`, in the totals and in its touch counter
+    /// (halving every counter once per `num_vertices` lookups), and
+    /// returns its resident run — marked referenced — or this phase's
+    /// transient run, counted as a hit.
+    fn lookup(&mut self, v: VertexId, shared: Option<&DiskTierStats>) -> Option<&Run> {
         let f = &mut self.freq[v as usize];
         *f = f.saturating_add(1);
         self.age_in -= 1;
         if self.age_in == 0 {
             self.age_in = self.freq.len();
             self.freq.iter_mut().for_each(|f| *f >>= 1);
+        }
+        self.totals.lookups += 1;
+        if let Some(sh) = shared {
+            sh.lookups.fetch_add(1, Relaxed);
+        }
+        let slot = self.index[v as usize];
+        if slot == NO_SLOT {
+            return None;
+        }
+        self.count_hit(shared);
+        Some(if slot & TRANSIENT != 0 {
+            &self.transient[(slot ^ TRANSIENT) as usize]
+        } else {
+            let run = &mut self.slab[slot as usize];
+            run.referenced = true;
+            run
+        })
+    }
+
+    /// Counts a lookup served without reading the store.
+    fn count_hit(&mut self, shared: Option<&DiskTierStats>) {
+        self.totals.hits += 1;
+        if let Some(sh) = shared {
+            sh.hits.fetch_add(1, Relaxed);
         }
     }
 
@@ -403,12 +447,18 @@ impl ResidencyHierarchy {
         shared: Option<Arc<DiskTierStats>>,
     ) -> Self {
         let n = store.num_vertices();
+        let max_degree = (0..n as VertexId).map(|v| store.degree(v)).max().unwrap_or(0);
         let pool = Pool {
             budget: pool_budget,
             index: vec![NO_SLOT; n],
             freq: vec![0; n],
             age_in: n.max(1),
             epochs: vec![0; n],
+            spare: Some(Run {
+                col: Vec::with_capacity(max_degree),
+                ws: Vec::with_capacity(if store.is_weighted() { max_degree } else { 0 }),
+                ..Run::default()
+            }),
             ..Pool::default()
         };
         ResidencyHierarchy { store, shared, pool: UnsafeCell::new(pool) }
@@ -497,31 +547,15 @@ impl ResidencyHierarchy {
         // returned earlier point into run buffers, which this window
         // never writes, clears or drops (the pool invariant).
         let pool = unsafe { &mut *self.pool.get() };
-        pool.touch(v);
-        pool.totals.lookups += 1;
-        if let Some(sh) = shared {
-            sh.lookups.fetch_add(1, Relaxed);
-        }
-        let slot = pool.index[v as usize];
-        let resident = if slot == NO_SLOT {
-            None
-        } else if slot & TRANSIENT != 0 {
-            Some(&pool.transient[(slot ^ TRANSIENT) as usize])
-        } else {
-            let run = &mut pool.slab[slot as usize];
-            run.referenced = true;
-            Some(&*run)
-        };
-        let deg = if resident.is_some() { 0 } else { self.store.degree(v) };
-        if resident.is_some() || deg == 0 {
-            pool.totals.hits += 1;
-            if let Some(sh) = shared {
-                sh.hits.fetch_add(1, Relaxed);
-            }
+        if let Some(run) = pool.lookup(v, shared) {
             // SAFETY: the pool invariant — a resident or transient run's
             // buffers are only moved until maintain() runs under &mut self.
-            return resident
-                .map_or((&[], weighted.then_some(&[][..])), |run| unsafe { run.slices(weighted) });
+            return unsafe { run.slices(weighted) };
+        }
+        let deg = self.store.degree(v);
+        if deg == 0 {
+            pool.count_hit(shared);
+            return (&[], weighted.then_some(&[][..]));
         }
         let bytes = run_bytes(weighted, deg);
         let admit = pool.make_room(v, bytes, weighted, shared);
@@ -559,6 +593,30 @@ impl ResidencyHierarchy {
         // by the pool invariant, are only moved until maintain().
         unsafe { run.slices(weighted) }
     }
+
+    /// Neighbor `k` of `v` through the pool: a lookup like
+    /// [`Self::resolve_run`]'s, served from RAM when `v`'s run is
+    /// resident or transient (a hit), else read in place from the
+    /// mapping ([`DiskStore::neighbor_at`]) — a miss that decodes
+    /// nothing and admits nothing.
+    fn read_at(&self, v: VertexId, k: usize) -> (VertexId, Option<Weight>) {
+        let weighted = self.store.is_weighted();
+        let shared = self.shared.as_deref();
+        // SAFETY: as in resolve_run(); this window only reads run buffers.
+        let pool = unsafe { &mut *self.pool.get() };
+        if let Some(run) = pool.lookup(v, shared) {
+            return (run.col[k], weighted.then(|| run.ws[k]));
+        }
+        pool.totals.misses += 1;
+        pool.totals.mmap_faults += POINT_READ_FAULTS;
+        if let Some(sh) = shared {
+            sh.misses.fetch_add(1, Relaxed);
+            sh.mmap_faults.fetch_add(POINT_READ_FAULTS, Relaxed);
+        }
+        self.store.neighbor_at(v, k).unwrap_or_else(|e| {
+            panic!("disk store {} failed mid-run: {e}", self.store.dir().display())
+        })
+    }
 }
 
 impl PagedAdjacency for ResidencyHierarchy {
@@ -591,7 +649,8 @@ impl PagedAdjacency for ResidencyHierarchy {
 
 /// [`NeighborAccess`] over the disk tier: drop-in for [`StepKernel`]
 /// (the PR-3 trait seam), serving `fetch()` through memory-mapped
-/// segments with on-demand decode into the byte-budgeted run pool. Charges
+/// segments with on-demand decode into the byte-budgeted run pool, and
+/// `neighbor_at()` through the same pool or in place. Charges
 /// the same [`gather_bytes`] as [`crate::step::CsrAccess`], so a
 /// disk-backed run counts identical simulated-GPU traffic — the disk
 /// tier's own work lands in the `disk_*` counters instead.
@@ -664,6 +723,19 @@ impl NeighborAccess for DiskAccess {
         let hier = &self.hier;
         let (neighbors, weights) = hier.resolve_run(v);
         Gathered { graph: GraphView::paged(hier), neighbors, weights }
+    }
+
+    /// The gather's charge and reclaim prologue, without the lookup:
+    /// the step's point reads are the lookups.
+    fn degree(&mut self, v: VertexId, stats: &mut SimStats) -> usize {
+        self.hier.maintain();
+        let d = self.hier.store().degree(v);
+        stats.read_gmem(gather_bytes(self.hier.is_weighted(), d));
+        d
+    }
+
+    fn neighbor_at(&self, v: VertexId, k: usize) -> (VertexId, Option<Weight>) {
+        self.hier.read_at(v, k)
     }
 
     fn run_epoch(&self, v: VertexId) -> u64 {

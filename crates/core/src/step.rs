@@ -174,6 +174,17 @@ pub trait NeighborAccess {
     /// adjacency gather.
     fn fetch(&mut self, v: VertexId) -> Gathered<'_>;
 
+    /// `v`'s degree, charged exactly as [`Self::gather`] charges a gather
+    /// of `v`: the closed-form uniform step calls this in place of the
+    /// gather, then reads only the neighbors it picked through
+    /// [`Self::neighbor_at`].
+    fn degree(&mut self, v: VertexId, stats: &mut SimStats) -> usize;
+
+    /// Neighbor `k` of `v` and its weight (`None` on unweighted graphs),
+    /// uncharged: [`Self::degree`] paid for the read. `k` must be below
+    /// `v`'s degree.
+    fn neighbor_at(&self, v: VertexId, k: usize) -> (VertexId, Option<Weight>);
+
     /// Host-residency epoch of `v`'s base adjacency, bumped whenever the
     /// storage recycles the memory that served it (the disk tier's run
     /// pool evicting `v`'s decoded run). Resident storage keeps 0.
@@ -230,6 +241,19 @@ impl NeighborAccess for CsrAccess<'_> {
             neighbors: self.graph.neighbors(v),
             weights: self.graph.neighbor_weights(v),
         }
+    }
+
+    #[inline]
+    fn degree(&mut self, v: VertexId, stats: &mut SimStats) -> usize {
+        let d = self.graph.degree(v);
+        stats.read_gmem(gather_bytes(self.graph.is_weighted(), d));
+        d
+    }
+
+    #[inline]
+    fn neighbor_at(&self, v: VertexId, k: usize) -> (VertexId, Option<Weight>) {
+        let i = self.graph.row_ptr()[v as usize] + k;
+        (self.graph.col()[i], self.graph.weights().map(|w| w[i]))
     }
 
     fn prefetch_index(&self, v: VertexId) {
@@ -380,6 +404,25 @@ impl<S: NeighborAccess, R: Residency> NeighborAccess for LayeredAccess<'_, S, R>
         let mut gat = self.storage.fetch(v);
         gat.graph = gat.graph.with_overlay(overlay);
         gat
+    }
+
+    #[inline(always)]
+    fn degree(&mut self, v: VertexId, stats: &mut SimStats) -> usize {
+        if let Some(d) = self.overlay.and_then(|o| o.delta(v)) {
+            let n = d.neighbors().len();
+            stats.read_gmem(gather_bytes(self.graph().is_weighted(), n));
+            return n;
+        }
+        self.residency.fault_in(v, true);
+        self.storage.degree(v, stats)
+    }
+
+    #[inline(always)]
+    fn neighbor_at(&self, v: VertexId, k: usize) -> (VertexId, Option<Weight>) {
+        match self.overlay.and_then(|o| o.delta(v)) {
+            Some(d) => (d.neighbors()[k], d.weights().map(|w| w[k])),
+            None => self.storage.neighbor_at(v, k),
+        }
     }
 
     fn run_epoch(&self, v: VertexId) -> u64 {
@@ -757,9 +800,14 @@ impl<'a> StepKernel<'a> {
     ) {
         let v = entry.vertex;
         let rng = &mut rng;
+        debug_assert!(shared.is_none() || self.group_shareable(), "shared build on a lone kernel");
+        if self.uniform_closed_form() {
+            // No cache, no shared build and no chooser serve a uniform bias.
+            let select = &mut scratch.select;
+            return self.expand_uniform(access, entry, home, rng, sink, select, stats);
+        }
         let chooser = self.chooses_method();
         let cache = self.effective_cache();
-        debug_assert!(shared.is_none() || self.group_shareable(), "shared build on a lone kernel");
         // The 1-hop mutation tag only keys the cache — computing it costs
         // O(overlay ∩ adjacency), so the uncached path must not pay it.
         let epoch = if cache.is_some() { access.entry_epoch(v) } else { 0 };
@@ -795,7 +843,6 @@ impl<'a> StepKernel<'a> {
                 return;
             }
             (None, Some(b)) => (Source::Table { selectable: b.selectable }, 0),
-            (None, None) if self.uniform_closed_form() => (Source::Uniform, 0),
             (None, None) => (Source::Lane, 0),
         };
 
@@ -820,7 +867,59 @@ impl<'a> StepKernel<'a> {
         }
 
         // Stage 3: accept → emit → UPDATE → offer.
-        self.emit_picks(&gat, entry, home, &scratch.select.out, pick_bytes, rng, sink, stats);
+        let edge = |i| gat.edge(i, v, entry.prev);
+        let picks = &scratch.select.out;
+        self.emit_picks(gat.graph, entry, home, picks, pick_bytes, edge, rng, sink, stats);
+    }
+
+    /// The per-entry step over the implicit uniform table: the same
+    /// stages as [`Self::expand_with`] — dead-end hook or `k`, the
+    /// picks, the hooks, in the same Philox order — but the adjacency is
+    /// never gathered. [`NeighborAccess::degree`] stands in for the
+    /// gather, charged the same, and each pick reads its one neighbor
+    /// through [`NeighborAccess::neighbor_at`] (on the disk tier, a
+    /// point read instead of a run decode). Debug builds hold each
+    /// picked edge to the uniform claim: checking all `d` edges would
+    /// read the run and move the disk tier's counters.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn expand_uniform<N: NeighborAccess, S: FrontierSink>(
+        &self,
+        access: &mut N,
+        entry: &StepEntry,
+        home: VertexId,
+        rng: &mut Philox,
+        sink: &mut S,
+        select: &mut SelectScratch,
+        stats: &mut SimStats,
+    ) {
+        let v = entry.vertex;
+        let n = access.degree(v, stats);
+        let access = &*access;
+        let g = access.graph();
+        if n == 0 {
+            match self.algo.on_dead_end(g, v, home, rng) {
+                UpdateAction::Add(w) => self.offer(entry, w, Some(v), sink, stats),
+                UpdateAction::Discard => {}
+            }
+            return;
+        }
+        let k = self.cfg.neighbor_size.realize(n, rng);
+        if k == 0 {
+            return;
+        }
+        stats.warp_cycles += n.div_ceil(32) as u64;
+        self.draw_its(Source::Uniform, n, k, &[], select, rng, stats);
+        let edge = |i| {
+            let (u, w) = access.neighbor_at(v, i);
+            let cand = EdgeCand { v, u, weight: w.unwrap_or(1.0), prev: entry.prev };
+            debug_assert!(
+                self.algo.edge_bias(g, &cand) == 1.0,
+                "edge_bias_is_uniform() contradicted by edge_bias() at v{v}"
+            );
+            cand
+        };
+        self.emit_picks(g, entry, home, &select.out, 0, edge, rng, sink, stats);
     }
 
     /// True when co-located frontier entries (same current vertex, same
@@ -1146,22 +1245,22 @@ impl<'a> StepKernel<'a> {
     #[allow(clippy::too_many_arguments)]
     fn emit_picks<S: FrontierSink>(
         &self,
-        gat: &Gathered<'_>,
+        g: GraphView<'_>,
         entry: &StepEntry,
         home: VertexId,
         picks: &[usize],
         pick_bytes: usize,
+        edge: impl Fn(usize) -> EdgeCand,
         rng: &mut Philox,
         sink: &mut S,
         stats: &mut SimStats,
     ) {
         let v = entry.vertex;
-        let g = gat.graph;
         for &idx in picks {
             if pick_bytes > 0 {
                 stats.read_gmem(pick_bytes);
             }
-            let mut cand = gat.edge(idx, v, entry.prev);
+            let mut cand = edge(idx);
             if let Some(w) = self.algo.accept(g, &cand, rng) {
                 if w == v {
                     // Rejected move (metropolis-hastings stays): the step

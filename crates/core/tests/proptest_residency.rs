@@ -1,7 +1,8 @@
-//! Property test for the disk tier's decoded-run pool: for any graph,
+//! Property tests for the disk tier's decoded-run pool: for any graph,
 //! any lookup sequence and any budget — from "admits nothing" to "holds
-//! everything" — every gather serves exactly the CSR's slices, the
-//! counters stay conserved, and resident bytes never exceed the budget.
+//! everything" — every gather serves exactly the CSR's slices, every
+//! point read exactly the CSR's neighbor, the counters stay conserved,
+//! and resident bytes never exceed the budget.
 
 use csaw_core::residency::{DiskAccess, DiskRunConfig};
 use csaw_core::step::NeighborAccess;
@@ -68,6 +69,48 @@ proptest! {
         prop_assert_eq!(stats.disk_pool_misses, snap.misses);
         if budget_permille >= 1000 {
             prop_assert_eq!(snap.evictions, 0);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Point reads between gathers: each is one lookup that serves the
+    /// CSR's neighbor and weight, from a resident run or in place, and
+    /// admits nothing.
+    #[test]
+    fn point_reads_serve_the_csr_and_admit_nothing(
+        edges in prop::collection::vec((0u32..VERTICES, 0u32..VERTICES), 0..400),
+        reads in prop::collection::vec((0u32..VERTICES, any::<usize>(), any::<bool>()), 1..300),
+        budget_permille in 0usize..1100,
+        partitions in 1usize..6,
+        weighted: bool,
+        case in 0u32..1_000_000,
+    ) {
+        let g = CsrBuilder::new().with_num_vertices(VERTICES as usize).extend_edges(edges).build();
+        let g = if weighted { g.with_unit_weights() } else { g };
+        let dir = tmp_dir(&format!("points-{case}"));
+        write_store(&dir, &g, partitions, 0).expect("write");
+        let store = Arc::new(DiskStore::open(&dir).expect("open"));
+        let budget = store.total_decoded_bytes() * budget_permille / 1000;
+        let mut access =
+            DiskAccess::new(&DiskRunConfig { store, pool_budget: budget, shared: None });
+        let mut stats = SimStats::new();
+        for &(v, k, gather_first) in &reads {
+            if gather_first {
+                let _ = access.gather(v, &mut stats);
+            }
+            let d = access.degree(v, &mut stats);
+            prop_assert_eq!(d, g.degree(v));
+            if d == 0 {
+                continue;
+            }
+            let before = access.snapshot();
+            let k = k % d;
+            let want = (g.neighbors(v)[k], g.neighbor_weights(v).map(|w| w[k]));
+            prop_assert_eq!(access.neighbor_at(v, k), want);
+            let after = access.snapshot();
+            prop_assert_eq!(after.lookups, before.lookups + 1);
+            prop_assert_eq!((after.admissions, after.bytes), (before.admissions, before.bytes));
+            prop_assert!(after.is_conserved(), "{:?}", after);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -63,21 +63,22 @@ pub struct SimStats {
     /// (accepted + rejected); trials / accepts is the live skew signal the
     /// chooser feeds back on.
     pub rejection_trials: u64,
-    /// Decoded-run pool lookups by the disk tier (one per adjacency read
-    /// through a `DiskAccess`; zero unless a run is disk-backed).
+    /// Decoded-run pool lookups by the disk tier (one per adjacency gather
+    /// or point read through a `DiskAccess`; zero unless a run is
+    /// disk-backed).
     pub disk_pool_lookups: u64,
     /// Disk-tier lookups served by an already-decoded resident vertex run.
     pub disk_pool_hits: u64,
-    /// Disk-tier lookups that decoded a vertex run out of its mapped
-    /// segment (`disk_pool_lookups == disk_pool_hits + disk_pool_misses`).
+    /// Disk-tier lookups that no resident run served: decoded, or read in
+    /// place (`disk_pool_lookups == disk_pool_hits + disk_pool_misses`).
     pub disk_pool_misses: u64,
     /// Decoded vertex runs evicted from the pool by the clock sweep.
     pub disk_pool_evictions: u64,
-    /// RAM bytes produced by disk-tier decodes (each miss decodes one
-    /// vertex's run).
+    /// RAM bytes produced by disk-tier decodes (each decoding miss
+    /// decodes one vertex's run; a point read decodes nothing).
     pub disk_decode_bytes: u64,
-    /// Simulated 4 KiB page faults charged for streaming mapped segments
-    /// during decodes.
+    /// Simulated 4 KiB page faults charged for reading mapped segments
+    /// during decodes and point reads.
     pub disk_mmap_faults: u64,
     /// Vertex-groups formed by the depth-synchronous frontier (one group
     /// per distinct current vertex per depth per chunk; zero under

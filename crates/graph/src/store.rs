@@ -4,19 +4,20 @@
 //! and device memory; this module extends the hierarchy one level down so
 //! the *host* side no longer has to hold the whole CSR either. A store is
 //! a directory of per-partition **segment files** — fixed-width
-//! delta-encoded neighbor records behind a fixed-width offset index —
-//! plus a checksummed `store.meta` header carrying the epoch and the
-//! partition table.
+//! neighbor records behind a fixed-width offset index — plus a
+//! checksummed `store.meta` header carrying the epoch and the partition
+//! table.
 //!
 //! A vertex's record is empty when it has no neighbors. Otherwise it is
-//! one width byte `w` (1..=5, the byte length of the record's largest
-//! zigzag delta), then its `d` zigzag deltas as little-endian `w`-byte
-//! integers, then its `d` raw little-endian f32 weights when the store
-//! is weighted. Every delta of a record starts at a fixed offset, so a
-//! decode widens the run in one pass and prefix-sums it in a second,
-//! with no chain of variable-length reads through the bytes. CSR
-//! columns are sorted, so deltas are small: on R-MAT graphs nearly
-//! every record is one or two bytes wide.
+//! one width byte `w` (1..=4, the byte length of the record's largest
+//! neighbor id), then its `d` absolute neighbor ids as little-endian
+//! `w`-byte integers, then its `d` raw little-endian f32 weights when the
+//! store is weighted. Every id of a record starts at a fixed offset, so
+//! neighbor `k` is one index read and one `w`-byte load away
+//! ([`DiskStore::neighbor_at`], the uniform walk step's point read), and
+//! a whole-run decode is one widening pass. A record is as wide as its
+//! largest id: on an R-MAT graph of 2^14 vertices nearly every record is
+//! two bytes wide.
 //!
 //! Readers map segments with `mmap(2)` (a hand-declared libc binding —
 //! the workspace is hermetic) and decode partitions on demand; the
@@ -50,12 +51,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub const META_MAGIC: &[u8; 8] = b"CSAWSTR1";
 /// Magic bytes opening each segment file.
 pub const SEG_MAGIC: &[u8; 8] = b"CSAWSEG1";
-/// On-disk format version. Version 2 holds fixed-width records; a store
-/// of any other version fails to open with [`StoreError::BadVersion`].
-pub const STORE_VERSION: u32 = 2;
-/// Widest delta a record can hold: a zigzag delta between two `u32`
-/// vertex ids needs at most 33 bits.
-const MAX_WIDTH: usize = 5;
+/// On-disk format version. Version 3 holds records of absolute ids; a
+/// store of any other version fails to open with
+/// [`StoreError::BadVersion`].
+pub const STORE_VERSION: u32 = 3;
+/// Widest id a record can hold: a `u32` vertex id.
+const MAX_WIDTH: usize = 4;
 /// Size of the fixed segment header preceding the offset index.
 const SEG_HEADER_BYTES: usize = 48;
 /// Simulated page size for the mmap-fault gauge.
@@ -101,6 +102,15 @@ pub enum StoreError {
         /// What was wrong.
         detail: String,
     },
+    /// A point read asked for a neighbor the vertex does not have.
+    NoSuchNeighbor {
+        /// The vertex read.
+        vertex: VertexId,
+        /// The neighbor index asked for.
+        k: usize,
+        /// The vertex's degree (0 for a vertex outside the store).
+        degree: usize,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -114,6 +124,9 @@ impl fmt::Display for StoreError {
             }
             StoreError::ChecksumMismatch { file } => write!(f, "{file}: checksum mismatch"),
             StoreError::Corrupt { file, detail } => write!(f, "{file}: corrupt: {detail}"),
+            StoreError::NoSuchNeighbor { vertex, k, degree } => {
+                write!(f, "vertex {vertex} has no neighbor {k} (degree {degree})")
+            }
         }
     }
 }
@@ -143,44 +156,39 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-// --- zigzag-delta records -------------------------------------------------
-
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// [`unzigzag`] of a zigzag value below 2^32: the `i32` it encodes, as
-/// its bits.
-#[inline]
-fn unzigzag32(v: u32) -> u32 {
-    (v >> 1) ^ (v & 1).wrapping_neg()
-}
+// --- records --------------------------------------------------------------
 
 /// Appends one vertex's record: nothing for an empty row; otherwise the
-/// width byte, the zigzag deltas at that width, then the weights.
+/// width byte, the ids at that width, then the weights.
 fn encode_record(out: &mut Vec<u8>, ns: &[VertexId], ws: Option<&[Weight]>) {
-    if ns.is_empty() {
+    let Some(&top) = ns.iter().max() else {
         return;
-    }
-    let delta = |k: usize| {
-        let prev = if k == 0 { 0 } else { i64::from(ns[k - 1]) };
-        zigzag(i64::from(ns[k]) - prev)
     };
-    let top = (0..ns.len()).map(delta).max().unwrap_or(0);
-    let w = ((64 - top.leading_zeros() as usize).div_ceil(8)).max(1);
+    let w = (32 - top.leading_zeros() as usize).div_ceil(8).max(1);
     out.push(w as u8);
-    for k in 0..ns.len() {
-        out.extend_from_slice(&delta(k).to_le_bytes()[..w]);
+    for &u in ns {
+        out.extend_from_slice(&u.to_le_bytes()[..w]);
     }
     for &x in ws.unwrap_or(&[]) {
         out.extend_from_slice(&x.to_le_bytes());
     }
+}
+
+/// The id width of a record of `deg` neighbors (0 when empty), checked
+/// against the record's size.
+fn record_width(rec: &[u8], deg: usize, weighted: bool) -> Result<usize, &'static str> {
+    let wbytes = if weighted { deg * 4 } else { 0 };
+    if deg == 0 {
+        return if rec.is_empty() { Ok(0) } else { Err("bytes in an empty record") };
+    }
+    let w = rec.first().map_or(0, |&b| usize::from(b));
+    if !(1..=MAX_WIDTH).contains(&w) {
+        return Err("bad id width");
+    }
+    if rec.len() != 1 + deg * w + wbytes {
+        return Err("id width disagrees with the record size");
+    }
+    Ok(w)
 }
 
 /// Decodes one record of `deg` neighbors, appending them to `col` and,
@@ -188,14 +196,11 @@ fn encode_record(out: &mut Vec<u8>, ns: &[VertexId], ws: Option<&[Weight]>) {
 /// whether the record carries any). The one decoder behind
 /// [`DiskStore::decode_vertex`] and [`DiskStore::decode_partition`].
 ///
-/// Two passes, neither chained through the bytes: the deltas are
-/// widened and unzigzagged into `col`, then prefix-summed in place. The
-/// running sum wraps rather than overflows and an out-of-range flag is
-/// or-ed in branch-free, so corrupt bytes give an error, never a panic.
-/// The sum is exact until the first step out of `0..num_vertices` (each
-/// step moves it by under 2^40), and that step sets the flag. Each
-/// buffer grows by one `reserve(deg)` (exact-size iterators), so it
-/// allocates nothing when it already has room for the run.
+/// One widening pass per width, then a vectorizable maximum that rejects
+/// an id outside `0..num_vertices`, so corrupt bytes give an error, never
+/// a panic. Each buffer grows by one `reserve(deg)` (exact-size
+/// iterators), so it allocates nothing when it already has room for the
+/// run.
 fn decode_record(
     rec: &[u8],
     deg: usize,
@@ -204,65 +209,21 @@ fn decode_record(
     weights: Option<&mut Vec<Weight>>,
     weighted: bool,
 ) -> Result<(), &'static str> {
-    let wbytes = if weighted { deg * 4 } else { 0 };
+    let w = record_width(rec, deg, weighted)?;
     if deg == 0 {
-        return if rec.len() == wbytes { Ok(()) } else { Err("bytes in an empty record") };
+        return Ok(());
     }
-    let w = rec.first().map_or(0, |&b| usize::from(b));
-    if !(1..=MAX_WIDTH).contains(&w) {
-        return Err("bad delta width");
+    let (ids, wrec) = rec[1..].split_at(deg * w);
+    let base = col.len();
+    match w {
+        1 => col.extend(ids.iter().map(|&b| u32::from(b))),
+        2 => col.extend(ids.as_chunks::<2>().0.iter().map(|&c| u32::from(u16::from_le_bytes(c)))),
+        3 => col.extend(
+            ids.as_chunks::<3>().0.iter().map(|&[a, b, c]| u32::from_le_bytes([a, b, c, 0])),
+        ),
+        _ => col.extend(ids.as_chunks::<4>().0.iter().map(|&c| u32::from_le_bytes(c))),
     }
-    if rec.len() != 1 + deg * w + wbytes {
-        return Err("delta width disagrees with the record size");
-    }
-    let (deltas, wrec) = rec[1..].split_at(deg * w);
-    let limit = (num_vertices as u64).min(1 << 32);
-    // Each arm keeps its own sum: one the wide arm's closure borrows
-    // would live in memory in the narrow arms' loop too.
-    let out_of_range = if w < MAX_WIDTH {
-        // Up to four bytes, a zigzag delta unzigzags to an `i32`; `col`
-        // holds its bits until the prefix sum.
-        let base = col.len();
-        match w {
-            1 => col.extend(deltas.iter().map(|&b| unzigzag32(u32::from(b)))),
-            2 => col.extend(
-                deltas
-                    .as_chunks::<2>()
-                    .0
-                    .iter()
-                    .map(|&c| unzigzag32(u32::from(u16::from_le_bytes(c)))),
-            ),
-            3 => col.extend(
-                deltas
-                    .as_chunks::<3>()
-                    .0
-                    .iter()
-                    .map(|&[a, b, c]| unzigzag32(u32::from_le_bytes([a, b, c, 0]))),
-            ),
-            _ => col.extend(
-                deltas.as_chunks::<4>().0.iter().map(|&c| unzigzag32(u32::from_le_bytes(c))),
-            ),
-        }
-        let (mut sum, mut out_of_range) = (0i64, false);
-        for x in &mut col[base..] {
-            sum = sum.wrapping_add(i64::from(*x as i32));
-            out_of_range |= sum as u64 >= limit;
-            *x = sum as VertexId;
-        }
-        out_of_range
-    } else {
-        // Five-byte deltas do not fit a `u32`: widen and sum in one pass.
-        let (mut sum, mut out_of_range) = (0i64, false);
-        col.extend(deltas.chunks_exact(w).map(|c| {
-            let mut b = [0u8; 8];
-            b[..w].copy_from_slice(c);
-            sum = sum.wrapping_add(unzigzag(u64::from_le_bytes(b)));
-            out_of_range |= sum as u64 >= limit;
-            sum as VertexId
-        }));
-        out_of_range
-    };
-    if out_of_range {
+    if col[base..].iter().fold(0, |m, &u| m.max(u)) as usize >= num_vertices {
         return Err("neighbor out of range");
     }
     if let Some(ws) = weights {
@@ -594,6 +555,11 @@ pub fn segment_name(id: usize) -> String {
     format!("part-{id:05}.seg")
 }
 
+/// The typed error for a bad record `i` of partition `p`.
+fn bad_record(p: usize, i: usize, what: &str) -> StoreError {
+    StoreError::Corrupt { file: segment_name(p), detail: format!("{what} in record {i}") }
+}
+
 // --- opened store ----------------------------------------------------------
 
 /// A segment opened for reading: the mapping plus the derived region
@@ -792,7 +758,7 @@ impl DiskStore {
             deg_sum += deg;
             let rec = next - off;
             let wbytes = if weighted { deg * 4 } else { 0 };
-            // Empty, or a width byte, `deg` deltas of 1..=5 bytes each
+            // Empty, or a width byte, `deg` ids of 1..=4 bytes each
             // and the weights.
             let fits = match (rec.checked_sub(1 + wbytes), deg) {
                 (_, 0) => rec == wbytes,
@@ -912,32 +878,40 @@ impl DiskStore {
         Ok(())
     }
 
+    /// Vertex `i` of partition `p`: its degree, its record and the
+    /// record's byte offset in the segment. The segment's name is built
+    /// only when an error needs it: the miss paths must not allocate.
+    fn record(&self, p: usize, i: usize) -> Result<(usize, &[u8], usize), StoreError> {
+        let seg = &self.segments[p];
+        let bytes = seg.map.bytes();
+        let deg = read_u32(bytes, seg.degree_off + i * 4).expect("validated at open") as usize;
+        let off = read_u64(bytes, seg.index_off + i * 8).expect("validated at open") as usize;
+        let end = read_u64(bytes, seg.index_off + (i + 1) * 8).expect("validated at open") as usize;
+        let rec = bytes[seg.payload_off..seg.payload_off + seg.payload_len]
+            .get(off..end)
+            .ok_or_else(|| StoreError::Corrupt {
+                file: segment_name(p),
+                detail: format!("record {i} out of payload bounds"),
+            })?;
+        Ok((deg, rec, seg.payload_off + off))
+    }
+
     /// Decodes partition `p` out of its mapped segment. The first decode
     /// of each segment verifies its trailing checksum (one streaming
     /// pass); corrupt bytes yield a typed error, never a panic.
     pub fn decode_partition(&self, p: usize) -> Result<DecodedPartition, StoreError> {
         self.verify_segment(p)?;
         let m = &self.metas[p];
-        let seg = &self.segments[p];
-        let bytes = seg.map.bytes();
-        let corrupt = |detail: String| StoreError::Corrupt { file: segment_name(p), detail };
         let nv = m.num_vertices();
-        let payload = &bytes[seg.payload_off..seg.payload_off + seg.payload_len];
         let mut local_row_ptr = Vec::with_capacity(nv + 1);
         let mut col: Vec<VertexId> = Vec::with_capacity(m.edges as usize);
         let mut weights: Option<Vec<Weight>> =
             if self.weighted { Some(Vec::with_capacity(m.edges as usize)) } else { None };
         local_row_ptr.push(0);
         for i in 0..nv {
-            let deg = read_u32(bytes, seg.degree_off + i * 4).expect("validated at open") as usize;
-            let off = read_u64(bytes, seg.index_off + i * 8).expect("validated at open") as usize;
-            let end =
-                read_u64(bytes, seg.index_off + (i + 1) * 8).expect("validated at open") as usize;
-            let rec = payload
-                .get(off..end)
-                .ok_or_else(|| corrupt(format!("record {i} out of payload bounds")))?;
+            let (deg, rec, _) = self.record(p, i)?;
             decode_record(rec, deg, self.num_vertices, &mut col, weights.as_mut(), self.weighted)
-                .map_err(|e| corrupt(format!("{e} in record {i}")))?;
+                .map_err(|e| bad_record(p, i, e))?;
             local_row_ptr.push(col.len());
         }
         Ok(DecodedPartition { start: m.start, end: m.end, local_row_ptr, col, weights })
@@ -947,12 +921,13 @@ impl DiskStore {
     /// appending neighbors (and, when the store is weighted, weights) to
     /// the caller's buffers — O(degree(v)): the fixed-width offset index
     /// locates the record without touching the rest of the payload. This
-    /// is the residency hierarchy's miss path (its pool holds vertex
-    /// runs), so it allocates nothing when the buffers already have
-    /// room for `degree(v)` entries. Returns the simulated 4 KiB page
-    /// faults charged (one for the index/degree reads plus the record's
-    /// span). The first decode touching a segment verifies its trailing
-    /// checksum, exactly like [`DiskStore::decode_partition`].
+    /// is the residency hierarchy's miss path for a step that reads the
+    /// whole run (its pool holds vertex runs), so it allocates nothing
+    /// when the buffers already have room for `degree(v)` entries.
+    /// Returns the simulated 4 KiB page faults charged (one for the
+    /// index/degree reads plus the record's span). The first decode
+    /// touching a segment verifies its trailing checksum, exactly like
+    /// [`DiskStore::decode_partition`].
     pub fn decode_vertex(
         &self,
         v: VertexId,
@@ -961,29 +936,50 @@ impl DiskStore {
     ) -> Result<u64, StoreError> {
         let p = self.partition_of(v);
         self.verify_segment(p)?;
-        let m = &self.metas[p];
-        let seg = &self.segments[p];
-        let bytes = seg.map.bytes();
-        // The segment's name is built only when an error needs it: this
-        // runs once per pool miss and must not allocate on success.
-        let corrupt = |detail: String| StoreError::Corrupt { file: segment_name(p), detail };
-        let i = (v - m.start) as usize;
-        let deg = read_u32(bytes, seg.degree_off + i * 4).expect("validated at open") as usize;
-        let off = read_u64(bytes, seg.index_off + i * 8).expect("validated at open") as usize;
-        let end = read_u64(bytes, seg.index_off + (i + 1) * 8).expect("validated at open") as usize;
-        let payload = &bytes[seg.payload_off..seg.payload_off + seg.payload_len];
-        let rec = payload
-            .get(off..end)
-            .ok_or_else(|| corrupt(format!("record {i} out of payload bounds")))?;
+        let i = (v - self.metas[p].start) as usize;
+        let (deg, rec, first) = self.record(p, i)?;
         decode_record(rec, deg, self.num_vertices, col, weights, self.weighted)
-            .map_err(|e| corrupt(format!("{e} in record {i}")))?;
-        let first = seg.payload_off + off;
-        let span = if end > off {
-            ((seg.payload_off + end - 1) / PAGE_BYTES - first / PAGE_BYTES + 1) as u64
-        } else {
-            0
+            .map_err(|e| bad_record(p, i, e))?;
+        let span = match rec.len() {
+            0 => 0,
+            len => ((first + len - 1) / PAGE_BYTES - first / PAGE_BYTES + 1) as u64,
         };
         Ok(1 + span)
+    }
+
+    /// Neighbor `k` of vertex `v` and its weight (when the store is
+    /// weighted), read in place — O(1): one index read and one `w`-byte
+    /// load, no decode and no allocation. The uniform walk step needs
+    /// nothing more. A `k` past `v`'s degree is
+    /// [`StoreError::NoSuchNeighbor`]; a bad width byte or an id outside
+    /// the store is [`StoreError::Corrupt`]. Like a decode, the first read
+    /// touching a segment verifies its trailing checksum.
+    pub fn neighbor_at(
+        &self,
+        v: VertexId,
+        k: usize,
+    ) -> Result<(VertexId, Option<Weight>), StoreError> {
+        if v as usize >= self.num_vertices {
+            return Err(StoreError::NoSuchNeighbor { vertex: v, k, degree: 0 });
+        }
+        let p = self.partition_of(v);
+        let i = (v - self.metas[p].start) as usize;
+        let (deg, rec, first) = self.record(p, i)?;
+        if k >= deg {
+            return Err(StoreError::NoSuchNeighbor { vertex: v, k, degree: deg });
+        }
+        self.verify_segment(p)?;
+        let w = record_width(rec, deg, self.weighted).map_err(|e| bad_record(p, i, e))?;
+        // A whole `u32` load, masked to the width: the segment's trailing
+        // checksum keeps the bytes past the record's last id in bounds.
+        let bytes = self.segments[p].map.bytes();
+        let word = read_u32(bytes, first + 1 + k * w).expect("a checksum follows the payload");
+        let u = word & (u32::MAX >> (32 - 8 * w));
+        if u as usize >= self.num_vertices {
+            return Err(bad_record(p, i, "neighbor out of range"));
+        }
+        let at = 1 + deg * w + k * 4;
+        Ok((u, self.weighted.then(|| f32::from_le_bytes(rec[at..at + 4].try_into().unwrap()))))
     }
 
     /// Decodes the whole store back into one in-memory [`Csr`] —
@@ -1161,26 +1157,23 @@ mod tests {
     }
 
     /// The width byte of vertex `v`'s record, read off the mapping.
-    fn record_width(store: &DiskStore, v: VertexId) -> u8 {
+    fn width_byte(store: &DiskStore, v: VertexId) -> u8 {
         let p = store.partition_of(v);
-        let seg = &store.segments[p];
-        let i = (v - store.metas[p].start) as usize;
-        let off = read_u64(seg.map.bytes(), seg.index_off + i * 8).unwrap() as usize;
-        seg.map.bytes()[seg.payload_off + off]
+        let (_, rec, _) = store.record(p, (v - store.metas[p].start) as usize).unwrap();
+        rec[0]
     }
 
-    /// Rows whose largest zigzag delta needs exactly 1, 2 and 3 bytes,
-    /// unsorted rows (negative deltas) and zero-degree vertices, plain
-    /// and weighted.
+    /// Rows whose largest id needs exactly 1, 2 and 3 bytes, unsorted
+    /// rows and zero-degree vertices, plain and weighted.
     #[test]
     fn round_trips_every_test_reachable_width() {
         let n = 70_000;
         let rows: [&[VertexId]; 6] = [
-            &[3, 60],             // largest delta 57: zigzag 114, 1 byte
+            &[60, 3],             // largest id 60: 1 byte
             &[],                  // zero degree
-            &[10, 300],           // largest delta 290: zigzag 580, 2 bytes
-            &[69_999, 5, 40_000], // delta -69 994: zigzag 139 987, 3 bytes
-            &[9, 2, 1, 0],        // unsorted: negative deltas, 1 byte
+            &[10, 300],           // largest id 300: 2 bytes
+            &[69_999, 5, 40_000], // largest id 69 999: 3 bytes
+            &[9, 2, 1, 0],        // unsorted, 1 byte
             &[],
         ];
         let mut row_ptr = vec![0];
@@ -1205,26 +1198,22 @@ mod tests {
                     (g.neighbors(v), g.neighbor_weights(v))
                 );
             }
-            let widths: Vec<u8> = [0, 2, 3, 4].iter().map(|&v| record_width(&store, v)).collect();
+            let widths: Vec<u8> = [0, 2, 3, 4].iter().map(|&v| width_byte(&store, v)).collect();
             assert_eq!(widths, [1, 2, 3, 1]);
             let _ = fs::remove_dir_all(&dir);
         }
     }
 
     #[test]
-    fn decode_record_reads_widths_four_and_five() {
-        // Hand-built: a zigzag delta of 2^31 (vertex 2^30) needs 4 bytes;
-        // one of 2^33 - 28 (vertex 2^32 - 14 from 0) needs 5.
-        let four = [4u8, 0, 0, 0, 0x80, 0x0b, 0, 0, 0];
+    fn decode_record_reads_width_four() {
+        // Hand-built: vertex 2^30 needs 4 bytes.
+        let four = [4u8, 0, 0, 0, 0x40, 7, 0, 0, 0];
         let mut col = Vec::new();
         decode_record(&four, 2, (1 << 30) + 1, &mut col, None, false).unwrap();
-        assert_eq!(col, [1 << 30, (1 << 30) - 6]);
-        let five = [5u8, 0xe4, 0xff, 0xff, 0xff, 0x01, 0xe1, 0xff, 0xff, 0xff, 0x01];
-        col.clear();
-        decode_record(&five, 2, 1 << 32, &mut col, None, false).unwrap();
-        assert_eq!(col, [u32::MAX - 13, 1]);
-        // The encoder picks the same widths.
-        for (ns, w) in [(&[1u32 << 30, (1 << 30) - 6][..], 4), (&[u32::MAX - 13, 1][..], 5)] {
+        assert_eq!(col, [1 << 30, 7]);
+        // The encoder picks the width of the largest id, whatever its
+        // position, and the weights follow the ids.
+        for (ns, w) in [(&[7u32, 1 << 30][..], 4), (&[u32::MAX, 0][..], 4), (&[255, 0][..], 1)] {
             let mut rec = Vec::new();
             encode_record(&mut rec, ns, Some(&[1.5, 2.5]));
             assert_eq!(usize::from(rec[0]), w);
@@ -1235,24 +1224,19 @@ mod tests {
     }
 
     #[test]
-    fn decode_record_rejects_bad_widths_sizes_and_sums() {
+    fn decode_record_rejects_bad_widths_sizes_and_ids() {
         let decode = |rec: &[u8], deg, n| decode_record(rec, deg, n, &mut Vec::new(), None, false);
         assert_eq!(decode(&[1, 2, 2], 2, 8), Ok(()));
-        assert_eq!(decode(&[], 2, 8), Err("bad delta width"));
-        assert_eq!(decode(&[0, 2, 2], 2, 8), Err("bad delta width"));
-        assert_eq!(decode(&[6, 2, 2], 2, 8), Err("bad delta width"));
-        assert_eq!(decode(&[2, 2, 2], 2, 8), Err("delta width disagrees with the record size"));
-        assert_eq!(decode(&[1, 2, 2, 2], 2, 8), Err("delta width disagrees with the record size"));
+        assert_eq!(decode(&[], 2, 8), Err("bad id width"));
+        assert_eq!(decode(&[0, 2, 2], 2, 8), Err("bad id width"));
+        assert_eq!(decode(&[5, 2, 2], 2, 8), Err("bad id width"));
+        assert_eq!(decode(&[2, 2, 2], 2, 8), Err("id width disagrees with the record size"));
+        assert_eq!(decode(&[1, 2, 2, 2], 2, 8), Err("id width disagrees with the record size"));
         assert_eq!(decode(&[1], 0, 8), Err("bytes in an empty record"));
-        // 1 then 1 + 4: past n = 5. A negative sum, -1, is out too.
-        assert_eq!(decode(&[1, 2, 8], 2, 5), Err("neighbor out of range"));
-        assert_eq!(decode(&[1, 1], 1, 5), Err("neighbor out of range"));
-        // Widest deltas that keep stepping down wrap, never overflow.
-        let mut rec = vec![5u8];
-        for _ in 0..64 {
-            rec.extend_from_slice(&[0xff; 5]);
-        }
-        assert_eq!(decode(&rec, 64, 8), Err("neighbor out of range"));
+        // Id 5 is past n = 5, wherever it sits in the run.
+        assert_eq!(decode(&[1, 5, 0], 2, 5), Err("neighbor out of range"));
+        assert_eq!(decode(&[1, 0, 5], 2, 5), Err("neighbor out of range"));
+        assert_eq!(decode(&[4, 0xff, 0xff, 0xff, 0xff], 1, 8), Err("neighbor out of range"));
     }
 
     /// Writes `g`, applies `edit` to segment `p`'s bytes (given the
@@ -1293,19 +1277,21 @@ mod tests {
 
     #[test]
     fn bad_record_bytes_are_typed_errors_on_both_decode_paths() {
-        // Vertex 0's record: width 1, deltas 1 and 1 (neighbors 1, 2).
+        // Vertex 0's record: width 1, neighbors 1 and 2.
         let g = Csr::from_parts(vec![0, 2, 3, 4, 4], vec![1, 2, 0, 0], None);
         let edits: [(&str, usize, u8); 4] = [
             ("flipwidth", 0, 2), // 1 -> 2: the size says 1
             ("width0", 0, 0),
-            ("width6", 0, 6),
-            ("sumout", 2, 0x0c), // delta +6 to neighbor 7, past n = 4
+            ("width5", 0, 5),
+            ("idout", 2, 0x0c), // neighbor 12, past n = 4
         ];
         for (name, at, byte) in edits {
             let dir = resealed_store(&g, name, 0, |seg, payload| seg[payload + at] = byte);
             let store = DiskStore::open(&dir).expect("sizes still agree");
             assert!(matches!(store.decode_partition(0), Err(StoreError::Corrupt { .. })), "{name}");
             let r = store.decode_vertex(0, &mut Vec::new(), None);
+            assert!(matches!(r, Err(StoreError::Corrupt { .. })), "{name}: {r:?}");
+            let r = store.neighbor_at(0, 1);
             assert!(matches!(r, Err(StoreError::Corrupt { .. })), "{name}: {r:?}");
             let mut col = Vec::new();
             store.decode_vertex(1, &mut col, None).expect("other records still decode");
@@ -1329,16 +1315,20 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Version 1 (varint deltas) and version 2 (fixed-width deltas) have
+    /// no reader: rewrite the store.
     #[test]
-    fn version_one_store_is_bad_version() {
-        let dir = tmp_dir("v1");
+    fn older_version_stores_are_bad_version() {
+        let dir = tmp_dir("oldversion");
         write_store(&dir, &toy_graph(), 2, 0).unwrap();
         let mut meta = fs::read(dir.join("store.meta")).unwrap();
-        meta[8..12].copy_from_slice(&1u32.to_le_bytes());
-        reseal_meta(&dir, &mut meta);
-        match DiskStore::open(&dir) {
-            Err(StoreError::BadVersion { found: 1 }) => {}
-            other => panic!("expected BadVersion, got {other:?}"),
+        for old in [1u32, 2] {
+            meta[8..12].copy_from_slice(&old.to_le_bytes());
+            reseal_meta(&dir, &mut meta);
+            match DiskStore::open(&dir) {
+                Err(StoreError::BadVersion { found }) => assert_eq!(found, old),
+                other => panic!("expected BadVersion, got {other:?}"),
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -1,12 +1,14 @@
 //! Property tests for the on-disk partitioned CSR store: the
-//! fixed-width delta records round-trip arbitrary graphs exactly, and
+//! fixed-width records of absolute ids round-trip arbitrary graphs
+//! exactly, through whole-run decodes and point reads alike, and
 //! arbitrary single-byte corruption of any store file surfaces as a
 //! typed [`StoreError`] (or decodes to the identical adjacency when the
 //! flip lands in bytes the format never reads) — never a panic.
 
-use csaw_graph::store::{segment_name, write_store};
+use csaw_graph::store::{segment_name, write_store, StoreError};
 use csaw_graph::{Csr, CsrBuilder, DiskStore};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::path::PathBuf;
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -19,6 +21,24 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 fn arb_edges() -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0u32..96, 0u32..96), 0..256)
+}
+
+/// Every point read of `g` through `store` matches the CSR, and a read
+/// past a vertex's degree, or of a vertex past the store, is a typed
+/// error.
+fn point_reads_match(store: &DiskStore, g: &Csr) -> Result<(), TestCaseError> {
+    let n = g.num_vertices() as u32;
+    for v in 0..n {
+        for k in 0..g.degree(v) {
+            let want = (g.neighbors(v)[k], g.neighbor_weights(v).map(|w| w[k]));
+            prop_assert_eq!(store.neighbor_at(v, k).expect("point read"), want);
+        }
+        let past = store.neighbor_at(v, g.degree(v));
+        prop_assert!(matches!(past, Err(StoreError::NoSuchNeighbor { .. })), "{:?}", past);
+    }
+    let outside = store.neighbor_at(n, 0);
+    prop_assert!(matches!(outside, Err(StoreError::NoSuchNeighbor { .. })), "{:?}", outside);
+    Ok(())
 }
 
 fn build(edges: Vec<(u32, u32)>, weighted: bool) -> Csr {
@@ -69,12 +89,13 @@ proptest! {
                 prop_assert_eq!(ws.as_deref(), g.neighbor_weights(v));
             }
         }
+        point_reads_match(&store, &g)?;
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Unsorted rows of arbitrary ids (negative deltas) over up to
-    /// 70 000 vertices, so records 1, 2 and 3 bytes wide all occur,
-    /// between zero-degree vertices: both decode paths give them back
+    /// Unsorted rows of arbitrary ids over up to 70 000 vertices, so
+    /// records 1, 2 and 3 bytes wide all occur, between zero-degree
+    /// vertices: both decode paths and the point reads give them back
     /// exactly, weights too.
     #[test]
     fn unsorted_wide_rows_round_trip(
@@ -105,6 +126,7 @@ proptest! {
             prop_assert_eq!(col.as_slice(), g.neighbors(v));
             prop_assert_eq!(ws.as_deref(), g.neighbor_weights(v));
         }
+        point_reads_match(&store, &g)?;
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -166,6 +188,41 @@ proptest! {
                         "silent corruption of v{}'s run",
                         v
                     );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The same single-byte corruption under point reads: every
+    /// `neighbor_at` returns a typed error or the original neighbor and
+    /// its weight, never a panic.
+    #[test]
+    fn single_byte_corruption_is_typed_or_harmless_to_point_reads(
+        edges in arb_edges(),
+        k in 1usize..5,
+        weighted: bool,
+        pick_meta: bool,
+        pos in 0usize..10_000,
+        bit in 0u32..8,
+        case in 0u32..1_000_000,
+    ) {
+        let g = build(edges, weighted);
+        let dir = tmp_dir(&format!("corrupt-points-{case}"));
+        write_store(&dir, &g, k, 0).expect("write");
+        let path =
+            if pick_meta { dir.join("store.meta") } else { dir.join(segment_name(pos % k)) };
+        let mut bytes = std::fs::read(&path).expect("read store file");
+        let i = pos % bytes.len();
+        bytes[i] ^= 1 << bit;
+        std::fs::write(&path, &bytes).expect("rewrite store file");
+        if let Ok(store) = DiskStore::open(&dir) {
+            for v in 0..g.num_vertices() as u32 {
+                for k in 0..g.degree(v) + 1 {
+                    if let Ok(read) = store.neighbor_at(v, k) {
+                        let want = g.neighbors(v).get(k).map(|&u| (u, g.neighbor_weights(v).map(|w| w[k])));
+                        prop_assert_eq!(Some(read), want, "silent corruption of v{}[{}]", v, k);
+                    }
                 }
             }
         }

@@ -288,10 +288,10 @@ counters! {
     /// `disk_lookups == disk_hits + disk_misses`).
     disk_hits: u64 => Counter, "csaw_disk_hits_total",
         "Disk-tier lookups served by a resident decoded vertex run";
-    /// Disk-tier lookups that decoded a vertex run from its mapped
-    /// segment (gauge).
+    /// Disk-tier lookups that no resident run served: decoded, or read
+    /// in place (gauge).
     disk_misses: u64 => Counter, "csaw_disk_misses_total",
-        "Disk-tier lookups that decoded a vertex run from its segment";
+        "Disk-tier lookups no resident run served: decoded, or read in place";
     /// Decoded vertex runs evicted by the pools' clock sweeps (gauge,
     /// `disk_evictions <= disk_misses`).
     disk_evictions: u64 => Counter, "csaw_disk_evictions_total",

@@ -8,16 +8,19 @@
 
 use csaw::core::algorithms::{BiasedRandomWalk, MultiDimRandomWalk, UnbiasedNeighborSampling};
 use csaw::core::ctps_cache::CtpsCache;
-use csaw::core::engine::{drive_instance, ExecMode, RunOptions, Sampler};
+use csaw::core::engine::{
+    drive_instance, drive_pool, kernel_for, ExecMode, PoolBufs, RunOptions, Sampler,
+};
 use csaw::core::residency::{
     with_thread_disk_access, DiskAccess, DiskPoolSnapshot, DiskRunConfig, DiskTierStats,
 };
+use csaw::core::step::StepScratch;
 use csaw::core::{AlgoSpec, Algorithm};
 use csaw::gpu::stats::SimStats;
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::graph::reorder::{degree_order, relabel};
 use csaw::graph::store::write_store;
-use csaw::graph::{Csr, DiskStore, EdgeEdit, MutableGraph};
+use csaw::graph::{Csr, CsrBuilder, DiskStore, EdgeEdit, MutableGraph};
 use csaw::oom::{OomConfig, OomRunner};
 use csaw::service::{
     MutationRequest, OomExecutor, SamplingRequest, SamplingService, ServiceConfig,
@@ -166,6 +169,73 @@ fn a_full_budget_pool_never_evicts_and_out_hits_every_smaller_budget() {
             hit_share(p)
         );
     }
+}
+
+/// The uniform walk step's point reads, pinned by count. Over a 10% pool
+/// a `simple-walk` reads its one picked neighbor a step through the pool
+/// and never gathers: one lookup per kernel step (the graph is symmetric
+/// and every seed has an edge, so no step is a dead end), a balanced
+/// ledger, nothing decoded and nothing admitted. A `biased-walk` on the
+/// same pool still gathers each run, so it decodes and admits.
+#[test]
+fn a_uniform_walk_reads_neighbors_in_place_and_a_biased_walk_still_decodes() {
+    let raw = rmat(11, 8, RmatParams::GRAPH500, 42);
+    let n = raw.num_vertices();
+    let edges = (0..n as u32).flat_map(|v| raw.neighbors(v).iter().map(move |&u| (v, u)));
+    let g = CsrBuilder::new().with_num_vertices(n).symmetrize(true).extend_edges(edges).build();
+    let seeds: Vec<u32> = (0..n as u32).filter(|&v| g.degree(v) > 0).step_by(7).take(96).collect();
+    let dir = tmp_dir("points");
+    let store = disk_cfg(&g, &dir, 64, 0).store;
+    let cfg = DiskRunConfig {
+        pool_budget: store.total_decoded_bytes() / 10,
+        store,
+        shared: Some(Arc::new(DiskTierStats::default())),
+    };
+    let mut access = DiskAccess::new(&cfg);
+    let opts = RunOptions { seed: 7, ..Default::default() };
+    let walk = |name: &str, access: &mut DiskAccess| {
+        let algo = AlgoSpec::by_name(name).unwrap().with_depth(24).build().unwrap();
+        let kernel = kernel_for(algo.as_ref(), &opts);
+        let (mut bufs, mut out, mut scratch) =
+            (PoolBufs::default(), Vec::new(), StepScratch::new());
+        let mut stats = SimStats::new();
+        let before = access.snapshot();
+        let steps: u64 = (0..seeds.len())
+            .map(|i| {
+                let seed = &seeds[i..=i];
+                drive_pool(
+                    &kernel,
+                    access,
+                    i as u32,
+                    seed,
+                    &mut bufs,
+                    &mut out,
+                    &mut scratch,
+                    &mut stats,
+                )
+            })
+            .sum();
+        access.flush_stats(&mut stats);
+        let after = access.snapshot();
+        assert!(after.is_conserved(), "{name}: {after:?}");
+        (steps, stats, before, after)
+    };
+
+    let (steps, stats, before, after) = walk("simple-walk", &mut access);
+    assert_eq!(before, DiskPoolSnapshot { budget: cfg.pool_budget as u64, ..Default::default() });
+    assert!(steps > 0);
+    assert_eq!(after.lookups, steps, "one point read a step");
+    assert_eq!(after.lookups, after.hits + after.misses);
+    assert_eq!((after.admissions, after.evictions, after.bytes), (0, 0, 0), "{after:?}");
+    assert_eq!(stats.disk_decode_bytes, 0);
+    assert_eq!(stats.disk_pool_lookups, steps);
+    let tier = cfg.shared.as_ref().unwrap();
+    assert_eq!(tier.decode_count.load(std::sync::atomic::Ordering::Relaxed), 0);
+
+    let (_, stats, before, after) = walk("biased-walk", &mut access);
+    assert!(after.admissions > before.admissions, "{after:?}");
+    assert!(stats.disk_decode_bytes > 0);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Runs the same request stream against a memory-backed and a

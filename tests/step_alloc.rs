@@ -495,18 +495,28 @@ fn steady_state_step_allocates_nothing() {
     // A starved pool (10% of the graph) pays for residency and nothing
     // else: a hit and a miss the frequency gate rejects (decoded into
     // the recycled spare buffer) allocate nothing, an admitted run
-    // allocates its exact-size buffer. node2vec is the exception: its
-    // hook probes deg(v) other runs within one step, and the rejected
-    // ones past the first are allocated and freed with the step, so it
-    // is held to one allocation a decode. No CTPS cache: evictions
-    // retire its entries, and re-admitting those is the cache's
-    // allocation, not the pool's.
+    // allocates its exact-size buffer. The uniform per-vertex steps read
+    // their picked neighbors in place and admit nothing, so they are
+    // held to zero. node2vec is the exception: its hook probes deg(v)
+    // other runs within one step, and the rejected ones past the first
+    // are allocated and freed with the step, so it is held to one
+    // allocation a decode. No CTPS cache: evictions retire its entries,
+    // and re-admitting those is the cache's allocation, not the pool's.
+    let point_reads: Vec<AlgorithmId> = AlgorithmId::ALL
+        .into_iter()
+        .filter(|&id| {
+            let algo = AlgoSpec::new(id).build().expect("registry specs are valid");
+            algo.edge_bias_is_uniform()
+                && algo.config().frontier == FrontierMode::IndependentPerVertex
+        })
+        .collect();
     let mut starved = pool(store.total_decoded_bytes() / 10);
     for v in 0..g.num_vertices() as VertexId {
         let _ = starved.gather(v, &mut warm_stats);
     }
     let warmed = starved.snapshot();
     gate_all(&g, &mut starved, "disk-starved", false, |id, a| match id {
+        _ if point_reads.contains(&id) => 0,
         AlgorithmId::Node2Vec => a.snapshot().misses,
         _ => a.snapshot().admissions,
     });
