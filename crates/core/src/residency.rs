@@ -81,6 +81,17 @@
 //! identities in [`DiskPoolSnapshot::is_conserved`] hold regardless.
 //! `evictions` counts runs — far more of them than the partitions it
 //! once counted, for several times fewer `decode_bytes`.
+//!
+//! **Counting.** A pool counts into its own plain totals; a lookup costs
+//! no atomic. The totals reach a run's [`SimStats`] through
+//! [`ResidencyHierarchy::flush_stats`] and the shared [`DiskTierStats`]
+//! by a publish of the delta since the last one, in three places: at the
+//! end of every task ([`crate::engine::run_task`] flushes), on the public
+//! [`ResidencyHierarchy::maintain`], and in
+//! [`ResidencyHierarchy::rebind_shared`], to the old sink before the
+//! switch. A reader in the middle of a task sees totals as of the last
+//! finished task. Only the resident-bytes gauge and the decode-time
+//! histogram are still written as they happen.
 
 use crate::step::{gather_bytes, Gathered, NeighborAccess};
 use csaw_gpu::stats::SimStats;
@@ -117,7 +128,10 @@ fn run_bytes(weighted: bool, edges: usize) -> usize {
 }
 
 /// Shared (cross-worker) disk-tier observability: lock-free totals the
-/// service publishes as gauges. Worker pools add their deltas here; the
+/// service publishes as gauges. Worker pools add their deltas here when a
+/// task ends and on [`ResidencyHierarchy::maintain`], so a reader in the
+/// middle of a task sees the counts as of the last finished task
+/// (`pool_bytes` and the decode histogram move as they happen); the
 /// deterministic per-run counters travel through [`SimStats`] instead.
 #[derive(Debug, Default)]
 pub struct DiskTierStats {
@@ -147,11 +161,9 @@ pub struct DiskTierStats {
 }
 
 impl DiskTierStats {
-    /// Records one timed decode.
-    fn record_decode(&self, micros: u64, bytes: u64, pages: u64) {
-        self.misses.fetch_add(1, Relaxed);
-        self.decode_bytes.fetch_add(bytes, Relaxed);
-        self.mmap_faults.fetch_add(pages, Relaxed);
+    /// Records one decode's wall time (its miss, bytes and faults are
+    /// published with the pool's totals).
+    fn record_decode(&self, micros: u64) {
         let bucket =
             DECODE_BUCKETS_US.iter().position(|&b| micros <= b).unwrap_or(DECODE_BUCKETS_US.len());
         self.decode_hist[bucket].fetch_add(1, Relaxed);
@@ -296,6 +308,8 @@ struct Pool {
     totals: Totals,
     /// `totals` as of the last [`ResidencyHierarchy::flush_stats`].
     flushed: Totals,
+    /// `totals` as of the last publish to the shared sink.
+    published: Totals,
 }
 
 impl Pool {
@@ -303,7 +317,8 @@ impl Pool {
     /// (halving every counter once per `num_vertices` lookups), and
     /// returns its resident run — marked referenced — or this phase's
     /// transient run, counted as a hit.
-    fn lookup(&mut self, v: VertexId, shared: Option<&DiskTierStats>) -> Option<&Run> {
+    #[inline]
+    fn lookup(&mut self, v: VertexId) -> Option<&Run> {
         let f = &mut self.freq[v as usize];
         *f = f.saturating_add(1);
         self.age_in -= 1;
@@ -312,14 +327,11 @@ impl Pool {
             self.freq.iter_mut().for_each(|f| *f >>= 1);
         }
         self.totals.lookups += 1;
-        if let Some(sh) = shared {
-            sh.lookups.fetch_add(1, Relaxed);
-        }
         let slot = self.index[v as usize];
         if slot == NO_SLOT {
             return None;
         }
-        self.count_hit(shared);
+        self.totals.hits += 1;
         Some(if slot & TRANSIENT != 0 {
             &self.transient[(slot ^ TRANSIENT) as usize]
         } else {
@@ -329,27 +341,13 @@ impl Pool {
         })
     }
 
-    /// Counts a lookup served without reading the store.
-    fn count_hit(&mut self, shared: Option<&DiskTierStats>) {
-        self.totals.hits += 1;
-        if let Some(sh) = shared {
-            sh.hits.fetch_add(1, Relaxed);
-        }
-    }
-
     /// The frequency-gated clock sweep: evicts unreferenced resident
     /// runs until `need` more bytes fit, and returns whether `v`'s run
     /// may be admitted. It may not when `need` exceeds the whole budget
     /// or the sweep meets an unreferenced victim touched more often
     /// than `v`. Evicted runs go to the graveyard — their buffers must
     /// outlive any slice handed out this shared phase.
-    fn make_room(
-        &mut self,
-        v: VertexId,
-        need: usize,
-        weighted: bool,
-        shared: Option<&DiskTierStats>,
-    ) -> bool {
+    fn make_room(&mut self, v: VertexId, need: usize, weighted: bool) -> bool {
         if need > self.budget {
             return false;
         }
@@ -375,9 +373,6 @@ impl Pool {
             self.graveyard.push(run);
             self.free.push(s as u32);
             self.totals.evictions += 1;
-            if let Some(sh) = shared {
-                sh.evictions.fetch_add(1, Relaxed);
-            }
         }
         true
     }
@@ -417,6 +412,20 @@ impl Pool {
         }
         self.graveyard_bytes = 0;
     }
+
+    /// Adds the counts since the last publish to `shared` (and, with no
+    /// sink, just marks them published).
+    fn publish(&mut self, shared: Option<&DiskTierStats>) {
+        let (now, was) = (self.totals, std::mem::replace(&mut self.published, self.totals));
+        if let Some(sh) = shared {
+            sh.lookups.fetch_add(now.lookups - was.lookups, Relaxed);
+            sh.hits.fetch_add(now.hits - was.hits, Relaxed);
+            sh.misses.fetch_add(now.misses - was.misses, Relaxed);
+            sh.evictions.fetch_add(now.evictions - was.evictions, Relaxed);
+            sh.decode_bytes.fetch_add(now.decode_bytes - was.decode_bytes, Relaxed);
+            sh.mmap_faults.fetch_add(now.mmap_faults - was.mmap_faults, Relaxed);
+        }
+    }
 }
 
 /// Tier 2 + 3 of the hierarchy: a byte-budgeted pool of decoded vertex
@@ -447,7 +456,7 @@ impl ResidencyHierarchy {
         shared: Option<Arc<DiskTierStats>>,
     ) -> Self {
         let n = store.num_vertices();
-        let max_degree = (0..n as VertexId).map(|v| store.degree(v)).max().unwrap_or(0);
+        let max_degree = store.degrees().iter().copied().max().unwrap_or(0) as usize;
         let pool = Pool {
             budget: pool_budget,
             index: vec![NO_SLOT; n],
@@ -495,15 +504,17 @@ impl ResidencyHierarchy {
     }
 
     /// Points the hierarchy at a different observability sink, moving
-    /// the resident-bytes gauge with it. The pool's contents (and the
-    /// deterministic `SimStats` counters) carry over untouched — a warm
-    /// thread-local pool reused under a new config keeps its decodes but
-    /// reports to the config's current sink.
+    /// the resident-bytes gauge with it. Counts not yet published go to
+    /// the old sink first. The pool's contents (and the deterministic
+    /// `SimStats` counters) carry over untouched — a warm thread-local
+    /// pool reused under a new config keeps its decodes but reports to the
+    /// config's current sink.
     pub fn rebind_shared(&mut self, shared: Option<Arc<DiskTierStats>>) {
         if self.shared.as_ref().map(Arc::as_ptr) == shared.as_ref().map(Arc::as_ptr) {
             return;
         }
         let pool = self.pool.get_mut();
+        pool.publish(self.shared.as_deref());
         let resident = (pool.bytes + pool.graveyard_bytes) as i64;
         if let Some(old) = &self.shared {
             old.adjust_pool_bytes(-resident);
@@ -514,16 +525,29 @@ impl ResidencyHierarchy {
         self.shared = shared;
     }
 
-    /// Reclaims evicted and transient runs. Sound because `&mut self`
+    /// Reclaims evicted and transient runs and publishes the counts since
+    /// the last publish to the shared sink. Sound because `&mut self`
     /// proves no slices into them are outstanding.
     pub fn maintain(&mut self) {
-        self.pool.get_mut().reclaim(self.shared.as_deref());
+        self.reclaim();
+        self.pool.get_mut().publish(self.shared.as_deref());
+    }
+
+    /// Reclaims evicted and transient runs, publishing nothing: the
+    /// step's exclusive prologue.
+    #[inline]
+    fn reclaim(&mut self) {
+        let pool = self.pool.get_mut();
+        if !(pool.transient.is_empty() && pool.graveyard.is_empty()) {
+            pool.reclaim(self.shared.as_deref());
+        }
     }
 
     /// Drains the tier counters accumulated since the last flush into
-    /// `stats`.
+    /// `stats`, and publishes them to the shared sink.
     pub fn flush_stats(&mut self, stats: &mut SimStats) {
         let pool = self.pool.get_mut();
+        pool.publish(self.shared.as_deref());
         let (now, was) = (pool.totals, std::mem::replace(&mut pool.flushed, pool.totals));
         stats.disk_pool_lookups += now.lookups - was.lookups;
         stats.disk_pool_hits += now.hits - was.hits;
@@ -547,18 +571,18 @@ impl ResidencyHierarchy {
         // returned earlier point into run buffers, which this window
         // never writes, clears or drops (the pool invariant).
         let pool = unsafe { &mut *self.pool.get() };
-        if let Some(run) = pool.lookup(v, shared) {
+        if let Some(run) = pool.lookup(v) {
             // SAFETY: the pool invariant — a resident or transient run's
             // buffers are only moved until maintain() runs under &mut self.
             return unsafe { run.slices(weighted) };
         }
         let deg = self.store.degree(v);
         if deg == 0 {
-            pool.count_hit(shared);
+            pool.totals.hits += 1;
             return (&[], weighted.then_some(&[][..]));
         }
         let bytes = run_bytes(weighted, deg);
-        let admit = pool.make_room(v, bytes, weighted, shared);
+        let admit = pool.make_room(v, bytes, weighted);
         // An admitted run gets fresh buffers, which the decode reserves
         // at exactly its size (the budget charges real memory); a
         // rejected one borrows the spare pair when it is free.
@@ -576,7 +600,7 @@ impl ResidencyHierarchy {
         pool.totals.decode_bytes += decoded;
         pool.totals.mmap_faults += pages;
         if let (Some(sh), Some(t0)) = (shared, clock) {
-            sh.record_decode(t0.elapsed().as_micros() as u64, decoded, pages);
+            sh.record_decode(t0.elapsed().as_micros() as u64);
             if admit {
                 sh.adjust_pool_bytes(bytes as i64);
             }
@@ -601,18 +625,13 @@ impl ResidencyHierarchy {
     /// nothing and admits nothing.
     fn read_at(&self, v: VertexId, k: usize) -> (VertexId, Option<Weight>) {
         let weighted = self.store.is_weighted();
-        let shared = self.shared.as_deref();
         // SAFETY: as in resolve_run(); this window only reads run buffers.
         let pool = unsafe { &mut *self.pool.get() };
-        if let Some(run) = pool.lookup(v, shared) {
+        if let Some(run) = pool.lookup(v) {
             return (run.col[k], weighted.then(|| run.ws[k]));
         }
         pool.totals.misses += 1;
         pool.totals.mmap_faults += POINT_READ_FAULTS;
-        if let Some(sh) = shared {
-            sh.misses.fetch_add(1, Relaxed);
-            sh.mmap_faults.fetch_add(POINT_READ_FAULTS, Relaxed);
-        }
         self.store.neighbor_at(v, k).unwrap_or_else(|e| {
             panic!("disk store {} failed mid-run: {e}", self.store.dir().display())
         })
@@ -632,10 +651,10 @@ impl PagedAdjacency for ResidencyHierarchy {
         self.store.is_weighted()
     }
 
-    fn degree(&self, v: VertexId) -> usize {
-        // Served from the segment's resident fixed-width degree array —
-        // hooks probe arbitrary vertices without forcing decodes.
-        self.store.degree(v)
+    fn degrees(&self) -> &[u32] {
+        // The store's resident degree array: hooks probe arbitrary
+        // vertices without forcing decodes.
+        self.store.degrees()
     }
 
     fn neighbors(&self, v: VertexId) -> &[VertexId] {
@@ -688,14 +707,16 @@ impl DiskAccess {
         &self.hier
     }
 
-    /// Reclaims evicted and transient runs (safe: exclusive receiver).
+    /// Reclaims evicted and transient runs and publishes the pool's
+    /// counts to the shared sink (safe: exclusive receiver).
     pub fn maintain(&mut self) {
         self.hier.maintain();
     }
 
-    /// Drains pending tier counters into `stats` (the engine calls this
-    /// after each instance so per-instance stats carry the disk work the
-    /// instance actually caused on its worker thread).
+    /// Drains pending tier counters into `stats` and publishes them to
+    /// the shared sink ([`crate::engine::run_task`] calls this when each
+    /// task ends, so per-task stats carry the disk work the task actually
+    /// caused on its worker thread).
     pub fn flush_stats(&mut self, stats: &mut SimStats) {
         self.hier.flush_stats(stats);
     }
@@ -719,7 +740,7 @@ impl NeighborAccess for DiskAccess {
     fn fetch(&mut self, v: VertexId) -> Gathered<'_> {
         // Exclusive prologue: no slices are outstanding, so evicted and
         // transient runs can go before this step's working set forms.
-        self.hier.maintain();
+        self.hier.reclaim();
         let hier = &self.hier;
         let (neighbors, weights) = hier.resolve_run(v);
         Gathered { graph: GraphView::paged(hier), neighbors, weights }
@@ -728,7 +749,7 @@ impl NeighborAccess for DiskAccess {
     /// The gather's charge and reclaim prologue, without the lookup:
     /// the step's point reads are the lookups.
     fn degree(&mut self, v: VertexId, stats: &mut SimStats) -> usize {
-        self.hier.maintain();
+        self.hier.reclaim();
         let d = self.hier.store().degree(v);
         stats.read_gmem(gather_bytes(self.hier.is_weighted(), d));
         d

@@ -13,25 +13,37 @@
 //! neighbor id), then its `d` absolute neighbor ids as little-endian
 //! `w`-byte integers, then its `d` raw little-endian f32 weights when the
 //! store is weighted. Every id of a record starts at a fixed offset, so
-//! neighbor `k` is one index read and one `w`-byte load away
-//! ([`DiskStore::neighbor_at`], the uniform walk step's point read), and
-//! a whole-run decode is one widening pass. A record is as wide as its
-//! largest id: on an R-MAT graph of 2^14 vertices nearly every record is
-//! two bytes wide.
+//! neighbor `k` is one `w`-byte load away ([`DiskStore::neighbor_at`],
+//! the uniform walk step's point read), and a whole-run decode is one
+//! widening pass. A record is as wide as its largest id: on an R-MAT
+//! graph of 2^14 vertices nearly every record is two bytes wide.
 //!
 //! Readers map segments with `mmap(2)` (a hand-declared libc binding —
-//! the workspace is hermetic) and decode partitions on demand; the
-//! resident surface before any decode is O(num_vertices): the offset
-//! index and the fixed-width degree array, both served straight from the
-//! mapping. Degree lookups therefore never touch the encoded payload,
-//! which is what lets algorithm hooks (`g.degree(u)` over neighbors,
-//! node2vec's `ISNEIGHBOR`) run against a disk-backed graph.
+//! the workspace is hermetic) and decode on demand. Each segment file
+//! holds a fixed-width offset index and degree array ahead of its
+//! payload; [`DiskStore::open`] reads both from the file (not the
+//! mapping), validates them and copies them into two resident per-vertex
+//! arrays, 12 bytes a vertex: the degree (a `u32`) and a record locator
+//! (a `u64` packing the partition, the record's absolute byte offset in
+//! its segment and the id width its size implies). A degree lookup is
+//! then one load ([`DiskStore::degrees`] exposes the slice), and a point
+//! read is those two loads, the width byte and one masked `u32` load
+//! from the mapping: no partition arithmetic and no index page. Only the
+//! payload is read through the mapping, so a segment's pages enter the
+//! process when its records are first read, not at open. Degree lookups
+//! never touch the encoded payload, which is what lets algorithm hooks
+//! (`g.degree(u)` over neighbors, node2vec's `ISNEIGHBOR`) run against a
+//! disk-backed graph.
 //!
 //! Integrity is typed, never a panic: `store.meta` is fully verified at
 //! [`DiskStore::open`] (magic, version, sizes, FNV-1a checksum), segment
 //! headers and offset indexes are validated at open, and each segment's
-//! trailing checksum is verified once, before its first decode. Any
-//! truncated or byte-flipped file surfaces as a [`StoreError`].
+//! trailing checksum is verified once, before its first decode or point
+//! read (continuing the hash open took over the bytes it read). A point
+//! read still checks its width byte against the record's size, its `k`
+//! against the degree and its id against the vertex count, so a corrupt
+//! record fails only its own reads. Any truncated or byte-flipped file
+//! surfaces as a [`StoreError`].
 //!
 //! A decoded partition holds the adjacency a
 //! [`crate::partition::Partition`] describes — rebased local row pointer,
@@ -148,7 +160,12 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// and plenty for catching truncation and bit flips; this is an integrity
 /// check, not an adversarial MAC).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a continued from the state `h` a prefix left:
+/// `fnv1a_from(fnv1a(a), b)` is `fnv1a` of `a` followed by `b`.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -562,19 +579,16 @@ fn bad_record(p: usize, i: usize, what: &str) -> StoreError {
 
 // --- opened store ----------------------------------------------------------
 
-/// A segment opened for reading: the mapping plus the derived region
-/// bounds, validated at open.
+/// A segment opened for reading: the mapping, validated at open.
 #[derive(Debug)]
 struct Segment {
     map: Mapped,
-    /// Byte offset of the fixed-width offset index.
-    index_off: usize,
-    /// Byte offset of the fixed-width degree array.
-    degree_off: usize,
     /// Byte offset of the encoded payload.
     payload_off: usize,
-    /// Length of the encoded payload in bytes.
-    payload_len: usize,
+    /// FNV-1a state after the header, offset index and degree array,
+    /// which open read from the file: the checksum pass continues from
+    /// it over the payload.
+    head_hash: u64,
     /// Trailing checksum verified (lazily, before first decode).
     verified: AtomicBool,
 }
@@ -589,9 +603,25 @@ pub struct DiskStore {
     num_vertices: usize,
     num_edges: usize,
     weighted: bool,
-    per: usize,
     metas: Vec<PartitionMeta>,
     segments: Vec<Segment>,
+    resident: Resident,
+}
+
+/// The per-vertex arrays [`DiskStore::open`] copies out of the segments'
+/// degree arrays and offset indexes while it validates them, 12 bytes a
+/// vertex: a point read or a degree lookup then touches no index page
+/// and computes no partition.
+#[derive(Debug)]
+struct Resident {
+    /// Per vertex: its out-degree.
+    degree: Vec<u32>,
+    /// Per vertex: its record's locator, `(partition << off_bits |
+    /// offset) << 3 | width`, with the record's absolute byte offset in
+    /// its segment and the id width its size implies (0 when empty).
+    locs: Vec<u64>,
+    /// Bits of a locator's offset field: enough for the largest segment.
+    off_bits: u32,
 }
 
 impl DiskStore {
@@ -672,10 +702,35 @@ impl DiskStore {
             });
         }
 
-        let per = metas[0].num_vertices().max(1);
+        let max_seg = metas.iter().map(|m| m.seg_len).max().unwrap_or(0);
+        let off_bits = u64::BITS - max_seg.leading_zeros();
+        if off_bits + 3 + (u64::BITS - (k as u64 - 1).leading_zeros()) > u64::BITS {
+            return Err(StoreError::Corrupt {
+                file: meta_name,
+                detail: format!(
+                    "{k} partitions of up to {max_seg} bytes overflow a record locator"
+                ),
+            });
+        }
+        let mut resident = Resident { degree: Vec::new(), locs: Vec::new(), off_bits };
         let mut segments = Vec::with_capacity(k);
         for (id, m) in metas.iter().enumerate() {
-            segments.push(Self::open_segment(dir, id, m, weighted, num_vertices)?);
+            if m.start as usize != resident.degree.len() {
+                return Err(StoreError::Corrupt {
+                    file: meta_name,
+                    detail: format!("partition {id} does not start where the previous one ends"),
+                });
+            }
+            segments.push(Self::open_segment(dir, id, m, weighted, num_vertices, &mut resident)?);
+        }
+        if resident.degree.len() != num_vertices {
+            return Err(StoreError::Corrupt {
+                file: meta_name,
+                detail: format!(
+                    "partitions cover {} of {num_vertices} vertices",
+                    resident.degree.len()
+                ),
+            });
         }
 
         Ok(DiskStore {
@@ -684,21 +739,23 @@ impl DiskStore {
             num_vertices,
             num_edges,
             weighted,
-            per,
             metas,
             segments,
+            resident,
         })
     }
 
     /// Opens one segment and validates everything that doesn't require
     /// streaming the payload: size vs header, magic, header fields vs
-    /// the partition table, offset-index monotonicity and bounds.
+    /// the partition table, offset-index monotonicity and bounds. Appends
+    /// each of its vertices' degree and record locator to `resident`.
     fn open_segment(
         dir: &Path,
         id: usize,
         m: &PartitionMeta,
         weighted: bool,
         num_vertices: usize,
+        resident: &mut Resident,
     ) -> Result<Segment, StoreError> {
         let name = segment_name(id);
         let path = dir.join(&name);
@@ -707,25 +764,34 @@ impl DiskStore {
             return Err(StoreError::SizeMismatch { file: name, expected: m.seg_len, found });
         }
         let map = Mapped::open(&path)?;
-        let bytes = map.bytes();
-        if bytes.len() as u64 != m.seg_len {
+        let len = map.bytes().len();
+        if len as u64 != m.seg_len {
             return Err(StoreError::SizeMismatch {
                 file: name,
                 expected: m.seg_len,
-                found: bytes.len() as u64,
+                found: len as u64,
             });
         }
         let nv = m.num_vertices();
         let index_off = SEG_HEADER_BYTES;
         let degree_off = index_off + (nv + 1) * 8;
         let payload_off = degree_off + nv * 4;
-        if bytes.len() < payload_off + 8 {
+        if len < payload_off + 8 {
             return Err(StoreError::SizeMismatch {
                 file: name,
                 expected: (payload_off + 8) as u64,
-                found: bytes.len() as u64,
+                found: len as u64,
             });
         }
+        // The header, offset index and degree array are read from the
+        // file, not the mapping: copied into `resident`, they are never
+        // read again, so their pages need not stay in this process. The
+        // file's length, checked above, bounds what is allocated here.
+        let mut head = vec![0; payload_off];
+        resident.degree.reserve(nv);
+        resident.locs.reserve(nv);
+        fs::File::open(&path)?.read_exact(&mut head)?;
+        let bytes = &head[..];
         if &bytes[..8] != SEG_MAGIC {
             return Err(StoreError::BadMagic { file: name });
         }
@@ -743,7 +809,7 @@ impl DiskStore {
         {
             return Err(corrupt("segment header disagrees with store.meta".into()));
         }
-        let payload_len = bytes.len() - payload_off - 8;
+        let payload_len = len - payload_off - 8;
         // Validate the fixed-width offset index and degree array: offsets
         // monotonic and in payload bounds, degrees summing to the edge
         // count, per-record sizes consistent with degree.
@@ -760,16 +826,19 @@ impl DiskStore {
             let wbytes = if weighted { deg * 4 } else { 0 };
             // Empty, or a width byte, `deg` ids of 1..=4 bytes each
             // and the weights.
-            let fits = match (rec.checked_sub(1 + wbytes), deg) {
-                (_, 0) => rec == wbytes,
-                (Some(body), _) => {
-                    body % deg == 0 && (1..=MAX_WIDTH as u64).contains(&(body / deg))
-                }
-                (None, _) => false,
+            let width = match (rec.checked_sub(1 + wbytes), deg) {
+                (_, 0) => (rec == wbytes).then_some(0),
+                (Some(body), _) => (body % deg == 0
+                    && (1..=MAX_WIDTH as u64).contains(&(body / deg)))
+                .then_some(body / deg),
+                (None, _) => None,
             };
-            if !fits {
+            let Some(width) = width else {
                 return Err(corrupt(format!("record size {rec} inconsistent with degree {deg}")));
-            }
+            };
+            resident.degree.push(deg as u32);
+            let at = (id as u64) << resident.off_bits | (payload_off as u64 + off);
+            resident.locs.push(at << 3 | width);
         }
         let first = read_u64(bytes, index_off).expect("length checked");
         let last = read_u64(bytes, index_off + nv * 8).expect("length checked");
@@ -782,14 +851,7 @@ impl DiskStore {
         if num_vertices > 0 && m.end as usize > num_vertices {
             return Err(corrupt("partition range exceeds vertex count".into()));
         }
-        Ok(Segment {
-            map,
-            index_off,
-            degree_off,
-            payload_off,
-            payload_len,
-            verified: AtomicBool::new(false),
-        })
+        Ok(Segment { map, payload_off, head_hash: fnv1a(bytes), verified: AtomicBool::new(false) })
     }
 
     /// Directory this store was opened from.
@@ -827,21 +889,33 @@ impl DiskStore {
         &self.metas
     }
 
-    /// Partition owning vertex `v` — O(1), the equal-range arithmetic of
-    /// `PartitionSet::partition_of`.
+    /// Partition owning vertex `v` of the store — O(1), read from its
+    /// record locator.
     #[inline]
     pub fn partition_of(&self, v: VertexId) -> usize {
-        (v as usize / self.per).min(self.metas.len() - 1)
+        self.locate(v).0
     }
 
-    /// Out-degree of any vertex, served from the segment's resident
-    /// fixed-width degree array — O(1), no payload decode.
+    /// Out-degree of any vertex: one load from the resident degree array
+    /// copied at open, no payload decode.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        let p = self.partition_of(v);
-        let seg = &self.segments[p];
-        let i = (v - self.metas[p].start) as usize;
-        read_u32(seg.map.bytes(), seg.degree_off + i * 4).expect("validated at open") as usize
+        self.resident.degree[v as usize] as usize
+    }
+
+    /// Every vertex's out-degree, indexed by vertex id: the resident
+    /// array behind [`DiskStore::degree`].
+    pub fn degrees(&self) -> &[u32] {
+        &self.resident.degree
+    }
+
+    /// Vertex `v`'s partition, its record's absolute byte offset in that
+    /// segment and the id width the record's size implies (0 when empty).
+    #[inline]
+    fn locate(&self, v: VertexId) -> (usize, usize, usize) {
+        let Resident { ref locs, off_bits, .. } = self.resident;
+        let (at, w) = (locs[v as usize] >> 3, locs[v as usize] & 7);
+        ((at >> off_bits) as usize, (at & ((1 << off_bits) - 1)) as usize, w as usize)
     }
 
     /// RAM bytes a decoded copy of partition `p` occupies.
@@ -863,15 +937,23 @@ impl DiskStore {
 
     /// Verifies segment `p`'s trailing checksum once (lazily, before its
     /// first decode); corrupt bytes yield a typed error, never a panic.
+    #[inline]
     fn verify_segment(&self, p: usize) -> Result<(), StoreError> {
-        let seg = &self.segments[p];
-        if seg.verified.load(Ordering::Acquire) {
-            return Ok(());
+        match self.segments[p].verified.load(Ordering::Acquire) {
+            true => Ok(()),
+            false => self.verify_checksum(p),
         }
+    }
+
+    /// [`DiskStore::verify_segment`]'s first pass over segment `p`.
+    #[cold]
+    fn verify_checksum(&self, p: usize) -> Result<(), StoreError> {
+        let seg = &self.segments[p];
         let bytes = seg.map.bytes();
-        let body = &bytes[..bytes.len() - 8];
+        let payload = &bytes[seg.payload_off..bytes.len() - 8];
         let recorded = read_u64(bytes, bytes.len() - 8).expect("validated at open");
-        if fnv1a(body) != recorded || recorded != self.metas[p].seg_checksum {
+        if fnv1a_from(seg.head_hash, payload) != recorded || recorded != self.metas[p].seg_checksum
+        {
             return Err(StoreError::ChecksumMismatch { file: segment_name(p) });
         }
         seg.verified.store(true, Ordering::Release);
@@ -879,21 +961,22 @@ impl DiskStore {
     }
 
     /// Vertex `i` of partition `p`: its degree, its record and the
-    /// record's byte offset in the segment. The segment's name is built
-    /// only when an error needs it: the miss paths must not allocate.
+    /// record's byte offset in the segment, located through the resident
+    /// arrays (the size the offset index gave it at open is `1 + d·w`,
+    /// plus `4·d` of weights). The segment's name is built only when an
+    /// error needs it: the miss paths must not allocate.
     fn record(&self, p: usize, i: usize) -> Result<(usize, &[u8], usize), StoreError> {
-        let seg = &self.segments[p];
-        let bytes = seg.map.bytes();
-        let deg = read_u32(bytes, seg.degree_off + i * 4).expect("validated at open") as usize;
-        let off = read_u64(bytes, seg.index_off + i * 8).expect("validated at open") as usize;
-        let end = read_u64(bytes, seg.index_off + (i + 1) * 8).expect("validated at open") as usize;
-        let rec = bytes[seg.payload_off..seg.payload_off + seg.payload_len]
-            .get(off..end)
-            .ok_or_else(|| StoreError::Corrupt {
+        let v = self.metas[p].start + i as VertexId;
+        let deg = self.degree(v);
+        let (_, first, w) = self.locate(v);
+        let len = if deg == 0 { 0 } else { 1 + deg * (w + 4 * self.weighted as usize) };
+        let rec = self.segments[p].map.bytes().get(first..first + len).ok_or_else(|| {
+            StoreError::Corrupt {
                 file: segment_name(p),
                 detail: format!("record {i} out of payload bounds"),
-            })?;
-        Ok((deg, rec, seg.payload_off + off))
+            }
+        })?;
+        Ok((deg, rec, first))
     }
 
     /// Decodes partition `p` out of its mapped segment. The first decode
@@ -948,38 +1031,46 @@ impl DiskStore {
     }
 
     /// Neighbor `k` of vertex `v` and its weight (when the store is
-    /// weighted), read in place — O(1): one index read and one `w`-byte
-    /// load, no decode and no allocation. The uniform walk step needs
-    /// nothing more. A `k` past `v`'s degree is
-    /// [`StoreError::NoSuchNeighbor`]; a bad width byte or an id outside
-    /// the store is [`StoreError::Corrupt`]. Like a decode, the first read
-    /// touching a segment verifies its trailing checksum.
+    /// weighted), read in place — O(1): the resident degree and locator,
+    /// the width byte and one masked `u32` load, no decode and no
+    /// allocation. The uniform walk step needs nothing more. A `k` past
+    /// `v`'s degree is [`StoreError::NoSuchNeighbor`]; a width byte that is
+    /// not the one the record's size implies, or an id outside the store,
+    /// is [`StoreError::Corrupt`]. Like a decode, the first read touching a
+    /// segment verifies its trailing checksum.
+    #[inline]
     pub fn neighbor_at(
         &self,
         v: VertexId,
         k: usize,
     ) -> Result<(VertexId, Option<Weight>), StoreError> {
-        if v as usize >= self.num_vertices {
+        let Some(&deg) = self.resident.degree.get(v as usize) else {
             return Err(StoreError::NoSuchNeighbor { vertex: v, k, degree: 0 });
-        }
-        let p = self.partition_of(v);
-        let i = (v - self.metas[p].start) as usize;
-        let (deg, rec, first) = self.record(p, i)?;
+        };
+        let deg = deg as usize;
         if k >= deg {
             return Err(StoreError::NoSuchNeighbor { vertex: v, k, degree: deg });
         }
+        let (p, first, w) = self.locate(v);
         self.verify_segment(p)?;
-        let w = record_width(rec, deg, self.weighted).map_err(|e| bad_record(p, i, e))?;
+        let bytes = self.segments[p].map.bytes();
+        let bad = |what| bad_record(p, (v - self.metas[p].start) as usize, what);
+        let wb = usize::from(bytes[first]);
+        if wb != w {
+            return Err(bad(match wb {
+                1..=MAX_WIDTH => "id width disagrees with the record size",
+                _ => "bad id width",
+            }));
+        }
         // A whole `u32` load, masked to the width: the segment's trailing
         // checksum keeps the bytes past the record's last id in bounds.
-        let bytes = self.segments[p].map.bytes();
         let word = read_u32(bytes, first + 1 + k * w).expect("a checksum follows the payload");
         let u = word & (u32::MAX >> (32 - 8 * w));
         if u as usize >= self.num_vertices {
-            return Err(bad_record(p, i, "neighbor out of range"));
+            return Err(bad("neighbor out of range"));
         }
-        let at = 1 + deg * w + k * 4;
-        Ok((u, self.weighted.then(|| f32::from_le_bytes(rec[at..at + 4].try_into().unwrap()))))
+        let weight = |at| f32::from_bits(read_u32(bytes, at).expect("validated at open"));
+        Ok((u, self.weighted.then(|| weight(first + 1 + deg * w + k * 4))))
     }
 
     /// Decodes the whole store back into one in-memory [`Csr`] —

@@ -35,9 +35,11 @@ pub trait PagedAdjacency: std::fmt::Debug {
     fn num_edges(&self) -> usize;
     /// True if the graph stores per-edge weights.
     fn is_weighted(&self) -> bool;
-    /// Out-degree of `v` (must not require decoding `v`'s neighbor
-    /// list — hooks probe degrees of arbitrary vertices).
-    fn degree(&self, v: VertexId) -> usize;
+    /// Every vertex's out-degree, indexed by vertex id, resident in RAM:
+    /// hooks probe degrees of arbitrary vertices, and the degree-bias
+    /// lane reads one for every neighbor, so a degree must not require
+    /// decoding a neighbor list.
+    fn degrees(&self) -> &[u32];
     /// The neighbor list of `v` as a sorted slice.
     fn neighbors(&self, v: VertexId) -> &[VertexId];
     /// The weight list of `v`, if the graph is weighted.
@@ -130,21 +132,36 @@ impl<'a> GraphView<'a> {
             Base::Csr(base) => {
                 self.delta(v).map_or_else(|| base.degree(v), |d| d.neighbors().len())
             }
-            Base::Paged(p) => self.delta(v).map_or_else(|| p.degree(v), |d| d.neighbors().len()),
+            Base::Paged(p) => self
+                .delta(v)
+                .map_or_else(|| p.degrees()[v as usize] as usize, |d| d.neighbors().len()),
         }
     }
 
     /// Appends `degree(u) as f64` for every `u` in `us` to `out` — the
-    /// degree-bias lane of a whole adjacency in one call. A bare CSR reads
-    /// `row_ptr[u + 1] − row_ptr[u]` in one tight loop; an overlay or a
-    /// paged base resolves each vertex through [`Self::degree`].
+    /// degree-bias lane of a whole adjacency in one call, in one tight
+    /// loop over the base's degrees: `row_ptr[u + 1] − row_ptr[u]` for a
+    /// CSR, the resident degree slice for a paged base. Under an overlay
+    /// the loop tests each vertex's dirty bit first, and only a mutated
+    /// vertex reads its merged delta.
     pub fn degree_lane(&self, us: &[VertexId], out: &mut Vec<f64>) {
         match (self.base, self.overlay) {
             (Base::Csr(base), None) => {
                 let rp = base.row_ptr();
                 out.extend(us.iter().map(|&u| (rp[u as usize + 1] - rp[u as usize]) as f64));
             }
-            _ => out.extend(us.iter().map(|&u| self.degree(u) as f64)),
+            (Base::Paged(p), None) => {
+                let deg = p.degrees();
+                out.extend(us.iter().map(|&u| deg[u as usize] as f64));
+            }
+            (Base::Csr(base), Some(o)) => {
+                let rp = base.row_ptr();
+                overlay_lane(o, us, out, |u| rp[u + 1] - rp[u]);
+            }
+            (Base::Paged(p), Some(o)) => {
+                let deg = p.degrees();
+                overlay_lane(o, us, out, |u| deg[u] as usize);
+            }
         }
     }
 
@@ -207,6 +224,21 @@ impl<'a> GraphView<'a> {
     }
 }
 
+/// [`GraphView::degree_lane`] under overlay `o`: `base(u)` unless `u`'s
+/// dirty bit is set ([`OverlayState::delta`] tests it before its map).
+#[inline(always)]
+fn overlay_lane(
+    o: &OverlayState,
+    us: &[VertexId],
+    out: &mut Vec<f64>,
+    base: impl Fn(usize) -> usize,
+) {
+    out.extend(
+        us.iter()
+            .map(|&u| o.delta(u).map_or_else(|| base(u as usize), |d| d.neighbors().len()) as f64),
+    );
+}
+
 impl<'a> From<&'a Csr> for GraphView<'a> {
     #[inline]
     fn from(base: &'a Csr) -> Self {
@@ -257,9 +289,17 @@ mod tests {
         assert_eq!(v.neighbors(1), &base_n1[..], "untouched vertex serves base slice");
     }
 
-    /// A trivially paged source: a CSR behind the trait object.
+    /// A trivially paged source: a CSR and its degrees behind the trait
+    /// object.
     #[derive(Debug)]
-    struct PagedCsr(Csr);
+    struct PagedCsr(Csr, Vec<u32>);
+
+    impl PagedCsr {
+        fn new(g: Csr) -> Self {
+            let degrees = (0..g.num_vertices() as VertexId).map(|v| g.degree(v) as u32).collect();
+            PagedCsr(g, degrees)
+        }
+    }
 
     impl PagedAdjacency for PagedCsr {
         fn num_vertices(&self) -> usize {
@@ -271,8 +311,8 @@ mod tests {
         fn is_weighted(&self) -> bool {
             self.0.is_weighted()
         }
-        fn degree(&self, v: VertexId) -> usize {
-            self.0.degree(v)
+        fn degrees(&self) -> &[u32] {
+            &self.1
         }
         fn neighbors(&self, v: VertexId) -> &[VertexId] {
             self.0.neighbors(v)
@@ -285,7 +325,7 @@ mod tests {
     #[test]
     fn paged_view_matches_csr() {
         let g = crate::generators::toy_graph().with_unit_weights();
-        let paged = PagedCsr(g.clone());
+        let paged = PagedCsr::new(g.clone());
         let v = GraphView::paged(&paged);
         assert_eq!(v.num_vertices(), g.num_vertices());
         assert_eq!(v.num_edges(), g.num_edges());
@@ -301,10 +341,46 @@ mod tests {
         assert!((v.avg_degree() - g.avg_degree()).abs() < 1e-12);
     }
 
+    /// The lane equals per-vertex `degree` on every base, with and
+    /// without an overlay that inserts and deletes edges.
+    #[test]
+    fn degree_lane_matches_degree_on_every_base() {
+        let g = crate::generators::rmat(7, 4, crate::generators::RmatParams::MILD, 3);
+        let n = g.num_vertices() as VertexId;
+        let paged = PagedCsr::new(g.clone());
+        let mut mg = MutableGraph::new(g.clone());
+        let hub = (6..n).max_by_key(|&v| g.degree(v)).unwrap();
+        let gone = g.neighbors(hub)[0];
+        mg.apply_batch(&[
+            EdgeEdit::Insert { src: 0, dst: n - 1, weight: 1.0 },
+            EdgeEdit::Insert { src: 5, dst: 9, weight: 1.0 },
+            EdgeEdit::Delete { src: hub, dst: gone },
+        ])
+        .unwrap();
+        let snap = mg.snapshot();
+        let overlay = snap.view().overlay;
+        assert!(overlay.is_some());
+        let us: Vec<VertexId> = (0..n).chain([hub, 0, 5, hub]).collect();
+        for view in [
+            g.view(),
+            g.view().with_overlay(overlay),
+            GraphView::paged(&paged),
+            GraphView::paged(&paged).with_overlay(overlay),
+        ] {
+            let mut lane = vec![-1.0];
+            view.degree_lane(&us, &mut lane);
+            let want: Vec<f64> =
+                [-1.0].into_iter().chain(us.iter().map(|&u| view.degree(u) as f64)).collect();
+            assert_eq!(lane, want);
+        }
+        assert_eq!(snap.view().degree(hub), g.degree(hub) - 1);
+        assert_eq!(snap.view().degree(0), g.degree(0) + 1);
+    }
+
     #[test]
     #[should_panic(expected = "no resident base CSR")]
     fn paged_view_has_no_base() {
-        let paged = PagedCsr(crate::generators::toy_graph());
+        let paged = PagedCsr::new(crate::generators::toy_graph());
         let v = GraphView::paged(&paged);
         let _ = v.base();
     }

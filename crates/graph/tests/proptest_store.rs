@@ -23,15 +23,23 @@ fn arb_edges() -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0u32..96, 0u32..96), 0..256)
 }
 
-/// Every point read of `g` through `store` matches the CSR, and a read
-/// past a vertex's degree, or of a vertex past the store, is a typed
-/// error.
+/// Every degree of `g` read through `store` — `degree(v)` and the
+/// resident slice alike — matches the CSR's, every point read matches
+/// the CSR and the vertex's decoded run, and a read past a vertex's
+/// degree, or of a vertex past the store, is a typed error.
 fn point_reads_match(store: &DiskStore, g: &Csr) -> Result<(), TestCaseError> {
     let n = g.num_vertices() as u32;
+    prop_assert_eq!(store.degrees().len(), g.num_vertices());
     for v in 0..n {
+        prop_assert_eq!(store.degree(v), g.degree(v));
+        prop_assert_eq!(store.degrees()[v as usize] as usize, g.degree(v));
+        let (mut col, mut ws) = (Vec::new(), g.is_weighted().then(Vec::new));
+        store.decode_vertex(v, &mut col, ws.as_mut()).expect("run");
         for k in 0..g.degree(v) {
             let want = (g.neighbors(v)[k], g.neighbor_weights(v).map(|w| w[k]));
-            prop_assert_eq!(store.neighbor_at(v, k).expect("point read"), want);
+            let read = store.neighbor_at(v, k).expect("point read");
+            prop_assert_eq!(read, want);
+            prop_assert_eq!(read, (col[k], ws.as_ref().map(|w| w[k])));
         }
         let past = store.neighbor_at(v, g.degree(v));
         prop_assert!(matches!(past, Err(StoreError::NoSuchNeighbor { .. })), "{:?}", past);

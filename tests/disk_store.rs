@@ -6,7 +6,9 @@
 //! samples (every RNG draw is keyed by `(instance, depth, vertex,
 //! trial)`, and the disk tier serves the exact same neighbor slices).
 
-use csaw::core::algorithms::{BiasedRandomWalk, MultiDimRandomWalk, UnbiasedNeighborSampling};
+use csaw::core::algorithms::{
+    BiasedRandomWalk, MultiDimRandomWalk, SimpleRandomWalk, UnbiasedNeighborSampling,
+};
 use csaw::core::ctps_cache::CtpsCache;
 use csaw::core::engine::{
     drive_instance, drive_pool, kernel_for, ExecMode, PoolBufs, RunOptions, Sampler,
@@ -15,7 +17,7 @@ use csaw::core::residency::{
     with_thread_disk_access, DiskAccess, DiskPoolSnapshot, DiskRunConfig, DiskTierStats,
 };
 use csaw::core::step::StepScratch;
-use csaw::core::{AlgoSpec, Algorithm};
+use csaw::core::{AlgoSpec, Algorithm, SampleOutput};
 use csaw::gpu::stats::SimStats;
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::graph::reorder::{degree_order, relabel};
@@ -235,6 +237,59 @@ fn a_uniform_walk_reads_neighbors_in_place_and_a_biased_walk_still_decodes() {
     let (_, stats, before, after) = walk("biased-walk", &mut access);
     assert!(after.admissions > before.admissions, "{after:?}");
     assert!(stats.disk_decode_bytes > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Pools publish to the shared sink when each task ends, not on every
+/// lookup: after a multi-instance run over a 10% pool, each
+/// `DiskTierStats` total equals the sum of the run's matching `disk_*`
+/// counters, for a uniform walk (point reads) and a biased one (decodes,
+/// admissions and evictions).
+#[test]
+fn shared_tier_totals_equal_the_run_ledger_at_task_boundaries() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let g = rmat(10, 8, RmatParams::GRAPH500, 17);
+    let n = g.num_vertices() as u32;
+    let seeds: Vec<u32> = (0..n).filter(|&v| g.degree(v) > 0).step_by(5).take(128).collect();
+    let dir = tmp_dir("published");
+    let run = |algo: &dyn Fn(RunOptions) -> SampleOutput, name: &str| {
+        let store = disk_cfg(&g, &dir, 16, 0).store;
+        let cfg = DiskRunConfig {
+            pool_budget: store.total_decoded_bytes() / 10,
+            store,
+            shared: Some(Arc::new(DiskTierStats::default())),
+        };
+        let tier = Arc::clone(cfg.shared.as_ref().unwrap());
+        let s = algo(RunOptions { seed: 3, disk: Some(cfg), ..Default::default() }).stats;
+        let published = [
+            &tier.lookups,
+            &tier.hits,
+            &tier.misses,
+            &tier.evictions,
+            &tier.decode_bytes,
+            &tier.mmap_faults,
+        ]
+        .map(|c| c.load(Relaxed));
+        let ledger = [
+            s.disk_pool_lookups,
+            s.disk_pool_hits,
+            s.disk_pool_misses,
+            s.disk_pool_evictions,
+            s.disk_decode_bytes,
+            s.disk_mmap_faults,
+        ];
+        assert_eq!(published, ledger, "{name}: lookups, hits, misses, evictions, bytes, faults");
+        assert!(s.disk_pool_lookups > 0, "{name}");
+        assert_eq!(published[0], published[1] + published[2], "{name}");
+        s
+    };
+    let uniform = SimpleRandomWalk { length: 16 };
+    let s =
+        run(&|o| Sampler::new(&g, &uniform).with_options(o).run_single_seeds(&seeds), "uniform");
+    assert_eq!(s.disk_decode_bytes, 0, "a uniform walk reads in place");
+    let biased = BiasedRandomWalk { length: 16 };
+    let s = run(&|o| Sampler::new(&g, &biased).with_options(o).run_single_seeds(&seeds), "biased");
+    assert!(s.disk_pool_evictions > 0 && s.disk_decode_bytes > 0, "{s:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
