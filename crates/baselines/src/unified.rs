@@ -25,6 +25,7 @@ use csaw_core::engine::{kernel_for, ExecMode, RunOptions};
 use csaw_core::step::{
     CsrAccess, LayeredAccess, PoolSink, PoolSlot, Residency, StepEntry, StepScratch, TrialCounter,
 };
+use csaw_core::SampleOutput;
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds;
 use csaw_gpu::stats::SimStats;
@@ -38,13 +39,13 @@ pub const PAGE_FAULT_LATENCY: f64 = 2e-5;
 /// Unified-memory page size (CUDA migrates in 64 KiB granules).
 pub const PAGE_BYTES: usize = 64 * 1024;
 
-/// Result of a unified-memory run.
+/// Result of a unified-memory run: the sample plus the paging model.
 #[derive(Debug, Clone)]
 pub struct UnifiedOutput {
-    /// Sampled edges per instance.
-    pub instances: Vec<Vec<(VertexId, VertexId)>>,
-    /// Counted kernel work (excludes paging).
-    pub stats: SimStats,
+    /// The sample. Instances interleave, so `stats` carries the run's
+    /// counted kernel work (paging excluded) and each per-instance entry
+    /// only its `sampled_edges`.
+    pub sample: SampleOutput,
     /// Page faults taken.
     pub page_faults: u64,
     /// Bytes migrated host → device.
@@ -52,13 +53,6 @@ pub struct UnifiedOutput {
     /// End-to-end simulated seconds: kernel time + serialized fault
     /// servicing (faults from dependent gathers cannot overlap).
     pub sim_seconds: f64,
-}
-
-impl UnifiedOutput {
-    /// Total sampled edges.
-    pub fn sampled_edges(&self) -> u64 {
-        self.instances.iter().map(|i| i.len() as u64).sum()
-    }
 }
 
 /// Demand-paged cache over the CSR's column array with FIFO eviction
@@ -228,6 +222,7 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
 
     /// Runs one single-seed instance per seed, demand-paging the CSR.
     pub fn run(&self, seeds: &[VertexId]) -> UnifiedOutput {
+        let t0 = std::time::Instant::now();
         let mut stats = SimStats::new();
         let cache = PageCache::new(self.graph, self.device.memory_bytes);
         let (outputs, pages) = run_interleaved(
@@ -242,10 +237,8 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
         let kernel_secs = gpu_kernel_seconds(&stats, &self.device);
         let paging = pages.faults as f64
             * (PAGE_FAULT_LATENCY + PAGE_BYTES as f64 / (self.device.pcie_gbps * 1e9));
-        stats.sampled_edges = outputs.iter().map(|o| o.len() as u64).sum();
         UnifiedOutput {
-            instances: outputs,
-            stats,
+            sample: SampleOutput::from_totals(outputs, stats, t0.elapsed().as_secs_f64()),
             page_faults: pages.faults,
             bytes_migrated: pages.bytes_migrated,
             sim_seconds: kernel_secs + paging,
@@ -268,8 +261,8 @@ mod tests {
         let g = rmat(9, 4, RmatParams::GRAPH500, 1);
         let algo = UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 };
         let out = UnifiedRunner::new(&g, &algo, tiny()).run(&[0, 17, 200]);
-        assert_eq!(out.instances.len(), 3);
-        for inst in &out.instances {
+        assert_eq!(out.sample.instances.len(), 3);
+        for inst in &out.sample.instances {
             for &(v, u) in inst {
                 assert!(g.has_edge(v, u));
             }
@@ -286,7 +279,7 @@ mod tests {
         let seeds: Vec<u32> = (0..32).map(|i| (i * 13) % 512).collect();
         let um = UnifiedRunner::new(&g, &algo, tiny()).run(&seeds);
         let mem = csaw_core::engine::Sampler::new(&g, &algo).run_single_seeds(&seeds);
-        assert_eq!(um.instances, mem.instances);
+        assert_eq!(um.sample.instances, mem.instances);
     }
 
     #[test]
@@ -301,12 +294,15 @@ mod tests {
         let seeds: Vec<u32> = (0..48).map(|i| (i * 11) % 512).collect();
         let um = UnifiedRunner::new(&g, &algo, tiny()).run(&seeds);
         let mem = csaw_core::engine::Sampler::new(&g, &algo).run_single_seeds(&seeds);
-        assert_eq!(um.instances, mem.instances, "node2vec must keep its prev-dependent bias");
+        assert_eq!(
+            um.sample.instances, mem.instances,
+            "node2vec must keep its prev-dependent bias"
+        );
         // And the bias must actually bite: with p = 0.1 the walker
         // backtracks far more often than chance.
         let mut backtracks = 0usize;
         let mut steps = 0usize;
-        for inst in &um.instances {
+        for inst in &um.sample.instances {
             for w in inst.windows(2) {
                 steps += 1;
                 if w[1].1 == w[0].0 {
@@ -363,7 +359,7 @@ mod tests {
         let cache = Some(std::sync::Arc::new(csaw_core::ctps_cache::CtpsCache::new(1 << 16)));
         let opts = RunOptions { ctps_cache: cache, ..Default::default() };
         let out = UnifiedRunner::new(&g, &walk, device).with_options(opts).run(&seeds);
-        assert!(out.stats.ctps_cache_hits > 0);
+        assert!(out.sample.stats.ctps_cache_hits > 0);
         assert_eq!((out.page_faults, out.bytes_migrated), (99, 6488064));
     }
 
@@ -373,7 +369,7 @@ mod tests {
         let algo = UnbiasedNeighborSampling { neighbor_size: 2, depth: 2 };
         let a = UnifiedRunner::new(&g, &algo, tiny()).run(&[8, 0]);
         let b = UnifiedRunner::new(&g, &algo, tiny()).run(&[8, 0]);
-        assert_eq!(a.instances, b.instances);
+        assert_eq!(a.sample.instances, b.sample.instances);
         assert_eq!(a.page_faults, b.page_faults);
     }
 }

@@ -50,7 +50,7 @@ fn bench_host_parallel(c: &mut Criterion) {
     // Guard: host execution mode must not leak into the simulation.
     let (par, ser) = (run(cfg), run(cfg.serial()));
     assert_eq!(par.sim_seconds.to_bits(), ser.sim_seconds.to_bits());
-    assert_eq!(par.instances, ser.instances);
+    assert_eq!(par.sample.instances, ser.sample.instances);
 
     let mut group = c.benchmark_group("oom-host");
     group.sample_size(10);

@@ -186,7 +186,7 @@ mod tests {
         let s = seeds(8, g.num_vertices());
         for app in OomApp::all() {
             let out = app.run(&g, &s, OomConfig::full());
-            assert!(out.sampled_edges() > 0, "{}", app.label());
+            assert!(out.sample.sampled_edges() > 0, "{}", app.label());
             assert!(out.transfers > 0);
         }
     }

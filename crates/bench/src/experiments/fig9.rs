@@ -136,9 +136,9 @@ mod tests {
         let algo = MultiDimRandomWalk { budget: 32 };
         let gs = GraphSaintMdrw::published(32).run(&g, &pools, 7);
         let cs = MultiGpu::new(1).run(&g, &algo, &pools, RunOptions::default());
-        assert_eq!(gs.instances.len(), cs.instances.len());
+        assert_eq!(gs.instances.len(), cs.sample.instances.len());
         assert!(gs.sampled_edges() > 0);
-        assert!(cs.sampled_edges > 0);
+        assert!(cs.sample.sampled_edges() > 0);
     }
 
     #[test]
@@ -149,6 +149,6 @@ mod tests {
         let s = seeds(16, g.num_vertices());
         let a = Sampler::new(&g, &algo).run_single_seeds(&s);
         let b = MultiGpu::new(1).run_single_seeds(&g, &algo, &s, RunOptions::default());
-        assert_eq!(a.instances, b.instances);
+        assert_eq!(a.instances, b.sample.instances);
     }
 }

@@ -31,25 +31,10 @@ use crate::step::{
     with_thread_scratch, CsrAccess, EmitSink, LayeredAccess, NeighborAccess, PoolSink, PoolSlot,
     Residency, StepEntry, StepKernel, StepScratch, TrialCounter,
 };
-use csaw_gpu::device::LaunchResult;
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Device;
 use csaw_graph::{Csr, GraphSnapshot, VertexId};
 use std::collections::HashSet;
-
-/// Folds one launch's results into a run's totals: merges the kernel
-/// counters, then tallies `sampled_edges` from the per-instance output
-/// lengths. The instance kernels deliberately leave `sampled_edges` at
-/// zero — the output vectors are the ground truth — so this helper is the
-/// single place the counter is accounted.
-fn merge_launch_stats(stats: &mut SimStats, launch: &LaunchResult<Vec<(VertexId, VertexId)>>) {
-    debug_assert_eq!(
-        launch.stats.sampled_edges, 0,
-        "instance kernels must not count sampled_edges; the output tally would double-count"
-    );
-    stats.merge(&launch.stats);
-    stats.sampled_edges += launch.outputs.iter().map(|o| o.len() as u64).sum::<u64>();
-}
 
 /// A run rejected up front, before any kernel launch. Out-of-range
 /// seeds would otherwise panic deep inside CSR indexing; a serving
@@ -294,22 +279,7 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         let launch = self.device.launch(tasks, move |_, (instance, seeds)| {
             run_instance(graph, algo, opts, instance, seeds)
         });
-        let mut stats = SimStats::new();
-        merge_launch_stats(&mut stats, &launch);
-        // Per-instance accounting: the kernels leave `sampled_edges` at
-        // zero (see `merge_launch_stats`); fill it in from the output so
-        // each entry is a complete, sliceable counter set.
-        let mut instance_stats = launch.task_stats;
-        for (s, inst) in instance_stats.iter_mut().zip(&launch.outputs) {
-            s.sampled_edges = inst.len() as u64;
-        }
-        SampleOutput {
-            instances: launch.outputs,
-            stats,
-            instance_stats,
-            warp_cycles: launch.warp_cycles,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-        }
+        SampleOutput::from_instances(launch.outputs, launch.task_stats, t0.elapsed().as_secs_f64())
     }
 
     /// Depth-synchronous run ([`ExecMode::DepthSync`]): instances are
@@ -341,11 +311,6 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         for (outs, per_inst) in launch.outputs {
             instances.extend(outs);
             instance_stats.extend(per_inst);
-        }
-        // The chunk kernels leave `sampled_edges` at zero, as everywhere
-        // else: the outputs are the ground truth.
-        for (s, inst) in instance_stats.iter_mut().zip(&instances) {
-            s.sampled_edges = inst.len() as u64;
         }
         SampleOutput::from_instances(instances, instance_stats, t0.elapsed().as_secs_f64())
     }
@@ -963,6 +928,6 @@ mod tests {
         assert!(out.stats.selections > 0);
         assert!(out.stats.gmem_bytes > 0);
         assert_eq!(out.stats.sampled_edges, out.sampled_edges());
-        assert_eq!(out.warp_cycles.len(), 2);
+        assert_eq!(out.instance_stats.len(), 2);
     }
 }

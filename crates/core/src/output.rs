@@ -6,22 +6,27 @@ use csaw_gpu::cost;
 use csaw_gpu::stats::SimStats;
 use csaw_graph::VertexId;
 
-/// Result of running a sampler over a batch of instances.
+/// Result of running a sampler over a batch of instances — the one sample
+/// type every GPU-model runtime returns (the in-memory engine directly;
+/// the out-of-memory scheduler, the multi-GPU split and the
+/// unified-memory comparator inside a result that adds only what their
+/// cost models measure).
 #[derive(Debug, Clone)]
 pub struct SampleOutput {
     /// Sampled edges per instance: each instance yields one sampled
     /// subgraph (or walk path), in sampling order.
     pub instances: Vec<Vec<(VertexId, VertexId)>>,
-    /// Merged work counters.
+    /// Merged work counters of the whole launch.
     pub stats: SimStats,
-    /// Per-instance work counters, in instance order; `stats` is their
-    /// field-wise sum. The serving layer slices these back to
-    /// per-request accounting ([`SampleOutput::slice`]). Runtimes that
-    /// cannot attribute work per instance (the OOM scheduler interleaves
-    /// streams) leave entries with only `sampled_edges` filled.
+    /// Per-instance work counters, in instance order; each entry's
+    /// `warp_cycles` is that instance's warp cycle count (imbalance
+    /// analysis). `stats` is their field-wise sum. The serving layer
+    /// slices these back to per-request accounting
+    /// ([`SampleOutput::slice`]). Runtimes that cannot attribute work per
+    /// instance (the OOM scheduler interleaves streams) leave entries
+    /// with only `sampled_edges` filled, and `stats` alone carries the
+    /// rest ([`SampleOutput::from_totals`]).
     pub instance_stats: Vec<SimStats>,
-    /// Per-instance warp cycle counts (imbalance analysis).
-    pub warp_cycles: Vec<u64>,
     /// Host wall-clock seconds spent simulating (reported alongside
     /// modeled time; not used for paper figures).
     pub wall_seconds: f64,
@@ -30,28 +35,39 @@ pub struct SampleOutput {
 impl SampleOutput {
     /// An output with no instances (the identity of [`SampleOutput::extend`]).
     pub fn empty() -> SampleOutput {
-        SampleOutput {
-            instances: Vec::new(),
-            stats: SimStats::new(),
-            instance_stats: Vec::new(),
-            warp_cycles: Vec::new(),
-            wall_seconds: 0.0,
-        }
+        SampleOutput::from_instances(Vec::new(), Vec::new(), 0.0)
     }
 
-    /// Assembles an output from per-instance pieces, summing `stats`
-    /// from `instance_stats` and deriving `warp_cycles` — the shape
-    /// every executor that regroups instances (multi-GPU, the serving
-    /// layer) produces.
+    /// Assembles an output from per-instance pieces: each entry's
+    /// `sampled_edges` is set from its instance (the kernels leave it at
+    /// zero; the outputs are the ground truth) and `stats` is their sum.
     pub fn from_instances(
         instances: Vec<Vec<(VertexId, VertexId)>>,
-        instance_stats: Vec<SimStats>,
+        mut instance_stats: Vec<SimStats>,
         wall_seconds: f64,
     ) -> SampleOutput {
         assert_eq!(instances.len(), instance_stats.len(), "one counter set per instance");
-        let stats: SimStats = instance_stats.iter().copied().sum();
-        let warp_cycles = instance_stats.iter().map(|s| s.warp_cycles).collect();
-        SampleOutput { instances, stats, instance_stats, warp_cycles, wall_seconds }
+        let mut stats = SimStats::new();
+        for (s, inst) in instance_stats.iter_mut().zip(&instances) {
+            s.sampled_edges = inst.len() as u64;
+            stats.merge(s);
+        }
+        SampleOutput { instances, stats, instance_stats, wall_seconds }
+    }
+
+    /// Assembles the output of a runtime that interleaves instances and so
+    /// counts work only for the whole launch: `stats` is the launch's
+    /// total (its `sampled_edges` set from the instances) and each
+    /// per-instance entry carries only `sampled_edges`.
+    pub fn from_totals(
+        instances: Vec<Vec<(VertexId, VertexId)>>,
+        stats: SimStats,
+        wall_seconds: f64,
+    ) -> SampleOutput {
+        let blank = vec![SimStats::new(); instances.len()];
+        let mut out = SampleOutput::from_instances(instances, blank, wall_seconds);
+        out.stats = SimStats { sampled_edges: out.stats.sampled_edges, ..stats };
+        out
     }
 
     /// Clones out the contiguous instance range `range` as a standalone
@@ -62,10 +78,9 @@ impl SampleOutput {
         let instance_stats: Vec<SimStats> = self.instance_stats[range.clone()].to_vec();
         let stats: SimStats = instance_stats.iter().copied().sum();
         SampleOutput {
-            instances: self.instances[range.clone()].to_vec(),
+            instances: self.instances[range].to_vec(),
             stats,
             instance_stats,
-            warp_cycles: self.warp_cycles[range].to_vec(),
             wall_seconds: self.wall_seconds,
         }
     }
@@ -92,8 +107,22 @@ impl SampleOutput {
         self.stats.merge(&other.stats);
         self.instances.extend(other.instances);
         self.instance_stats.extend(other.instance_stats);
-        self.warp_cycles.extend(other.warp_cycles);
         self.wall_seconds += other.wall_seconds;
+    }
+
+    /// Each instance's edges in sorted order: the canonical form to
+    /// compare runtimes whose streams may emit an instance's edges in
+    /// another order (the out-of-memory scheduler drains partitions, not
+    /// instances).
+    pub fn sorted_instances(&self) -> Vec<Vec<(VertexId, VertexId)>> {
+        self.instances
+            .iter()
+            .map(|i| {
+                let mut e = i.clone();
+                e.sort_unstable();
+                e
+            })
+            .collect()
     }
 
     /// Total sampled edges across instances.
@@ -175,7 +204,6 @@ mod tests {
                 SimStats { sampled_edges: 1, warp_cycles: 40, ..Default::default() },
                 SimStats::new(),
             ],
-            warp_cycles: vec![60, 40, 0],
             wall_seconds: 0.001,
         }
     }
@@ -225,7 +253,6 @@ mod tests {
             instances: vec![vec![(3, 9), (3, 9), (9, 3)]],
             stats: SimStats::new(),
             instance_stats: vec![SimStats::new()],
-            warp_cycles: vec![0],
             wall_seconds: 0.0,
         };
         let (g, back) = s.induce_subgraph();
@@ -247,7 +274,7 @@ mod tests {
         assert_eq!(head.instances, vec![vec![(0, 1), (1, 2)]]);
         assert_eq!(head.stats.sampled_edges, 2);
         assert_eq!(head.stats.warp_cycles, 60);
-        assert_eq!(head.warp_cycles, vec![60]);
+        assert_eq!(head.instance_stats[0].warp_cycles, 60);
         let tail = s.slice(1..3);
         assert_eq!(tail.stats.sampled_edges, 1);
         assert_eq!(tail.stats.warp_cycles, 40);
@@ -283,7 +310,48 @@ mod tests {
         assert_eq!(rebuilt.stats.sampled_edges, 3);
         let direct =
             SampleOutput::from_instances(s.instances.clone(), s.instance_stats.clone(), 0.0);
-        assert_eq!(direct.warp_cycles, s.warp_cycles);
+        assert_eq!(direct.instance_stats, s.instance_stats);
         assert_eq!(direct.stats.warp_cycles, 100);
+    }
+
+    #[test]
+    fn from_instances_fills_sampled_edges_from_the_instances() {
+        let s = sample();
+        let blank = vec![SimStats::new(); 3];
+        let out = SampleOutput::from_instances(s.instances, blank, 0.0);
+        let per: Vec<u64> = out.instance_stats.iter().map(|st| st.sampled_edges).collect();
+        assert_eq!(per, vec![2, 1, 0]);
+        assert_eq!(out.stats.sampled_edges, 3);
+    }
+
+    #[test]
+    fn from_totals_keeps_the_launch_total_and_per_instance_edge_counts() {
+        let s = sample();
+        let total = SimStats { warp_cycles: 100, rng_draws: 7, ..Default::default() };
+        let out = SampleOutput::from_totals(s.instances, total, 0.5);
+        assert_eq!(out.stats, SimStats { sampled_edges: 3, ..total });
+        for (st, inst) in out.instance_stats.iter().zip(&out.instances) {
+            assert_eq!(*st, SimStats { sampled_edges: inst.len() as u64, ..SimStats::new() });
+        }
+        // A slice sums only what was attributed: the edge counts.
+        assert_eq!(out.slice(0..2).stats, SimStats { sampled_edges: 3, ..SimStats::new() });
+    }
+
+    #[test]
+    fn sorted_instances_sorts_within_each_instance_only() {
+        let out = SampleOutput::from_totals(
+            vec![vec![(2, 1), (0, 5), (0, 3)], vec![], vec![(9, 9), (1, 1)]],
+            SimStats::new(),
+            0.0,
+        );
+        assert_eq!(
+            out.sorted_instances(),
+            vec![vec![(0, 3), (0, 5), (2, 1)], vec![], vec![(1, 1), (9, 9)]]
+        );
+        assert_eq!(
+            out.instances[0],
+            vec![(2, 1), (0, 5), (0, 3)],
+            "the output itself is untouched"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! The residency hierarchy: CTPS/alias cache → decoded-run pool →
+//! The residency hierarchy: CTPS cache → decoded-run pool →
 //! mmap/disk.
 //!
 //! The out-of-memory scheduler moves partitions between host CSR and
@@ -7,7 +7,7 @@
 //! runs** over an mmap-backed [`DiskStore`]:
 //!
 //! ```text
-//! tier 1  CTPS / alias cache      per-vertex sampling tables (device)
+//! tier 1  CTPS cache              per-vertex sampling tables (device)
 //! tier 2  decoded-run pool        one vertex's neighbor run a slot (host)
 //! tier 3  mmap'd segment files    fixed-width id records, read in place
 //! ```
@@ -54,7 +54,7 @@
 //!
 //! **Epoch composition.** Evicting `v`'s run bumps `v`'s run epoch, which
 //! [`crate::step::entry_tag`] puts in the residency half of `v`'s cache
-//! tag, so the CTPS/alias invalidation machinery retires exactly the
+//! tag, so the CTPS cache's invalidation machinery retires exactly the
 //! tier-1 entries whose tier-2 backing was recycled. Re-decoded content
 //! is bit-identical: epoch churn affects the cost model, never the
 //! sample.
@@ -497,8 +497,8 @@ impl ResidencyHierarchy {
     }
 
     /// Residency epoch of `v`'s run (bumped when its decoded copy is
-    /// evicted). Named for the partition-granular pool it once tagged.
-    pub fn partition_epoch(&self, v: VertexId) -> u64 {
+    /// evicted).
+    pub fn run_epoch(&self, v: VertexId) -> u64 {
         // SAFETY: as in snapshot().
         unsafe { (&(*self.pool.get()).epochs)[v as usize] as u64 }
     }
@@ -760,7 +760,7 @@ impl NeighborAccess for DiskAccess {
     }
 
     fn run_epoch(&self, v: VertexId) -> u64 {
-        self.hier.partition_epoch(v)
+        self.hier.run_epoch(v)
     }
 }
 
@@ -958,12 +958,12 @@ mod tests {
                 assert!(snap.is_conserved(), "{snap:?}");
             }
         }
-        assert_eq!(access.hierarchy().partition_epoch(7), 0, "the oversized run never entered");
+        assert_eq!(access.hierarchy().run_epoch(7), 0, "the oversized run never entered");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn eviction_bumps_partition_epoch_tags() {
+    fn eviction_bumps_run_epoch_tags() {
         let g = ring_graph(64, |_| 4);
         let (store, dir) = open_store("epochs", &g, 4);
         let mut access = DiskAccess::new(&cfg(&store, 4 * run_bytes(false, 4)));
@@ -992,7 +992,7 @@ mod tests {
         for v in [0, 1, 0, 1] {
             let _ = access.gather(v, &mut stats);
         }
-        let disk_epoch = access.hierarchy().partition_epoch(0);
+        let disk_epoch = access.hierarchy().run_epoch(0);
         assert!(disk_epoch > 0);
         let tiered = LayeredAccess::new(&mut access, None, 5u64);
         assert_eq!(tiered.entry_epoch(0), entry_tag(5, disk_epoch, 0));
@@ -1022,7 +1022,7 @@ mod tests {
         for v in [3, 4] {
             let _ = disk.gather(v, &mut stats);
         }
-        assert!(disk.hierarchy().partition_epoch(3) > 0);
+        assert!(disk.hierarchy().run_epoch(3) > 0);
         assert_eq!(tag(&mut disk, &s0, 1), t0, "another vertex's run epoch");
         for v in [0, 5] {
             let _ = disk.gather(v, &mut stats);

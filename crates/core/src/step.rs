@@ -772,7 +772,7 @@ impl<'a> StepKernel<'a> {
     /// The per-entry step, in three stages: resolve the **weight source**
     /// (cache hit | group-shared table | implicit uniform | the bias
     /// lane), **draw** `k` picks from it (distinct via the claim loop |
-    /// independent ITS picks | alias | rejection), **emit** them through
+    /// independent ITS picks | rejection), **emit** them through
     /// `accept`/`UPDATE` into the sink. Which source and which draw are
     /// values picked here, so every combination consumes the entry's
     /// Philox stream in the same order: dead-end hook or `k`, the picks,

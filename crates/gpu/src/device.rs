@@ -22,10 +22,9 @@ pub struct LaunchResult<T> {
     pub stats: SimStats,
     /// Per-task counters, in task order. Callers that attribute work to
     /// individual streams (the OOM runtime) read these; `stats` is their
-    /// field-wise sum.
+    /// field-wise sum, and each entry's `warp_cycles` is that warp's cycle
+    /// count (workload-imbalance analysis, Fig. 14).
     pub task_stats: Vec<SimStats>,
-    /// Per-warp cycle counts (workload-imbalance analysis, Fig. 14).
-    pub warp_cycles: Vec<u64>,
 }
 
 impl<T> LaunchResult<T> {
@@ -69,29 +68,26 @@ impl Device {
     /// bit-identical output to `parallel = true` — the serial path exists
     /// for reference runs and single-core hosts, not for different
     /// semantics. The OOM runtime routes its per-stream round tasks through
-    /// this so streams share the device's stats/cycle merging.
+    /// this so streams share the device's stats merging.
     pub fn launch_with<I, T, F>(&self, tasks: Vec<I>, parallel: bool, kernel: F) -> LaunchResult<T>
     where
         I: Send,
         T: Send,
         F: Fn(usize, I) -> (T, SimStats) + Sync + Send,
     {
-        let results: Vec<(T, SimStats)> = if parallel {
-            tasks.into_par_iter().enumerate().map(|(i, task)| kernel(i, task)).collect()
-        } else {
-            tasks.into_iter().enumerate().map(|(i, task)| kernel(i, task)).collect()
-        };
-        let mut stats = SimStats::new();
-        let mut task_stats = Vec::with_capacity(results.len());
-        let mut warp_cycles = Vec::with_capacity(results.len());
-        let mut outputs = Vec::with_capacity(results.len());
-        for (out, s) in results {
-            warp_cycles.push(s.warp_cycles);
-            stats.merge(&s);
-            task_stats.push(s);
-            outputs.push(out);
-        }
-        LaunchResult { outputs, stats, task_stats, warp_cycles }
+        // On one host thread the tasks run in place and their results
+        // unzip straight into the two vectors; only a parallel launch
+        // needs the intermediate pairs its workers collect.
+        let (outputs, task_stats): (Vec<T>, Vec<SimStats>) =
+            if parallel && rayon::current_num_threads() > 1 {
+                let results: Vec<(T, SimStats)> =
+                    tasks.into_par_iter().enumerate().map(|(i, task)| kernel(i, task)).collect();
+                results.into_iter().unzip()
+            } else {
+                tasks.into_iter().enumerate().map(|(i, task)| kernel(i, task)).unzip()
+            };
+        let stats = task_stats.iter().copied().sum();
+        LaunchResult { outputs, stats, task_stats }
     }
 }
 
@@ -110,7 +106,6 @@ mod tests {
         assert_eq!(res.outputs[3], 3 * 2 + 3);
         assert_eq!(res.stats.selections, 100);
         assert_eq!(res.stats.warp_cycles, (1..=100).sum::<u64>());
-        assert_eq!(res.warp_cycles[9], 10);
         assert_eq!(res.task_stats.len(), 100);
         assert_eq!(res.task_stats[9].warp_cycles, 10);
     }
@@ -128,7 +123,6 @@ mod tests {
         assert_eq!(par.outputs, ser.outputs);
         assert_eq!(par.stats, ser.stats);
         assert_eq!(par.task_stats, ser.task_stats);
-        assert_eq!(par.warp_cycles, ser.warp_cycles);
     }
 
     #[test]

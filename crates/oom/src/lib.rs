@@ -46,7 +46,7 @@
 //!     .with_device(DeviceConfig::tiny(1 << 10)) // tiny device: forces paging
 //!     .run(&[0, 8]);
 //! assert!(out.transfers > 0);
-//! assert!(out.sampled_edges() > 0);
+//! assert!(out.sample.sampled_edges() > 0);
 //! ```
 
 pub mod config;

@@ -16,37 +16,28 @@
 //! collected in group order), so multi-GPU runs also parallelize on the
 //! host without changing any output.
 
+use crate::OomOutput;
 use csaw_core::api::Algorithm;
 use csaw_core::engine::{RunOptions, Sampler};
+use csaw_core::SampleOutput;
 use csaw_gpu::config::DeviceConfig;
-use csaw_gpu::cost::gpu_kernel_seconds_with_slots;
+use csaw_gpu::cost::{gpu_kernel_seconds_with_slots, makespan_seconds};
 use csaw_gpu::stats::SimStats;
 use csaw_graph::{Csr, VertexId};
 use rayon::prelude::*;
 
-/// Per-device result of an in-memory group run:
-/// `(gpu_seconds, stats, instances, instance_stats, sampled_edges)`.
-type GpuRunResult = (f64, SimStats, Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>, u64);
-
-/// Per-device result of an out-of-memory group run:
-/// `(sim_seconds, transfers, instances, rounds)`.
-type GpuOomResult = (f64, u64, Vec<Vec<(VertexId, VertexId)>>, usize);
-
-/// Result of a multi-GPU run.
+/// Result of a multi-GPU run: the sample plus the per-device cost model.
 #[derive(Debug, Clone)]
 pub struct MultiGpuOutput {
+    /// The sample, concatenated in GPU-group order. Per-instance
+    /// counters travel with their instances, so the serving layer slices
+    /// them back to per-request accounting regardless of which device ran
+    /// which group.
+    pub sample: SampleOutput,
     /// Per-GPU simulated kernel seconds.
     pub gpu_seconds: Vec<f64>,
     /// Per-GPU merged stats.
     pub gpu_stats: Vec<SimStats>,
-    /// Total sampled edges across GPUs.
-    pub sampled_edges: u64,
-    /// Sampled edges per instance, concatenated in GPU-group order.
-    pub instances: Vec<Vec<(VertexId, VertexId)>>,
-    /// Per-instance work counters, concatenated in the same order as
-    /// `instances` — the serving layer slices these back to per-request
-    /// accounting regardless of which device ran which group.
-    pub instance_stats: Vec<SimStats>,
 }
 
 impl MultiGpuOutput {
@@ -62,7 +53,7 @@ impl MultiGpuOutput {
         if t <= 0.0 {
             0.0
         } else {
-            self.sampled_edges as f64 / t
+            self.sample.sampled_edges() as f64 / t
         }
     }
 }
@@ -108,11 +99,12 @@ impl MultiGpu {
         seed_sets: &[Vec<VertexId>],
         opts: RunOptions,
     ) -> MultiGpuOutput {
+        let t0 = std::time::Instant::now();
         let chunks = self.groups(seed_sets, opts.instance_base);
         // One host task per simulated GPU: the groups are disjoint and the
         // devices never communicate, so each chunk runs independently and
         // the per-group results are collected in group order.
-        let results: Vec<GpuRunResult> = chunks
+        let results: Vec<(f64, SampleOutput)> = chunks
             .into_par_iter()
             .map(|(base, chunk)| {
                 let group_opts = RunOptions { instance_base: base, ..opts.clone() };
@@ -123,31 +115,25 @@ impl MultiGpu {
                 // instances.
                 let slots = self.device.total_warps().min(chunk.len().max(1));
                 let throughput = gpu_kernel_seconds_with_slots(&out.stats, &self.device, slots);
-                let makespan =
-                    csaw_gpu::cost::makespan_seconds(&out.warp_cycles, &self.device, slots);
-                let edges = out.sampled_edges();
-                (throughput.max(makespan), out.stats, out.instances, out.instance_stats, edges)
+                let cycles: Vec<u64> = out.instance_stats.iter().map(|s| s.warp_cycles).collect();
+                let makespan = makespan_seconds(&cycles, &self.device, slots);
+                (throughput.max(makespan), out)
             })
             .collect();
 
+        let mut sample = SampleOutput::empty();
         let mut gpu_seconds = Vec::with_capacity(self.num_gpus);
         let mut gpu_stats = Vec::with_capacity(self.num_gpus);
-        let mut instances = Vec::with_capacity(seed_sets.len());
-        let mut instance_stats = Vec::with_capacity(seed_sets.len());
-        let mut sampled_edges = 0u64;
-        for (secs, stats, inst, inst_stats, edges) in results {
+        for (secs, out) in results {
             gpu_seconds.push(secs);
-            gpu_stats.push(stats);
-            instances.extend(inst);
-            instance_stats.extend(inst_stats);
-            sampled_edges += edges;
+            gpu_stats.push(out.stats);
+            sample.extend(out);
         }
         // Devices with no work finish instantly.
-        while gpu_seconds.len() < self.num_gpus {
-            gpu_seconds.push(0.0);
-            gpu_stats.push(SimStats::new());
-        }
-        MultiGpuOutput { gpu_seconds, gpu_stats, sampled_edges, instances, instance_stats }
+        gpu_seconds.resize(self.num_gpus, 0.0);
+        gpu_stats.resize(self.num_gpus, SimStats::new());
+        sample.wall_seconds = t0.elapsed().as_secs_f64();
+        MultiGpuOutput { sample, gpu_seconds, gpu_stats }
     }
 
     /// Convenience for single-seed instances.
@@ -176,44 +162,47 @@ impl MultiGpu {
         cfg: crate::OomConfig,
         opts: RunOptions,
     ) -> MultiGpuOomOutput {
+        let t0 = std::time::Instant::now();
         let chunks = self.groups(seeds, opts.instance_base);
         let run_chunk = |(base, chunk): (u32, &[VertexId])| {
-            let out = crate::OomRunner::new(graph, algo, cfg)
+            crate::OomRunner::new(graph, algo, cfg)
                 .with_device(self.device)
                 .with_options(RunOptions { instance_base: base, ..opts.clone() })
-                .run(chunk);
-            (out.sim_seconds, out.transfers, out.instances, out.rounds)
+                .run(chunk)
         };
         // One host task per simulated GPU (disjoint groups, no
         // communication); `host_parallel` also selects the serial
         // reference path here. Results are identical either way.
-        let results: Vec<GpuOomResult> = if cfg.host_parallel {
+        let results: Vec<OomOutput> = if cfg.host_parallel {
             chunks.into_par_iter().map(run_chunk).collect()
         } else {
             chunks.into_iter().map(run_chunk).collect()
         };
 
+        let mut sample = SampleOutput::empty();
         let mut gpu_seconds = Vec::with_capacity(self.num_gpus);
         let mut rounds = Vec::with_capacity(self.num_gpus);
         let mut transfers = 0u64;
-        let mut instances = Vec::with_capacity(seeds.len());
-        for (secs, tr, inst, r) in results {
-            gpu_seconds.push(secs);
-            rounds.push(r);
-            transfers += tr;
-            instances.extend(inst);
+        for out in results {
+            gpu_seconds.push(out.sim_seconds);
+            rounds.push(out.rounds);
+            transfers += out.transfers;
+            sample.extend(out.sample);
         }
-        while gpu_seconds.len() < self.num_gpus {
-            gpu_seconds.push(0.0);
-            rounds.push(0);
-        }
-        MultiGpuOomOutput { gpu_seconds, rounds, transfers, instances }
+        gpu_seconds.resize(self.num_gpus, 0.0);
+        rounds.resize(self.num_gpus, 0);
+        sample.wall_seconds = t0.elapsed().as_secs_f64();
+        MultiGpuOomOutput { sample, gpu_seconds, rounds, transfers }
     }
 }
 
-/// Result of a multi-GPU out-of-memory run.
+/// Result of a multi-GPU out-of-memory run: the sample plus the
+/// per-device cost model.
 #[derive(Debug, Clone)]
 pub struct MultiGpuOomOutput {
+    /// The sample, concatenated in GPU-group order; `stats` is the sum of
+    /// the devices' run totals.
+    pub sample: SampleOutput,
     /// Per-GPU simulated end-to-end seconds (kernels + transfers).
     pub gpu_seconds: Vec<f64>,
     /// Per-GPU scheduling rounds executed (completion time is
@@ -222,8 +211,6 @@ pub struct MultiGpuOomOutput {
     /// Total partition transfers across devices (each device transfers
     /// its own copies — the aggregate PCIe traffic of the node).
     pub transfers: u64,
-    /// Sampled edges per instance, in GPU-group order.
-    pub instances: Vec<Vec<(VertexId, VertexId)>>,
 }
 
 impl MultiGpuOomOutput {
@@ -235,11 +222,6 @@ impl MultiGpuOomOutput {
     /// Scheduling rounds of the device that ran the most.
     pub fn max_rounds(&self) -> usize {
         self.rounds.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Total sampled edges.
-    pub fn sampled_edges(&self) -> u64 {
-        self.instances.iter().map(|i| i.len() as u64).sum()
     }
 }
 
@@ -263,7 +245,7 @@ mod tests {
         let s = seeds(60, 512);
         let single = MultiGpu::new(1).run_single_seeds(&g, &algo, &s, RunOptions::default());
         let six = MultiGpu::new(6).run_single_seeds(&g, &algo, &s, RunOptions::default());
-        assert_eq!(single.instances, six.instances);
+        assert_eq!(single.sample.instances, six.sample.instances);
         // (60 instances undersaturate both setups, so no timing claim is
         // made here — see `small_batches_scale_worse_than_large`.)
         assert!(six.total_seconds() > 0.0);
@@ -326,12 +308,13 @@ mod tests {
             &s[24..],
             RunOptions { instance_base: 24, ..RunOptions::default() },
         );
-        assert_eq!(tail.instances, full.instances[24..].to_vec());
+        assert_eq!(tail.sample.instances, full.sample.instances[24..].to_vec());
         // Per-instance counters travel with the instances and their sum
         // matches the per-device aggregates.
-        assert_eq!(tail.instance_stats.len(), tail.instances.len());
-        let summed: u64 = tail.instance_stats.iter().map(|st| st.sampled_edges).sum();
-        assert_eq!(summed, tail.sampled_edges);
+        assert_eq!(tail.sample.instance_stats.len(), tail.sample.instances.len());
+        let summed: SimStats = tail.sample.instance_stats.iter().copied().sum();
+        assert_eq!(summed, tail.gpu_stats.iter().copied().sum());
+        assert_eq!(summed.sampled_edges, tail.sample.sampled_edges());
     }
 
     #[test]
@@ -339,7 +322,7 @@ mod tests {
         let g = rmat(6, 2, RmatParams::MILD, 4);
         let algo = BiasedRandomWalk { length: 4 };
         let out = MultiGpu::new(3).run_single_seeds(&g, &algo, &[], RunOptions::default());
-        assert_eq!(out.sampled_edges, 0);
+        assert_eq!(out.sample.sampled_edges(), 0);
         assert_eq!(out.gpu_seconds.len(), 3);
         assert_eq!(out.total_seconds(), 0.0);
     }
@@ -357,18 +340,8 @@ mod tests {
         // samples exactly the single-device edges per instance (each
         // instance's edge set is canonical-sorted because rounds may
         // interleave partitions differently across splits).
-        let canon = |out: &MultiGpuOomOutput| -> Vec<Vec<(u32, u32)>> {
-            out.instances
-                .iter()
-                .map(|i| {
-                    let mut e = i.clone();
-                    e.sort_unstable();
-                    e
-                })
-                .collect()
-        };
-        assert_eq!(canon(&one), canon(&four));
-        assert!(four.sampled_edges() > 0);
+        assert_eq!(one.sample.sorted_instances(), four.sample.sorted_instances());
+        assert!(four.sample.sampled_edges() > 0);
         // Each device ships its own partition copies, so aggregate PCIe
         // traffic grows with the device count.
         assert!(four.transfers >= one.transfers);

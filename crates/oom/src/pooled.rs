@@ -22,6 +22,7 @@ use crate::scheduler::{OomOutput, OomRunner, KERNEL_LAUNCH_OVERHEAD};
 use csaw_core::api::{Algorithm, FrontierMode};
 use csaw_core::engine::{drive_pool, kernel_for, run_task, PoolBufs, Task};
 use csaw_core::step::{LayeredAccess, NeighborAccess, Residency, StepScratch};
+use csaw_core::SampleOutput;
 use csaw_gpu::cost::gpu_kernel_seconds;
 use csaw_gpu::memory::DeviceMemory;
 use csaw_gpu::stats::SimStats;
@@ -102,6 +103,7 @@ impl<'r, A: Algorithm> Task for Pooled<'r, '_, A> {
         self,
         access: &mut LayeredAccess<'_, S, DeviceFaults<'r>>,
     ) -> OomOutput {
+        let t0 = std::time::Instant::now();
         let Pooled { runner, seed_sets } = self;
         debug_assert_ne!(runner.algo.config().frontier, FrontierMode::IndependentPerVertex);
         let kernel = kernel_for(runner.algo, &runner.opts);
@@ -130,16 +132,16 @@ impl<'r, A: Algorithm> Task for Pooled<'r, '_, A> {
             rounds = rounds.max(steps);
         }
 
-        stats.sampled_edges = outputs.iter().map(|o| o.len() as u64).sum();
+        let sample = SampleOutput::from_totals(outputs, stats, t0.elapsed().as_secs_f64());
         // One logical kernel per pool step amortized over the run; the
         // transfer timeline is serial on stream 0 (gathers are dependent,
         // so copies cannot overlap sampling).
-        let kernel_secs = gpu_kernel_seconds(&stats, &runner.device) + KERNEL_LAUNCH_OVERHEAD;
+        let kernel_secs =
+            gpu_kernel_seconds(&sample.stats, &runner.device) + KERNEL_LAUNCH_OVERHEAD;
         let engine = &mut access.residency.engine;
         let transfer_secs = engine.sync_all();
         OomOutput {
-            instances: outputs,
-            stats,
+            sample,
             transfers: engine.transfers,
             bytes_transferred: engine.bytes_transferred,
             sim_seconds: transfer_secs + kernel_secs,
@@ -151,7 +153,7 @@ impl<'r, A: Algorithm> Task for Pooled<'r, '_, A> {
     }
 
     fn ledger(out: &mut OomOutput) -> Option<&mut SimStats> {
-        Some(&mut out.stats)
+        Some(&mut out.sample.stats)
     }
 }
 
@@ -168,17 +170,6 @@ mod tests {
         DeviceConfig::tiny(1 << 20)
     }
 
-    fn canon(instances: &[Vec<(u32, u32)>]) -> Vec<Vec<(u32, u32)>> {
-        instances
-            .iter()
-            .map(|i| {
-                let mut e = i.clone();
-                e.sort_unstable();
-                e
-            })
-            .collect()
-    }
-
     #[test]
     fn layer_sampling_runs_out_of_memory_and_matches_the_engine() {
         // The lifted restriction: layer sampling used to panic in
@@ -190,7 +181,7 @@ mod tests {
         let mem = Sampler::new(&g, &algo).run_single_seeds(&seeds);
         let oom =
             OomRunner::new(&g, &algo, OomConfig::full()).with_device(tiny_device()).run(&seeds);
-        assert_eq!(canon(&oom.instances), canon(&mem.instances));
+        assert_eq!(oom.sample.sorted_instances(), mem.sorted_instances());
         assert!(oom.transfers > 0, "tiny device must page partitions");
         assert!(oom.sim_seconds > 0.0);
     }
@@ -204,7 +195,7 @@ mod tests {
         let oom = OomRunner::new(&g, &algo, OomConfig::full())
             .with_device(tiny_device())
             .run_pools(&pools);
-        assert_eq!(canon(&oom.instances), canon(&mem.instances));
+        assert_eq!(oom.sample.sorted_instances(), mem.sorted_instances());
         assert!(oom.transfers > 0);
     }
 
@@ -219,9 +210,9 @@ mod tests {
                 .run_pools(&pools)
         };
         let (a, b) = (run(), run());
-        assert_eq!(a.instances, b.instances);
+        assert_eq!(a.sample.instances, b.sample.instances);
         assert_eq!(a.transfers, b.transfers);
-        for inst in &a.instances {
+        for inst in &a.sample.instances {
             assert!(inst.len() <= 9, "budget bounds sampled edges");
         }
     }

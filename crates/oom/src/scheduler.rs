@@ -51,6 +51,7 @@ use csaw_core::frontier::{FrontierEntry, FrontierQueue};
 use csaw_core::step::{
     with_thread_scratch, FrontierSink, LayeredAccess, NeighborAccess, StepEntry, StepKernel,
 };
+use csaw_core::SampleOutput;
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds_with_slots;
 use csaw_gpu::device::Device;
@@ -66,13 +67,14 @@ use std::collections::{HashMap, HashSet};
 /// mechanisms behind the §V-C speedup.
 pub const KERNEL_LAUNCH_OVERHEAD: f64 = 5e-6;
 
-/// Result of an out-of-memory run.
+/// Result of an out-of-memory run: the sample plus what the §V cost
+/// model adds.
 #[derive(Debug, Clone)]
 pub struct OomOutput {
-    /// Sampled edges per instance.
-    pub instances: Vec<Vec<(VertexId, VertexId)>>,
-    /// Merged counted work.
-    pub stats: SimStats,
+    /// The sample. Streams interleave instances, so `stats` carries the
+    /// run's counted work and each per-instance entry only its
+    /// `sampled_edges` ([`SampleOutput::from_totals`]).
+    pub sample: SampleOutput,
     /// Host→device partition transfers issued.
     pub transfers: u64,
     /// Bytes shipped host→device.
@@ -93,11 +95,6 @@ pub struct OomOutput {
 }
 
 impl OomOutput {
-    /// Total sampled edges.
-    pub fn sampled_edges(&self) -> u64 {
-        self.instances.iter().map(|i| i.len() as u64).sum()
-    }
-
     /// Mean per-round standard deviation of concurrent kernel times —
     /// the Fig. 14 workload-imbalance metric (lower is better).
     pub fn kernel_time_stddev(&self) -> f64 {
@@ -121,7 +118,7 @@ impl OomOutput {
         if self.sim_seconds <= 0.0 {
             0.0
         } else {
-            self.sampled_edges() as f64 / self.sim_seconds
+            self.sample.sampled_edges() as f64 / self.sim_seconds
         }
     }
 }
@@ -300,6 +297,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
 
     /// Runs single-seed instances through the scheduling loop.
     fn run_group(&self, parts: &PartitionSet, seeds: &[VertexId]) -> OomOutput {
+        let t0 = std::time::Instant::now();
         let algo_cfg = self.algo.config();
         let instance_base = self.opts.instance_base;
         let k = parts.len();
@@ -510,10 +508,8 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             now = engine.sync_all();
         }
 
-        stats.sampled_edges = outputs.iter().map(|o| o.len() as u64).sum();
         OomOutput {
-            instances: outputs,
-            stats,
+            sample: SampleOutput::from_totals(outputs, stats, t0.elapsed().as_secs_f64()),
             transfers: engine.transfers,
             bytes_transferred: engine.bytes_transferred,
             sim_seconds: now,
@@ -701,8 +697,8 @@ mod tests {
         let out = OomRunner::new(&g, &algo, OomConfig::full())
             .with_device(tiny_device())
             .run(&[0, 8, 12]);
-        assert_eq!(out.instances.len(), 3);
-        for inst in &out.instances {
+        assert_eq!(out.sample.instances.len(), 3);
+        for inst in &out.sample.instances {
             assert!(inst.len() <= 6, "depth 2, NS 2");
             for &(v, u) in inst {
                 assert!(g.has_edge(v, u));
@@ -723,17 +719,7 @@ mod tests {
         let mut results = Vec::new();
         for (_, cfg) in OomConfig::figure13_ladder() {
             let out = OomRunner::new(&g, &algo, cfg).with_device(tiny_device()).run(&seeds);
-            let mut edges: Vec<Vec<(u32, u32)>> = out
-                .instances
-                .iter()
-                .map(|i| {
-                    let mut e = i.clone();
-                    e.sort_unstable();
-                    e
-                })
-                .collect();
-            edges.sort();
-            results.push(edges);
+            results.push(out.sample.sorted_instances());
         }
         assert_eq!(results[0], results[1], "BA changed the sample");
         assert_eq!(results[0], results[2], "WS changed the sample");
@@ -765,16 +751,19 @@ mod tests {
                 .with_device(tiny_device())
                 .with_options(RunOptions { exec: ExecMode::DepthSync, ..Default::default() })
                 .run(&seeds);
-            assert_eq!(grouped.instances, reference.instances, "{label}: ns outputs");
-            assert_eq!(scrub(grouped.stats), reference.stats, "{label}: ns stats");
+            assert_eq!(grouped.sample.instances, reference.sample.instances, "{label}: ns outputs");
+            assert_eq!(scrub(grouped.sample.stats), reference.sample.stats, "{label}: ns stats");
             let reference = OomRunner::new(&g, &walk, cfg).with_device(tiny_device()).run(&seeds);
             let grouped = OomRunner::new(&g, &walk, cfg)
                 .with_device(tiny_device())
                 .with_options(RunOptions { exec: ExecMode::DepthSync, ..Default::default() })
                 .run(&seeds);
-            assert_eq!(grouped.instances, reference.instances, "{label}: walk outputs");
-            assert_eq!(scrub(grouped.stats), reference.stats, "{label}: walk stats");
-            assert!(grouped.stats.batch_groups > 0, "{label}: grouped drain must group");
+            assert_eq!(
+                grouped.sample.instances, reference.sample.instances,
+                "{label}: walk outputs"
+            );
+            assert_eq!(scrub(grouped.sample.stats), reference.sample.stats, "{label}: walk stats");
+            assert!(grouped.sample.stats.batch_groups > 0, "{label}: grouped drain must group");
         }
     }
 
@@ -794,7 +783,11 @@ mod tests {
             ba.sim_seconds,
             base.sim_seconds
         );
-        assert_eq!(ba.sampled_edges(), base.sampled_edges(), "same sample either way");
+        assert_eq!(
+            ba.sample.sampled_edges(),
+            base.sample.sampled_edges(),
+            "same sample either way"
+        );
     }
 
     #[test]
@@ -845,7 +838,7 @@ mod tests {
         let algo = BiasedRandomWalk { length: 10 };
         let out =
             OomRunner::new(&g, &algo, OomConfig::full()).with_device(tiny_device()).run(&[8, 0]);
-        for inst in &out.instances {
+        for inst in &out.sample.instances {
             assert_eq!(inst.len(), 10, "toy graph has no dead ends");
             for w in inst.windows(2) {
                 assert_eq!(w[0].1, w[1].0, "walk continuity across partitions");
@@ -858,7 +851,7 @@ mod tests {
         let g = toy_graph();
         let algo = BiasedRandomWalk { length: 5 };
         let out = OomRunner::new(&g, &algo, OomConfig::full()).run(&[]);
-        assert_eq!(out.sampled_edges(), 0);
+        assert_eq!(out.sample.sampled_edges(), 0);
         assert_eq!(out.transfers, 0);
     }
 
@@ -877,7 +870,7 @@ mod tests {
             .build();
         let algo = RandomWalkWithRestart { length: 12, p_restart: 0.0 };
         let out = OomRunner::new(&g, &algo, OomConfig::full()).with_device(tiny_device()).run(&[0]);
-        for w in out.instances[0].windows(2) {
+        for w in out.sample.instances[0].windows(2) {
             assert!(
                 w[1].0 == w[0].1 || w[1].0 == 0,
                 "after a dead end the walk must restart at seed 0, got {:?}",
@@ -900,7 +893,7 @@ mod tests {
                 .run(&(0..64u32).map(|i| i * 3 % 256).collect::<Vec<_>>());
             let mut backtracks = 0usize;
             let mut steps = 0usize;
-            for inst in &out.instances {
+            for inst in &out.sample.instances {
                 for w in inst.windows(2) {
                     assert_eq!(w[0].1, w[1].0, "walk continuity");
                     steps += 1;
@@ -944,7 +937,7 @@ mod tests {
         let seeds: Vec<u32> = (0..16).collect();
         let a = OomRunner::new(&g, &algo, OomConfig::full()).run(&seeds);
         let b = OomRunner::new(&g, &algo, OomConfig::full()).run(&seeds);
-        assert_eq!(a.instances, b.instances);
+        assert_eq!(a.sample.instances, b.sample.instances);
         assert_eq!(a.transfers, b.transfers);
     }
 }

@@ -14,17 +14,6 @@ fn arb_graph() -> impl Strategy<Value = csaw_graph::Csr> {
     })
 }
 
-fn canon(instances: &[Vec<(u32, u32)>]) -> Vec<Vec<(u32, u32)>> {
-    instances
-        .iter()
-        .map(|i| {
-            let mut e = i.clone();
-            e.sort_unstable();
-            e
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -47,9 +36,9 @@ proptest! {
         let out = OomRunner::new(&g, &algo, cfg)
             .with_device(DeviceConfig::tiny(1 << 16))
             .run(&seeds);
-        prop_assert_eq!(out.instances.len(), seeds.len());
+        prop_assert_eq!(out.sample.instances.len(), seeds.len());
         let bound: usize = (1..=depth).map(|d| 2usize.pow(d as u32)).sum();
-        for inst in &out.instances {
+        for inst in &out.sample.instances {
             prop_assert!(inst.len() <= bound, "depth bound violated: {} > {bound}", inst.len());
             for &(v, u) in inst {
                 prop_assert!(g.has_edge(v, u));
@@ -70,7 +59,7 @@ proptest! {
             let out = OomRunner::new(&g, &algo, cfg)
                 .with_device(DeviceConfig::tiny(1 << 16))
                 .run(&seeds);
-            let c = canon(&out.instances);
+            let c = out.sample.sorted_instances();
             match &reference {
                 None => reference = Some(c),
                 Some(r) => prop_assert_eq!(r, &c),
@@ -92,7 +81,7 @@ proptest! {
         let out = OomRunner::new(&g, &algo, OomConfig::full())
             .with_device(DeviceConfig::tiny(1))
             .run(&seeds);
-        prop_assert_eq!(out.instances.len(), seeds.len());
+        prop_assert_eq!(out.sample.instances.len(), seeds.len());
         prop_assert!(out.sim_seconds >= 0.0);
     }
 }

@@ -13,18 +13,16 @@ use csaw_core::api::{Algorithm, FrontierMode};
 use csaw_core::engine::{RunOptions, Sampler};
 use csaw_core::SampleOutput;
 use csaw_gpu::config::DeviceConfig;
-use csaw_gpu::stats::SimStats;
 use csaw_graph::{Csr, VertexId};
 use csaw_oom::{MultiGpu, OomConfig, OomRunner};
 
 /// What one coalesced launch produced.
 #[derive(Debug, Clone)]
 pub struct BatchOutput {
-    /// Per-instance results, aligned with the submitted seed sets.
+    /// Per-instance results, aligned with the submitted seed sets;
+    /// `sample.stats` is the whole-launch total even where per-instance
+    /// attribution is partial (the out-of-memory runtime).
     pub sample: SampleOutput,
-    /// Whole-launch work counters (for runtimes whose per-instance
-    /// attribution is partial, this still carries the full totals).
-    pub stats: SimStats,
     /// Host→device partition transfers (out-of-memory runtime only).
     pub transfers: u64,
     /// Bytes shipped host→device (out-of-memory runtime only).
@@ -66,8 +64,7 @@ impl BatchExecutor for EngineExecutor {
         opts: RunOptions,
     ) -> BatchOutput {
         let sample = Sampler::new(graph, &algo).with_options(opts).run(seed_sets);
-        let stats = sample.stats;
-        BatchOutput { sample, stats, transfers: 0, bytes_transferred: 0 }
+        BatchOutput { sample, transfers: 0, bytes_transferred: 0 }
     }
 }
 
@@ -99,16 +96,14 @@ impl BatchExecutor for MultiGpuExecutor {
         seed_sets: &[Vec<VertexId>],
         opts: RunOptions,
     ) -> BatchOutput {
-        let out = self.multi.run(graph, &algo, seed_sets, opts);
-        let stats: SimStats = out.gpu_stats.iter().copied().sum();
-        let sample = SampleOutput::from_instances(out.instances, out.instance_stats, 0.0);
-        BatchOutput { sample, stats, transfers: 0, bytes_transferred: 0 }
+        let sample = self.multi.run(graph, &algo, seed_sets, opts).sample;
+        BatchOutput { sample, transfers: 0, bytes_transferred: 0 }
     }
 }
 
 /// The §V-A out-of-memory scheduler. Its streams interleave instances,
 /// so per-instance attribution covers `sampled_edges` only; the full
-/// totals (and transfer traffic) ride in [`BatchOutput::stats`] and the
+/// totals ride in the sample's `stats` and the transfer traffic in the
 /// transfer fields.
 #[derive(Debug, Clone)]
 pub struct OomExecutor {
@@ -156,18 +151,8 @@ impl BatchExecutor for OomExecutor {
         } else {
             runner.run_pools(seed_sets)
         };
-        // Streams interleave instances, so only the sampled-edge count is
-        // attributable per instance; the rest of the counters stay on the
-        // batch totals.
-        let instance_stats: Vec<SimStats> = out
-            .instances
-            .iter()
-            .map(|i| SimStats { sampled_edges: i.len() as u64, ..SimStats::new() })
-            .collect();
-        let sample = SampleOutput::from_instances(out.instances, instance_stats, 0.0);
         BatchOutput {
-            sample,
-            stats: out.stats,
+            sample: out.sample,
             transfers: out.transfers,
             bytes_transferred: out.bytes_transferred,
         }

@@ -526,23 +526,7 @@ fn collect_batch(shared: &Shared) -> Option<Vec<Queued>> {
     let mut batch = vec![first];
     let window_closes = Instant::now() + cfg.batch_window;
     loop {
-        // Pull every queued same-key request (in admission order) while
-        // the batch has room; expired ones terminate here — dequeue is
-        // a deadline checkpoint.
-        let mut i = 0;
-        while i < st.queue.len() && instances < cfg.max_batch_instances {
-            if st.queue[i].key == key {
-                let q = st.queue.remove(i).expect("index in bounds");
-                if q.expires.is_some_and(|e| Instant::now() > e) {
-                    expire(shared, q);
-                } else {
-                    instances += q.seed_sets.len();
-                    batch.push(q);
-                }
-            } else {
-                i += 1;
-            }
-        }
+        pull_same_key(shared, &mut st.queue, &key, &mut batch, &mut instances);
         if instances >= cfg.max_batch_instances || st.shutdown {
             // Full, or draining — don't hold the batch open.
             break;
@@ -575,25 +559,39 @@ fn collect_batch(shared: &Shared) -> Option<Vec<Queued>> {
         if timeout.timed_out() {
             // One final sweep for requests that arrived with the
             // notification that raced the timeout, then close.
-            let mut i = 0;
-            while i < st.queue.len() && instances < cfg.max_batch_instances {
-                if st.queue[i].key == key {
-                    let q = st.queue.remove(i).expect("index in bounds");
-                    if q.expires.is_some_and(|e| Instant::now() > e) {
-                        expire(shared, q);
-                    } else {
-                        instances += q.seed_sets.len();
-                        batch.push(q);
-                    }
-                } else {
-                    i += 1;
-                }
-            }
+            pull_same_key(shared, &mut st.queue, &key, &mut batch, &mut instances);
             break;
         }
     }
     shared.stats.queue_depth.store(st.queue.len() as u64, Relaxed);
     Some(batch)
+}
+
+/// Moves every queued `key` request (in admission order) into `batch`
+/// while the batch holds fewer than `max_batch_instances`, adding each
+/// one's instances to `instances`; expired ones terminate here — dequeue
+/// is a deadline checkpoint.
+fn pull_same_key(
+    shared: &Shared,
+    queue: &mut VecDeque<Queued>,
+    key: &BatchKey,
+    batch: &mut Vec<Queued>,
+    instances: &mut usize,
+) {
+    let mut i = 0;
+    while i < queue.len() && *instances < shared.config.max_batch_instances {
+        if queue[i].key != *key {
+            i += 1;
+            continue;
+        }
+        let q = queue.remove(i).expect("index in bounds");
+        if q.expires.is_some_and(|e| Instant::now() > e) {
+            expire(shared, q);
+        } else {
+            *instances += q.seed_sets.len();
+            batch.push(q);
+        }
+    }
 }
 
 /// Runs one batch: contiguous-segment launches, output slicing,
@@ -683,11 +681,11 @@ fn process_batch(
                 }
             }
             Ok(out) => {
-                ServiceStats::add(&stats.sampled_edges, out.stats.sampled_edges);
+                ServiceStats::add(&stats.sampled_edges, out.sample.stats.sampled_edges);
                 ServiceStats::add(&stats.transfers, out.transfers);
                 ServiceStats::add(&stats.bytes_transferred, out.bytes_transferred);
-                stats.record_methods(&out.stats);
-                stats.record_batch_exec(&out.stats);
+                stats.record_methods(&out.sample.stats);
+                stats.record_batch_exec(&out.sample.stats);
                 let counts: Vec<usize> = seg.iter().map(|q| q.seed_sets.len()).collect();
                 let parts = out.sample.split_by_counts(&counts);
                 let completed_at = Instant::now();

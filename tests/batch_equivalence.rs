@@ -125,8 +125,8 @@ proptest! {
         };
         let reference = run(ExecMode::InstanceMajor);
         let batched = run(ExecMode::DepthSync);
-        prop_assert_eq!(&batched.instances, &reference.instances);
-        prop_assert_eq!(scrub(batched.stats), scrub(reference.stats));
+        prop_assert_eq!(&batched.sample.instances, &reference.sample.instances);
+        prop_assert_eq!(scrub(batched.sample.stats), scrub(reference.sample.stats));
     }
 
     /// Service path: a service configured for depth-sync execution

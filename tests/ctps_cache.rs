@@ -163,7 +163,10 @@ fn oom_cached_output_is_bit_identical_across_partition_swaps() {
             .with_device(device)
             .with_options(cached_opts(budget))
             .run(&seeds);
-        assert_eq!(cached.instances, base.instances, "budget {budget} changed the OOM sample");
+        assert_eq!(
+            cached.sample.instances, base.sample.instances,
+            "budget {budget} changed the OOM sample"
+        );
         assert_eq!(cached.transfers, base.transfers, "budget {budget} changed scheduling");
     }
 }
@@ -181,7 +184,10 @@ fn unified_cached_output_is_bit_identical() {
     for budget in budget_sweep(&g) {
         let cached =
             UnifiedRunner::new(&g, &algo, device).with_options(cached_opts(budget)).run(&seeds);
-        assert_eq!(cached.instances, base.instances, "budget {budget} changed the sample");
+        assert_eq!(
+            cached.sample.instances, base.sample.instances,
+            "budget {budget} changed the sample"
+        );
     }
 }
 
@@ -198,7 +204,10 @@ fn multi_gpu_shares_one_cache_without_changing_the_sample() {
         let cache = Arc::new(CtpsCache::new(budget));
         let opts = RunOptions { ctps_cache: Some(Arc::clone(&cache)), ..RunOptions::default() };
         let cached = MultiGpu::new(3).run_single_seeds(&g, &algo, &seeds, opts);
-        assert_eq!(cached.instances, base.instances, "budget {budget} changed the sample");
+        assert_eq!(
+            cached.sample.instances, base.sample.instances,
+            "budget {budget} changed the sample"
+        );
         let snap = cache.snapshot();
         assert!(snap.is_conserved(), "{snap:?}");
         assert!(snap.lookups > 0, "three device groups must consult the shared cache");
@@ -219,7 +228,7 @@ fn mdrw_amortized_pool_scan_keeps_engine_oom_parity() {
     let oom = OomRunner::new(&g, &algo, OomConfig::full())
         .with_device(DeviceConfig::tiny(1 << 20))
         .run_pools(&seed_sets);
-    assert_eq!(engine.instances, oom.instances);
+    assert_eq!(engine.instances, oom.sample.instances);
 }
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
@@ -267,6 +276,6 @@ proptest! {
             .with_device(device)
             .with_options(cached_opts(budget))
             .run(&seeds);
-        prop_assert_eq!(cached.instances, base.instances);
+        prop_assert_eq!(cached.sample.instances, base.sample.instances);
     }
 }

@@ -107,7 +107,10 @@ fn oom_queue_runtime_is_bit_identical_with_disk_behind_it() {
     for pool in POOL_BUDGETS {
         let opts = RunOptions { disk: Some(disk_cfg(&g, &dir, 8, pool)), ..Default::default() };
         let disk = OomRunner::new(&g, &algo, cfg).with_options(opts).run(&seeds);
-        assert_eq!(disk.instances, mem.instances, "pool {pool} changed the OOM sample");
+        assert_eq!(
+            disk.sample.instances, mem.sample.instances,
+            "pool {pool} changed the OOM sample"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -123,7 +126,10 @@ fn oom_pooled_runtime_is_bit_identical_with_disk_behind_it() {
     for pool in POOL_BUDGETS {
         let opts = RunOptions { disk: Some(disk_cfg(&g, &dir, 8, pool)), ..Default::default() };
         let disk = OomRunner::new(&g, &algo, cfg).with_options(opts).run_pools(&pools);
-        assert_eq!(disk.instances, mem.instances, "pool {pool} changed the pooled sample");
+        assert_eq!(
+            disk.sample.instances, mem.sample.instances,
+            "pool {pool} changed the pooled sample"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -446,10 +452,10 @@ fn snapshot_over_disk_matches_snapshot_over_csr_and_the_compacted_graph() {
                 };
                 OomRunner::new(snap.base(), &algo, OomConfig::full()).with_options(opts).run(&seeds)
             };
-            assert_eq!(oom(None).instances, plain, "{label}: snapshot over CSR");
+            assert_eq!(oom(None).sample.instances, plain, "{label}: snapshot over CSR");
             let over_disk = oom(Some(cfg.clone()));
-            assert_eq!(over_disk.instances, plain, "{label}: snapshot over disk");
-            assert_disk_ledger(&over_disk.stats, &cfg, &label);
+            assert_eq!(over_disk.sample.instances, plain, "{label}: snapshot over disk");
+            assert_disk_ledger(&over_disk.sample.stats, &cfg, &label);
         }
     }
 
@@ -460,12 +466,15 @@ fn snapshot_over_disk_matches_snapshot_over_csr_and_the_compacted_graph() {
         let opts = RunOptions { snapshot: Some(snap.clone()), disk, ..Default::default() };
         OomRunner::new(snap.base(), &mdrw, OomConfig::full()).with_options(opts).run_pools(&pools)
     };
-    assert_eq!(pooled(None).instances, plain.instances, "mdrw: snapshot over CSR");
+    assert_eq!(pooled(None).sample.instances, plain.sample.instances, "mdrw: snapshot over CSR");
     for budget in budgets {
         let cfg = disk_cfg(&g, &dir, 8, budget);
         let over_disk = pooled(Some(cfg.clone()));
-        assert_eq!(over_disk.instances, plain.instances, "mdrw pool {budget}: snapshot over disk");
-        assert_disk_ledger(&over_disk.stats, &cfg, &format!("mdrw pool {budget}"));
+        assert_eq!(
+            over_disk.sample.instances, plain.sample.instances,
+            "mdrw pool {budget}: snapshot over disk"
+        );
+        assert_disk_ledger(&over_disk.sample.stats, &cfg, &format!("mdrw pool {budget}"));
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -182,13 +182,6 @@ fn edge_multiset(neighbors: &[u32], weights: Option<&[f32]>) -> Vec<(u32, u32)> 
     out
 }
 
-fn sorted(mut instances: Vec<Vec<(u32, u32)>>) -> Vec<Vec<(u32, u32)>> {
-    for inst in &mut instances {
-        inst.sort_unstable();
-    }
-    instances
-}
-
 /// Default options over `snap`'s overlay.
 fn on(snap: &GraphSnapshot) -> RunOptions {
     RunOptions { snapshot: Some(snap.clone()), ..RunOptions::default() }
@@ -424,7 +417,7 @@ fn engine_and_oom_agree_on_snapshot_walks() {
                 .with_device(DeviceConfig::tiny(1 << 20))
                 .with_options(on(&snap))
                 .run(seeds);
-            assert_eq!(sorted(engine.instances.clone()), sorted(oom.instances), "{label}");
+            assert_eq!(engine.sorted_instances(), oom.sample.sorted_instances(), "{label}");
 
             let scratch = Sampler::new(&compacted, algo).run_single_seeds(seeds);
             assert_eq!(engine.instances, scratch.instances, "{label}: snapshot vs compacted");

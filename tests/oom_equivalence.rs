@@ -10,17 +10,6 @@ use csaw::gpu::config::DeviceConfig;
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::oom::{OomConfig, OomRunner};
 
-fn canon(instances: &[Vec<(u32, u32)>]) -> Vec<Vec<(u32, u32)>> {
-    instances
-        .iter()
-        .map(|i| {
-            let mut e = i.clone();
-            e.sort_unstable();
-            e
-        })
-        .collect()
-}
-
 #[test]
 fn oom_configs_produce_identical_samples() {
     let g = rmat(10, 6, RmatParams::GRAPH500, 21);
@@ -33,7 +22,7 @@ fn oom_configs_produce_identical_samples() {
         })
         .collect();
     for o in &outs[1..] {
-        assert_eq!(canon(&outs[0].instances), canon(&o.instances));
+        assert_eq!(outs[0].sample.sorted_instances(), o.sample.sorted_instances());
     }
 }
 
@@ -46,7 +35,7 @@ fn partition_count_does_not_change_samples() {
     for parts in [2usize, 3, 4, 8] {
         let cfg = OomConfig { num_partitions: parts, resident_partitions: 2, ..OomConfig::full() };
         let out = OomRunner::new(&g, &algo, cfg).run(&seeds);
-        let c = canon(&out.instances);
+        let c = out.sample.sorted_instances();
         match &reference {
             None => reference = Some(c),
             Some(r) => assert_eq!(r, &c, "{parts} partitions changed the sample"),
@@ -78,7 +67,7 @@ fn assert_exact_equivalence_under<A: csaw::core::api::Algorithm>(
     let g = rmat(9, 6, RmatParams::GRAPH500, graph_seed);
     let seeds: Vec<u32> = (0..48).map(|i| i * 13 % 512).collect();
     let mem = Sampler::new(&g, algo).with_options(opts.clone()).run_single_seeds(&seeds);
-    let mem = canon(&mem.instances);
+    let mem = mem.sorted_instances();
     let device = DeviceConfig::tiny(1 << 20);
     for exec in [ExecMode::InstanceMajor, ExecMode::DepthSync] {
         let opts = RunOptions { exec, ..opts.clone() };
@@ -86,7 +75,7 @@ fn assert_exact_equivalence_under<A: csaw::core::api::Algorithm>(
             let oom = OomRunner::new(&g, algo, cfg).with_device(device).with_options(opts.clone());
             let oom = oom.run(&seeds);
             assert_eq!(
-                canon(&oom.instances),
+                oom.sample.sorted_instances(),
                 mem,
                 "{label} under {name} ({exec:?}) diverged from the engine"
             );
@@ -96,7 +85,7 @@ fn assert_exact_equivalence_under<A: csaw::core::api::Algorithm>(
         .with_device(device)
         .with_options(opts)
         .run(&seeds);
-    assert_eq!(canon(&serial.instances), mem, "{label} (serial) diverged from the engine");
+    assert_eq!(serial.sample.sorted_instances(), mem, "{label} (serial) diverged from the engine");
 }
 
 #[test]
@@ -192,8 +181,8 @@ fn oom_runtime_is_deterministic_across_thread_counts() {
     let base_mg = multi(OomConfig::full());
 
     let check = |o: &OomOutput, label: &str| {
-        assert_eq!(o.instances, base.instances, "{label}: instances");
-        assert_eq!(o.stats, base.stats, "{label}: stats");
+        assert_eq!(o.sample.instances, base.sample.instances, "{label}: instances");
+        assert_eq!(o.sample.stats, base.sample.stats, "{label}: stats");
         assert_eq!(o.transfers, base.transfers, "{label}: transfers");
         assert_eq!(o.rounds, base.rounds, "{label}: rounds");
         assert_eq!(
@@ -205,7 +194,7 @@ fn oom_runtime_is_deterministic_across_thread_counts() {
         );
     };
     let check_mg = |o: &MultiGpuOomOutput, label: &str| {
-        assert_eq!(o.instances, base_mg.instances, "{label}: instances");
+        assert_eq!(o.sample.instances, base_mg.sample.instances, "{label}: instances");
         assert_eq!(o.transfers, base_mg.transfers, "{label}: transfers");
         assert_eq!(o.rounds, base_mg.rounds, "{label}: rounds");
         assert_eq!(
@@ -236,8 +225,8 @@ fn multi_gpu_and_oom_compose_with_engine_outputs() {
     let algo = BiasedRandomWalk { length: 8 };
     let seeds: Vec<u32> = (0..48).collect();
     let mg = MultiGpu::new(3).run_single_seeds(&g, &algo, &seeds, RunOptions::default());
-    assert_eq!(mg.instances.len(), 48);
-    assert_eq!(mg.sampled_edges, mg.instances.iter().map(|i| i.len() as u64).sum::<u64>());
+    assert_eq!(mg.sample.instances.len(), 48);
+    assert_eq!(mg.sample.stats.sampled_edges, mg.sample.sampled_edges());
 
     // The out-of-memory split takes the caller's options whole: a
     // non-default seed and an outer instance base offset every group, so
@@ -249,9 +238,12 @@ fn multi_gpu_and_oom_compose_with_engine_outputs() {
     let single =
         OomRunner::new(&g, &algo, OomConfig::full()).with_device(device).with_options(opts);
     let single = single.run(&seeds);
-    assert_eq!(split.instances, single.instances);
+    assert_eq!(split.sample.instances, single.sample.instances);
     let default = multi.run_oom(&g, &algo, &seeds, OomConfig::full(), RunOptions::default());
-    assert_ne!(split.instances, default.instances, "seed and base must reach every group");
+    assert_ne!(
+        split.sample.instances, default.sample.instances,
+        "seed and base must reach every group"
+    );
 }
 
 /// The §VII claim: partition-based out-of-memory sampling beats

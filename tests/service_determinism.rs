@@ -7,7 +7,7 @@
 //! batch around a request never changes what it samples.
 
 use csaw::core::engine::{RunOptions, Sampler};
-use csaw::core::AlgoSpec;
+use csaw::core::{AlgoSpec, SampleOutput};
 use csaw::graph::{Csr, CsrBuilder};
 use csaw::oom::OomConfig;
 use csaw::service::{
@@ -39,12 +39,11 @@ fn algo_spec(choice: usize) -> AlgoSpec {
 }
 
 /// Submits every request to a paused service, resumes, and returns
-/// per-request `(spec, seeds, rng_seed, instance_base, instances)`.
-#[allow(clippy::type_complexity)]
+/// per-request `(spec, seeds, rng_seed, instance_base, output)`.
 fn serve(
     svc: &SamplingService,
     requests: &[(usize, Vec<u32>, u64)],
-) -> Vec<(AlgoSpec, Vec<u32>, u64, u32, Vec<Vec<(u32, u32)>>)> {
+) -> Vec<(AlgoSpec, Vec<u32>, u64, u32, SampleOutput)> {
     // Load-bearing collect: every submit must land while the service is
     // paused (one admission batch); fusing with the wait loop below
     // would interleave submits past resume().
@@ -64,7 +63,7 @@ fn serve(
         .into_iter()
         .map(|(spec, seeds, rng_seed, ticket)| {
             let resp = ticket.wait().expect("no deadline, healthy algo");
-            (spec, seeds, rng_seed, resp.instance_base, resp.output.instances)
+            (spec, seeds, rng_seed, resp.instance_base, resp.output)
         })
         .collect()
 }
@@ -75,19 +74,11 @@ fn solo_reference(
     seeds: &[u32],
     rng_seed: u64,
     instance_base: u32,
-) -> Vec<Vec<(u32, u32)>> {
+) -> SampleOutput {
     let algo = spec.build().unwrap();
     Sampler::new(g, &algo)
         .with_options(RunOptions { seed: rng_seed, instance_base, ..RunOptions::default() })
         .run_single_seeds(seeds)
-        .instances
-}
-
-fn sorted(mut instances: Vec<Vec<(u32, u32)>>) -> Vec<Vec<(u32, u32)>> {
-    for inst in &mut instances {
-        inst.sort_unstable();
-    }
-    instances
 }
 
 fn paused(max_batch_instances: usize) -> ServiceConfig {
@@ -115,7 +106,7 @@ proptest! {
         let svc = SamplingService::with_engine(Arc::clone(&g), paused(max_batch));
         for (spec, seeds, rng_seed, base, served) in serve(&svc, &requests) {
             let solo = solo_reference(&g, spec, &seeds, rng_seed, base);
-            prop_assert_eq!(&served, &solo, "batched run diverged from solo (base {})", base);
+            prop_assert_eq!(&served.instances, &solo.instances, "batched run diverged from solo (base {})", base);
         }
         let snap = svc.shutdown();
         prop_assert!(snap.fully_accounted(), "{:?}", snap);
@@ -138,7 +129,7 @@ proptest! {
         );
         for (spec, seeds, rng_seed, base, served) in serve(&svc, &requests) {
             let solo = solo_reference(&g, spec, &seeds, rng_seed, base);
-            prop_assert_eq!(&served, &solo, "multi-GPU split diverged (base {})", base);
+            prop_assert_eq!(&served.instances, &solo.instances, "multi-GPU split diverged (base {})", base);
         }
         prop_assert!(svc.shutdown().fully_accounted());
     }
@@ -159,7 +150,7 @@ proptest! {
         );
         for (spec, seeds, rng_seed, base, served) in serve(&svc, &requests) {
             let solo = solo_reference(&g, spec, &seeds, rng_seed, base);
-            prop_assert_eq!(sorted(served), sorted(solo), "OOM runtime diverged (base {})", base);
+            prop_assert_eq!(served.sorted_instances(), solo.sorted_instances(), "OOM runtime diverged (base {})", base);
         }
         prop_assert!(svc.shutdown().fully_accounted());
     }
@@ -197,7 +188,7 @@ proptest! {
                 .expect("wire sample");
             let solo = solo_reference(&g, spec, seeds, *rng_seed, resp.instance_base);
             prop_assert_eq!(
-                &resp.instances, &solo,
+                &resp.instances, &solo.instances,
                 "wire response diverged from solo (base {})", resp.instance_base
             );
 
@@ -206,7 +197,7 @@ proptest! {
                 .expect("streamed sample");
             let solo = solo_reference(&g, spec, seeds, *rng_seed, streamed.instance_base);
             prop_assert_eq!(
-                &streamed.reassemble(), &solo,
+                &streamed.reassemble(), &solo.instances,
                 "reassembled stream diverged from solo (base {})", streamed.instance_base
             );
         }
@@ -242,7 +233,7 @@ fn every_executor_honours_the_method_policy() {
     ];
     let samples: Vec<Vec<Vec<(u32, u32)>>> = executors
         .iter()
-        .map(|e| sorted(e.execute(&g, &algo, &seed_sets, opts.clone()).sample.instances))
+        .map(|e| e.execute(&g, &algo, &seed_sets, opts.clone()).sample.sorted_instances())
         .collect();
     assert_eq!(samples[1], samples[0], "multi-GPU diverged from the engine");
     assert_eq!(samples[2], samples[0], "out-of-memory diverged from the engine");
@@ -252,5 +243,90 @@ fn every_executor_honours_the_method_policy() {
         &seed_sets,
         RunOptions { instance_base: 5, ..RunOptions::default() },
     );
-    assert_ne!(sorted(its.sample.instances), samples[0], "Adaptive must change the draw");
+    assert_ne!(its.sample.sorted_instances(), samples[0], "Adaptive must change the draw");
+}
+
+/// An executor run under the `Adaptive` method policy and a fixed
+/// depth-sync chunk that divides every multi-GPU group, so the method,
+/// rejection and vertex-group counters all move and a split launch
+/// groups exactly as the whole one.
+struct Tuned(Box<dyn csaw::service::BatchExecutor>);
+
+impl csaw::service::BatchExecutor for Tuned {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn execute(
+        &self,
+        graph: &Csr,
+        algo: &dyn csaw::core::api::Algorithm,
+        seed_sets: &[Vec<u32>],
+        opts: RunOptions,
+    ) -> csaw::service::BatchOutput {
+        let opts = RunOptions {
+            method_policy: csaw::core::MethodPolicy::Adaptive,
+            batch_chunk: Some(8),
+            ..opts
+        };
+        self.0.execute(graph, algo, seed_sets, opts)
+    }
+}
+
+/// The service's ledger takes every launch's whole-run totals from the
+/// sample, whichever runtime served it: one identical batch through the
+/// engine and the multi-GPU split books the same counters, and through
+/// the out-of-memory scheduler (which attributes only edge counts per
+/// instance) the same edges plus its transfers.
+#[test]
+fn every_executor_books_the_launch_totals() {
+    use csaw::core::ExecMode;
+    use csaw::graph::generators::{rmat, RmatParams};
+    use csaw::service::{BatchExecutor, EngineExecutor, StatsSnapshot};
+
+    let g = Arc::new(rmat(9, 6, RmatParams::GRAPH500, 27));
+    let spec = AlgoSpec::by_name("node2vec").unwrap().with_depth(10);
+    let ledger = |executor: Box<dyn BatchExecutor>| {
+        let config = ServiceConfig {
+            start_paused: true,
+            max_batch_instances: 48,
+            exec: ExecMode::DepthSync,
+            ..ServiceConfig::default()
+        };
+        let svc = SamplingService::new(Arc::clone(&g), Arc::new(Tuned(executor)), config);
+        #[allow(clippy::needless_collect)]
+        let tickets: Vec<_> = (0..6u32)
+            .map(|r| {
+                let seeds = (0..8).map(|i| (r * 8 + i) * 13 % 512).collect();
+                svc.submit(SamplingRequest::new(spec, seeds)).expect("valid request")
+            })
+            .collect();
+        svc.resume();
+        for ticket in tickets {
+            ticket.wait().expect("healthy batch");
+        }
+        let stats = svc.shutdown();
+        assert_eq!(stats.batches, 1, "the six requests share one launch");
+        stats
+    };
+    let counters = |s: &StatsSnapshot| {
+        (
+            (s.sampled_edges, s.method_its, s.method_rejection, s.rejection_trials),
+            (s.batch_hist, s.batch_groups, s.batch_group_entries, s.batch_group_hist),
+            (s.batch_prefetch_hits, s.batch_prefetch_misses),
+        )
+    };
+    let engine = ledger(Box::new(EngineExecutor));
+    let multi = ledger(Box::new(MultiGpuExecutor::new(3)));
+    assert_eq!(counters(&multi), counters(&engine));
+    assert_eq!((engine.transfers, multi.transfers), (0, 0));
+    assert!(engine.method_rejection > 0 && engine.rejection_trials > 0, "{engine:?}");
+    assert!(engine.batch_groups > 0, "{engine:?}");
+
+    let oom = ledger(Box::new(OomExecutor::new(OomConfig::full())));
+    assert_eq!(oom.sampled_edges, engine.sampled_edges);
+    assert!(oom.transfers > 0 && oom.bytes_transferred > 0, "{oom:?}");
+    // Its per-instance entries carry edge counts only: the method
+    // counters reach the ledger from the launch totals alone.
+    assert!(oom.method_rejection > 0 && oom.rejection_trials > 0, "{oom:?}");
 }
