@@ -75,7 +75,8 @@ pub fn random_node(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
             s.warp_cycles += 4;
             (rng.chance(fraction), s)
         });
-        (launch.outputs, launch.stats)
+        let stats = launch.stats();
+        (launch.outputs, stats)
     };
     // Phase 2: one pass over the kept vertices' adjacency, inducing edges.
     let launch = device.launch((0..n).collect(), |_, v| {
@@ -90,7 +91,7 @@ pub fn random_node(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
         s.sampled_edges += out.len() as u64;
         (out, s)
     });
-    let mut stats = launch.stats;
+    let mut stats = launch.stats();
     stats.merge(&coin_stats);
     let edges: Vec<(VertexId, VertexId)> = launch.outputs.into_iter().flatten().collect();
     let vertices: Vec<VertexId> = (0..n).filter(|&v| kept[v as usize]).collect();
@@ -114,11 +115,12 @@ pub fn random_edge(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
         s.sampled_edges += out.len() as u64;
         (out, s)
     });
+    let stats = launch.stats();
     let edges: Vec<(VertexId, VertexId)> = launch.outputs.into_iter().flatten().collect();
     let mut vertices: Vec<VertexId> = edges.iter().flat_map(|&(v, u)| [v, u]).collect();
     vertices.sort_unstable();
     vertices.dedup();
-    OnePassOutput { edges, vertices, stats: launch.stats }
+    OnePassOutput { edges, vertices, stats }
 }
 
 /// Totally Induced Edge Sampling: sample edges as in [`random_edge`],
@@ -138,7 +140,7 @@ pub fn ties(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
         s.sampled_edges += out.len() as u64;
         (out, s)
     });
-    stats.merge(&launch.stats);
+    stats.merge(&launch.stats());
     let edges: Vec<(VertexId, VertexId)> = launch.outputs.into_iter().flatten().collect();
     OnePassOutput { edges, vertices: seeded.vertices, stats }
 }

@@ -218,14 +218,14 @@ pub fn sweep_exec(scale: Scale) -> Vec<Table> {
 /// the pool, so only a biased walk measures it.) The graph is a
 /// degree-reordered R-MAT over 256 partitions, so hubs share segment
 /// pages. Every budget row is asserted bit-identical to the in-memory
-/// sample; the full-budget row must never evict and, at `--full`, must
-/// decode no more runs than the half-budget row (a pool with room for
-/// everything that re-decodes is the regression this guards). Both are
-/// counts, so they hold at any timing. The same shape at test scale is
-/// tier-1 (`tests/disk_store.rs`).
+/// sample; the full-budget row must never evict and must decode no more
+/// runs than the half-budget row, which every scale runs (a pool with
+/// room for everything that re-decodes is the regression this guards).
+/// Both are counts, so they hold at any timing. The same shape at test
+/// scale is tier-1 (`tests/disk_store.rs`).
 pub fn sweep_disk(scale: Scale) -> Vec<Table> {
     let (log_n, walks, length, reps, fracs): (u32, usize, usize, usize, &[f64]) = match scale {
-        Scale::Quick => (11, 128, 16, 2, &[0.0, 0.1, 1.0]),
+        Scale::Quick => (11, 128, 16, 2, &[0.0, 0.1, 0.5, 1.0]),
         Scale::Full => (14, 1024, 32, 12, &[0.0, 0.05, 0.1, 0.25, 0.5, 1.0]),
     };
     let g = {
@@ -300,13 +300,13 @@ pub fn sweep_disk(scale: Scale) -> Vec<Table> {
         }
         if frac == 1.0 {
             assert_eq!(evictions, 0, "a full budget must never evict");
-            if let Some(half) = half_decodes {
-                assert!(
-                    decodes <= half,
-                    "full budget decoded {decodes} runs, half budget {half}: a pool with room \
-                     for everything is re-decoding"
-                );
-            }
+            let half =
+                half_decodes.expect("every scale runs a half-budget row before the full one");
+            assert!(
+                decodes <= half,
+                "full budget decoded {decodes} runs, half budget {half}: a pool with room for \
+                 everything is re-decoding"
+            );
         }
         t.row(vec![
             format!("{frac:.2}"),

@@ -16,6 +16,10 @@
 //!    so co-located walkers reuse a hot adjacency row, and — when the
 //!    bias is static ([`StepKernel::group_shareable`]) — draw from one
 //!    EDGEBIAS fill + CTPS build per group instead of one per walker.
+//!    The order comes from sorting one packed `u64` per entry, the vertex
+//!    in the high half and the flat position in the low half: an integer
+//!    sort over one lane that gives exactly the `(vertex, position)`
+//!    order, with each group's members read back from the low halves.
 //! 3. **Batched Philox**: every entry's first RNG block is generated
 //!    up front in one tight loop ([`Philox::first_blocks_into`], the
 //!    cuRAND idiom of 4 counters per call into a lane buffer).
@@ -133,10 +137,10 @@ pub struct BatchArena {
     cur: Vec<FrontierItem>,
     /// Next depth's flat frontier, filled by [`run_chunk`]'s replay.
     next: Vec<FrontierItem>,
-    /// Indices into `cur`, sorted by `(vertex, index)` — the grouped
-    /// expansion order.
-    order: Vec<u32>,
-    /// Start offset (into `order`) of each vertex-group, plus one
+    /// One packed key per entry of `cur`, `(vertex << 32) | index`,
+    /// sorted — the grouped expansion order ([`sort_keys`]).
+    keys: Vec<u64>,
+    /// Start offset (into `keys`) of each vertex-group, plus one
     /// past-the-end sentinel.
     group_starts: Vec<u32>,
     /// Per-entry RNG task keys, in flat order.
@@ -197,9 +201,36 @@ pub fn with_thread_arena<R>(f: impl FnOnce(&mut BatchArena) -> R) -> R {
     THREAD_ARENA.with(|a| f(&mut a.borrow_mut()))
 }
 
+/// Fills `keys` with one `(vertex << 32) | index` key per entry of
+/// `frontier` and sorts them: the vertex in the high half, the flat
+/// position in the low half. The keys are distinct, so the order is the
+/// one sorting the indices by `(vertex, index)` gives — a stable sort by
+/// vertex — with a plain integer compare on one contiguous lane.
+fn sort_keys(frontier: &[FrontierItem], keys: &mut Vec<u64>) {
+    assert!(u32::try_from(frontier.len()).is_ok(), "a frontier's positions fit in 32 bits");
+    keys.clear();
+    keys.extend(
+        frontier
+            .iter()
+            .enumerate()
+            .map(|(i, item)| (u64::from(item.entry.vertex) << 32) | i as u64),
+    );
+    keys.sort_unstable();
+}
+
+/// The vertex of a packed key ([`sort_keys`]).
+fn key_vertex(key: u64) -> VertexId {
+    (key >> 32) as VertexId
+}
+
+/// The flat position of a packed key ([`sort_keys`]).
+fn key_index(key: u64) -> usize {
+    key as u32 as usize
+}
+
 /// Expands the arena's frontier in vertex-grouped order, recording every
 /// entry's emits and offers ([`BatchArena::recorded`]) instead of sinking
-/// them: batched Philox first blocks, an index sort by `(vertex, flat
+/// them: batched Philox first blocks, a packed-key sort by `(vertex, flat
 /// position)`, look-ahead prefetch, and one shared bias fill + CTPS build
 /// per vertex group when the kernel allows it
 /// ([`StepKernel::group_shareable`]). Entry `i` charges
@@ -219,7 +250,7 @@ pub fn expand_frontier<N: NeighborAccess>(
     arena: &mut BatchArena,
     scratch: &mut StepScratch,
 ) {
-    let BatchArena { cur, order, group_starts, tasks, blocks, emits, offers, spans, .. } = arena;
+    let BatchArena { cur, keys, group_starts, tasks, blocks, emits, offers, spans, .. } = arena;
     let n = cur.len();
     let seed = kernel.seed();
     let shareable = kernel.group_shareable();
@@ -233,16 +264,11 @@ pub fn expand_frontier<N: NeighborAccess>(
     }));
     Philox::first_blocks_into(seed, tasks, blocks);
 
-    // Vertex grouping: sort an index array, never the items — the
-    // secondary index key makes the order deterministic (and equal to a
-    // stable sort) for any sort algorithm.
-    let vertex_at = |pos: u32| cur[pos as usize].entry.vertex;
-    order.clear();
-    order.extend(0..n as u32);
-    order.sort_unstable_by_key(|&i| (vertex_at(i), i));
+    // Vertex grouping: sort packed keys, never the items.
+    sort_keys(cur, keys);
     group_starts.clear();
-    for (pos, &i) in order.iter().enumerate() {
-        if pos == 0 || vertex_at(i) != vertex_at(order[pos - 1]) {
+    for (pos, &key) in keys.iter().enumerate() {
+        if pos == 0 || key_vertex(key) != key_vertex(keys[pos - 1]) {
             group_starts.push(pos as u32);
         }
     }
@@ -258,7 +284,7 @@ pub fn expand_frontier<N: NeighborAccess>(
     let covered = if prefetch_distance == 0 { 0 } else { groups.saturating_sub(adj_dist) };
     // First vertex of the group `ahead` groups on, if there is one.
     let group_vertex = |g: usize| {
-        group_starts.get(g).filter(|&&s| (s as usize) < n).map(|&s| vertex_at(order[s as usize]))
+        group_starts.get(g).filter(|&&s| (s as usize) < n).map(|&s| key_vertex(keys[s as usize]))
     };
 
     emits.clear();
@@ -267,8 +293,8 @@ pub fn expand_frontier<N: NeighborAccess>(
     spans.resize(n, (0, 0, 0, 0, 0));
 
     for gi in 0..groups {
-        let members = &order[group_starts[gi] as usize..group_starts[gi + 1] as usize];
-        let first = cur[members[0] as usize];
+        let members = &keys[group_starts[gi] as usize..group_starts[gi + 1] as usize];
+        let first = cur[key_index(members[0])];
 
         // Look-ahead prefetch: indices far out (cheap, one line),
         // adjacency closer in (it lands later but is bigger).
@@ -302,8 +328,8 @@ pub fn expand_frontier<N: NeighborAccess>(
             None
         };
 
-        for &i in members {
-            let idx = i as usize;
+        for &key in members {
+            let idx = key_index(key);
             let item = &cur[idx];
             let ledger = &mut stats[item.slot as usize];
             let rng = Philox::with_first_block(seed, tasks[idx], blocks[idx]);
@@ -487,6 +513,46 @@ mod tests {
         total.batch_prefetch_misses = 0;
         total.sampled_edges = reference.stats.sampled_edges;
         assert_eq!(total, reference.stats);
+    }
+
+    #[test]
+    fn packed_keys_order_like_the_tuple_sort() {
+        let mut rng = Philox::new(0xB47C);
+        let mut keys = Vec::new();
+        for len in [0usize, 1, 2, 7, 64, 1000] {
+            for distinct in [1u64, 3, 50] {
+                // Ids near u32::MAX (the top of the key's high half) mixed
+                // with small ones, each drawn many times over.
+                let ids: Vec<VertexId> = (0..distinct)
+                    .map(|_| match rng.below(3) {
+                        0 => u32::MAX - rng.below(4) as u32,
+                        1 => rng.below(4) as u32,
+                        _ => rng.below(1 << 31) as u32,
+                    })
+                    .collect();
+                let frontier: Vec<FrontierItem> = (0..len)
+                    .map(|i| FrontierItem {
+                        entry: StepEntry {
+                            instance: i as u32,
+                            depth: 0,
+                            vertex: ids[rng.below(distinct) as usize],
+                            prev: None,
+                            trial: 0,
+                        },
+                        home: 0,
+                        slot: 0,
+                    })
+                    .collect();
+                sort_keys(&frontier, &mut keys);
+                let packed: Vec<usize> = keys.iter().map(|&k| key_index(k)).collect();
+                let mut tuple: Vec<usize> = (0..len).collect();
+                tuple.sort_unstable_by_key(|&i| (frontier[i].entry.vertex, i));
+                assert_eq!(packed, tuple, "len={len} distinct={distinct}");
+                for &k in &keys {
+                    assert_eq!(key_vertex(k), frontier[key_index(k)].entry.vertex);
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,19 +11,27 @@
 //! Here the upper edge of candidate `k`'s region is always `fl(S_k / T)`:
 //! the Kogge-Stone inclusive prefix sum `S_k` over the total
 //! `T = S_{n−1}`, correctly rounded (so the last edge is exactly 1). A
-//! table holds it in one of two states, and both select the same
-//! candidate and charge the same probes for every draw:
+//! table holds it in one of two states. Both are searched branch-free on
+//! the midpoints of [`csaw_gpu::warp::binary_search_region`], so both
+//! select the same candidate and charge the same probes for every draw:
 //!
 //! - **raw**, as [`Ctps::rebuild`] leaves it: the sums themselves, with
 //!   the division applied per probe. `fl(s / T)` is monotone in `s`, so
 //!   `r < fl(S_k / T)` holds exactly when `S_k >= S*(r)`, the smallest
 //!   double whose quotient exceeds `r`; a search computes `S*` once and
-//!   compares sums branch-free. A fresh build is in L1, where a
-//!   branch-free probe beats a mispredicted one.
+//!   compares sums. A fresh build is in L1, where a branch-free probe
+//!   beats a mispredicted one.
 //! - **normalized**, by [`Ctps::normalize`]: the quotients, applied once
-//!   on admission to the CTPS cache, searched with the branchy loop of
-//!   [`binary_search_region`]. A cached table is mostly not in L1, and
-//!   the branchy loop lets the core speculate the next probe's load.
+//!   on admission to the CTPS cache, and compared directly. A cached
+//!   table is mostly not in L1. There the branchy loop let the core
+//!   speculate the next probe's load, and a branch-free search without
+//!   it was slower; so each round of this one also prefetches the four
+//!   midpoints the round after next can probe. On the cached
+//!   depth-synchronous walk of the `walk_biased_depth` workload
+//!   (in-process, ten alternating rounds, 2-core x86-64 VM), medians:
+//!   branchy 2.35 M edges/s, branch-free 2.23 M (0.93×), branch-free
+//!   with prefetch 2.76 M (1.19×, faster in 9 of 10 rounds); see
+//!   EXPERIMENTS.md §"Cheap cache hits in the depth-synchronous walk".
 //!
 //! The cost model charges the paper's normalization on every rebuild,
 //! whichever state the table is kept in.
@@ -32,8 +40,7 @@ use csaw_gpu::stats::SimStats;
 #[cfg(any(test, debug_assertions))]
 use csaw_gpu::warp::binary_search_region_by;
 use csaw_gpu::warp::{
-    binary_search_region, inclusive_scan, region_search_probes, scan_cost, SEARCH_PROBE_CYCLES,
-    WARP_SIZE,
+    inclusive_scan, region_search_probes, scan_cost, SEARCH_PROBE_CYCLES, WARP_SIZE,
 };
 use csaw_gpu::Philox;
 use std::hint::select_unpredictable;
@@ -167,32 +174,18 @@ impl Ctps {
     /// Zero-width regions are never returned for `r >= 0`: the search stops
     /// on a `k` whose lower edge it found `<= r` and whose upper edge `> r`,
     /// or clamps `r >= 1` to the last candidate.
+    ///
+    /// Either state runs the probes of
+    /// [`csaw_gpu::warp::binary_search_region`] over `fl(S_k / T)`
+    /// branch-free: same index, same probe charges. Debug builds replay
+    /// the branchy loop over [`Ctps::bound`] and assert both.
     #[inline]
     pub fn search(&self, r: f64, stats: &mut SimStats) -> usize {
-        let k = if self.normalized {
-            binary_search_region(&self.bounds, r, stats)
+        let n = self.bounds.len();
+        let (p, probes) = if self.normalized {
+            self.insertion_point_edges(r)
         } else {
-            self.search_sums(r, stats)
-        };
-        debug_assert!(
-            k + 1 == self.len() || self.probability(k) > 0.0,
-            "r={r:e} landed on zero-width region {k}"
-        );
-        k
-    }
-
-    /// [`Ctps::search`] over raw sums: the probes of
-    /// [`binary_search_region`] over `fl(S_k / T)`, made branch-free and
-    /// against the threshold `S*(r)` (see [`quotient_threshold`]), or
-    /// against the quotients themselves where no threshold was found.
-    /// Same index, same probe charges; debug builds replay the branchy
-    /// loop over [`Ctps::bound`] and assert both.
-    #[inline]
-    fn search_sums(&self, r: f64, stats: &mut SimStats) -> usize {
-        let (n, total) = (self.bounds.len(), self.total_bias);
-        let (p, probes) = match quotient_threshold(r, total) {
-            Some(s) => branchless_insertion_point(&self.bounds, |b| b >= s),
-            None => branchless_insertion_point(&self.bounds, |b| r < b / total),
+            self.insertion_point_sums(r)
         };
         let k = p.min(n - 1);
         #[cfg(debug_assertions)]
@@ -203,7 +196,33 @@ impl Ctps {
         }
         stats.search_steps += probes;
         stats.warp_cycles += probes * SEARCH_PROBE_CYCLES;
+        debug_assert!(
+            k + 1 == self.len() || self.probability(k) > 0.0,
+            "r={r:e} landed on zero-width region {k}"
+        );
         k
+    }
+
+    /// The insertion point of `r` among normalized edges, and its probes,
+    /// prefetching as a cached table needs. Out of line, so only the
+    /// raw-sum search inlines into [`Ctps::search`]'s callers: the
+    /// fresh-build draws of `neighbor_biased` keep their code whether or
+    /// not a cache is in use.
+    #[inline(never)]
+    fn insertion_point_edges(&self, r: f64) -> (usize, u64) {
+        branchless_insertion_point::<true>(&self.bounds, |b| r < b)
+    }
+
+    /// The insertion point of `r` among raw sums, and its probes:
+    /// against the threshold `S*(r)` (see [`quotient_threshold`]), or
+    /// against the quotients themselves where no threshold was found.
+    #[inline]
+    fn insertion_point_sums(&self, r: f64) -> (usize, u64) {
+        let total = self.total_bias;
+        match quotient_threshold(r, total) {
+            Some(s) => branchless_insertion_point::<false>(&self.bounds, |b| b >= s),
+            None => branchless_insertion_point::<false>(&self.bounds, |b| r < b / total),
+        }
     }
 
     /// Draws one candidate with replacement (inverse transform sampling).
@@ -259,22 +278,40 @@ fn quotient_threshold(r: f64, total: f64) -> Option<f64> {
     None
 }
 
-/// The insertion point [`binary_search_region`] finds over `sums` with
-/// `above` as its `r < bound` test, and the probes it takes to find it.
-/// The probe sequence is the same — the same midpoints, so the same
-/// point even where Kogge-Stone rounding leaves sums out of order — but
-/// each of the `floor(log2(n + 1))` rounds every search makes picks its
-/// half with a select instead of a branch. The one probe only some
-/// insertion points need is made on a clamped index either way and
-/// counted only when the interval is still open.
+/// The insertion point [`csaw_gpu::warp::binary_search_region`] finds
+/// over `sums` with `above` as its `r < bound` test, and the probes it
+/// takes to find it. The probe sequence is the same — the same
+/// midpoints, so the same point even where Kogge-Stone rounding leaves
+/// sums out of order — but each of the `floor(log2(n + 1))` rounds every
+/// search makes picks its half with a select instead of a branch. The
+/// one probe only some insertion points need is made on a clamped index
+/// either way and counted only when the interval is still open.
+///
+/// With `PREFETCH`, each round also hints the four midpoints the round
+/// after next can probe, so their loads are in flight while this round's
+/// compare resolves; the probes themselves do not change. Only a cached
+/// (normalized) table turns it on: a fresh build is already in L1,
+/// where the hints cost more than they hide.
 #[inline]
-fn branchless_insertion_point(sums: &[f64], above: impl Fn(f64) -> bool) -> (usize, u64) {
+fn branchless_insertion_point<const PREFETCH: bool>(
+    sums: &[f64],
+    above: impl Fn(f64) -> bool,
+) -> (usize, u64) {
     let n = sums.len();
     debug_assert!(n > 0);
     let rounds = (n + 1).ilog2();
     let (mut lo, mut hi) = (0usize, n);
     for _ in 0..rounds {
         let mid = (lo + hi) / 2;
+        if PREFETCH {
+            // The next round probes `ml` or `mr`; the one after, the
+            // midpoint of one of their halves.
+            let (ml, mr) = ((lo + mid) / 2, (mid + 1 + hi) / 2);
+            prefetch(sums, (lo + ml) / 2);
+            prefetch(sums, (ml + 1 + mid) / 2);
+            prefetch(sums, (mid + 1 + mr) / 2);
+            prefetch(sums, (mr + 1 + hi) / 2);
+        }
         let left = above(sums[mid]);
         hi = select_unpredictable(left, mid, hi);
         lo = select_unpredictable(left, lo, mid + 1);
@@ -283,6 +320,27 @@ fn branchless_insertion_point(sums: &[f64], above: impl Fn(f64) -> bool) -> (usi
     let left = above(sums[lo.min(n - 1)]);
     lo += (open && !left) as usize;
     (lo, rounds as u64 + open as u64)
+}
+
+/// Hints the cache line holding `sums[i]` toward the core. `i` may be
+/// one past the end (a midpoint of an empty interval); nothing is read,
+/// and non-x86 hosts compile it to nothing.
+#[inline(always)]
+fn prefetch(sums: &[f64], i: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let addr = sums.as_ptr().wrapping_add(i);
+        // SAFETY: `_mm_prefetch` only populates caches: it reads nothing
+        // and never faults, whatever the address, so `addr` need not be
+        // in bounds (`wrapping_add` forms it without claiming that it is).
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                addr as *const i8,
+            );
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (sums, i);
 }
 
 /// The bound `F_{k+1}` a CTPS built from `n` unit biases would hold at
@@ -623,10 +681,10 @@ mod tests {
             for r in rs {
                 let mut oracle = SimStats::new();
                 let k_ref = binary_search_region_by(n, r, |i| c.bound(i), &mut oracle);
-                let divided = branchless_insertion_point(&c.bounds, |b| r < b / total);
+                let divided = branchless_insertion_point::<false>(&c.bounds, |b| r < b / total);
                 assert_eq!((divided.0.min(n - 1), divided.1), (k_ref, oracle.search_steps));
                 if let Some(s) = quotient_threshold(r, total) {
-                    let by_threshold = branchless_insertion_point(&c.bounds, |b| b >= s);
+                    let by_threshold = branchless_insertion_point::<false>(&c.bounds, |b| b >= s);
                     assert_eq!(by_threshold, divided, "{biases:?} r={r:e}");
                 }
             }

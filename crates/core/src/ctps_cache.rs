@@ -11,10 +11,13 @@
 //!
 //! The budget is **cache-wide**: one bytes ledger, reserved atomically
 //! on admission. Entries live in lock stripes (vertex id modulo the
-//! stripe count), but a stripe is only a lock — it owns no slice of the
-//! budget, so an admission that fits is never refused or made to evict,
-//! however unevenly the hubs land. Over budget, the clock sweeps the
-//! incomer's own stripe and then the others.
+//! stripe count, a power of two), but a stripe is only a lock — it owns
+//! no slice of the budget, so an admission that fits is never refused or
+//! made to evict, however unevenly the hubs land. Over budget, the clock
+//! sweeps the incomer's own stripe and then the others. Each stripe
+//! counts the lookups, hits and misses it served while its lock is held,
+//! so a hit touches no cache-wide atomic; [`CtpsCache::snapshot`] sums
+//! them.
 //!
 //! Only algorithms whose [`crate::api::Algorithm::edge_bias`] is *static*
 //! (`edge_bias_is_static()`, no walk-state dependence) may use it: their
@@ -105,7 +108,8 @@ pub enum CacheOutcome {
     Miss,
 }
 
-/// Monotonic counters plus the bytes gauge, readable without locking.
+/// Monotonic counters plus the bytes and entries gauges, as
+/// [`CtpsCache::snapshot`] reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheSnapshot {
     /// Total lookups (`hits + misses` — the conservation identity).
@@ -156,11 +160,11 @@ impl CacheSnapshot {
     }
 }
 
+/// The cache-wide counters: what admission and eviction move, which may
+/// touch a stripe other than the one locked. Lookup outcomes are counted
+/// per stripe instead ([`Shard`]).
 #[derive(Debug, Default)]
 struct Counters {
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
     promotions: AtomicU64,
     evictions: AtomicU64,
     evictions_clock: AtomicU64,
@@ -180,12 +184,18 @@ struct Entry {
     referenced: bool,
 }
 
+/// One lock stripe: its entries, its clock hand, and the lookups it
+/// served, counted while its lock is held — a hit pays no cache-wide
+/// atomic.
 #[derive(Debug, Default)]
 struct Shard {
     map: HashMap<VertexId, usize>,
     slots: Vec<Option<Entry>>,
     free: Vec<usize>,
     hand: usize,
+    lookups: u64,
+    hits: u64,
+    misses: u64,
 }
 
 /// A byte-budgeted, lock-striped, lazily-populated cache of per-vertex
@@ -200,9 +210,10 @@ pub struct CtpsCache {
 }
 
 /// Default stripe count: enough to keep engine workers from serializing
-/// on one lock, deterministic (vertex id modulo) so behavior never
-/// depends on thread timing for *placement* (only hit/miss timing is
-/// racy, which affects cost accounting alone, never sampled output).
+/// on one lock, deterministic (vertex id modulo, a power of two so the
+/// modulo is a mask) so behavior never depends on thread timing for
+/// *placement* (only hit/miss timing is racy, which affects cost
+/// accounting alone, never sampled output).
 const DEFAULT_SHARDS: usize = 16;
 
 impl CtpsCache {
@@ -213,11 +224,13 @@ impl CtpsCache {
     }
 
     /// A cache with one cache-wide `budget`-byte budget behind `shards`
-    /// lock stripes. Stripes are locks only: any stripe may hold any share
-    /// of the budget, so a skewed placement (hubs with low-order zero
-    /// bits) never turns a table away while the cache has room.
+    /// lock stripes, rounded up to a power of two (at least one) so a
+    /// vertex's stripe is its id masked. Stripes are locks only: any
+    /// stripe may hold any share of the budget, so a skewed placement
+    /// (hubs with low-order zero bits) never turns a table away while the
+    /// cache has room.
     pub fn with_shards(budget: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
+        let shards = shards.max(1).next_power_of_two();
         CtpsCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             budget,
@@ -231,7 +244,7 @@ impl CtpsCache {
     }
 
     fn stripe(&self, v: VertexId) -> usize {
-        v as usize % self.shards.len()
+        v as usize & (self.shards.len() - 1)
     }
 
     fn shard_of(&self, v: VertexId) -> &Mutex<Shard> {
@@ -275,27 +288,28 @@ impl CtpsCache {
     /// its picks off the borrowed bounds in place, an O(log d) search per
     /// pick with no O(degree) copy-out. A hit sets the entry's clock
     /// reference bit. Returns `None` on a miss (absent, or stale-epoch —
-    /// dropped and counted as an eviction). Charges nothing; callers
-    /// charge their cost model.
+    /// dropped and counted as an eviction). The outcome is counted in
+    /// the stripe under its lock. Charges nothing; callers charge their
+    /// cost model.
     pub fn with_ctps_entry<R>(
         &self,
         v: VertexId,
         epoch: u64,
         f: impl FnOnce(&Ctps, u32) -> R,
     ) -> Option<R> {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_of(v).lock().unwrap();
+        let mut guard = self.shard_of(v).lock().expect("a panic while holding the stripe lock");
+        let shard = &mut *guard;
+        shard.lookups += 1;
         if let Some(&slot) = shard.map.get(&v) {
             let e = shard.slots[slot].as_mut().expect("mapped slot occupied");
             if e.epoch == epoch {
                 e.referenced = true;
-                let out = f(&e.ctps, e.selectable);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(out);
+                shard.hits += 1;
+                return Some(f(&e.ctps, e.selectable));
             }
-            self.evict(&mut shard, slot, &self.counters.evictions_stale);
+            self.evict(shard, slot, &self.counters.evictions_stale);
         }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        shard.misses += 1;
         None
     }
 
@@ -468,13 +482,14 @@ impl CtpsCache {
         self.len() == 0
     }
 
-    /// A consistent-enough snapshot of the counters (individually atomic;
-    /// `entries` locks every stripe in turn).
+    /// A consistent-enough snapshot of the counters: the cache-wide ones
+    /// are individually atomic; lookups, hits, misses and `entries` are
+    /// summed over the stripes, each read under its lock, so
+    /// `lookups == hits + misses` holds even while other threads look up.
+    /// The atomics are read first: a promotion follows its miss, so the
+    /// misses summed after them cover every promotion read.
     pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            lookups: self.counters.lookups.load(Ordering::Relaxed),
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
+        let mut snap = CacheSnapshot {
             promotions: self.counters.promotions.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             evictions_clock: self.counters.evictions_clock.load(Ordering::Relaxed),
@@ -483,8 +498,16 @@ impl CtpsCache {
             admission_rejects: self.counters.admission_rejects.load(Ordering::Relaxed),
             bytes: self.counters.bytes.load(Ordering::Relaxed),
             budget: self.budget as u64,
-            entries: self.len() as u64,
+            ..CacheSnapshot::default()
+        };
+        for shard in &self.shards {
+            let shard = shard.lock().expect("a panic while holding the stripe lock");
+            snap.lookups += shard.lookups;
+            snap.hits += shard.hits;
+            snap.misses += shard.misses;
+            snap.entries += shard.map.len() as u64;
         }
+        snap
     }
 }
 
@@ -675,30 +698,48 @@ mod tests {
             .map(|v| (v, built(&g, v)))
             .collect();
         let cache = CtpsCache::new(8 * 1024);
-        std::thread::scope(|s| {
-            for t in 0..4usize {
-                let (cache, tables) = (&cache, &tables);
-                s.spawn(move || {
-                    let mut dst = Ctps::empty();
-                    for round in 0..3 {
-                        for (i, (v, (ctps, sel))) in tables.iter().enumerate() {
-                            if (i + t + round) % 3 == 0 {
-                                continue;
+        let calls: u64 = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4usize)
+                .map(|t| {
+                    let (cache, tables) = (&cache, &tables);
+                    s.spawn(move || {
+                        let (mut dst, mut calls) = (Ctps::empty(), 0u64);
+                        for round in 0..3 {
+                            for (i, (v, (ctps, sel))) in tables.iter().enumerate() {
+                                if (i + t + round) % 3 == 0 {
+                                    continue;
+                                }
+                                let epoch = (round == 2 && i % 5 == t) as u64;
+                                calls += 1;
+                                if cache.lookup_into(*v, epoch, &mut dst) == CacheOutcome::Miss {
+                                    cache.promote(*v, epoch, ctps, *sel as u32, ctps.len() as u32);
+                                }
+                                // Each stripe's outcomes are read under its
+                                // lock: the lookup identity holds mid-run.
+                                let snap = cache.snapshot();
+                                assert!(snap.bytes <= snap.budget, "{snap:?}");
+                                assert_eq!(snap.lookups, snap.hits + snap.misses, "{snap:?}");
                             }
-                            let epoch = (round == 2 && i % 5 == t) as u64;
-                            if cache.lookup_into(*v, epoch, &mut dst) == CacheOutcome::Miss {
-                                cache.promote(*v, epoch, ctps, *sel as u32, ctps.len() as u32);
-                            }
-                            let snap = cache.snapshot();
-                            assert!(snap.bytes <= snap.budget, "{snap:?}");
                         }
-                    }
-                });
-            }
+                        calls
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
         });
         let snap = cache.snapshot();
+        assert_eq!(snap.lookups, calls, "every lookup counted exactly once");
         assert!(snap.is_conserved(), "{snap:?}");
         assert!(snap.hits > 0 && snap.evictions > 0, "{snap:?}");
+    }
+
+    #[test]
+    fn stripe_counts_round_up_to_a_power_of_two() {
+        for (asked, stripes) in [(0, 1), (1, 1), (2, 2), (3, 4), (16, 16), (17, 32)] {
+            let cache = CtpsCache::with_shards(1 << 20, asked);
+            assert_eq!(cache.shards.len(), stripes, "asked for {asked}");
+            assert!((0..100).all(|v| cache.stripe(v) == v as usize % stripes));
+        }
     }
 
     #[test]

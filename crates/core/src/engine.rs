@@ -22,7 +22,7 @@
 //! [`csaw_gpu::rng::task_key`], so outputs are bit-identical regardless of
 //! host thread count, chunking, or which runtime executes the instance.
 
-use crate::api::{Algorithm, FrontierMode, NeighborSize};
+use crate::api::{AlgoConfig, Algorithm, FrontierMode, NeighborSize};
 use crate::batch::ChunkInstance;
 use crate::output::SampleOutput;
 use crate::residency::with_thread_disk_access;
@@ -299,10 +299,10 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         let graph = self.graph;
         let algo = self.algo;
         let opts = &self.opts;
+        // A chunk's counters travel per instance in its output; the
+        // launch's own per-task ledger is left empty.
         let launch = self.device.launch(tasks, move |_, (base, sets)| {
-            let (outs, per_inst) = run_chunk_task(graph, algo, opts, base, sets);
-            let total: SimStats = per_inst.iter().copied().sum();
-            ((outs, per_inst), total)
+            (run_chunk_task(graph, algo, opts, base, sets), SimStats::new())
         });
         // Reassemble in task order — chunks partition the instance range
         // contiguously, so concatenation restores instance order.
@@ -418,6 +418,20 @@ impl Task for Instance<'_> {
 /// longer walk grows its vector from here as any `Vec` does.
 const MAX_OUT_RESERVE: usize = 1 << 16;
 
+/// An instance's output vector, sized up front for a walk. One pick per
+/// entry (every walk) means at most one emit and one push per entry: the
+/// frontier never outgrows the seeds and the output is at most
+/// `depth × seeds` edges, so within [`MAX_OUT_RESERVE`] it is never
+/// regrown. Other algorithms start empty.
+fn instance_output(cfg: &AlgoConfig, seeds: usize) -> Vec<(VertexId, VertexId)> {
+    match (cfg.frontier, cfg.neighbor_size) {
+        (FrontierMode::IndependentPerVertex, NeighborSize::Constant(1)) => {
+            Vec::with_capacity(cfg.depth.saturating_mul(seeds).min(MAX_OUT_RESERVE))
+        }
+        _ => Vec::new(),
+    }
+}
+
 /// One whole instance on this thread's warm [`StepScratch`]: builds the
 /// kernel `opts` describes, sizes the output, and runs [`drive_pool`].
 /// `instance` is local to the launch; `opts.instance_base` is added here.
@@ -431,17 +445,8 @@ pub fn drive_instance<N: NeighborAccess>(
     seeds: &[VertexId],
 ) -> (Vec<(VertexId, VertexId)>, SimStats) {
     let kernel = kernel_for(algo, opts);
-    let cfg = kernel.cfg();
     let mut stats = SimStats::new();
-    // One pick per entry (every walk) means at most one emit and one push
-    // per entry: the frontier never outgrows the seeds and the output is
-    // at most `depth × seeds` edges. Sized once, it is never regrown.
-    let mut out: Vec<(VertexId, VertexId)> = match (cfg.frontier, cfg.neighbor_size) {
-        (FrontierMode::IndependentPerVertex, NeighborSize::Constant(1)) => {
-            Vec::with_capacity(cfg.depth.saturating_mul(seeds.len()).min(MAX_OUT_RESERVE))
-        }
-        _ => Vec::new(),
-    };
+    let mut out = instance_output(kernel.cfg(), seeds.len());
     let instance = opts.instance_base + instance;
     let mut bufs = PoolBufs::default();
     // One arena per worker thread: the device launches instance kernels
@@ -602,7 +607,8 @@ fn drive_chunk<N: NeighborAccess>(
     sets: &[Vec<VertexId>],
 ) -> (Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>) {
     let kernel = kernel_for(algo, opts);
-    let mut outs: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); sets.len()];
+    let mut outs: Vec<Vec<(VertexId, VertexId)>> =
+        sets.iter().map(|seeds| instance_output(kernel.cfg(), seeds.len())).collect();
     let mut per_inst: Vec<SimStats> = vec![SimStats::new(); sets.len()];
     let global_id = |i: usize| opts.instance_base + (base + i) as u32;
 

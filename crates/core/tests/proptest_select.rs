@@ -7,7 +7,7 @@ use csaw_core::collision::DetectorKind;
 use csaw_core::ctps::Ctps;
 use csaw_core::select::{select_without_replacement, SelectConfig, SelectStrategy};
 use csaw_gpu::stats::SimStats;
-use csaw_gpu::warp::binary_search_region_by;
+use csaw_gpu::warp::{binary_search_region, binary_search_region_by};
 use csaw_gpu::Philox;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -127,6 +127,57 @@ fn raw_and_normalized_search_are_exact_on_adversarial_lanes() {
     for biases in &lanes {
         check_lane(biases, &extra).unwrap_or_else(|e| panic!("{biases:?}: {e:?}"));
     }
+}
+
+/// `Ctps::search` on a normalized (cached) table — the branch-free,
+/// prefetching search — against the branchy `binary_search_region` over
+/// the same stored edges, at `r`: same index, same charges.
+fn assert_cached_search_exact(norm: &Ctps, edges: &[f64], r: f64) {
+    let n = edges.len();
+    let mut s_ref = SimStats::new();
+    let k_ref = binary_search_region(edges, r, &mut s_ref);
+    let mut s = SimStats::new();
+    assert_eq!(norm.search(r, &mut s), k_ref, "index n={n} r={r:e}");
+    assert_eq!(s, s_ref, "charges n={n} r={r:e}");
+}
+
+/// Normalizes the CTPS of `biases` and checks its search at `r = 0`,
+/// `r = 1`, on and next to every stored edge, and at `extra`.
+fn check_cached_lane(biases: &[f64], extra: &[f64]) -> Vec<f64> {
+    let mut norm = Ctps::build(biases, &mut SimStats::new()).expect("a positive total");
+    norm.normalize();
+    let edges: Vec<f64> = (0..norm.len()).map(|k| norm.bound(k)).collect();
+    let mut rs = vec![0.0, 1.0];
+    rs.extend(edge_draws(&norm));
+    rs.extend_from_slice(extra);
+    for r in rs {
+        assert_cached_search_exact(&norm, &edges, r);
+    }
+    edges
+}
+
+/// The cached search holds in release builds too, where no `debug_assert`
+/// shadows it with the branchy loop: every `n` up to 130 and a few large
+/// ones, zero-width regions included, and tables Kogge-Stone rounding
+/// leaves out of order.
+#[test]
+fn cached_search_equals_the_branchy_search_at_every_bound() {
+    let mut rng = Philox::new(0xCAC4E);
+    let extra: Vec<f64> = (0..64).map(|_| rng.uniform()).collect();
+    for n in (1..=130).chain([255, 256, 257, 1000, 4095, 4096, 65_537]) {
+        let mut biases: Vec<f64> = (0..n).map(|_| rng.uniform() * 10.0).collect();
+        for slot in biases.iter_mut().step_by(5) {
+            *slot = 0.0;
+        }
+        biases[n / 2] = 1.0;
+        check_cached_lane(&biases, &extra);
+    }
+    let tiny = 2f64.powi(-53);
+    // Sums 1, 1, 1 + 2⁻⁵², 1 over a total of 1: the stored edges go down.
+    let edges = check_cached_lane(&[1.0, tiny, tiny, 0.0], &extra);
+    assert!(edges.windows(2).any(|w| w[0] > w[1]), "out of order: {edges:?}");
+    let lane: Vec<f64> = (0..64).map(|i| if i % 7 == 0 { 1.0 } else { tiny }).collect();
+    check_cached_lane(&lane, &extra);
 }
 
 fn arb_positive_biases() -> impl Strategy<Value = Vec<f64>> {

@@ -18,19 +18,24 @@ use rayon::prelude::*;
 pub struct LaunchResult<T> {
     /// Per-warp outputs, in task order.
     pub outputs: Vec<T>,
-    /// Merged work counters.
-    pub stats: SimStats,
     /// Per-task counters, in task order. Callers that attribute work to
-    /// individual streams (the OOM runtime) read these; `stats` is their
-    /// field-wise sum, and each entry's `warp_cycles` is that warp's cycle
-    /// count (workload-imbalance analysis, Fig. 14).
+    /// individual streams (the OOM runtime) read these; each entry's
+    /// `warp_cycles` is that warp's cycle count (workload-imbalance
+    /// analysis, Fig. 14).
     pub task_stats: Vec<SimStats>,
 }
 
 impl<T> LaunchResult<T> {
+    /// Merged work counters: the field-wise sum of `task_stats`, summed
+    /// on each call — a launch whose caller keeps only per-task counters
+    /// never pays for it.
+    pub fn stats(&self) -> SimStats {
+        self.task_stats.iter().copied().sum()
+    }
+
     /// Simulated kernel time on `cfg` with all device resources.
     pub fn kernel_seconds(&self, cfg: &DeviceConfig) -> f64 {
-        cost::gpu_kernel_seconds(&self.stats, cfg)
+        cost::gpu_kernel_seconds(&self.stats(), cfg)
     }
 }
 
@@ -86,8 +91,7 @@ impl Device {
             } else {
                 tasks.into_iter().enumerate().map(|(i, task)| kernel(i, task)).unzip()
             };
-        let stats = task_stats.iter().copied().sum();
-        LaunchResult { outputs, stats, task_stats }
+        LaunchResult { outputs, task_stats }
     }
 }
 
@@ -104,8 +108,8 @@ mod tests {
         });
         assert_eq!(res.outputs.len(), 100);
         assert_eq!(res.outputs[3], 3 * 2 + 3);
-        assert_eq!(res.stats.selections, 100);
-        assert_eq!(res.stats.warp_cycles, (1..=100).sum::<u64>());
+        assert_eq!(res.stats().selections, 100);
+        assert_eq!(res.stats().warp_cycles, (1..=100).sum::<u64>());
         assert_eq!(res.task_stats.len(), 100);
         assert_eq!(res.task_stats[9].warp_cycles, 10);
     }
@@ -121,7 +125,7 @@ mod tests {
         let par = dev.launch_with((0..200u64).collect(), true, kernel);
         let ser = dev.launch_with((0..200u64).collect(), false, kernel);
         assert_eq!(par.outputs, ser.outputs);
-        assert_eq!(par.stats, ser.stats);
+        assert_eq!(par.stats(), ser.stats());
         assert_eq!(par.task_stats, ser.task_stats);
     }
 
@@ -130,7 +134,7 @@ mod tests {
         let dev = Device::v100();
         let res = dev.launch(Vec::<u32>::new(), |_, x| (x, SimStats::new()));
         assert!(res.outputs.is_empty());
-        assert_eq!(res.stats, SimStats::new());
+        assert_eq!(res.stats(), SimStats::new());
     }
 
     #[test]
