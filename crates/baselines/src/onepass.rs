@@ -15,7 +15,7 @@
 //!   one-pass method known to preserve degree structure far better than
 //!   plain random edge sampling.
 
-use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::{Ledger, SimStats};
 use csaw_gpu::{Device, Philox};
 use csaw_graph::{Csr, CsrBuilder, VertexId};
 

@@ -21,7 +21,7 @@
 use csaw_core::api::Algorithm;
 use csaw_core::ctps::Ctps;
 use csaw_core::ctps_cache::build_vertex_ctps;
-use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::{Ledger, SimStats};
 use csaw_gpu::Philox;
 use csaw_graph::{Csr, VertexId};
 
@@ -108,6 +108,7 @@ mod tests {
     use super::*;
     use csaw_core::algorithms::BiasedRandomWalk;
     use csaw_core::engine::Sampler;
+    use csaw_gpu::Device;
     use csaw_graph::generators::{rmat, toy_graph, RmatParams};
     use std::collections::HashMap;
 
@@ -161,7 +162,7 @@ mod tests {
         let seeds: Vec<u32> = (0..64).collect();
         let cache = EagerCtpsCache::build(&g, &algo);
         let (_, cached) = cache.run_walks(&g, &seeds, 64, 5);
-        let engine = Sampler::new(&g, &algo).run_single_seeds(&seeds);
+        let engine = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&seeds);
         let per = |s: &SimStats| s.warp_cycles as f64 / s.sampled_edges.max(1) as f64;
         assert!(
             per(&cached) < per(&engine.stats),

@@ -83,15 +83,16 @@ pub fn select_without_replacement_simt(
         let stats_cell = &stats_cell;
         run_lockstep(k, &mut SimStats::new(), move |_lane, _round| {
             let mut stats = stats_cell.borrow_mut();
+            let stats: &mut SimStats = &mut stats;
             let mut rng = rng.borrow_mut();
             stats.rng_draws += 1;
             stats.select_iterations += 1;
             stats.warp_cycles += 4;
             let r = rng.uniform();
-            let pick = ctps.search(r, &mut stats);
+            let pick = ctps.search(r, stats);
             let mut det = detector.borrow_mut();
             let mut outcome = outcomes_cell.borrow_mut();
-            det.claim_round_into(&[Some(pick)], &mut outcome, &mut stats);
+            det.claim_round_into(&[Some(pick)], &mut outcome, stats);
             if outcome[0] == Some(true) {
                 return LaneStep::Done(pick);
             }
@@ -100,9 +101,9 @@ pub fn select_without_replacement_simt(
                 let r2 = rng.uniform();
                 let is_sel = |c: usize, s: &mut SimStats| det.is_selected(c, s);
                 if let BipartiteOutcome::Selected(c) =
-                    adjust_and_search(ctps, pick, r2, is_sel, &mut stats)
+                    adjust_and_search(ctps, pick, r2, is_sel, stats)
                 {
-                    det.claim_round_into(&[Some(c)], &mut outcome, &mut stats);
+                    det.claim_round_into(&[Some(c)], &mut outcome, stats);
                     if outcome[0] == Some(true) {
                         return LaneStep::Done(c);
                     }

@@ -16,11 +16,13 @@ use crate::scale::{seeds, Scale};
 use csaw_core::algorithms::{
     BiasedNeighborSampling, ForestFire, LayerSampling, UnbiasedNeighborSampling,
 };
+use csaw_core::api::Algorithm;
 use csaw_core::collision::DetectorKind;
 use csaw_core::engine::{RunOptions, Sampler};
 use csaw_core::select::{SelectConfig, SelectStrategy};
 use csaw_core::SampleOutput;
 use csaw_gpu::config::DeviceConfig;
+use csaw_gpu::Device;
 use csaw_graph::datasets;
 use csaw_graph::Csr;
 
@@ -68,24 +70,18 @@ impl App {
     /// output (paper parameters: NS 2, depth 2, Pf 0.7).
     pub fn run(&self, g: &Csr, seed_vertices: &[u32], select: SelectConfig) -> SampleOutput {
         let opts = RunOptions { seed: 0x0F16, select, ..Default::default() };
-        match self {
-            App::BiasedNs => {
-                let a = BiasedNeighborSampling { neighbor_size: 2, depth: 2 };
-                Sampler::new(g, &a).with_options(opts).run_single_seeds(seed_vertices)
-            }
-            App::ForestFire => {
-                let a = ForestFire::paper(2);
-                Sampler::new(g, &a).with_options(opts).run_single_seeds(seed_vertices)
-            }
-            App::Layer => {
-                let a = LayerSampling { layer_size: 2, depth: 2 };
-                Sampler::new(g, &a).with_options(opts).run_single_seeds(seed_vertices)
-            }
-            App::UnbiasedNs => {
-                let a = UnbiasedNeighborSampling { neighbor_size: 2, depth: 2 };
-                Sampler::new(g, &a).with_options(opts).run_single_seeds(seed_vertices)
-            }
-        }
+        let algo: Box<dyn Algorithm> = match self {
+            App::BiasedNs => Box::new(BiasedNeighborSampling { neighbor_size: 2, depth: 2 }),
+            App::ForestFire => Box::new(ForestFire::paper(2)),
+            App::Layer => Box::new(LayerSampling { layer_size: 2, depth: 2 }),
+            App::UnbiasedNs => Box::new(UnbiasedNeighborSampling { neighbor_size: 2, depth: 2 }),
+        };
+        // Every figure this runs for reads the modeled kernel time.
+        let algo = algo.as_ref();
+        Sampler::new(g, &algo)
+            .with_device(Device::v100())
+            .with_options(opts)
+            .run_single_seeds(seed_vertices)
     }
 }
 

@@ -57,7 +57,7 @@
 use crate::collision::charge_visited_check;
 use crate::step::{FrontierSink, NeighborAccess, StepEntry, StepKernel, StepScratch, TrialCounter};
 use csaw_gpu::rng::task_key;
-use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::Ledger;
 use csaw_gpu::Philox;
 use csaw_graph::VertexId;
 use std::cell::RefCell;
@@ -114,12 +114,12 @@ impl FrontierSink for RecordSink<'_> {
         self.emits.push(edge);
     }
 
-    fn push(
+    fn push<L: Ledger>(
         &mut self,
         _entry: &StepEntry,
         vertex: VertexId,
         prev: Option<VertexId>,
-        _stats: &mut SimStats,
+        _stats: &mut L,
     ) {
         self.offers.push((vertex, prev));
     }
@@ -242,11 +242,11 @@ fn key_index(key: u64) -> usize {
 /// Used by [`run_chunk`] (one depth of a chunk) and by the out-of-memory
 /// scheduler's depth-synchronous drain (one drained batch); each replays
 /// the record through its own sinks in its own order.
-pub fn expand_frontier<N: NeighborAccess>(
+pub fn expand_frontier<N: NeighborAccess, L: Ledger>(
     kernel: &StepKernel<'_>,
     access: &mut N,
     prefetch_distance: usize,
-    stats: &mut [SimStats],
+    stats: &mut [L],
     arena: &mut BatchArena,
     scratch: &mut StepScratch,
 ) {
@@ -311,7 +311,7 @@ pub fn expand_frontier<N: NeighborAccess>(
         }
 
         // Frontier-occupancy observability.
-        let owner = &mut stats[first.slot as usize];
+        let owner = stats[first.slot as usize].ops();
         owner.record_batch_group(members.len());
         if gi < groups - covered {
             owner.batch_prefetch_misses += 1;
@@ -333,7 +333,8 @@ pub fn expand_frontier<N: NeighborAccess>(
             let item = &cur[idx];
             let ledger = &mut stats[item.slot as usize];
             let rng = Philox::with_first_block(seed, tasks[idx], blocks[idx]);
-            let (e0, o0, before) = (emits.len() as u32, offers.len() as u32, ledger.warp_cycles);
+            let before = ledger.counters().warp_cycles;
+            let (e0, o0) = (emits.len() as u32, offers.len() as u32);
             let mut sink = RecordSink { emits: &mut *emits, offers: &mut *offers };
             kernel.expand_with(
                 access,
@@ -345,7 +346,7 @@ pub fn expand_frontier<N: NeighborAccess>(
                 scratch,
                 ledger,
             );
-            let cycles = ledger.warp_cycles - before;
+            let cycles = ledger.counters().warp_cycles - before;
             spans[idx] = (e0, emits.len() as u32, o0, offers.len() as u32, cycles);
         }
     }
@@ -359,13 +360,13 @@ pub fn expand_frontier<N: NeighborAccess>(
 /// the loop interchange: seeding, trial ordinals, and the flat-order
 /// replay of what [`expand_frontier`] recorded.
 #[allow(clippy::too_many_arguments)]
-pub fn run_chunk<N: NeighborAccess>(
+pub fn run_chunk<N: NeighborAccess, L: Ledger>(
     kernel: &StepKernel<'_>,
     access: &mut N,
     instances: &[ChunkInstance<'_>],
     prefetch_distance: usize,
     outs: &mut [Vec<(VertexId, VertexId)>],
-    per_inst: &mut [SimStats],
+    per_inst: &mut [L],
     arena: &mut BatchArena,
     scratch: &mut StepScratch,
 ) {
@@ -408,7 +409,7 @@ pub fn run_chunk<N: NeighborAccess>(
             // Per-depth frontier charge: instance-major charges each
             // instance `frontier.len()` at the top of its depth; one unit
             // per flat entry lands identically.
-            per_inst[item.slot as usize].frontier_ops += 1;
+            per_inst[item.slot as usize].ops().frontier_ops += 1;
             if item.slot != run_slot {
                 run_slot = item.slot;
                 arena.trials.reset();
@@ -434,7 +435,7 @@ pub fn run_chunk<N: NeighborAccess>(
                         continue;
                     }
                 }
-                stats.frontier_ops += 1;
+                stats.ops().frontier_ops += 1;
                 let entry = StepEntry { depth: depth + 1, vertex, prev, trial: 0, ..item.entry };
                 arena.next.push(FrontierItem { entry, ..*item });
             }
@@ -448,6 +449,8 @@ mod tests {
     use super::*;
     use crate::api::{AlgoConfig, Algorithm, FrontierMode, NeighborSize};
     use crate::step::CsrAccess;
+    use csaw_gpu::stats::SimStats;
+    use csaw_gpu::Device;
     use csaw_graph::generators::toy_graph;
 
     struct Ns2;
@@ -470,7 +473,8 @@ mod tests {
         let g = toy_graph();
         let algo = Ns2;
         let seeds: Vec<Vec<u32>> = vec![vec![8], vec![0], vec![8], vec![5]];
-        let reference = crate::engine::Sampler::new(&g, &algo).run(&seeds);
+        let reference =
+            crate::engine::Sampler::new(&g, &algo).with_device(Device::v100()).run(&seeds);
 
         let kernel = StepKernel::new(&algo, 0x5eed);
         let mut access = CsrAccess { graph: &g };

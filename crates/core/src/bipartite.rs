@@ -27,7 +27,7 @@
 //! test below.
 
 use crate::ctps::{Ctps, CtpsView};
-use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::Ledger;
 
 /// Outcome of one bipartite adjustment attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,19 +46,19 @@ pub enum BipartiteOutcome {
 /// candidate is already taken; it receives the stats sink so the detector
 /// can charge the probe (see [`crate::collision::Detector::is_selected`]).
 /// Generic over [`CtpsView`] so the closed-form uniform path reuses it.
-pub fn adjust_and_search<C: CtpsView>(
+pub fn adjust_and_search<C: CtpsView, L: Ledger>(
     ctps: &C,
     hit: usize,
     r_prime: f64,
-    mut is_selected: impl FnMut(usize, &mut SimStats) -> bool,
-    stats: &mut SimStats,
+    mut is_selected: impl FnMut(usize, &mut L) -> bool,
+    stats: &mut L,
 ) -> BipartiteOutcome {
     let (l, h) = ctps.region(hit);
     let delta = h - l;
     debug_assert!(delta > 0.0 && delta < 1.0, "selected region must have width in (0,1)");
     // Step 3: r = r' / λ = r' * (1 - δ).
     let r = r_prime * (1.0 - delta);
-    stats.warp_cycles += 2; // the multiply + compare of the adjustment
+    stats.charge_cycles(2); // the multiply + compare of the adjustment
     let r_adj = if r < l {
         // Step 4: search (0, l).
         r
@@ -90,12 +90,12 @@ pub fn adjust_and_search<C: CtpsView>(
 /// slows the other strategies' rounds (≈ 10% on a bipartite
 /// biased-neighbor launch, x86-64, default release profile).
 #[inline(never)]
-pub fn updated_ctps_into(
+pub fn updated_ctps_into<L: Ledger>(
     biases: &[f64],
     selected: &[bool],
     masked: &mut Vec<f64>,
     ctps: &mut Ctps,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) -> bool {
     masked.clear();
     masked.extend(biases.iter().zip(selected).map(|(&b, &s)| if s { 0.0 } else { b }));
@@ -105,7 +105,7 @@ pub fn updated_ctps_into(
 /// Reference implementation of *updated sampling* for one step: rebuilds
 /// the CTPS with the selected candidates' biases zeroed and searches `r'`
 /// on it. Used by tests and the `Updated` strategy.
-pub fn updated_ctps(biases: &[f64], selected: &[bool], stats: &mut SimStats) -> Option<Ctps> {
+pub fn updated_ctps<L: Ledger>(biases: &[f64], selected: &[bool], stats: &mut L) -> Option<Ctps> {
     let mut masked = Vec::new();
     let mut ctps = Ctps::empty();
     updated_ctps_into(biases, selected, &mut masked, &mut ctps, stats).then_some(ctps)
@@ -114,6 +114,7 @@ pub fn updated_ctps(biases: &[f64], selected: &[bool], stats: &mut SimStats) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csaw_gpu::stats::SimStats;
     use csaw_gpu::Philox;
 
     fn fig1_biases() -> Vec<f64> {

@@ -18,7 +18,7 @@
 //! measures exactly that.
 
 use csaw_gpu::lockstep::{lockstep_test_and_set_into, CasOutcome, LockstepScratch};
-use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::Ledger;
 
 /// Detector selection plus bitmap word width in bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,17 +99,17 @@ impl Detector {
     /// cycles each — the same model as [`Detector::claim_round`]); a
     /// bitmap detector reads a single bit (one search, one shared-memory
     /// read).
-    pub fn is_selected(&self, k: usize, stats: &mut SimStats) -> bool {
+    pub fn is_selected<L: Ledger>(&self, k: usize, stats: &mut L) -> bool {
         match self.kind {
             DetectorKind::LinearSearch => {
                 let comparisons = self.selected.len() as u64 + 1;
-                stats.collision_searches += comparisons;
-                stats.warp_cycles += 2 * comparisons;
+                stats.ops().collision_searches += comparisons;
+                stats.charge_cycles(2 * comparisons);
                 self.selected.contains(&k)
             }
             _ => {
-                stats.collision_searches += 1;
-                stats.warp_cycles += 2;
+                stats.ops().collision_searches += 1;
+                stats.charge_cycles(2);
                 self.bits[k]
             }
         }
@@ -129,11 +129,11 @@ impl Detector {
     /// `Some(true)` = claimed, `Some(false)` = duplicate, `None` = lane
     /// inactive, per lane, in `out` (cleared first; capacity reused).
     /// Work is charged to `stats` according to the detector model.
-    pub fn claim_round_into(
+    pub fn claim_round_into<L: Ledger>(
         &mut self,
         requests: &[Option<usize>],
         out: &mut Vec<Option<bool>>,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         out.clear();
         match self.kind {
@@ -146,13 +146,13 @@ impl Detector {
                 for (lane, req) in requests.iter().enumerate() {
                     let Some(k) = *req else { continue };
                     let comparisons = self.selected.len() as u64 + 1;
-                    stats.collision_searches += comparisons;
-                    stats.warp_cycles += 2 * comparisons; // shared-memory reads
+                    stats.ops().collision_searches += comparisons;
+                    stats.charge_cycles(2 * comparisons); // shared-memory reads
                     if self.selected.contains(&k) {
                         out[lane] = Some(false);
                     } else {
-                        stats.atomic_ops += 1; // append via atomicAdd'd cursor
-                        stats.warp_cycles += 8; // shared-memory atomic
+                        stats.charge_atomics(1, 0); // append via atomicAdd'd cursor
+                        stats.charge_cycles(8); // shared-memory atomic
                         self.selected.push(k);
                         self.bits[k] = true;
                         out[lane] = Some(true);
@@ -174,7 +174,7 @@ impl Detector {
                     }
                 };
                 let active = requests.iter().flatten().count() as u64;
-                stats.collision_searches += active; // one bit probe per lane
+                stats.ops().collision_searches += active; // one bit probe per lane
                 lockstep_test_and_set_into(
                     &mut self.bits,
                     requests,
@@ -193,10 +193,10 @@ impl Detector {
     }
 
     /// Allocating convenience wrapper over [`Detector::claim_round_into`].
-    pub fn claim_round(
+    pub fn claim_round<L: Ledger>(
         &mut self,
         requests: &[Option<usize>],
-        stats: &mut SimStats,
+        stats: &mut L,
     ) -> Vec<Option<bool>> {
         let mut out = Vec::new();
         self.claim_round_into(requests, &mut out, stats);
@@ -214,17 +214,17 @@ impl Detector {
 /// pool. The Fig. 12 baseline keeps the instance's sampled vertices in
 /// shared memory and linear-searches them (cost grows with the sample);
 /// C-SAW probes one bit of the per-vertex bitmap with an atomic CAS.
-pub fn charge_visited_check(kind: DetectorKind, visited_len: usize, stats: &mut SimStats) {
+pub fn charge_visited_check<L: Ledger>(kind: DetectorKind, visited_len: usize, stats: &mut L) {
     match kind {
         DetectorKind::LinearSearch => {
             let comparisons = visited_len as u64 + 1;
-            stats.collision_searches += comparisons;
-            stats.warp_cycles += 2 * comparisons; // shared-memory scan
+            stats.ops().collision_searches += comparisons;
+            stats.charge_cycles(2 * comparisons); // shared-memory scan
         }
         _ => {
-            stats.collision_searches += 1;
-            stats.atomic_ops += 1;
-            stats.warp_cycles += csaw_gpu::lockstep::ATOMIC_CYCLES;
+            stats.ops().collision_searches += 1;
+            stats.charge_atomics(1, 0);
+            stats.charge_cycles(csaw_gpu::lockstep::ATOMIC_CYCLES);
         }
     }
 }
@@ -232,6 +232,7 @@ pub fn charge_visited_check(kind: DetectorKind, visited_len: usize, stats: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csaw_gpu::stats::SimStats;
 
     #[test]
     fn linear_search_counts_comparisons() {

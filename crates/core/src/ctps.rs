@@ -36,12 +36,12 @@
 //! The cost model charges the paper's normalization on every rebuild,
 //! whichever state the table is kept in.
 
+use csaw_gpu::stats::Ledger;
+#[cfg(any(test, debug_assertions))]
 use csaw_gpu::stats::SimStats;
 #[cfg(any(test, debug_assertions))]
 use csaw_gpu::warp::binary_search_region_by;
-use csaw_gpu::warp::{
-    inclusive_scan, region_search_probes, scan_cost, SEARCH_PROBE_CYCLES, WARP_SIZE,
-};
+use csaw_gpu::warp::{inclusive_scan, WARP_SIZE};
 use csaw_gpu::Philox;
 use std::hint::select_unpredictable;
 
@@ -66,7 +66,7 @@ impl Ctps {
     /// Builds the CTPS from raw biases with warp-counted work. Returns
     /// `None` when the total bias is zero or non-finite (nothing is
     /// selectable).
-    pub fn build(biases: &[f64], stats: &mut SimStats) -> Option<Ctps> {
+    pub fn build<L: Ledger>(biases: &[f64], stats: &mut L) -> Option<Ctps> {
         let mut c = Ctps::empty();
         c.rebuild(biases, stats).then_some(c)
     }
@@ -78,23 +78,23 @@ impl Ctps {
     /// the normalization on failure (debug builds assert both). Returns
     /// `false` — leaving `self` empty — when the total bias is zero or
     /// non-finite.
-    pub fn rebuild(&mut self, biases: &[f64], stats: &mut SimStats) -> bool {
+    pub fn rebuild<L: Ledger>(&mut self, biases: &[f64], stats: &mut L) -> bool {
         #[cfg(debug_assertions)]
-        let mut expected = *stats;
+        let mut expected = stats.clone();
         let ok = self.scan(biases, stats);
         #[cfg(debug_assertions)]
         {
             if ok {
                 rebuild_cost(biases.len(), &mut expected);
             } else {
-                scan_cost(biases.len(), &mut expected);
+                expected.charge_scan(biases.len());
             }
             debug_assert_eq!(*stats, expected, "rebuild charge is not a function of n");
         }
         ok
     }
 
-    fn scan(&mut self, biases: &[f64], stats: &mut SimStats) -> bool {
+    fn scan<L: Ledger>(&mut self, biases: &[f64], stats: &mut L) -> bool {
         self.bounds.clear();
         self.total_bias = 0.0;
         self.normalized = false;
@@ -111,7 +111,7 @@ impl Ctps {
         }
         // The paper's normalization, one warp step per tile; the divisions
         // themselves run per probe (see the module docs).
-        stats.warp_cycles += self.bounds.len().div_ceil(WARP_SIZE) as u64;
+        stats.charge_cycles(self.bounds.len().div_ceil(WARP_SIZE) as u64);
         self.total_bias = total;
         true
     }
@@ -180,7 +180,7 @@ impl Ctps {
     /// branch-free: same index, same probe charges. Debug builds replay
     /// the branchy loop over [`Ctps::bound`] and assert both.
     #[inline]
-    pub fn search(&self, r: f64, stats: &mut SimStats) -> usize {
+    pub fn search<L: Ledger>(&self, r: f64, stats: &mut L) -> usize {
         let n = self.bounds.len();
         let (p, probes) = if self.normalized {
             self.insertion_point_edges(r)
@@ -194,8 +194,7 @@ impl Ctps {
             let k_ref = binary_search_region_by(n, r, |i| self.bound(i), &mut oracle);
             debug_assert_eq!((k, probes), (k_ref, oracle.search_steps), "n={n} r={r}");
         }
-        stats.search_steps += probes;
-        stats.warp_cycles += probes * SEARCH_PROBE_CYCLES;
+        stats.charge_probes(probes);
         debug_assert!(
             k + 1 == self.len() || self.probability(k) > 0.0,
             "r={r:e} landed on zero-width region {k}"
@@ -226,9 +225,9 @@ impl Ctps {
     }
 
     /// Draws one candidate with replacement (inverse transform sampling).
-    pub fn sample_one(&self, rng: &mut Philox, stats: &mut SimStats) -> usize {
-        stats.rng_draws += 1;
-        stats.warp_cycles += 4; // Philox draw
+    pub fn sample_one<L: Ledger>(&self, rng: &mut Philox, stats: &mut L) -> usize {
+        stats.ops().rng_draws += 1;
+        stats.charge_cycles(4); // Philox draw
         let r = rng.uniform();
         self.search(r, stats)
     }
@@ -359,10 +358,10 @@ pub fn uniform_bound(n: usize, k: usize) -> f64 {
 /// tile, whatever the biases — without building anything. This is what a
 /// group-shared or implicit uniform table charges for each rebuild it
 /// stands in for. `n` must be positive.
-pub fn rebuild_cost(n: usize, stats: &mut SimStats) {
+pub fn rebuild_cost<L: Ledger>(n: usize, stats: &mut L) {
     debug_assert!(n > 0);
-    scan_cost(n, stats);
-    stats.warp_cycles += n.div_ceil(WARP_SIZE) as u64;
+    stats.charge_scan(n);
+    stats.charge_cycles(n.div_ceil(WARP_SIZE) as u64);
 }
 
 /// The insertion point of `r` in the implicit uniform CTPS: the smallest
@@ -400,13 +399,13 @@ fn uniform_insertion_point(n: usize, r: f64) -> usize {
 /// identical index, identical probe charges, in O(1). The index comes
 /// from `uniform_insertion_point`, the probe count the materialized
 /// binary search would have charged from
-/// [`csaw_gpu::warp::region_search_probes`]; debug builds replay the
-/// search loop over [`uniform_bound`] and assert both.
+/// [`csaw_gpu::warp::region_search_probes`] (which only a modeling
+/// ledger computes); debug builds replay the search loop over
+/// [`uniform_bound`] and assert both.
 #[inline]
-pub fn uniform_search(n: usize, r: f64, stats: &mut SimStats) -> usize {
+pub fn uniform_search<L: Ledger>(n: usize, r: f64, stats: &mut L) -> usize {
     debug_assert!(n > 0);
     let p = uniform_insertion_point(n, r);
-    let probes = region_search_probes(n, p);
     // As the reference does, clamp the result, not the search: `r >= 1.0`
     // inserts at `n` and is charged the all-right probe path.
     let k = p.min(n - 1);
@@ -414,19 +413,19 @@ pub fn uniform_search(n: usize, r: f64, stats: &mut SimStats) -> usize {
     {
         let mut oracle = SimStats::new();
         let k_ref = binary_search_region_by(n, r, |i| uniform_bound(n, i), &mut oracle);
+        let probes = csaw_gpu::warp::region_search_probes(n, p);
         debug_assert_eq!((k, probes), (k_ref, oracle.search_steps), "n={n} r={r}");
     }
-    stats.search_steps += probes;
-    stats.warp_cycles += probes * SEARCH_PROBE_CYCLES;
+    stats.charge_search(n, p);
     // Uniform regions all have width 1/n > 0 for any realistic n.
     debug_assert!(uniform_bound(n, k) > if k == 0 { 0.0 } else { uniform_bound(n, k - 1) });
     k
 }
 
 /// [`Ctps::sample_one`] over the implicit uniform CTPS of `n` candidates.
-pub fn uniform_sample_one(n: usize, rng: &mut Philox, stats: &mut SimStats) -> usize {
-    stats.rng_draws += 1;
-    stats.warp_cycles += 4; // Philox draw
+pub fn uniform_sample_one<L: Ledger>(n: usize, rng: &mut Philox, stats: &mut L) -> usize {
+    stats.ops().rng_draws += 1;
+    stats.charge_cycles(4); // Philox draw
     let r = rng.uniform();
     uniform_search(n, r, stats)
 }
@@ -439,13 +438,13 @@ pub fn uniform_sample_one(n: usize, rng: &mut Philox, stats: &mut SimStats) -> u
 /// path.
 pub trait CtpsView {
     /// Candidate whose region contains `r` (see [`Ctps::search`]).
-    fn search(&self, r: f64, stats: &mut SimStats) -> usize;
+    fn search<L: Ledger>(&self, r: f64, stats: &mut L) -> usize;
     /// Region `(l, h)` of candidate `k` (see [`Ctps::region`]).
     fn region(&self, k: usize) -> (f64, f64);
 }
 
 impl CtpsView for Ctps {
-    fn search(&self, r: f64, stats: &mut SimStats) -> usize {
+    fn search<L: Ledger>(&self, r: f64, stats: &mut L) -> usize {
         Ctps::search(self, r, stats)
     }
     fn region(&self, k: usize) -> (f64, f64) {
@@ -463,7 +462,7 @@ pub struct UniformCtps {
 }
 
 impl CtpsView for UniformCtps {
-    fn search(&self, r: f64, stats: &mut SimStats) -> usize {
+    fn search<L: Ledger>(&self, r: f64, stats: &mut L) -> usize {
         uniform_search(self.n, r, stats)
     }
     fn region(&self, k: usize) -> (f64, f64) {
@@ -587,7 +586,7 @@ mod tests {
                 [vec![0.0; n], overflow].into_iter().chain((n >= 4).then_some(sum_overflow));
             for lane in failing {
                 let mut expected = SimStats::new();
-                scan_cost(n, &mut expected);
+                expected.charge_scan(n);
                 let mut charged = SimStats::new();
                 assert!(!Ctps::empty().rebuild(&lane, &mut charged), "n={n}");
                 assert_eq!(charged, expected, "failed rebuild n={n}");

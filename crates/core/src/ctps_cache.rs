@@ -33,12 +33,15 @@
 //!
 //! A fresh build is raw (see [`crate::ctps`]); admission
 //! ([`CtpsCache::admit`]) normalizes it once — the same divisions every
-//! build used to pay, now on the miss path only — so every hit searches
-//! stored region edges with the branchy loop. On the normalized table it
-//! then verifies per region that a positive width corresponds to a
-//! positive raw bias (see [`widths_agree`]); entries failing the check
-//! (pathological FP collapse) are never cached, so the preloaded SELECT's
-//! zero-width-region handling matches the rebuilt path exactly.
+//! build used to pay, now on the miss path only — so every hit compares
+//! stored region edges directly, in [`Ctps::search`]'s branch-free search
+//! (`branchless_insertion_point::<true>`), which prefetches the midpoints
+//! two rounds ahead because a cached table is mostly not in L1. On the
+//! normalized table it then verifies per region that a positive width
+//! corresponds to a positive raw bias (see [`widths_agree`]); entries
+//! failing the check (pathological FP collapse) are never cached, so the
+//! preloaded SELECT's zero-width-region handling matches the rebuilt path
+//! exactly.
 //!
 //! Out-of-memory streams tag entries with a residency *epoch*: when a
 //! partition swap changes what is device-resident, the epoch bumps and
@@ -47,7 +50,7 @@
 
 use crate::api::{Algorithm, EdgeCand};
 use crate::ctps::Ctps;
-use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::Ledger;
 use csaw_graph::{GraphView, VertexId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,13 +81,13 @@ pub fn widths_agree(ctps: &Ctps, biases: &[f64]) -> bool {
 /// valid exactly when the bias is static. Returns `false` — leaving the
 /// CTPS empty — for zero-degree or zero-total-bias vertices. Charges the
 /// scan/normalize work into `stats`; gather charges are the caller's.
-pub fn build_vertex_ctps<A: Algorithm + ?Sized>(
+pub fn build_vertex_ctps<A: Algorithm + ?Sized, L: Ledger>(
     g: GraphView<'_>,
     algo: &A,
     v: VertexId,
     biases: &mut Vec<f64>,
     ctps: &mut Ctps,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) -> bool {
     biases.clear();
     biases.extend(g.neighbors(v).iter().enumerate().map(|(i, &u)| {
@@ -515,6 +518,7 @@ impl CtpsCache {
 mod tests {
     use super::*;
     use crate::algorithms::BiasedRandomWalk;
+    use csaw_gpu::stats::SimStats;
     use csaw_graph::generators::{rmat, toy_graph, RmatParams};
 
     fn built(g: &csaw_graph::Csr, v: VertexId) -> (Ctps, usize) {

@@ -31,7 +31,7 @@ use crate::step::{
     with_thread_scratch, CsrAccess, EmitSink, LayeredAccess, NeighborAccess, PoolSink, PoolSlot,
     Residency, StepEntry, StepKernel, StepScratch, TrialCounter,
 };
-use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::{Ledger, ServeLedger, SimStats};
 use csaw_gpu::Device;
 use csaw_graph::{Csr, GraphSnapshot, VertexId};
 use std::collections::HashSet;
@@ -229,13 +229,19 @@ pub struct Sampler<'g, A: Algorithm> {
     graph: &'g Csr,
     algo: &'g A,
     opts: RunOptions,
-    device: Device,
+    /// The simulated device whose cost model the run charges: `None`
+    /// serves ([`ServeLedger`]: operational counters only), `Some`
+    /// models ([`SimStats`]: every counter, as the paper's figures need).
+    device: Option<Device>,
 }
 
 impl<'g, A: Algorithm> Sampler<'g, A> {
-    /// A sampler with default options on a V100-like device.
+    /// A serving sampler with default options: it keeps every
+    /// operational counter and charges no cost model, so its output's
+    /// model counters read zero. Attach a device
+    /// ([`Sampler::with_device`]) to model the run.
     pub fn new(graph: &'g Csr, algo: &'g A) -> Self {
-        Sampler { graph, algo, opts: RunOptions::default(), device: Device::v100() }
+        Sampler { graph, algo, opts: RunOptions::default(), device: None }
     }
 
     /// Overrides the run options.
@@ -244,15 +250,18 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         self
     }
 
-    /// Overrides the simulated device.
+    /// Models the run on `device`: every step charges the cost model
+    /// ([`SimStats`]), so the output's model counters and
+    /// [`SampleOutput::kernel_seconds`] describe it. Samples and
+    /// operational counters are the same with or without a device.
     pub fn with_device(mut self, device: Device) -> Self {
-        self.device = device;
+        self.device = Some(device);
         self
     }
 
-    /// The bound device.
-    pub fn device(&self) -> &Device {
-        &self.device
+    /// The device the run is modeled on, if any.
+    pub fn device(&self) -> Option<&Device> {
+        self.device.as_ref()
     }
 
     /// Runs one instance per seed vertex (the common case: every paper
@@ -276,8 +285,9 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         let graph = self.graph;
         let algo = self.algo;
         let opts = &self.opts;
-        let launch = self.device.launch(tasks, move |_, (instance, seeds)| {
-            run_instance(graph, algo, opts, instance, seeds)
+        let modeled = self.device.is_some();
+        let launch = Device::default().launch(tasks, move |_, (instance, seeds)| {
+            run_instance(graph, algo, opts, modeled, instance, seeds)
         });
         SampleOutput::from_instances(launch.outputs, launch.task_stats, t0.elapsed().as_secs_f64())
     }
@@ -299,10 +309,11 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         let graph = self.graph;
         let algo = self.algo;
         let opts = &self.opts;
+        let modeled = self.device.is_some();
         // A chunk's counters travel per instance in its output; the
         // launch's own per-task ledger is left empty.
-        let launch = self.device.launch(tasks, move |_, (base, sets)| {
-            (run_chunk_task(graph, algo, opts, base, sets), SimStats::new())
+        let launch = Device::default().launch(tasks, move |_, (base, sets)| {
+            (run_chunk_task(graph, algo, opts, modeled, base, sets), SimStats::new())
         });
         // Reassemble in task order — chunks partition the instance range
         // contiguously, so concatenation restores instance order.
@@ -379,24 +390,28 @@ pub fn run_task<T: Task>(g: &Csr, opts: &RunOptions, residency: T::Residency, ta
 }
 
 /// One full sampling instance ([`drive_instance`]) over the storage
-/// `opts` picks. Not generic, like [`run_chunk_task`]: the kernel is
-/// compiled here once, not into every crate that instantiates a generic
-/// [`Sampler`], whose calls back into this crate go through the GOT
-/// (measured 2–7% slower on the benchmark's walk and neighbor workloads).
+/// `opts` picks, charged to a [`SimStats`] when `modeled` and to a
+/// [`ServeLedger`] otherwise. Not generic, like [`run_chunk_task`]: the
+/// kernel is compiled here once per ledger, not into every crate that
+/// instantiates a generic [`Sampler`], whose calls back into this crate
+/// go through the GOT (measured 2–7% slower on the benchmark's walk and
+/// neighbor workloads).
 fn run_instance(
     g: &Csr,
     algo: &dyn Algorithm,
     opts: &RunOptions,
+    modeled: bool,
     instance: u32,
     seeds: &[VertexId],
 ) -> (Vec<(VertexId, VertexId)>, SimStats) {
-    run_task(g, opts, (), Instance { algo, opts, instance, seeds })
+    run_task(g, opts, (), Instance { algo, opts, modeled, instance, seeds })
 }
 
 /// [`run_instance`]'s task; its disk work is charged to its own counters.
 struct Instance<'a> {
     algo: &'a dyn Algorithm,
     opts: &'a RunOptions,
+    modeled: bool,
     instance: u32,
     seeds: &'a [VertexId],
 }
@@ -405,7 +420,12 @@ impl Task for Instance<'_> {
     type Residency = ();
     type Out = (Vec<(VertexId, VertexId)>, SimStats);
     fn run<S: NeighborAccess>(self, access: &mut LayeredAccess<'_, S>) -> Self::Out {
-        drive_instance(access, self.algo, self.opts, self.instance, self.seeds)
+        let Instance { algo, opts, modeled, instance, seeds } = self;
+        if modeled {
+            drive_instance::<_, SimStats>(access, algo, opts, instance, seeds)
+        } else {
+            drive_instance::<_, ServeLedger>(access, algo, opts, instance, seeds)
+        }
     }
     fn ledger(out: &mut Self::Out) -> Option<&mut SimStats> {
         Some(&mut out.1)
@@ -432,12 +452,13 @@ fn instance_output(cfg: &AlgoConfig, seeds: usize) -> Vec<(VertexId, VertexId)> 
     }
 }
 
-/// One whole instance on this thread's warm [`StepScratch`]: builds the
-/// kernel `opts` describes, sizes the output, and runs [`drive_pool`].
-/// `instance` is local to the launch; `opts.instance_base` is added here.
-/// Public so the allocation gate (`tests/step_alloc.rs`) can hold a whole
-/// instance, not only its steps, to an exact allocation count.
-pub fn drive_instance<N: NeighborAccess>(
+/// One whole instance on this thread's warm [`StepScratch`], charged to
+/// an `L`: builds the kernel `opts` describes, sizes the output, and runs
+/// [`drive_pool`]. `instance` is local to the launch;
+/// `opts.instance_base` is added here. Public so the allocation gate
+/// (`tests/step_alloc.rs`) can hold a whole instance, not only its steps,
+/// to an exact allocation count.
+pub fn drive_instance<N: NeighborAccess, L: Ledger>(
     access: &mut N,
     algo: &dyn Algorithm,
     opts: &RunOptions,
@@ -445,7 +466,7 @@ pub fn drive_instance<N: NeighborAccess>(
     seeds: &[VertexId],
 ) -> (Vec<(VertexId, VertexId)>, SimStats) {
     let kernel = kernel_for(algo, opts);
-    let mut stats = SimStats::new();
+    let mut stats = L::default();
     let mut out = instance_output(kernel.cfg(), seeds.len());
     let instance = opts.instance_base + instance;
     let mut bufs = PoolBufs::default();
@@ -455,7 +476,7 @@ pub fn drive_instance<N: NeighborAccess>(
     with_thread_scratch(|scratch| {
         drive_pool(&kernel, access, instance, seeds, &mut bufs, &mut out, scratch, &mut stats)
     });
-    (out, stats)
+    (out, stats.into_stats())
 }
 
 /// The frontier state of one instance's depth loop, owned by the caller
@@ -486,7 +507,7 @@ pub struct PoolBufs {
 /// charges `stats`, and returns the number of kernel steps taken (one
 /// per expanded entry, or per pool-level step).
 #[allow(clippy::too_many_arguments)]
-pub fn drive_pool<N: NeighborAccess>(
+pub fn drive_pool<N: NeighborAccess, L: Ledger>(
     kernel: &StepKernel<'_>,
     access: &mut N,
     instance: u32,
@@ -494,7 +515,7 @@ pub fn drive_pool<N: NeighborAccess>(
     bufs: &mut PoolBufs,
     out: &mut Vec<(VertexId, VertexId)>,
     scratch: &mut StepScratch,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) -> u64 {
     let cfg = *kernel.cfg();
     let detector = kernel.select().detector;
@@ -533,7 +554,7 @@ pub fn drive_pool<N: NeighborAccess>(
         }
         std::mem::swap(pool, frontier);
         pool.clear();
-        stats.frontier_ops += frontier.len() as u64;
+        stats.ops().frontier_ops += frontier.len() as u64;
         let mut sink = PoolSink { cfg: &cfg, detector, visited, next: pool, out };
         match cfg.frontier {
             FrontierMode::SharedLayer => {
@@ -560,15 +581,16 @@ pub fn drive_pool<N: NeighborAccess>(
 }
 
 /// One depth-synchronous chunk ([`drive_chunk`]) over the storage `opts`
-/// picks: per-instance outputs and stats.
+/// picks: per-instance outputs and stats, charged like [`run_instance`]'s.
 fn run_chunk_task(
     g: &Csr,
     algo: &dyn Algorithm,
     opts: &RunOptions,
+    modeled: bool,
     base: usize,
     sets: &[Vec<VertexId>],
 ) -> (Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>) {
-    run_task(g, opts, (), Chunk { algo, opts, base, sets })
+    run_task(g, opts, (), Chunk { algo, opts, modeled, base, sets })
 }
 
 /// [`run_chunk_task`]'s task; the chunk's disk work is charged to its
@@ -577,6 +599,7 @@ fn run_chunk_task(
 struct Chunk<'a> {
     algo: &'a dyn Algorithm,
     opts: &'a RunOptions,
+    modeled: bool,
     base: usize,
     sets: &'a [Vec<VertexId>],
 }
@@ -585,7 +608,12 @@ impl Task for Chunk<'_> {
     type Residency = ();
     type Out = (Vec<Vec<(VertexId, VertexId)>>, Vec<SimStats>);
     fn run<S: NeighborAccess>(self, access: &mut LayeredAccess<'_, S>) -> Self::Out {
-        drive_chunk(access, self.algo, self.opts, self.base, self.sets)
+        let Chunk { algo, opts, modeled, base, sets } = self;
+        if modeled {
+            drive_chunk::<_, SimStats>(access, algo, opts, base, sets)
+        } else {
+            drive_chunk::<_, ServeLedger>(access, algo, opts, base, sets)
+        }
     }
     fn ledger(out: &mut Self::Out) -> Option<&mut SimStats> {
         out.1.first_mut()
@@ -599,7 +627,7 @@ impl Task for Chunk<'_> {
 /// step, so there is nothing to group across instances and each runs
 /// [`drive_pool`] on one warm set of buffers — bit- and charge-identical
 /// because per-instance state is independent.
-fn drive_chunk<N: NeighborAccess>(
+fn drive_chunk<N: NeighborAccess, L: Ledger>(
     access: &mut N,
     algo: &dyn Algorithm,
     opts: &RunOptions,
@@ -609,7 +637,7 @@ fn drive_chunk<N: NeighborAccess>(
     let kernel = kernel_for(algo, opts);
     let mut outs: Vec<Vec<(VertexId, VertexId)>> =
         sets.iter().map(|seeds| instance_output(kernel.cfg(), seeds.len())).collect();
-    let mut per_inst: Vec<SimStats> = vec![SimStats::new(); sets.len()];
+    let mut per_inst: Vec<L> = vec![L::default(); sets.len()];
     let global_id = |i: usize| opts.instance_base + (base + i) as u32;
 
     with_thread_scratch(|scratch| {
@@ -639,7 +667,8 @@ fn drive_chunk<N: NeighborAccess>(
             }
         }
     });
-    (outs, per_inst)
+    // `ServeLedger` wraps a `SimStats`, so this collects in place.
+    (outs, per_inst.into_iter().map(L::into_stats).collect())
 }
 
 #[cfg(test)]
@@ -819,7 +848,8 @@ mod tests {
     fn per_instance_stats_sum_to_run_stats() {
         let g = toy_graph();
         let algo = TestNs { ns: 2, depth: 2 };
-        let out = Sampler::new(&g, &algo).run_single_seeds(&[8, 0, 5]);
+        // Modeled, so the conservation covers the cost model's charges.
+        let out = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&[8, 0, 5]);
         assert_eq!(out.instance_stats.len(), 3);
         let summed: SimStats = out.instance_stats.iter().copied().sum();
         assert_eq!(summed, out.stats);
@@ -827,7 +857,7 @@ mod tests {
             assert_eq!(s.sampled_edges, inst.len() as u64);
         }
         // Slicing one instance out reproduces a solo run's accounting.
-        let solo = Sampler::new(&g, &algo).run_single_seeds(&[8]);
+        let solo = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&[8]);
         let sliced = out.slice(0..1);
         assert_eq!(sliced.instances, solo.instances);
         assert_eq!(sliced.stats, solo.stats);
@@ -856,7 +886,8 @@ mod tests {
             ("ns", Box::new(TestNs { ns: 3, depth: 4 })),
         ] {
             let algo: &dyn Algorithm = algo.as_ref();
-            let reference = Sampler::new(&g, &algo).run_single_seeds(&seeds);
+            let reference =
+                Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&seeds);
             for chunk in [1usize, 2, 3, 7, 100] {
                 for prefetch in [0usize, 1, 8] {
                     let opts = RunOptions {
@@ -865,7 +896,10 @@ mod tests {
                         prefetch_distance: prefetch,
                         ..Default::default()
                     };
-                    let out = Sampler::new(&g, &algo).with_options(opts).run_single_seeds(&seeds);
+                    let out = Sampler::new(&g, &algo)
+                        .with_device(Device::v100())
+                        .with_options(opts)
+                        .run_single_seeds(&seeds);
                     assert_eq!(
                         out.instances, reference.instances,
                         "{name}: chunk={chunk} prefetch={prefetch}"
@@ -892,14 +926,17 @@ mod tests {
             let algo = AlgoSpec::new(id).with_depth(4).build().unwrap();
             let algo: &dyn Algorithm = algo.as_ref();
             let sets: Vec<Vec<u32>> = vec![vec![8, 0, 5], vec![2, 3, 4], vec![8, 0, 5]];
-            let reference = Sampler::new(&g, &algo).run(&sets);
+            let reference = Sampler::new(&g, &algo).with_device(Device::v100()).run(&sets);
             for chunk in [1usize, 2, 100] {
                 let opts = RunOptions {
                     exec: ExecMode::DepthSync,
                     batch_chunk: Some(chunk),
                     ..Default::default()
                 };
-                let out = Sampler::new(&g, &algo).with_options(opts).run(&sets);
+                let out = Sampler::new(&g, &algo)
+                    .with_device(Device::v100())
+                    .with_options(opts)
+                    .run(&sets);
                 assert_eq!(out.instances, reference.instances, "{id:?} chunk={chunk}");
                 assert_eq!(scrub_batch_counters(out.stats), reference.stats, "{id:?}");
             }
@@ -929,7 +966,7 @@ mod tests {
     fn stats_accumulate_work() {
         let g = toy_graph();
         let algo = TestNs { ns: 2, depth: 2 };
-        let out = Sampler::new(&g, &algo).run_single_seeds(&[8, 0]);
+        let out = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&[8, 0]);
         assert!(out.stats.rng_draws > 0);
         assert!(out.stats.selections > 0);
         assert!(out.stats.gmem_bytes > 0);

@@ -140,8 +140,18 @@ impl SampleOutput {
         }
     }
 
-    /// Simulated kernel time on `cfg`.
+    /// Simulated kernel time on `cfg`. Only a modeled run has one: a
+    /// served run ([`crate::engine::Sampler::new`] without a device)
+    /// charges no cost model and has no kernel time to report.
+    ///
+    /// # Panics
+    ///
+    /// On a served output that sampled an edge.
     pub fn kernel_seconds(&self, cfg: &DeviceConfig) -> f64 {
+        assert!(
+            self.sampled_edges() == 0 || self.stats.warp_cycles > 0,
+            "kernel time of a run served without a device: attach one with Sampler::with_device"
+        );
         cost::gpu_kernel_seconds(&self.stats, cfg)
     }
 
@@ -227,6 +237,14 @@ mod tests {
         let cfg = DeviceConfig::v100();
         assert!(s.kernel_seconds(&cfg) > 0.0);
         assert!(s.seps(&cfg) > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "served without a device")]
+    fn a_served_output_has_no_kernel_time() {
+        let s = sample();
+        let served = SampleOutput { stats: s.stats.operational(), ..s };
+        served.seps(&DeviceConfig::v100());
     }
 
     #[test]

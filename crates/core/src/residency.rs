@@ -94,7 +94,7 @@
 //! histogram are still written as they happen.
 
 use crate::step::{gather_bytes, Gathered, NeighborAccess};
-use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::{Ledger, SimStats};
 use csaw_graph::store::DiskStore;
 use csaw_graph::{GraphView, PagedAdjacency, VertexId, Weight};
 use std::cell::UnsafeCell;
@@ -732,7 +732,7 @@ impl NeighborAccess for DiskAccess {
         GraphView::paged(&self.hier)
     }
 
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
+    fn gather<L: Ledger>(&mut self, v: VertexId, stats: &mut L) -> Gathered<'_> {
         stats.read_gmem(gather_bytes(self.hier.is_weighted(), self.hier.store().degree(v)));
         self.fetch(v)
     }
@@ -748,7 +748,7 @@ impl NeighborAccess for DiskAccess {
 
     /// The gather's charge and reclaim prologue, without the lookup:
     /// the step's point reads are the lookups.
-    fn degree(&mut self, v: VertexId, stats: &mut SimStats) -> usize {
+    fn degree<L: Ledger>(&mut self, v: VertexId, stats: &mut L) -> usize {
         self.hier.reclaim();
         let d = self.hier.store().degree(v);
         stats.read_gmem(gather_bytes(self.hier.is_weighted(), d));

@@ -17,7 +17,7 @@
 use crate::bipartite::{adjust_and_search, updated_ctps_into, BipartiteOutcome};
 use crate::collision::{Detector, DetectorKind};
 use crate::ctps::{rebuild_cost, uniform_sample_one, Ctps, CtpsView, UniformCtps};
-use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::Ledger;
 use csaw_gpu::Philox;
 
 /// Collision-mitigation strategy for SELECT.
@@ -150,13 +150,13 @@ impl SelectScratch {
 /// biases, then runs the claim rounds over it. Leaves the selected
 /// indices in claim order (at most `k`, fewer when fewer candidates carry
 /// positive bias) in `scratch.out`.
-pub fn select_without_replacement_into(
+pub fn select_without_replacement_into<L: Ledger>(
     biases: &[f64],
     k: usize,
     cfg: SelectConfig,
     scratch: &mut SelectScratch,
     rng: &mut Philox,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) {
     let SelectScratch { ctps, out, work } = scratch;
     out.clear();
@@ -205,7 +205,7 @@ pub fn select_without_replacement_into(
         }
         std::mem::swap(&mut work.pending, &mut work.still_pending);
     }
-    stats.selections += out.len() as u64;
+    stats.ops().selections += out.len() as u64;
 }
 
 /// The without-replacement front end every table kind shares: clamp `k`
@@ -214,7 +214,7 @@ pub fn select_without_replacement_into(
 /// candidates and seat one pending lane per pick. Returns whether claim
 /// rounds are needed; when not, `out` is final.
 #[allow(clippy::too_many_arguments)]
-fn seat_lanes(
+fn seat_lanes<L: Ledger>(
     n: usize,
     selectable: usize,
     is_selectable: impl Fn(usize) -> bool,
@@ -222,15 +222,15 @@ fn seat_lanes(
     cfg: SelectConfig,
     out: &mut Vec<usize>,
     work: &mut SelectWork,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) -> bool {
     let k = k.min(selectable);
     if k == 0 {
         return false;
     }
     if k == selectable {
-        stats.selections += k as u64;
-        stats.select_iterations += k as u64;
+        stats.ops().selections += k as u64;
+        stats.ops().select_iterations += k as u64;
         if selectable == n {
             out.extend(0..n);
         } else {
@@ -251,7 +251,7 @@ fn seat_lanes(
 /// `selectable` counts the candidates `is_selectable` accepts; picks are
 /// appended to `out` in claim order.
 #[allow(clippy::too_many_arguments)]
-fn select_k<C: CtpsView>(
+fn select_k<C: CtpsView, L: Ledger>(
     view: &C,
     n: usize,
     selectable: usize,
@@ -261,29 +261,29 @@ fn select_k<C: CtpsView>(
     out: &mut Vec<usize>,
     work: &mut SelectWork,
     rng: &mut Philox,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) {
     debug_assert!(cfg.strategy != SelectStrategy::Updated, "Updated rebuilds from raw biases");
     if seat_lanes(n, selectable, is_selectable, k, cfg, out, work, stats) {
         claim_rounds(view, cfg, out, work, rng, stats);
-        stats.selections += out.len() as u64;
+        stats.ops().selections += out.len() as u64;
     }
 }
 
 /// Phase 1 of a round plus its lockstep claim: every pending lane draws,
 /// searches the CTPS (`work.picks`) and claims its pick
 /// (`work.outcomes`).
-fn draw_and_claim<C: CtpsView>(
+fn draw_and_claim<C: CtpsView, L: Ledger>(
     ctps: &C,
     work: &mut SelectWork,
     rng: &mut Philox,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) {
     work.picks.clear();
     for _ in 0..work.pending.len() {
-        stats.rng_draws += 1;
-        stats.select_iterations += 1;
-        stats.warp_cycles += 4; // Philox draw
+        stats.ops().rng_draws += 1;
+        stats.ops().select_iterations += 1;
+        stats.charge_cycles(4); // Philox draw
         let r = rng.uniform();
         work.picks.push(ctps.search(r, stats));
     }
@@ -295,13 +295,13 @@ fn draw_and_claim<C: CtpsView>(
 /// The SELECT claim loop for the immutable-CTPS strategies (Repeated and
 /// Bipartite). `work.pending` holds the lanes still needing a candidate;
 /// selected indices are appended to `out` in claim order.
-fn claim_rounds<C: CtpsView>(
+fn claim_rounds<C: CtpsView, L: Ledger>(
     ctps: &C,
     cfg: SelectConfig,
     out: &mut Vec<usize>,
     work: &mut SelectWork,
     rng: &mut Philox,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) {
     let mut rounds = 0usize;
     while !work.pending.is_empty() {
@@ -329,7 +329,7 @@ fn claim_rounds<C: CtpsView>(
             work.adj_lanes.clear();
             work.restart_lanes.clear();
             for &(lane, hit) in work.bip_retry.iter() {
-                stats.rng_draws += 1;
+                stats.ops().rng_draws += 1;
                 let r_prime = rng.uniform();
                 let detector = &work.detector;
                 match adjust_and_search(
@@ -366,12 +366,12 @@ fn claim_rounds<C: CtpsView>(
 /// [`select_without_replacement_into`]: returns the selected indices as a
 /// fresh `Vec`. Hot paths hold a [`SelectScratch`] and call the `_into`
 /// form instead.
-pub fn select_without_replacement(
+pub fn select_without_replacement<L: Ledger>(
     biases: &[f64],
     k: usize,
     cfg: SelectConfig,
     rng: &mut Philox,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) -> Vec<usize> {
     let mut scratch = SelectScratch::new();
     select_without_replacement_into(biases, k, cfg, &mut scratch, rng, stats);
@@ -382,24 +382,24 @@ pub fn select_without_replacement(
 /// frontier selection), rebuilding `ctps` in place from `biases` — the
 /// arena-reuse form of [`select_one`]. Returns `None` when no candidate
 /// has positive bias.
-pub fn select_one_with(
+pub fn select_one_with<L: Ledger>(
     biases: &[f64],
     ctps: &mut Ctps,
     rng: &mut Philox,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) -> Option<usize> {
     if !ctps.rebuild(biases, stats) {
         return None;
     }
-    stats.select_iterations += 1;
-    stats.selections += 1;
+    stats.ops().select_iterations += 1;
+    stats.ops().selections += 1;
     Some(ctps.sample_one(rng, stats))
 }
 
 /// Selects one candidate *with replacement* (random walks; Fig. 2b line 4
 /// frontier selection). Returns `None` when no candidate has positive
 /// bias.
-pub fn select_one(biases: &[f64], rng: &mut Philox, stats: &mut SimStats) -> Option<usize> {
+pub fn select_one<L: Ledger>(biases: &[f64], rng: &mut Philox, stats: &mut L) -> Option<usize> {
     let mut ctps = Ctps::empty();
     select_one_with(biases, &mut ctps, rng, stats)
 }
@@ -420,13 +420,13 @@ pub fn select_one(biases: &[f64], rng: &mut Philox, stats: &mut SimStats) -> Opt
 /// leaves the sampled distribution unchanged. Each throw charges two
 /// RNG draws, one selection iteration, and one rejection trial;
 /// only an accepted throw counts a selection.
-pub fn select_one_rejection(
+pub fn select_one_rejection<L: Ledger>(
     n: usize,
     bound: f64,
     max_trials: u64,
     mut bias_of: impl FnMut(usize) -> f64,
     rng: &mut Philox,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) -> Option<usize> {
     debug_assert!(bound.is_finite() && bound > 0.0, "rejection needs a positive finite bound");
     if n == 0 {
@@ -435,10 +435,10 @@ pub fn select_one_rejection(
     for _ in 0..max_trials {
         // One column draw + one height draw, then a single candidate
         // bias evaluation.
-        stats.rng_draws += 2;
-        stats.select_iterations += 1;
-        stats.rejection_trials += 1;
-        stats.warp_cycles += 12;
+        stats.ops().rng_draws += 2;
+        stats.ops().select_iterations += 1;
+        stats.ops().rejection_trials += 1;
+        stats.charge_cycles(12);
         let col = rng.below(n as u64) as usize;
         let height = rng.uniform() * bound;
         let b = bias_of(col);
@@ -447,7 +447,7 @@ pub fn select_one_rejection(
             "edge_bias_bound ({bound}) violated by candidate bias {b}"
         );
         if height < b {
-            stats.selections += 1;
+            stats.ops().selections += 1;
             return Some(col);
         }
     }
@@ -458,25 +458,29 @@ pub fn select_one_rejection(
 /// candidate pool (a hot-vertex cache hit): skips the rebuild — the caller
 /// charges the cache-hit cost model instead — and consumes exactly one
 /// RNG draw, returning the identical index the rebuilt path would return.
-pub fn select_one_preloaded(ctps: &Ctps, rng: &mut Philox, stats: &mut SimStats) -> Option<usize> {
+pub fn select_one_preloaded<L: Ledger>(
+    ctps: &Ctps,
+    rng: &mut Philox,
+    stats: &mut L,
+) -> Option<usize> {
     if ctps.is_empty() {
         return None;
     }
-    stats.select_iterations += 1;
-    stats.selections += 1;
+    stats.ops().select_iterations += 1;
+    stats.ops().selections += 1;
     Some(ctps.sample_one(rng, stats))
 }
 
 /// [`select_one_with`] over `n` implicit unit biases: identical draw,
 /// index, and stats charges to rebuilding from `&[1.0; n]`, with no CTPS
 /// materialization. Returns `None` when `n == 0`.
-pub fn select_one_uniform(n: usize, rng: &mut Philox, stats: &mut SimStats) -> Option<usize> {
+pub fn select_one_uniform<L: Ledger>(n: usize, rng: &mut Philox, stats: &mut L) -> Option<usize> {
     if n == 0 {
         return None;
     }
     rebuild_cost(n, stats);
-    stats.select_iterations += 1;
-    stats.selections += 1;
+    stats.ops().select_iterations += 1;
+    stats.ops().selections += 1;
     Some(uniform_sample_one(n, rng, stats))
 }
 
@@ -488,13 +492,13 @@ pub fn select_one_uniform(n: usize, rng: &mut Philox, stats: &mut SimStats) -> O
 /// positive-width regions (cache admission verifies width/bias agreement
 /// per region). Not valid for [`SelectStrategy::Updated`], which needs
 /// the raw biases.
-pub fn select_without_replacement_preloaded_into(
+pub fn select_without_replacement_preloaded_into<L: Ledger>(
     selectable: usize,
     k: usize,
     cfg: SelectConfig,
     scratch: &mut SelectScratch,
     rng: &mut Philox,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) {
     let SelectScratch { ctps, out, work } = scratch;
     select_without_replacement_over(ctps, selectable, k, cfg, out, work, rng, stats);
@@ -504,7 +508,7 @@ pub fn select_without_replacement_preloaded_into(
 /// — a cache hit draws off the cached bounds in place, under the cache's
 /// stripe lock, into the caller's `out` and `work`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn select_without_replacement_over(
+pub(crate) fn select_without_replacement_over<L: Ledger>(
     ctps: &Ctps,
     selectable: usize,
     k: usize,
@@ -512,7 +516,7 @@ pub(crate) fn select_without_replacement_over(
     out: &mut Vec<usize>,
     work: &mut SelectWork,
     rng: &mut Philox,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) {
     out.clear();
     let n = ctps.len();
@@ -530,13 +534,13 @@ pub(crate) fn select_without_replacement_over(
 /// with `&[1.0; n]`, without building the CTPS. Not valid for
 /// [`SelectStrategy::Updated`] (which rebuilds from raw biases — callers
 /// fall back to the materialized path).
-pub fn select_without_replacement_uniform_into(
+pub fn select_without_replacement_uniform_into<L: Ledger>(
     n: usize,
     k: usize,
     cfg: SelectConfig,
     scratch: &mut SelectScratch,
     rng: &mut Philox,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) {
     let SelectScratch { out, work, .. } = scratch;
     out.clear();
@@ -551,6 +555,7 @@ pub fn select_without_replacement_uniform_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csaw_gpu::stats::SimStats;
     use std::collections::HashMap;
 
     fn all_strategies() -> Vec<SelectConfig> {

@@ -44,7 +44,9 @@ use crate::select::{
     SelectConfig, SelectScratch, SelectStrategy,
 };
 use csaw_gpu::rng::task_key;
+#[cfg(any(test, debug_assertions))]
 use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::{Ledger, ServeLedger};
 use csaw_gpu::Philox;
 use csaw_graph::dynamic::OverlayState;
 use csaw_graph::{Csr, GraphSnapshot, GraphView, VertexId, Weight};
@@ -166,7 +168,7 @@ pub trait NeighborAccess {
     /// Gathers `v`'s neighbor list and edge weights as borrowed slices,
     /// charging whatever the runtime models for the read (global-memory
     /// bytes, a partition transfer, a page fault...).
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_>;
+    fn gather<L: Ledger>(&mut self, v: VertexId, stats: &mut L) -> Gathered<'_>;
 
     /// Re-borrows `v`'s adjacency **without charging** the memory system.
     /// Used by the CTPS-cache hit path, whose cost model charges the
@@ -178,7 +180,7 @@ pub trait NeighborAccess {
     /// of `v`: the closed-form uniform step calls this in place of the
     /// gather, then reads only the neighbors it picked through
     /// [`Self::neighbor_at`].
-    fn degree(&mut self, v: VertexId, stats: &mut SimStats) -> usize;
+    fn degree<L: Ledger>(&mut self, v: VertexId, stats: &mut L) -> usize;
 
     /// Neighbor `k` of `v` and its weight (`None` on unweighted graphs),
     /// uncharged: [`Self::degree`] paid for the read. `k` must be below
@@ -230,7 +232,7 @@ impl NeighborAccess for CsrAccess<'_> {
         self.graph.view()
     }
 
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
+    fn gather<L: Ledger>(&mut self, v: VertexId, stats: &mut L) -> Gathered<'_> {
         stats.read_gmem(gather_bytes(self.graph.is_weighted(), self.graph.degree(v)));
         self.fetch(v)
     }
@@ -244,7 +246,7 @@ impl NeighborAccess for CsrAccess<'_> {
     }
 
     #[inline]
-    fn degree(&mut self, v: VertexId, stats: &mut SimStats) -> usize {
+    fn degree<L: Ledger>(&mut self, v: VertexId, stats: &mut L) -> usize {
         let d = self.graph.degree(v);
         stats.read_gmem(gather_bytes(self.graph.is_weighted(), d));
         d
@@ -377,7 +379,7 @@ impl<S: NeighborAccess, R: Residency> NeighborAccess for LayeredAccess<'_, S, R>
     /// this layer out of line, and the call and its 56-byte return cost
     /// the 80 ns uniform step 5–10% in an in-process harness.
     #[inline(always)]
-    fn gather(&mut self, v: VertexId, stats: &mut SimStats) -> Gathered<'_> {
+    fn gather<L: Ledger>(&mut self, v: VertexId, stats: &mut L) -> Gathered<'_> {
         if let Some(d) = self.overlay.and_then(|o| o.delta(v)) {
             let graph = self.graph();
             stats.read_gmem(gather_bytes(graph.is_weighted(), d.neighbors().len()));
@@ -407,7 +409,7 @@ impl<S: NeighborAccess, R: Residency> NeighborAccess for LayeredAccess<'_, S, R>
     }
 
     #[inline(always)]
-    fn degree(&mut self, v: VertexId, stats: &mut SimStats) -> usize {
+    fn degree<L: Ledger>(&mut self, v: VertexId, stats: &mut L) -> usize {
         if let Some(d) = self.overlay.and_then(|o| o.delta(v)) {
             let n = d.neighbors().len();
             stats.read_gmem(gather_bytes(self.graph().is_weighted(), n));
@@ -459,12 +461,12 @@ pub trait FrontierSink {
     /// Offers `vertex` (with predecessor `prev`) to `entry`'s instance at
     /// depth `entry.depth + 1`. The kernel has already checked the depth
     /// budget; the sink decides acceptance (visited filter) and placement.
-    fn push(
+    fn push<L: Ledger>(
         &mut self,
         entry: &StepEntry,
         vertex: VertexId,
         prev: Option<VertexId>,
-        stats: &mut SimStats,
+        stats: &mut L,
     );
 }
 
@@ -491,12 +493,12 @@ impl FrontierSink for PoolSink<'_> {
         self.out.push(edge);
     }
 
-    fn push(
+    fn push<L: Ledger>(
         &mut self,
         _entry: &StepEntry,
         vertex: VertexId,
         prev: Option<VertexId>,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         if self.cfg.without_replacement {
             charge_visited_check(self.detector, self.visited.len(), stats);
@@ -504,7 +506,7 @@ impl FrontierSink for PoolSink<'_> {
                 return; // already sampled once (§II-A)
             }
         }
-        stats.frontier_ops += 1;
+        stats.ops().frontier_ops += 1;
         self.next.push(PoolSlot { vertex, prev });
     }
 }
@@ -519,7 +521,7 @@ impl FrontierSink for EmitSink<'_> {
         self.0.push(edge);
     }
 
-    fn push(&mut self, _e: &StepEntry, _v: VertexId, _p: Option<VertexId>, _s: &mut SimStats) {
+    fn push<L: Ledger>(&mut self, _e: &StepEntry, _v: VertexId, _p: Option<VertexId>, _s: &mut L) {
         unreachable!("biased-replace steps mutate the pool in place and never push");
     }
 }
@@ -753,14 +755,14 @@ impl<'a> StepKernel<'a> {
     ///
     /// `home` is the instance's home seed, handed to the `UPDATE` and
     /// dead-end hooks (restart targets).
-    pub fn expand<N: NeighborAccess, S: FrontierSink>(
+    pub fn expand<N: NeighborAccess, S: FrontierSink, L: Ledger>(
         &self,
         access: &mut N,
         entry: &StepEntry,
         home: VertexId,
         sink: &mut S,
         scratch: &mut StepScratch,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         let rng = Philox::for_task(
             self.seed,
@@ -787,7 +789,7 @@ impl<'a> StepKernel<'a> {
     /// or output determinism is lost; `scratch.biases` and
     /// `scratch.select.ctps` must be untouched since `prepare_group`.
     #[allow(clippy::too_many_arguments)]
-    pub fn expand_with<N: NeighborAccess, S: FrontierSink>(
+    pub fn expand_with<N: NeighborAccess, S: FrontierSink, L: Ledger>(
         &self,
         access: &mut N,
         entry: &StepEntry,
@@ -796,7 +798,7 @@ impl<'a> StepKernel<'a> {
         shared: Option<&SharedBuild>,
         sink: &mut S,
         scratch: &mut StepScratch,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         let v = entry.vertex;
         let rng = &mut rng;
@@ -883,7 +885,7 @@ impl<'a> StepKernel<'a> {
     /// read the run and move the disk tier's counters.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn expand_uniform<N: NeighborAccess, S: FrontierSink>(
+    fn expand_uniform<N: NeighborAccess, S: FrontierSink, L: Ledger>(
         &self,
         access: &mut N,
         entry: &StepEntry,
@@ -891,7 +893,7 @@ impl<'a> StepKernel<'a> {
         rng: &mut Philox,
         sink: &mut S,
         select: &mut SelectScratch,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         let v = entry.vertex;
         let n = access.degree(v, stats);
@@ -908,7 +910,7 @@ impl<'a> StepKernel<'a> {
         if k == 0 {
             return;
         }
-        stats.warp_cycles += n.div_ceil(32) as u64;
+        stats.charge_cycles(n.div_ceil(32) as u64);
         self.draw_its(Source::Uniform, n, k, &[], select, rng, stats);
         let edge = |i| {
             let (u, w) = access.neighbor_at(v, i);
@@ -962,7 +964,7 @@ impl<'a> StepKernel<'a> {
             return None;
         }
         let StepScratch { biases, select, .. } = scratch;
-        let mut uncharged = SimStats::new();
+        let mut uncharged = ServeLedger::default();
         self.fill_biases(&gat, v, prev, biases, &mut uncharged);
         if !select.ctps.rebuild(biases, &mut uncharged) {
             return None;
@@ -976,20 +978,20 @@ impl<'a> StepKernel<'a> {
     /// and never gets here). Debug builds check every claim a source
     /// rests on against the algorithm's own `edge_bias`.
     #[inline]
-    fn fill(
+    fn fill<L: Ledger>(
         &self,
         source: Source,
         gat: &Gathered<'_>,
         v: VertexId,
         prev: Option<VertexId>,
         scratch: &mut StepScratch,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         match source {
-            Source::Lane => return self.fill_biases(gat, v, prev, &mut scratch.biases, stats),
+            Source::Lane => self.fill_biases(gat, v, prev, &mut scratch.biases, stats),
             Source::Drawn => {}
             Source::Table { .. } | Source::Uniform => {
-                stats.warp_cycles += gat.neighbors.len().div_ceil(32) as u64;
+                stats.charge_cycles(gat.neighbors.len().div_ceil(32) as u64);
             }
         }
         #[cfg(debug_assertions)]
@@ -1057,7 +1059,7 @@ impl<'a> StepKernel<'a> {
     /// pays for reaching its single pick through two out-of-line calls.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn draw_its(
+    fn draw_its<L: Ledger>(
         &self,
         source: Source,
         n: usize,
@@ -1065,7 +1067,7 @@ impl<'a> StepKernel<'a> {
         biases: &[f64],
         select: &mut SelectScratch,
         rng: &mut Philox,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         if !self.cfg.without_replacement {
             select.out.clear();
@@ -1102,13 +1104,13 @@ impl<'a> StepKernel<'a> {
     /// table: the lane runs it, a shared or implicit table charges
     /// [`rebuild_cost`].
     #[inline(always)]
-    fn draw_one(
+    fn draw_one<L: Ledger>(
         source: Source,
         n: usize,
         biases: &[f64],
         ctps: &mut Ctps,
         rng: &mut Philox,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) -> Option<usize> {
         match source {
             Source::Lane => select_one_with(biases, ctps, rng, stats),
@@ -1132,14 +1134,14 @@ impl<'a> StepKernel<'a> {
     /// Out of line on purpose: a lookup takes a stripe lock, so the call
     /// is free, and inlined it costs the cache-less 80 ns step ≈ 3 ns.
     #[inline(never)]
-    fn cached_source(
+    fn cached_source<L: Ledger>(
         &self,
         cache: &CtpsCache,
         v: VertexId,
         epoch: u64,
         rng: &mut Philox,
         scratch: &mut StepScratch,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) -> Option<usize> {
         let (out, work) = (&mut scratch.select.out, &mut scratch.select.work);
         #[cfg(debug_assertions)]
@@ -1168,8 +1170,8 @@ impl<'a> StepKernel<'a> {
             n
         });
         match hit {
-            Some(_) => stats.ctps_cache_hits += 1,
-            None => stats.ctps_cache_misses += 1,
+            Some(_) => stats.ops().ctps_cache_hits += 1,
+            None => stats.ops().ctps_cache_misses += 1,
         }
         hit
     }
@@ -1188,14 +1190,14 @@ impl<'a> StepKernel<'a> {
     /// consumes two draws per throw, so Adaptive output is
     /// distribution-equal (chi-square validated) to `ForceIts`, never
     /// bit-equal.
-    fn draw_rejection(
+    fn draw_rejection<L: Ledger>(
         &self,
         gat: &Gathered<'_>,
         entry: &StepEntry,
         k: usize,
         scratch: &mut StepScratch,
         rng: &mut Philox,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) -> bool {
         let (v, g, n) = (entry.vertex, gat.graph, gat.neighbors.len());
         let StepScratch { biases, select, rej_feedback, .. } = scratch;
@@ -1204,14 +1206,14 @@ impl<'a> StepKernel<'a> {
         let allowed = rej_feedback.allow();
         let bound = self.algo.edge_bias_bound(g, v, entry.prev);
         let Some(bound) = rejection_bound(bound, n, allowed) else {
-            stats.method_its += 1;
+            stats.ops().method_its += 1;
             return false;
         };
-        stats.method_rejection += 1;
+        stats.ops().method_rejection += 1;
         select.out.clear();
         let mut deferred = 0usize;
         for _ in 0..k {
-            let before = stats.rejection_trials;
+            let before = stats.counters().rejection_trials;
             let pick = select_one_rejection(
                 n,
                 bound,
@@ -1220,7 +1222,7 @@ impl<'a> StepKernel<'a> {
                 rng,
                 stats,
             );
-            rej_feedback.record(stats.rejection_trials - before);
+            rej_feedback.record(stats.counters().rejection_trials - before);
             match pick {
                 Some(col) => select.out.push(col),
                 None => deferred += 1,
@@ -1243,7 +1245,7 @@ impl<'a> StepKernel<'a> {
     /// only the picked neighbors, where the rebuild path already paid for
     /// the full adjacency gather.
     #[allow(clippy::too_many_arguments)]
-    fn emit_picks<S: FrontierSink>(
+    fn emit_picks<S: FrontierSink, L: Ledger>(
         &self,
         g: GraphView<'_>,
         entry: &StepEntry,
@@ -1253,7 +1255,7 @@ impl<'a> StepKernel<'a> {
         edge: impl Fn(usize) -> EdgeCand,
         rng: &mut Philox,
         sink: &mut S,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         let v = entry.vertex;
         for &idx in picks {
@@ -1283,7 +1285,7 @@ impl<'a> StepKernel<'a> {
     /// [`crate::api::FrontierMode::SharedLayer`] step (layer sampling,
     /// §II-A): `NeighborSize` vertices are selected from the union pool.
     #[allow(clippy::too_many_arguments)] // mirrors the device kernel's launch signature
-    pub fn expand_layer<N: NeighborAccess, S: FrontierSink>(
+    pub fn expand_layer<N: NeighborAccess, S: FrontierSink, L: Ledger>(
         &self,
         access: &mut N,
         instance: u32,
@@ -1291,7 +1293,7 @@ impl<'a> StepKernel<'a> {
         frontier: &[PoolSlot],
         sink: &mut S,
         scratch: &mut StepScratch,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         let entry = StepEntry { instance, depth, vertex: POOL_STEP_VERTEX, prev: None, trial: 0 };
         let mut rng = Philox::for_task(self.seed, task_key(instance, depth, POOL_STEP_VERTEX, 0));
@@ -1309,7 +1311,7 @@ impl<'a> StepKernel<'a> {
             return;
         }
         let k = self.cfg.neighbor_size.realize(cands.len(), &mut rng);
-        stats.warp_cycles += cands.len().div_ceil(32) as u64;
+        stats.charge_cycles(cands.len().div_ceil(32) as u64);
         self.draw_its(Source::Lane, cands.len(), k, biases, select, &mut rng, stats);
         let g = access.graph();
         for &idx in select.out.iter() {
@@ -1337,7 +1339,7 @@ impl<'a> StepKernel<'a> {
     /// sampled edge. Keep one lane per pool, clear it whenever the pool
     /// is re-seeded. Sampled output is identical to rescanning.
     #[allow(clippy::too_many_arguments)] // mirrors the device kernel's launch signature
-    pub fn expand_replace<N: NeighborAccess, S: FrontierSink>(
+    pub fn expand_replace<N: NeighborAccess, S: FrontierSink, L: Ledger>(
         &self,
         access: &mut N,
         instance: u32,
@@ -1347,7 +1349,7 @@ impl<'a> StepKernel<'a> {
         pool_biases: &mut Vec<f64>,
         sink: &mut S,
         scratch: &mut StepScratch,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         let entry = StepEntry { instance, depth, vertex: POOL_STEP_VERTEX, prev: None, trial: 0 };
         let mut rng = Philox::for_task(self.seed, task_key(instance, depth, POOL_STEP_VERTEX, 0));
@@ -1421,22 +1423,22 @@ impl<'a> StepKernel<'a> {
                 pool_biases.swap_remove(j);
             }
         }
-        stats.frontier_ops += 1;
+        stats.ops().frontier_ops += 1;
     }
 
     /// Fills `biases` with `v`'s EDGEBIAS lane over a gathered adjacency
     /// and charges one warp-cycle per 32 lanes of evaluation.
-    fn fill_biases(
+    fn fill_biases<L: Ledger>(
         &self,
         gat: &Gathered<'_>,
         v: VertexId,
         prev: Option<VertexId>,
         biases: &mut Vec<f64>,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         biases.clear();
         self.push_lane(gat, v, prev, biases);
-        stats.warp_cycles += gat.neighbors.len().div_ceil(32) as u64;
+        stats.charge_cycles(gat.neighbors.len().div_ceil(32) as u64);
     }
 
     /// Appends `v`'s EDGEBIAS lane over `gat` to `biases`, uncharged: one
@@ -1472,13 +1474,13 @@ impl<'a> StepKernel<'a> {
     /// UPDATE's frontier push, gated by the depth budget: entries that
     /// could never be expanded (their depth would reach the configured
     /// limit) are dropped here, identically in every runtime.
-    fn offer<S: FrontierSink>(
+    fn offer<S: FrontierSink, L: Ledger>(
         &self,
         entry: &StepEntry,
         vertex: VertexId,
         prev: Option<VertexId>,
         sink: &mut S,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         if entry.depth as usize + 1 >= self.cfg.depth {
             return; // depth budget exhausted (§V-B correctness guard)
@@ -1620,7 +1622,13 @@ mod tests {
         fn emit(&mut self, _e: &StepEntry, edge: (VertexId, VertexId)) {
             self.0.emits.push(edge);
         }
-        fn push(&mut self, _e: &StepEntry, v: VertexId, p: Option<VertexId>, _s: &mut SimStats) {
+        fn push<L: Ledger>(
+            &mut self,
+            _e: &StepEntry,
+            v: VertexId,
+            p: Option<VertexId>,
+            _s: &mut L,
+        ) {
             self.0.offers.push((v, p));
         }
     }

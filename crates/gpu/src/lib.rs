@@ -27,6 +27,9 @@
 //!   V100-like device and a POWER9-like CPU (for the baselines).
 //! - [`device::Device`]: a rayon-backed executor that runs warp tasks in
 //!   parallel and merges their [`stats::SimStats`].
+//! - [`stats::Ledger`]: where a kernel charges its work — every counter
+//!   ([`stats::SimStats`]), or only the operational ones, with the cost
+//!   model compiled away ([`stats::ServeLedger`]).
 
 pub mod alloc_count;
 pub mod config;
@@ -34,9 +37,7 @@ pub mod cost;
 pub mod device;
 pub mod lockstep;
 pub mod memory;
-pub mod occupancy;
 pub mod rng;
-pub mod shared;
 pub mod simt;
 pub mod stats;
 pub mod transfer;
@@ -45,5 +46,5 @@ pub mod warp;
 pub use config::{CpuConfig, DeviceConfig};
 pub use device::Device;
 pub use rng::{task_key, Philox};
-pub use stats::SimStats;
+pub use stats::{Ledger, ServeLedger, SimStats};
 pub use warp::WARP_SIZE;

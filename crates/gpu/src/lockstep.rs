@@ -9,7 +9,7 @@
 //! hardware's arbitrary-but-fixed order is modeled here) and counts the
 //! serialization conflicts.
 
-use crate::stats::SimStats;
+use crate::stats::{Ledger, SimStats};
 
 /// Cycles per atomic slot: a global-memory read-modify-write round trip,
 /// occupancy-adjusted. Lanes serialized on the same word each pay one.
@@ -57,32 +57,34 @@ impl LockstepScratch {
 /// hardware serializes on word granularity even when the *bits* differ,
 /// which is why 8-bit words beat 32-bit words (§IV-B) and strided beats
 /// contiguous.
-pub fn lockstep_test_and_set_into(
+pub fn lockstep_test_and_set_into<L: Ledger>(
     bits: &mut [bool],
     requests: &[Option<usize>],
     word_of: impl Fn(usize) -> usize,
     scratch: &mut LockstepScratch,
-    stats: &mut SimStats,
+    stats: &mut L,
 ) {
-    // Count same-word serialization within this round.
     scratch.active.clear();
     scratch
         .active
         .extend(requests.iter().enumerate().filter_map(|(lane, r)| r.map(|bit| (lane, bit))));
 
-    scratch.words.clear();
-    scratch.words.extend(scratch.active.iter().map(|&(_, bit)| word_of(bit)));
-    scratch.words.sort_unstable();
-    for w in scratch.words.chunk_by(|a, b| a == b) {
-        // k lanes on one word: k atomic ops, k-1 serialized behind the first.
-        stats.atomic_conflicts += (w.len() - 1) as u64;
-        // Serialization also costs extra cycles: the round takes as long as
-        // its deepest word queue.
+    // Count same-word serialization within this round: only the cost
+    // model reads the word addresses, so an unmodeled ledger skips them.
+    if L::MODELED {
+        scratch.words.clear();
+        scratch.words.extend(scratch.active.iter().map(|&(_, bit)| word_of(bit)));
+        scratch.words.sort_unstable();
+        let (mut conflicts, mut max_queue) = (0u64, 0u64);
+        for w in scratch.words.chunk_by(|a, b| a == b) {
+            // k lanes on one word: k atomic ops, k-1 serialized behind
+            // the first; the round takes as long as its deepest queue.
+            conflicts += (w.len() - 1) as u64;
+            max_queue = max_queue.max(w.len() as u64);
+        }
+        stats.charge_atomics(scratch.active.len() as u64, conflicts);
+        stats.charge_cycles(ATOMIC_CYCLES * max_queue);
     }
-    let max_queue =
-        scratch.words.chunk_by(|a, b| a == b).map(|c| c.len()).max().unwrap_or(0) as u64;
-    stats.atomic_ops += scratch.active.len() as u64;
-    stats.warp_cycles += ATOMIC_CYCLES * max_queue; // round takes its deepest word queue
 
     // Apply in lane order (lowest lane wins a contended bit).
     scratch.out.clear();

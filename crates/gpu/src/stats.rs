@@ -1,9 +1,21 @@
-//! Work counters for the simulated device.
+//! Work counters for the simulated device, and the ledgers that charge
+//! them.
 //!
 //! Every quantity the paper's evaluation reports is a *ratio of counted
 //! work* (iterations per selection, searches, transfers, kernel-time
 //! imbalance). The samplers accumulate these counters per warp — no shared
 //! atomics on the hot path — and the executor merges them.
+//!
+//! The counters come in two kinds, marked in the one table that declares
+//! them ([`SimStats`]). *Model* counters are the V100 cost model's
+//! charges (warp cycles, scan steps, search probes, global-memory traffic,
+//! atomics): only [`crate::cost`], the paper's figures and the
+//! out-of-memory and multi-GPU timing read them. *Operational* counters
+//! count what a run did (selections, RNG draws, cache and disk traffic,
+//! frontier groups); the benchmark and the service read those. A kernel
+//! charges through a [`Ledger`]: [`SimStats`] keeps both kinds, and
+//! [`ServeLedger`] keeps the operational ones and compiles every model
+//! charge away.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,133 +25,155 @@ use serde::{Deserialize, Serialize};
 /// looking implausibly free on the simulated device.
 pub const GATHER_LATENCY_CYCLES: u64 = 64;
 
-/// Additive counters accumulated while simulating kernels.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq, Eq)]
-pub struct SimStats {
+/// One counter cell: a `u64`, or a histogram's `[u64; N]` buckets, added
+/// field-wise by [`SimStats::merge`].
+trait Cell {
+    fn add(&mut self, other: &Self);
+}
+
+impl Cell for u64 {
+    #[inline]
+    fn add(&mut self, other: &Self) {
+        *self += *other;
+    }
+}
+
+impl<const N: usize> Cell for [u64; N] {
+    #[inline]
+    fn add(&mut self, other: &Self) {
+        for (dst, src) in self.iter_mut().zip(other) {
+            *dst += *src;
+        }
+    }
+}
+
+/// A row's value in the operational copy: kept, or zeroed for a model row.
+macro_rules! operational {
+    (model $v:expr) => {
+        Default::default()
+    };
+    (op $v:expr) => {
+        $v
+    };
+}
+
+/// Generates [`SimStats`], its `merge` and its model/operational split
+/// from one table. A row reads `kind field: type;`, `kind` being `model`
+/// or `op` (see the module docs). An operational counter is one row; a
+/// model counter also needs its charge on [`Ledger`].
+macro_rules! counters {
+    ($( $(#[$doc:meta])* $kind:ident $field:ident : $t:ty; )*) => {
+        /// Additive counters accumulated while simulating kernels.
+        #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq, Eq)]
+        pub struct SimStats {
+            $( $(#[$doc])* pub $field: $t, )*
+        }
+
+        impl SimStats {
+            /// Adds `other` into `self` field-wise.
+            pub fn merge(&mut self, other: &SimStats) {
+                $( Cell::add(&mut self.$field, &other.$field); )*
+            }
+
+            /// This ledger with every model counter zeroed: exactly what a
+            /// [`ServeLedger`] run of the same work keeps.
+            pub fn operational(&self) -> SimStats {
+                SimStats { $( $field: operational!($kind self.$field), )* }
+            }
+        }
+    };
+}
+
+counters! {
     /// Simulated warp compute cycles (lockstep steps weighted by cost).
-    pub warp_cycles: u64,
+    model warp_cycles: u64;
     /// Kogge-Stone scan lockstep steps.
-    pub scan_steps: u64,
+    model scan_steps: u64;
     /// Binary-search probe steps over the CTPS.
-    pub search_steps: u64,
+    model search_steps: u64;
     /// Trips of the SELECT do-while loop (Fig. 5 lines 10–14). The paper's
     /// Fig. 11 metric is `select_iterations / selections`.
-    pub select_iterations: u64,
+    op select_iterations: u64;
     /// Vertices successfully selected.
-    pub selections: u64,
+    op selections: u64;
     /// Collision-detection probes: bitmap bit tests or linear-search
     /// comparisons, depending on the detector (Fig. 12's numerator and
     /// denominator).
-    pub collision_searches: u64,
+    op collision_searches: u64;
     /// Atomic operations issued (CAS/add on bitmap words).
-    pub atomic_ops: u64,
+    model atomic_ops: u64;
     /// Atomic operations serialized behind another lane's access to the
     /// same word within one lockstep round.
-    pub atomic_conflicts: u64,
+    model atomic_conflicts: u64;
     /// Random numbers drawn.
-    pub rng_draws: u64,
+    op rng_draws: u64;
     /// Bytes read from simulated global memory (neighbor lists, CTPS).
-    pub gmem_bytes: u64,
+    model gmem_bytes: u64;
     /// Coalesced 128-byte global memory transactions.
-    pub gmem_transactions: u64,
+    model gmem_transactions: u64;
     /// Edges appended to the sample output.
-    pub sampled_edges: u64,
+    op sampled_edges: u64;
     /// Frontier queue pushes/pops.
-    pub frontier_ops: u64,
+    op frontier_ops: u64;
     /// Static-bias expansions served from a hot-vertex CTPS cache hit
     /// (the CTPS bounds were reused instead of rebuilt).
-    pub ctps_cache_hits: u64,
+    op ctps_cache_hits: u64;
     /// Static-bias expansions that missed the CTPS cache and rebuilt.
-    pub ctps_cache_misses: u64,
+    op ctps_cache_misses: u64;
     /// Expansions the adaptive method chooser sent to inverse transform
     /// sampling. `method_its + method_rejection` counts exactly the
     /// expansions where the chooser ran (dynamic-bias, per-vertex, with
     /// replacement, under `Adaptive`); the `ForceIts` policy leaves both
     /// at zero.
-    pub method_its: u64,
+    op method_its: u64;
     /// Adaptive expansions served by bounded rejection (dartboard) trials.
-    pub method_rejection: u64,
+    op method_rejection: u64;
     /// Total rejection throws across `method_rejection` expansions
     /// (accepted + rejected); trials / accepts is the live skew signal the
     /// chooser feeds back on.
-    pub rejection_trials: u64,
+    op rejection_trials: u64;
     /// Decoded-run pool lookups by the disk tier (one per adjacency gather
     /// or point read through a `DiskAccess`; zero unless a run is
     /// disk-backed).
-    pub disk_pool_lookups: u64,
+    op disk_pool_lookups: u64;
     /// Disk-tier lookups served by an already-decoded resident vertex run.
-    pub disk_pool_hits: u64,
+    op disk_pool_hits: u64;
     /// Disk-tier lookups that no resident run served: decoded, or read in
     /// place (`disk_pool_lookups == disk_pool_hits + disk_pool_misses`).
-    pub disk_pool_misses: u64,
+    op disk_pool_misses: u64;
     /// Decoded vertex runs evicted from the pool by the clock sweep.
-    pub disk_pool_evictions: u64,
+    op disk_pool_evictions: u64;
     /// RAM bytes produced by disk-tier decodes (each decoding miss
     /// decodes one vertex's run; a point read decodes nothing).
-    pub disk_decode_bytes: u64,
+    op disk_decode_bytes: u64;
     /// Simulated 4 KiB page faults charged for reading mapped segments
     /// during decodes and point reads.
-    pub disk_mmap_faults: u64,
+    op disk_mmap_faults: u64;
     /// Vertex-groups formed by the depth-synchronous frontier (one group
     /// per distinct current vertex per depth per chunk; zero under
     /// instance-major execution).
-    pub batch_groups: u64,
+    op batch_groups: u64;
     /// Frontier entries that passed through vertex-grouped expansion
     /// (`batch_group_entries / batch_groups` is the mean co-location
     /// factor — the number of walkers that shared one gather).
-    pub batch_group_entries: u64,
+    op batch_group_entries: u64;
     /// Log2-bucketed histogram of vertex-group sizes: bucket `i` counts
     /// groups with `2^i <= size < 2^(i+1)`; the last bucket absorbs the
     /// tail (`size >= 128`).
-    pub batch_group_hist: [u64; 8],
+    op batch_group_hist: [u64; 8];
     /// Vertex-groups whose CSR row was software-prefetched far enough
     /// ahead to be resident when the group expanded (coverage model: every
     /// group beyond the prefetch distance in its depth counts as a hit).
-    pub batch_prefetch_hits: u64,
+    op batch_prefetch_hits: u64;
     /// Vertex-groups expanded before the prefetch pipeline warmed up (the
     /// first `prefetch_distance` groups of each depth).
-    pub batch_prefetch_misses: u64,
+    op batch_prefetch_misses: u64;
 }
 
 impl SimStats {
     /// A zeroed counter set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds `other` into `self` field-wise.
-    pub fn merge(&mut self, other: &SimStats) {
-        self.warp_cycles += other.warp_cycles;
-        self.scan_steps += other.scan_steps;
-        self.search_steps += other.search_steps;
-        self.select_iterations += other.select_iterations;
-        self.selections += other.selections;
-        self.collision_searches += other.collision_searches;
-        self.atomic_ops += other.atomic_ops;
-        self.atomic_conflicts += other.atomic_conflicts;
-        self.rng_draws += other.rng_draws;
-        self.gmem_bytes += other.gmem_bytes;
-        self.gmem_transactions += other.gmem_transactions;
-        self.sampled_edges += other.sampled_edges;
-        self.frontier_ops += other.frontier_ops;
-        self.ctps_cache_hits += other.ctps_cache_hits;
-        self.ctps_cache_misses += other.ctps_cache_misses;
-        self.method_its += other.method_its;
-        self.method_rejection += other.method_rejection;
-        self.rejection_trials += other.rejection_trials;
-        self.disk_pool_lookups += other.disk_pool_lookups;
-        self.disk_pool_hits += other.disk_pool_hits;
-        self.disk_pool_misses += other.disk_pool_misses;
-        self.disk_pool_evictions += other.disk_pool_evictions;
-        self.disk_decode_bytes += other.disk_decode_bytes;
-        self.disk_mmap_faults += other.disk_mmap_faults;
-        self.batch_groups += other.batch_groups;
-        self.batch_group_entries += other.batch_group_entries;
-        for (dst, src) in self.batch_group_hist.iter_mut().zip(other.batch_group_hist.iter()) {
-            *dst += *src;
-        }
-        self.batch_prefetch_hits += other.batch_prefetch_hits;
-        self.batch_prefetch_misses += other.batch_prefetch_misses;
     }
 
     /// Records one vertex-group of `size` co-located frontier entries in
@@ -176,19 +210,6 @@ impl SimStats {
             self.atomic_conflicts as f64 / self.atomic_ops as f64
         }
     }
-
-    /// Records a *dependent* global-memory gather of `bytes` bytes issued
-    /// by a warp (e.g. fetching a neighbor list whose address was just
-    /// computed), charging 128-byte coalesced transactions plus the
-    /// occupancy-adjusted latency of one dependent round trip
-    /// ([`GATHER_LATENCY_CYCLES`]). Sampling gathers chain — the next
-    /// vertex isn't known until this one resolves — so unlike streaming
-    /// loads this latency cannot be fully hidden.
-    pub fn read_gmem(&mut self, bytes: usize) {
-        self.gmem_bytes += bytes as u64;
-        self.gmem_transactions += bytes.div_ceil(128) as u64;
-        self.warp_cycles += GATHER_LATENCY_CYCLES;
-    }
 }
 
 impl std::ops::Add for SimStats {
@@ -202,6 +223,167 @@ impl std::iter::Sum for SimStats {
     fn sum<I: Iterator<Item = SimStats>>(iter: I) -> SimStats {
         iter.fold(SimStats::new(), SimStats::merged)
     }
+}
+
+/// Where a kernel's counted work goes. The `charge_*` methods and
+/// [`Ledger::read_gmem`] are the V100 cost model's charges, one per model
+/// counter family; [`Ledger::ops`] reaches the operational counters,
+/// which every ledger keeps. Kernel code that is generic over the ledger
+/// charges the model only through these methods and writes only
+/// operational fields through `ops()`, so a [`ServeLedger`] run keeps
+/// every operational counter of the modeled run and none of the model.
+pub trait Ledger: Clone + Default + PartialEq + std::fmt::Debug {
+    /// True when the ledger keeps the model counters: code that computes
+    /// a charge's input only to charge it can skip the work when false.
+    const MODELED: bool;
+
+    /// The counters kept so far (model counters read zero unmodeled).
+    fn counters(&self) -> &SimStats;
+
+    /// The operational counters, for the kernel to count into.
+    fn ops(&mut self) -> &mut SimStats;
+
+    /// The counters, as a plain [`SimStats`].
+    fn into_stats(self) -> SimStats;
+
+    /// Charges `cycles` warp cycles.
+    fn charge_cycles(&mut self, cycles: u64);
+
+    /// Charges `steps` Kogge-Stone lockstep steps, a warp cycle each.
+    fn charge_scan_steps(&mut self, steps: u64);
+
+    /// Charges what [`crate::warp::inclusive_scan`] charges for `n` lanes
+    /// ([`crate::warp::scan_steps`]), without scanning anything.
+    fn charge_scan(&mut self, n: usize);
+
+    /// Charges `probes` binary-search probes of the CTPS.
+    fn charge_probes(&mut self, probes: u64);
+
+    /// Charges the probes a search over `n` regions makes to reach
+    /// insertion point `p` ([`crate::warp::region_search_probes`]).
+    fn charge_search(&mut self, n: usize, p: usize);
+
+    /// Records a *dependent* global-memory gather of `bytes` bytes issued
+    /// by a warp (e.g. fetching a neighbor list whose address was just
+    /// computed), charging 128-byte coalesced transactions plus the
+    /// occupancy-adjusted latency of one dependent round trip
+    /// ([`GATHER_LATENCY_CYCLES`]). Sampling gathers chain — the next
+    /// vertex isn't known until this one resolves — so unlike streaming
+    /// loads this latency cannot be fully hidden.
+    fn read_gmem(&mut self, bytes: usize);
+
+    /// Charges `ops` atomic operations, `conflicts` of them serialized
+    /// behind another lane's access to the same word.
+    fn charge_atomics(&mut self, ops: u64, conflicts: u64);
+}
+
+/// The modeling ledger: every counter, model ones included — what the
+/// paper's figures, the goldens and the out-of-memory runtime read.
+impl Ledger for SimStats {
+    const MODELED: bool = true;
+
+    #[inline(always)]
+    fn counters(&self) -> &SimStats {
+        self
+    }
+
+    #[inline(always)]
+    fn ops(&mut self) -> &mut SimStats {
+        self
+    }
+
+    #[inline(always)]
+    fn into_stats(self) -> SimStats {
+        self
+    }
+
+    #[inline]
+    fn charge_cycles(&mut self, cycles: u64) {
+        self.warp_cycles += cycles;
+    }
+
+    #[inline]
+    fn charge_scan_steps(&mut self, steps: u64) {
+        self.scan_steps += steps;
+        self.warp_cycles += steps;
+    }
+
+    #[inline]
+    fn charge_scan(&mut self, n: usize) {
+        self.charge_scan_steps(crate::warp::scan_steps(n));
+    }
+
+    #[inline]
+    fn charge_probes(&mut self, probes: u64) {
+        self.search_steps += probes;
+        self.warp_cycles += probes * crate::warp::SEARCH_PROBE_CYCLES;
+    }
+
+    #[inline]
+    fn charge_search(&mut self, n: usize, p: usize) {
+        self.charge_probes(crate::warp::region_search_probes(n, p));
+    }
+
+    #[inline]
+    fn read_gmem(&mut self, bytes: usize) {
+        self.gmem_bytes += bytes as u64;
+        self.gmem_transactions += bytes.div_ceil(128) as u64;
+        self.warp_cycles += GATHER_LATENCY_CYCLES;
+    }
+
+    #[inline]
+    fn charge_atomics(&mut self, ops: u64, conflicts: u64) {
+        self.atomic_ops += ops;
+        self.atomic_conflicts += conflicts;
+    }
+}
+
+/// The serving ledger: the operational counters of a [`SimStats`], with
+/// every model charge an empty function, so a served step runs no cost
+/// model arithmetic and no data-dependent probe count. Its model counters
+/// stay zero ([`SimStats::operational`] of the modeled run's).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct ServeLedger(SimStats);
+
+impl Ledger for ServeLedger {
+    const MODELED: bool = false;
+
+    #[inline(always)]
+    fn counters(&self) -> &SimStats {
+        &self.0
+    }
+
+    #[inline(always)]
+    fn ops(&mut self) -> &mut SimStats {
+        &mut self.0
+    }
+
+    #[inline(always)]
+    fn into_stats(self) -> SimStats {
+        self.0
+    }
+
+    #[inline(always)]
+    fn charge_cycles(&mut self, _cycles: u64) {}
+
+    #[inline(always)]
+    fn charge_scan_steps(&mut self, _steps: u64) {}
+
+    #[inline(always)]
+    fn charge_scan(&mut self, _n: usize) {}
+
+    #[inline(always)]
+    fn charge_probes(&mut self, _probes: u64) {}
+
+    #[inline(always)]
+    fn charge_search(&mut self, _n: usize, _p: usize) {}
+
+    #[inline(always)]
+    fn read_gmem(&mut self, _bytes: usize) {}
+
+    #[inline(always)]
+    fn charge_atomics(&mut self, _ops: u64, _conflicts: u64) {}
 }
 
 #[cfg(test)]
@@ -263,6 +445,40 @@ mod tests {
         t.merge(&s);
         assert_eq!(t.batch_group_hist, [1, 2, 1, 0, 0, 0, 1, 2]);
         assert_eq!(t.batch_groups, 7);
+    }
+
+    /// Every model charge once, plus one operational count.
+    fn charge_everything<L: Ledger>(ledger: &mut L) {
+        ledger.charge_cycles(3);
+        ledger.charge_scan_steps(2);
+        ledger.charge_scan(40);
+        ledger.charge_probes(2);
+        ledger.charge_search(10, 3);
+        ledger.read_gmem(200);
+        ledger.charge_atomics(4, 1);
+        ledger.ops().rng_draws += 5;
+    }
+
+    #[test]
+    fn the_table_splits_model_from_operational_counters() {
+        let mut modeled = SimStats::new();
+        charge_everything(&mut modeled);
+        let m = &modeled;
+        let model = [
+            m.warp_cycles,
+            m.scan_steps,
+            m.search_steps,
+            m.atomic_ops,
+            m.atomic_conflicts,
+            m.gmem_bytes,
+            m.gmem_transactions,
+        ];
+        assert!(model.iter().all(|&v| v > 0), "{modeled:?}");
+        // Zeroing the model rows leaves only the one operational count.
+        assert_eq!(modeled.operational(), SimStats { rng_draws: 5, ..SimStats::new() });
+        let mut served = ServeLedger::default();
+        charge_everything(&mut served);
+        assert_eq!(served.into_stats(), modeled.operational());
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl TransferEngine {
         }
     }
 
-    /// Number of streams.
-    pub fn num_streams(&self) -> usize {
-        self.stream_ready.len()
-    }
-
     /// Duration of a copy of `bytes` at PCIe bandwidth.
     pub fn copy_seconds(&self, bytes: usize) -> f64 {
         bytes as f64 / (self.pcie_gbps * 1e9)
@@ -124,11 +119,6 @@ impl TransferEngine {
     /// Time at which every stream has drained.
     pub fn sync_all(&self) -> f64 {
         self.stream_ready.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Time at which `stream` has drained.
-    pub fn stream_time(&self, stream: usize) -> f64 {
-        self.stream_ready[stream]
     }
 }
 

@@ -14,7 +14,7 @@
 //! plus one carry-propagation step per tile, exactly as a tiled warp scan
 //! does on hardware.
 
-use crate::stats::SimStats;
+use crate::stats::{Ledger, SimStats};
 
 /// Lanes per warp — fixed at 32 on every NVIDIA architecture the paper
 /// targets.
@@ -42,8 +42,8 @@ pub const LOG_WARP_SIZE: u32 = 5;
 /// tile runs the generic round loop. Both perform the same adds in the
 /// same order as [`inclusive_scan_by_rounds`], so the result is
 /// bit-identical to it (debug builds check every full tile) and the
-/// charges are exactly [`scan_cost`]`(vals.len())`.
-pub fn inclusive_scan(vals: &mut [f64], stats: &mut SimStats) {
+/// charges are exactly [`scan_steps`]`(vals.len())` steps.
+pub fn inclusive_scan<L: Ledger>(vals: &mut [f64], stats: &mut L) {
     let mut carry = 0.0;
     let mut tiles = vals.chunks_exact_mut(WARP_SIZE);
     for tile in &mut tiles {
@@ -64,8 +64,7 @@ pub fn inclusive_scan(vals: &mut [f64], stats: &mut SimStats) {
                 "unrolled Kogge-Stone tile diverged from the round loop"
             );
         }
-        stats.scan_steps += LOG_WARP_SIZE as u64;
-        stats.warp_cycles += LOG_WARP_SIZE as u64;
+        stats.charge_scan_steps(LOG_WARP_SIZE as u64);
         carry = broadcast_carry(tile, carry, stats);
     }
     let rest = tiles.into_remainder();
@@ -78,7 +77,7 @@ pub fn inclusive_scan(vals: &mut [f64], stats: &mut SimStats) {
 /// The reference for [`inclusive_scan`]: every tile, full or partial,
 /// through the generic round loop. An oracle for tests and
 /// `debug_assert`s, never a path.
-pub fn inclusive_scan_by_rounds(vals: &mut [f64], stats: &mut SimStats) {
+pub fn inclusive_scan_by_rounds<L: Ledger>(vals: &mut [f64], stats: &mut L) {
     let mut carry = 0.0;
     for tile in vals.chunks_mut(WARP_SIZE) {
         ks_rounds(tile, stats);
@@ -99,7 +98,7 @@ fn ks_round<const D: usize>(tile: &mut [f64; WARP_SIZE]) {
 
 /// The Kogge-Stone rounds of one tile of any length, charged a lockstep
 /// step per round.
-fn ks_rounds(tile: &mut [f64], stats: &mut SimStats) {
+fn ks_rounds<L: Ledger>(tile: &mut [f64], stats: &mut L) {
     // Lane i adds lane i-d's value from the previous round. Descending
     // iteration preserves read-before-write.
     let mut d = 1;
@@ -108,40 +107,38 @@ fn ks_rounds(tile: &mut [f64], stats: &mut SimStats) {
             tile[i] += tile[i - d];
         }
         d <<= 1;
-        stats.scan_steps += 1;
-        stats.warp_cycles += 1;
+        stats.charge_scan_steps(1);
     }
     if tile.len() == 1 {
         // A 1-element tile still costs a step on hardware (predicated).
-        stats.scan_steps += 1;
-        stats.warp_cycles += 1;
+        stats.charge_scan_steps(1);
     }
 }
 
 /// Adds the running `carry` to a scanned tile and returns the next one.
 /// The broadcast costs one step whether or not the carry is zero.
 #[inline]
-fn broadcast_carry(tile: &mut [f64], carry: f64, stats: &mut SimStats) -> f64 {
+fn broadcast_carry<L: Ledger>(tile: &mut [f64], carry: f64, stats: &mut L) -> f64 {
     if carry != 0.0 {
         for v in tile.iter_mut() {
             *v += carry;
         }
     }
-    stats.scan_steps += 1;
-    stats.warp_cycles += 1;
+    stats.charge_scan_steps(1);
     tile[tile.len() - 1]
 }
 
-/// Charges exactly the lockstep steps [`inclusive_scan`] would charge for
-/// an `n`-element scan, without touching any data. Used by closed-form
-/// paths (uniform bias) that skip materializing the CTPS but must keep the
-/// cost model bit-identical to the scanning path.
+/// The lockstep steps [`inclusive_scan`] charges for an `n`-element scan,
+/// computed without touching any data ([`Ledger::charge_scan`] charges
+/// them). Used by closed-form paths (uniform bias) that skip
+/// materializing the CTPS but must keep the cost model bit-identical to
+/// the scanning path.
 ///
 /// O(1): a tile of `t` lanes costs `ceil(log2 t)` Kogge-Stone rounds, one
 /// predicated step when `t == 1`, and one carry broadcast; `n` elements
 /// are `n / 32` full tiles (5 + 1 steps each) and at most one partial
 /// tile. Debug builds check the sum against [`scan_cost_by_tiles`].
-pub fn scan_cost(n: usize, stats: &mut SimStats) {
+pub fn scan_steps(n: usize) -> u64 {
     let mut steps = (n / WARP_SIZE) as u64 * (LOG_WARP_SIZE as u64 + 1);
     let t = n % WARP_SIZE;
     if t > 0 {
@@ -155,11 +152,10 @@ pub fn scan_cost(n: usize, stats: &mut SimStats) {
         scan_cost_by_tiles(n, &mut oracle);
         debug_assert_eq!((steps, steps), (oracle.scan_steps, oracle.warp_cycles), "n={n}");
     }
-    stats.scan_steps += steps;
-    stats.warp_cycles += steps;
+    steps
 }
 
-/// The reference for [`scan_cost`]: walks the tiles and charges step by
+/// The reference for [`scan_steps`]: walks the tiles and charges step by
 /// step, the way [`inclusive_scan`] does. O(n) — an oracle for tests and
 /// `debug_assert`s, never a path.
 pub fn scan_cost_by_tiles(n: usize, stats: &mut SimStats) {
@@ -372,7 +368,7 @@ mod tests {
         [255, 256, 257, 1000, 4095, 4096, 65_537, (1 << 20) + 1, (1 << 31) - 1];
 
     #[test]
-    fn scan_cost_matches_inclusive_scan_charges() {
+    fn scan_steps_match_inclusive_scan_charges() {
         for n in (0..=200).chain(LARGE_N) {
             let mut expect = SimStats::new();
             if n <= (1 << 20) + 1 {
@@ -382,7 +378,7 @@ mod tests {
                 scan_cost_by_tiles(n, &mut expect);
             }
             let mut charged = SimStats::new();
-            scan_cost(n, &mut charged);
+            charged.charge_scan(n);
             assert_eq!(charged, expect, "n={n}");
         }
     }
@@ -408,7 +404,7 @@ mod tests {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&tiled), bits(&oracle), "n={n} lane {i}");
                 let mut expect = SimStats::new();
-                scan_cost(n, &mut expect);
+                expect.charge_scan(n);
                 assert_eq!(charged, expect, "n={n}");
                 if i == 1 && n >= 4 {
                     assert_eq!(tiled.last(), Some(&f64::INFINITY), "n={n}");

@@ -23,6 +23,7 @@ use csaw_core::SampleOutput;
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::{gpu_kernel_seconds_with_slots, makespan_seconds};
 use csaw_gpu::stats::SimStats;
+use csaw_gpu::Device;
 use csaw_graph::{Csr, VertexId};
 use rayon::prelude::*;
 
@@ -68,11 +69,6 @@ pub struct MultiGpu {
 }
 
 impl MultiGpu {
-    /// A Summit-node-like 6-GPU setup.
-    pub fn summit_node() -> Self {
-        MultiGpu { num_gpus: 6, device: DeviceConfig::v100() }
-    }
-
     /// `n` V100s.
     pub fn new(num_gpus: usize) -> Self {
         assert!(num_gpus >= 1);
@@ -108,7 +104,10 @@ impl MultiGpu {
             .into_par_iter()
             .map(|(base, chunk)| {
                 let group_opts = RunOptions { instance_base: base, ..opts.clone() };
-                let out = Sampler::new(graph, algo).with_options(group_opts).run(chunk);
+                let out = Sampler::new(graph, algo)
+                    .with_device(Device::with_config(self.device))
+                    .with_options(group_opts)
+                    .run(chunk);
                 // Saturation model: a group smaller than the device's
                 // resident warp capacity leaves warp slots idle; the
                 // wavefront makespan additionally surfaces straggler

@@ -56,7 +56,7 @@ use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds_with_slots;
 use csaw_gpu::device::Device;
 use csaw_gpu::memory::DeviceMemory;
-use csaw_gpu::stats::SimStats;
+use csaw_gpu::stats::{Ledger, SimStats};
 use csaw_gpu::transfer::TransferEngine;
 use csaw_graph::{Csr, Partition, PartitionSet, VertexId};
 use std::collections::{HashMap, HashSet};
@@ -184,12 +184,12 @@ impl FrontierSink for StreamSink<'_> {
         self.edges.push((local, edge));
     }
 
-    fn push(
+    fn push<L: Ledger>(
         &mut self,
         entry: &StepEntry,
         vertex: VertexId,
         prev: Option<VertexId>,
-        stats: &mut SimStats,
+        stats: &mut L,
     ) {
         if self.parts.partition_of(vertex) != self.partition {
             self.outbox.push(Outbound {
@@ -207,7 +207,7 @@ impl FrontierSink for StreamSink<'_> {
                 return;
             }
         }
-        stats.frontier_ops += 1;
+        stats.ops().frontier_ops += 1;
         self.queue.push(FrontierEntry {
             vertex,
             instance: entry.instance,

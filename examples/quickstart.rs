@@ -8,6 +8,7 @@
 use csaw::core::algorithms::{BiasedRandomWalk, Node2Vec, Snowball, UnbiasedNeighborSampling};
 use csaw::core::engine::Sampler;
 use csaw::gpu::config::DeviceConfig;
+use csaw::gpu::Device;
 use csaw::graph::generators::toy_graph;
 
 fn main() {
@@ -34,12 +35,14 @@ fn main() {
     let out = Sampler::new(&g, &snow).run_single_seeds(&[8]);
     println!("snowball depth 1 from v8: {:?}", out.instances[0]);
 
-    // 4. A node2vec walk that likes going home (small p).
+    // 4. A node2vec walk that likes going home (small p), modeled on a
+    //    V100: a sampler with a device attached charges the paper's cost
+    //    model, so its output carries simulated kernel time.
     let n2v = Node2Vec { length: 8, p: 0.25, q: 4.0 };
-    let out = Sampler::new(&g, &n2v).run_single_seeds(&[0]);
+    let out = Sampler::new(&g, &n2v).with_device(Device::v100()).run_single_seeds(&[0]);
     println!("node2vec (p=0.25, q=4) from v0: {:?}", out.instances[0]);
 
-    // Every run reports the simulated device work it did.
+    // The modeled run reports the simulated device work it did.
     let dev = DeviceConfig::v100();
     println!(
         "\nlast run: {} sampled edges, {} RNG draws, {:.3} µs simulated kernel time",

@@ -14,6 +14,7 @@
 use csaw::core::engine::{ExecMode, RunOptions, Sampler};
 use csaw::core::AlgoSpec;
 use csaw::gpu::stats::SimStats;
+use csaw::gpu::Device;
 use csaw::graph::{Csr, CsrBuilder};
 use csaw::oom::{OomConfig, OomRunner};
 use csaw::service::{SamplingRequest, SamplingService, ServiceConfig};
@@ -75,10 +76,13 @@ proptest! {
     ) {
         let algo = algo_spec(choice).build().unwrap();
         let algo: &dyn csaw::core::api::Algorithm = algo.as_ref();
+        // Both modeled, so the charge identity covers the cost model too.
         let reference = Sampler::new(&g, &algo)
+            .with_device(Device::v100())
             .with_options(RunOptions { seed: rng_seed, ..Default::default() })
             .run(&seed_sets);
         let batched = Sampler::new(&g, &algo)
+            .with_device(Device::v100())
             .with_options(RunOptions {
                 seed: rng_seed,
                 exec: ExecMode::DepthSync,

@@ -18,7 +18,7 @@ use csaw::core::residency::{
 };
 use csaw::core::step::StepScratch;
 use csaw::core::{AlgoSpec, Algorithm, SampleOutput};
-use csaw::gpu::stats::SimStats;
+use csaw::gpu::stats::{ServeLedger, SimStats};
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::graph::reorder::{degree_order, relabel};
 use csaw::graph::store::write_store;
@@ -158,7 +158,7 @@ fn a_full_budget_pool_never_evicts_and_out_hits_every_smaller_budget() {
             let cfg = DiskRunConfig { store: Arc::clone(&store), pool_budget, shared: None };
             let mut access = DiskAccess::new(&cfg);
             for (i, &s) in seeds.iter().enumerate() {
-                drive_instance(&mut access, &algo, &opts, i as u32, &[s]);
+                drive_instance::<_, ServeLedger>(&mut access, &algo, &opts, i as u32, &[s]);
             }
             (pct, access.snapshot())
         })

@@ -25,7 +25,7 @@ use csaw::core::method::MethodPolicy;
 use csaw::core::select::{select_one, select_one_rejection};
 use csaw::core::step::{CsrAccess, StepKernel, StepScratch};
 use csaw::gpu::stats::SimStats;
-use csaw::gpu::Philox;
+use csaw::gpu::{Device, Philox};
 use csaw::graph::generators::{rmat, toy_graph, RmatParams};
 use csaw::graph::quality::chi_square_stat;
 use csaw::graph::{Csr, CsrBuilder, VertexId};
@@ -278,8 +278,9 @@ fn force_its_is_bit_identical_to_the_default_for_all_algorithms() {
 /// algorithm but node2vec — the one with an `edge_bias_bound` — it is the
 /// `ForceIts` run bit for bit, the same instances and the same `SimStats`
 /// (the chooser never runs, so even its two counters stay zero), with and
-/// without a CTPS cache, instance-major and depth-synchronous. One worker
-/// thread, so the cache's hit/miss counts repeat exactly.
+/// without a CTPS cache, instance-major and depth-synchronous. Both runs
+/// are modeled, so the equality covers the cost model's charges too. One
+/// worker thread, so the cache's hit/miss counts repeat exactly.
 #[test]
 fn adaptive_equals_force_its_except_node2vec() {
     let g = rmat(9, 8, RmatParams::MILD, 11);
@@ -293,7 +294,9 @@ fn adaptive_equals_force_its_except_node2vec() {
             for cache in [false, true] {
                 let run = |policy| {
                     let opts = RunOptions { exec, ..toy_opts(policy, cache) };
-                    pool.install(|| Sampler::new(&g, &algo).with_options(opts).run(&sets))
+                    let sampler =
+                        Sampler::new(&g, &algo).with_options(opts).with_device(Device::v100());
+                    pool.install(|| sampler.run(&sets))
                 };
                 let (its, adaptive) = (run(MethodPolicy::ForceIts), run(MethodPolicy::Adaptive));
                 let what = format!("{} ({exec:?}, cache={cache})", algo.name());

@@ -10,7 +10,8 @@
 //! counter's map, and a whole simple-walk instance through the engine's
 //! own driver allocates its output vector and its pool buffers, no more.
 //! The adaptive method's rejection path, with its capped-out ITS
-//! fallback, is held to the same zero.
+//! fallback, is held to the same zero. Every gate runs under both
+//! ledgers: the modeling [`SimStats`] and the serving [`ServeLedger`].
 //!
 //! The binary holds a single `#[test]` on purpose: the counting allocator
 //! is process-global, and a concurrent test thread allocating during the
@@ -30,7 +31,7 @@ use csaw::core::step::{
     TrialCounter,
 };
 use csaw::gpu::alloc_count::CountingAllocator;
-use csaw::gpu::stats::SimStats;
+use csaw::gpu::stats::{Ledger, ServeLedger, SimStats};
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::graph::store::write_store;
 use csaw::graph::{Csr, DiskStore, EdgeEdit, MutableGraph, VertexId};
@@ -42,10 +43,10 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 /// Reusable driver state, cleared (never dropped) between repetitions so
 /// steady-state repetitions run entirely in warmed capacity.
 #[derive(Default)]
-struct DriverBufs {
+struct DriverBufs<L> {
     pool: PoolBufs,
     out: Vec<(VertexId, VertexId)>,
-    stats: SimStats,
+    stats: L,
     scratch: StepScratch,
 }
 
@@ -53,11 +54,11 @@ struct DriverBufs {
 /// chunks, each through the engine's own per-instance depth loop.
 /// Deterministic (draws keyed by task), so every repetition performs
 /// identical work. Returns kernel step invocations.
-fn run_rep(
+fn run_rep<L: Ledger>(
     kernel: &StepKernel<'_>,
     access: &mut impl NeighborAccess,
     chunks: &[Vec<VertexId>],
-    b: &mut DriverBufs,
+    b: &mut DriverBufs<L>,
 ) -> u64 {
     let mut steps = 0u64;
     for (inst, seeds) in chunks.iter().enumerate() {
@@ -86,7 +87,7 @@ fn run_rep(
 /// Two warm-ups, not one: the pool/frontier double buffer swaps roles
 /// when a repetition performs an odd number of depth steps, so the
 /// second pass warms the other parity's capacities.
-fn gate_all<A: NeighborAccess>(
+fn gate_all<A: NeighborAccess, L: Ledger>(
     g: &Csr,
     access: &mut A,
     tag: &str,
@@ -119,7 +120,7 @@ fn gate_all<A: NeighborAccess>(
         let kernel = StepKernel::new(&*algo, 0x5eed)
             .with_select(SelectConfig::paper_best())
             .with_ctps_cache(cached.then_some(&cache));
-        let mut bufs = DriverBufs::default();
+        let mut bufs = DriverBufs::<L>::default();
 
         let warm1 = run_rep(&kernel, access, &chunks, &mut bufs);
         let warm2 = run_rep(&kernel, access, &chunks, &mut bufs);
@@ -151,7 +152,7 @@ fn gate_all<A: NeighborAccess>(
 /// batched depth allocates exactly as much as an instance-major one:
 /// nothing. No CTPS cache here so static-bias algorithms take the
 /// group-shared source (`prepare_group`).
-fn gate_batched(g: &Csr, access: &mut impl NeighborAccess) {
+fn gate_batched<L: Ledger>(g: &Csr, access: &mut impl NeighborAccess) {
     let n = g.num_vertices() as VertexId;
 
     for id in AlgorithmId::ALL {
@@ -174,20 +175,20 @@ fn gate_batched(g: &Csr, access: &mut impl NeighborAccess) {
         let mut arena = BatchArena::new();
         let mut scratch = StepScratch::new();
         let mut outs = vec![Vec::new(); chunk.len()];
-        let mut per_inst = vec![SimStats::new(); chunk.len()];
-        fn rep<N: NeighborAccess>(
+        let mut per_inst = vec![L::default(); chunk.len()];
+        fn rep<N: NeighborAccess, L: Ledger>(
             kernel: &StepKernel<'_>,
             chunk: &[ChunkInstance<'_>],
             access: &mut N,
             outs: &mut [Vec<(VertexId, VertexId)>],
-            per_inst: &mut [SimStats],
+            per_inst: &mut [L],
             arena: &mut BatchArena,
             scratch: &mut StepScratch,
         ) -> usize {
             for o in outs.iter_mut() {
                 o.clear();
             }
-            per_inst.fill(SimStats::new());
+            per_inst.fill(L::default());
             run_chunk(kernel, access, chunk, 8, outs, per_inst, arena, scratch);
             outs.iter().map(Vec::len).sum::<usize>()
         }
@@ -206,8 +207,8 @@ fn gate_batched(g: &Csr, access: &mut impl NeighborAccess) {
 
         assert_eq!(edges, warm1, "{}/batched: repetitions must be identical", id.name());
         assert!(edges > 0, "{}/batched: workload must actually sample", id.name());
-        let total: SimStats = per_inst.iter().copied().sum();
-        assert!(total.batch_groups > 0, "{}/batched: must form groups", id.name());
+        let groups: u64 = per_inst.iter().map(|l| l.counters().batch_groups).sum();
+        assert!(groups > 0, "{}/batched: must form groups", id.name());
         assert_eq!(
             delta.allocations,
             0,
@@ -226,7 +227,7 @@ fn gate_batched(g: &Csr, access: &mut impl NeighborAccess) {
 /// warm arena. The drain used to build its task keys, Philox blocks,
 /// sort order, group starts, emits, offers and spans in fresh vectors
 /// per batch; through [`expand_frontier`] it allocates nothing.
-fn gate_drained_batch(g: &Csr, access: &mut impl NeighborAccess) {
+fn gate_drained_batch<L: Ledger>(g: &Csr, access: &mut impl NeighborAccess) {
     let n = g.num_vertices() as VertexId;
     for id in AlgorithmId::ALL {
         let spec = if id.uses_walk_length() {
@@ -249,7 +250,7 @@ fn gate_drained_batch(g: &Csr, access: &mut impl NeighborAccess) {
             .collect();
         let mut arena = BatchArena::new();
         let mut scratch = StepScratch::new();
-        let mut ledger = [SimStats::new()];
+        let mut ledger = [L::default()];
         let mut edges = [0usize; 3];
         let mut allocations = 0;
         for (rep, edges) in edges.iter_mut().enumerate() {
@@ -263,7 +264,8 @@ fn gate_drained_batch(g: &Csr, access: &mut impl NeighborAccess) {
         }
         assert_eq!(edges[2], edges[0], "{}/drained: repetitions must be identical", id.name());
         assert!(edges[2] > 0, "{}/drained: workload must actually sample", id.name());
-        assert!(ledger[0].batch_groups > 0, "{}/drained: must form groups", id.name());
+        let groups = ledger[0].counters().batch_groups;
+        assert!(groups > 0, "{}/drained: must form groups", id.name());
         assert_eq!(
             allocations,
             0,
@@ -297,7 +299,7 @@ fn gate_singleton_trials() {
 /// warm thread arena: three allocations — the output vector, reserved
 /// once at its full length, and the two buffers of the pool. Nothing per
 /// step, and no trial map.
-fn gate_whole_walk(g: &Csr) {
+fn gate_whole_walk<L: Ledger>(g: &Csr) {
     const DEPTH: usize = 80;
     let algo = AlgoSpec::new(AlgorithmId::SimpleRandomWalk)
         .with_depth(DEPTH)
@@ -306,9 +308,9 @@ fn gate_whole_walk(g: &Csr) {
     let opts = RunOptions::default();
     let hub = (0..g.num_vertices() as VertexId).max_by_key(|&v| g.degree(v)).expect("vertices");
     let mut access = CsrAccess { graph: g };
-    let warm = drive_instance(&mut access, &*algo, &opts, 0, &[hub]);
+    let warm = drive_instance::<_, L>(&mut access, &*algo, &opts, 0, &[hub]);
     let before = ALLOC.snapshot();
-    let (out, _stats) = drive_instance(&mut access, &*algo, &opts, 0, &[hub]);
+    let (out, _stats) = drive_instance::<_, L>(&mut access, &*algo, &opts, 0, &[hub]);
     let delta = ALLOC.snapshot().since(&before);
     assert_eq!(out, warm.0, "same instance, same walk");
     assert!(out.len() > 1, "the walk must actually step");
@@ -333,7 +335,7 @@ impl FrontierSink for Tally {
         self.emits += 1;
     }
 
-    fn push(&mut self, _e: &StepEntry, _v: VertexId, _p: Option<VertexId>, _s: &mut SimStats) {
+    fn push<L: Ledger>(&mut self, _e: &StepEntry, _v: VertexId, _p: Option<VertexId>, _s: &mut L) {
         self.offers += 1;
     }
 }
@@ -345,7 +347,7 @@ impl FrontierSink for Tally {
 /// bound is 1/p, no candidate's bias comes near it, so every throw
 /// misses, the cap runs out, and each pick falls back to the ITS lane.
 /// Neither may allocate.
-fn gate_rejection(g: &Csr) {
+fn gate_rejection<L: Ledger>(g: &Csr) {
     let n = g.num_vertices() as VertexId;
     let mut access = CsrAccess { graph: g };
 
@@ -355,15 +357,16 @@ fn gate_rejection(g: &Csr) {
         .expect("registry specs are valid");
     let kernel = StepKernel::new(&*walk, 0x5eed).with_method_policy(MethodPolicy::Adaptive);
     let chunks: Vec<Vec<VertexId>> = (0..16).map(|i| vec![(i * 131) % n]).collect();
-    let mut bufs = DriverBufs::default();
+    let mut bufs = DriverBufs::<L>::default();
     let warm1 = run_rep(&kernel, &mut access, &chunks, &mut bufs);
     let warm2 = run_rep(&kernel, &mut access, &chunks, &mut bufs);
     assert_eq!(warm1, warm2, "node2vec/adaptive: repetitions must perform identical work");
-    let (before, rejected) = (ALLOC.snapshot(), bufs.stats.method_rejection);
+    let (before, rejected) = (ALLOC.snapshot(), bufs.stats.counters().method_rejection);
     let steps = run_rep(&kernel, &mut access, &chunks, &mut bufs);
     let delta = ALLOC.snapshot().since(&before);
     assert_eq!(steps, warm1, "node2vec/adaptive: repetitions must perform identical work");
-    assert!(bufs.stats.method_rejection > rejected, "node2vec/adaptive: rejection never ran");
+    let rejections = bufs.stats.counters().method_rejection;
+    assert!(rejections > rejected, "node2vec/adaptive: rejection never ran");
     assert_eq!(
         delta.allocations, 0,
         "node2vec/adaptive: a steady-state walk repetition allocated ({} bytes)",
@@ -374,11 +377,10 @@ fn gate_rejection(g: &Csr) {
     let prev = (0..n).find(|&u| u != hub && !g.has_edge(hub, u)).expect("a non-neighbor");
     let tight = Node2Vec { length: 12, p: 1e-9, q: 1.0 };
     let kernel = StepKernel::new(&tight, 0x5eed).with_method_policy(MethodPolicy::Adaptive);
-    let (mut scratch, mut stats, mut sink) =
-        (StepScratch::new(), SimStats::new(), Tally::default());
+    let (mut scratch, mut stats, mut sink) = (StepScratch::new(), L::default(), Tally::default());
     // Four expansions a repetition, twelve in all: 384 throws, short of
     // the feedback window, so rejection stays chosen throughout.
-    let mut rep = |stats: &mut SimStats, sink: &mut Tally| {
+    let mut rep = |stats: &mut L, sink: &mut Tally| {
         for instance in 0..4 {
             let entry = StepEntry { instance, depth: 1, vertex: hub, prev: Some(prev), trial: 0 };
             kernel.expand(&mut access, &entry, hub, sink, &mut scratch, stats);
@@ -386,9 +388,10 @@ fn gate_rejection(g: &Csr) {
     };
     rep(&mut stats, &mut sink);
     rep(&mut stats, &mut sink);
-    let (before, mut stats, mut sink) = (ALLOC.snapshot(), SimStats::new(), Tally::default());
+    let (before, mut stats, mut sink) = (ALLOC.snapshot(), L::default(), Tally::default());
     rep(&mut stats, &mut sink);
     let delta = ALLOC.snapshot().since(&before);
+    let stats = stats.into_stats();
     assert_eq!(stats.method_rejection, 4, "every hub expansion must choose rejection");
     assert_eq!(stats.rejection_trials, 4 * REJECTION_MAX_TRIALS, "every throw must miss");
     assert_eq!(sink.emits, 4, "the ITS fallback must serve every pick");
@@ -407,7 +410,7 @@ fn gate_rejection(g: &Csr) {
 /// warm-up, edits a vertex no walk comes within one hop of: every tag
 /// stays put, but every first lookup at the new epoch reads the log to
 /// move the tag memo forward. Those steps allocate nothing.
-fn gate_snapshot(g: &Csr) {
+fn gate_snapshot<L: Ledger>(g: &Csr) {
     let n = g.num_vertices() as VertexId;
     let hub = (0..n).max_by_key(|&v| g.degree(v)).expect("vertices");
     let far = (0..n).find(|&u| u != hub && !g.has_edge(hub, u)).expect("a non-neighbor");
@@ -423,7 +426,7 @@ fn gate_snapshot(g: &Csr) {
         .with_select(SelectConfig::paper_best())
         .with_ctps_cache(Some(&cache));
     let chunks: Vec<Vec<VertexId>> = (0..16).map(|i| vec![(i * 131) % n]).collect();
-    let mut bufs = DriverBufs::default();
+    let mut bufs = DriverBufs::<L>::default();
     let snap = mg.snapshot();
     let mut csr = CsrAccess { graph: snap.base() };
     let mut access = LayeredAccess::new(&mut csr, Some(&snap), ());
@@ -454,6 +457,16 @@ fn gate_snapshot(g: &Csr) {
     );
 }
 
+/// Every in-memory gate under the ledger `L`.
+fn gate_in_memory<L: Ledger>(g: &Csr) {
+    gate_all::<_, L>(g, &mut CsrAccess { graph: g }, "csr", true, |_, _| 0);
+    gate_batched::<L>(g, &mut CsrAccess { graph: g });
+    gate_drained_batch::<L>(g, &mut CsrAccess { graph: g });
+    gate_whole_walk::<L>(g);
+    gate_rejection::<L>(g);
+    gate_snapshot::<L>(g);
+}
+
 #[test]
 fn steady_state_step_allocates_nothing() {
     gate_singleton_trials();
@@ -461,12 +474,8 @@ fn steady_state_step_allocates_nothing() {
     // Power-law graph large enough to exercise long adjacency gathers
     // and without-replacement retries, small enough for a test.
     let g = rmat(9, 8, RmatParams::MILD, 42);
-    gate_all(&g, &mut CsrAccess { graph: &g }, "csr", true, |_, _| 0);
-    gate_batched(&g, &mut CsrAccess { graph: &g });
-    gate_drained_batch(&g, &mut CsrAccess { graph: &g });
-    gate_whole_walk(&g);
-    gate_rejection(&g);
-    gate_snapshot(&g);
+    gate_in_memory::<SimStats>(&g);
+    gate_in_memory::<ServeLedger>(&g);
 
     // The same gate through the disk tier: with every run admitted to a
     // warm full-budget pool, stepping through [`DiskAccess`] — slot
@@ -487,7 +496,8 @@ fn steady_state_step_allocates_nothing() {
     for v in 0..g.num_vertices() as VertexId {
         let _ = access.gather(v, &mut warm_stats);
     }
-    gate_all(&g, &mut access, "disk", true, |_, _| 0);
+    gate_all::<_, SimStats>(&g, &mut access, "disk", true, |_, _| 0);
+    gate_all::<_, ServeLedger>(&g, &mut access, "disk", true, |_, _| 0);
     let snap = access.snapshot();
     assert!(snap.is_conserved(), "{snap:?}");
     assert_eq!(snap.evictions, 0, "full budget must never evict");
@@ -515,11 +525,13 @@ fn steady_state_step_allocates_nothing() {
         let _ = starved.gather(v, &mut warm_stats);
     }
     let warmed = starved.snapshot();
-    gate_all(&g, &mut starved, "disk-starved", false, |id, a| match id {
+    let entitled = |id, a: &DiskAccess| match id {
         _ if point_reads.contains(&id) => 0,
         AlgorithmId::Node2Vec => a.snapshot().misses,
         _ => a.snapshot().admissions,
-    });
+    };
+    gate_all::<_, SimStats>(&g, &mut starved, "disk-starved", false, entitled);
+    gate_all::<_, ServeLedger>(&g, &mut starved, "disk-starved", false, entitled);
     let snap = starved.snapshot();
     assert!(snap.is_conserved(), "{snap:?}");
     assert!(snap.evictions > warmed.evictions, "a starved pool must evict: {snap:?}");
