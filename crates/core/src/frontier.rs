@@ -36,28 +36,6 @@ impl FrontierEntry {
     }
 }
 
-/// One slot of the depth-synchronous **flat frontier** (see
-/// [`crate::batch`]): the whole chunk's current depth lives in one
-/// contiguous array of these, ordered instance-contiguously — instance
-/// `i`'s entries appear before instance `i+1`'s, each in the order its
-/// per-instance pool would hold them. That layout is what lets the
-/// depth-synchronous driver sort a *copy of indices* by vertex for
-/// grouped expansion while replaying results in flat order to reproduce
-/// instance-major output exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchSlot {
-    /// Local instance index within the chunk.
-    pub instance: u32,
-    /// The vertex to expand.
-    pub vertex: VertexId,
-    /// The instance's previous vertex (the paper's `SOURCE(e.v)`).
-    pub prev: Option<VertexId>,
-    /// Trial ordinal among duplicate `(instance, vertex)` entries at this
-    /// depth, assigned in flat order *before* vertex-sorting so it matches
-    /// what the instance-major trial counter would assign.
-    pub trial: u32,
-}
-
 /// Structure-of-arrays frontier queue.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FrontierQueue {

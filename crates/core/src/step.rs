@@ -36,7 +36,7 @@ use crate::api::{AlgoConfig, Algorithm, EdgeCand, UpdateAction};
 use crate::collision::{charge_visited_check, DetectorKind};
 use crate::ctps::{rebuild_cost, Ctps};
 use crate::ctps_cache::CtpsCache;
-use crate::method::{rejection_bound, MethodPolicy, RejectionFeedback, REJECTION_MAX_TRIALS};
+use crate::method::{rejection_bound, MethodPolicy, REJECTION_MAX_TRIALS};
 use crate::select::{
     select_one_preloaded, select_one_rejection, select_one_uniform, select_one_with,
     select_without_replacement_into, select_without_replacement_over,
@@ -593,9 +593,6 @@ pub struct StepScratch {
     biases: Vec<f64>,
     /// The SELECT arena (CTPS, detector bitmap, lane buffers).
     select: SelectScratch,
-    /// Live rejection-acceptance feedback for the method chooser (one per
-    /// worker, like the rest of the arena — health is a local property).
-    rej_feedback: RejectionFeedback,
     /// Debug-only rebuild lane: preloaded sources re-derive the CTPS here
     /// and assert it matches the table they drew from bit for bit.
     #[cfg(debug_assertions)]
@@ -1200,12 +1197,9 @@ impl<'a> StepKernel<'a> {
         stats: &mut L,
     ) -> bool {
         let (v, g, n) = (entry.vertex, gat.graph, gat.neighbors.len());
-        let StepScratch { biases, select, rej_feedback, .. } = scratch;
-        // The feedback is consulted on every expansion the chooser sees,
-        // so its cooldown counts those down.
-        let allowed = rej_feedback.allow();
+        let StepScratch { biases, select, .. } = scratch;
         let bound = self.algo.edge_bias_bound(g, v, entry.prev);
-        let Some(bound) = rejection_bound(bound, n, allowed) else {
+        let Some(bound) = rejection_bound(bound, n) else {
             stats.ops().method_its += 1;
             return false;
         };
@@ -1213,7 +1207,6 @@ impl<'a> StepKernel<'a> {
         select.out.clear();
         let mut deferred = 0usize;
         for _ in 0..k {
-            let before = stats.counters().rejection_trials;
             let pick = select_one_rejection(
                 n,
                 bound,
@@ -1222,7 +1215,6 @@ impl<'a> StepKernel<'a> {
                 rng,
                 stats,
             );
-            rej_feedback.record(stats.counters().rejection_trials - before);
             match pick {
                 Some(col) => select.out.push(col),
                 None => deferred += 1,

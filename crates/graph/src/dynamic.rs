@@ -438,12 +438,6 @@ pub struct GraphSnapshot {
 }
 
 impl GraphSnapshot {
-    /// Snapshot of a bare CSR at epoch 0 (no mutable graph needed) —
-    /// handy for running snapshot-taking APIs on a static graph.
-    pub fn of_csr(csr: Csr) -> Self {
-        GraphSnapshot { base: Arc::new(csr), state: Arc::new(OverlayState::default()) }
-    }
-
     /// The epoch this snapshot freezes.
     #[inline]
     pub fn epoch(&self) -> u64 {
@@ -531,14 +525,6 @@ impl GraphSnapshot {
     #[inline]
     pub fn base(&self) -> &Csr {
         &self.base
-    }
-
-    /// `v`'s merged overlay adjacency, if `v` carries a live (uncompacted)
-    /// delta in this snapshot. `None` means the base CSR's slice *is* the
-    /// logical adjacency.
-    #[inline]
-    pub fn delta_adjacency(&self, v: VertexId) -> Option<(&[VertexId], Option<&[Weight]>)> {
-        self.state.delta(v).map(|d| (d.neighbors(), d.weights()))
     }
 
     /// Materializes the compacted CSR of this epoch — the reference

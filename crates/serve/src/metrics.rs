@@ -306,8 +306,7 @@ mod tests {
     #[test]
     fn every_counter_table_row_is_on_the_page() {
         let snap = StatsSnapshot {
-            transfers: 7,
-            bytes_transferred: 4096,
+            sampled_edges: 7,
             method_rejection: 3,
             batch_hist: [1, 0, 2, 0, 0, 0, 0, 4],
             disk_decode_hist: [0, 1, 0, 0, 0, 0, 0, 2],
@@ -333,7 +332,8 @@ mod tests {
             assert_eq!(parse_value(&page, &name), Some(value), "{name}");
             assert_eq!(page.matches(&format!("# TYPE {f} ")).count(), 1, "{f}");
         }
-        assert_eq!(parse_value(&page, "csaw_transfers_total"), Some(7.0));
+        assert_eq!(parse_value(&page, "csaw_sampled_edges_total"), Some(7.0));
+        assert!(!page.contains("csaw_transfer"), "the service runs no partition transfers");
         assert_eq!(parse_value(&page, "csaw_batch_requests_bucket{le=\"4\"}"), Some(3.0));
         assert_eq!(parse_value(&page, "csaw_disk_decode_seconds_bucket{le=\"0.0001\"}"), Some(1.0));
         assert_eq!(parse_value(&page, "csaw_disk_decode_seconds_sum"), Some(2.5));

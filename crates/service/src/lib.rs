@@ -30,9 +30,8 @@
 //!   (close a batch on `max_batch_instances` or `batch_window`),
 //!   deadline enforcement at dequeue *and* completion, panic isolation
 //!   per batch, and drain-on-shutdown.
-//! - [`executor`]: which runtime a coalesced launch runs on — the
-//!   in-memory engine, the §V-D multi-GPU driver, or the §V-A
-//!   out-of-memory scheduler.
+//! - [`executor`]: the in-memory engine that runs a coalesced launch,
+//!   behind the trait the fault tests use to inject stalls and panics.
 //! - [`stats`]: lock-free counters; every submitted request is
 //!   accounted exactly once.
 
@@ -45,6 +44,6 @@ pub use api::{
     MutationRequest, MutationResponse, RequestAlgo, RequestError, RequestStats, SamplingRequest,
     SamplingResponse, ServiceError,
 };
-pub use executor::{BatchExecutor, BatchOutput, EngineExecutor, MultiGpuExecutor, OomExecutor};
+pub use executor::{BatchExecutor, EngineExecutor};
 pub use service::{SamplingService, ServiceConfig, Ticket};
 pub use stats::{ServiceStats, StatsSnapshot};

@@ -172,11 +172,6 @@ impl Ticket {
     pub fn wait(self) -> Result<SamplingResponse, ServiceError> {
         self.rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
     }
-
-    /// Non-blocking poll; `None` while the request is in flight.
-    pub fn try_wait(&self) -> Option<Result<SamplingResponse, ServiceError>> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// The sampling service (see module docs).
@@ -681,13 +676,11 @@ fn process_batch(
                 }
             }
             Ok(out) => {
-                ServiceStats::add(&stats.sampled_edges, out.sample.stats.sampled_edges);
-                ServiceStats::add(&stats.transfers, out.transfers);
-                ServiceStats::add(&stats.bytes_transferred, out.bytes_transferred);
-                stats.record_methods(&out.sample.stats);
-                stats.record_batch_exec(&out.sample.stats);
+                ServiceStats::add(&stats.sampled_edges, out.stats.sampled_edges);
+                stats.record_methods(&out.stats);
+                stats.record_batch_exec(&out.stats);
                 let counts: Vec<usize> = seg.iter().map(|q| q.seed_sets.len()).collect();
-                let parts = out.sample.split_by_counts(&counts);
+                let parts = out.split_by_counts(&counts);
                 let completed_at = Instant::now();
                 for (q, part) in seg.into_iter().zip(parts) {
                     if q.expires.is_some_and(|e| completed_at > e) {

@@ -194,12 +194,6 @@ counters! {
     queue_depth: u64 => Gauge, "csaw_queue_depth", "Requests waiting in the service queue";
     /// Edges sampled across all launches (batch totals).
     sampled_edges: u64 => Counter, "csaw_sampled_edges_total", "Edges sampled";
-    /// Host→device partition transfers across all launches (only the
-    /// out-of-memory executor reports these).
-    transfers: u64 => Counter, "csaw_transfers_total", "Host-to-device partition transfers";
-    /// Bytes shipped host→device across all launches.
-    bytes_transferred: u64 => Counter,
-        "csaw_transferred_bytes_total", "Bytes shipped host to device";
     /// Batch-size histogram: bucket `i` counts launches whose instance
     /// count is ≤ `BATCH_BUCKETS[i]` (last bucket: larger than all).
     batch_hist: [u64; NUM_BUCKETS] => Histogram { le: |i| BATCH_BUCKETS[i] as f64 },

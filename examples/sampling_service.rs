@@ -25,60 +25,66 @@ fn main() {
         graph.avg_degree()
     );
 
+    // Start paused so every client's requests are queued before the
+    // batcher runs: the batches, and so this example's output, are the
+    // same on every run.
     let svc = Arc::new(SamplingService::with_engine(
         Arc::clone(&graph),
         ServiceConfig {
+            start_paused: true,
             batch_window: Duration::from_millis(2),
             max_batch_instances: 64,
             ..ServiceConfig::default()
         },
     ));
 
-    // Eight client threads, each firing walk requests with its own
+    // Eight client threads, each submitting walk requests with its own
     // seeds. Same algorithm + same RNG seed -> the service coalesces
-    // across clients.
+    // across clients. Load-bearing collect: every client starts before
+    // the first is joined, so they submit concurrently.
     let spec = AlgoSpec::by_name("biased-walk").unwrap().with_depth(12);
+    #[allow(clippy::needless_collect)]
     let clients: Vec<_> = (0..8u32)
         .map(|c| {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || {
-                let mut responses = Vec::new();
-                for r in 0..4u32 {
-                    let seeds: Vec<u32> =
-                        (0..3).map(|j| (c * 97 + r * 13 + j) % (1 << 12)).collect();
-                    let ticket = svc
-                        .submit(SamplingRequest::new(spec, seeds.clone()))
-                        .expect("valid request");
-                    let resp = ticket.wait().expect("healthy workload");
-                    responses.push((seeds, resp));
-                }
-                responses
+                (0..4u32)
+                    .map(|r| {
+                        let seeds: Vec<u32> =
+                            (0..3).map(|j| (c * 97 + r * 13 + j) % (1 << 12)).collect();
+                        let ticket = svc
+                            .submit(SamplingRequest::new(spec, seeds.clone()))
+                            .expect("valid request");
+                        (seeds, ticket)
+                    })
+                    .collect::<Vec<_>>()
             })
         })
         .collect();
+    let tickets: Vec<_> = clients.into_iter().flat_map(|c| c.join().unwrap()).collect();
+    svc.resume();
 
     let mut coalesced = 0usize;
     let mut total = 0usize;
     let mut verified = 0usize;
-    for client in clients {
-        for (seeds, resp) in client.join().unwrap() {
-            total += 1;
-            if resp.stats.batch_requests > 1 {
-                coalesced += 1;
-            }
-            // The reproducibility contract: a solo engine run at the
-            // response's instance_base draws the identical sample.
-            let algo = spec.build().unwrap();
-            let solo = Sampler::new(&graph, &algo)
-                .with_options(RunOptions {
-                    seed: 1,
-                    instance_base: resp.instance_base,
-                    ..RunOptions::default()
-                })
-                .run_single_seeds(&seeds);
-            assert_eq!(resp.output.instances, solo.instances, "coalescing must be invisible");
-            verified += 1;
+    for (seeds, ticket) in tickets {
+        let resp = ticket.wait().expect("healthy workload");
+        total += 1;
+        if resp.stats.batch_requests > 1 {
+            coalesced += 1;
         }
+        // The reproducibility contract: a solo engine run at the
+        // response's instance_base draws the identical sample.
+        let algo = spec.build().unwrap();
+        let solo = Sampler::new(&graph, &algo)
+            .with_options(RunOptions {
+                seed: 1,
+                instance_base: resp.instance_base,
+                ..RunOptions::default()
+            })
+            .run_single_seeds(&seeds);
+        assert_eq!(resp.output.instances, solo.instances, "coalescing must be invisible");
+        verified += 1;
     }
     println!("\n{total} requests served; {coalesced} rode a shared batch");
     println!("{verified}/{total} responses verified bit-identical to solo runs");

@@ -24,9 +24,7 @@ use csaw::graph::reorder::{degree_order, relabel};
 use csaw::graph::store::write_store;
 use csaw::graph::{Csr, CsrBuilder, DiskStore, EdgeEdit, MutableGraph};
 use csaw::oom::{OomConfig, OomRunner};
-use csaw::service::{
-    MutationRequest, OomExecutor, SamplingRequest, SamplingService, ServiceConfig,
-};
+use csaw::service::{MutationRequest, SamplingRequest, SamplingService, ServiceConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -301,12 +299,12 @@ fn shared_tier_totals_equal_the_run_ledger_at_task_boundaries() {
 
 /// Runs the same request stream against a memory-backed and a
 /// disk-backed service and returns both response edge lists.
-fn serve_both(
-    g: &Arc<Csr>,
-    mk: impl Fn(Option<DiskRunConfig>) -> SamplingService,
-    disk: DiskRunConfig,
-) -> (BatchEdges, BatchEdges) {
-    let run = |svc: SamplingService| {
+fn serve_both(g: &Arc<Csr>, disk: DiskRunConfig) -> (BatchEdges, BatchEdges) {
+    let run = |disk: Option<DiskRunConfig>| {
+        let svc = SamplingService::with_engine(
+            Arc::clone(g),
+            ServiceConfig { disk, ..ServiceConfig::default() },
+        );
         let spec = AlgoSpec::by_name("biased-walk").unwrap().with_depth(8);
         let mut all = Vec::new();
         for i in 0..4u32 {
@@ -318,7 +316,7 @@ fn serve_both(
         svc.shutdown();
         all
     };
-    (run(mk(None)), run(mk(Some(disk))))
+    (run(None), run(Some(disk)))
 }
 
 #[test]
@@ -326,26 +324,8 @@ fn service_is_bit_identical_and_rejects_mutation_on_every_executor() {
     let g = Arc::new(rmat(9, 6, RmatParams::GRAPH500, 34));
     let dir = tmp_dir("service");
     for pool in POOL_BUDGETS {
-        // Engine executor.
-        let mk = |disk: Option<DiskRunConfig>| {
-            SamplingService::with_engine(
-                Arc::clone(&g),
-                ServiceConfig { disk, ..ServiceConfig::default() },
-            )
-        };
-        let (mem, disk) = serve_both(&g, mk, disk_cfg(&g, &dir, 8, pool));
-        assert_eq!(mem, disk, "engine service diverged at pool {pool}");
-
-        // OOM executor.
-        let mk = |disk: Option<DiskRunConfig>| {
-            SamplingService::new(
-                Arc::clone(&g),
-                Arc::new(OomExecutor::new(OomConfig::full())),
-                ServiceConfig { disk, ..ServiceConfig::default() },
-            )
-        };
-        let (mem, disk) = serve_both(&g, mk, disk_cfg(&g, &dir, 8, pool));
-        assert_eq!(mem, disk, "OOM service diverged at pool {pool}");
+        let (mem, disk) = serve_both(&g, disk_cfg(&g, &dir, 8, pool));
+        assert_eq!(mem, disk, "service diverged at pool {pool}");
     }
 
     // A disk-backed service refuses edits (the store is immutable) and

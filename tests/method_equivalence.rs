@@ -314,6 +314,47 @@ fn adaptive_equals_force_its_except_node2vec() {
     }
 }
 
+/// `Adaptive` picks its method from the expansion's own inputs, so a
+/// rejection-served node2vec sample is a function of the seeds and the
+/// options alone: a rerun of one `Sampler`, another thread count, a solo
+/// run of the last instance at its `instance_base` and the
+/// depth-synchronous schedule all draw it bit for bit. A small `p` or a
+/// small `q` skews the bias far below its bound, so many picks exhaust
+/// the rejection cap and fall back to ITS.
+#[test]
+fn adaptive_node2vec_is_a_function_of_its_inputs() {
+    let g = rmat(12, 8, RmatParams::GRAPH500, 7);
+    let n = g.num_vertices() as VertexId;
+    let sets: Vec<Vec<VertexId>> = (0..256).map(|i| vec![(i * 131) % n]).collect();
+    let last = sets.len() - 1;
+    let pools = [1, 2].map(|t| rayon::ThreadPoolBuilder::new().num_threads(t).build().unwrap());
+    for (p, q) in [(0.05, 1.0), (1.0, 0.05)] {
+        let algo = Node2Vec { length: 40, p, q };
+        let sampler = |exec, instance_base| {
+            let opts = RunOptions {
+                method_policy: MethodPolicy::Adaptive,
+                exec,
+                instance_base,
+                ..RunOptions::default()
+            };
+            Sampler::new(&g, &algo).with_options(opts)
+        };
+        let what = format!("node2vec p={p} q={q}");
+        let instance_major = sampler(ExecMode::InstanceMajor, 0);
+        let first = pools[0].install(|| instance_major.run(&sets));
+        assert!(first.stats.method_rejection > 0, "{what}: rejection never ran");
+        let rerun = pools[0].install(|| instance_major.run(&sets));
+        assert_eq!(rerun.instances, first.instances, "{what}: rerun on one thread");
+        let two = pools[1].install(|| instance_major.run(&sets));
+        assert_eq!(two.instances, first.instances, "{what}: 1 thread vs 2");
+        let solo = sampler(ExecMode::InstanceMajor, last as u32);
+        let solo = pools[0].install(|| solo.run(&sets[last..]));
+        assert_eq!(solo.instances[0], first.instances[last], "{what}: solo vs batch");
+        let depth = pools[0].install(|| sampler(ExecMode::DepthSync, 0).run(&sets));
+        assert_eq!(depth.instances, first.instances, "{what}: instance-major vs depth-sync");
+    }
+}
+
 /// Kernel step invocations of `algo` over `sets`, each instance through
 /// the engine's own depth loop, under `opts`'s cache and method policy.
 fn kernel_steps(g: &Csr, algo: &dyn Algorithm, opts: &RunOptions, sets: &[Vec<VertexId>]) -> u64 {

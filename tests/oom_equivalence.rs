@@ -220,17 +220,38 @@ fn oom_runtime_is_deterministic_across_thread_counts() {
 
 #[test]
 fn multi_gpu_and_oom_compose_with_engine_outputs() {
+    use csaw::core::AlgoSpec;
     use csaw::oom::MultiGpu;
     let g = rmat(9, 4, RmatParams::MILD, 25);
-    let algo = BiasedRandomWalk { length: 8 };
     let seeds: Vec<u32> = (0..48).collect();
-    let mg = MultiGpu::new(3).run_single_seeds(&g, &algo, &seeds, RunOptions::default());
-    assert_eq!(mg.sample.instances.len(), 48);
-    assert_eq!(mg.sample.stats.sampled_edges, mg.sample.sampled_edges());
+
+    // The split keys every group by the launch's `instance_base`, so
+    // three devices draw exactly the engine's instances under a
+    // non-default seed, an offset base and the `Adaptive` method policy
+    // (rejection for node2vec's dynamic bias).
+    let adaptive = RunOptions {
+        seed: 77,
+        instance_base: 1000,
+        method_policy: MethodPolicy::Adaptive,
+        ..Default::default()
+    };
+    let seed_sets: Vec<Vec<u32>> = seeds.iter().map(|&s| vec![s]).collect();
+    for (name, depth) in [("simple-walk", 6), ("biased-walk", 5), ("neighbor", 2), ("node2vec", 10)]
+    {
+        let algo = AlgoSpec::by_name(name).unwrap().with_depth(depth).build().unwrap();
+        let split = MultiGpu::new(3).run(&g, &algo, &seed_sets, adaptive.clone());
+        let engine = Sampler::new(&g, &algo).with_options(adaptive.clone()).run(&seed_sets);
+        assert_eq!(split.sample.instances, engine.instances, "{name}: split diverged");
+        assert_eq!(split.sample.stats.sampled_edges, split.sample.sampled_edges());
+        if name == "node2vec" {
+            assert!(engine.stats.method_rejection > 0, "rejection never ran");
+        }
+    }
 
     // The out-of-memory split takes the caller's options whole: a
     // non-default seed and an outer instance base offset every group, so
     // the split equals one device running the same options.
+    let algo = BiasedRandomWalk { length: 8 };
     let opts = RunOptions { seed: 77, instance_base: 1000, ..Default::default() };
     let device = DeviceConfig::tiny(1 << 20);
     let multi = MultiGpu { num_gpus: 3, device };

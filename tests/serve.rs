@@ -3,6 +3,7 @@
 //! conservation over the wire with induced sheds, expiries, and a
 //! panicking batch.
 
+use csaw::core::SampleOutput;
 use csaw::graph::generators::erdos_renyi;
 use csaw::graph::Csr;
 use csaw::serve::{
@@ -10,7 +11,7 @@ use csaw::serve::{
     EventKind, FairScheduler, Frame, ResponseFrame, SampleFrame, SchedulerConfig, ServeConfig,
     StreamEndFrame, TenantQuota, WireAlgo,
 };
-use csaw::service::{BatchExecutor, BatchOutput, EngineExecutor, SamplingService, ServiceConfig};
+use csaw::service::{BatchExecutor, EngineExecutor, SamplingService, ServiceConfig};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -272,17 +273,13 @@ impl Gate {
 }
 
 impl BatchExecutor for Gate {
-    fn name(&self) -> &'static str {
-        "gated"
-    }
-
     fn execute(
         &self,
         graph: &Csr,
         algo: &dyn csaw::core::api::Algorithm,
         seed_sets: &[Vec<u32>],
         opts: csaw::core::engine::RunOptions,
-    ) -> BatchOutput {
+    ) -> SampleOutput {
         let permits = self.permits.lock().expect("gate lock");
         *self.released.wait_while(permits, |p| *p == 0).expect("gate lock") -= 1;
         EngineExecutor.execute(graph, algo, seed_sets, opts)
@@ -388,17 +385,13 @@ struct PanicOnSeed(EngineExecutor);
 const PANIC_SEED: u64 = 999;
 
 impl BatchExecutor for PanicOnSeed {
-    fn name(&self) -> &'static str {
-        "panic-on-seed"
-    }
-
     fn execute(
         &self,
         graph: &Csr,
         algo: &dyn csaw::core::api::Algorithm,
         seed_sets: &[Vec<u32>],
         opts: csaw::core::engine::RunOptions,
-    ) -> BatchOutput {
+    ) -> SampleOutput {
         assert!(opts.seed != PANIC_SEED, "induced batch panic for testing");
         self.0.execute(graph, algo, seed_sets, opts)
     }

@@ -1,17 +1,15 @@
 //! The coalescing-invisibility property: however the service partitions
 //! requests into batches — one per request, everything in one launch,
-//! or anything between, on any executor — every request's response is
-//! identical to a solo engine run of its seeds at its assigned
-//! `instance_base`. This is the §V-C batching contract that makes the
+//! or anything between — every request's response is identical to a
+//! solo engine run of its seeds at its assigned `instance_base`. This is the §V-C batching contract that makes the
 //! service safe: RNG streams are keyed by global instance id, so the
 //! batch around a request never changes what it samples.
 
 use csaw::core::engine::{RunOptions, Sampler};
 use csaw::core::{AlgoSpec, SampleOutput};
 use csaw::graph::{Csr, CsrBuilder};
-use csaw::oom::OomConfig;
 use csaw::service::{
-    MultiGpuExecutor, OomExecutor, SamplingRequest, SamplingService, ServiceConfig,
+    BatchExecutor, EngineExecutor, SamplingRequest, SamplingService, ServiceConfig,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -112,49 +110,6 @@ proptest! {
         prop_assert!(snap.fully_accounted(), "{:?}", snap);
     }
 
-    /// Multi-GPU executor: splitting each batch across simulated
-    /// devices composes with coalescing — responses still match solo
-    /// single-device runs exactly.
-    #[test]
-    fn multi_gpu_split_matches_solo_runs(
-        g in arb_graph(),
-        requests in arb_requests(),
-        num_gpus in 2usize..5,
-    ) {
-        let g = Arc::new(g);
-        let svc = SamplingService::new(
-            Arc::clone(&g),
-            Arc::new(MultiGpuExecutor::new(num_gpus)),
-            paused(8),
-        );
-        for (spec, seeds, rng_seed, base, served) in serve(&svc, &requests) {
-            let solo = solo_reference(&g, spec, &seeds, rng_seed, base);
-            prop_assert_eq!(&served.instances, &solo.instances, "multi-GPU split diverged (base {})", base);
-        }
-        prop_assert!(svc.shutdown().fully_accounted());
-    }
-
-    /// Out-of-memory executor: the partition-streaming runtime samples
-    /// the same per-instance edge multisets (stream interleaving may
-    /// reorder edges within an instance, so comparison is order-free).
-    #[test]
-    fn oom_runtime_matches_solo_runs_as_multisets(
-        g in arb_graph(),
-        requests in arb_requests(),
-    ) {
-        let g = Arc::new(g);
-        let svc = SamplingService::new(
-            Arc::clone(&g),
-            Arc::new(OomExecutor::new(OomConfig::full())),
-            paused(16),
-        );
-        for (spec, seeds, rng_seed, base, served) in serve(&svc, &requests) {
-            let solo = solo_reference(&g, spec, &seeds, rng_seed, base);
-            prop_assert_eq!(served.sorted_instances(), solo.sorted_instances(), "OOM runtime diverged (base {})", base);
-        }
-        prop_assert!(svc.shutdown().fully_accounted());
-    }
-
     /// Wire transport: responses fetched over the TCP codec — both the
     /// single-response path and the chunked streaming path — are
     /// bit-identical to solo engine runs at the reported instance base,
@@ -207,63 +162,19 @@ proptest! {
     }
 }
 
-/// The executor contract covers every run option: under the `Adaptive`
-/// method policy (rejection sampling for node2vec's dynamic bias) the
-/// engine, the multi-GPU split and the out-of-memory scheduler draw equal
-/// samples.
-#[test]
-fn every_executor_honours_the_method_policy() {
-    use csaw::core::algorithms::Node2Vec;
-    use csaw::core::MethodPolicy;
-    use csaw::graph::generators::{rmat, RmatParams};
-    use csaw::service::{BatchExecutor, EngineExecutor};
+/// The engine run under the `Adaptive` method policy and a fixed
+/// depth-sync chunk, so the method, rejection and vertex-group counters
+/// all move.
+struct Tuned(EngineExecutor);
 
-    let g = rmat(9, 6, RmatParams::GRAPH500, 27);
-    let algo = Node2Vec { length: 10, p: 0.25, q: 2.0 };
-    let seed_sets: Vec<Vec<u32>> = (0..48).map(|i| vec![i * 13 % 512]).collect();
-    let opts = RunOptions {
-        method_policy: MethodPolicy::Adaptive,
-        instance_base: 5,
-        ..RunOptions::default()
-    };
-    let executors: [Box<dyn BatchExecutor>; 3] = [
-        Box::new(EngineExecutor),
-        Box::new(MultiGpuExecutor::new(3)),
-        Box::new(OomExecutor::new(OomConfig::full())),
-    ];
-    let samples: Vec<Vec<Vec<(u32, u32)>>> = executors
-        .iter()
-        .map(|e| e.execute(&g, &algo, &seed_sets, opts.clone()).sample.sorted_instances())
-        .collect();
-    assert_eq!(samples[1], samples[0], "multi-GPU diverged from the engine");
-    assert_eq!(samples[2], samples[0], "out-of-memory diverged from the engine");
-    let its = EngineExecutor.execute(
-        &g,
-        &algo,
-        &seed_sets,
-        RunOptions { instance_base: 5, ..RunOptions::default() },
-    );
-    assert_ne!(its.sample.sorted_instances(), samples[0], "Adaptive must change the draw");
-}
-
-/// An executor run under the `Adaptive` method policy and a fixed
-/// depth-sync chunk that divides every multi-GPU group, so the method,
-/// rejection and vertex-group counters all move and a split launch
-/// groups exactly as the whole one.
-struct Tuned(Box<dyn csaw::service::BatchExecutor>);
-
-impl csaw::service::BatchExecutor for Tuned {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
+impl BatchExecutor for Tuned {
     fn execute(
         &self,
         graph: &Csr,
         algo: &dyn csaw::core::api::Algorithm,
         seed_sets: &[Vec<u32>],
         opts: RunOptions,
-    ) -> csaw::service::BatchOutput {
+    ) -> SampleOutput {
         let opts = RunOptions {
             method_policy: csaw::core::MethodPolicy::Adaptive,
             batch_chunk: Some(8),
@@ -274,59 +185,58 @@ impl csaw::service::BatchExecutor for Tuned {
 }
 
 /// The service's ledger takes every launch's whole-run totals from the
-/// sample, whichever runtime served it: one identical batch through the
-/// engine and the multi-GPU split books the same counters, and through
-/// the out-of-memory scheduler (which attributes only edge counts per
-/// instance) the same edges plus its transfers.
+/// sample: six requests coalesced into one launch book exactly the
+/// method, rejection and depth-sync group counters of that launch run
+/// directly.
 #[test]
-fn every_executor_books_the_launch_totals() {
+fn engine_ledger_books_the_launch_totals() {
     use csaw::core::ExecMode;
     use csaw::graph::generators::{rmat, RmatParams};
-    use csaw::service::{BatchExecutor, EngineExecutor, StatsSnapshot};
 
     let g = Arc::new(rmat(9, 6, RmatParams::GRAPH500, 27));
     let spec = AlgoSpec::by_name("node2vec").unwrap().with_depth(10);
-    let ledger = |executor: Box<dyn BatchExecutor>| {
-        let config = ServiceConfig {
-            start_paused: true,
-            max_batch_instances: 48,
-            exec: ExecMode::DepthSync,
-            ..ServiceConfig::default()
-        };
-        let svc = SamplingService::new(Arc::clone(&g), Arc::new(Tuned(executor)), config);
-        #[allow(clippy::needless_collect)]
-        let tickets: Vec<_> = (0..6u32)
-            .map(|r| {
-                let seeds = (0..8).map(|i| (r * 8 + i) * 13 % 512).collect();
-                svc.submit(SamplingRequest::new(spec, seeds)).expect("valid request")
-            })
-            .collect();
-        svc.resume();
-        for ticket in tickets {
-            ticket.wait().expect("healthy batch");
-        }
-        let stats = svc.shutdown();
-        assert_eq!(stats.batches, 1, "the six requests share one launch");
-        stats
+    let seeds: Vec<u32> = (0..48u32).map(|i| i * 13 % 512).collect();
+    let config = ServiceConfig {
+        start_paused: true,
+        max_batch_instances: 48,
+        exec: ExecMode::DepthSync,
+        ..ServiceConfig::default()
     };
-    let counters = |s: &StatsSnapshot| {
-        (
-            (s.sampled_edges, s.method_its, s.method_rejection, s.rejection_trials),
-            (s.batch_hist, s.batch_groups, s.batch_group_entries, s.batch_group_hist),
-            (s.batch_prefetch_hits, s.batch_prefetch_misses),
-        )
-    };
-    let engine = ledger(Box::new(EngineExecutor));
-    let multi = ledger(Box::new(MultiGpuExecutor::new(3)));
-    assert_eq!(counters(&multi), counters(&engine));
-    assert_eq!((engine.transfers, multi.transfers), (0, 0));
-    assert!(engine.method_rejection > 0 && engine.rejection_trials > 0, "{engine:?}");
-    assert!(engine.batch_groups > 0, "{engine:?}");
+    let svc = SamplingService::new(Arc::clone(&g), Arc::new(Tuned(EngineExecutor)), config);
+    #[allow(clippy::needless_collect)]
+    let tickets: Vec<_> = seeds
+        .chunks(8)
+        .map(|c| svc.submit(SamplingRequest::new(spec, c.to_vec())).expect("valid request"))
+        .collect();
+    let base = tickets[0].instance_base();
+    svc.resume();
+    for ticket in tickets {
+        ticket.wait().expect("healthy batch");
+    }
+    let s = svc.shutdown();
+    assert_eq!(s.batches, 1, "the six requests share one launch");
 
-    let oom = ledger(Box::new(OomExecutor::new(OomConfig::full())));
-    assert_eq!(oom.sampled_edges, engine.sampled_edges);
-    assert!(oom.transfers > 0 && oom.bytes_transferred > 0, "{oom:?}");
-    // Its per-instance entries carry edge counts only: the method
-    // counters reach the ledger from the launch totals alone.
-    assert!(oom.method_rejection > 0 && oom.rejection_trials > 0, "{oom:?}");
+    let algo = spec.build().unwrap();
+    let seed_sets: Vec<Vec<u32>> = seeds.iter().map(|&v| vec![v]).collect();
+    let opts = RunOptions {
+        seed: SamplingRequest::new(spec, vec![0]).rng_seed,
+        instance_base: base,
+        exec: ExecMode::DepthSync,
+        ..RunOptions::default()
+    };
+    let launch = Tuned(EngineExecutor).execute(&g, &algo, &seed_sets, opts).stats;
+    assert_eq!(
+        (s.sampled_edges, s.method_its, s.method_rejection, s.rejection_trials),
+        (launch.sampled_edges, launch.method_its, launch.method_rejection, launch.rejection_trials)
+    );
+    assert_eq!(
+        (s.batch_groups, s.batch_group_entries, s.batch_group_hist),
+        (launch.batch_groups, launch.batch_group_entries, launch.batch_group_hist)
+    );
+    assert_eq!(
+        (s.batch_prefetch_hits, s.batch_prefetch_misses),
+        (launch.batch_prefetch_hits, launch.batch_prefetch_misses)
+    );
+    assert!(s.method_rejection > 0 && s.rejection_trials > 0, "{s:?}");
+    assert!(s.batch_groups > 0, "{s:?}");
 }
