@@ -30,7 +30,8 @@
 //! - [`reservoir`]: collision-free weighted reservoir selection (the A5
 //!   ablation against SELECT);
 //! - [`select_simt`]: SELECT run lane by lane in lockstep, measuring warp
-//!   divergence (the A9 ablation);
+//!   divergence (the A9 ablation), on the [`simt`] lockstep warp
+//!   executor;
 //! - [`unified`]: the demand-paged unified-memory comparator §VII argues
 //!   against (the A4 ablation);
 //! - [`profile`]: the per-depth frontier profile behind §VI-C's
@@ -61,6 +62,7 @@ pub mod precompute;
 pub mod profile;
 pub mod reservoir;
 pub mod select_simt;
+pub mod simt;
 pub mod unified;
 
 pub use graphsaint::GraphSaintMdrw;

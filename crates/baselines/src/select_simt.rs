@@ -4,7 +4,7 @@
 //!
 //! [`csaw_core::select::select_without_replacement`] simulates the warp in
 //! *rounds* (all pending lanes advance together); this module runs the
-//! same algorithm through [`csaw_gpu::simt::run_lockstep`], where each
+//! same algorithm through [`crate::simt::run_lockstep`], where each
 //! lane is an explicit program over `(draw, search, claim)` micro-steps
 //! and the executor tracks control-flow divergence. Both implementations
 //! must realize the same distribution; the divergence stats quantify the
@@ -18,13 +18,13 @@
 //! selections, so SIMT runs are unaffected by the policy and stay
 //! bit-identical to the round-based loop.
 
+use crate::simt::{run_lockstep, DivergenceStats, LaneStep};
 use csaw_core::bipartite::{adjust_and_search, BipartiteOutcome};
 use csaw_core::collision::Detector;
 #[cfg(test)]
 use csaw_core::collision::DetectorKind;
 use csaw_core::ctps::Ctps;
 use csaw_core::select::{SelectConfig, SelectStrategy};
-use csaw_gpu::simt::{run_lockstep, DivergenceStats, LaneStep};
 use csaw_gpu::stats::SimStats;
 use csaw_gpu::Philox;
 use std::cell::RefCell;

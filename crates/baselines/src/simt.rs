@@ -1,6 +1,6 @@
 //! A lockstep SIMT warp executor with divergence tracking.
 //!
-//! The free functions in [`crate::warp`] model individual warp *idioms*
+//! The free functions in [`csaw_gpu::warp`] model individual warp *idioms*
 //! (scan, ballot, search); this module models warp *execution*: 32 lanes
 //! running the same program with an active mask, where control-flow
 //! divergence serializes the branch paths — the fundamental SIMT cost the
@@ -14,8 +14,8 @@
 //! instruction slot regardless of how many lanes do useful work — exactly
 //! the hardware's behaviour.
 
-use crate::stats::SimStats;
-use crate::warp::WARP_SIZE;
+use csaw_gpu::stats::SimStats;
+use csaw_gpu::warp::WARP_SIZE;
 
 /// What a lane does in one lockstep step.
 pub enum LaneStep<T> {

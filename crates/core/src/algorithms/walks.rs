@@ -35,19 +35,12 @@ impl Algorithm for SimpleRandomWalk {
 
 /// Multi-independent random walk (§II-A): semantically a
 /// [`SimpleRandomWalk`] run as many independent instances; the engine's
-/// instance dimension provides the independence, so this is a named alias
-/// with a helper that fans a seed out into `instances` copies.
+/// instance dimension provides the independence, so this is a named
+/// alias.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiIndependentRandomWalk {
     /// Walk length in steps.
     pub length: usize,
-}
-
-impl MultiIndependentRandomWalk {
-    /// Fans `seed` out into `instances` independent single-seed instances.
-    pub fn fan_out(seed: VertexId, instances: usize) -> Vec<VertexId> {
-        vec![seed; instances]
-    }
 }
 
 impl Algorithm for MultiIndependentRandomWalk {
@@ -327,8 +320,7 @@ mod tests {
 
     #[test]
     fn multi_independent_fan_out() {
-        let seeds = MultiIndependentRandomWalk::fan_out(3, 5);
-        assert_eq!(seeds, vec![3, 3, 3, 3, 3]);
+        let seeds = vec![3; 5];
         let g = toy_graph();
         let algo = MultiIndependentRandomWalk { length: 10 };
         let out = Sampler::new(&g, &algo).run_single_seeds(&seeds);

@@ -46,13 +46,12 @@
 //! histogram, prefetch coverage) are new — they are zero under
 //! instance-major execution.
 //!
-//! The grouped expansion itself — [`expand_frontier`] — is shared with
-//! the out-of-memory scheduler's depth-synchronous drain; [`run_chunk`]
-//! adds what is the engine's own (seeding, trial ordinals, the flat-order
-//! replay). All buffers live in a [`BatchArena`] double-buffered between
-//! depths: with a warm arena a steady-state depth performs zero heap
-//! allocations (the PR-5 gate, extended to this mode by
-//! `tests/step_alloc.rs`).
+//! [`run_chunk`] drives one chunk: it seeds the flat frontier, assigns
+//! trial ordinals, has the grouped expander record each depth and replays
+//! the record in flat order. All buffers live in a [`BatchArena`]
+//! double-buffered between depths: with a warm arena a steady-state depth
+//! performs zero heap allocations (the zero-allocation gate, extended to
+//! this mode by `tests/step_alloc.rs`).
 
 use crate::collision::charge_visited_check;
 use crate::step::{FrontierSink, NeighborAccess, StepEntry, StepKernel, StepScratch, TrialCounter};
@@ -75,29 +74,15 @@ pub struct ChunkInstance<'a> {
 /// One entry of a grouped frontier: what the kernel expands, plus where
 /// its charges go.
 #[derive(Debug, Clone, Copy)]
-pub struct FrontierItem {
+struct FrontierItem {
     /// The entry, keyed by its logical position (global instance id).
-    pub entry: StepEntry,
+    entry: StepEntry,
     /// The instance's home seed (restart target of the `UPDATE` and
     /// dead-end hooks).
-    pub home: VertexId,
-    /// Index into the ledger slice handed to [`expand_frontier`]: the
-    /// instance's own counters, or the one ledger a stream keeps.
-    pub slot: u32,
-}
-
-/// What one entry's grouped expansion recorded, for replay in the
-/// caller's own order.
-#[derive(Debug, Clone, Copy)]
-pub struct Recorded<'a> {
-    /// Sampled edges, in pick order.
-    pub emits: &'a [(VertexId, VertexId)],
-    /// Frontier offers (vertex, prev), post depth-gate, pre visited
-    /// filter — the filter is order-dependent and runs at replay.
-    pub offers: &'a [(VertexId, Option<VertexId>)],
-    /// Warp cycles the expansion charged its ledger (the out-of-memory
-    /// scheduler's per-instance straggler bound).
-    pub warp_cycles: u64,
+    home: VertexId,
+    /// The instance's index in the chunk: its output vector, counter set
+    /// and visited set.
+    slot: u32,
 }
 
 /// Records one entry's sink traffic during grouped expansion. Charges
@@ -132,8 +117,7 @@ impl FrontierSink for RecordSink<'_> {
 /// depth allocation-free.
 #[derive(Debug, Default)]
 pub struct BatchArena {
-    /// The frontier [`expand_frontier`] expands, in the caller's flat
-    /// order.
+    /// The frontier [`expand_frontier`] expands, in flat order.
     cur: Vec<FrontierItem>,
     /// Next depth's flat frontier, filled by [`run_chunk`]'s replay.
     next: Vec<FrontierItem>,
@@ -149,11 +133,13 @@ pub struct BatchArena {
     blocks: Vec<[u32; 4]>,
     /// Recorded sampled edges across the whole frontier.
     emits: Vec<(VertexId, VertexId)>,
-    /// Recorded frontier offers across the whole frontier.
+    /// Recorded frontier offers (vertex, prev) across the whole frontier,
+    /// post depth-gate, pre visited filter — the filter is
+    /// order-dependent and runs at replay.
     offers: Vec<(VertexId, Option<VertexId>)>,
     /// Per-entry record, indexed by flat position: the spans into
-    /// `emits`/`offers` and the warp cycles charged.
-    spans: Vec<(u32, u32, u32, u32, u64)>,
+    /// `emits`/`offers`.
+    spans: Vec<(u32, u32, u32, u32)>,
     /// Flat-order trial assignment (reset per instance run).
     trials: TrialCounter,
     /// Per-instance visited sets (without-replacement filter), reused
@@ -166,28 +152,6 @@ impl BatchArena {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Replaces the frontier [`expand_frontier`] will expand.
-    pub fn set_frontier(&mut self, items: impl IntoIterator<Item = FrontierItem>) {
-        self.cur.clear();
-        self.cur.extend(items);
-    }
-
-    /// The current frontier, in flat order.
-    pub fn frontier(&self) -> &[FrontierItem] {
-        &self.cur
-    }
-
-    /// What the last [`expand_frontier`] recorded for frontier entry
-    /// `idx`.
-    pub fn recorded(&self, idx: usize) -> Recorded<'_> {
-        let (e0, e1, o0, o1, warp_cycles) = self.spans[idx];
-        Recorded {
-            emits: &self.emits[e0 as usize..e1 as usize],
-            offers: &self.offers[o0 as usize..o1 as usize],
-            warp_cycles,
-        }
-    }
 }
 
 thread_local! {
@@ -197,7 +161,7 @@ thread_local! {
 /// Runs `f` with this thread's shared [`BatchArena`] — one arena per
 /// worker, exactly like [`crate::step::with_thread_scratch`] (and with
 /// the same non-reentrancy caveat).
-pub fn with_thread_arena<R>(f: impl FnOnce(&mut BatchArena) -> R) -> R {
+pub(crate) fn with_thread_arena<R>(f: impl FnOnce(&mut BatchArena) -> R) -> R {
     THREAD_ARENA.with(|a| f(&mut a.borrow_mut()))
 }
 
@@ -229,20 +193,20 @@ fn key_index(key: u64) -> usize {
 }
 
 /// Expands the arena's frontier in vertex-grouped order, recording every
-/// entry's emits and offers ([`BatchArena::recorded`]) instead of sinking
-/// them: batched Philox first blocks, a packed-key sort by `(vertex, flat
-/// position)`, look-ahead prefetch, and one shared bias fill + CTPS build
-/// per vertex group when the kernel allows it
+/// entry's emits and offers into the arena (its `spans` lane indexes
+/// them) instead of sinking them: batched Philox first blocks, a
+/// packed-key sort by `(vertex, flat position)`, look-ahead prefetch, and
+/// one shared bias fill + CTPS build per vertex group when the kernel
+/// allows it
 /// ([`StepKernel::group_shareable`]). Entry `i` charges
 /// `stats[item.slot]`; group-level charges with no single owning walker —
 /// the `batch_*` counters — go to the slot of each group's first entry
 /// (deterministic and conservation-clean: the ledgers still sum to the
 /// frontier's totals).
 ///
-/// Used by [`run_chunk`] (one depth of a chunk) and by the out-of-memory
-/// scheduler's depth-synchronous drain (one drained batch); each replays
-/// the record through its own sinks in its own order.
-pub fn expand_frontier<N: NeighborAccess, L: Ledger>(
+/// [`run_chunk`] calls it once a depth and replays the record in flat
+/// order.
+fn expand_frontier<N: NeighborAccess, L: Ledger>(
     kernel: &StepKernel<'_>,
     access: &mut N,
     prefetch_distance: usize,
@@ -290,7 +254,7 @@ pub fn expand_frontier<N: NeighborAccess, L: Ledger>(
     emits.clear();
     offers.clear();
     spans.clear();
-    spans.resize(n, (0, 0, 0, 0, 0));
+    spans.resize(n, (0, 0, 0, 0));
 
     for gi in 0..groups {
         let members = &keys[group_starts[gi] as usize..group_starts[gi + 1] as usize];
@@ -333,7 +297,6 @@ pub fn expand_frontier<N: NeighborAccess, L: Ledger>(
             let item = &cur[idx];
             let ledger = &mut stats[item.slot as usize];
             let rng = Philox::with_first_block(seed, tasks[idx], blocks[idx]);
-            let before = ledger.counters().warp_cycles;
             let (e0, o0) = (emits.len() as u32, offers.len() as u32);
             let mut sink = RecordSink { emits: &mut *emits, offers: &mut *offers };
             kernel.expand_with(
@@ -346,8 +309,7 @@ pub fn expand_frontier<N: NeighborAccess, L: Ledger>(
                 scratch,
                 ledger,
             );
-            let cycles = ledger.counters().warp_cycles - before;
-            spans[idx] = (e0, emits.len() as u32, o0, offers.len() as u32, cycles);
+            spans[idx] = (e0, emits.len() as u32, o0, offers.len() as u32);
         }
     }
 }
@@ -358,7 +320,7 @@ pub fn expand_frontier<N: NeighborAccess, L: Ledger>(
 /// entry per chunk instance. The caller owns the kernel (algorithm,
 /// SELECT config, seed, cache, policy) and the access; this driver owns
 /// the loop interchange: seeding, trial ordinals, and the flat-order
-/// replay of what [`expand_frontier`] recorded.
+/// replay of what the grouped expansion recorded.
 #[allow(clippy::too_many_arguments)]
 pub fn run_chunk<N: NeighborAccess, L: Ledger>(
     kernel: &StepKernel<'_>,
@@ -425,7 +387,7 @@ pub fn run_chunk<N: NeighborAccess, L: Ledger>(
         arena.next.clear();
         for (idx, item) in arena.cur.iter().enumerate() {
             let inst = item.slot as usize;
-            let (e0, e1, o0, o1, _) = arena.spans[idx];
+            let (e0, e1, o0, o1) = arena.spans[idx];
             outs[inst].extend_from_slice(&arena.emits[e0 as usize..e1 as usize]);
             for &(vertex, prev) in &arena.offers[o0 as usize..o1 as usize] {
                 let stats = &mut per_inst[inst];

@@ -189,21 +189,23 @@ pub struct RunOptions {
     /// `snapshot` also set, the store holds the snapshot's base graph and
     /// the overlay serves the mutated vertices above it.
     pub disk: Option<crate::residency::DiskRunConfig>,
-    /// Execution order over instances — see [`ExecMode`]. Output is
-    /// bit-identical across modes; only throughput and the `batch_*`
-    /// observability counters differ.
+    /// The in-memory engine's execution order over instances — see
+    /// [`ExecMode`]. Output is bit-identical across modes; only
+    /// throughput and the `batch_*` observability counters differ. The
+    /// other runtimes do not read it: the out-of-memory scheduler drains
+    /// its partition queues entry by entry.
     pub exec: ExecMode,
-    /// Depth-synchronous look-ahead, in vertex-groups: while group `g`
-    /// expands, the CSR index row of group `g + distance` and the
-    /// adjacency of group `g + max(1, distance/2)` are software-prefetched.
-    /// `0` disables prefetching. Ignored under instance-major execution.
+    /// The engine's depth-synchronous look-ahead, in vertex-groups: while
+    /// group `g` expands, the CSR index row of group `g + distance` and
+    /// the adjacency of group `g + max(1, distance/2)` are
+    /// software-prefetched. `0` disables prefetching. Ignored under
+    /// instance-major execution and by the other runtimes.
     pub prefetch_distance: usize,
-    /// Instances per depth-synchronous chunk (the unit of host
-    /// parallelism). `None` (the default) auto-sizes to roughly four
+    /// Instances per depth-synchronous chunk of the engine (the unit of
+    /// host parallelism). `None` (the default) auto-sizes to roughly four
     /// chunks per available worker thread. Ignored under instance-major
-    /// execution; any value yields bit-identical output. The
-    /// out-of-memory scheduler ignores it too: its drain batch is a
-    /// partition's queue.
+    /// execution and by the other runtimes; any value yields
+    /// bit-identical output.
     pub batch_chunk: Option<usize>,
 }
 

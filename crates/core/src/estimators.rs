@@ -115,48 +115,6 @@ pub fn ppr_from_restart_walks(
     visits.into_iter().map(|c| c as f64 / total as f64).collect()
 }
 
-/// Estimates the global clustering coefficient (transitivity) from
-/// stationary random walks — the Hardiman–Katzir style estimator the
-/// paper's related work (its ref. 75, graphlet estimation via random walk)
-/// builds on. For each interior walk position `t` with
-/// `x_{t-1} != x_{t+1}`, the wedge `(x_{t-1}, x_t, x_{t+1})` is observed;
-/// weighting by `deg(x_t)` makes the closure rate converge to
-/// `3·triangles / wedges`.
-pub fn clustering_from_walk(
-    g: &Csr,
-    walks: usize,
-    length: usize,
-    burn_in: usize,
-    seed: u64,
-) -> f64 {
-    let algo = SimpleRandomWalk { length };
-    let seeds = spread_seeds(g, walks, seed);
-    let out = Sampler::new(g, &algo)
-        .with_options(RunOptions { seed, ..Default::default() })
-        .run_single_seeds(&seeds);
-    let mut num = 0.0f64;
-    let mut den = 0.0f64;
-    for inst in &out.instances {
-        for w in inst.windows(2).skip(burn_in) {
-            let (a, v) = w[0];
-            let b = w[1].1;
-            if a == b {
-                continue; // backtrack: not a wedge
-            }
-            let d = g.degree(v) as f64;
-            den += d;
-            if g.has_edge(a, b) {
-                num += d;
-            }
-        }
-    }
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
 fn spread_seeds(g: &Csr, n: usize, seed: u64) -> Vec<VertexId> {
     // Deterministic spread over non-isolated vertices.
     let nv = g.num_vertices().max(1) as u64;
@@ -243,23 +201,6 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-9);
         let max_idx = p.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         assert_eq!(max_idx, 8, "PPR mass concentrates at the source");
-    }
-
-    #[test]
-    fn walk_clustering_estimator_matches_exact() {
-        let g = barabasi_albert(1200, 4, 11);
-        let exact = csaw_graph::quality::clustering_coefficient(&g);
-        let est = clustering_from_walk(&g, 48, 600, 20, 12);
-        assert!(
-            (est - exact).abs() < 0.25 * exact.max(0.02),
-            "walk estimate {est} vs exact {exact}"
-        );
-    }
-
-    #[test]
-    fn walk_clustering_zero_on_triangle_free_graph() {
-        let g = ring_lattice(100, 1);
-        assert_eq!(clustering_from_walk(&g, 8, 200, 10, 1), 0.0);
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub mod ctps;
 pub mod ctps_cache;
 pub mod engine;
 pub mod estimators;
-pub mod frontier;
 pub mod method;
 pub mod output;
 pub mod residency;

@@ -161,18 +161,6 @@ impl SampleOutput {
         cost::seps(self.sampled_edges(), self.kernel_seconds(cfg))
     }
 
-    /// Distinct vertices touched by the sample (subgraph extraction).
-    pub fn unique_vertices(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        for inst in &self.instances {
-            for &(v, u) in inst {
-                seen.insert(v);
-                seen.insert(u);
-            }
-        }
-        seen.len()
-    }
-
     /// Induces the sampled subgraph: the union of all instances' sampled
     /// edges over the touched vertices, relabeled densely. Returns the
     /// subgraph plus the mapping `new id -> original id`. This is the
@@ -226,12 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn unique_vertices_dedup_across_instances() {
-        let s = sample();
-        assert_eq!(s.unique_vertices(), 5);
-    }
-
-    #[test]
     fn seps_is_positive_for_work() {
         let s = sample();
         let cfg = DeviceConfig::v100();
@@ -282,7 +264,6 @@ mod tests {
     fn empty_output() {
         let s = SampleOutput::empty();
         assert_eq!(s.edges_per_instance(), 0.0);
-        assert_eq!(s.unique_vertices(), 0);
     }
 
     #[test]

@@ -5,10 +5,8 @@
 //! 170 GB/s (§VI, "the unprecedented bandwidth of the V100 GPU over the
 //! POWER9 CPU, i.e., 900 GB/s vs. 170 GB/s").
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated GPU parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceConfig {
     /// Streaming multiprocessors.
     pub num_sms: usize,
@@ -53,12 +51,6 @@ impl DeviceConfig {
     pub fn total_warps(&self) -> usize {
         self.num_sms * self.warps_per_sm
     }
-
-    /// Warp-instruction throughput in warp-steps per second: each SM
-    /// retires one warp instruction per cycle in this model.
-    pub fn warp_steps_per_sec(&self) -> f64 {
-        self.num_sms as f64 * self.clock_ghz * 1e9
-    }
 }
 
 impl Default for DeviceConfig {
@@ -68,7 +60,7 @@ impl Default for DeviceConfig {
 }
 
 /// CPU parameters for the baseline (KnightKing / GraphSAINT) cost model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// Hardware threads used by the baseline (paper: `# threads = # cores`).
     pub threads: usize,
@@ -121,7 +113,6 @@ mod tests {
     fn derived_throughputs() {
         let c = DeviceConfig::v100();
         assert_eq!(c.total_warps(), 640);
-        assert!((c.warp_steps_per_sec() - 80.0 * 1.53e9).abs() < 1.0);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! exercises the same code paths (see DESIGN.md, "Hardware substitution"):
 //!
 //! - [`warp`]: warp-level lockstep primitives — Kogge-Stone inclusive scan,
-//!   ballot, shuffle, reductions — over 32-lane warps, with step accounting.
-//! - [`simt`]: a lockstep warp *executor* with active-mask divergence
-//!   tracking, for measuring the SIMT cost of per-lane retry loops.
+//!   ballot, per-lane region search — over 32-lane warps, with step
+//!   accounting.
 //! - [`rng::Philox`]: the counter-based Philox4x32-10 generator (the same
 //!   family cuRAND uses), keyed per (seed, instance, depth, lane) so results
 //!   are deterministic under any host scheduling.
@@ -19,10 +18,6 @@
 //!   compare-and-swap operations from the 32 lanes of a warp, counting
 //!   serialization conflicts on shared words — the effect the strided
 //!   bitmap optimization targets.
-//! - [`memory::DeviceMemory`]: device-residency accounting that drives the
-//!   out-of-memory runtime.
-//! - [`transfer::TransferEngine`]: an async H2D copy model (streams,
-//!   `cudaMemcpyAsync` analog) over a simulated timeline.
 //! - [`cost`]: converts counted work into simulated kernel seconds for a
 //!   V100-like device and a POWER9-like CPU (for the baselines).
 //! - [`device::Device`]: a rayon-backed executor that runs warp tasks in
@@ -36,11 +31,8 @@ pub mod config;
 pub mod cost;
 pub mod device;
 pub mod lockstep;
-pub mod memory;
 pub mod rng;
-pub mod simt;
 pub mod stats;
-pub mod transfer;
 pub mod warp;
 
 pub use config::{CpuConfig, DeviceConfig};

@@ -17,8 +17,6 @@
 //! [`ServeLedger`] keeps the operational ones and compiles every model
 //! charge away.
 
-use serde::{Deserialize, Serialize};
-
 /// Cycles charged per dependent global-memory gather: a ~500-cycle HBM
 /// round trip divided by the ~8 resident warps per SM that can hide each
 /// other's stalls. This is the term that keeps low-degree graphs from
@@ -64,7 +62,7 @@ macro_rules! operational {
 macro_rules! counters {
     ($( $(#[$doc:meta])* $kind:ident $field:ident : $t:ty; )*) => {
         /// Additive counters accumulated while simulating kernels.
-        #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq, Eq)]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct SimStats {
             $( $(#[$doc])* pub $field: $t, )*
         }
@@ -199,15 +197,6 @@ impl SimStats {
             0.0
         } else {
             self.select_iterations as f64 / self.selections as f64
-        }
-    }
-
-    /// Fraction of atomic operations that conflicted.
-    pub fn atomic_conflict_rate(&self) -> f64 {
-        if self.atomic_ops == 0 {
-            0.0
-        } else {
-            self.atomic_conflicts as f64 / self.atomic_ops as f64
         }
     }
 }
@@ -479,12 +468,5 @@ mod tests {
         let mut served = ServeLedger::default();
         charge_everything(&mut served);
         assert_eq!(served.into_stats(), modeled.operational());
-    }
-
-    #[test]
-    fn conflict_rate() {
-        let s = SimStats { atomic_ops: 8, atomic_conflicts: 2, ..Default::default() };
-        assert!((s.atomic_conflict_rate() - 0.25).abs() < 1e-12);
-        assert_eq!(SimStats::new().atomic_conflict_rate(), 0.0);
     }
 }

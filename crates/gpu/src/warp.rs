@@ -6,7 +6,7 @@
 //! 1. **Kogge-Stone inclusive scan** for the bias prefix sum (the paper
 //!    cites Merrill & Grimshaw's warp-level scan);
 //! 2. per-lane **binary search** over the CTPS;
-//! 3. **ballot/shuffle**-style communication for collision handling.
+//! 3. **ballot**-style communication for collision handling.
 //!
 //! We reproduce the lockstep data flow exactly: within one "step" every
 //! lane reads before any lane's write becomes visible. Step counts feed the
@@ -186,24 +186,6 @@ pub fn ballot(preds: &[bool]) -> u32 {
     preds.iter().enumerate().fold(0u32, |m, (i, &p)| m | ((p as u32) << i))
 }
 
-/// Warp shuffle: every lane reads lane `src`'s value (i.e. `__shfl_sync`
-/// broadcast).
-pub fn shfl<T: Copy>(vals: &[T], src: usize) -> T {
-    vals[src % vals.len().max(1)]
-}
-
-/// Warp max-reduction (butterfly), counting its `LOG_WARP_SIZE` steps.
-pub fn reduce_max(vals: &[f64], stats: &mut SimStats) -> f64 {
-    stats.warp_cycles += LOG_WARP_SIZE as u64;
-    vals.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Warp sum-reduction (butterfly), counting its `LOG_WARP_SIZE` steps.
-pub fn reduce_sum(vals: &[f64], stats: &mut SimStats) -> f64 {
-    stats.warp_cycles += LOG_WARP_SIZE as u64;
-    vals.iter().sum()
-}
-
 /// Per-lane binary search: smallest index `i` such that `r < bounds[i]`,
 /// over a CTPS-style array with `bounds[0] == 0.0` implied at index 0.
 /// Returns the selected *region* index in `0..bounds.len()-1` given
@@ -332,21 +314,6 @@ mod tests {
         assert_eq!(ballot(&[]), 0);
         let all = vec![true; 32];
         assert_eq!(ballot(&all), u32::MAX);
-    }
-
-    #[test]
-    fn shfl_broadcasts() {
-        let v = [10, 20, 30];
-        assert_eq!(shfl(&v, 1), 20);
-        assert_eq!(shfl(&v, 4), 20); // wraps like a lane id mod width
-    }
-
-    #[test]
-    fn reductions() {
-        let mut s = SimStats::new();
-        assert_eq!(reduce_max(&[1.0, 9.0, 3.0], &mut s), 9.0);
-        assert_eq!(reduce_sum(&[1.0, 2.0, 3.0], &mut s), 6.0);
-        assert_eq!(s.warp_cycles, 10);
     }
 
     #[test]

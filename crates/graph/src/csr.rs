@@ -7,7 +7,6 @@
 //! relies on.
 
 use crate::types::{Edge, VertexId, Weight};
-use serde::{Deserialize, Serialize};
 
 /// A graph in Compressed Sparse Row form with optional edge weights.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 ///   `row_ptr` is non-decreasing and ends at `col.len()`.
 /// - every entry of `col` is `< num_vertices`.
 /// - `weights`, when present, has `col.len()` entries, all finite and `> 0`.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     row_ptr: Vec<usize>,
     col: Vec<VertexId>,

@@ -12,10 +12,9 @@
 
 use crate::csr::Csr;
 use crate::generators::rmat::{rmat, RmatParams};
-use serde::{Deserialize, Serialize};
 
 /// Static description of one Table II dataset and its synthetic stand-in.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DatasetSpec {
     /// Paper abbreviation (AM, AS, CP, LJ, OR, RE, WG, YE, FR, TW).
     pub abbr: &'static str,
@@ -79,12 +78,6 @@ impl DatasetSpec {
     /// Vertex count of the stand-in.
     pub fn standin_vertices(&self) -> usize {
         1 << self.scale
-    }
-
-    /// Returns a copy with a different stand-in scale — for users who want
-    /// larger (or smaller) synthetic graphs without editing the registry.
-    pub fn with_scale(self, scale: u32) -> Self {
-        DatasetSpec { scale, ..self }
     }
 }
 
@@ -287,16 +280,6 @@ mod tests {
             v[v.len() / 2]
         };
         assert!(median_ish < 3.0, "bulk stays light: median {median_ish}");
-    }
-
-    #[test]
-    fn scale_override_changes_size_only() {
-        let spec = by_abbr("AM").unwrap();
-        let big = spec.with_scale(spec.scale + 2);
-        assert_eq!(big.standin_vertices(), spec.standin_vertices() * 4);
-        assert_eq!(big.abbr, spec.abbr);
-        let g = big.build();
-        assert_eq!(g.num_vertices(), big.standin_vertices());
     }
 
     #[test]

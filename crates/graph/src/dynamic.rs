@@ -162,9 +162,6 @@ pub struct VertexDelta {
     /// Fenwick index over `weights` — keeps reweights O(log d) and gives
     /// O(log d) prefix sums over the vertex's bias mass.
     fenwick: Option<Fenwick>,
-    inserts: u64,
-    deletes: u64,
-    reweights: u64,
 }
 
 impl VertexDelta {
@@ -172,7 +169,7 @@ impl VertexDelta {
         let neighbors = base.neighbors(v).to_vec();
         let weights = base.neighbor_weights(v).map(|w| w.to_vec());
         let fenwick = weights.as_ref().map(|w| build_fenwick(w));
-        VertexDelta { neighbors, weights, fenwick, inserts: 0, deletes: 0, reweights: 0 }
+        VertexDelta { neighbors, weights, fenwick }
     }
 
     /// Whether this delta serves exactly `v`'s slices in `base`.
@@ -201,17 +198,6 @@ impl VertexDelta {
         }
     }
 
-    /// Total weight mass of the vertex (degree when unweighted).
-    pub fn weight_total(&self) -> f64 {
-        self.weight_prefix(self.neighbors.len())
-    }
-
-    /// (inserts, deletes, reweights) applied to this vertex since its
-    /// delta was materialized (compaction resets the log).
-    pub fn edit_counts(&self) -> (u64, u64, u64) {
-        (self.inserts, self.deletes, self.reweights)
-    }
-
     fn insert(&mut self, dst: VertexId, weight: Weight) {
         let pos = match self.neighbors.binary_search(&dst) {
             Ok(p) | Err(p) => p,
@@ -221,7 +207,6 @@ impl VertexDelta {
             w.insert(pos, weight);
             self.fenwick = Some(build_fenwick(w));
         }
-        self.inserts += 1;
     }
 
     fn delete(&mut self, dst: VertexId) -> bool {
@@ -231,7 +216,6 @@ impl VertexDelta {
             w.remove(pos);
             self.fenwick = Some(build_fenwick(w));
         }
-        self.deletes += 1;
         true
     }
 
@@ -241,7 +225,6 @@ impl VertexDelta {
         w[pos] = weight;
         // The O(log d) path: point-update the Fenwick index in place.
         self.fenwick.as_mut().expect("weighted delta has a fenwick").set(pos, weight as f64);
-        self.reweights += 1;
         true
     }
 }
@@ -842,8 +825,6 @@ mod tests {
             assert!((delta.weight_prefix(k) - acc).abs() < 1e-9, "k={k}");
             acc += w as f64;
         }
-        assert!((delta.weight_total() - acc).abs() < 1e-9);
-        assert_eq!(delta.edit_counts(), (0, 0, 1));
     }
 
     #[test]

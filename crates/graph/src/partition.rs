@@ -9,14 +9,13 @@
 
 use crate::csr::Csr;
 use crate::types::VertexId;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// One partition: the vertex range `[start, end)` and the range of CSR
 /// entries holding those vertices' neighbor lists. A partition is a view
 /// of the graph's own arrays, never a copy: the runtimes read adjacency
 /// through their storage and bill a partition by [`Partition::size_bytes`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Partition {
     /// Partition index.
     pub id: usize,
@@ -58,7 +57,7 @@ impl Partition {
 }
 
 /// A full partitioning of a graph into `k` contiguous vertex ranges.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionSet {
     parts: Vec<Partition>,
     /// Range boundaries; `boundaries[i]..boundaries[i+1]` is partition `i`.

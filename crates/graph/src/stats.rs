@@ -3,10 +3,9 @@
 //! synthetic stand-ins.
 
 use crate::csr::Csr;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a graph's degree distribution.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
     /// Number of vertices.
     pub vertices: usize,
@@ -66,21 +65,6 @@ pub fn degree_stats(g: &Csr) -> DegreeStats {
     }
 }
 
-/// Degree histogram in powers of two: `hist[i]` counts vertices with degree
-/// in `[2^i, 2^(i+1))`; `hist[0]` additionally counts degree-0 vertices.
-pub fn log2_degree_histogram(g: &Csr) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for v in 0..g.num_vertices() as u32 {
-        let d = g.degree(v);
-        let bucket = if d <= 1 { 0 } else { (usize::BITS - d.leading_zeros() - 1) as usize };
-        if hist.len() <= bucket {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,19 +101,5 @@ mod tests {
         let g = Csr::from_parts(vec![0, 2, 2, 2], vec![1, 2], None);
         let s = degree_stats(&g);
         assert!((s.isolated_frac - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let g = ring_lattice(16, 2); // all degree 4 -> bucket 2
-        let h = log2_degree_histogram(&g);
-        assert_eq!(h, vec![0, 0, 16]);
-    }
-
-    #[test]
-    fn histogram_total_is_vertex_count() {
-        let g = rmat(9, 4, RmatParams::MILD, 3);
-        let h = log2_degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), g.num_vertices());
     }
 }

@@ -929,12 +929,6 @@ impl DiskStore {
         (0..self.metas.len()).map(|p| self.decoded_bytes(p)).sum()
     }
 
-    /// Simulated page faults charged for streaming partition `p`'s
-    /// segment out of the mapping (4 KiB pages).
-    pub fn segment_pages(&self, p: usize) -> u64 {
-        (self.metas[p].seg_len as usize).div_ceil(PAGE_BYTES) as u64
-    }
-
     /// Verifies segment `p`'s trailing checksum once (lazily, before its
     /// first decode); corrupt bytes yield a typed error, never a panic.
     #[inline]
@@ -1436,7 +1430,6 @@ mod tests {
             assert_eq!(store.decoded_bytes(p), want, "partition {p}");
             assert_eq!(store.decode_partition(p).unwrap().size_bytes(), want);
         }
-        assert!(store.segment_pages(0) >= 1);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -53,16 +53,6 @@ pub fn connected_components(g: &Csr) -> (Vec<u32>, usize) {
     (label, count as usize)
 }
 
-/// Size of the largest connected component.
-pub fn largest_component_size(g: &Csr) -> usize {
-    let (labels, count) = connected_components(g);
-    let mut sizes = vec![0usize; count];
-    for &l in &labels {
-        sizes[l as usize] += 1;
-    }
-    sizes.into_iter().max().unwrap_or(0)
-}
-
 /// Number of vertices reachable from `source` (including itself).
 pub fn reachable_count(g: &Csr, source: VertexId) -> usize {
     bfs_distances(g, source).iter().filter(|&&d| d != u32::MAX).count()
@@ -108,7 +98,6 @@ mod tests {
         assert_eq!(count, 4); // {0,1,2}, {3}, {4,5}, {6}
         assert_eq!(labels[0], labels[2]);
         assert_ne!(labels[0], labels[3]);
-        assert_eq!(largest_component_size(&g), 3);
     }
 
     #[test]
@@ -125,6 +114,5 @@ mod tests {
         let g = Csr::empty(0);
         assert!(bfs_distances(&g, 0).is_empty());
         assert_eq!(connected_components(&g).1, 0);
-        assert_eq!(largest_component_size(&g), 0);
     }
 }

@@ -1,11 +1,9 @@
 //! Out-of-memory runtime configuration (the Fig. 13 experiment knobs).
 
-use serde::{Deserialize, Serialize};
-
 /// Switches for the three §V optimizations plus the experiment's fixed
 /// structure ("we use 4 partitions for each graph and two CUDA streams...
 /// assume the GPU memory can keep at most two partitions").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OomConfig {
     /// Number of contiguous vertex-range partitions.
     pub num_partitions: usize,

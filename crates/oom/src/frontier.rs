@@ -7,10 +7,9 @@
 //! (batched multi-instance sampling, §V-C).
 
 use csaw_graph::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// One queued frontier entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontierEntry {
     /// The vertex to expand.
     pub vertex: VertexId,
@@ -37,7 +36,7 @@ impl FrontierEntry {
 }
 
 /// Structure-of-arrays frontier queue.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FrontierQueue {
     vertex: Vec<VertexId>,
     instance: Vec<u32>,

@@ -20,6 +20,9 @@
 //!     partition until its queue is empty before releasing it;
 //!   - **thread-block based workload balancing** (§V-B): grant each
 //!     concurrent kernel thread blocks proportional to its workload.
+//! - [`frontier`], [`memory`], [`transfer`]: the per-partition frontier
+//!   queues (§V-C), device-residency accounting, and the async H2D copy
+//!   model (streams, `cudaMemcpyAsync` analog) the scheduler runs on.
 //! - [`pooled`]: out-of-memory execution for pool-frontier algorithms
 //!   (layer sampling, multi-dimensional random walk) — the per-instance
 //!   depth loop over the shared [`csaw_core::step::StepKernel`] against
@@ -50,10 +53,13 @@
 //! ```
 
 pub mod config;
+pub mod frontier;
+pub mod memory;
 pub mod multigpu;
 pub mod pooled;
 pub mod scheduler;
 pub mod timeline;
+pub mod transfer;
 
 pub use config::OomConfig;
 pub use multigpu::{MultiGpu, MultiGpuOomOutput};

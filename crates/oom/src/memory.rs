@@ -84,11 +84,6 @@ impl DeviceMemory {
         self.resident.contains_key(&tag)
     }
 
-    /// Number of resident tags.
-    pub fn resident_count(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Would an allocation of `bytes` fit right now?
     pub fn can_fit(&self, bytes: usize) -> bool {
         bytes <= self.free()
@@ -150,7 +145,6 @@ mod tests {
         let mut m = DeviceMemory::new(100);
         m.alloc(1, 80).unwrap();
         assert_eq!(m.alloc(2, 30), Err(MemoryError::OutOfMemory { requested: 30, free: 20 }));
-        assert_eq!(m.resident_count(), 1);
     }
 
     #[test]

@@ -18,15 +18,15 @@
 //! traffic and time. The tests pin that equivalence.
 
 use crate::config::OomConfig;
+use crate::memory::DeviceMemory;
 use crate::scheduler::{OomOutput, OomRunner, KERNEL_LAUNCH_OVERHEAD};
+use crate::transfer::TransferEngine;
 use csaw_core::api::{Algorithm, FrontierMode};
 use csaw_core::engine::{drive_pool, kernel_for, run_task, PoolBufs, Task};
 use csaw_core::step::{LayeredAccess, NeighborAccess, Residency, StepScratch};
 use csaw_core::SampleOutput;
 use csaw_gpu::cost::gpu_kernel_seconds;
-use csaw_gpu::memory::DeviceMemory;
 use csaw_gpu::stats::SimStats;
-use csaw_gpu::transfer::TransferEngine;
 use csaw_graph::{Partition, PartitionSet, VertexId};
 use std::collections::VecDeque;
 

@@ -41,13 +41,14 @@
 //! (and `tests/oom_equivalence.rs`) assert exactly that.
 
 use crate::config::OomConfig;
+use crate::frontier::{FrontierEntry, FrontierQueue};
+use crate::memory::DeviceMemory;
 use crate::timeline::{EventKind, TimelineEvent};
+use crate::transfer::TransferEngine;
 use csaw_core::api::{AlgoConfig, Algorithm, FrontierMode};
-use csaw_core::batch::{expand_frontier, with_thread_arena, FrontierItem};
 use csaw_core::collision::{charge_visited_check, DetectorKind};
 use csaw_core::ctps_cache::CtpsCache;
-use csaw_core::engine::{kernel_for, run_task, ExecMode, RunOptions, Task};
-use csaw_core::frontier::{FrontierEntry, FrontierQueue};
+use csaw_core::engine::{kernel_for, run_task, RunOptions, Task};
 use csaw_core::step::{
     with_thread_scratch, FrontierSink, LayeredAccess, NeighborAccess, StepEntry, StepKernel,
 };
@@ -55,9 +56,7 @@ use csaw_core::SampleOutput;
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds_with_slots;
 use csaw_gpu::device::Device;
-use csaw_gpu::memory::DeviceMemory;
 use csaw_gpu::stats::{Ledger, SimStats};
-use csaw_gpu::transfer::TransferEngine;
 use csaw_graph::{Csr, Partition, PartitionSet, VertexId};
 use std::collections::{HashMap, HashSet};
 
@@ -243,13 +242,13 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
     /// chunk); `snapshot` and `disk` layer a (device-resident) overlay
     /// and a disk tier under the device-side partition machinery, which
     /// runs unchanged (the snapshot's base and the store hold the graph
-    /// this runner was constructed over); `exec: DepthSync` expands each
-    /// drained batch vertex-grouped and replays its sink effects in
-    /// drained order. The queue scheduler takes only `ctps_cache`'s byte
-    /// budget, split into one shard per stream: each stream's kernels
-    /// reuse their own shard, and a partition swap bumps the residency
-    /// epoch that lazily drops stale entries. `batch_chunk` is ignored:
-    /// a drain batch is a partition's queue.
+    /// this runner was constructed over). The queue scheduler takes only
+    /// `ctps_cache`'s byte budget, split into one shard per stream: each
+    /// stream's kernels reuse their own shard, and a partition swap bumps
+    /// the residency epoch that lazily drops stale entries. `exec`,
+    /// `prefetch_distance` and `batch_chunk` are the in-memory engine's
+    /// schedule options and are not read here: a partition queue drains
+    /// entry by entry.
     pub fn with_options(mut self, opts: RunOptions) -> Self {
         self.opts = opts;
         self
@@ -598,53 +597,18 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             // Queue entries carry their logical position; the queue path
             // always expands trial 0 (duplicates of one (instance, depth,
             // vertex) never coexist in a partition queue).
-            let items = batch.iter().map(|e| FrontierItem {
-                entry: StepEntry {
+            for e in &batch {
+                let entry = StepEntry {
                     instance: e.instance,
                     depth: e.depth,
                     vertex: e.vertex,
                     prev: e.prev,
                     trial: 0,
-                },
-                home: seeds[(e.instance - instance_base) as usize],
-                slot: 0,
-            });
-            if self.opts.exec == ExecMode::DepthSync {
-                // Depth-synchronous drain: the batch is expanded in
-                // vertex-sorted order by the engine's grouped expander —
-                // co-located entries (even of different instances or
-                // depths: a static edge bias depends on the vertex alone)
-                // share one gather + CTPS build, Philox first blocks
-                // generate in one batched pass — and the recorded sink
-                // effects are replayed in **drained order** through the
-                // real sink. Replay order is what preserves bit-identity
-                // with the entry-order drain: queue self-feeding before
-                // the next `drain_all`, outbox order at the round barrier,
-                // and the visited-shard charge sequence all match exactly.
-                with_thread_arena(|arena| {
-                    arena.set_frontier(items);
-                    let ledger = std::slice::from_mut(&mut *stats);
-                    let distance = self.opts.prefetch_distance;
-                    expand_frontier(kernel, access, distance, ledger, arena, scratch);
-                    for (idx, item) in arena.frontier().iter().enumerate() {
-                        let rec = arena.recorded(idx);
-                        let before = stats.warp_cycles;
-                        for &edge in rec.emits {
-                            sink.emit(&item.entry, edge);
-                        }
-                        for &(vertex, prev) in rec.offers {
-                            sink.push(&item.entry, vertex, prev, stats);
-                        }
-                        let replayed = stats.warp_cycles - before;
-                        tally(item.entry.instance, rec.warp_cycles + replayed);
-                    }
-                });
-            } else {
-                for item in items {
-                    let before = stats.warp_cycles;
-                    kernel.expand(access, &item.entry, item.home, sink, scratch, stats);
-                    tally(item.entry.instance, stats.warp_cycles - before);
-                }
+                };
+                let home = seeds[(e.instance - instance_base) as usize];
+                let before = stats.warp_cycles;
+                kernel.expand(access, &entry, home, sink, scratch, stats);
+                tally(e.instance, stats.warp_cycles - before);
             }
             if !self.cfg.workload_aware {
                 break; // baseline: one pass per round
@@ -724,47 +688,6 @@ mod tests {
         assert_eq!(results[0], results[1], "BA changed the sample");
         assert_eq!(results[0], results[2], "WS changed the sample");
         assert_eq!(results[0], results[3], "BAL changed the sample");
-    }
-
-    #[test]
-    fn depth_sync_drain_is_bit_identical() {
-        // The grouped drain must reproduce the entry-order drain exactly —
-        // per-instance outputs in order (not just as sets) and stats
-        // totals modulo the depth-sync-only batch_* counters — across
-        // scheduling policies and both walk (with-replacement, shareable
-        // static bias) and neighbor-sampling (without-replacement) shapes.
-        let g = rmat(8, 4, RmatParams::GRAPH500, 5).with_unit_weights();
-        let seeds: Vec<u32> = (0..32).map(|i| (i * 7) % 256).collect();
-        let scrub = |mut s: SimStats| {
-            s.batch_groups = 0;
-            s.batch_group_entries = 0;
-            s.batch_group_hist = [0; 8];
-            s.batch_prefetch_hits = 0;
-            s.batch_prefetch_misses = 0;
-            s
-        };
-        for (label, cfg) in OomConfig::figure13_ladder() {
-            let ns = UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 };
-            let walk = BiasedRandomWalk { length: 4 };
-            let reference = OomRunner::new(&g, &ns, cfg).with_device(tiny_device()).run(&seeds);
-            let grouped = OomRunner::new(&g, &ns, cfg)
-                .with_device(tiny_device())
-                .with_options(RunOptions { exec: ExecMode::DepthSync, ..Default::default() })
-                .run(&seeds);
-            assert_eq!(grouped.sample.instances, reference.sample.instances, "{label}: ns outputs");
-            assert_eq!(scrub(grouped.sample.stats), reference.sample.stats, "{label}: ns stats");
-            let reference = OomRunner::new(&g, &walk, cfg).with_device(tiny_device()).run(&seeds);
-            let grouped = OomRunner::new(&g, &walk, cfg)
-                .with_device(tiny_device())
-                .with_options(RunOptions { exec: ExecMode::DepthSync, ..Default::default() })
-                .run(&seeds);
-            assert_eq!(
-                grouped.sample.instances, reference.sample.instances,
-                "{label}: walk outputs"
-            );
-            assert_eq!(scrub(grouped.sample.stats), reference.sample.stats, "{label}: walk stats");
-            assert!(grouped.sample.stats.batch_groups > 0, "{label}: grouped drain must group");
-        }
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! asserted on) as a Gantt chart — the visual form of the §V-B claim that
 //! transfers and sampling of different partitions overlap.
 
-use serde::{Deserialize, Serialize};
-
 /// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Host→device partition copy.
     Copy,
@@ -15,7 +13,7 @@ pub enum EventKind {
 }
 
 /// One scheduled operation on a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelineEvent {
     /// Copy or kernel.
     pub kind: EventKind,

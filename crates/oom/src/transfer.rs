@@ -11,8 +11,6 @@
 //! the bus, which is exactly the constraint that makes workload-aware
 //! scheduling (fewer transfers) pay off.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors from the transfer engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransferError {
@@ -41,7 +39,7 @@ impl std::fmt::Display for TransferError {
 impl std::error::Error for TransferError {}
 
 /// Simulated async copy engine with per-stream and bus timelines.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransferEngine {
     pcie_gbps: f64,
     /// Time at which each stream's last enqueued operation finishes.

@@ -254,29 +254,11 @@ mod tests {
         );
         assert_eq!(parse_value(&page, "csaw_ledger_fully_accounted"), Some(1.0));
         assert!(page.contains("# TYPE csaw_batch_requests histogram"));
-    }
-
-    #[test]
-    fn renders_depth_sync_batch_section() {
-        let snap = StatsSnapshot {
-            batch_groups: 5,
-            batch_group_entries: 40,
-            batch_prefetch_hits: 3,
-            batch_prefetch_misses: 2,
-            batch_group_hist: [1, 0, 0, 4, 0, 0, 0, 0],
-            ..Default::default()
-        };
-        let page = render(&snap, &[], &[], &ServeMetrics::default());
-        assert_eq!(parse_value(&page, "csaw_batch_groups_total"), Some(5.0));
-        assert_eq!(parse_value(&page, "csaw_batch_group_entries_total"), Some(40.0));
-        assert_eq!(parse_value(&page, "csaw_batch_prefetch_hits_total"), Some(3.0));
-        assert_eq!(parse_value(&page, "csaw_batch_prefetch_misses_total"), Some(2.0));
-        // Log2 buckets: one singleton group, four groups of 8-15 walkers.
-        assert_eq!(parse_value(&page, "csaw_batch_group_size_bucket{le=\"1\"}"), Some(1.0));
-        assert_eq!(parse_value(&page, "csaw_batch_group_size_bucket{le=\"7\"}"), Some(1.0));
-        assert_eq!(parse_value(&page, "csaw_batch_group_size_bucket{le=\"15\"}"), Some(5.0));
-        assert_eq!(parse_value(&page, "csaw_batch_group_size_bucket{le=\"+Inf\"}"), Some(5.0));
-        assert_eq!(parse_value(&page, "csaw_batch_group_size_count"), Some(5.0));
+        // The depth-synchronous schedule is the engine's alone: the
+        // service launches instance-major, so the page has no group or
+        // prefetch families.
+        assert!(!page.contains("csaw_batch_group"), "no frontier-group family");
+        assert!(!page.contains("csaw_batch_prefetch"), "no prefetch-coverage family");
     }
 
     #[test]

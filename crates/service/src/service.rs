@@ -75,13 +75,6 @@ pub struct ServiceConfig {
     /// [`csaw_core::residency::DiskTierStats`] sink when `shared` is
     /// `None`, surfacing pool gauges through [`StatsSnapshot`].
     pub disk: Option<csaw_core::residency::DiskRunConfig>,
-    /// Execution order of every launch ([`csaw_core::engine::ExecMode`]):
-    /// `DepthSync` advances a whole coalesced batch one depth at a time —
-    /// co-located walkers (common under coalescing: same-key requests
-    /// share hot seed vertices) share gathers and CTPS builds. Responses
-    /// are bit-identical either way; the `batch_*` counters in
-    /// [`StatsSnapshot`] report the realized grouping.
-    pub exec: csaw_core::engine::ExecMode,
 }
 
 impl Default for ServiceConfig {
@@ -93,7 +86,6 @@ impl Default for ServiceConfig {
             start_paused: false,
             ctps_cache_budget: 4 << 20,
             disk: None,
-            exec: csaw_core::engine::ExecMode::InstanceMajor,
         }
     }
 }
@@ -653,7 +645,6 @@ fn process_batch(
             ctps_cache: cache.clone(),
             snapshot: snapshot.clone(),
             disk: shared.config.disk.clone(),
-            exec: shared.config.exec,
             ..RunOptions::default()
         };
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -678,7 +669,6 @@ fn process_batch(
             Ok(out) => {
                 ServiceStats::add(&stats.sampled_edges, out.stats.sampled_edges);
                 stats.record_methods(&out.stats);
-                stats.record_batch_exec(&out.stats);
                 let counts: Vec<usize> = seg.iter().map(|q| q.seed_sets.len()).collect();
                 let parts = out.split_by_counts(&counts);
                 let completed_at = Instant::now();

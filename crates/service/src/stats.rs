@@ -11,7 +11,7 @@
 //! ```
 //!
 //! [`StatsSnapshot::fully_accounted`] checks exactly that, together with
-//! the cache, disk-tier and depth-sync identities; the test suite
+//! the cache and disk-tier identities; the test suite
 //! asserts it after every drain. Sampling, mutation, and compact
 //! requests are all conservation-checked — a front end that relays the
 //! ledger (the `/metrics` endpoint) can prove no request of any kind
@@ -234,28 +234,6 @@ counters! {
         { method = "rejection" }, "Neighbor selections by sampling method";
     /// Total rejection throws across rejection-served expansions.
     rejection_trials: u64 => Counter, "csaw_rejection_trials_total", "Rejection-sampling trials";
-    /// Vertex-groups formed by depth-synchronous launches (batch totals;
-    /// zero while the service executes instance-major).
-    batch_groups: u64 => Counter, "csaw_batch_groups_total",
-        "Same-vertex frontier groups expanded by the depth-sync driver";
-    /// Frontier entries that passed through vertex-grouped expansion
-    /// (`batch_group_entries / batch_groups` is the mean co-location
-    /// factor across all launches).
-    batch_group_entries: u64 => Counter, "csaw_batch_group_entries_total",
-        "Frontier entries expanded through grouped depth-sync steps";
-    /// Log2-bucketed vertex-group size histogram (bucket `i`: groups of
-    /// `2^i..2^(i+1)` entries, last bucket open-ended) — the per-depth
-    /// frontier-occupancy shape, accumulated across launches.
-    batch_group_hist: [u64; 8] => Histogram { le: |i| ((1u64 << (i + 1)) - 1) as f64 },
-        "csaw_batch_group_size", "Walkers co-located per frontier group";
-    /// Vertex-groups whose CSR row was prefetched far enough ahead to be
-    /// resident at expansion (batch totals).
-    batch_prefetch_hits: u64 => Counter, "csaw_batch_prefetch_hits_total",
-        "Frontier groups whose rows were software-prefetched ahead of use";
-    /// Vertex-groups expanded before the prefetch pipeline warmed up
-    /// (`batch_prefetch_hits + batch_prefetch_misses == batch_groups`).
-    batch_prefetch_misses: u64 => Counter, "csaw_batch_prefetch_misses_total",
-        "Frontier groups expanded without prefetch coverage";
     /// Mutation requests ever handed to `mutate` (accepted or not).
     mutations_submitted: u64 => Counter,
         "csaw_mutations_submitted_total", "Mutation requests submitted";
@@ -386,25 +364,12 @@ impl ServiceStats {
         Self::add(&self.method_rejection, stats.method_rejection);
         Self::add(&self.rejection_trials, stats.rejection_trials);
     }
-
-    /// Accumulates one launch's depth-synchronous frontier counters
-    /// (vertex groups, group-size histogram, prefetch coverage). A no-op
-    /// for instance-major launches, whose `batch_*` fields are all zero.
-    pub(crate) fn record_batch_exec(&self, stats: &csaw_gpu::stats::SimStats) {
-        Self::add(&self.batch_groups, stats.batch_groups);
-        Self::add(&self.batch_group_entries, stats.batch_group_entries);
-        for (dst, &src) in self.batch_group_hist.iter().zip(stats.batch_group_hist.iter()) {
-            Self::add(dst, src);
-        }
-        Self::add(&self.batch_prefetch_hits, stats.batch_prefetch_hits);
-        Self::add(&self.batch_prefetch_misses, stats.batch_prefetch_misses);
-    }
 }
 
 impl StatsSnapshot {
     /// True when every submitted request — sampling, mutation, and
     /// compact alike — has reached exactly one terminal state, and the
-    /// cache, disk-tier and depth-sync totals balance. Only meaningful
+    /// cache and disk-tier totals balance. Only meaningful
     /// when the service is idle (after a drain); mid-flight requests are
     /// accepted but not yet terminal.
     pub fn fully_accounted(&self) -> bool {
@@ -424,8 +389,6 @@ impl StatsSnapshot {
                     + self.cache_evictions_replaced
             && self.disk_lookups == self.disk_hits + self.disk_misses
             && self.disk_evictions <= self.disk_misses
-            && self.batch_prefetch_hits + self.batch_prefetch_misses == self.batch_groups
-            && self.batch_group_hist.iter().sum::<u64>() == self.batch_groups
     }
 
     /// Launches recorded by the histogram (should equal `batches`).

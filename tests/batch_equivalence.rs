@@ -3,24 +3,21 @@
 //! The tentpole invariant: execution order is a *free variable*. Draws
 //! are keyed by `(instance, depth, vertex, trial)` and the depth-sync
 //! driver replays its sink traffic in flat order, so advancing all
-//! instances in lockstep — at any chunk size, any prefetch distance, on
-//! any executor — must be **bit-identical** to the instance-major
+//! instances in lockstep — at any chunk size, any prefetch distance —
+//! must be **bit-identical** to the instance-major
 //! schedule, per instance and in edge order. These properties fuzz that
 //! claim across random graphs, seed multisets (duplicates included, so
 //! walkers collide on vertices and share groups), chunk partitions, and
-//! prefetch lookaheads, through all three paths: the engine, the
-//! out-of-memory scheduler, and the sampling service.
+//! prefetch lookaheads. The schedule is the in-memory engine's alone: the
+//! out-of-memory scheduler drains its partition queues entry by entry and
+//! the sampling service launches instance-major.
 
 use csaw::core::engine::{ExecMode, RunOptions, Sampler};
 use csaw::core::AlgoSpec;
 use csaw::gpu::stats::SimStats;
 use csaw::gpu::Device;
 use csaw::graph::{Csr, CsrBuilder};
-use csaw::oom::{OomConfig, OomRunner};
-use csaw::service::{SamplingRequest, SamplingService, ServiceConfig};
 use proptest::prelude::*;
-use std::sync::Arc;
-use std::time::Duration;
 
 const N: u32 = 48;
 
@@ -106,79 +103,5 @@ proptest! {
         // Per-instance attribution still sums to the totals.
         let summed: SimStats = batched.instance_stats.iter().copied().sum();
         prop_assert_eq!(scrub(summed), scrub(batched.stats));
-    }
-
-    /// Out-of-memory path: the scheduler's grouped drain under
-    /// `ExecMode::DepthSync` matches its instance-major drain exactly —
-    /// ordered edges per instance, not just multisets, because the
-    /// grouped drain replays sink traffic in drained-batch order.
-    #[test]
-    fn depth_sync_oom_drain_is_bit_identical(
-        g in arb_graph(),
-        seeds in prop::collection::vec(0u32..N, 4..24),
-        choice in 0usize..3,
-        rng_seed in 1u64..4,
-        prefetch in 0usize..10,
-    ) {
-        let algo = algo_spec(choice).build().unwrap();
-        let cfg = OomConfig::full();
-        let run = |exec: ExecMode| {
-            let opts =
-                RunOptions { seed: rng_seed, exec, prefetch_distance: prefetch, ..Default::default() };
-            OomRunner::new(&g, &algo, cfg).with_options(opts).run(&seeds)
-        };
-        let reference = run(ExecMode::InstanceMajor);
-        let batched = run(ExecMode::DepthSync);
-        prop_assert_eq!(&batched.sample.instances, &reference.sample.instances);
-        prop_assert_eq!(scrub(batched.sample.stats), scrub(reference.sample.stats));
-    }
-
-    /// Service path: a service configured for depth-sync execution
-    /// answers every request bit-identically to a solo instance-major
-    /// engine run at the request's assigned instance base — coalescing
-    /// and the schedule change compose without touching sampling.
-    #[test]
-    fn depth_sync_service_matches_instance_major_solo_runs(
-        g in arb_graph(),
-        requests in prop::collection::vec(
-            (0usize..3, prop::collection::vec(0u32..N, 1..4), 1u64..3), 1..5),
-        max_batch in 1usize..8,
-    ) {
-        let g = Arc::new(g);
-        let svc = SamplingService::with_engine(Arc::clone(&g), ServiceConfig {
-            start_paused: true,
-            max_batch_instances: max_batch,
-            batch_window: Duration::from_millis(1),
-            exec: ExecMode::DepthSync,
-            ..ServiceConfig::default()
-        });
-        // Submit everything in one paused admission batch, then resume.
-        #[allow(clippy::needless_collect)]
-        let tickets: Vec<_> = requests
-            .iter()
-            .map(|(choice, seeds, rng_seed)| {
-                let spec = algo_spec(*choice);
-                let t = svc
-                    .submit(SamplingRequest::new(spec, seeds.clone()).with_rng_seed(*rng_seed))
-                    .expect("valid request");
-                (spec, seeds.clone(), *rng_seed, t)
-            })
-            .collect();
-        svc.resume();
-        for (spec, seeds, rng_seed, ticket) in tickets {
-            let resp = ticket.wait().expect("healthy algo, no deadline");
-            let algo = spec.build().unwrap();
-            let solo = Sampler::new(&g, &algo)
-                .with_options(RunOptions {
-                    seed: rng_seed,
-                    instance_base: resp.instance_base,
-                    ..Default::default()
-                })
-                .run_single_seeds(&seeds);
-            prop_assert_eq!(&resp.output.instances, &solo.instances,
-                "depth-sync service diverged from solo (base {})", resp.instance_base);
-        }
-        let snap = svc.shutdown();
-        prop_assert!(snap.fully_accounted(), "{:?}", snap);
     }
 }

@@ -57,7 +57,9 @@ fn assert_exact_equivalence<A: csaw::core::api::Algorithm>(algo: &A, graph_seed:
 }
 
 /// [`assert_exact_equivalence`] with both sides taking the same `opts`,
-/// the out-of-memory side under both of its drain orders.
+/// the out-of-memory side under both engine schedules: it drains its
+/// partition queues entry by entry whichever `exec` says, so it never
+/// forms a frontier group.
 fn assert_exact_equivalence_under<A: csaw::core::api::Algorithm>(
     algo: &A,
     graph_seed: u64,
@@ -79,6 +81,7 @@ fn assert_exact_equivalence_under<A: csaw::core::api::Algorithm>(
                 mem,
                 "{label} under {name} ({exec:?}) diverged from the engine"
             );
+            assert_eq!(oom.sample.stats.batch_groups, 0, "{label} under {name} ({exec:?}) grouped");
         }
     }
     let serial = OomRunner::new(&g, algo, OomConfig::full().serial())

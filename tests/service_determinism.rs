@@ -162,9 +162,8 @@ proptest! {
     }
 }
 
-/// The engine run under the `Adaptive` method policy and a fixed
-/// depth-sync chunk, so the method, rejection and vertex-group counters
-/// all move.
+/// The engine run under the `Adaptive` method policy, so the method and
+/// rejection counters move.
 struct Tuned(EngineExecutor);
 
 impl BatchExecutor for Tuned {
@@ -175,33 +174,24 @@ impl BatchExecutor for Tuned {
         seed_sets: &[Vec<u32>],
         opts: RunOptions,
     ) -> SampleOutput {
-        let opts = RunOptions {
-            method_policy: csaw::core::MethodPolicy::Adaptive,
-            batch_chunk: Some(8),
-            ..opts
-        };
+        let opts = RunOptions { method_policy: csaw::core::MethodPolicy::Adaptive, ..opts };
         self.0.execute(graph, algo, seed_sets, opts)
     }
 }
 
 /// The service's ledger takes every launch's whole-run totals from the
 /// sample: six requests coalesced into one launch book exactly the
-/// method, rejection and depth-sync group counters of that launch run
+/// sampled-edge, method and rejection counters of that launch run
 /// directly.
 #[test]
 fn engine_ledger_books_the_launch_totals() {
-    use csaw::core::ExecMode;
     use csaw::graph::generators::{rmat, RmatParams};
 
     let g = Arc::new(rmat(9, 6, RmatParams::GRAPH500, 27));
     let spec = AlgoSpec::by_name("node2vec").unwrap().with_depth(10);
     let seeds: Vec<u32> = (0..48u32).map(|i| i * 13 % 512).collect();
-    let config = ServiceConfig {
-        start_paused: true,
-        max_batch_instances: 48,
-        exec: ExecMode::DepthSync,
-        ..ServiceConfig::default()
-    };
+    let config =
+        ServiceConfig { start_paused: true, max_batch_instances: 48, ..ServiceConfig::default() };
     let svc = SamplingService::new(Arc::clone(&g), Arc::new(Tuned(EngineExecutor)), config);
     #[allow(clippy::needless_collect)]
     let tickets: Vec<_> = seeds
@@ -221,7 +211,6 @@ fn engine_ledger_books_the_launch_totals() {
     let opts = RunOptions {
         seed: SamplingRequest::new(spec, vec![0]).rng_seed,
         instance_base: base,
-        exec: ExecMode::DepthSync,
         ..RunOptions::default()
     };
     let launch = Tuned(EngineExecutor).execute(&g, &algo, &seed_sets, opts).stats;
@@ -229,14 +218,5 @@ fn engine_ledger_books_the_launch_totals() {
         (s.sampled_edges, s.method_its, s.method_rejection, s.rejection_trials),
         (launch.sampled_edges, launch.method_its, launch.method_rejection, launch.rejection_trials)
     );
-    assert_eq!(
-        (s.batch_groups, s.batch_group_entries, s.batch_group_hist),
-        (launch.batch_groups, launch.batch_group_entries, launch.batch_group_hist)
-    );
-    assert_eq!(
-        (s.batch_prefetch_hits, s.batch_prefetch_misses),
-        (launch.batch_prefetch_hits, launch.batch_prefetch_misses)
-    );
     assert!(s.method_rejection > 0 && s.rejection_trials > 0, "{s:?}");
-    assert!(s.batch_groups > 0, "{s:?}");
 }

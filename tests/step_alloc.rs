@@ -20,7 +20,7 @@
 use csaw::core::algorithms::registry::{AlgoSpec, AlgorithmId};
 use csaw::core::algorithms::Node2Vec;
 use csaw::core::api::FrontierMode;
-use csaw::core::batch::{expand_frontier, run_chunk, BatchArena, ChunkInstance, FrontierItem};
+use csaw::core::batch::{run_chunk, BatchArena, ChunkInstance};
 use csaw::core::ctps_cache::CtpsCache;
 use csaw::core::engine::{drive_instance, drive_pool, PoolBufs, RunOptions};
 use csaw::core::method::{MethodPolicy, REJECTION_MAX_TRIALS};
@@ -221,61 +221,6 @@ fn gate_batched<L: Ledger>(g: &Csr, access: &mut impl NeighborAccess) {
     }
 }
 
-/// The shared grouped expander fed the way the out-of-memory scheduler's
-/// depth-synchronous drain feeds it: one drained batch of 512 queue
-/// entries — many instances, mixed depths, trial 0, one ledger — on a
-/// warm arena. The drain used to build its task keys, Philox blocks,
-/// sort order, group starts, emits, offers and spans in fresh vectors
-/// per batch; through [`expand_frontier`] it allocates nothing.
-fn gate_drained_batch<L: Ledger>(g: &Csr, access: &mut impl NeighborAccess) {
-    let n = g.num_vertices() as VertexId;
-    for id in AlgorithmId::ALL {
-        let spec = if id.uses_walk_length() {
-            AlgoSpec::new(id).with_depth(12)
-        } else {
-            AlgoSpec::new(id)
-        };
-        let algo = spec.build().expect("registry specs are valid");
-        if algo.config().frontier != FrontierMode::IndependentPerVertex {
-            continue;
-        }
-        let kernel = StepKernel::new(&*algo, 0x5eed).with_select(SelectConfig::paper_best());
-        // 97 distinct vertices over 512 entries: every group is shared.
-        let batch: Vec<FrontierItem> = (0..512u32)
-            .map(|i| {
-                let vertex = (i % 97 * 131) % n;
-                let entry = StepEntry { instance: i, depth: i % 2, vertex, prev: None, trial: 0 };
-                FrontierItem { entry, home: vertex, slot: 0 }
-            })
-            .collect();
-        let mut arena = BatchArena::new();
-        let mut scratch = StepScratch::new();
-        let mut ledger = [L::default()];
-        let mut edges = [0usize; 3];
-        let mut allocations = 0;
-        for (rep, edges) in edges.iter_mut().enumerate() {
-            let before = ALLOC.snapshot();
-            arena.set_frontier(batch.iter().copied());
-            expand_frontier(&kernel, access, 8, &mut ledger, &mut arena, &mut scratch);
-            *edges = (0..batch.len()).map(|i| arena.recorded(i).emits.len()).sum();
-            if rep == 2 {
-                allocations = ALLOC.snapshot().since(&before).allocations;
-            }
-        }
-        assert_eq!(edges[2], edges[0], "{}/drained: repetitions must be identical", id.name());
-        assert!(edges[2] > 0, "{}/drained: workload must actually sample", id.name());
-        let groups = ledger[0].counters().batch_groups;
-        assert!(groups > 0, "{}/drained: must form groups", id.name());
-        assert_eq!(
-            allocations,
-            0,
-            "{}/drained: a drained batch on a warm arena allocated — the out-of-memory \
-             depth-synchronous drain is back to per-batch vectors",
-            id.name(),
-        );
-    }
-}
-
 /// A frontier of one never reaches the trial counter's map. The counter
 /// is cold, and a `HashMap` allocates on its first insert, so zero
 /// allocations over many singleton frontiers pins "never touched" without
@@ -461,7 +406,6 @@ fn gate_snapshot<L: Ledger>(g: &Csr) {
 fn gate_in_memory<L: Ledger>(g: &Csr) {
     gate_all::<_, L>(g, &mut CsrAccess { graph: g }, "csr", true, |_, _| 0);
     gate_batched::<L>(g, &mut CsrAccess { graph: g });
-    gate_drained_batch::<L>(g, &mut CsrAccess { graph: g });
     gate_whole_walk::<L>(g);
     gate_rejection::<L>(g);
     gate_snapshot::<L>(g);
