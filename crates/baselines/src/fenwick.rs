@@ -1,12 +1,8 @@
 //! Fenwick (binary indexed) tree over f64 weights — the O(log n)
-//! incremental weighted-sampling index.
-//!
-//! Two consumers share it: the GraphSAINT-style MDRW baseline's
-//! frontier-pool selection (O(log n) weight update when a pool vertex is
-//! replaced, O(log n) proportional-to-weight selection via descent), and
-//! the [`crate::dynamic`] overlay's per-vertex weight index (O(log d)
-//! reweight without recomputing the vertex's prefix sums from scratch).
-//! It lives in `csaw-graph`, the lowest layer both can depend on.
+//! incremental weighted-sampling index behind the GraphSAINT-style MDRW
+//! baseline's frontier-pool selection (O(log n) weight update when a pool
+//! vertex is replaced, O(log n) proportional-to-weight selection via
+//! descent).
 
 /// A Fenwick tree over non-negative weights.
 #[derive(Debug, Clone)]

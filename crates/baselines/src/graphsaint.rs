@@ -7,10 +7,10 @@
 //! O(log F) degree-proportional selection and O(log F) replacement per
 //! step — a *stronger* baseline than a linear rescan.
 
+use crate::fenwick::Fenwick;
 use crate::BaselineOutput;
 use csaw_gpu::cost::CpuWork;
 use csaw_gpu::Philox;
-use csaw_graph::fenwick::Fenwick;
 use csaw_graph::{Csr, VertexId};
 use rayon::prelude::*;
 
@@ -44,7 +44,6 @@ impl GraphSaintMdrw {
 impl GraphSaintMdrw {
     /// Runs one instance per seed pool, in parallel across instances.
     pub fn run(&self, graph: &Csr, pools: &[Vec<VertexId>], seed: u64) -> BaselineOutput {
-        let t0 = std::time::Instant::now();
         let results: Vec<(Vec<(VertexId, VertexId)>, CpuWork)> = pools
             .par_iter()
             .enumerate()
@@ -56,12 +55,7 @@ impl GraphSaintMdrw {
             work.merge(&w);
             instances.push(edges);
         }
-        BaselineOutput {
-            instances,
-            work,
-            preprocess: CpuWork::default(),
-            wall_seconds: t0.elapsed().as_secs_f64(),
-        }
+        BaselineOutput { instances, work, preprocess: CpuWork::default() }
     }
 
     fn run_one(

@@ -81,7 +81,6 @@ impl<'g> KnightKing<'g> {
     /// Runs `length`-step walks, one per seed, in parallel. Counts the
     /// engine's logical work for the POWER9 cost model.
     pub fn run(&self, seeds: &[VertexId], length: usize, seed: u64) -> BaselineOutput {
-        let t0 = std::time::Instant::now();
         let results: Vec<(Vec<(VertexId, VertexId)>, CpuWork)> = seeds
             .par_iter()
             .enumerate()
@@ -97,12 +96,7 @@ impl<'g> KnightKing<'g> {
         // Walker engines advance all walkers one hop per bulk-synchronous
         // superstep; the walk length is the superstep count.
         work.supersteps = length as u64;
-        BaselineOutput {
-            instances,
-            work,
-            preprocess: self.preprocess,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-        }
+        BaselineOutput { instances, work, preprocess: self.preprocess }
     }
 
     fn walk_one(

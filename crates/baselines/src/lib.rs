@@ -15,8 +15,7 @@
 //! Both engines run for real (the samples are genuine) and additionally
 //! count their logical work ([`csaw_gpu::cost::CpuWork`]) so a
 //! POWER9-like cost model can price them on the paper's hardware — the
-//! same convention the simulated GPU uses. Host wall time is also
-//! reported.
+//! same convention the simulated GPU uses.
 //!
 //! The comparators on the simulated GPU live here too, because only
 //! KnightKing and the paper's ablations call them:
@@ -25,6 +24,8 @@
 //!   and the A3 ablation);
 //! - [`dartboard`]: the full rejection board of §II-B (KnightKing's
 //!   dynamic-bias path and the A3 ablation);
+//! - [`fenwick`]: the O(log n) incremental weighted-sampling index
+//!   (GraphSAINT's frontier-pool selection);
 //! - [`precompute`]: the eager all-vertices CTPS cache (the A7
 //!   ablation, §VII's "probability pre-computation");
 //! - [`reservoir`]: collision-free weighted reservoir selection (the A5
@@ -55,6 +56,7 @@
 
 pub mod alias;
 pub mod dartboard;
+pub mod fenwick;
 pub mod graphsaint;
 pub mod knightking;
 pub mod onepass;
@@ -83,8 +85,6 @@ pub struct BaselineOutput {
     /// Preprocessing work (alias-table construction etc.), reported
     /// separately.
     pub preprocess: CpuWork,
-    /// Host wall-clock seconds of the actual run.
-    pub wall_seconds: f64,
 }
 
 impl BaselineOutput {

@@ -222,7 +222,6 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
 
     /// Runs one single-seed instance per seed, demand-paging the CSR.
     pub fn run(&self, seeds: &[VertexId]) -> UnifiedOutput {
-        let t0 = std::time::Instant::now();
         let mut stats = SimStats::new();
         let cache = PageCache::new(self.graph, self.device.memory_bytes);
         let (outputs, pages) = run_interleaved(
@@ -238,7 +237,7 @@ impl<'g, A: Algorithm> UnifiedRunner<'g, A> {
         let paging = pages.faults as f64
             * (PAGE_FAULT_LATENCY + PAGE_BYTES as f64 / (self.device.pcie_gbps * 1e9));
         UnifiedOutput {
-            sample: SampleOutput::from_totals(outputs, stats, t0.elapsed().as_secs_f64()),
+            sample: SampleOutput::from_totals(outputs, stats),
             page_faults: pages.faults,
             bytes_migrated: pages.bytes_migrated,
             sim_seconds: kernel_secs + paging,

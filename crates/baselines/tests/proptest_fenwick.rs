@@ -1,12 +1,12 @@
-//! Property tests for the Fenwick tree behind the mutable-graph overlay's
-//! per-vertex weights and the GraphSAINT baseline's pool selection.
+//! Property tests for the Fenwick tree behind the GraphSAINT baseline's
+//! pool selection.
 //!
 //! The first group checks prefix/set/select in isolation on fresh trees;
 //! the second drives arbitrary *interleavings* of `add`/`set` against a
-//! naive `Vec<f64>` model — the access pattern the mutable-graph overlay
-//! produces when a vertex's weights are edited repeatedly across epochs.
+//! naive `Vec<f64>` model — repeated point updates, as GraphSAINT's pool
+//! replacement makes.
 
-use csaw_graph::fenwick::Fenwick;
+use csaw_baselines::fenwick::Fenwick;
 use proptest::prelude::*;
 
 /// Weight vectors for the fresh-tree properties (longer than the

@@ -48,7 +48,7 @@ pub fn table1() -> Vec<Table> {
         } else {
             vec![vec![8], vec![0], vec![3], vec![12]]
         };
-        let out = run_boxed(&g, algo.as_ref(), &seeds);
+        let out = Sampler::new(&g, algo).run(&seeds).sampled_edges();
         t.row(vec![
             algo.name().to_string(),
             bias.to_string(),
@@ -59,53 +59,6 @@ pub fn table1() -> Vec<Table> {
         ]);
     }
     vec![t]
-}
-
-/// Helper: run a dyn algorithm (Sampler is generic, so monomorphize over a
-/// small forwarding adapter).
-fn run_boxed(g: &csaw_graph::Csr, algo: &dyn Algorithm, seeds: &[Vec<u32>]) -> u64 {
-    struct Fwd<'a>(&'a dyn Algorithm);
-    impl Algorithm for Fwd<'_> {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn config(&self) -> csaw_core::api::AlgoConfig {
-            self.0.config()
-        }
-        fn vertex_bias(&self, g: csaw_graph::GraphView<'_>, v: u32) -> f64 {
-            self.0.vertex_bias(g, v)
-        }
-        fn edge_bias(&self, g: csaw_graph::GraphView<'_>, e: &csaw_core::api::EdgeCand) -> f64 {
-            self.0.edge_bias(g, e)
-        }
-        fn update(
-            &self,
-            g: csaw_graph::GraphView<'_>,
-            e: &csaw_core::api::EdgeCand,
-            home: u32,
-            rng: &mut csaw_gpu::Philox,
-        ) -> csaw_core::api::UpdateAction {
-            self.0.update(g, e, home, rng)
-        }
-        fn accept(
-            &self,
-            g: csaw_graph::GraphView<'_>,
-            e: &csaw_core::api::EdgeCand,
-            rng: &mut csaw_gpu::Philox,
-        ) -> Option<u32> {
-            self.0.accept(g, e, rng)
-        }
-        fn on_dead_end(
-            &self,
-            g: csaw_graph::GraphView<'_>,
-            v: u32,
-            home: u32,
-            rng: &mut csaw_gpu::Philox,
-        ) -> csaw_core::api::UpdateAction {
-            self.0.on_dead_end(g, v, home, rng)
-        }
-    }
-    Sampler::new(g, &Fwd(algo)).run(seeds).sampled_edges()
 }
 
 /// Table II: paper statistics next to the stand-in's realized statistics.

@@ -115,15 +115,6 @@ impl Detector {
         }
     }
 
-    /// Marks `k` selected without contention accounting (used when a
-    /// choice is made outside a lockstep round, e.g. short-circuit paths).
-    pub fn force_set(&mut self, k: usize) {
-        if !self.bits[k] {
-            self.bits[k] = true;
-            self.selected.push(k);
-        }
-    }
-
     /// One lockstep round: every active lane attempts to claim its
     /// candidate. `requests[lane] = Some(candidate)`. Leaves
     /// `Some(true)` = claimed, `Some(false)` = duplicate, `None` = lane
@@ -332,14 +323,6 @@ mod tests {
         d.reset(4);
         assert!(!d.is_selected(1, &mut s));
         assert_eq!(d.selected_count(), 0);
-    }
-
-    #[test]
-    fn force_set_marks_without_atomics() {
-        let mut d = Detector::new(DetectorKind::paper_default(), 8);
-        let mut s = SimStats::new();
-        d.force_set(2);
-        assert!(d.is_selected(2, &mut s));
     }
 
     /// The read-only probe is charged per detector kind: a linear-search

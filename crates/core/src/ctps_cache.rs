@@ -232,7 +232,7 @@ impl CtpsCache {
     /// stripe may hold any share of the budget, so a skewed placement
     /// (hubs with low-order zero bits) never turns a table away while the
     /// cache has room.
-    pub fn with_shards(budget: usize, shards: usize) -> Self {
+    fn with_shards(budget: usize, shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
         CtpsCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),

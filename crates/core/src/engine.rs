@@ -98,7 +98,7 @@ pub fn validate_seed_sets(
 }
 
 /// Validates single-seed instances (one instance per entry of `seeds`).
-pub fn validate_single_seeds(graph: &Csr, seeds: &[VertexId]) -> Result<(), RunError> {
+fn validate_single_seeds(graph: &Csr, seeds: &[VertexId]) -> Result<(), RunError> {
     let n = graph.num_vertices();
     match seeds.iter().position(|&v| v as usize >= n) {
         None => Ok(()),
@@ -281,7 +281,6 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         if self.opts.exec == ExecMode::DepthSync {
             return self.run_depth_sync(seed_sets);
         }
-        let t0 = std::time::Instant::now();
         let tasks: Vec<(u32, &Vec<VertexId>)> =
             seed_sets.iter().enumerate().map(|(i, s)| (i as u32, s)).collect();
         let graph = self.graph;
@@ -291,7 +290,7 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         let launch = Device::default().launch(tasks, move |_, (instance, seeds)| {
             run_instance(graph, algo, opts, modeled, instance, seeds)
         });
-        SampleOutput::from_instances(launch.outputs, launch.task_stats, t0.elapsed().as_secs_f64())
+        SampleOutput::from_instances(launch.outputs, launch.task_stats)
     }
 
     /// Depth-synchronous run ([`ExecMode::DepthSync`]): instances are
@@ -301,7 +300,6 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
     /// size, prefetch distance, or thread count; charge-identical on every
     /// counter except the `batch_*` observability fields.
     fn run_depth_sync(&self, seed_sets: &[Vec<VertexId>]) -> SampleOutput {
-        let t0 = std::time::Instant::now();
         let chunk = self.opts.batch_chunk.unwrap_or_else(|| {
             let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
             seed_sets.len().div_ceil(4 * threads).max(1)
@@ -325,7 +323,7 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
             instances.extend(outs);
             instance_stats.extend(per_inst);
         }
-        SampleOutput::from_instances(instances, instance_stats, t0.elapsed().as_secs_f64())
+        SampleOutput::from_instances(instances, instance_stats)
     }
 
     /// [`Sampler::run`] behind upfront validation: rejects unservable

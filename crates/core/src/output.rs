@@ -27,15 +27,12 @@ pub struct SampleOutput {
     /// with only `sampled_edges` filled, and `stats` alone carries the
     /// rest ([`SampleOutput::from_totals`]).
     pub instance_stats: Vec<SimStats>,
-    /// Host wall-clock seconds spent simulating (reported alongside
-    /// modeled time; not used for paper figures).
-    pub wall_seconds: f64,
 }
 
 impl SampleOutput {
     /// An output with no instances (the identity of [`SampleOutput::extend`]).
     pub fn empty() -> SampleOutput {
-        SampleOutput::from_instances(Vec::new(), Vec::new(), 0.0)
+        SampleOutput::from_instances(Vec::new(), Vec::new())
     }
 
     /// Assembles an output from per-instance pieces: each entry's
@@ -44,7 +41,6 @@ impl SampleOutput {
     pub fn from_instances(
         instances: Vec<Vec<(VertexId, VertexId)>>,
         mut instance_stats: Vec<SimStats>,
-        wall_seconds: f64,
     ) -> SampleOutput {
         assert_eq!(instances.len(), instance_stats.len(), "one counter set per instance");
         let mut stats = SimStats::new();
@@ -52,20 +48,16 @@ impl SampleOutput {
             s.sampled_edges = inst.len() as u64;
             stats.merge(s);
         }
-        SampleOutput { instances, stats, instance_stats, wall_seconds }
+        SampleOutput { instances, stats, instance_stats }
     }
 
     /// Assembles the output of a runtime that interleaves instances and so
     /// counts work only for the whole launch: `stats` is the launch's
     /// total (its `sampled_edges` set from the instances) and each
     /// per-instance entry carries only `sampled_edges`.
-    pub fn from_totals(
-        instances: Vec<Vec<(VertexId, VertexId)>>,
-        stats: SimStats,
-        wall_seconds: f64,
-    ) -> SampleOutput {
+    pub fn from_totals(instances: Vec<Vec<(VertexId, VertexId)>>, stats: SimStats) -> SampleOutput {
         let blank = vec![SimStats::new(); instances.len()];
-        let mut out = SampleOutput::from_instances(instances, blank, wall_seconds);
+        let mut out = SampleOutput::from_instances(instances, blank);
         out.stats = SimStats { sampled_edges: out.stats.sampled_edges, ..stats };
         out
     }
@@ -77,12 +69,7 @@ impl SampleOutput {
     pub fn slice(&self, range: std::ops::Range<usize>) -> SampleOutput {
         let instance_stats: Vec<SimStats> = self.instance_stats[range.clone()].to_vec();
         let stats: SimStats = instance_stats.iter().copied().sum();
-        SampleOutput {
-            instances: self.instances[range].to_vec(),
-            stats,
-            instance_stats,
-            wall_seconds: self.wall_seconds,
-        }
+        SampleOutput { instances: self.instances[range].to_vec(), stats, instance_stats }
     }
 
     /// Splits the output into consecutive chunks of `counts` instances
@@ -102,12 +89,11 @@ impl SampleOutput {
         parts
     }
 
-    /// Appends another output's instances (stats merge, wall clocks add).
+    /// Appends another output's instances (stats merge).
     pub fn extend(&mut self, other: SampleOutput) {
         self.stats.merge(&other.stats);
         self.instances.extend(other.instances);
         self.instance_stats.extend(other.instance_stats);
-        self.wall_seconds += other.wall_seconds;
     }
 
     /// Each instance's edges in sorted order: the canonical form to
@@ -202,7 +188,6 @@ mod tests {
                 SimStats { sampled_edges: 1, warp_cycles: 40, ..Default::default() },
                 SimStats::new(),
             ],
-            wall_seconds: 0.001,
         }
     }
 
@@ -253,7 +238,6 @@ mod tests {
             instances: vec![vec![(3, 9), (3, 9), (9, 3)]],
             stats: SimStats::new(),
             instance_stats: vec![SimStats::new()],
-            wall_seconds: 0.0,
         };
         let (g, back) = s.induce_subgraph();
         assert_eq!(back.len(), 2);
@@ -307,8 +291,7 @@ mod tests {
         assert_eq!(rebuilt.instances, s.instances);
         assert_eq!(rebuilt.instance_stats, s.instance_stats);
         assert_eq!(rebuilt.stats.sampled_edges, 3);
-        let direct =
-            SampleOutput::from_instances(s.instances.clone(), s.instance_stats.clone(), 0.0);
+        let direct = SampleOutput::from_instances(s.instances.clone(), s.instance_stats.clone());
         assert_eq!(direct.instance_stats, s.instance_stats);
         assert_eq!(direct.stats.warp_cycles, 100);
     }
@@ -317,7 +300,7 @@ mod tests {
     fn from_instances_fills_sampled_edges_from_the_instances() {
         let s = sample();
         let blank = vec![SimStats::new(); 3];
-        let out = SampleOutput::from_instances(s.instances, blank, 0.0);
+        let out = SampleOutput::from_instances(s.instances, blank);
         let per: Vec<u64> = out.instance_stats.iter().map(|st| st.sampled_edges).collect();
         assert_eq!(per, vec![2, 1, 0]);
         assert_eq!(out.stats.sampled_edges, 3);
@@ -327,7 +310,7 @@ mod tests {
     fn from_totals_keeps_the_launch_total_and_per_instance_edge_counts() {
         let s = sample();
         let total = SimStats { warp_cycles: 100, rng_draws: 7, ..Default::default() };
-        let out = SampleOutput::from_totals(s.instances, total, 0.5);
+        let out = SampleOutput::from_totals(s.instances, total);
         assert_eq!(out.stats, SimStats { sampled_edges: 3, ..total });
         for (st, inst) in out.instance_stats.iter().zip(&out.instances) {
             assert_eq!(*st, SimStats { sampled_edges: inst.len() as u64, ..SimStats::new() });
@@ -341,7 +324,6 @@ mod tests {
         let out = SampleOutput::from_totals(
             vec![vec![(2, 1), (0, 5), (0, 3)], vec![], vec![(9, 9), (1, 1)]],
             SimStats::new(),
-            0.0,
         );
         assert_eq!(
             out.sorted_instances(),

@@ -5,13 +5,12 @@
 //!
 //! The base [`Csr`] never changes. Edits land in a per-vertex overlay:
 //! the first edit touching a vertex materializes its base adjacency into
-//! a [`VertexDelta`] (merged sorted neighbor list + parallel weights +
-//! a [`Fenwick`] index over the weights), and later edits mutate that
-//! delta — inserts/deletes are O(d) splices, reweights are O(log d) via
-//! the Fenwick index. Deleted base edges are simply absent from the
-//! merged list (the tombstone is folded eagerly rather than kept as a
-//! log entry, because the step kernel's `gather` needs the adjacency as
-//! one contiguous slice).
+//! a [`VertexDelta`] (merged sorted neighbor list + parallel weights),
+//! and later edits mutate that delta — inserts/deletes are O(d) splices,
+//! a reweight is a binary search and one store. Deleted base edges are
+//! simply absent from the merged list (the tombstone is folded eagerly
+//! rather than kept as a log entry, because the step kernel's `gather`
+//! needs the adjacency as one contiguous slice).
 //!
 //! A batch that returns a vertex's adjacency to its base slice (an
 //! insert undone by a delete) retires that vertex's delta, so undone
@@ -57,7 +56,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::csr::Csr;
-use crate::fenwick::Fenwick;
 use crate::types::{VertexId, Weight};
 use crate::view::GraphView;
 
@@ -159,17 +157,13 @@ impl std::error::Error for EditError {}
 pub struct VertexDelta {
     neighbors: Vec<VertexId>,
     weights: Option<Vec<Weight>>,
-    /// Fenwick index over `weights` — keeps reweights O(log d) and gives
-    /// O(log d) prefix sums over the vertex's bias mass.
-    fenwick: Option<Fenwick>,
 }
 
 impl VertexDelta {
     fn materialize(base: &Csr, v: VertexId) -> Self {
         let neighbors = base.neighbors(v).to_vec();
         let weights = base.neighbor_weights(v).map(|w| w.to_vec());
-        let fenwick = weights.as_ref().map(|w| build_fenwick(w));
-        VertexDelta { neighbors, weights, fenwick }
+        VertexDelta { neighbors, weights }
     }
 
     /// Whether this delta serves exactly `v`'s slices in `base`.
@@ -189,15 +183,6 @@ impl VertexDelta {
         self.weights.as_deref()
     }
 
-    /// Sum of the first `k` edge weights via the Fenwick index
-    /// (O(log d)); `k` edges of weight 1.0 when unweighted.
-    pub fn weight_prefix(&self, k: usize) -> f64 {
-        match &self.fenwick {
-            Some(f) => f.prefix(k),
-            None => k.min(self.neighbors.len()) as f64,
-        }
-    }
-
     fn insert(&mut self, dst: VertexId, weight: Weight) {
         let pos = match self.neighbors.binary_search(&dst) {
             Ok(p) | Err(p) => p,
@@ -205,7 +190,6 @@ impl VertexDelta {
         self.neighbors.insert(pos, dst);
         if let Some(w) = &mut self.weights {
             w.insert(pos, weight);
-            self.fenwick = Some(build_fenwick(w));
         }
     }
 
@@ -214,7 +198,6 @@ impl VertexDelta {
         self.neighbors.remove(pos);
         if let Some(w) = &mut self.weights {
             w.remove(pos);
-            self.fenwick = Some(build_fenwick(w));
         }
         true
     }
@@ -223,15 +206,8 @@ impl VertexDelta {
         let Ok(pos) = self.neighbors.binary_search(&dst) else { return false };
         let w = self.weights.as_mut().expect("reweight is gated on is_weighted");
         w[pos] = weight;
-        // The O(log d) path: point-update the Fenwick index in place.
-        self.fenwick.as_mut().expect("weighted delta has a fenwick").set(pos, weight as f64);
         true
     }
-}
-
-fn build_fenwick(weights: &[Weight]) -> Fenwick {
-    let w64: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
-    Fenwick::new(&w64)
 }
 
 /// One entry of the edit log: a successful batch's epoch and the sorted,
@@ -810,21 +786,6 @@ mod tests {
         mg.compact();
         let folded = mg.snapshot();
         assert_eq!(folded.base(), &compacted);
-    }
-
-    #[test]
-    fn fenwick_index_tracks_reweights() {
-        let mut mg = MutableGraph::new(weighted_toy());
-        mg.apply_batch(&[EdgeEdit::Reweight { src: 3, dst: 4, weight: 5.0 }]).unwrap();
-        let snap = mg.snapshot();
-        let delta = snap.state.delta(3).unwrap();
-        // Delta prefix sums agree with a naive scan of the merged weights.
-        let ws = snap.view().neighbor_weights(3).unwrap();
-        let mut acc = 0.0f64;
-        for (k, &w) in ws.iter().enumerate() {
-            assert!((delta.weight_prefix(k) - acc).abs() < 1e-9, "k={k}");
-            acc += w as f64;
-        }
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!   epoch-versioned [`GraphSnapshot`]s for sampling under mutation.
 //! - [`view`]: [`GraphView`], the uniform read surface over a plain CSR
 //!   or a snapshot (base + overlay) that algorithm hooks consume.
-//! - [`fenwick`]: the O(log n) incremental weighted-sampling index.
 //! - [`partition`]: the contiguous vertex-range partitioner of §V-A.
 //! - [`io`]: edge-list and binary CSR readers/writers for real data.
 //! - [`store`]: the on-disk partitioned CSR store (mmap-backed segments
@@ -31,7 +30,6 @@ pub mod builder;
 pub mod csr;
 pub mod datasets;
 pub mod dynamic;
-pub mod fenwick;
 pub mod generators;
 pub mod io;
 pub mod partition;
@@ -47,7 +45,6 @@ pub use builder::CsrBuilder;
 pub use csr::Csr;
 pub use datasets::{Dataset, DatasetSpec};
 pub use dynamic::{EdgeEdit, EditError, GraphSnapshot, MutableGraph};
-pub use fenwick::Fenwick;
 pub use partition::{Partition, PartitionSet};
 pub use store::{DiskStore, StoreError};
 pub use types::{EdgeId, VertexId, Weight};

@@ -95,7 +95,6 @@ impl MultiGpu {
         seed_sets: &[Vec<VertexId>],
         opts: RunOptions,
     ) -> MultiGpuOutput {
-        let t0 = std::time::Instant::now();
         let chunks = self.groups(seed_sets, opts.instance_base);
         // One host task per simulated GPU: the groups are disjoint and the
         // devices never communicate, so each chunk runs independently and
@@ -131,7 +130,6 @@ impl MultiGpu {
         // Devices with no work finish instantly.
         gpu_seconds.resize(self.num_gpus, 0.0);
         gpu_stats.resize(self.num_gpus, SimStats::new());
-        sample.wall_seconds = t0.elapsed().as_secs_f64();
         MultiGpuOutput { sample, gpu_seconds, gpu_stats }
     }
 
@@ -161,7 +159,6 @@ impl MultiGpu {
         cfg: crate::OomConfig,
         opts: RunOptions,
     ) -> MultiGpuOomOutput {
-        let t0 = std::time::Instant::now();
         let chunks = self.groups(seeds, opts.instance_base);
         let run_chunk = |(base, chunk): (u32, &[VertexId])| {
             crate::OomRunner::new(graph, algo, cfg)
@@ -190,7 +187,6 @@ impl MultiGpu {
         }
         gpu_seconds.resize(self.num_gpus, 0.0);
         rounds.resize(self.num_gpus, 0);
-        sample.wall_seconds = t0.elapsed().as_secs_f64();
         MultiGpuOomOutput { sample, gpu_seconds, rounds, transfers }
     }
 }

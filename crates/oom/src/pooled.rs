@@ -103,7 +103,6 @@ impl<'r, A: Algorithm> Task for Pooled<'r, '_, A> {
         self,
         access: &mut LayeredAccess<'_, S, DeviceFaults<'r>>,
     ) -> OomOutput {
-        let t0 = std::time::Instant::now();
         let Pooled { runner, seed_sets } = self;
         debug_assert_ne!(runner.algo.config().frontier, FrontierMode::IndependentPerVertex);
         let kernel = kernel_for(runner.algo, &runner.opts);
@@ -132,7 +131,7 @@ impl<'r, A: Algorithm> Task for Pooled<'r, '_, A> {
             rounds = rounds.max(steps);
         }
 
-        let sample = SampleOutput::from_totals(outputs, stats, t0.elapsed().as_secs_f64());
+        let sample = SampleOutput::from_totals(outputs, stats);
         // One logical kernel per pool step amortized over the run; the
         // transfer timeline is serial on stream 0 (gathers are dependent,
         // so copies cannot overlap sampling).

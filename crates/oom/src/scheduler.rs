@@ -296,7 +296,6 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
 
     /// Runs single-seed instances through the scheduling loop.
     fn run_group(&self, parts: &PartitionSet, seeds: &[VertexId]) -> OomOutput {
-        let t0 = std::time::Instant::now();
         let algo_cfg = self.algo.config();
         let instance_base = self.opts.instance_base;
         let k = parts.len();
@@ -508,7 +507,7 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
         }
 
         OomOutput {
-            sample: SampleOutput::from_totals(outputs, stats, t0.elapsed().as_secs_f64()),
+            sample: SampleOutput::from_totals(outputs, stats),
             transfers: engine.transfers,
             bytes_transferred: engine.bytes_transferred,
             sim_seconds: now,

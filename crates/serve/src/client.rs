@@ -7,8 +7,8 @@
 //! wanting concurrency open more connections.
 
 use crate::wire::{
-    read_frame_limited, write_frame, ChunkFrame, ErrorFrame, EventFrame, Frame, RecvError,
-    ResponseFrame, SampleFrame, StreamEndFrame, WireAlgo, MAX_FRAME_LEN, WIRE_VERSION,
+    read_frame, write_frame, ChunkFrame, ErrorFrame, EventFrame, Frame, RecvError, ResponseFrame,
+    SampleFrame, StreamEndFrame, WireAlgo, WIRE_VERSION,
 };
 use csaw_graph::EdgeEdit;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -109,7 +109,7 @@ impl Client {
     }
 
     fn recv(&mut self) -> Result<Frame, ClientError> {
-        Ok(read_frame_limited(&mut self.stream, MAX_FRAME_LEN)?)
+        Ok(read_frame(&mut self.stream)?)
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -252,7 +252,7 @@ pub struct EventStream {
 impl EventStream {
     /// Blocks for the next event; `Ok(None)` on orderly server close.
     pub fn next_event(&mut self) -> Result<Option<EventFrame>, ClientError> {
-        match read_frame_limited(&mut self.stream, MAX_FRAME_LEN) {
+        match read_frame(&mut self.stream) {
             Ok(Frame::Event(e)) => Ok(Some(e)),
             Ok(Frame::Goodbye) => Ok(None),
             Ok(other) => Err(ClientError::Protocol(format!("expected Event, got {other:?}"))),

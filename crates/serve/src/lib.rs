@@ -53,7 +53,7 @@ pub use tenant::{
     WaitHistogram,
 };
 pub use wire::{
-    read_frame, read_frame_limited, write_frame, ChunkFrame, ErrorCode, ErrorFrame, EventFrame,
-    EventKind, Frame, RecvError, ResponseFrame, SampleFrame, StreamEndFrame, WireAlgo, WireError,
-    MAGIC, MAX_FRAME_LEN, WIRE_VERSION,
+    read_frame, write_frame, ChunkFrame, ErrorCode, ErrorFrame, EventFrame, EventKind, Frame,
+    RecvError, ResponseFrame, SampleFrame, StreamEndFrame, WireAlgo, WireError, MAGIC,
+    MAX_FRAME_LEN, WIRE_VERSION,
 };

@@ -52,8 +52,6 @@ pub struct ServeConfig {
     pub metrics_addr: Option<String>,
     /// Tenant quotas and fair-share configuration.
     pub scheduler: SchedulerConfig,
-    /// Per-frame length ceiling enforced before allocation.
-    pub max_frame_len: u32,
 }
 
 impl Default for ServeConfig {
@@ -62,7 +60,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             metrics_addr: Some("127.0.0.1:0".into()),
             scheduler: SchedulerConfig::default(),
-            max_frame_len: MAX_FRAME_LEN,
         }
     }
 }
@@ -78,7 +75,6 @@ struct ServerShared {
     shutdown: AtomicBool,
     connections: AtomicU64,
     bad_frames: AtomicU64,
-    max_frame_len: u32,
 }
 
 impl ServerShared {
@@ -112,15 +108,6 @@ pub struct CsawServer {
 impl CsawServer {
     /// Binds the listeners and starts serving `service`.
     pub fn start(service: SamplingService, config: ServeConfig) -> std::io::Result<CsawServer> {
-        CsawServer::start_shared(Arc::new(service), config)
-    }
-
-    /// [`CsawServer::start`] over an already-shared service (callers
-    /// that also submit in-process keep their own handle).
-    pub fn start_shared(
-        service: Arc<SamplingService>,
-        config: ServeConfig,
-    ) -> std::io::Result<CsawServer> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let metrics_listener = match &config.metrics_addr {
@@ -133,13 +120,12 @@ impl CsawServer {
         };
 
         let shared = Arc::new(ServerShared {
-            service,
-            scheduler: FairScheduler::new(config.scheduler.clone()),
+            service: Arc::new(service),
+            scheduler: FairScheduler::new(config.scheduler),
             notifier: Notifier::new(),
             shutdown: AtomicBool::new(false),
             connections: AtomicU64::new(0),
             bad_frames: AtomicU64::new(0),
-            max_frame_len: config.max_frame_len,
         });
         let conn_handles = Arc::new(Mutex::new(Vec::new()));
 
@@ -305,7 +291,7 @@ fn read_frame_interruptible(
     if len == 0 {
         return Err(WireError::EmptyFrame.into());
     }
-    if len > shared.max_frame_len {
+    if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge { len }.into());
     }
     let mut body = vec![0u8; len as usize];

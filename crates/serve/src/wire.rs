@@ -910,26 +910,21 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
     w.write_all(&frame.to_bytes())
 }
 
-/// Reads one frame from `r`, enforcing `max_len` on the declared frame
-/// length before allocating.
-pub fn read_frame_limited(r: &mut impl Read, max_len: u32) -> Result<Frame, RecvError> {
+/// Reads one frame from `r`, enforcing [`MAX_FRAME_LEN`] on the declared
+/// frame length before allocating.
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, RecvError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
     let len = u32::from_le_bytes(len_bytes);
     if len == 0 {
         return Err(WireError::EmptyFrame.into());
     }
-    if len > max_len {
+    if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge { len }.into());
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
     Ok(Frame::decode(&body)?)
-}
-
-/// Reads one frame with the default [`MAX_FRAME_LEN`] bound.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, RecvError> {
-    read_frame_limited(r, MAX_FRAME_LEN)
 }
 
 #[cfg(test)]

@@ -390,11 +390,6 @@ impl StatsSnapshot {
             && self.disk_lookups == self.disk_hits + self.disk_misses
             && self.disk_evictions <= self.disk_misses
     }
-
-    /// Launches recorded by the histogram (should equal `batches`).
-    pub fn hist_total(&self) -> u64 {
-        self.batch_hist.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -410,7 +405,7 @@ mod tests {
         }
         let snap = stats.snapshot();
         assert_eq!(snap.batches, 6);
-        assert_eq!(snap.hist_total(), 6);
+        assert_eq!(snap.batch_hist.iter().sum::<u64>(), 6);
         assert_eq!(snap.batch_hist[0], 1, "n=1");
         assert_eq!(snap.batch_hist[1], 1, "n=2");
         assert_eq!(snap.batch_hist[2], 2, "n=3,4");

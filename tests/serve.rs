@@ -662,3 +662,41 @@ fn version_mismatch_is_rejected_at_handshake() {
     }
     server.shutdown();
 }
+
+/// The server enforces the protocol's frame ceiling before allocating:
+/// a declared length one past [`MAX_FRAME_LEN`] after the handshake is
+/// answered with `BadFrame`, closes the connection and counts one bad
+/// frame.
+#[test]
+fn oversized_frame_is_rejected_before_allocation() {
+    use csaw::serve::{read_frame, write_frame, MAX_FRAME_LEN, WIRE_VERSION};
+    let service = SamplingService::with_engine(test_graph(), ServiceConfig::default());
+    let server =
+        CsawServer::start(service, ServeConfig { metrics_addr: None, ..ServeConfig::default() })
+            .expect("bind");
+    let mut watch = Client::connect(server.addr(), "watch").expect("connect");
+    let bad_frames = |c: &mut Client| {
+        parse_value(&c.stats_text().expect("stats"), "csaw_serve_bad_frames_total")
+    };
+    let before = bad_frames(&mut watch).expect("bad-frame counter");
+
+    let mut s = TcpStream::connect(server.addr()).expect("connect");
+    // A server that reads past the ceiling waits for a body that never
+    // comes: fail instead of hanging.
+    s.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    write_frame(&mut s, &Frame::Hello { version: WIRE_VERSION, tenant: "t".into() })
+        .expect("send hello");
+    s.flush().expect("flush");
+    assert!(matches!(read_frame(&mut s).expect("ack"), Frame::HelloAck { .. }));
+    s.write_all(&(MAX_FRAME_LEN + 1).to_le_bytes()).expect("send length prefix");
+    s.flush().expect("flush");
+    match read_frame(&mut s).expect("reply") {
+        Frame::Error(e) => assert_eq!(e.code, ErrorCode::BadFrame),
+        other => panic!("expected bad-frame error, got {other:?}"),
+    }
+    assert_eq!(s.read(&mut [0u8; 1]).expect("read after error"), 0, "connection closed");
+
+    assert_eq!(bad_frames(&mut watch), Some(before + 1.0));
+    watch.goodbye().expect("goodbye");
+    server.shutdown();
+}
