@@ -16,7 +16,7 @@
 //!   plain random edge sampling.
 
 use csaw_gpu::stats::{Ledger, SimStats};
-use csaw_gpu::{Device, Philox};
+use csaw_gpu::{launch, Philox};
 use csaw_graph::{Csr, CsrBuilder, VertexId};
 
 /// Output of a one-pass sampler.
@@ -62,24 +62,19 @@ fn edge_kept(seed: u64, v: VertexId, u: VertexId, fraction: f64) -> bool {
 /// `fraction`; the sample is the subgraph induced on survivors.
 pub fn random_node(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
     assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-    let device = Device::v100();
     let n = g.num_vertices() as VertexId;
     // Phase 1: per-vertex coins (warp-strided scan of the vertex array).
     // Keep the launch's stats alongside its outputs — the coin flips are
     // real device work, not free.
-    let (kept, coin_stats): (Vec<bool>, SimStats) = {
-        let launch = device.launch((0..n).collect(), |_, v| {
-            let mut rng = Philox::for_task(seed, v as u64);
-            let mut s = SimStats::new();
-            s.rng_draws += 1;
-            s.warp_cycles += 4;
-            (rng.chance(fraction), s)
-        });
-        let stats = launch.stats();
-        (launch.outputs, stats)
-    };
+    let (kept, coin_stats) = launch((0..n).collect(), |v| {
+        let mut rng = Philox::for_task(seed, v as u64);
+        let mut s = SimStats::new();
+        s.rng_draws += 1;
+        s.warp_cycles += 4;
+        (rng.chance(fraction), s)
+    });
     // Phase 2: one pass over the kept vertices' adjacency, inducing edges.
-    let launch = device.launch((0..n).collect(), |_, v| {
+    let (outputs, edge_stats) = launch((0..n).collect(), |v| {
         let mut s = SimStats::new();
         if !kept[v as usize] {
             return (Vec::new(), s);
@@ -91,9 +86,8 @@ pub fn random_node(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
         s.sampled_edges += out.len() as u64;
         (out, s)
     });
-    let mut stats = launch.stats();
-    stats.merge(&coin_stats);
-    let edges: Vec<(VertexId, VertexId)> = launch.outputs.into_iter().flatten().collect();
+    let stats = edge_stats.into_iter().chain(coin_stats).sum();
+    let edges: Vec<(VertexId, VertexId)> = outputs.into_iter().flatten().collect();
     let vertices: Vec<VertexId> = (0..n).filter(|&v| kept[v as usize]).collect();
     OnePassOutput { edges, vertices, stats }
 }
@@ -102,9 +96,8 @@ pub fn random_node(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
 /// `fraction` (both directions kept together).
 pub fn random_edge(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
     assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-    let device = Device::v100();
     let n = g.num_vertices() as VertexId;
-    let launch = device.launch((0..n).collect(), |_, v| {
+    let (outputs, task_stats) = launch((0..n).collect(), |v| {
         let mut s = SimStats::new();
         let nbrs = g.neighbors(v);
         s.read_gmem(16 + 4 * nbrs.len());
@@ -115,8 +108,8 @@ pub fn random_edge(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
         s.sampled_edges += out.len() as u64;
         (out, s)
     });
-    let stats = launch.stats();
-    let edges: Vec<(VertexId, VertexId)> = launch.outputs.into_iter().flatten().collect();
+    let stats = task_stats.into_iter().sum();
+    let edges: Vec<(VertexId, VertexId)> = outputs.into_iter().flatten().collect();
     let mut vertices: Vec<VertexId> = edges.iter().flat_map(|&(v, u)| [v, u]).collect();
     vertices.sort_unstable();
     vertices.dedup();
@@ -127,11 +120,9 @@ pub fn random_edge(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
 /// then add *every* original edge whose endpoints were both touched.
 pub fn ties(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
     let seeded = random_edge(g, fraction, seed);
-    let mut stats = seeded.stats;
     let in_set: std::collections::HashSet<VertexId> = seeded.vertices.iter().copied().collect();
-    let device = Device::v100();
     // Induction pass over the touched vertices only.
-    let launch = device.launch(seeded.vertices.clone(), |_, v| {
+    let (outputs, task_stats) = launch(seeded.vertices.clone(), |v| {
         let mut s = SimStats::new();
         let nbrs = g.neighbors(v);
         s.read_gmem(16 + 4 * nbrs.len());
@@ -140,8 +131,8 @@ pub fn ties(g: &Csr, fraction: f64, seed: u64) -> OnePassOutput {
         s.sampled_edges += out.len() as u64;
         (out, s)
     });
-    stats.merge(&launch.stats());
-    let edges: Vec<(VertexId, VertexId)> = launch.outputs.into_iter().flatten().collect();
+    let stats = seeded.stats + task_stats.into_iter().sum::<SimStats>();
+    let edges: Vec<(VertexId, VertexId)> = outputs.into_iter().flatten().collect();
     OnePassOutput { edges, vertices: seeded.vertices, stats }
 }
 

@@ -108,7 +108,6 @@ mod tests {
     use super::*;
     use csaw_core::algorithms::BiasedRandomWalk;
     use csaw_core::engine::Sampler;
-    use csaw_gpu::Device;
     use csaw_graph::generators::{rmat, toy_graph, RmatParams};
     use std::collections::HashMap;
 
@@ -162,7 +161,7 @@ mod tests {
         let seeds: Vec<u32> = (0..64).collect();
         let cache = EagerCtpsCache::build(&g, &algo);
         let (_, cached) = cache.run_walks(&g, &seeds, 64, 5);
-        let engine = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&seeds);
+        let engine = Sampler::new(&g, &algo).modeled().run_single_seeds(&seeds);
         let per = |s: &SimStats| s.warp_cycles as f64 / s.sampled_edges.max(1) as f64;
         assert!(
             per(&cached) < per(&engine.stats),

@@ -18,7 +18,7 @@ use csaw_core::ctps::Ctps;
 use csaw_core::engine::{RunOptions, Sampler};
 use csaw_core::select::{SelectConfig, SelectStrategy};
 use csaw_gpu::stats::SimStats;
-use csaw_gpu::{Device, Philox, WARP_SIZE};
+use csaw_gpu::{Philox, WARP_SIZE};
 use csaw_graph::datasets;
 
 /// A1: warp- vs. thread-block-granularity selection.
@@ -86,7 +86,7 @@ pub fn ablate_bitmap(scale: Scale) -> Vec<Table> {
         let mut cells = vec![spec.abbr.to_string()];
         for kind in kinds {
             let out = Sampler::new(&g, &algo)
-                .with_device(Device::v100())
+                .modeled()
                 .with_options(RunOptions {
                     seed: 0xAB,
                     select: SelectConfig { strategy: SelectStrategy::Bipartite, detector: kind },
@@ -319,7 +319,7 @@ pub fn ablate_precompute(scale: Scale) -> Vec<Table> {
         let g = graph_for(&spec);
         let s = seeds(scale.walk_instances() / 4, g.num_vertices());
         let algo = BiasedRandomWalk { length };
-        let engine = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&s);
+        let engine = Sampler::new(&g, &algo).modeled().run_single_seeds(&s);
         let cache = EagerCtpsCache::build(&g, &algo);
         let (_, cached) = cache.run_walks(&g, &s, length, 0xA7);
         let per = |s: &SimStats| s.warp_cycles as f64 / s.sampled_edges.max(1) as f64;
@@ -349,7 +349,7 @@ pub fn ablate_reorder(scale: Scale) -> Vec<Table> {
         let algo = UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 };
         let run = |g: &csaw_graph::Csr| {
             let s = seeds(scale.sampling_instances() / 4, g.num_vertices());
-            let out = Sampler::new(g, &algo).with_device(Device::v100()).run_single_seeds(&s);
+            let out = Sampler::new(g, &algo).modeled().run_single_seeds(&s);
             out.stats.gmem_transactions as f64 / out.stats.sampled_edges.max(1) as f64
         };
         let gd = relabel(&g, &degree_order(&g));
@@ -434,7 +434,7 @@ mod tests {
         let algo = BiasedNeighborSampling { neighbor_size: 4, depth: 2 };
         let run = |kind| {
             Sampler::new(&g, &algo)
-                .with_device(Device::v100())
+                .modeled()
                 .with_options(RunOptions {
                     seed: 1,
                     select: SelectConfig { strategy: SelectStrategy::Bipartite, detector: kind },

@@ -22,7 +22,6 @@ use csaw_core::engine::{RunOptions, Sampler};
 use csaw_core::select::{SelectConfig, SelectStrategy};
 use csaw_core::SampleOutput;
 use csaw_gpu::config::DeviceConfig;
-use csaw_gpu::Device;
 use csaw_graph::datasets;
 use csaw_graph::Csr;
 
@@ -78,10 +77,7 @@ impl App {
         };
         // Every figure this runs for reads the modeled kernel time.
         let algo = algo.as_ref();
-        Sampler::new(g, &algo)
-            .with_device(Device::v100())
-            .with_options(opts)
-            .run_single_seeds(seed_vertices)
+        Sampler::new(g, &algo).modeled().with_options(opts).run_single_seeds(seed_vertices)
     }
 }
 

@@ -12,7 +12,6 @@ use crate::scale::{seeds, Scale};
 use csaw_core::algorithms::BiasedNeighborSampling;
 use csaw_core::engine::Sampler;
 use csaw_gpu::config::DeviceConfig;
-use csaw_gpu::Device;
 use csaw_graph::datasets;
 
 /// Fig. 16a: NeighborSize sweep.
@@ -31,7 +30,7 @@ pub fn fig16a(scale: Scale) -> Table {
         let mut cells = vec![spec.abbr.to_string()];
         for ns in [1usize, 2, 4, 8] {
             let algo = BiasedNeighborSampling { neighbor_size: ns, depth: 3 };
-            let out = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&s);
+            let out = Sampler::new(&g, &algo).modeled().run_single_seeds(&s);
             cells.push(ms(out.kernel_seconds(&dev)));
         }
         t.row(cells);
@@ -57,7 +56,7 @@ pub fn fig16b(scale: Scale) -> Table {
         for &n in &counts {
             let s = seeds(n, g.num_vertices());
             let algo = BiasedNeighborSampling { neighbor_size: 8, depth: 3 };
-            let out = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&s);
+            let out = Sampler::new(&g, &algo).modeled().run_single_seeds(&s);
             cells.push(ms(out.kernel_seconds(&dev)));
         }
         t.row(cells);
@@ -82,10 +81,7 @@ mod tests {
         let s = seeds(64, g.num_vertices());
         let t = |ns| {
             let algo = BiasedNeighborSampling { neighbor_size: ns, depth: 3 };
-            Sampler::new(&g, &algo)
-                .with_device(Device::v100())
-                .run_single_seeds(&s)
-                .kernel_seconds(&dev)
+            Sampler::new(&g, &algo).modeled().run_single_seeds(&s).kernel_seconds(&dev)
         };
         assert!(t(8) > t(1), "NS=8 must cost more than NS=1");
     }
@@ -98,10 +94,7 @@ mod tests {
         let algo = BiasedNeighborSampling { neighbor_size: 8, depth: 3 };
         let t = |n| {
             let s = seeds(n, g.num_vertices());
-            Sampler::new(&g, &algo)
-                .with_device(Device::v100())
-                .run_single_seeds(&s)
-                .kernel_seconds(&dev)
+            Sampler::new(&g, &algo).modeled().run_single_seeds(&s).kernel_seconds(&dev)
         };
         assert!(t(256) > t(32));
     }

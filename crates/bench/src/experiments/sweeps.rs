@@ -21,7 +21,6 @@ use csaw_core::method::MethodPolicy;
 use csaw_core::residency::{DiskRunConfig, DiskTierStats};
 use csaw_core::{AlgoSpec, Algorithm, SampleOutput};
 use csaw_gpu::config::DeviceConfig;
-use csaw_gpu::Device;
 use csaw_graph::generators::{rmat, RmatParams};
 use csaw_graph::store::write_store;
 use csaw_graph::{datasets, DiskStore, EdgeEdit, MutableGraph, VertexId};
@@ -46,7 +45,7 @@ pub fn sweep_depth(scale: Scale) -> Vec<Table> {
         let mut last_time = 0.0;
         for depth in 1..=5usize {
             let algo = BiasedNeighborSampling { neighbor_size: 2, depth };
-            let out = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&s);
+            let out = Sampler::new(&g, &algo).modeled().run_single_seeds(&s);
             cells.push(f2(out.edges_per_instance()));
             last_time = out.kernel_seconds(&dev);
         }

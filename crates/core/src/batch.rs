@@ -412,7 +412,6 @@ mod tests {
     use crate::api::{AlgoConfig, Algorithm, FrontierMode, NeighborSize};
     use crate::step::CsrAccess;
     use csaw_gpu::stats::SimStats;
-    use csaw_gpu::Device;
     use csaw_graph::generators::toy_graph;
 
     struct Ns2;
@@ -435,8 +434,7 @@ mod tests {
         let g = toy_graph();
         let algo = Ns2;
         let seeds: Vec<Vec<u32>> = vec![vec![8], vec![0], vec![8], vec![5]];
-        let reference =
-            crate::engine::Sampler::new(&g, &algo).with_device(Device::v100()).run(&seeds);
+        let reference = crate::engine::Sampler::new(&g, &algo).modeled().run(&seeds);
 
         let kernel = StepKernel::new(&algo, 0x5eed);
         let mut access = CsrAccess { graph: &g };

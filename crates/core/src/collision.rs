@@ -96,7 +96,7 @@ impl Detector {
     /// search but no atomic). The probe is charged to `stats` per detector
     /// kind: a linear-search detector scans the selected list in shared
     /// memory (one comparison per element plus the append-slot check, two
-    /// cycles each — the same model as [`Detector::claim_round`]); a
+    /// cycles each — the same model as [`Detector::claim_round_into`]); a
     /// bitmap detector reads a single bit (one search, one shared-memory
     /// read).
     pub fn is_selected<L: Ledger>(&self, k: usize, stats: &mut L) -> bool {
@@ -182,22 +182,6 @@ impl Detector {
             }
         }
     }
-
-    /// Allocating convenience wrapper over [`Detector::claim_round_into`].
-    pub fn claim_round<L: Ledger>(
-        &mut self,
-        requests: &[Option<usize>],
-        stats: &mut L,
-    ) -> Vec<Option<bool>> {
-        let mut out = Vec::new();
-        self.claim_round_into(requests, &mut out, stats);
-        out
-    }
-
-    /// Number of candidates currently marked selected.
-    pub fn selected_count(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
-    }
 }
 
 /// Charges the without-replacement "was this vertex sampled before?"
@@ -229,11 +213,12 @@ mod tests {
     fn linear_search_counts_comparisons() {
         let mut d = Detector::new(DetectorKind::LinearSearch, 10);
         let mut s = SimStats::new();
-        let r1 = d.claim_round(&[Some(3)], &mut s);
-        assert_eq!(r1, vec![Some(true)]);
+        let mut out = Vec::new();
+        d.claim_round_into(&[Some(3)], &mut out, &mut s);
+        assert_eq!(out, vec![Some(true)]);
         assert_eq!(s.collision_searches, 1, "empty list: one comparison slot");
-        let r2 = d.claim_round(&[Some(3)], &mut s);
-        assert_eq!(r2, vec![Some(false)]);
+        d.claim_round_into(&[Some(3)], &mut out, &mut s);
+        assert_eq!(out, vec![Some(false)]);
         assert_eq!(s.collision_searches, 1 + 2, "one entry + the probe");
     }
 
@@ -241,11 +226,12 @@ mod tests {
     fn linear_search_grows_with_selected() {
         let mut d = Detector::new(DetectorKind::LinearSearch, 100);
         let mut s = SimStats::new();
+        let mut out = Vec::new();
         for k in 0..50 {
-            d.claim_round(&[Some(k)], &mut s);
+            d.claim_round_into(&[Some(k)], &mut out, &mut s);
         }
         let before = s.collision_searches;
-        d.claim_round(&[Some(99)], &mut s);
+        d.claim_round_into(&[Some(99)], &mut out, &mut s);
         assert_eq!(s.collision_searches - before, 51);
     }
 
@@ -253,11 +239,11 @@ mod tests {
     fn bitmap_single_probe_per_claim() {
         let mut d = Detector::new(DetectorKind::ContiguousBitmap { word_bits: 8 }, 100);
         let mut s = SimStats::new();
+        let mut out = Vec::new();
         for k in 0..50 {
-            d.claim_round(&[Some(k)], &mut s);
+            d.claim_round_into(&[Some(k)], &mut out, &mut s);
         }
         assert_eq!(s.collision_searches, 50, "bitmap probes don't grow with selected count");
-        assert_eq!(d.selected_count(), 50);
     }
 
     #[test]
@@ -266,7 +252,8 @@ mod tests {
         let mut s = SimStats::new();
         // Lanes pick candidates 0..4: all in word 0 → 3 serialized.
         let reqs: Vec<_> = (0..4).map(Some).collect();
-        let out = d.claim_round(&reqs, &mut s);
+        let mut out = Vec::new();
+        d.claim_round_into(&reqs, &mut out, &mut s);
         assert!(out.iter().all(|o| *o == Some(true)));
         assert_eq!(s.atomic_conflicts, 3);
     }
@@ -278,7 +265,7 @@ mod tests {
         // 64 candidates / 8 bits = 8 words; candidates 0..4 map to words
         // 0..4 under striding → no conflicts.
         let reqs: Vec<_> = (0..4).map(Some).collect();
-        d.claim_round(&reqs, &mut s);
+        d.claim_round_into(&reqs, &mut Vec::new(), &mut s);
         assert_eq!(s.atomic_conflicts, 0);
     }
 
@@ -289,7 +276,7 @@ mod tests {
             let mut d = Detector::new(DetectorKind::ContiguousBitmap { word_bits }, 256);
             let mut s = SimStats::new();
             let reqs: Vec<_> = (0..32).map(Some).collect();
-            d.claim_round(&reqs, &mut s);
+            d.claim_round_into(&reqs, &mut Vec::new(), &mut s);
             s.atomic_conflicts
         };
         assert!(run(32) > run(8), "32-bit words must serialize more");
@@ -304,7 +291,8 @@ mod tests {
         ] {
             let mut d = Detector::new(kind, 16);
             let mut s = SimStats::new();
-            let out = d.claim_round(&[Some(5), Some(5), None, Some(6)], &mut s);
+            let mut out = Vec::new();
+            d.claim_round_into(&[Some(5), Some(5), None, Some(6)], &mut out, &mut s);
             assert_eq!(out[0], Some(true), "{kind:?}");
             assert_eq!(out[1], Some(false), "{kind:?}");
             assert_eq!(out[2], None);
@@ -319,10 +307,9 @@ mod tests {
     fn reset_clears_state() {
         let mut d = Detector::new(DetectorKind::paper_default(), 8);
         let mut s = SimStats::new();
-        d.claim_round(&[Some(1)], &mut s);
+        d.claim_round_into(&[Some(1)], &mut Vec::new(), &mut s);
         d.reset(4);
         assert!(!d.is_selected(1, &mut s));
-        assert_eq!(d.selected_count(), 0);
     }
 
     /// The read-only probe is charged per detector kind: a linear-search
@@ -331,7 +318,7 @@ mod tests {
     fn probe_costs_follow_detector_kind() {
         let mut lin = Detector::new(DetectorKind::LinearSearch, 16);
         let mut s = SimStats::new();
-        lin.claim_round(&[Some(3), Some(9)], &mut s);
+        lin.claim_round_into(&[Some(3), Some(9)], &mut Vec::new(), &mut s);
         let mut s = SimStats::new();
         lin.is_selected(3, &mut s);
         assert_eq!(s.collision_searches, 3, "scan of 2 selected + append slot");
@@ -340,7 +327,7 @@ mod tests {
 
         let mut bm = Detector::new(DetectorKind::paper_default(), 16);
         let mut s = SimStats::new();
-        bm.claim_round(&[Some(3), Some(9)], &mut s);
+        bm.claim_round_into(&[Some(3), Some(9)], &mut Vec::new(), &mut s);
         let mut s = SimStats::new();
         bm.is_selected(3, &mut s);
         assert_eq!(s.collision_searches, 1, "single bit test");

@@ -32,7 +32,6 @@ use crate::step::{
     Residency, StepEntry, StepKernel, StepScratch, TrialCounter,
 };
 use csaw_gpu::stats::{Ledger, ServeLedger, SimStats};
-use csaw_gpu::Device;
 use csaw_graph::{Csr, GraphSnapshot, VertexId};
 use std::collections::HashSet;
 
@@ -231,19 +230,18 @@ pub struct Sampler<'g, A: Algorithm> {
     graph: &'g Csr,
     algo: &'g A,
     opts: RunOptions,
-    /// The simulated device whose cost model the run charges: `None`
-    /// serves ([`ServeLedger`]: operational counters only), `Some`
-    /// models ([`SimStats`]: every counter, as the paper's figures need).
-    device: Option<Device>,
+    /// Whether the run charges the cost model: `false` serves
+    /// ([`ServeLedger`]: operational counters only), `true` models
+    /// ([`SimStats`]: every counter, as the paper's figures need).
+    modeled: bool,
 }
 
 impl<'g, A: Algorithm> Sampler<'g, A> {
     /// A serving sampler with default options: it keeps every
     /// operational counter and charges no cost model, so its output's
-    /// model counters read zero. Attach a device
-    /// ([`Sampler::with_device`]) to model the run.
+    /// model counters read zero. [`Sampler::modeled`] models the run.
     pub fn new(graph: &'g Csr, algo: &'g A) -> Self {
-        Sampler { graph, algo, opts: RunOptions::default(), device: None }
+        Sampler { graph, algo, opts: RunOptions::default(), modeled: false }
     }
 
     /// Overrides the run options.
@@ -252,18 +250,13 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         self
     }
 
-    /// Models the run on `device`: every step charges the cost model
-    /// ([`SimStats`]), so the output's model counters and
-    /// [`SampleOutput::kernel_seconds`] describe it. Samples and
-    /// operational counters are the same with or without a device.
-    pub fn with_device(mut self, device: Device) -> Self {
-        self.device = Some(device);
+    /// Models the run: every step charges the cost model ([`SimStats`]),
+    /// so the output's model counters and [`SampleOutput::kernel_seconds`]
+    /// describe it. Samples and operational counters are the same served
+    /// or modeled.
+    pub fn modeled(mut self) -> Self {
+        self.modeled = true;
         self
-    }
-
-    /// The device the run is modeled on, if any.
-    pub fn device(&self) -> Option<&Device> {
-        self.device.as_ref()
     }
 
     /// Runs one instance per seed vertex (the common case: every paper
@@ -286,11 +279,11 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         let graph = self.graph;
         let algo = self.algo;
         let opts = &self.opts;
-        let modeled = self.device.is_some();
-        let launch = Device::default().launch(tasks, move |_, (instance, seeds)| {
+        let modeled = self.modeled;
+        let (instances, stats) = csaw_gpu::launch(tasks, move |(instance, seeds)| {
             run_instance(graph, algo, opts, modeled, instance, seeds)
         });
-        SampleOutput::from_instances(launch.outputs, launch.task_stats)
+        SampleOutput::from_instances(instances, stats)
     }
 
     /// Depth-synchronous run ([`ExecMode::DepthSync`]): instances are
@@ -309,17 +302,17 @@ impl<'g, A: Algorithm> Sampler<'g, A> {
         let graph = self.graph;
         let algo = self.algo;
         let opts = &self.opts;
-        let modeled = self.device.is_some();
+        let modeled = self.modeled;
         // A chunk's counters travel per instance in its output; the
         // launch's own per-task ledger is left empty.
-        let launch = Device::default().launch(tasks, move |_, (base, sets)| {
+        let (chunks, _) = csaw_gpu::launch(tasks, move |(base, sets)| {
             (run_chunk_task(graph, algo, opts, modeled, base, sets), SimStats::new())
         });
         // Reassemble in task order — chunks partition the instance range
         // contiguously, so concatenation restores instance order.
         let mut instances = Vec::with_capacity(seed_sets.len());
         let mut instance_stats = Vec::with_capacity(seed_sets.len());
-        for (outs, per_inst) in launch.outputs {
+        for (outs, per_inst) in chunks {
             instances.extend(outs);
             instance_stats.extend(per_inst);
         }
@@ -470,7 +463,7 @@ pub fn drive_instance<N: NeighborAccess, L: Ledger>(
     let mut out = instance_output(kernel.cfg(), seeds.len());
     let instance = opts.instance_base + instance;
     let mut bufs = PoolBufs::default();
-    // One arena per worker thread: the device launches instance kernels
+    // One arena per worker thread: `launch` runs instance kernels
     // on a pool, and every instance on a thread reuses that thread's
     // warm buffers — zero steady-state allocations in the step pipeline.
     with_thread_scratch(|scratch| {
@@ -849,7 +842,7 @@ mod tests {
         let g = toy_graph();
         let algo = TestNs { ns: 2, depth: 2 };
         // Modeled, so the conservation covers the cost model's charges.
-        let out = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&[8, 0, 5]);
+        let out = Sampler::new(&g, &algo).modeled().run_single_seeds(&[8, 0, 5]);
         assert_eq!(out.instance_stats.len(), 3);
         let summed: SimStats = out.instance_stats.iter().copied().sum();
         assert_eq!(summed, out.stats);
@@ -857,7 +850,7 @@ mod tests {
             assert_eq!(s.sampled_edges, inst.len() as u64);
         }
         // Slicing one instance out reproduces a solo run's accounting.
-        let solo = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&[8]);
+        let solo = Sampler::new(&g, &algo).modeled().run_single_seeds(&[8]);
         let sliced = out.slice(0..1);
         assert_eq!(sliced.instances, solo.instances);
         assert_eq!(sliced.stats, solo.stats);
@@ -886,8 +879,7 @@ mod tests {
             ("ns", Box::new(TestNs { ns: 3, depth: 4 })),
         ] {
             let algo: &dyn Algorithm = algo.as_ref();
-            let reference =
-                Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&seeds);
+            let reference = Sampler::new(&g, &algo).modeled().run_single_seeds(&seeds);
             for chunk in [1usize, 2, 3, 7, 100] {
                 for prefetch in [0usize, 1, 8] {
                     let opts = RunOptions {
@@ -897,7 +889,7 @@ mod tests {
                         ..Default::default()
                     };
                     let out = Sampler::new(&g, &algo)
-                        .with_device(Device::v100())
+                        .modeled()
                         .with_options(opts)
                         .run_single_seeds(&seeds);
                     assert_eq!(
@@ -926,17 +918,14 @@ mod tests {
             let algo = AlgoSpec::new(id).with_depth(4).build().unwrap();
             let algo: &dyn Algorithm = algo.as_ref();
             let sets: Vec<Vec<u32>> = vec![vec![8, 0, 5], vec![2, 3, 4], vec![8, 0, 5]];
-            let reference = Sampler::new(&g, &algo).with_device(Device::v100()).run(&sets);
+            let reference = Sampler::new(&g, &algo).modeled().run(&sets);
             for chunk in [1usize, 2, 100] {
                 let opts = RunOptions {
                     exec: ExecMode::DepthSync,
                     batch_chunk: Some(chunk),
                     ..Default::default()
                 };
-                let out = Sampler::new(&g, &algo)
-                    .with_device(Device::v100())
-                    .with_options(opts)
-                    .run(&sets);
+                let out = Sampler::new(&g, &algo).modeled().with_options(opts).run(&sets);
                 assert_eq!(out.instances, reference.instances, "{id:?} chunk={chunk}");
                 assert_eq!(scrub_batch_counters(out.stats), reference.stats, "{id:?}");
             }
@@ -966,7 +955,7 @@ mod tests {
     fn stats_accumulate_work() {
         let g = toy_graph();
         let algo = TestNs { ns: 2, depth: 2 };
-        let out = Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&[8, 0]);
+        let out = Sampler::new(&g, &algo).modeled().run_single_seeds(&[8, 0]);
         assert!(out.stats.rng_draws > 0);
         assert!(out.stats.selections > 0);
         assert!(out.stats.gmem_bytes > 0);

@@ -126,8 +126,8 @@ impl SampleOutput {
         }
     }
 
-    /// Simulated kernel time on `cfg`. Only a modeled run has one: a
-    /// served run ([`crate::engine::Sampler::new`] without a device)
+    /// Simulated kernel time on `cfg`. Only a modeled run
+    /// ([`crate::engine::Sampler::modeled`]) has one: a served run
     /// charges no cost model and has no kernel time to report.
     ///
     /// # Panics
@@ -136,7 +136,7 @@ impl SampleOutput {
     pub fn kernel_seconds(&self, cfg: &DeviceConfig) -> f64 {
         assert!(
             self.sampled_edges() == 0 || self.stats.warp_cycles > 0,
-            "kernel time of a run served without a device: attach one with Sampler::with_device"
+            "kernel time of a run served without a device model: call Sampler::modeled"
         );
         cost::gpu_kernel_seconds(&self.stats, cfg)
     }

@@ -20,8 +20,9 @@
 //!   bitmap optimization targets.
 //! - [`cost`]: converts counted work into simulated kernel seconds for a
 //!   V100-like device and a POWER9-like CPU (for the baselines).
-//! - [`device::Device`]: a rayon-backed executor that runs warp tasks in
-//!   parallel and merges their [`stats::SimStats`].
+//! - [`launch`]: runs warp tasks on the rayon pool and returns their
+//!   outputs and [`stats::SimStats`] in task order; the pool's thread
+//!   count is its only switch.
 //! - [`stats::Ledger`]: where a kernel charges its work — every counter
 //!   ([`stats::SimStats`]), or only the operational ones, with the cost
 //!   model compiled away ([`stats::ServeLedger`]).
@@ -29,14 +30,14 @@
 pub mod alloc_count;
 pub mod config;
 pub mod cost;
-pub mod device;
+mod device;
 pub mod lockstep;
 pub mod rng;
 pub mod stats;
 pub mod warp;
 
 pub use config::{CpuConfig, DeviceConfig};
-pub use device::Device;
+pub use device::launch;
 pub use rng::{task_key, Philox};
 pub use stats::{Ledger, ServeLedger, SimStats};
 pub use warp::WARP_SIZE;

@@ -74,11 +74,6 @@ impl DatasetSpec {
             .collect();
         g.with_weights(weights)
     }
-
-    /// Vertex count of the stand-in.
-    pub fn standin_vertices(&self) -> usize {
-        1 << self.scale
-    }
 }
 
 /// All ten Table II datasets, in the paper's order.
@@ -261,8 +256,8 @@ mod tests {
         let fr = by_abbr("FR").unwrap();
         let tw = by_abbr("TW").unwrap();
         for d in ALL.iter().filter(|d| !d.exceeds_gpu_memory) {
-            assert!(fr.standin_vertices() >= d.standin_vertices());
-            assert!(tw.standin_vertices() >= d.standin_vertices());
+            assert!(fr.scale >= d.scale);
+            assert!(tw.scale >= d.scale);
         }
     }
 

@@ -300,6 +300,9 @@ pub enum Mapped {
 // must not target a directory some open `DiskStore` has mapped.
 #[cfg(unix)]
 unsafe impl Send for Mapped {}
+// SAFETY: as for `Send`. `&Mapped` only hands out shared `&[u8]` views of
+// the read-only mapping, and unmapping needs `&mut self` (`Drop`), so no
+// reader can race the unmap.
 #[cfg(unix)]
 unsafe impl Sync for Mapped {}
 

@@ -20,11 +20,6 @@ pub struct OomConfig {
     /// Partition by edge count instead of vertex count (extension; the
     /// paper's §V-A scheme is equal vertex ranges). Ablated as A6.
     pub edge_balanced_partitions: bool,
-    /// Execute the per-stream round work (transfer + drain + kernel
-    /// accounting) as concurrent host tasks, one per CUDA stream. Purely a
-    /// host-side execution-mode switch: simulated timelines, stats, and
-    /// sampled outputs are bit-identical to the serial path.
-    pub host_parallel: bool,
 }
 
 impl OomConfig {
@@ -39,14 +34,7 @@ impl OomConfig {
             workload_aware: false,
             balanced: false,
             edge_balanced_partitions: false,
-            host_parallel: true,
         }
-    }
-
-    /// This config with host-side stream parallelism disabled (reference
-    /// serial execution; also useful on single-core hosts).
-    pub fn serial(self) -> Self {
-        OomConfig { host_parallel: false, ..self }
     }
 
     /// Baseline + batched multi-instance sampling.
@@ -120,8 +108,6 @@ mod tests {
         assert_eq!(c.num_partitions, 4);
         assert_eq!(c.num_kernels, 2);
         assert_eq!(c.resident_partitions, 2);
-        assert!(c.host_parallel);
-        assert!(!c.serial().host_parallel);
         assert!(c.validate().is_ok());
     }
 

@@ -33,6 +33,13 @@
 //!   communication; per-group `instance_base` offsets keep RNG streams
 //!   global, so a split run equals the single-device run bit for bit.
 //!
+//! Every runtime here models: its [`csaw_gpu::config::DeviceConfig`]
+//! (`with_device` on the runners, [`multigpu::MultiGpu::device`]) feeds
+//! only the cost model. Host work fans out through [`csaw_gpu::launch`]
+//! (one task per stream per round) and one rayon task per simulated GPU;
+//! the rayon pool's thread count is the only host switch, and no output
+//! depends on it.
+//!
 //! The demand-paged unified-memory comparator §VII argues against
 //! (ablation A4) lives in `csaw-baselines`.
 

@@ -23,7 +23,6 @@ use csaw_core::SampleOutput;
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::{gpu_kernel_seconds_with_slots, makespan_seconds};
 use csaw_gpu::stats::SimStats;
-use csaw_gpu::Device;
 use csaw_graph::{Csr, VertexId};
 use rayon::prelude::*;
 
@@ -103,10 +102,7 @@ impl MultiGpu {
             .into_par_iter()
             .map(|(base, chunk)| {
                 let group_opts = RunOptions { instance_base: base, ..opts.clone() };
-                let out = Sampler::new(graph, algo)
-                    .with_device(Device::with_config(self.device))
-                    .with_options(group_opts)
-                    .run(chunk);
+                let out = Sampler::new(graph, algo).modeled().with_options(group_opts).run(chunk);
                 // Saturation model: a group smaller than the device's
                 // resident warp capacity leaves warp slots idle; the
                 // wavefront makespan additionally surfaces straggler
@@ -160,20 +156,17 @@ impl MultiGpu {
         opts: RunOptions,
     ) -> MultiGpuOomOutput {
         let chunks = self.groups(seeds, opts.instance_base);
-        let run_chunk = |(base, chunk): (u32, &[VertexId])| {
-            crate::OomRunner::new(graph, algo, cfg)
-                .with_device(self.device)
-                .with_options(RunOptions { instance_base: base, ..opts.clone() })
-                .run(chunk)
-        };
         // One host task per simulated GPU (disjoint groups, no
-        // communication); `host_parallel` also selects the serial
-        // reference path here. Results are identical either way.
-        let results: Vec<OomOutput> = if cfg.host_parallel {
-            chunks.into_par_iter().map(run_chunk).collect()
-        } else {
-            chunks.into_iter().map(run_chunk).collect()
-        };
+        // communication), collected in group order.
+        let results: Vec<OomOutput> = chunks
+            .into_par_iter()
+            .map(|(base, chunk)| {
+                crate::OomRunner::new(graph, algo, cfg)
+                    .with_device(self.device)
+                    .with_options(RunOptions { instance_base: base, ..opts.clone() })
+                    .run(chunk)
+            })
+            .collect();
 
         let mut sample = SampleOutput::empty();
         let mut gpu_seconds = Vec::with_capacity(self.num_gpus);
@@ -212,11 +205,6 @@ impl MultiGpuOomOutput {
     /// Straggler-device completion time.
     pub fn total_seconds(&self) -> f64 {
         self.gpu_seconds.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Scheduling rounds of the device that ran the most.
-    pub fn max_rounds(&self) -> usize {
-        self.rounds.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -351,8 +339,10 @@ mod tests {
         // straggler device can legitimately need a few extra rounds.
         // Bound: per-round cost within 5% (kernel-time noise from smaller
         // batches; transfers per round are identical).
-        let per_round_one = one.total_seconds() / one.max_rounds().max(1) as f64;
-        let per_round_four = four.total_seconds() / four.max_rounds().max(1) as f64;
+        let max_rounds = |out: &MultiGpuOomOutput| out.rounds.iter().copied().max().unwrap_or(0);
+        let (rounds_one, rounds_four) = (max_rounds(&one), max_rounds(&four));
+        let per_round_one = one.total_seconds() / rounds_one.max(1) as f64;
+        let per_round_four = four.total_seconds() / rounds_four.max(1) as f64;
         assert!(
             per_round_four <= per_round_one * 1.05,
             "per-round cost regressed: {per_round_four} vs {per_round_one}"
@@ -362,10 +352,8 @@ mod tests {
         // depth of the longest frontier chain (depth 3 here → at most 3
         // extra rounds of slack; generous 2x guard against pathology).
         assert!(
-            four.max_rounds() <= one.max_rounds() * 2,
-            "straggler rounds exploded: {} vs {}",
-            four.max_rounds(),
-            one.max_rounds()
+            rounds_four <= rounds_one * 2,
+            "straggler rounds exploded: {rounds_four} vs {rounds_one}"
         );
     }
 

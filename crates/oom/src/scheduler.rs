@@ -27,17 +27,17 @@
 //! drives the same kernel over demand-resident partitions.
 //!
 //! The per-stream round work (transfer accounting + queue drain + kernel
-//! cost) runs as one independent host task per CUDA stream, routed through
-//! [`Device::launch_with`] so streams reuse the device's stats/cycle
-//! merging (`OomConfig::host_parallel` picks concurrent vs serial
-//! execution — same results either way).
+//! cost) runs as one independent host task per CUDA stream, fanned out
+//! by [`csaw_gpu::launch`] like every other runtime's warp tasks (the
+//! rayon pool's thread count is the only host switch — same results at
+//! any count).
 //!
 //! Correctness under out-of-order scheduling (§V-B): each queue entry
 //! carries its instance's depth, and the RNG stream of every expansion is
 //! keyed by [`csaw_gpu::rng::task_key`]`(instance, depth, vertex, trial)`
 //! — the same scheme every runtime uses — making the sampled output
-//! *bit-identical* across all scheduling policies, host thread counts,
-//! the serial reference path, and the in-memory engine itself. The tests
+//! *bit-identical* across all scheduling policies, host thread counts
+//! and the in-memory engine itself. The tests
 //! (and `tests/oom_equivalence.rs`) assert exactly that.
 
 use crate::config::OomConfig;
@@ -55,7 +55,6 @@ use csaw_core::step::{
 use csaw_core::SampleOutput;
 use csaw_gpu::config::DeviceConfig;
 use csaw_gpu::cost::gpu_kernel_seconds_with_slots;
-use csaw_gpu::device::Device;
 use csaw_gpu::stats::{Ledger, SimStats};
 use csaw_graph::{Csr, Partition, PartitionSet, VertexId};
 use std::collections::{HashMap, HashSet};
@@ -302,7 +301,6 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
         let max_part_bytes = parts.parts().iter().map(Partition::size_bytes).max().unwrap_or(1);
         let mut memory = DeviceMemory::new(max_part_bytes * self.cfg.resident_partitions);
         let mut engine = TransferEngine::new(self.cfg.num_kernels, self.device.pcie_gbps);
-        let dev = Device::with_config(self.device);
         let mut queues: Vec<FrontierQueue> = (0..k).map(|_| FrontierQueue::new()).collect();
         // The visited filter is sharded by partition: `visited[p][i]` holds
         // the partition-`p` vertices instance `i` has taken. A vertex is
@@ -429,11 +427,9 @@ impl<'g, A: Algorithm> OomRunner<'g, A> {
             // per stream. Each task owns its partition's queue and visited
             // shard, so the tasks share nothing mutable; results come back
             // in stream order regardless of host scheduling.
-            let launch = dev.launch_with(stream_tasks, self.cfg.host_parallel, |_, task| {
+            let (mut stream_rounds, mut kstats) = csaw_gpu::launch(stream_tasks, |task| {
                 self.run_stream_round(parts, &algo_cfg, seeds, task)
             });
-            let mut stream_rounds = launch.outputs;
-            let mut kstats = launch.task_stats;
 
             // Round barrier, part 1: return queues and shards, then merge
             // the outboxes in fixed (stream, entry) order. Insertion work

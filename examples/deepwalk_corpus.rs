@@ -14,7 +14,6 @@
 use csaw::core::algorithms::{Node2Vec, SimpleRandomWalk};
 use csaw::core::engine::Sampler;
 use csaw::gpu::config::DeviceConfig;
-use csaw::gpu::Device;
 use csaw::graph::datasets;
 
 fn main() {
@@ -33,15 +32,15 @@ fn main() {
         .flat_map(|v| std::iter::repeat_n(v, walks_per_vertex))
         .collect();
 
-    // Plain Deepwalk corpus, modeled on a V100 (the device attached to
-    // each sampler is what gives the report a simulated kernel time).
+    // Plain Deepwalk corpus, modeled (a modeled sampler charges the cost
+    // model, which is what gives the report a simulated V100 kernel time).
     let dw = SimpleRandomWalk { length: walk_length };
-    let out = Sampler::new(&g, &dw).with_device(Device::v100()).run_single_seeds(&seeds);
+    let out = Sampler::new(&g, &dw).modeled().run_single_seeds(&seeds);
     report("deepwalk", &g, &out);
 
     // node2vec corpus with exploration bias (q < 1 favors going outward).
     let n2v = Node2Vec { length: walk_length, p: 1.0, q: 0.5 };
-    let out = Sampler::new(&g, &n2v).with_device(Device::v100()).run_single_seeds(&seeds);
+    let out = Sampler::new(&g, &n2v).modeled().run_single_seeds(&seeds);
     report("node2vec(p=1,q=0.5)", &g, &out);
 }
 

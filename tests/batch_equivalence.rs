@@ -15,7 +15,6 @@
 use csaw::core::engine::{ExecMode, RunOptions, Sampler};
 use csaw::core::AlgoSpec;
 use csaw::gpu::stats::SimStats;
-use csaw::gpu::Device;
 use csaw::graph::{Csr, CsrBuilder};
 use proptest::prelude::*;
 
@@ -75,11 +74,11 @@ proptest! {
         let algo: &dyn csaw::core::api::Algorithm = algo.as_ref();
         // Both modeled, so the charge identity covers the cost model too.
         let reference = Sampler::new(&g, &algo)
-            .with_device(Device::v100())
+            .modeled()
             .with_options(RunOptions { seed: rng_seed, ..Default::default() })
             .run(&seed_sets);
         let batched = Sampler::new(&g, &algo)
-            .with_device(Device::v100())
+            .modeled()
             .with_options(RunOptions {
                 seed: rng_seed,
                 exec: ExecMode::DepthSync,

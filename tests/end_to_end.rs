@@ -4,7 +4,6 @@
 use csaw::core::algorithms::*;
 use csaw::core::api::{Algorithm, FrontierMode};
 use csaw::core::engine::{RunOptions, Sampler};
-use csaw::gpu::Device;
 use csaw::graph::generators::{barabasi_albert, rmat, toy_graph, RmatParams};
 use csaw::graph::Csr;
 
@@ -95,7 +94,7 @@ fn thread_count_does_not_change_results() {
     let seeds: Vec<u32> = (0..64).collect();
 
     // Modeled, so the cost model's charges are held to it too.
-    let run = || Sampler::new(&g, &algo).with_device(Device::v100()).run_single_seeds(&seeds);
+    let run = || Sampler::new(&g, &algo).modeled().run_single_seeds(&seeds);
     let baseline = run();
     let single = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap().install(run);
     assert_eq!(baseline.instances, single.instances);

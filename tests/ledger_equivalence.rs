@@ -1,9 +1,8 @@
 //! The two ledgers sample the same.
 //!
-//! A [`Sampler`] without a device serves: its kernel charges a
-//! `ServeLedger`, which keeps the operational counters and compiles the
-//! V100 cost model away. With a device attached it charges a `SimStats`,
-//! every counter. This suite runs every Table-I algorithm both ways, in
+//! A [`Sampler`] serves by default: its kernel charges a `ServeLedger`,
+//! which keeps the operational counters and compiles the V100 cost model
+//! away. [`Sampler::modeled`] charges a `SimStats`, every counter. This suite runs every Table-I algorithm both ways, in
 //! both schedules, over the three storages a run can read — the resident
 //! CSR, the disk tier and a mutated snapshot's overlay — and holds the
 //! pair to three things: bit-identical instances, equal operational
@@ -15,7 +14,6 @@ use csaw::core::api::Algorithm;
 use csaw::core::engine::{ExecMode, RunOptions, Sampler};
 use csaw::core::residency::DiskRunConfig;
 use csaw::core::SampleOutput;
-use csaw::gpu::Device;
 use csaw::graph::generators::{rmat, RmatParams};
 use csaw::graph::store::write_store;
 use csaw::graph::{Csr, DiskStore, EdgeEdit, MutableGraph, VertexId};
@@ -60,8 +58,7 @@ fn both_ways(label: &str, g: &Csr, algo: &dyn Algorithm, opts: &RunOptions) {
     for exec in [ExecMode::InstanceMajor, ExecMode::DepthSync] {
         let opts = RunOptions { exec, ..opts.clone() };
         let served = Sampler::new(g, &algo).with_options(opts.clone()).run(&sets);
-        let modeled =
-            Sampler::new(g, &algo).with_device(Device::v100()).with_options(opts).run(&sets);
+        let modeled = Sampler::new(g, &algo).modeled().with_options(opts).run(&sets);
         assert!(served.sampled_edges() > 0, "{label} {exec:?}: sampled nothing");
         assert_same(&format!("{label} {exec:?}"), &served, &modeled);
     }
@@ -108,8 +105,7 @@ fn ledgers_agree_on_the_disk_tier() {
                     let disk = Some(DiskRunConfig { store, pool_budget: budget, shared: None });
                     let opts = RunOptions { exec, disk, ..RunOptions::default() };
                     let sampler = Sampler::new(&g, &algo).with_options(opts);
-                    let sampler =
-                        if modeled { sampler.with_device(Device::v100()) } else { sampler };
+                    let sampler = if modeled { sampler.modeled() } else { sampler };
                     sampler.run(&sets)
                 });
                 assert!(served.stats.disk_pool_lookups > 0, "{label}: the disk tier never served");

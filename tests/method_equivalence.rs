@@ -25,7 +25,7 @@ use csaw::core::method::MethodPolicy;
 use csaw::core::select::{select_one, select_one_rejection};
 use csaw::core::step::{CsrAccess, StepKernel, StepScratch};
 use csaw::gpu::stats::SimStats;
-use csaw::gpu::{Device, Philox};
+use csaw::gpu::Philox;
 use csaw::graph::generators::{rmat, toy_graph, RmatParams};
 use csaw::graph::quality::chi_square_stat;
 use csaw::graph::{Csr, CsrBuilder, VertexId};
@@ -294,8 +294,7 @@ fn adaptive_equals_force_its_except_node2vec() {
             for cache in [false, true] {
                 let run = |policy| {
                     let opts = RunOptions { exec, ..toy_opts(policy, cache) };
-                    let sampler =
-                        Sampler::new(&g, &algo).with_options(opts).with_device(Device::v100());
+                    let sampler = Sampler::new(&g, &algo).with_options(opts).modeled();
                     pool.install(|| sampler.run(&sets))
                 };
                 let (its, adaptive) = (run(MethodPolicy::ForceIts), run(MethodPolicy::Adaptive));

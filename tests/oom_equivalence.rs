@@ -84,11 +84,18 @@ fn assert_exact_equivalence_under<A: csaw::core::api::Algorithm>(
             assert_eq!(oom.sample.stats.batch_groups, 0, "{label} under {name} ({exec:?}) grouped");
         }
     }
-    let serial = OomRunner::new(&g, algo, OomConfig::full().serial())
-        .with_device(device)
-        .with_options(opts)
-        .run(&seeds);
-    assert_eq!(serial.sample.sorted_instances(), mem, "{label} (serial) diverged from the engine");
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let serial = pool.install(|| {
+        OomRunner::new(&g, algo, OomConfig::full())
+            .with_device(device)
+            .with_options(opts)
+            .run(&seeds)
+    });
+    assert_eq!(
+        serial.sample.sorted_instances(),
+        mem,
+        "{label} (1 thread) diverged from the engine"
+    );
 }
 
 #[test]
@@ -159,12 +166,11 @@ fn oom_respects_memory_budget() {
 /// each stream task owns its partition's queue and visited shard, every
 /// RNG draw is keyed by `(instance, depth, vertex)`, and cross-partition
 /// frontier insertions are staged in per-stream outboxes merged at the
-/// round barrier in fixed (stream, entry) order. The rayon pool size
-/// therefore cannot change any observable output — and neither can
-/// disabling host parallelism entirely (`OomConfig::serial`, the serial
-/// reference path), for both the single-device scheduler and the
-/// multi-GPU driver. Every field is compared bit-exactly, including the
-/// simulated timings.
+/// round barrier in fixed (stream, entry) order. The rayon pool size —
+/// the only host switch, down to one thread that runs every stream task
+/// in place — therefore cannot change any observable output, for both
+/// the single-device scheduler and the multi-GPU driver. Every field is
+/// compared bit-exactly, including the simulated timings.
 #[test]
 fn oom_runtime_is_deterministic_across_thread_counts() {
     use csaw::oom::{MultiGpu, MultiGpuOomOutput, OomOutput};
@@ -172,16 +178,18 @@ fn oom_runtime_is_deterministic_across_thread_counts() {
     let algo = UnbiasedNeighborSampling { neighbor_size: 2, depth: 3 };
     let seeds: Vec<u32> = (0..96).map(|i| i * 11 % 1024).collect();
 
-    let single = |cfg: OomConfig| {
-        OomRunner::new(&g, &algo, cfg).with_device(DeviceConfig::tiny(1 << 20)).run(&seeds)
+    let single = || {
+        OomRunner::new(&g, &algo, OomConfig::full())
+            .with_device(DeviceConfig::tiny(1 << 20))
+            .run(&seeds)
     };
     let multi =
-        |cfg: OomConfig| MultiGpu::new(3).run_oom(&g, &algo, &seeds, cfg, RunOptions::default());
+        || MultiGpu::new(3).run_oom(&g, &algo, &seeds, OomConfig::full(), RunOptions::default());
     let f64_bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
 
-    // Reference: the default host-parallel config on the ambient pool.
-    let base = single(OomConfig::full());
-    let base_mg = multi(OomConfig::full());
+    // Reference: the ambient pool.
+    let base = single();
+    let base_mg = multi();
 
     let check = |o: &OomOutput, label: &str| {
         assert_eq!(o.sample.instances, base.sample.instances, "{label}: instances");
@@ -207,15 +215,11 @@ fn oom_runtime_is_deterministic_across_thread_counts() {
         );
     };
 
-    // The serial reference path: no rayon tasks spawned at all.
-    check(&single(OomConfig::full().serial()), "serial");
-    check_mg(&multi(OomConfig::full().serial()), "serial multi-GPU");
-
     // Pinned pool sizes — the RAYON_NUM_THREADS=1/2/default matrix,
     // expressed with explicit pools so one test process covers it all.
     for threads in [1usize, 2] {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let (o, m) = pool.install(|| (single(OomConfig::full()), multi(OomConfig::full())));
+        let (o, m) = pool.install(|| (single(), multi()));
         check(&o, &format!("{threads}-thread pool"));
         check_mg(&m, &format!("{threads}-thread pool, multi-GPU"));
     }
